@@ -529,8 +529,7 @@ def cmd_ext(problem, args):
 def cmd_minimize(problem, args):
     b = bounds_from(args)
     m = problem.complex(args.complex)
-    u = problem.u_truncation(max(args.degree, b.filtration + b.window[1] + 1))
-    res = minimize_G(m, u, problem.cdga(args.degree), b)
+    res = minimize_G(m, problem.cdga(args.degree), b)
     h, _ = homology_dims(m, m.window)
     lines = [f"socle dims of the minimal model: {res.socle_dims}",
              f"homology of the input: {h}",

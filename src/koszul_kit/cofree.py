@@ -362,7 +362,7 @@ class MinimizeResult:
         self.witness_onto = witness_onto
 
 
-def minimize_G(m, u, cdga: CdgAlgebra, bounds, certify=True) -> MinimizeResult:
+def minimize_G(m, cdga: CdgAlgebra, bounds, certify=True) -> MinimizeResult:
     """Homotopy-minimal cofree model of G(M) for bounded-above M.
 
     The socle complex of G(M) is (M, d_M); the transfer collapses it onto

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .deformations import CdgAlgebra, DeformationData, FilteredAlgebraTruncation
+from .deformations import CdgAlgebra, DeformationData
 from .errors import CurvedInputError, InconsistentDataError, InputError
 from .linalg import RHS, Matrix, solve_sparse, sparse_rank
 from .scalars import Field
@@ -74,15 +74,6 @@ class UModule:
         for g in reversed(word):
             m = self.actions[g].mul(m)
         return m
-
-    def act_u(self, u: FilteredAlgebraTruncation, coords) -> Matrix:
-        """Action of a U-truncation element given by basis coordinates."""
-        f = self.field
-        acc = Matrix.zero(f, self.dim, self.dim)
-        for i, c in enumerate(coords):
-            if not f.is_zero(c):
-                acc = acc.add(self.act_word(u.basis_words[i]).scale(c))
-        return acc
 
     @staticmethod
     def trivial(data: DeformationData) -> "UModule":
@@ -149,9 +140,6 @@ class BaseComplex:
         if self.weights is None:
             return None
         return self.weights.get(p, [None] * self.dim(p))[i]
-
-    def is_zero_complex(self) -> bool:
-        return not self.dims
 
     side = "plain"
 
@@ -259,6 +247,15 @@ class CdgModule(BaseComplex):
             out = out.add(m.scale(c))
         return out
 
+    def check_d_squared(self):
+        """The curvature law d^2 = c.(-); it reads d^2 = 0 when c = 0."""
+        for p in self.degrees():
+            if self.dim(p) and self.dim(p + 2):
+                lhs = self.diff(p + 1).mul(self.diff(p))
+                if not lhs.eq(self.act_element(p, 2, self.cdga.curvature)):
+                    return f"curvature law d^2 = c.(-) fails at degree {p}"
+        return None
+
     def validate(self):
         f = self.field
         dual = self.cdga.dual
@@ -287,14 +284,9 @@ class CdgModule(BaseComplex):
                 rhs = self.act_element(p, 2, d1col).sub(self.action(p + 1, g).mul(self.diff(p)))
                 if not lhs.eq(rhs):
                     return f"anti-derivation law fails at degree {p}, generator {g}"
-        # curvature: d^2 = c . (-)
-        for p in self.degrees():
-            if not self.dim(p):
-                continue
-            lhs = self.diff(p + 1).mul(self.diff(p))
-            rhs = self.act_element(p, 2, self.cdga.curvature)
-            if not lhs.eq(rhs):
-                return f"curvature law fails at degree {p}"
+        msg = self.check_d_squared()
+        if msg:
+            return msg
         if self.weights is not None:
             wts = self.cdga.dual.pres.weights or [1] * d
             for p in self.degrees():

@@ -131,10 +131,6 @@ class DeformationData:
             if not f.is_zero(self.beta.data[0][i]) and rw != 0:
                 raise InputError(f"beta nonzero on weight-{rw} relation {i}")
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.alpha.is_zero() and self.beta.is_zero()
-
     def graph_rows(self) -> Matrix:
         """Rows (r | alpha(r) | beta(r)) over the canonical relation basis."""
         f, d = self.field, self.base.dim
@@ -448,33 +444,18 @@ class FilteredAlgebraTruncation:
     def _insert_ideal_rows(self):
         f = self.field
         d = self.data.base.dim
-        graph = self.data.graph_rows()
+        # nonzero terms (middle word, coefficient) of each row (r | alpha | beta)
+        middles = words_of_length(d, 2) + words_of_length(d, 1) + [()]
+        terms = [[(w, c) for w, c in zip(middles, row) if not f.is_zero(c)]
+                 for row in self.data.graph_rows().data]
         for total_pad in range(self.bound - 1):
             for i in range(total_pad + 1):
                 j = total_pad - i
                 for u in words_of_length(d, i):
                     for v in words_of_length(d, j):
-                        for r in range(graph.rows):
-                            row = graph.data[r]
-                            vec = {}
-                            for a in range(d):
-                                for b in range(d):
-                                    c = row[pair_index(a, b, d)]
-                                    if not f.is_zero(c):
-                                        w = u + (a, b) + v
-                                        gi = word_global_index(w, d)
-                                        vec[gi] = f.add(vec.get(gi, f.zero()), c)
-                            for g in range(d):
-                                c = row[d * d + g]
-                                if not f.is_zero(c):
-                                    w = u + (g,) + v
-                                    gi = word_global_index(w, d)
-                                    vec[gi] = f.add(vec.get(gi, f.zero()), c)
-                            c = row[d * d + d]
-                            if not f.is_zero(c):
-                                gi = word_global_index(u + v, d)
-                                vec[gi] = f.add(vec.get(gi, f.zero()), c)
-                            self.span.insert(vec)
+                        for row in terms:
+                            self.span.insert({word_global_index(u + w + v, d): c
+                                              for w, c in row})
 
     # -- queries -----------------------------------------------------------
 
@@ -486,10 +467,6 @@ class FilteredAlgebraTruncation:
         """Dimension of the filtration piece U_{<=n}."""
         n = min(n, self.bound)
         return sum(self.gr_dims[: n + 1]) if n >= 0 else 0
-
-    def basis_slice(self, n: int):
-        """Indices (into the full basis) of words of degree <= n."""
-        return [i for i, w in enumerate(self.basis_words) if len(w) <= n]
 
     def reduce_word(self, word):
         """Coordinates of the class of a word on the chosen basis."""
@@ -540,9 +517,6 @@ class FilteredAlgebraTruncation:
         v = [f.zero()] * len(self.basis)
         v[self._basis_pos[word_global_index((g,), self.data.base.dim)]] = f.one()
         return v
-
-    def pbw_holds_at(self, n: int, a_truncation: GradedAlgebraTruncation) -> bool:
-        return self.gr_dims[n] == a_truncation.dim_at(n)
 
     def check_associativity(self, max_total=None) -> bool:
         f = self.field

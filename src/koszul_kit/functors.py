@@ -49,9 +49,6 @@ class KoszulBimodule:
         self.bounds = bounds
         self.field = u.field
 
-    def component_dims(self, level: int, r: int):
-        return self.u.dim_leq(level), self.cdga.dual.dim_at(r)
-
     def delta(self, level: int, r: int) -> Matrix:
         """Matrix of delta on U_{<=level} ⊗ A!_r (columns u-major)."""
         f = self.field
@@ -742,6 +739,7 @@ def module_linear_hom_basis(n: CdgModule, g: CdgModule, degree: int):
     span = EchelonSpan(f)
     for eq in eqs:
         span.insert(eq)
+    span.interreduce()
     leads = set(span.leads())
     basis = []
     nvars = len(varmap)

@@ -1,14 +1,25 @@
-"""Dense exact linear algebra kernel: rref, rank, kernel, solve.
+"""Exact linear algebra: dense rref, rank, kernel and solve, and a sparse
+echelon core.
 
 All operations are exact; there is no tolerance anywhere.  Matrices are
-dense lists of rows.  ``EchelonSpan`` is the sparse fast path used by the
-big quotient constructions; its contract is identical to reducing against
-the dense row space.
+dense lists of rows.  ``EchelonSpan`` is the sparse core of the big
+quotient constructions and of ``solve_sparse``/``sparse_rank``.  It keeps
+its rows in echelon form, each row led by its largest coordinate, which is
+enough for a unique normal form modulo the span: the same vector the dense
+rref with columns searched in descending order gives.  ``interreduce()``
+turns the rows into that rref's rows for callers that read ``rows``.  The
+inner loops work on the field's raw values (``Fraction`` over Q, ``int``
+with ``% p`` over F_p), not through ``Field`` methods.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
+
 from .scalars import Field
+
+_ONE = Fraction(1)
 
 
 class DimensionError(ValueError):
@@ -304,20 +315,81 @@ def intersect_row_spaces(a: Matrix, b: Matrix) -> Matrix:
 # -- sparse incremental echelon (fast path) -------------------------------
 
 
+def _reduce_q(rows, vec):
+    """Normal form of ``vec`` (owned, zero-free) over Q, in place.
+
+    Leads are taken from a max-heap, so each row is used at most once: a row
+    only adds coordinates below its lead, and ``row[k] == 1`` cancels the
+    lead itself."""
+    heap = [-k for k in vec if k in rows]
+    heapify(heap)
+    while heap:
+        k = -heappop(heap)
+        c = vec.get(k)
+        if c is None:  # cancelled after it was pushed, or pushed twice
+            continue
+        c = -c
+        for j, v in rows[k].items():
+            nv = vec.get(j)
+            if nv is None:
+                vec[j] = c * v
+                if j in rows:
+                    heappush(heap, -j)
+            else:
+                nv += c * v
+                if nv:
+                    vec[j] = nv
+                else:
+                    del vec[j]
+    return vec
+
+
+def _reduce_mod(rows, vec, p):
+    """``_reduce_q`` over F_p: values are ints in [0, p)."""
+    heap = [-k for k in vec if k in rows]
+    heapify(heap)
+    while heap:
+        k = -heappop(heap)
+        c = vec.get(k)
+        if c is None:
+            continue
+        c = p - c
+        for j, v in rows[k].items():
+            nv = vec.get(j)
+            if nv is None:
+                vec[j] = c * v % p
+                if j in rows:
+                    heappush(heap, -j)
+            else:
+                nv = (nv + c * v) % p
+                if nv:
+                    vec[j] = nv
+                else:
+                    del vec[j]
+    return vec
+
+
 class EchelonSpan:
     """Incrementally built row space in echelon form with sparse dict rows.
 
-    Rows are keyed by their *largest* nonzero coordinate; inserting a
-    vector reduces it against existing rows.  Reduction of any vector
-    yields its unique normal form supported away from the lead set, so
-    the non-lead coordinates index a basis of the quotient.
+    Each row is keyed by its *largest* nonzero coordinate, its lead, where
+    it has coefficient 1.  Rows are in echelon form only: a row is reduced
+    against the rows that existed when it was inserted, and may hold the
+    lead of a later row.  Every nonzero vector of the span has its largest
+    coordinate in the lead set, so the normal form of a vector modulo the
+    span, supported off the lead set, is unique; the non-lead coordinates
+    index a basis of the quotient.
+
+    Callers that read ``rows`` as a reduced basis (no row holds another
+    row's lead) call ``interreduce()`` first.
     """
 
-    __slots__ = ("field", "rows")
+    __slots__ = ("field", "rows", "_p")
 
     def __init__(self, field: Field):
         self.field = field
         self.rows = {}  # lead index -> dict {index: coeff} with coeff[lead] == 1
+        self._p = field.p
 
     def dim(self) -> int:
         return len(self.rows)
@@ -325,53 +397,46 @@ class EchelonSpan:
     def leads(self):
         return self.rows.keys()
 
-    def _reduce(self, vec: dict) -> dict:
-        f = self.field
-        vec = {k: v for k, v in vec.items() if not f.is_zero(v)}
-        rows = self.rows
-        while vec:
-            reducible = [k for k in vec if k in rows]
-            if not reducible:
-                break
-            lead = max(reducible)
-            row = rows[lead]
-            c = vec[lead]
-            for k, v in row.items():
-                nv = f.sub(vec.get(k, f.zero()), f.mul(c, v))
-                if f.is_zero(nv):
-                    vec.pop(k, None)
-                else:
-                    vec[k] = nv
-        return vec
+    def _reduce(self, vec) -> dict:
+        """Normal form of a zero-free copy of vec; ``vec`` is not changed."""
+        p = self._p
+        if p:
+            return _reduce_mod(self.rows, {k: v % p for k, v in vec.items() if v % p}, p)
+        return _reduce_q(self.rows, {k: v for k, v in vec.items() if v})
 
     def insert(self, vec: dict) -> bool:
         """Add vec to the span. Returns True if the dimension grew."""
-        f = self.field
-        red = self._reduce(dict(vec))
+        red = self._reduce(vec)
         if not red:
             return False
         lead = max(red)
-        inv = f.inv(red[lead])
-        row = {k: f.mul(inv, v) for k, v in red.items()}
-        # back-substitute into existing rows so reduction is single-pass
-        for l2, r2 in self.rows.items():
-            c = r2.get(lead)
-            if c is not None and not f.is_zero(c):
-                for k, v in row.items():
-                    nv = f.sub(r2.get(k, f.zero()), f.mul(c, v))
-                    if f.is_zero(nv):
-                        r2.pop(k, None)
-                    else:
-                        r2[k] = nv
-        self.rows[lead] = row
+        p = self._p
+        if p:
+            inv = pow(red[lead], p - 2, p)
+            self.rows[lead] = {k: v * inv % p for k, v in red.items()}
+        else:
+            inv = _ONE / red[lead]
+            self.rows[lead] = {k: v * inv for k, v in red.items()}
         return True
 
     def reduce(self, vec: dict) -> dict:
         """Normal form of vec modulo the span (no insertion)."""
-        return self._reduce(dict(vec))
+        return self._reduce(vec)
 
-    def contains(self, vec: dict) -> bool:
-        return not self._reduce(dict(vec))
+    def interreduce(self):
+        """Make the rows the reduced basis: no row holds another row's lead.
+
+        One pass in increasing lead order; each row is reduced against rows
+        of smaller lead, which are reduced by then."""
+        rows, p = self.rows, self._p
+        for lead in sorted(rows):
+            row = rows[lead]
+            one = row.pop(lead)
+            if p:
+                _reduce_mod(rows, row, p)
+            else:
+                _reduce_q(rows, row)
+            row[lead] = one
 
 
 RHS = -1  # reserved coordinate for the affine part of sparse systems
@@ -387,7 +452,7 @@ def solve_sparse(field: Field, equations, nvars: int):
     f = field
     span = EchelonSpan(f)
     for eq in equations:
-        row = {k: v for k, v in eq.items() if not f.is_zero(v)}
+        row = dict(eq)
         if RHS in row:
             row[RHS] = f.neg(row[RHS])  # fold rhs across: sum c x - b = 0
         span.insert(row)
@@ -395,6 +460,7 @@ def solve_sparse(field: Field, equations, nvars: int):
     # variable support: that row reads 0 = b with b nonzero.
     if RHS in span.rows:
         return None
+    span.interreduce()
     sol = [f.zero()] * nvars
     # rows are inter-reduced, so no non-lead variable is another row's
     # lead; all non-lead variables are free and set to zero.

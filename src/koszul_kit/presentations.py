@@ -130,7 +130,6 @@ class GradedAlgebraTruncation:
 
         self.basis_words = {0: [()], 1: words_of_length(d, 1) if bound >= 1 else []}
         self.projections = {0: Matrix.identity(f, 1)}
-        self._reducers = {}
         if bound >= 1:
             self.projections[1] = Matrix.identity(f, d)
 
@@ -177,7 +176,6 @@ class GradedAlgebraTruncation:
         std = [j for j in range(ncols) if j not in leads]
         all_words = words_of_length(d, n)
         self.basis_words[n] = [all_words[j] for j in std]
-        self._reducers[n] = (span, std)
         std_pos = {j: i for i, j in enumerate(std)}
         proj_cols = []
         for j in range(ncols):

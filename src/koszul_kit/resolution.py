@@ -148,9 +148,3 @@ def _act_on_expanded(alg, free: GradedFreeModule, mdeg: int, mcoords,
                 row = tpos[(gi, d + mdeg, tb)]
                 out[row] = f.add(out[row], f.mul(c, pc))
     return out
-
-
-def ext_self_betti(alg: GradedAlgebraTruncation, steps: int, degree_cap: int):
-    """dim Ext^i_A(k,k) per internal degree = Betti numbers of the minimal
-    resolution (dualizing a minimal resolution kills the differential)."""
-    return minimal_resolution_betti(alg, steps, degree_cap)

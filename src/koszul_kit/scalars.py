@@ -35,10 +35,6 @@ class Field:
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
 
-    @property
-    def is_rational(self):
-        return self.p is None
-
     # -- element constructors ------------------------------------------
 
     def zero(self):

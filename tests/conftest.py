@@ -2,6 +2,7 @@ import os
 import sys
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -11,6 +12,11 @@ from koszul_kit.presentations import QuadraticPresentation
 from koszul_kit.scalars import QQ, Field
 
 SEED = int(os.environ.get("KOSZUL_SEED", "0"))
+
+# Property tests draw the same examples on every run: a failure is
+# reproducible, and the suite's run time does not wander with the draw.
+settings.register_profile("koszul", derandomize=True, deadline=None, database=None)
+settings.load_profile("koszul")
 
 
 def symmetric_presentation(field, dim):

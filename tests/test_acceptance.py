@@ -372,7 +372,7 @@ def test_criterion_10_minimization(sym2_world):
             diffs[p] = d
             prev = d
         m = UComplex(data, (0, length - 1), mods, diffs)
-        res = minimize_G(m, u, cdga, b)
+        res = minimize_G(m, cdga, b)
         hm, _ = homology_dims(m, m.window)
         assert dict(res.socle_dims) == {p: d for p, d in hm.items() if d}
         # socle differential of the minimal model is zero

@@ -149,6 +149,16 @@ def test_curved_input_exit_two():
     run_cli("minimize", TWOP, "--complex", "k1", "--window=-3:2", expect=2)
 
 
+def test_unit_curved_module_exit_two():
+    # (GF)(k) satisfies the curvature law d^2 = c.(-), so the unit is
+    # built; its cone homology then needs c = 0, an exit-2 precondition
+    out = subprocess.run([sys.executable, "-m", "koszul_kit.cli", "unit", TWOP,
+                          "--cdg", "k"], capture_output=True, text=True,
+                         env=ENV, cwd=PKG)
+    assert out.returncode == 2, (out.stdout, out.stderr)
+    assert "CurvedInputError: homology needs curvature c = 0" in out.stderr
+
+
 def test_apply_g_and_f_commands():
     out = run_cli("apply-g", SYM2, "--complex", "two", "--window=-4:2")
     assert "validate: pass" in out

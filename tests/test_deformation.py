@@ -4,6 +4,7 @@ vanishing lemma."""
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from koszul_kit.deformations import (
     DeformationData,
@@ -13,9 +14,10 @@ from koszul_kit.deformations import (
     vanishing_witness,
 )
 from koszul_kit.errors import CdgaInvariantError, InputError, KoszulKitError
-from koszul_kit.linalg import Matrix
+from koszul_kit.linalg import Matrix, rref
 from koszul_kit.presentations import truncate_algebra
 from koszul_kit.scalars import QQ, Field
+from koszul_kit.words import degree_offset, pair_index, word_global_index, words_of_length
 
 from conftest import SEED, heisenberg_deformation, symmetric_presentation, twopoint_deformation
 
@@ -186,6 +188,74 @@ def test_non_pbw_gr_dims_drop(qq):
     sym = [1, 3, 6, 10, 15]
     assert u.gr_dims[0] == 1
     assert any(u.gr_dims[n] < sym[n] for n in range(1, 5))
+
+
+# -- build_U against a dense oracle ------------------------------------------------
+
+small = st.integers(min_value=-2, max_value=2)
+
+
+@st.composite
+def small_deformation(draw):
+    """Random (R, alpha, beta) on d <= 3 generators, PBW or not, and a bound."""
+    f = draw(st.sampled_from([QQ, Field(2), Field(3), Field(5)]))
+    d = draw(st.integers(min_value=1, max_value=3))
+    m = draw(st.integers(min_value=1, max_value=min(d * d, 3)))
+    rel = draw(st.lists(st.lists(small, min_size=d * d, max_size=d * d),
+                        min_size=m, max_size=m))
+    alpha = draw(st.lists(st.lists(small, min_size=d, max_size=d),
+                          min_size=m, max_size=m))
+    beta = draw(st.lists(small, min_size=m, max_size=m))
+    try:
+        data = DeformationData.from_raw(
+            f, [f"x{i}" for i in range(d)], Matrix.from_int_rows(f, rel),
+            Matrix.from_int_rows(f, alpha), [f.of_int(b) for b in beta])
+    except InputError:  # a relation without quadratic part
+        assume(False)
+    return data, draw(st.integers(min_value=2, max_value=4 if d <= 2 else 3))
+
+
+def _dense_u_oracle(data, bound):
+    """{pivot: row} of the dense rref of every u p v with |u| + 2 + |v| <= bound,
+    pivots searched from the largest word (the order U's basis avoids)."""
+    f, d = data.field, data.base.dim
+    ambient = degree_offset(d, bound + 1)
+    rows = []
+    for n in range(2, bound + 1):
+        for i in range(n - 1):
+            for u in words_of_length(d, i):
+                for v in words_of_length(d, n - 2 - i):
+                    for g in data.graph_rows().data:
+                        row = [f.zero()] * ambient
+                        for a in range(d):
+                            for b in range(d):
+                                row[word_global_index(u + (a, b) + v, d)] = g[pair_index(a, b, d)]
+                            row[word_global_index(u + (a,) + v, d)] = g[d * d + a]
+                        row[word_global_index(u + v, d)] = g[d * d + d]
+                        rows.append(row)
+    r, pivots = rref(Matrix(f, rows, len(rows), ambient),
+                     col_order=range(ambient - 1, -1, -1))
+    return {p: r.data[i] for i, p in enumerate(pivots)}
+
+
+@settings(max_examples=40)
+@given(small_deformation())
+def test_filtered_truncation_matches_dense_oracle(case):
+    data, bound = case
+    f, d = data.field, data.base.dim
+    u = build_U(data, bound)
+    oracle = _dense_u_oracle(data, bound)
+    ambient = degree_offset(d, bound + 1)
+    assert u.basis == [g for g in range(ambient) if g not in oracle]
+    for n in range(bound + 1):
+        for w in words_of_length(d, n):
+            v = [f.zero()] * ambient
+            v[word_global_index(w, d)] = f.one()
+            for p, row in oracle.items():
+                c = v[p]
+                if not f.is_zero(c):
+                    v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
+            assert u.reduce_word(w) == [v[g] for g in u.basis]
 
 
 # -- vanishing witness -------------------------------------------------------------

@@ -16,11 +16,13 @@ from koszul_kit.linalg import (
     rref,
     solve,
     solve_sparse,
+    sparse_rank,
     RHS,
 )
 from koszul_kit.scalars import QQ, Field
 
 F2 = Field(2)
+F3 = Field(3)
 F5 = Field(5)
 
 
@@ -122,19 +124,89 @@ def test_intersect_row_spaces():
     assert [QQ.format(x) for x in i.data[0]] == ["0", "1", "0"]
 
 
-def test_echelon_span_matches_dense():
-    rng = random.Random(6)
-    for _ in range(20):
-        rows = [[rng.randrange(-3, 4) for _ in range(5)] for _ in range(4)]
-        m = Matrix.from_int_rows(F5, rows)
-        span = EchelonSpan(F5)
-        for r in m.data:
-            span.insert({i: c for i, c in enumerate(r) if not F5.is_zero(c)})
-        assert span.dim() == rank(m)
-        # reduction of any row vanishes
-        for r in m.data:
-            assert not span.reduce({i: c for i, c in enumerate(r)
-                                    if not F5.is_zero(c)})
+# -- EchelonSpan against dense rref -------------------------------------------
+#
+# EchelonSpan leads each row by its largest coordinate, so its oracle is the
+# dense rref with columns searched in descending order.
+
+FIELDS = [QQ, F2, F3, F5]
+entry = st.one_of(st.just(0), st.integers(min_value=-3, max_value=3))
+
+
+@st.composite
+def field_and_matrix(draw, max_rows=6, max_cols=7):
+    f = draw(st.sampled_from(FIELDS))
+    ncols = draw(st.integers(min_value=1, max_value=max_cols))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=max_rows))
+    return f, Matrix.from_int_rows(f, rows)
+
+
+def _sparse(f, vec):
+    return {i: c for i, c in enumerate(vec) if not f.is_zero(c)}
+
+
+def _dense(f, vec, n):
+    out = [f.zero()] * n
+    for k, c in vec.items():
+        out[k] = c
+    return out
+
+
+def _descending_rref(m):
+    """{pivot: rref row} with pivots searched from the largest column."""
+    r, pivots = rref(m, col_order=range(m.cols - 1, -1, -1))
+    return {p: r.data[i] for i, p in enumerate(pivots)}
+
+
+def _dense_normal_form(f, rows, vec):
+    v = list(vec)
+    for p, row in rows.items():
+        c = v[p]
+        if not f.is_zero(c):
+            v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
+    return v
+
+
+@settings(max_examples=200)
+@given(field_and_matrix(), st.data())
+def test_echelon_span_matches_dense(fm, data):
+    f, m = fm
+    span = EchelonSpan(f)
+    grew = [span.insert(_sparse(f, r)) for r in m.data]
+    oracle = _descending_rref(m)
+    assert set(span.leads()) == set(oracle)
+    assert span.dim() == sum(grew) == rank(m)
+    probe = [f.of_int(x) for x in data.draw(
+        st.lists(entry, min_size=m.cols, max_size=m.cols))]
+    vecs = m.data + [probe]
+    want = [_dense_normal_form(f, oracle, v) for v in vecs]
+    assert [_dense(f, span.reduce(_sparse(f, v)), m.cols) for v in vecs] == want
+    span.interreduce()
+    assert {lead: _dense(f, row, m.cols) for lead, row in span.rows.items()} == oracle
+    # the normal form does not depend on whether the rows are reduced
+    assert [_dense(f, span.reduce(_sparse(f, v)), m.cols) for v in vecs] == want
+
+
+@settings(max_examples=200)
+@given(field_and_matrix(), st.data())
+def test_solve_sparse_matches_dense(fm, data):
+    f, m = fm
+    if data.draw(st.booleans()):  # a consistent system
+        x0 = [f.of_int(x) for x in data.draw(
+            st.lists(entry, min_size=m.cols, max_size=m.cols))]
+        b = m.apply(x0)
+    else:
+        b = [f.of_int(x) for x in data.draw(
+            st.lists(entry, min_size=m.rows, max_size=m.rows))]
+    eqs = [{**_sparse(f, row), RHS: bi} for row, bi in zip(m.data, b)]
+    got = solve_sparse(f, eqs, m.cols)
+    # solve_sparse pivots on the largest variables and sets the smallest
+    # free; dense solve on the reversed variable order makes the same choice
+    reversed_m = Matrix(f, [row[::-1] for row in m.data], m.rows, m.cols)
+    want = solve(reversed_m, b)
+    assert got == (None if want is None else want[::-1])
+    assert sparse_rank(f, [_sparse(f, r) for r in m.data]) == rank(m)
 
 
 def test_solve_sparse_consistency():

@@ -230,7 +230,7 @@ def test_minimize_matches_homology(sym2_world):
     for _ in range(6):
         m = random_bounded_complex(data, u, rng)
         assert m.validate() is None
-        res = minimize_G(m, u, cdga, b)
+        res = minimize_G(m, cdga, b)
         hm, _ = homology_dims(m, m.window)
         assert dict(res.socle_dims) == {p: d for p, d in hm.items() if d}
         # certificates
@@ -245,7 +245,7 @@ def test_minimize_acyclic_gives_zero(sym2_world):
     f = QQ
     k = UModule.trivial(data)
     m = UComplex(data, (0, 1), {0: k, 1: k}, {0: Matrix.identity(f, 1)})
-    res = minimize_G(m, u, cdga, FunctorBounds((-4, 4), 4, 3))
+    res = minimize_G(m, cdga, FunctorBounds((-4, 4), 4, 3))
     assert not res.minimal.dims
 
 
@@ -253,7 +253,7 @@ def test_minimize_single_module(sym2_world):
     data, u, cdga = sym2_world
     k = UModule.trivial(data)
     m = UComplex(data, (0, 0), {0: k}, {})
-    res = minimize_G(m, u, cdga, FunctorBounds((-4, 2), 4, 3))
+    res = minimize_G(m, cdga, FunctorBounds((-4, 2), 4, 3))
     assert res.socle_dims == {0: 1}
 
 
