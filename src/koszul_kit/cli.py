@@ -409,7 +409,7 @@ def cmd_apply_f(problem, args):
     n = problem.cdg_module(args.cdg, args.degree)
     u = problem.u_truncation(max(args.degree, b.filtration + b.window[1] + 1))
     fc = apply_F(n, u, b)
-    rep = f_homology_stabilized(n, u, problem.cdga(args.degree), b)
+    rep = f_homology_stabilized(n, u, b)
     lines = [f"F_i dims: {dict(sorted(fc.dims.items()))}",
              f"homology by degree: {rep.by_degree()}",
              f"stabilized over three filtration levels: {rep.stabilized}"]
@@ -503,7 +503,7 @@ def cmd_tor(problem, args):
     b = FunctorBounds(window=(-bb - 2, 1), filtration=args.filtration,
                       internal=args.internal)
     m = problem.complex(args.module)
-    rep = tor(problem.deformation(), m, problem.cdga(args.degree), b,
+    rep = tor(m, problem.cdga(args.degree), b,
               cross_check=args.cross_check,
               u=problem.u_truncation(args.degree) if args.cross_check else None)
     by_deg = rep.by_degree()
@@ -518,7 +518,7 @@ def cmd_ext(problem, args):
     b = FunctorBounds(window=(min(a, 0), bb + 1), filtration=args.filtration,
                       internal=max(args.internal, bb + 1))
     m = problem.complex(args.module)
-    rep = ext(problem.deformation(), m, problem.cdga(max(args.degree, bb + 2)), b)
+    rep = ext(m, problem.cdga(max(args.degree, bb + 2)), b)
     by_deg = rep.by_degree()
     dims = [by_deg.get(p, 0) for p in range(a, bb + 1)]
     lines = [f"Ext^p(k, {args.module}) for p = {a}..{bb}: {dims}"]

@@ -207,7 +207,7 @@ def transfer_minimal(big: CdgModule, labels: dict, socle_diffs: dict,
     window = big.window
     hlabels = cofree_labels(cdga, hdims, window, cap)
 
-    def mk_block(src_labs, tgt_labs, per_q_mat, sign, src_dims, tgt_dims):
+    def mk_block(src_labs, tgt_labs, per_q_mat, sign):
         tpos = {lab: i for i, lab in enumerate(tgt_labs)}
         out = [[f.zero()] * len(src_labs) for _ in range(len(tgt_labs))]
         for col, (r, s, i) in enumerate(src_labs):
@@ -274,21 +274,21 @@ def transfer_minimal(big: CdgModule, labels: dict, socle_diffs: dict,
         d0hat[p] = mk_block(
             src, labels.get(p + 1, []),
             lambda r, s, i: ((p + r), socle_diffs.get(p + r)) if socle_diffs.get(p + r) is not None else None,
-            sgn_r, None, None)
+            sgn_r)
         # h: (r,s,i)@p -> (r,s,j)@p-1 via h0 at q = p + r
         hhat[p] = mk_block(
             src, labels.get(p - 1, []),
             lambda r, s, i: ((p + r), h0.get(p + r)) if h0.get(p + r) is not None else None,
-            sgn_r, None, None)
+            sgn_r)
         # i: H-labels -> labels, p: labels -> H-labels via i0/p0 at q = p + r
         ihat[p] = mk_block(
             hlabels.get(p, []), src,
             lambda r, s, i: ((p + r), i0.get(p + r)) if i0.get(p + r) is not None else None,
-            no_sign, None, None)
+            no_sign)
         phat[p] = mk_block(
             src, hlabels.get(p, []),
             lambda r, s, i: ((p + r), p0.get(p + r)) if p0.get(p + r) is not None else None,
-            no_sign, None, None)
+            no_sign)
         tpert[p] = big.diff(p).sub(d0hat[p])
 
     # A = t (1 - h t)^{-1} per degree, geometric series (t lowers r)
@@ -566,8 +566,9 @@ def t_truncate(i: CdgModule, cdga: CdgAlgebra, p_cut: int, cap: int,
         qdec = cofree_decomposition(quot, cdga, cap, interior)
         quot_c = to_cofree_coordinates(quot, qdec)
         _, _, q_socle_diffs = quot.socle_complex()
-        qs_diffs = _socle_diffs_in_coords(f, qdec, q_socle_diffs)
-        res = transfer_minimal(quot_c, qdec.labels, qs_diffs, cdga, cap)
+        # the detected socle basis orders the lines exactly as the labels
+        # do, so the socle differentials carry over unchanged
+        res = transfer_minimal(quot_c, qdec.labels, q_socle_diffs, cdga, cap)
         restructured = res.minimal
     except (NotCofreeError, InconsistentDataError):
         restructured = None
@@ -592,15 +593,6 @@ def to_cofree_coordinates(module: CdgModule, dec: CofreeDecomposition) -> CdgMod
     out = CdgModule(module.cdga, module.window, dims, actions, diffs)
     out.labels = dec.labels
     return out
-
-
-def _socle_diffs_in_coords(f, dec: CofreeDecomposition, socle_diffs: dict):
-    """Socle differentials written on the coordinate socle lines.
-
-    The detected socle basis orders the lines exactly as the labels do, so
-    the matrices carry over unchanged.
-    """
-    return {q: d for q, d in socle_diffs.items()}
 
 
 def _sub_quotient(i: CdgModule, sub_cols: dict):

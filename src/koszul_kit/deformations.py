@@ -17,7 +17,6 @@ from .errors import (
     WellDefinednessError,
 )
 from .linalg import (
-    EchelonSpan,
     Matrix,
     in_row_space,
     intersect_row_spaces,
@@ -27,15 +26,11 @@ from .linalg import (
 from .presentations import (
     GradedAlgebraTruncation,
     QuadraticPresentation,
+    WordQuotient,
     quadratic_dual,
     truncate_algebra,
 )
-from .words import (
-    degree_offset,
-    pair_index,
-    word_global_index,
-    words_of_length,
-)
+from .words import pair_index, word_global_index
 
 
 class DeformationData:
@@ -52,7 +47,6 @@ class DeformationData:
         self.field = base.field
         self.alpha = alpha
         self.beta = beta
-        self._check_graph()
         if base.weights is not None:
             self._check_weights()
 
@@ -113,11 +107,6 @@ class DeformationData:
                                Matrix.zero(f, 1, base.num_relations))
 
     # -- invariants ------------------------------------------------------
-
-    def _check_graph(self):
-        # graph construction makes P ∩ (k ⊕ V) = 0 automatic; assert anyway
-        if self.base.relations.rows != self.base.num_relations:
-            raise InputError("relation rows dependent after normalization")
 
     def _check_weights(self):
         f = self.field
@@ -412,50 +401,25 @@ def build_cdga(data: DeformationData, bound: int, check=True,
 # -- the filtered algebra U ------------------------------------------------
 
 
-class FilteredAlgebraTruncation:
+class FilteredAlgebraTruncation(WordQuotient):
     """U_{<=N} = (⊕_{m<=N} V^m) / span{a p b : deg a + 2 + deg b <= N}.
 
     The chosen basis consists of the words avoiding the leading monomials
-    of the quotient span; for PBW deformations this is the lifted monomial
-    basis of the associated graded algebra A.
+    of the quotient span, listed degree by degree as one flat basis; for
+    PBW deformations this is the lifted monomial basis of the associated
+    graded algebra A.
     """
 
     def __init__(self, data: DeformationData, bound: int):
-        self.data = data
-        self.field = data.field
-        self.bound = bound
         d = data.base.dim
-        f = self.field
-        self.span = EchelonSpan(f)
-        self._insert_ideal_rows()
-        leads = set(self.span.leads())
-        self.basis = [i for i in range(degree_offset(d, bound + 1)) if i not in leads]
+        super().__init__(data.field, d, data.graph_rows().data, bound)
+        self.data = data
+        by_degree = [self.standard_words(n) for n in range(bound + 1)]
+        self.gr_dims = [len(ws) for ws in by_degree]
+        self.basis_words = [w for ws in by_degree for w in ws]
+        self.basis = [word_global_index(w, d) for w in self.basis_words]
         self._basis_pos = {g: i for i, g in enumerate(self.basis)}
-        self.basis_words = [self._word_of(g) for g in self.basis]
-        self.gr_dims = [0] * (bound + 1)
-        for w in self.basis_words:
-            self.gr_dims[len(w)] += 1
         self._mult_cache = {}
-
-    def _word_of(self, gidx):
-        from .words import global_index_to_word
-        return global_index_to_word(gidx, self.data.base.dim)
-
-    def _insert_ideal_rows(self):
-        f = self.field
-        d = self.data.base.dim
-        # nonzero terms (middle word, coefficient) of each row (r | alpha | beta)
-        middles = words_of_length(d, 2) + words_of_length(d, 1) + [()]
-        terms = [[(w, c) for w, c in zip(middles, row) if not f.is_zero(c)]
-                 for row in self.data.graph_rows().data]
-        for total_pad in range(self.bound - 1):
-            for i in range(total_pad + 1):
-                j = total_pad - i
-                for u in words_of_length(d, i):
-                    for v in words_of_length(d, j):
-                        for row in terms:
-                            self.span.insert({word_global_index(u + w + v, d): c
-                                              for w, c in row})
 
     # -- queries -----------------------------------------------------------
 
@@ -470,14 +434,11 @@ class FilteredAlgebraTruncation:
 
     def reduce_word(self, word):
         """Coordinates of the class of a word on the chosen basis."""
-        f = self.field
-        d = self.data.base.dim
         if len(word) > self.bound:
             raise InputError(f"word degree {len(word)} beyond bound {self.bound}")
-        red = self.span.reduce({word_global_index(word, d): f.one()})
-        out = [f.zero()] * len(self.basis)
-        for k, c in red.items():
-            out[self._basis_pos[k]] = c
+        out = [self.field.zero()] * len(self.basis)
+        for g, c in self.normal_form(word).items():
+            out[self._basis_pos[g]] = c
         return out
 
     def mult_basis(self, i: int, j: int):
@@ -517,33 +478,6 @@ class FilteredAlgebraTruncation:
         v = [f.zero()] * len(self.basis)
         v[self._basis_pos[word_global_index((g,), self.data.base.dim)]] = f.one()
         return v
-
-    def check_associativity(self, max_total=None) -> bool:
-        f = self.field
-        top = self.bound if max_total is None else min(max_total, self.bound)
-        idx = [i for i, w in enumerate(self.basis_words) if 1 <= len(w)]
-        for i in idx:
-            for j in idx:
-                for k in idx:
-                    dsum = (len(self.basis_words[i]) + len(self.basis_words[j])
-                            + len(self.basis_words[k]))
-                    if dsum > top:
-                        continue
-                    ab = self.mult_basis(i, j)
-                    bc = self.mult_basis(j, k)
-                    left = [f.zero()] * len(self.basis)
-                    for s, c in enumerate(ab):
-                        if not f.is_zero(c):
-                            col = self.mult_basis(s, k)
-                            left = [f.add(x, f.mul(c, y)) for x, y in zip(left, col)]
-                    right = [f.zero()] * len(self.basis)
-                    for s, c in enumerate(bc):
-                        if not f.is_zero(c):
-                            col = self.mult_basis(i, s)
-                            right = [f.add(x, f.mul(c, y)) for x, y in zip(right, col)]
-                    if any(not f.eq(x, y) for x, y in zip(left, right)):
-                        return False
-        return True
 
 
 def build_U(data: DeformationData, bound: int) -> FilteredAlgebraTruncation:

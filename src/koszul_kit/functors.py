@@ -127,8 +127,8 @@ class KoszulBimodule:
                         ea = _unit(f, dual.dim_at(r), a)
                         for b in range(dual.dim_at(s)):
                             eb = _unit(f, dual.dim_at(s), b)
-                            lhs = self._delta_elem(level, r + s, ui, dual.multiply(r, ea, s, eb))
-                            ab1 = self._delta_elem(level, r, ui, ea)
+                            lhs = self._delta_elem(r + s, ui, dual.multiply(r, ea, s, eb))
+                            ab1 = self._delta_elem(r, ui, ea)
                             rhs = {}
                             for (ti, c1), co in ab1.items():
                                 prod = dual.multiply(r + 1, _unit_scaled(f, dual.dim_at(r + 1), c1, co), s, eb)
@@ -147,7 +147,7 @@ class KoszulBimodule:
                                 return False
         return True
 
-    def _delta_elem(self, level: int, r: int, ui: int, avec):
+    def _delta_elem(self, r: int, ui: int, avec):
         """delta(u_i ⊗ a) as {(u_index, a!_{r+1} index): coeff}."""
         f = self.field
         u, dual = self.u, self.cdga.dual

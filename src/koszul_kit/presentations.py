@@ -1,10 +1,13 @@
-"""Quadratic presentations, the quadratic dual, and graded truncations.
+"""Quadratic presentations, the quadratic dual, and truncated word quotients.
 
 A presentation stores the span of its relations as a canonical rref
 matrix, so presentations that span the same subspace compare equal.
-Truncations pick basis monomials for each graded piece A_n: every
-relation rewrites its lexicographically greatest word into smaller
-ones, so the chosen monomials are the lex-least independent words.
+``WordQuotient`` is the one normal-form engine for A, A! and U: it puts
+every u p v within the bound into one sparse echelon span, where each row
+rewrites its lexicographically greatest word into smaller ones, so the
+chosen basis monomials are the lex-least independent words.
+``GradedAlgebraTruncation`` reads it degree by degree (A and A!);
+``deformations.FilteredAlgebraTruncation`` reads it as one flat basis (U).
 """
 
 from __future__ import annotations
@@ -13,8 +16,9 @@ from .errors import DegreeOverflowError, InputError
 from .linalg import EchelonSpan, Matrix, kernel_basis, row_space
 from .scalars import Field
 from .words import (
+    degree_offset,
     pair_index,
-    word_local_index,
+    word_global_index,
     word_weight,
     words_of_length,
 )
@@ -110,85 +114,92 @@ def double_dual_check(p: QuadraticPresentation, n_max: int) -> bool:
     return a.dims == b.dims
 
 
-class GradedAlgebraTruncation:
+class WordQuotient:
+    """T(V)_{<=bound} modulo span{u p v : |u| + 2 + |v| <= bound}.
+
+    ``rows`` are the coefficients of each p over V⊗V, then V, then k (a
+    quadratic relation row stops after V⊗V): the relations of A and A!,
+    or the graph rows (r | alpha(r) | beta(r)) of U.  Every u p v goes into
+    one EchelonSpan keyed by ``word_global_index``, degree by degree.  Each
+    row is led by its lex-greatest word, so the words off the lead set are
+    the lex-least independent ones; they form the chosen basis, and a
+    word's normal form is its reduction modulo the span.
+    """
+
+    def __init__(self, field: Field, d: int, rows, bound: int):
+        self.field = field
+        self.bound = bound
+        self._d = d
+        self.span = EchelonSpan(field)
+        middles = words_of_length(d, 2) + words_of_length(d, 1) + [()]
+        terms = [[(w, c) for w, c in zip(middles, row) if not field.is_zero(c)]
+                 for row in rows]
+        for n in range(2, bound + 1):
+            for i in range(n - 1):
+                for u in words_of_length(d, i):
+                    for v in words_of_length(d, n - 2 - i):
+                        for p in terms:
+                            self.span.insert({word_global_index(u + w + v, d): c
+                                              for w, c in p})
+
+    def standard_words(self, n: int):
+        """The degree-n words off the lead set, in lex order."""
+        leads = self.span.leads()
+        start = degree_offset(self._d, n)
+        return [w for g, w in enumerate(words_of_length(self._d, n), start)
+                if g not in leads]
+
+    def normal_form(self, word) -> dict:
+        """{word_global_index: coefficient} of the class of a word."""
+        return self.span.reduce({word_global_index(word, self._d): self.field.one()})
+
+    def check_associativity(self, max_total=None) -> bool:
+        """(ab)c = a(bc) exactly on standard words of degree >= 1 with
+        |a| + |b| + |c| within bound."""
+        top = self.bound if max_total is None else min(max_total, self.bound)
+        f, d = self.field, self._d
+        words = [w for n in range(top + 1) for w in self.standard_words(n)]
+        word_of = {word_global_index(w, d): w for w in words}
+
+        def product(x, y):
+            out = {}
+            for g, a in x.items():
+                for h, b in y.items():
+                    for k, c in self.normal_form(word_of[g] + word_of[h]).items():
+                        out[k] = f.add(out.get(k, f.zero()), f.mul(f.mul(a, b), c))
+            return {k: c for k, c in out.items() if not f.is_zero(c)}
+
+        gens = [(len(w), {word_global_index(w, d): f.one()}) for w in words if w]
+        for i, a in gens:
+            for j, b in gens:
+                if i + j >= top:
+                    continue
+                ab = product(a, b)
+                for k, c in gens:
+                    if i + j + k <= top and product(ab, c) != product(a, product(b, c)):
+                        return False
+        return True
+
+
+class GradedAlgebraTruncation(WordQuotient):
     """Graded pieces A_n (n <= bound) with sections and multiplication.
 
-    For each degree: ``basis_words[n]`` lists the chosen monomial
-    representatives, ``projections[n]`` maps V^{otimes n} coordinates onto
-    basis coordinates, and the section sends basis vector i to the word
-    ``basis_words[n][i]``.
+    ``basis_words[n]`` lists the chosen monomials of A_n: basis vector i is
+    the class of ``basis_words[n][i]``.  ``project_word`` gives a word's
+    coordinates in its degree, reduced on first use and cached.
     """
 
     def __init__(self, pres: QuadraticPresentation, bound: int):
         if bound < 0:
             raise InputError("bound must be >= 0")
+        super().__init__(pres.field, pres.dim, pres.relations.data, bound)
         self.pres = pres
-        self.field = pres.field
-        self.bound = bound
-        d = pres.dim
-        f = self.field
-
-        self.basis_words = {0: [()], 1: words_of_length(d, 1) if bound >= 1 else []}
-        self.projections = {0: Matrix.identity(f, 1)}
-        if bound >= 1:
-            self.projections[1] = Matrix.identity(f, d)
-
-        for n in range(2, bound + 1):
-            span_rows = self._relation_span_rows(n)
-            self._install_degree(n, span_rows)
-
-        self.dims = tuple(len(self.basis_words.get(n, [])) for n in range(bound + 1))
-        self._word_pos = {
-            n: {w: i for i, w in enumerate(ws)} for n, ws in self.basis_words.items()
-        }
+        self.basis_words = {n: self.standard_words(n) for n in range(bound + 1)}
+        self.dims = tuple(len(ws) for ws in self.basis_words.values())
+        self._pos = {word_global_index(w, pres.dim): i
+                     for ws in self.basis_words.values() for i, w in enumerate(ws)}
+        self._proj = {}
         self._mult = {}
-
-    # -- construction ----------------------------------------------------
-
-    def _relation_span_rows(self, n: int):
-        """Sparse rows spanning sum_{i+2+j=n} V^i ⊗ R ⊗ V^j in V^{otimes n}."""
-        f, d = self.field, self.pres.dim
-        rel = self.pres.relations
-        rows = []
-        for i in range(n - 1):
-            j = n - 2 - i
-            for u in words_of_length(d, i):
-                for v in words_of_length(d, j):
-                    for ridx in range(rel.rows):
-                        vec = {}
-                        rr = rel.data[ridx]
-                        for a in range(d):
-                            for b in range(d):
-                                c = rr[pair_index(a, b, d)]
-                                if not f.is_zero(c):
-                                    w = u + (a, b) + v
-                                    vec[word_local_index(w, d)] = c
-                        rows.append(vec)
-        return rows
-
-    def _install_degree(self, n: int, span_rows):
-        f, d = self.field, self.pres.dim
-        ncols = d ** n
-        span = EchelonSpan(f)
-        for vec in span_rows:
-            span.insert(vec)
-        leads = set(span.leads())
-        std = [j for j in range(ncols) if j not in leads]
-        all_words = words_of_length(d, n)
-        self.basis_words[n] = [all_words[j] for j in std]
-        std_pos = {j: i for i, j in enumerate(std)}
-        proj_cols = []
-        for j in range(ncols):
-            if j in std_pos:
-                col = [f.zero()] * len(std)
-                col[std_pos[j]] = f.one()
-            else:
-                red = span.reduce({j: f.one()})
-                col = [f.zero()] * len(std)
-                for k, c in red.items():
-                    col[std_pos[k]] = c
-            proj_cols.append(col)
-        self.projections[n] = Matrix.from_columns(f, proj_cols, rows=len(std))
 
     # -- queries ---------------------------------------------------------
 
@@ -200,12 +211,18 @@ class GradedAlgebraTruncation:
         return len(self.basis_words[n])
 
     def project_word(self, word):
-        """Coordinates of the class of a word in its degree component."""
+        """Coordinates of the class of a word in its degree component, as
+        a new list; the reduction is done on first use and cached."""
         n = len(word)
         if n > self.bound:
             raise DegreeOverflowError(f"degree {n} beyond bound {self.bound}")
-        d = self.pres.dim
-        return self.projections[n].column(word_local_index(word, d))
+        col = self._proj.get(word)
+        if col is None:
+            col = [self.field.zero()] * len(self.basis_words[n])
+            for g, c in self.normal_form(word).items():
+                col[self._pos[g]] = c
+            self._proj[word] = col
+        return list(col)
 
     def basis_weight(self, n: int, i: int):
         if self.pres.weights is None:
@@ -265,48 +282,17 @@ class GradedAlgebraTruncation:
 
     # -- verification ------------------------------------------------------
 
-    def check_associativity(self, max_total=None):
-        """Exact associativity on basis triples with i+j+k within bound."""
-        top = self.bound if max_total is None else min(max_total, self.bound)
-        f = self.field
-        for i in range(1, top + 1):
-            for j in range(1, top + 1):
-                for k in range(1, top + 1):
-                    if i + j + k > top:
-                        continue
-                    for a in range(self.dim_at(i)):
-                        ea = self._unit_coord(i, a)
-                        for b in range(self.dim_at(j)):
-                            eb = self._unit_coord(j, b)
-                            ab = self.multiply(i, ea, j, eb)
-                            for c in range(self.dim_at(k)):
-                                ec = self._unit_coord(k, c)
-                                left = self.multiply(i + j, ab, k, ec)
-                                right = self.multiply(i, ea, j + k, self.multiply(j, eb, k, ec))
-                                if any(not f.eq(x, y) for x, y in zip(left, right)):
-                                    return False
-        return True
-
     def check_weight_blocks(self):
-        """Projections only connect words and monomials of equal weight."""
+        """Every word reduces onto basis monomials of its own weight."""
         if self.pres.weights is None:
             return True
-        f, d, w = self.field, self.pres.dim, self.pres.weights
+        f, w = self.field, self.pres.weights
         for n in range(2, self.bound + 1):
-            all_words = words_of_length(d, n)
-            proj = self.projections[n]
-            for col, word in enumerate(all_words):
-                for row in range(proj.rows):
-                    if not f.is_zero(proj.data[row][col]):
-                        if word_weight(word, w) != self.basis_weight(n, row):
-                            return False
+            for word in words_of_length(self._d, n):
+                for i, c in enumerate(self.project_word(word)):
+                    if not f.is_zero(c) and word_weight(word, w) != self.basis_weight(n, i):
+                        return False
         return True
-
-    def _unit_coord(self, n: int, i: int):
-        f = self.field
-        v = [f.zero()] * self.dim_at(n)
-        v[i] = f.one()
-        return v
 
 
 def truncate_algebra(p: QuadraticPresentation, bound: int) -> GradedAlgebraTruncation:

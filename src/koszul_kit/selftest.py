@@ -280,7 +280,7 @@ def run(seed: int, corrupt_sign=False, out=sys.stdout):
         algh = build_cdga(heis, 5)
         k = UModule.trivial(heis)
         kc = UComplex(heis, (0, 0), {0: k}, {})
-        rep = tor(heis, kc, algh, FunctorBounds((-5, 1), 5, 4))
+        rep = tor(kc, algh, FunctorBounds((-5, 1), 5, 4))
         by = rep.by_degree()
         return [by.get(-p, 0) for p in range(4)] == [1, 2, 2, 1]
     check("suite: Tor of the Heisenberg enveloping algebra is (1,2,2,1)", tor_heis)

@@ -62,8 +62,7 @@ def _report(x, window, per_weight=False) -> HomologyReport:
     return HomologyReport(entries, window, edges)
 
 
-def f_homology_stabilized(n, u, cdga: CdgAlgebra,
-                          bounds: FunctorBounds) -> HomologyReport:
+def f_homology_stabilized(n, u, bounds: FunctorBounds) -> HomologyReport:
     """Homology of the filtration pieces F_i(N) with stabilization detection.
 
     The colimit claim is asserted only through the flag: the report is
@@ -191,8 +190,7 @@ def koszulness_check(p: QuadraticPresentation, n_max: int):
 # -- Tor and Ext ----------------------------------------------------------------
 
 
-def tor(data: DeformationData, m: UComplex, cdga: CdgAlgebra,
-        bounds: FunctorBounds, cross_check=False,
+def tor(m: UComplex, cdga: CdgAlgebra, bounds: FunctorBounds, cross_check=False,
         u: FilteredAlgebraTruncation = None) -> HomologyReport:
     """Tor_p^U(k, M) = H^{-p} G(M), windowed, with an optional second
     route through k ⊗_U FG(M)."""
@@ -213,8 +211,7 @@ def tor(data: DeformationData, m: UComplex, cdga: CdgAlgebra,
     return rep
 
 
-def ext(data: DeformationData, m: UComplex, cdga: CdgAlgebra,
-        bounds: FunctorBounds) -> HomologyReport:
+def ext(m: UComplex, cdga: CdgAlgebra, bounds: FunctorBounds) -> HomologyReport:
     """Ext_U^p(k, M) = H^p F'(M), windowed."""
     if not cdga.curvature_is_zero:
         raise CurvedInputError("ext needs c = 0")

@@ -17,14 +17,6 @@ def words_of_length(d: int, n: int):
     return [tuple(w) for w in product(range(d), repeat=n)]
 
 
-def word_local_index(word, d: int) -> int:
-    """Index of the word inside its own degree block (base-d value)."""
-    idx = 0
-    for a in word:
-        idx = idx * d + a
-    return idx
-
-
 def degree_offset(d: int, n: int) -> int:
     """Number of words of length < n (start of the degree-n block)."""
     if d == 1:
@@ -33,19 +25,11 @@ def degree_offset(d: int, n: int) -> int:
 
 
 def word_global_index(word, d: int) -> int:
-    return degree_offset(d, len(word)) + word_local_index(word, d)
-
-
-def global_index_to_word(idx: int, d: int):
-    n = 0
-    while degree_offset(d, n + 1) <= idx:
-        n += 1
-    local = idx - degree_offset(d, n)
-    word = []
-    for _ in range(n):
-        word.append(local % d)
-        local //= d
-    return tuple(reversed(word))
+    """Degree-major index of a word: its block start plus its base-d value."""
+    idx = 0
+    for a in word:
+        idx = idx * d + a
+    return degree_offset(d, len(word)) + idx
 
 
 def pair_index(a: int, b: int, d: int) -> int:

@@ -256,7 +256,7 @@ def test_criterion_07_chevalley_eilenberg(heis_world, sym2_world, sym3_world, qq
                           -3: Matrix.zero(qq, 3, 1)})
     h_oracle, _ = homology_dims(oracle, (-3, 0))
     k = UModule.trivial(heis)
-    rep = tor(heis, UComplex(heis, (0, 0), {0: k}, {}), ch,
+    rep = tor(UComplex(heis, (0, 0), {0: k}, {}), ch,
               FunctorBounds((-5, 1), 5, 4))
     by = rep.by_degree()
     tor_dims = [by.get(-p, 0) for p in range(4)]
@@ -268,7 +268,7 @@ def test_criterion_07_chevalley_eilenberg(heis_world, sym2_world, sym3_world, qq
         else:
             data, _, cdga = world
         k = UModule.trivial(data)
-        rep = tor(data, UComplex(data, (0, 0), {0: k}, {}), cdga,
+        rep = tor(UComplex(data, (0, 0), {0: k}, {}), cdga,
                   FunctorBounds((-5, 1), 5, 4))
         by = rep.by_degree()
         assert [by.get(-p, 0) for p in range(dim + 1)] == \

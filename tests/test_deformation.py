@@ -238,24 +238,45 @@ def _dense_u_oracle(data, bound):
     return {p: r.data[i] for i, p in enumerate(pivots)}
 
 
+def _dense_normal_form(f, oracle, ambient, g):
+    """Word g reduced by the dense oracle rows, over the whole ambient."""
+    v = [f.zero()] * ambient
+    v[g] = f.one()
+    for p, row in oracle.items():
+        c = v[p]
+        if not f.is_zero(c):
+            v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
+    return v
+
+
 @settings(max_examples=40)
 @given(small_deformation())
 def test_filtered_truncation_matches_dense_oracle(case):
+    """U, and the graded A as the trivial deformation of its base, against
+    the dense oracle: chosen basis words and word normal forms."""
     data, bound = case
     f, d = data.field, data.base.dim
+    ambient = degree_offset(d, bound + 1)
     u = build_U(data, bound)
     oracle = _dense_u_oracle(data, bound)
-    ambient = degree_offset(d, bound + 1)
     assert u.basis == [g for g in range(ambient) if g not in oracle]
+    alg = truncate_algebra(data.base, bound)
+    graded = _dense_u_oracle(DeformationData.trivial(data.base), bound)
     for n in range(bound + 1):
-        for w in words_of_length(d, n):
-            v = [f.zero()] * ambient
-            v[word_global_index(w, d)] = f.one()
-            for p, row in oracle.items():
-                c = v[p]
-                if not f.is_zero(c):
-                    v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
-            assert u.reduce_word(w) == [v[g] for g in u.basis]
+        words = words_of_length(d, n)
+        assert alg.basis_words[n] == [w for w in words
+                                      if word_global_index(w, d) not in graded]
+        for w in words:
+            g = word_global_index(w, d)
+            v = _dense_normal_form(f, oracle, ambient, g)
+            assert u.reduce_word(w) == [v[b] for b in u.basis]
+            v = _dense_normal_form(f, graded, ambient, g)
+            want = [v[word_global_index(b, d)] for b in alg.basis_words[n]]
+            got = alg.project_word(w)
+            assert got == want
+            # the returned list is the caller's: changing it leaves the cache
+            got[:] = [f.one()] * (len(got) + 1)
+            assert alg.project_word(w) == want
 
 
 # -- vanishing witness -------------------------------------------------------------

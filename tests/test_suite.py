@@ -81,7 +81,7 @@ def test_tor_heisenberg_matches_ce_oracle(heis_world, qq):
     assert [h_oracle[-p] for p in range(4)] == [1, 2, 2, 1]
     k = UModule.trivial(heis)
     kc = UComplex(heis, (0, 0), {0: k}, {})
-    rep = tor(heis, kc, cdga, FunctorBounds((-5, 1), 5, 4))
+    rep = tor(kc, cdga, FunctorBounds((-5, 1), 5, 4))
     by = rep.by_degree()
     assert [by.get(-p, 0) for p in range(4)] == [h_oracle[-p] for p in range(4)]
 
@@ -90,13 +90,13 @@ def test_tor_symmetric_binomials(sym2_world, sym3, qq):
     data, u, cdga = sym2_world
     k = UModule.trivial(data)
     kc = UComplex(data, (0, 0), {0: k}, {})
-    rep = tor(data, kc, cdga, FunctorBounds((-4, 1), 4, 3), cross_check=True, u=u)
+    rep = tor(kc, cdga, FunctorBounds((-4, 1), 4, 3), cross_check=True, u=u)
     by = rep.by_degree()
     assert [by.get(-p, 0) for p in range(3)] == [1, 2, 1]
     d3 = DeformationData.trivial(sym3)
     u3, c3 = build_U(d3, 6), build_cdga(d3, 4)
     k3 = UModule.trivial(d3)
-    rep3 = tor(d3, UComplex(d3, (0, 0), {0: k3}, {}), c3,
+    rep3 = tor(UComplex(d3, (0, 0), {0: k3}, {}), c3,
                FunctorBounds((-5, 1), 5, 4))
     by3 = rep3.by_degree()
     assert [by3.get(-p, 0) for p in range(4)] == [1, 3, 3, 1]
@@ -181,7 +181,7 @@ def test_ext_periodic_kx_mod_x2(qq):
     cdga = build_cdga(data, 6)
     k = UModule.trivial(data)
     kc = UComplex(data, (0, 0), {0: k}, {})
-    rep = ext(data, kc, cdga, FunctorBounds((0, 4), 4, 6))
+    rep = ext(kc, cdga, FunctorBounds((0, 4), 4, 6))
     by = rep.by_degree()
     assert all(by[i] == 1 for i in range(4))
 
@@ -189,7 +189,7 @@ def test_ext_periodic_kx_mod_x2(qq):
 def test_ext_of_zero(sym2_world):
     data, u, cdga = sym2_world
     z = UComplex(data, (0, 0), {}, {})
-    rep = ext(data, z, cdga, FunctorBounds((0, 3), 3, 3))
+    rep = ext(z, cdga, FunctorBounds((0, 3), 3, 3))
     assert all(v == 0 for v in rep.by_degree().values())
 
 
