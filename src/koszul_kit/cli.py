@@ -176,16 +176,15 @@ class Problem:
         dual_names = list(cdga.dual.pres.generators)
         actions = {}
         for p in dims:
-            if dims.get(p) and dims.get(p + 1) is not None or True:
-                acts = []
-                for g in dual_names:
-                    rows = (spec.get("actions") or {}).get(g, {}).get(str(p))
-                    nrows = dims.get(p + 1, 0)
-                    if rows is None:
-                        acts.append(Matrix.zero(self.field, nrows, dims.get(p, 0)))
-                    else:
-                        acts.append(self._matrix(rows, nrows, dims.get(p, 0)))
-                actions[p] = acts
+            acts = []
+            for g in dual_names:
+                rows = (spec.get("actions") or {}).get(g, {}).get(str(p))
+                nrows = dims.get(p + 1, 0)
+                if rows is None:
+                    acts.append(Matrix.zero(self.field, nrows, dims.get(p, 0)))
+                else:
+                    acts.append(self._matrix(rows, nrows, dims.get(p, 0)))
+            actions[p] = acts
         diffs = {}
         for key, rows in (spec.get("differentials") or {}).items():
             p = int(key)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from .complexes import CdgModule, ChainMap, Homotopy, homology_dims, nullhomotopy
 from .deformations import CdgAlgebra
 from .errors import CurvedInputError, InconsistentDataError, NotCofreeError
-from .linalg import Matrix, kernel_basis, rank, row_space, solve, solve_matrix
+from .linalg import EchelonSpan, Matrix, kernel_basis, rank, row_space, solve_matrix
 
 
 # -- label bookkeeping -------------------------------------------------------
@@ -152,25 +152,22 @@ def _bhb_basis(f, dims, diffs, q):
         rs = row_space(diff_at(q - 1).transpose())
         b_cols = [rs.data[i] for i in range(rs.rows)]
     z = kernel_basis(diff_at(q)) if dims.get(q + 1, 0) else Matrix.identity(f, n)
-    stacked = list(b_cols)
-    r0 = rank(Matrix(f, stacked, len(stacked), n)) if stacked else 0
-    h_cols = []
-    for j in range(z.cols):
-        v = z.column(j)
-        cand = stacked + [v]
-        if rank(Matrix(f, cand, len(cand), n)) > r0:
-            stacked = cand
-            r0 += 1
-            h_cols.append(v)
-    bp_cols = []
-    for j in range(n):
-        e = [f.one() if s == j else f.zero() for s in range(n)]
-        cand = stacked + [e]
-        if rank(Matrix(f, cand, len(cand), n)) > r0:
-            stacked = cand
-            r0 += 1
-            bp_cols.append(e)
+    span = EchelonSpan(f)
+    _grow(span, b_cols)
+    h_cols = _grow(span, (z.column(j) for j in range(z.cols)))
+    bp_cols = _grow(span, _unit_vectors(f, n))
     return b_cols, h_cols, bp_cols
+
+
+def _unit_vectors(f, n):
+    """e_0, ..., e_{n-1} as dense lists."""
+    for j in range(n):
+        yield [f.one() if s == j else f.zero() for s in range(n)]
+
+
+def _grow(span: EchelonSpan, vecs):
+    """The dense vectors, in order, whose insertion enlarges ``span``."""
+    return [v for v in vecs if span.insert(dict(enumerate(v)))]
 
 
 def _invert(m: Matrix) -> Matrix:
@@ -463,14 +460,9 @@ def cofree_decomposition(i: CdgModule, cdga: CdgAlgebra, cap: int,
             continue
         n = i.dim(q)
         cols = [b.column(j) for j in range(b.cols)]
-        r0 = b.cols
-        stacked = list(cols)
-        for j in range(n):
-            e = [f.one() if s == j else f.zero() for s in range(n)]
-            if rank(Matrix(f, stacked + [e], len(stacked) + 1, n)) > r0:
-                stacked.append(e)
-                r0 += 1
-        inv = _invert(Matrix.from_columns(f, stacked, rows=n))
+        span = EchelonSpan(f)
+        _grow(span, cols)
+        inv = _invert(Matrix.from_columns(f, cols + _grow(span, _unit_vectors(f, n)), rows=n))
         projections[q] = Matrix(f, inv.data[: b.cols], b.cols, n)
     unit_maps = {}
     for p in range(lo, hi + 1):
@@ -608,14 +600,10 @@ def _sub_quotient(i: CdgModule, sub_cols: dict):
         n = i.dim(p)
         sc = sub_cols.get(p)
         cols = [sc.column(j) for j in range(sc.cols)] if sc is not None else []
-        r0 = len(cols)
-        if cols and rank(Matrix(f, cols, len(cols), n)) != r0:
+        span = EchelonSpan(f)
+        if len(_grow(span, cols)) != len(cols):
             raise InconsistentDataError("dependent subobject columns")
-        stacked = list(cols)
-        for j in range(n):
-            e = [f.one() if s == j else f.zero() for s in range(n)]
-            if rank(Matrix(f, stacked + [e], len(stacked) + 1, n)) > len(stacked):
-                stacked.append(e)
+        stacked = cols + _grow(span, _unit_vectors(f, n))
         basis_full[p] = (cols, stacked)
         sub_dims[p] = len(cols)
         quot_dims[p] = n - len(cols)
@@ -667,15 +655,10 @@ def _sub_quotient(i: CdgModule, sub_cols: dict):
 
 def _pinv_cols(f, proj: Matrix) -> Matrix:
     """A right inverse of a surjective projection (section of quotient coords)."""
-    from .linalg import solve
-    cols = []
-    for j in range(proj.rows):
-        e = [f.one() if s == j else f.zero() for s in range(proj.rows)]
-        x = solve(proj, e)
-        if x is None:
-            raise InconsistentDataError("projection not surjective")
-        cols.append(x)
-    return Matrix.from_columns(f, cols, rows=proj.cols)
+    x = solve_matrix(proj, Matrix.identity(f, proj.rows))
+    if x is None:
+        raise InconsistentDataError("projection not surjective")
+    return x
 
 
 # -- cofree null test -----------------------------------------------------------

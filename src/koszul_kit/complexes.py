@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .deformations import CdgAlgebra, DeformationData
 from .errors import CurvedInputError, InconsistentDataError, InputError
-from .linalg import RHS, Matrix, solve_sparse, sparse_rank
+from .linalg import RHS, Matrix, kernel_basis, rank, solve_matrix, solve_sparse
 from .scalars import Field
 
 
@@ -317,7 +317,6 @@ class CdgModule(BaseComplex):
         Returns (window, {p: basis Matrix (columns)}, {p: Matrix}).
         """
         f = self.field
-        from .linalg import kernel_basis
         bases = {}
         for p in self.degrees():
             n = self.dim(p)
@@ -336,7 +335,6 @@ class CdgModule(BaseComplex):
             if bases.get(p + 1) is None or b.cols == 0:
                 continue
             img = self.diff(p).mul(b)
-            from .linalg import solve_matrix
             expr = solve_matrix(bases[p + 1], img)
             if expr is None:
                 raise InconsistentDataError("socle is not preserved by d")
@@ -501,7 +499,6 @@ def homology_dims(x: BaseComplex, window=None, per_weight=False):
     Returns ({p: dim} or {(p, w): dim}, edge_degrees).  Degrees touching
     the window boundary are reported but flagged edge-unreliable.
     """
-    f = x.field
     lo, hi = window if window is not None else x.window
     edges = set()
     if isinstance(x, CdgModule) and not x.cdga.curvature_is_zero:
@@ -516,25 +513,16 @@ def homology_dims(x: BaseComplex, window=None, per_weight=False):
                 out[(p, w)] = _homology_at_weight(x, p, w)
         elif per_weight:
             if n:
-                out[(p, None)] = n - _rank_or0(f, x, p) - _rank_or0(f, x, p - 1)
+                out[(p, None)] = n - _rank_or0(x, p) - _rank_or0(x, p - 1)
         else:
-            out[p] = n - _rank_or0(f, x, p) - _rank_or0(f, x, p - 1)
+            out[p] = n - _rank_or0(x, p) - _rank_or0(x, p - 1)
     return out, edges
 
 
-def _rank_or0(f: Field, x: BaseComplex, p: int) -> int:
+def _rank_or0(x: BaseComplex, p: int) -> int:
     if not x.dim(p) or not x.dim(p + 1):
         return 0
-    return _rank(f, x.diff(p))
-
-
-def _rank(f: Field, m: Matrix) -> int:
-    rows = []
-    for i in range(m.rows):
-        row = {j: v for j, v in enumerate(m.data[i]) if not f.is_zero(v)}
-        if row:
-            rows.append(row)
-    return sparse_rank(f, rows)
+    return rank(x.diff(p))
 
 
 def _homology_at_weight(x: BaseComplex, p: int, w) -> int:
@@ -549,9 +537,7 @@ def _homology_at_weight(x: BaseComplex, p: int, w) -> int:
     n = len([i for i in (x.weights.get(p) or []) if i == w])
     dout = block(x.diff(p), x.weights.get(p + 1), x.weights.get(p))
     din = block(x.diff(p - 1), x.weights.get(p), x.weights.get(p - 1))
-    rk_out = _rank(f, dout) if dout.rows and dout.cols else 0
-    rk_in = _rank(f, din) if din.rows and din.cols else 0
-    return n - rk_out - rk_in
+    return n - rank(dout) - rank(din)
 
 
 # -- homotopy search --------------------------------------------------------

@@ -16,13 +16,7 @@ from .errors import (
     InputError,
     WellDefinednessError,
 )
-from .linalg import (
-    Matrix,
-    in_row_space,
-    intersect_row_spaces,
-    rref,
-    solve,
-)
+from .linalg import Matrix, intersect_row_spaces, rref, solve
 from .presentations import (
     GradedAlgebraTruncation,
     QuadraticPresentation,
@@ -55,9 +49,10 @@ class DeformationData:
                  beta_entries=None, weights=None) -> "DeformationData":
         """Build from a user relation list with alpha/beta given per raw row.
 
-        The graph subspace P is canonicalized by row reduction pivoting only
-        on the quadratic coordinates, which rewrites alpha and beta in terms
-        of the canonical relation basis.
+        The graph subspace P is canonicalized by row reduction, which
+        rewrites alpha and beta in terms of the canonical relation basis.
+        The quadratic coordinates come first, so a pivot beyond them is a
+        relation with no quadratic part.
         """
         f = field
         d = len(generators)
@@ -71,33 +66,17 @@ class DeformationData:
         graph = [relation_rows.data[i][:] + alpha_rows.data[i][:] + [beta_entries[i]]
                  for i in range(m)]
         gm = Matrix(f, graph, m, d * d + d + 1)
-        red, pivots = rref(gm, col_order=range(d * d))
-        nonzero = []
-        for row in red.data:
-            if any(not f.is_zero(x) for x in row):
-                nonzero.append(row)
-        for row in nonzero:
-            if all(f.is_zero(x) for x in row[: d * d]):
-                raise InputError("P meets k + V nontrivially: a relation has no quadratic part")
+        red, pivots = rref(gm)
+        if pivots and pivots[-1] >= d * d:
+            raise InputError("P meets k + V nontrivially: a relation has no quadratic part")
+        nonzero = red.data[: len(pivots)]
         base = QuadraticPresentation(
             f, generators, Matrix(f, [r[: d * d] for r in nonzero], len(nonzero), d * d),
             weights=weights)
-        # canonical rows of `base.relations` equal the quadratic parts here
-        # (both are the rref of the same span); align tails to that order.
-        tails = {}
-        for row in nonzero:
-            quad = row[: d * d]
-            lead = next(j for j in range(d * d) if not f.is_zero(quad[j]))
-            tails[lead] = row
-        alpha_cols, beta_vals = [], []
-        for i in range(base.relations.rows):
-            quad = base.relations.data[i]
-            lead = next(j for j in range(d * d) if not f.is_zero(quad[j]))
-            row = tails[lead]
-            alpha_cols.append(row[d * d: d * d + d])
-            beta_vals.append(row[d * d + d])
-        alpha = Matrix.from_columns(f, alpha_cols, rows=d)
-        beta = Matrix(f, [beta_vals], 1, base.relations.rows)
+        # every pivot is quadratic, so the quadratic parts are already the
+        # rref rows of `base.relations`, in the same order as their tails
+        alpha = Matrix.from_columns(f, [r[d * d: d * d + d] for r in nonzero], rows=d)
+        beta = Matrix(f, [[r[d * d + d] for r in nonzero]], 1, len(nonzero))
         return DeformationData(base, alpha, beta)
 
     @staticmethod
@@ -156,8 +135,6 @@ def pbw_check(data: DeformationData) -> PbwReport:
     vr = idm.kron(rel)        # rows e_k ⊗ r_i span V ⊗ R
     overlap = intersect_row_spaces(rv, vr)
 
-    rel_rref, rel_pivots = rref(rel)
-
     cond1 = True
     cond2 = True
     cond3 = True
@@ -186,13 +163,14 @@ def pbw_check(data: DeformationData) -> PbwReport:
                         if not f.is_zero(a):
                             idx = pair_index(k, g, d)
                             img[idx] = f.sub(img[idx], f.mul(c, a))
-        if not in_row_space(rel_rref, rel_pivots, img):
+        # express img in R coordinates and push through alpha / beta; an
+        # img outside R fails all three conditions
+        u = solve(rel.transpose(), img)
+        if u is None:
             cond1 = False
             cond2 = False
             cond3 = False
             continue
-        # express img in R coordinates and push through alpha / beta
-        u = solve(rel.transpose(), img)
         lhs2 = data.alpha.apply(u)
         rhs2 = [f.zero()] * d
         for i in range(m):

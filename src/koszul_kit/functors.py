@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .complexes import BaseComplex, CdgModule, ChainMap, UComplex
 from .deformations import CdgAlgebra, FilteredAlgebraTruncation
 from .errors import InconsistentDataError, InputError
-from .linalg import Matrix
+from .linalg import Matrix, rank
 
 
 @dataclass(frozen=True)
@@ -804,14 +804,13 @@ def adjunction_report(n: CdgModule, m: UComplex, cdga: CdgAlgebra,
                     out[k] = f.add(out[k], c)
         return out
 
-    from .linalg import Matrix as _M, rank as _rank_dense
     for p in range(lo, hi + 1):
         varmap, basis = rhs_bases[p]
         if not basis:
             continue
         cols = [to_explicit(p, vec) for vec in basis]
-        mat = _M.from_columns(f, cols, rows=explicit.dim(p))
-        if _rank_dense(mat) != len(basis):
+        mat = Matrix.from_columns(f, cols, rows=explicit.dim(p))
+        if rank(mat) != len(basis):
             report["iso"] = False
         # differential correspondence: drive each basis map through the
         # ambient Hom differential delta(h) = (-1)^r d_G h + (-1)^{r+1} h d_N
@@ -861,7 +860,7 @@ def adjunction_report(n: CdgModule, m: UComplex, cdga: CdgAlgebra,
                 report["differentials_match"] = False
     # degree-0 cycles on the explicit side
     d0 = explicit.diff(0)
-    ker0 = explicit.dim(0) - (_rank_dense(d0) if explicit.dim(1) else 0)
+    ker0 = explicit.dim(0) - (rank(d0) if explicit.dim(1) else 0)
     report["cycle_dims"] = ker0
     report["ok"] = (report["dims_match"] and report["differentials_match"]
                     and report["iso"])

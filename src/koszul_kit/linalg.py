@@ -1,15 +1,20 @@
-"""Exact linear algebra: dense rref, rank, kernel and solve, and a sparse
-echelon core.
+"""Exact linear algebra on one elimination core, ``EchelonSpan``.
 
-All operations are exact; there is no tolerance anywhere.  Matrices are
-dense lists of rows.  ``EchelonSpan`` is the sparse core of the big
-quotient constructions and of ``solve_sparse``/``sparse_rank``.  It keeps
-its rows in echelon form, each row led by its largest coordinate, which is
-enough for a unique normal form modulo the span: the same vector the dense
-rref with columns searched in descending order gives.  ``interreduce()``
-turns the rows into that rref's rows for callers that read ``rows``.  The
-inner loops work on the field's raw values (``Fraction`` over Q, ``int``
-with ``% p`` over F_p), not through ``Field`` methods.
+All operations are exact; there is no tolerance anywhere.  ``Matrix`` is
+only a container: dense lists of rows with products, stacking and the
+like, but no elimination of its own.  ``EchelonSpan`` keeps sparse dict
+rows in echelon form, each row led by its largest coordinate, which is
+enough for a unique normal form modulo the span.  ``interreduce()`` turns
+the rows into the reduced basis for callers that read ``rows``.  The inner
+loops work on the field's raw values (``Fraction`` over Q, ``int`` with
+``% p`` over F_p), not through ``Field`` methods.
+
+Everything else runs on that core: ``rref`` keys column j of a matrix as
+``cols - 1 - j`` so that each lead is the leftmost nonzero column, which
+makes the interreduced rows the unique RREF; ``rank``, ``kernel_basis``,
+``row_space``, ``solve`` and ``solve_matrix`` read that RREF or the span's
+dimension; ``solve_sparse`` and ``sparse_rank`` feed it sparse rows
+directly, and callers extend bases greedily with ``EchelonSpan.insert``.
 """
 
 from __future__ import annotations
@@ -71,9 +76,6 @@ class Matrix:
 
     def copy_data(self):
         return [row[:] for row in self.data]
-
-    def row(self, i):
-        return self.data[i][:]
 
     def column(self, j):
         return [self.data[i][j] for i in range(self.rows)]
@@ -157,12 +159,6 @@ class Matrix:
                 out.append(row)
         return Matrix(f, out, self.rows * other.rows, self.cols * other.cols)
 
-    def hstack(self, other):
-        if self.rows != other.rows:
-            raise DimensionError("row mismatch in hstack")
-        return Matrix(self.field, [r1 + r2 for r1, r2 in zip(self.data, other.data)],
-                      self.rows, self.cols + other.cols)
-
     def vstack(self, other):
         if self.cols != other.cols:
             raise DimensionError("col mismatch in vstack")
@@ -189,50 +185,36 @@ class Matrix:
 # -- elimination ---------------------------------------------------------
 
 
-def rref(m: Matrix, col_order=None):
-    """Reduced row echelon form.
+def rref(m: Matrix):
+    """Reduced row echelon form, as (R, pivots).
 
-    Returns (R, pivots) where pivots is the strictly increasing list of
-    pivot columns.  ``col_order`` changes the pivot search order (used to
-    pick lexicographically-least quotient bases); the returned matrix is
-    reduced with respect to that order but stored in natural column order,
-    and pivots are reported sorted.
+    The rows go into an ``EchelonSpan`` with column j keyed as
+    ``m.cols - 1 - j``, so each lead is the row's leftmost nonzero column,
+    the one Gauss-Jordan picks; after ``interreduce()`` the rows are the
+    unique RREF.  R lists them by increasing pivot column, padded with zero
+    rows to ``m.rows``; pivots is the strictly increasing list of pivot
+    columns.
     """
-    f = m.field
-    data = m.copy_data()
-    nrows, ncols = m.rows, m.cols
-    order = list(range(ncols)) if col_order is None else list(col_order)
-    pivots = []
-    r = 0
-    for col in order:
-        if r >= nrows:
-            break
-        # find a pivot row
-        sel = -1
-        for i in range(r, nrows):
-            if not f.is_zero(data[i][col]):
-                sel = i
-                break
-        if sel < 0:
-            continue
-        data[r], data[sel] = data[sel], data[r]
-        inv = f.inv(data[r][col])
-        data[r] = [f.mul(inv, x) for x in data[r]]
-        for i in range(nrows):
-            if i != r and not f.is_zero(data[i][col]):
-                c = data[i][col]
-                ri, rr = data[i], data[r]
-                data[i] = [f.sub(a, f.mul(c, b)) for a, b in zip(ri, rr)]
-        pivots.append(col)
-        r += 1
-    # sort rows by pivot column so the result is a canonical rref
-    rows_sorted = [row for _, row in sorted(zip(pivots, data[:r]))]
-    data = rows_sorted + data[r:]
-    return Matrix(f, data, nrows, ncols), sorted(pivots)
+    f, ncols = m.field, m.cols
+    top = ncols - 1
+    span = EchelonSpan(f)
+    for row in m.data:
+        span.insert({top - j: v for j, v in enumerate(row)})
+    span.interreduce()
+    zero = f.zero()
+    data, pivots = [], []
+    for lead in sorted(span.rows, reverse=True):
+        dense = [zero] * ncols
+        for k, v in span.rows[lead].items():
+            dense[top - k] = v
+        data.append(dense)
+        pivots.append(top - lead)
+    data.extend([zero] * ncols for _ in range(m.rows - len(data)))
+    return Matrix(f, data, m.rows, ncols), pivots
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    return sparse_rank(m.field, [dict(enumerate(row)) for row in m.data])
 
 
 def row_space(m: Matrix) -> Matrix:
@@ -261,38 +243,25 @@ def solve(m: Matrix, b):
     """One exact solution x of m.x = b, or None if b is not in the image."""
     if len(b) != m.rows:
         raise DimensionError("rhs length mismatch")
-    f = m.field
-    aug = Matrix(f, [m.data[i][:] + [b[i]] for i in range(m.rows)], m.rows, m.cols + 1)
-    r, pivots = rref(aug)
-    if m.cols in pivots:
-        return None
-    x = [f.zero()] * m.cols
-    for i, p in enumerate(pivots):
-        x[p] = r.data[i][m.cols]
-    return x
+    x = solve_matrix(m, Matrix(m.field, [[v] for v in b], m.rows, 1))
+    return None if x is None else x.column(0)
 
 
 def solve_matrix(m: Matrix, b: Matrix):
-    """Solve m.X = b columnwise; None if any column is unsolvable."""
-    cols = []
-    for j in range(b.cols):
-        x = solve(m, b.column(j))
-        if x is None:
-            return None
-        cols.append(x)
-    return Matrix.from_columns(m.field, cols, rows=m.cols)
-
-
-def in_row_space(rspace_rref: Matrix, pivots, vec) -> bool:
-    """Membership test against a precomputed rref row space."""
-    f = rspace_rref.field
-    v = list(vec)
+    """One exact solution X of m.X = b, free variables zero; None if some
+    column of b is not in the image.  [m | b] is row-reduced once: a pivot
+    in the b part is an inconsistent column."""
+    if b.rows != m.rows:
+        raise DimensionError("rhs row mismatch")
+    f, n = m.field, m.cols
+    aug = Matrix(f, [r1 + r2 for r1, r2 in zip(m.data, b.data)], m.rows, n + b.cols)
+    r, pivots = rref(aug)
+    if pivots and pivots[-1] >= n:
+        return None
+    x = [[f.zero()] * b.cols for _ in range(n)]
     for i, p in enumerate(pivots):
-        if not f.is_zero(v[p]):
-            c = v[p]
-            row = rspace_rref.data[i]
-            v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
-    return all(f.is_zero(x) for x in v)
+        x[p] = r.data[i][n:]
+    return Matrix(f, x, n, b.cols)
 
 
 def intersect_row_spaces(a: Matrix, b: Matrix) -> Matrix:

@@ -10,7 +10,7 @@ genuinely different computations.
 from __future__ import annotations
 
 from .errors import InputError
-from .linalg import Matrix, kernel_basis, rank, row_space
+from .linalg import EchelonSpan, Matrix, kernel_basis
 from .presentations import GradedAlgebraTruncation
 
 
@@ -65,7 +65,7 @@ def minimal_resolution_betti(alg: GradedAlgebraTruncation, steps: int,
             if kb.cols == 0:
                 continue
             # span of A_+ . (kernel elements of lower degree), expanded at deg
-            span_rows = []
+            span = EchelonSpan(f)
             for ldeg in sorted(kernels):
                 if ldeg >= deg:
                     break
@@ -79,24 +79,11 @@ def minimal_resolution_betti(alg: GradedAlgebraTruncation, steps: int,
                         em = [f.one() if s == mb else f.zero()
                               for s in range(alg.dim_at(mdeg))]
                         prod = _act_on_expanded(alg, current, mdeg, em, ldeg, vec)
-                        span_rows.append(prod)
+                        span.insert(dict(enumerate(prod)))
             # minimal generators at this degree: kernel columns independent
             # modulo the span
-            if span_rows:
-                sp = row_space(Matrix(f, span_rows, len(span_rows), kb.rows))
-            else:
-                sp = Matrix(f, [], 0, kb.rows)
-            chosen = []
-            stacked = sp.copy_data()
-            cur_rank = sp.rows
-            for ci in range(kb.cols):
-                cand = stacked + [kb.column(ci)]
-                m = Matrix(f, cand, len(cand), kb.rows)
-                r = rank(m)
-                if r > cur_rank:
-                    cur_rank = r
-                    stacked = cand
-                    chosen.append(ci)
+            chosen = [ci for ci in range(kb.cols)
+                      if span.insert(dict(enumerate(kb.column(ci))))]
             if chosen:
                 betti[(step, deg)] = len(chosen)
                 for ci in chosen:

@@ -2,7 +2,8 @@
 
 Elements are plain ``Fraction`` objects (rational field) or ints in
 ``[0, p)`` (prime field); the ``Field`` object carries the operations.
-Keeping elements as primitive values makes dense elimination loops cheap.
+Keeping elements as primitive values lets the elimination core
+(``linalg.EchelonSpan``) run on them directly.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from koszul_kit.deformations import DeformationData, build_U, build_cdga
 from koszul_kit.linalg import Matrix
 from koszul_kit.presentations import QuadraticPresentation
-from koszul_kit.scalars import QQ, Field
+from koszul_kit.scalars import QQ
 
 SEED = int(os.environ.get("KOSZUL_SEED", "0"))
 
@@ -17,6 +17,54 @@ SEED = int(os.environ.get("KOSZUL_SEED", "0"))
 # reproducible, and the suite's run time does not wander with the draw.
 settings.register_profile("koszul", derandomize=True, deadline=None, database=None)
 settings.load_profile("koszul")
+
+
+def dense_rref(m, col_order=None):
+    """Dense Gauss-Jordan reduced row echelon form: the test-side oracle for
+    the library's one elimination core.
+
+    Returns (R, pivots) in the shape ``linalg.rref`` gives: rows sorted by
+    pivot column and padded with zero rows, pivots strictly increasing.
+    ``col_order`` changes the pivot search order (the reversed order is the
+    oracle of ``EchelonSpan``, which leads each row by its largest
+    coordinate); R is stored in natural column order.
+    """
+    f = m.field
+    data = m.copy_data()
+    nrows, ncols = m.rows, m.cols
+    order = list(range(ncols)) if col_order is None else list(col_order)
+    pivots = []
+    r = 0
+    for col in order:
+        if r >= nrows:
+            break
+        sel = next((i for i in range(r, nrows) if not f.is_zero(data[i][col])), -1)
+        if sel < 0:
+            continue
+        data[r], data[sel] = data[sel], data[r]
+        inv = f.inv(data[r][col])
+        data[r] = [f.mul(inv, x) for x in data[r]]
+        for i in range(nrows):
+            if i != r and not f.is_zero(data[i][col]):
+                c = data[i][col]
+                data[i] = [f.sub(a, f.mul(c, b)) for a, b in zip(data[i], data[r])]
+        pivots.append(col)
+        r += 1
+    rows_sorted = [row for _, row in sorted(zip(pivots, data[:r]))]
+    return Matrix(f, rows_sorted + data[r:], nrows, ncols), sorted(pivots)
+
+
+def dense_solve(m, b):
+    """Oracle solution of m.x = b (free variables zero), or None."""
+    f = m.field
+    aug = Matrix(f, [row + [bi] for row, bi in zip(m.data, b)], m.rows, m.cols + 1)
+    r, pivots = dense_rref(aug)
+    if m.cols in pivots:
+        return None
+    x = [f.zero()] * m.cols
+    for i, p in enumerate(pivots):
+        x[p] = r.data[i][m.cols]
+    return x
 
 
 def symmetric_presentation(field, dim):

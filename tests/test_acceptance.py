@@ -69,7 +69,6 @@ from conftest import (
     SEED,
     heisenberg_deformation,
     symmetric_presentation,
-    twopoint_deformation,
 )
 
 

@@ -5,8 +5,6 @@ import os
 import subprocess
 import sys
 
-import pytest
-
 PKG = os.path.join(os.path.dirname(__file__), "..")
 ENV = dict(os.environ, PYTHONPATH=os.path.join(PKG, "src"))
 

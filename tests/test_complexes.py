@@ -14,7 +14,6 @@ from koszul_kit.complexes import (
     homotopy_identity_holds,
     nullhomotopy,
 )
-from koszul_kit.deformations import DeformationData, build_cdga
 from koszul_kit.errors import CurvedInputError, InputError
 from koszul_kit.linalg import Matrix
 from koszul_kit.scalars import QQ

@@ -14,12 +14,12 @@ from koszul_kit.deformations import (
     vanishing_witness,
 )
 from koszul_kit.errors import CdgaInvariantError, InputError, KoszulKitError
-from koszul_kit.linalg import Matrix, rref
+from koszul_kit.linalg import Matrix
 from koszul_kit.presentations import truncate_algebra
 from koszul_kit.scalars import QQ, Field
 from koszul_kit.words import degree_offset, pair_index, word_global_index, words_of_length
 
-from conftest import SEED, heisenberg_deformation, symmetric_presentation, twopoint_deformation
+from conftest import SEED, dense_rref
 
 
 # -- pbw_check ----------------------------------------------------------------
@@ -233,8 +233,8 @@ def _dense_u_oracle(data, bound):
                             row[word_global_index(u + (a,) + v, d)] = g[d * d + a]
                         row[word_global_index(u + v, d)] = g[d * d + d]
                         rows.append(row)
-    r, pivots = rref(Matrix(f, rows, len(rows), ambient),
-                     col_order=range(ambient - 1, -1, -1))
+    r, pivots = dense_rref(Matrix(f, rows, len(rows), ambient),
+                           col_order=range(ambient - 1, -1, -1))
     return {p: r.data[i] for i, p in enumerate(pivots)}
 
 
@@ -301,6 +301,23 @@ def test_weights_constraints(qq):
     with pytest.raises(InputError):
         DeformationData.from_raw(qq, ["x1", "x2", "x3"], rel, alpha,
                                  [qq.zero()] * 3, weights=[1, 1, 1])
+
+
+@pytest.mark.parametrize("f", [QQ, Field(2), Field(3), Field(5)])
+def test_relation_without_quadratic_part_rejected(f):
+    rel = Matrix.from_int_rows(f, [[1], [1]])
+    # x0.x0 + x0 and x0.x0 span x0: P meets k + V
+    with pytest.raises(InputError, match="no quadratic part"):
+        DeformationData.from_raw(f, ["x0"], rel, Matrix.from_int_rows(f, [[1], [0]]),
+                                 [f.zero()] * 2)
+    # x0.x0 + 1 and x0.x0 span 1
+    with pytest.raises(InputError, match="no quadratic part"):
+        DeformationData.from_raw(f, ["x0"], rel, Matrix.zero(f, 2, 1),
+                                 [f.one(), f.zero()])
+    # x0.x0 + x0 twice spans one relation, with its tail kept
+    data = DeformationData.from_raw(f, ["x0"], rel, Matrix.from_int_rows(f, [[1], [1]]),
+                                    [f.zero()] * 2)
+    assert data.base.num_relations == 1 and data.alpha.data == [[f.one()]]
 
 
 def test_beta_zero_iff_curvature_zero(heis, twopoint, sym2):

@@ -13,7 +13,7 @@ from koszul_kit.complexes import (
     homology_dims,
     nullhomotopy,
 )
-from koszul_kit.deformations import DeformationData, build_U, build_cdga
+from koszul_kit.deformations import DeformationData, build_cdga
 from koszul_kit.errors import InconsistentDataError
 from koszul_kit.functors import (
     FunctorBounds,
@@ -25,7 +25,6 @@ from koszul_kit.functors import (
     apply_G_map,
     build_T,
     counit,
-    gf_composite,
     unit,
 )
 from koszul_kit.linalg import Matrix

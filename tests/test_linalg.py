@@ -2,24 +2,25 @@
 
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from koszul_kit.linalg import (
     EchelonSpan,
     Matrix,
-    in_row_space,
     intersect_row_spaces,
     kernel_basis,
     rank,
     row_space,
     rref,
     solve,
+    solve_matrix,
     solve_sparse,
     sparse_rank,
     RHS,
 )
 from koszul_kit.scalars import QQ, Field
+
+from conftest import dense_rref, dense_solve
 
 F2 = Field(2)
 F3 = Field(3)
@@ -124,10 +125,12 @@ def test_intersect_row_spaces():
     assert [QQ.format(x) for x in i.data[0]] == ["0", "1", "0"]
 
 
-# -- EchelonSpan against dense rref -------------------------------------------
+# -- the elimination core against the dense Gauss-Jordan oracle --------------
 #
-# EchelonSpan leads each row by its largest coordinate, so its oracle is the
-# dense rref with columns searched in descending order.
+# ``rref`` and everything built on it run on EchelonSpan; the oracle is the
+# dense Gauss-Jordan loop in conftest.  EchelonSpan leads each row by its
+# largest coordinate, so its own oracle is the dense rref with columns
+# searched in descending order.
 
 FIELDS = [QQ, F2, F3, F5]
 entry = st.one_of(st.just(0), st.integers(min_value=-3, max_value=3))
@@ -155,7 +158,7 @@ def _dense(f, vec, n):
 
 def _descending_rref(m):
     """{pivot: rref row} with pivots searched from the largest column."""
-    r, pivots = rref(m, col_order=range(m.cols - 1, -1, -1))
+    r, pivots = dense_rref(m, col_order=range(m.cols - 1, -1, -1))
     return {p: r.data[i] for i, p in enumerate(pivots)}
 
 
@@ -176,7 +179,7 @@ def test_echelon_span_matches_dense(fm, data):
     grew = [span.insert(_sparse(f, r)) for r in m.data]
     oracle = _descending_rref(m)
     assert set(span.leads()) == set(oracle)
-    assert span.dim() == sum(grew) == rank(m)
+    assert span.dim() == sum(grew) == len(oracle)
     probe = [f.of_int(x) for x in data.draw(
         st.lists(entry, min_size=m.cols, max_size=m.cols))]
     vecs = m.data + [probe]
@@ -204,9 +207,9 @@ def test_solve_sparse_matches_dense(fm, data):
     # solve_sparse pivots on the largest variables and sets the smallest
     # free; dense solve on the reversed variable order makes the same choice
     reversed_m = Matrix(f, [row[::-1] for row in m.data], m.rows, m.cols)
-    want = solve(reversed_m, b)
+    want = dense_solve(reversed_m, b)
     assert got == (None if want is None else want[::-1])
-    assert sparse_rank(f, [_sparse(f, r) for r in m.data]) == rank(m)
+    assert sparse_rank(f, [_sparse(f, r) for r in m.data]) == len(dense_rref(m)[1])
 
 
 def test_solve_sparse_consistency():
@@ -230,9 +233,59 @@ def test_solve_sparse_inconsistent():
     assert solve_sparse(QQ, eqs, 1) is None
 
 
-def test_in_row_space():
-    m = Matrix.from_int_rows(QQ, [[1, 1, 0], [0, 0, 1]])
-    r, p = rref(m)
+def test_row_space_membership():
+    rs = row_space(Matrix.from_int_rows(QQ, [[1, 1, 0], [0, 0, 1]]))
+    assert solve(rs.transpose(), [QQ.of_int(2), QQ.of_int(2), QQ.of_int(5)]) == [2, 5]
+    assert solve(rs.transpose(), [QQ.one(), QQ.zero(), QQ.zero()]) is None
+
+
+@st.composite
+def field_matrix_and_rhs(draw):
+    """A field, an r x c matrix (r, c >= 0, sometimes all zero) and a
+    right-hand side of k columns, each either in the image or arbitrary."""
+    f = draw(st.sampled_from(FIELDS))
+    nrows = draw(st.integers(min_value=0, max_value=5))
+    ncols = draw(st.integers(min_value=0, max_value=6))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    if draw(st.booleans()) and draw(st.booleans()):
+        rows = [[0] * ncols for _ in range(nrows)]
+    m = Matrix(f, [[f.of_int(x) for x in r] for r in rows], nrows, ncols)
+    rhs = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        if draw(st.booleans()):
+            x0 = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+            rhs.append(m.apply([f.of_int(x) for x in x0]))
+        else:
+            rhs.append([f.of_int(x) for x in draw(
+                st.lists(entry, min_size=nrows, max_size=nrows))])
+    return f, m, rhs
+
+
+@settings(max_examples=300)
+@given(field_matrix_and_rhs())
+def test_one_core_matches_dense_oracle(case):
+    f, m, rhs = case
+    want_r, want_p = dense_rref(m)
+    r, pivots = rref(m)
+    assert (r.rows, r.cols) == (m.rows, m.cols)
+    assert r.data == want_r.data and pivots == want_p
+    assert rank(m) == len(want_p)
     rs = row_space(m)
-    assert in_row_space(rs, p, [QQ.of_int(2), QQ.of_int(2), QQ.of_int(5)])
-    assert not in_row_space(rs, p, [QQ.one(), QQ.zero(), QQ.zero()])
+    assert (rs.rows, rs.cols) == (len(want_p), m.cols)
+    assert rs.data == want_r.data[: len(want_p)]
+    # the kernel basis is the one with an identity block on the free columns
+    k = kernel_basis(m)
+    free = [j for j in range(m.cols) if j not in want_p]
+    assert (k.rows, k.cols) == (m.cols, len(free))
+    assert m.mul(k).is_zero()
+    assert [k.data[j] for j in free] == Matrix.identity(f, len(free)).data
+    want_x = [dense_solve(m, b) for b in rhs]
+    assert [solve(m, b) for b in rhs] == want_x
+    x = solve_matrix(m, Matrix.from_columns(f, rhs, rows=m.rows))
+    if None in want_x:
+        assert x is None
+    else:
+        assert (x.rows, x.cols) == (m.cols, len(rhs))
+        assert [x.column(j) for j in range(x.cols)] == want_x
+

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from koszul_kit.cofree import (
-    cofree_decomposition,
     complex_of_free_dual_modules,
     minimize_G,
     null_test_cofree,
@@ -47,7 +46,7 @@ from koszul_kit.suite import (
     tor,
 )
 
-from conftest import SEED, symmetric_presentation
+from conftest import SEED
 
 
 # -- CE complex and Tor -----------------------------------------------------------
@@ -121,7 +120,6 @@ def test_ce_complex_resolution(heis_world):
     assert by[0] == 1
     assert all(by.get(p, 0) == 0 for p in range(-4, 0))
     # the fiber of the CE complex is the CE chain complex: dims (1,3,3,1)
-    from koszul_kit.functors import apply_F
     fib = fg.fiber_complex()
     assert [fib.dim(-q) for q in range(4)] == [1, 3, 3, 1]
 
