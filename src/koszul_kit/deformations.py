@@ -24,7 +24,7 @@ from .presentations import (
     quadratic_dual,
     truncate_algebra,
 )
-from .words import pair_index, word_global_index
+from .words import pair_index
 
 
 class DeformationData:
@@ -382,28 +382,28 @@ def build_cdga(data: DeformationData, bound: int, check=True,
 class FilteredAlgebraTruncation(WordQuotient):
     """U_{<=N} = (⊕_{m<=N} V^m) / span{a p b : deg a + 2 + deg b <= N}.
 
-    The chosen basis consists of the words avoiding the leading monomials
-    of the quotient span, listed degree by degree as one flat basis; for
-    PBW deformations this is the lifted monomial basis of the associated
-    graded algebra A.
+    The rewriting engine runs on the graph rows (r | alpha(r) | beta(r)).
+    A rule found at sugar s rewrites a word of length n only when its
+    excess s - |lead| is at most N - n, so the truncation is the span
+    above, not the ideal (P) cut at degree N.  The chosen basis is the
+    standard words, lex-least in each degree, listed degree by degree as
+    one flat basis; for PBW deformations it is the lifted monomial basis of
+    the associated graded algebra A.
     """
 
     def __init__(self, data: DeformationData, bound: int):
-        d = data.base.dim
-        super().__init__(data.field, d, data.graph_rows().data, bound)
+        super().__init__(data.field, data.base.dim, data.graph_rows().data, bound)
         self.data = data
-        by_degree = [self.standard_words(n) for n in range(bound + 1)]
-        self.gr_dims = [len(ws) for ws in by_degree]
-        self.basis_words = [w for ws in by_degree for w in ws]
-        self.basis = [word_global_index(w, d) for w in self.basis_words]
-        self._basis_pos = {g: i for i, g in enumerate(self.basis)}
+        self.gr_dims = [len(ws) for ws in self._standard]
+        self.basis_words = [w for ws in self._standard for w in ws]
+        self._basis_pos = {w: i for i, w in enumerate(self.basis_words)}
         self._mult_cache = {}
 
     # -- queries -----------------------------------------------------------
 
     @property
     def total_dim(self) -> int:
-        return len(self.basis)
+        return len(self.basis_words)
 
     def dim_leq(self, n: int) -> int:
         """Dimension of the filtration piece U_{<=n}."""
@@ -414,9 +414,9 @@ class FilteredAlgebraTruncation(WordQuotient):
         """Coordinates of the class of a word on the chosen basis."""
         if len(word) > self.bound:
             raise InputError(f"word degree {len(word)} beyond bound {self.bound}")
-        out = [self.field.zero()] * len(self.basis)
-        for g, c in self.normal_form(word).items():
-            out[self._basis_pos[g]] = c
+        out = [self.field.zero()] * len(self.basis_words)
+        for w, c in self.normal_form(word).items():
+            out[self._basis_pos[w]] = c
         return out
 
     def mult_basis(self, i: int, j: int):
@@ -431,7 +431,7 @@ class FilteredAlgebraTruncation(WordQuotient):
     def multiply(self, a, b):
         """Product of two coordinate vectors over the full basis."""
         f = self.field
-        out = [f.zero()] * len(self.basis)
+        out = [f.zero()] * len(self.basis_words)
         for i, x in enumerate(a):
             if f.is_zero(x):
                 continue
@@ -447,14 +447,14 @@ class FilteredAlgebraTruncation(WordQuotient):
 
     def unit_vector(self):
         f = self.field
-        v = [f.zero()] * len(self.basis)
-        v[self._basis_pos[0]] = f.one()
+        v = [f.zero()] * len(self.basis_words)
+        v[self._basis_pos[()]] = f.one()
         return v
 
     def gen_vector(self, g: int):
         f = self.field
-        v = [f.zero()] * len(self.basis)
-        v[self._basis_pos[word_global_index((g,), self.data.base.dim)]] = f.one()
+        v = [f.zero()] * len(self.basis_words)
+        v[self._basis_pos[(g,)]] = f.one()
         return v
 
 

@@ -137,7 +137,7 @@ class FreeUComplex:
         """k ⊗_U P: scalar parts of the differential entries (needs beta = 0)."""
         f = self.field
         u = self.u
-        one_idx = u._basis_pos[0]
+        one_idx = u._basis_pos[()]
         if any(not f.is_zero(x) for x in u.data.beta.data[0]):
             raise InputError("k tensor needs an augmented U (beta = 0)")
         dims = {p: r for p, r in self.ranks.items()}

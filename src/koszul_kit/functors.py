@@ -68,7 +68,7 @@ class KoszulBimodule:
                 col = ci * na_src + a
                 # sum_g (u x_g) ⊗ (x_g* a)
                 for g in range(d_gens):
-                    uxg = u.mult_basis(ui, u._basis_pos[_gen_index(u, g)])
+                    uxg = u.mult_basis(ui, u._basis_pos[(g,)])
                     xga = dual.left_mult_matrix(g, r).column(a)
                     for ti, cu in enumerate(uxg):
                         if f.is_zero(cu):
@@ -154,7 +154,7 @@ class KoszulBimodule:
         d_gens = u.data.base.dim
         out = {}
         for g in range(d_gens):
-            uxg = u.mult_basis(ui, u._basis_pos[_gen_index(u, g)])
+            uxg = u.mult_basis(ui, u._basis_pos[(g,)])
             lm = dual.left_mult_matrix(g, r)
             for a, ca in enumerate(avec):
                 if f.is_zero(ca):
@@ -177,11 +177,6 @@ class KoszulBimodule:
                     k = (ui, b)
                     out[k] = f.add(out.get(k, f.zero()), f.mul(ca, c))
         return {k: v for k, v in out.items() if not f.is_zero(v)}
-
-
-def _gen_index(u: FilteredAlgebraTruncation, g: int) -> int:
-    from .words import word_global_index
-    return word_global_index((g,), u.data.base.dim)
 
 
 def _unit(f, n, i):
@@ -280,7 +275,7 @@ def apply_F(n: CdgModule, u: FilteredAlgebraTruncation,
         d_gens = u.data.base.dim
         for col, (ui, ni) in enumerate(src):
             for g in range(d_gens):
-                uxg = u.mult_basis(ui, u._basis_pos[_gen_index(u, g)])
+                uxg = u.mult_basis(ui, u._basis_pos[(g,)])
                 act = n.action(p, g)
                 for ti, cu in enumerate(uxg):
                     if f.is_zero(cu):
@@ -525,7 +520,7 @@ def gf_composite(n: CdgModule, u: FilteredAlgebraTruncation, cdga: CdgAlgebra,
                 for g in range(d_gens):
                     lm = dual.left_mult_matrix(g, r - 1)
                     # x_g acts on F(N) = U ⊗ N by left multiplication
-                    xgu = u.mult_basis(u._basis_pos[_gen_index(u, g)], ui)
+                    xgu = u.mult_basis(u._basis_pos[(g,)], ui)
                     for t in range(dual.dim_at(r - 1)):
                         c1 = lm.data[s][t]
                         if f.is_zero(c1):
@@ -550,7 +545,7 @@ def gf_composite(n: CdgModule, u: FilteredAlgebraTruncation, cdga: CdgAlgebra,
             # inner differential of F(N)
             sgn = f.one() if r % 2 == 0 else f.neg(f.one())
             for g in range(d_gens):
-                uxg = u.mult_basis(ui, u._basis_pos[_gen_index(u, g)])
+                uxg = u.mult_basis(ui, u._basis_pos[(g,)])
                 act = n.action(p + r, g)
                 for ti, cu in enumerate(uxg):
                     if f.is_zero(cu):
@@ -607,7 +602,7 @@ def unit(n: CdgModule, u: FilteredAlgebraTruncation, cdga: CdgAlgebra,
     f = n.field
     gf = gf_composite(n, u, cdga, bounds)
     dual = cdga.dual
-    one_idx = u._basis_pos[0]
+    one_idx = u._basis_pos[()]
     maps = {}
     for p in gf.dims:
         if n.dim(p) == 0:

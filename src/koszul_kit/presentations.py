@@ -2,18 +2,22 @@
 
 A presentation stores the span of its relations as a canonical rref
 matrix, so presentations that span the same subspace compare equal.
-``WordQuotient`` is the one normal-form engine for A, A! and U: it puts
-every u p v within the bound into one sparse echelon span, where each row
-rewrites its lexicographically greatest word into smaller ones, so the
-chosen basis monomials are the lex-least independent words.
+``WordQuotient`` is the one normal-form engine for A, A! and U: a
+degree-truncated Buchberger completion turns the relations into rewriting
+rules, each replacing its deg-lex greatest word by smaller ones, and only
+within the bound its sugar allows; the chosen basis monomials are the
+words no rule rewrites, the lex-least independent words.
 ``GradedAlgebraTruncation`` reads it degree by degree (A and A!);
 ``deformations.FilteredAlgebraTruncation`` reads it as one flat basis (U).
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+from itertools import count
+
 from .errors import DegreeOverflowError, InputError
-from .linalg import EchelonSpan, Matrix, kernel_basis, row_space
+from .linalg import Matrix, kernel_basis, row_space
 from .scalars import Field
 from .words import (
     degree_offset,
@@ -114,62 +118,209 @@ def double_dual_check(p: QuadraticPresentation, n_max: int) -> bool:
     return a.dims == b.dims
 
 
+class SpanSize:
+    """The dimension of the truncated ideal span S, read as ``span.dim()``:
+    the number of words of length <= bound that rewriting moves (the lead
+    words of S), that is the ambient count minus the standard words."""
+
+    __slots__ = ("_dim",)
+
+    def __init__(self, dim: int):
+        self._dim = dim
+
+    def dim(self) -> int:
+        return self._dim
+
+
 class WordQuotient:
-    """T(V)_{<=bound} modulo span{u p v : |u| + 2 + |v| <= bound}.
+    """T(V)_{<=bound} modulo S = span{u p v : |u| + 2 + |v| <= bound}.
 
     ``rows`` are the coefficients of each p over V⊗V, then V, then k (a
     quadratic relation row stops after V⊗V): the relations of A and A!,
-    or the graph rows (r | alpha(r) | beta(r)) of U.  Every u p v goes into
-    one EchelonSpan keyed by ``word_global_index``, degree by degree.  Each
-    row is led by its lex-greatest word, so the words off the lead set are
-    the lex-least independent ones; they form the chosen basis, and a
-    word's normal form is its reduction modulo the span.
+    or the graph rows (r | alpha(r) | beta(r)) of U.
+
+    Writing w for w t^(bound - |w|) identifies S with the degree-``bound``
+    part of the ideal generated by the homogenised rows p_2 + p_1 t +
+    p_0 t^2, t central.  A truncated Buchberger completion (Bergman's
+    diamond lemma; Mora's degree-truncated form) finds a Gröbner basis of
+    that ideal up to degree ``bound`` in the deg-lex order of
+    ``word_global_index``, where longer words are larger and words of one
+    length compare lexicographically.  Each rule rewrites its lead word
+    into smaller words and carries a sugar s, the degree at which it was
+    found: it may rewrite u lead v only when s + |u| + |v| <= bound, that
+    is when its excess s - |lead| is at most the word's slack
+    bound - |u lead v|.  Candidates are taken in increasing sugar;
+    overlap ambiguities (lead1 = a c, lead2 = c b) have sugar
+    max(s1 + |b|, s2 + |a|), inclusion ambiguities (lead1 = u lead2 v)
+    max(s1, s2 + |u| + |v|), and those above the bound are dropped.  The
+    empty word is a legal lead: on non-PBW input 1 can lie in S.
+
+    The standard words, which no rule rewrites, are the lex-least basis
+    of the quotient: every element of S has its greatest word among the
+    leads.  A word's normal form is its rewriting to standard words, the
+    same at every choice of rule, and memoised per word.
     """
 
     def __init__(self, field: Field, d: int, rows, bound: int):
         self.field = field
         self.bound = bound
         self._d = d
-        self.span = EchelonSpan(field)
+        self._p = field.p
+        self._rules = {}     # lead -> (excess, ((word, coeff), ...)): lead = sum coeff*word
+        self._lengths = []   # lead lengths, ascending
+        self._nf = {}
         middles = words_of_length(d, 2) + words_of_length(d, 1) + [()]
-        terms = [[(w, c) for w, c in zip(middles, row) if not field.is_zero(c)]
-                 for row in rows]
-        for n in range(2, bound + 1):
-            for i in range(n - 1):
-                for u in words_of_length(d, i):
-                    for v in words_of_length(d, n - 2 - i):
-                        for p in terms:
-                            self.span.insert({word_global_index(u + w + v, d): c
-                                              for w, c in p})
+        self._complete([{w: c for w, c in zip(middles, row) if not field.is_zero(c)}
+                        for row in rows])
+        self._standard = [self._standard_words(n) for n in range(bound + 1)]
+        self.span = SpanSize(degree_offset(d, bound + 1)
+                             - sum(len(ws) for ws in self._standard))
+
+    # -- completion --------------------------------------------------------
+
+    def _complete(self, polys):
+        """Add rules until every ambiguity of sugar <= bound resolves."""
+        tie = count()  # heap order among candidates of one sugar
+        heap = [(2, next(tie), p) for p in polys if p] if self.bound >= 2 else []
+        while heap:
+            sugar, _, poly = heappop(heap)
+            red = self._reduce(poly, sugar)
+            if not red:
+                continue
+            lead = max(red, key=lambda w: word_global_index(w, self._d))
+            inv = self.field.inv(red.pop(lead))
+            p = self._p
+            tail = tuple((w, -c * inv % p if p else -c * inv) for w, c in red.items())
+            self._rules[lead] = (sugar - len(lead), tail)
+            if len(lead) not in self._lengths:
+                self._lengths = sorted(self._lengths + [len(lead)])
+            for amb_sugar, s_poly in self._ambiguities(lead):
+                heappush(heap, (amb_sugar, next(tie), s_poly))
+
+    def _ambiguities(self, lead):
+        """(sugar, S-polynomial) of every overlap and inclusion of ``lead``
+        with a rule, itself included, of sugar <= bound."""
+        rules = self._rules
+        e = rules[lead][0]
+        for other, (f, _) in rules.items():
+            top = max(e, f)
+            pairs = ((lead, other),) if other == lead else ((lead, other), (other, lead))
+            for x, y in pairs:
+                for k in range(1, min(len(x), len(y))):
+                    m = x + y[k:]
+                    if x[-k:] == y[:k] and len(m) + top <= self.bound:  # x = a c, y = c b
+                        yield len(m) + top, self._s_poly(m, x, 0, y, len(x) - k)
+            if len(other) < len(lead):
+                big, small = lead, other
+            elif len(lead) < len(other):
+                big, small = other, lead
+            else:
+                continue
+            if len(big) + top > self.bound:
+                continue
+            k = len(small)
+            for i in range(len(big) - k + 1 if k else 1):
+                if big[i:i + k] == small:
+                    yield len(big) + top, self._s_poly(big, big, 0, small, i)
+
+    def _s_poly(self, m, x, i, y, j):
+        """m rewritten by the rule of x at position i, minus m rewritten by
+        the rule of y at position j."""
+        p = self._p
+        out = {}
+        for lead, pos, sign in ((x, i, 1), (y, j, -1)):
+            u, v = m[:pos], m[pos + len(lead):]
+            for w, c in self._rules[lead][1]:
+                w = u + w + v
+                out[w] = out.get(w, 0) + sign * c
+        if p:
+            return {w: c % p for w, c in out.items() if c % p}
+        return {w: c for w, c in out.items() if c}
+
+    # -- rewriting ---------------------------------------------------------
+
+    def _rewrite(self, w, level):
+        """One rewriting step of w at ``level``: the (word, coeff) terms w
+        equals, or None when no rule of excess <= level - |w| applies."""
+        slack = level - len(w)
+        rules = self._rules
+        for k in self._lengths:
+            for i in range(len(w) - k + 1 if k else 1):
+                rule = rules.get(w[i:i + k])
+                if rule is not None and rule[0] <= slack:
+                    u, v = w[:i], w[i + k:]
+                    return [(u + x + v, c) for x, c in rule[1]]
+        return None
+
+    def _reduce(self, poly, level) -> dict:
+        """Normal form at ``level`` of a zero-free {word: coeff} dict, which
+        is consumed; words are rewritten greatest first."""
+        p, d = self._p, self._d
+        heap = [(-word_global_index(w, d), w) for w in poly]
+        heapify(heap)
+        out = {}
+        while heap:
+            w = heappop(heap)[1]
+            c = poly.pop(w, None)
+            if c is None:  # cancelled after it was pushed, or pushed twice
+                continue
+            step = self._rewrite(w, level)
+            if step is None:
+                out[w] = c
+                continue
+            for x, cx in step:
+                old = poly.get(x)
+                if old is None:
+                    poly[x] = c * cx % p if p else c * cx
+                    heappush(heap, (-word_global_index(x, d), x))
+                else:
+                    new = (old + c * cx) % p if p else old + c * cx
+                    if new:
+                        poly[x] = new
+                    else:
+                        del poly[x]
+        return out
+
+    def _standard_words(self, n: int):
+        slack = self.bound - n
+        banned = {lead for lead, (e, _) in self._rules.items() if e <= slack}
+        lengths = sorted({len(lead) for lead in banned if lead})
+        # a word is standard iff it avoids ``banned``, so its prefixes are
+        # standard too: extend them a letter at a time, testing suffixes
+        words = [] if () in banned else [()]
+        for m in range(1, n + 1):
+            longer = [w + (x,) for w in words for x in range(self._d)]
+            words = [w for w in longer
+                     if not any(w[m - k:] in banned for k in lengths if k <= m)]
+        return words
 
     def standard_words(self, n: int):
-        """The degree-n words off the lead set, in lex order."""
-        leads = self.span.leads()
-        start = degree_offset(self._d, n)
-        return [w for g, w in enumerate(words_of_length(self._d, n), start)
-                if g not in leads]
+        """The degree-n words no rule rewrites at the bound, in lex order."""
+        return list(self._standard[n])
 
     def normal_form(self, word) -> dict:
-        """{word_global_index: coefficient} of the class of a word."""
-        return self.span.reduce({word_global_index(word, self._d): self.field.one()})
+        """{standard word: coefficient} of the class of a word, memoised
+        and shared by later calls (callers copy before changing it)."""
+        nf = self._nf.get(word)
+        if nf is None:
+            nf = self._nf[word] = self._reduce({word: self.field.one()}, self.bound)
+        return nf
 
     def check_associativity(self, max_total=None) -> bool:
         """(ab)c = a(bc) exactly on standard words of degree >= 1 with
         |a| + |b| + |c| within bound."""
         top = self.bound if max_total is None else min(max_total, self.bound)
-        f, d = self.field, self._d
-        words = [w for n in range(top + 1) for w in self.standard_words(n)]
-        word_of = {word_global_index(w, d): w for w in words}
+        f = self.field
 
         def product(x, y):
             out = {}
-            for g, a in x.items():
-                for h, b in y.items():
-                    for k, c in self.normal_form(word_of[g] + word_of[h]).items():
-                        out[k] = f.add(out.get(k, f.zero()), f.mul(f.mul(a, b), c))
-            return {k: c for k, c in out.items() if not f.is_zero(c)}
+            for u, a in x.items():
+                for v, b in y.items():
+                    for w, c in self.normal_form(u + v).items():
+                        out[w] = f.add(out.get(w, f.zero()), f.mul(f.mul(a, b), c))
+            return {w: c for w, c in out.items() if not f.is_zero(c)}
 
-        gens = [(len(w), {word_global_index(w, d): f.one()}) for w in words if w]
+        gens = [(n, {w: f.one()}) for n in range(1, top + 1) for w in self._standard[n]]
         for i, a in gens:
             for j, b in gens:
                 if i + j >= top:
@@ -194,10 +345,9 @@ class GradedAlgebraTruncation(WordQuotient):
             raise InputError("bound must be >= 0")
         super().__init__(pres.field, pres.dim, pres.relations.data, bound)
         self.pres = pres
-        self.basis_words = {n: self.standard_words(n) for n in range(bound + 1)}
+        self.basis_words = dict(enumerate(self._standard))
         self.dims = tuple(len(ws) for ws in self.basis_words.values())
-        self._pos = {word_global_index(w, pres.dim): i
-                     for ws in self.basis_words.values() for i, w in enumerate(ws)}
+        self._pos = {w: i for ws in self.basis_words.values() for i, w in enumerate(ws)}
         self._proj = {}
         self._mult = {}
 
@@ -219,8 +369,8 @@ class GradedAlgebraTruncation(WordQuotient):
         col = self._proj.get(word)
         if col is None:
             col = [self.field.zero()] * len(self.basis_words[n])
-            for g, c in self.normal_form(word).items():
-                col[self._pos[g]] = c
+            for w, c in self.normal_form(word).items():
+                col[self._pos[w]] = c
             self._proj[word] = col
         return list(col)
 

@@ -15,22 +15,32 @@ from .presentations import GradedAlgebraTruncation
 
 
 class GradedFreeModule:
-    """Free module ⊕ A(-j_i); only the generator degrees matter."""
+    """Free module ⊕ A(-j_i) over one truncated algebra; only the generator
+    degrees matter."""
 
-    def __init__(self, shifts):
+    def __init__(self, alg: GradedAlgebraTruncation, shifts):
+        self.alg = alg
         self.shifts = list(shifts)
+        self._labels = {}
 
-    def dim_at(self, alg: GradedAlgebraTruncation, degree: int) -> int:
+    def dim_at(self, degree: int) -> int:
+        alg = self.alg
         return sum(alg.dim_at(degree - j) if 0 <= degree - j <= alg.bound else 0
                    for j in self.shifts)
 
-    def basis_labels(self, alg, degree):
-        labs = []
-        for gi, j in enumerate(self.shifts):
-            d = degree - j
-            if 0 <= d <= alg.bound:
-                labs.extend((gi, d, b) for b in range(alg.dim_at(d)))
-        return labs
+    def basis_labels(self, degree):
+        """(gi, d, b) per expanded coordinate at ``degree`` (basis element b
+        of A_d on generator gi), and {gi: its first coordinate}; cached."""
+        got = self._labels.get(degree)
+        if got is None:
+            alg, labs, start = self.alg, [], {}
+            for gi, j in enumerate(self.shifts):
+                d = degree - j
+                if 0 <= d <= alg.bound:
+                    start[gi] = len(labs)
+                    labs.extend((gi, d, b) for b in range(alg.dim_at(d)))
+            got = self._labels[degree] = (labs, start)
+        return got
 
 
 def minimal_resolution_betti(alg: GradedAlgebraTruncation, steps: int,
@@ -48,11 +58,11 @@ def minimal_resolution_betti(alg: GradedAlgebraTruncation, steps: int,
     f = alg.field
     betti = {(0, 0): 1}
     # the augmentation F_0 = A -> k: kernel is A_+ (degrees 1..cap)
-    current = GradedFreeModule([0])
+    current = GradedFreeModule(alg, [0])
     # kernel bases per degree: {degree: Matrix columns in expanded coords}
     kernels = {}
     for deg in range(1, degree_cap + 1):
-        n = current.dim_at(alg, deg)
+        n = current.dim_at(deg)
         if n:
             kernels[deg] = Matrix.identity(f, n)  # all of A_deg
     step = 1
@@ -76,9 +86,7 @@ def minimal_resolution_betti(alg: GradedAlgebraTruncation, steps: int,
                 for ci in range(lk.cols):
                     vec = lk.column(ci)
                     for mb in range(alg.dim_at(mdeg)):
-                        em = [f.one() if s == mb else f.zero()
-                              for s in range(alg.dim_at(mdeg))]
-                        prod = _act_on_expanded(alg, current, mdeg, em, ldeg, vec)
+                        prod = _act_on_expanded(current, mdeg, mb, ldeg, vec)
                         span.insert(dict(enumerate(prod)))
             # minimal generators at this degree: kernel columns independent
             # modulo the span
@@ -92,10 +100,10 @@ def minimal_resolution_betti(alg: GradedAlgebraTruncation, steps: int,
         if not next_shifts:
             break
         # build the expanded maps F_{step} -> F_{step-1} per degree, then kernels
-        nxt = GradedFreeModule(next_shifts)
+        nxt = GradedFreeModule(alg, next_shifts)
         new_kernels = {}
         for deg in range(1, degree_cap + 1):
-            src_labs = nxt.basis_labels(alg, deg)
+            src_labs = nxt.basis_labels(deg)[0]
             if not src_labs:
                 continue
             cols = []
@@ -103,9 +111,8 @@ def minimal_resolution_betti(alg: GradedAlgebraTruncation, steps: int,
                 shift, gvec = next_shifts[si], gen_vectors[si][1]
                 # generator gvec sits in expanded degree `shift`; multiply by
                 # the basis element b of A_d
-                eb = [f.one() if s == b else f.zero() for s in range(alg.dim_at(d))]
-                cols.append(_act_on_expanded(alg, current, d, eb, shift, gvec))
-            expanded = Matrix.from_columns(f, cols, rows=current.dim_at(alg, deg))
+                cols.append(_act_on_expanded(current, d, b, shift, gvec))
+            expanded = Matrix.from_columns(f, cols, rows=current.dim_at(deg))
             kb = kernel_basis(expanded)
             if kb.cols:
                 new_kernels[deg] = kb
@@ -115,23 +122,26 @@ def minimal_resolution_betti(alg: GradedAlgebraTruncation, steps: int,
     return betti
 
 
-def _act_on_expanded(alg, free: GradedFreeModule, mdeg: int, mcoords,
-                     vdeg: int, vec):
-    """Multiply an expanded degree-vdeg element of the free module by an
-    algebra element of degree mdeg; result expanded at degree vdeg+mdeg."""
+def _act_on_expanded(free: GradedFreeModule, mdeg: int, mb: int, vdeg: int, vec):
+    """Multiply an expanded degree-vdeg element of the free module by the
+    basis element mb of A_mdeg; result expanded at degree vdeg+mdeg.
+
+    The product of mb with basis element b of A_d is column
+    mb * dim A_d + b of the cached ``mult_tensor(mdeg, d)``."""
+    alg = free.alg
     f = alg.field
-    src_labs = free.basis_labels(alg, vdeg)
-    tgt_labs = free.basis_labels(alg, vdeg + mdeg)
-    tpos = {lab: i for i, lab in enumerate(tgt_labs)}
+    src_labs = free.basis_labels(vdeg)[0]
+    tgt_labs, tstart = free.basis_labels(vdeg + mdeg)
     out = [f.zero()] * len(tgt_labs)
-    for idx, (gi, d, b) in enumerate(src_labs):
-        c = vec[idx]
+    for (gi, d, b), c in zip(src_labs, vec):
         if f.is_zero(c):
             continue
-        eb = [f.one() if s == b else f.zero() for s in range(alg.dim_at(d))]
-        prod = alg.multiply(mdeg, mcoords, d, eb)
-        for tb, pc in enumerate(prod):
+        mt = alg.mult_tensor(mdeg, d)
+        j = mb * alg.dim_at(d) + b
+        row = tstart[gi]
+        for prow in mt.data:
+            pc = prow[j]
             if not f.is_zero(pc):
-                row = tpos[(gi, d + mdeg, tb)]
                 out[row] = f.add(out[row], f.mul(c, pc))
+            row += 1
     return out

@@ -2,9 +2,11 @@
 
 Words of length n over d generators are the monomial basis of V^{otimes n};
 within a length they are ordered lexicographically by generator index, and
-globally degree-major.  The global index order is what the quotient
-constructions pivot on: the *largest* word in a relation is rewritten into
-smaller ones, so chosen basis monomials are lexicographically least.
+globally degree-major.  The global index order is the deg-lex rewriting
+order of ``presentations.WordQuotient``: each rule rewrites the *largest*
+word of a relation into smaller ones, and only within the bound its sugar
+allows, so the chosen basis monomials (the standard words) are
+lexicographically least in each degree.
 """
 
 from __future__ import annotations

@@ -43,5 +43,8 @@ def test_trace_hooks_fire():
     counts = layers.count_metrics(counter)
     assert spans["presentations.basis_words"] > 0
     assert spans["deformations.build_U.span_dim"] > 0
+    # span.dim() counts the words rewriting moves: ambient minus basis
+    assert spans["deformations.build_U.span_dim"] == (
+        spans["deformations.build_U.ambient_words"] - spans["deformations.build_U.basis_dim"])
     assert counts["linalg.echelon.inserts"] > 0
     assert counts["deformations.mult_basis.calls"] > 0

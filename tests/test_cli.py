@@ -196,6 +196,31 @@ def test_build_u_and_ce_and_ext_commands():
     assert "[1, 2, 2, 1]" in out
 
 
+def _interior_homology(homology):
+    """{degree: dim} strictly inside the window's edge degrees."""
+    lo, hi = homology["edge_degrees"]
+    return {p: h for p, _, h in homology["entries"] if lo < p < hi}
+
+
+def test_ce_heisenberg_default_bounds():
+    """The Chevalley-Eilenberg complex at the default bounds (U_{<=11}):
+    a resolution of k, so H_0 = 1 and every other interior degree is 0."""
+    out = json.loads(run_cli("ce", HEIS, "--json"))
+    assert out["exit_code"] == 0
+    interior = _interior_homology(out["homology"])
+    assert interior.pop(0) == 1
+    assert interior and all(h == 0 for h in interior.values())
+
+
+def test_counit_heisenberg_default_bounds():
+    """The counit FG(k) -> k at the default bounds (U_{<=11}) is a
+    quasi-isomorphism: its cone is acyclic."""
+    out = json.loads(run_cli("counit", HEIS, "--complex", "k", "--json"))
+    assert out["exit_code"] == 0
+    assert out["interior_qis"] is True
+    assert all(h == 0 for h in out["cone_homology"].values())
+
+
 def test_non_free_component_exit_two():
     run_cli("null-free", SYM2, "--free", "two", expect=2)
 

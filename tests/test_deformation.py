@@ -1,7 +1,9 @@
 """PBW conditions, the curved dual dga, the filtered algebra U, and the
 vanishing lemma."""
 
+import inspect
 import random
+import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -249,27 +251,31 @@ def _dense_normal_form(f, oracle, ambient, g):
     return v
 
 
-@settings(max_examples=40)
-@given(small_deformation())
-def test_filtered_truncation_matches_dense_oracle(case):
+def _assert_matches_oracle(data, bound):
     """U, and the graded A as the trivial deformation of its base, against
-    the dense oracle: chosen basis words and word normal forms."""
-    data, bound = case
+    the dense u p v span: chosen basis words, word normal forms and the
+    span's dimension."""
     f, d = data.field, data.base.dim
     ambient = degree_offset(d, bound + 1)
     u = build_U(data, bound)
     oracle = _dense_u_oracle(data, bound)
-    assert u.basis == [g for g in range(ambient) if g not in oracle]
+    assert u.basis_words == [w for n in range(bound + 1) for w in words_of_length(d, n)
+                             if word_global_index(w, d) not in oracle]
+    assert u.span.dim() == len(oracle)
     alg = truncate_algebra(data.base, bound)
     graded = _dense_u_oracle(DeformationData.trivial(data.base), bound)
+    assert alg.span.dim() == len(graded)
     for n in range(bound + 1):
         words = words_of_length(d, n)
-        assert alg.basis_words[n] == [w for w in words
-                                      if word_global_index(w, d) not in graded]
+        assert alg.standard_words(n) == alg.basis_words[n] == [
+            w for w in words if word_global_index(w, d) not in graded]
+        assert u.standard_words(n) == [w for w in u.basis_words if len(w) == n]
         for w in words:
             g = word_global_index(w, d)
             v = _dense_normal_form(f, oracle, ambient, g)
-            assert u.reduce_word(w) == [v[b] for b in u.basis]
+            assert u.normal_form(w) == {b: v[word_global_index(b, d)] for b in u.basis_words
+                                        if not f.is_zero(v[word_global_index(b, d)])}
+            assert u.reduce_word(w) == [v[word_global_index(b, d)] for b in u.basis_words]
             v = _dense_normal_form(f, graded, ambient, g)
             want = [v[word_global_index(b, d)] for b in alg.basis_words[n]]
             got = alg.project_word(w)
@@ -277,6 +283,106 @@ def test_filtered_truncation_matches_dense_oracle(case):
             # the returned list is the caller's: changing it leaves the cache
             got[:] = [f.one()] * (len(got) + 1)
             assert alg.project_word(w) == want
+
+
+@settings(max_examples=40)
+@given(small_deformation())
+def test_filtered_truncation_matches_dense_oracle(case):
+    _assert_matches_oracle(*case)
+
+
+@st.composite
+def two_generator_deformation(draw):
+    """Random (R, alpha, beta) on 2 generators with bound up to 6."""
+    f = draw(st.sampled_from([QQ, Field(2), Field(3), Field(5)]))
+    m = draw(st.integers(min_value=1, max_value=2))
+    rel = draw(st.lists(st.lists(small, min_size=4, max_size=4), min_size=m, max_size=m))
+    alpha = draw(st.lists(st.lists(small, min_size=2, max_size=2), min_size=m, max_size=m))
+    beta = draw(st.lists(small, min_size=m, max_size=m))
+    try:
+        data = DeformationData.from_raw(
+            f, ["x", "y"], Matrix.from_int_rows(f, rel),
+            Matrix.from_int_rows(f, alpha), [f.of_int(b) for b in beta])
+    except InputError:  # a relation without quadratic part
+        assume(False)
+    return data, draw(st.integers(min_value=5, max_value=6))
+
+
+@settings(max_examples=8)
+@given(two_generator_deformation())
+def test_rewriting_matches_span_oracle_two_generators(case):
+    _assert_matches_oracle(*case)
+
+
+FIELDS = [QQ, Field(2), Field(3), Field(5)]
+
+
+def _xy(f, rel, alpha, beta):
+    """Two generators x < y; rows over (xx, xy, yx, yy), (x, y) and k."""
+    return DeformationData.from_raw(f, ["x", "y"], Matrix.from_int_rows(f, rel),
+                                    Matrix.from_int_rows(f, alpha),
+                                    [f.of_int(b) for b in beta])
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=repr)
+def test_unit_enters_span_through_empty_lead(f):
+    """xy - yx + 1 and x^2 (x < y): 2x = x p + p x - x^2 y + y x^2 lies in
+    S_3, so 1 = p - x.y + y.x lies in S_4 but not in S_3 (except over F_2,
+    where 2x = 0).  The completion finds it as a rule with empty lead."""
+    data = _xy(f, [[0, 1, -1, 0], [1, 0, 0, 0]], [[0, 0], [0, 0]], [1, 0])
+    for bound in (3, 4, 6):
+        _assert_matches_oracle(data, bound)
+    assert build_U(data, 3).standard_words(0) == [()]
+    assert build_U(data, 4).standard_words(0) == ([()] if f.p == 2 else [])
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=repr)
+def test_sugar_above_degree(f):
+    """x^2 - y and y^2 - x: overlaps yield rules whose sugar exceeds the
+    length of their lead, which may rewrite only shorter words."""
+    _assert_matches_oracle(_xy(f, [[1, 0, 0, 0], [0, 0, 0, 1]],
+                                   [[0, -1], [-1, 0]], [0, 0]), 6)
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=repr)
+def test_new_lead_at_every_sugar(f):
+    """y^2 - xy: the completion finds a new lead y x^k y at every sugar
+    k + 2, up to the bound."""
+    data = _xy(f, [[0, -1, 0, 1]], [[0, 0]], [0])
+    _assert_matches_oracle(data, 6)
+    u = build_U(data, 6)
+    for k in range(5):
+        assert (1,) + (0,) * k + (1,) not in u.basis_words
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=repr)
+def test_inclusion_ambiguity(f):
+    """xy and yx - y^2 + x: the completion finds x^2 (excess 1) and y x^2
+    at sugar 3.  x^2 lies inside y x^2 but may rewrite it only from sugar
+    4, where that inclusion ambiguity yields a new rule with lead yx."""
+    data = _xy(f, [[0, 1, 0, 0], [0, 0, 1, -1]], [[0, 0], [1, 0]], [0, 0])
+    for bound in (4, 6):
+        _assert_matches_oracle(data, bound)
+    assert (1, 0) in build_U(data, 3).basis_words
+    assert (1, 0) not in build_U(data, 4).basis_words
+
+
+def test_long_rewrite_chain_without_recursion(heis):
+    """The worst-order word x3^4 x2^4 x1^4 of U_{<=12} rewrites through a
+    long chain; its normal form needs no Python recursion and equals the
+    product of its letters taken one generator at a time."""
+    u = build_U(heis, 12)
+    word = (2,) * 4 + (1,) * 4 + (0,) * 4
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 40)
+    try:
+        got = u.reduce_word(word)
+    finally:
+        sys.setrecursionlimit(limit)
+    x = u.gen_vector(word[0])
+    for g in word[1:]:
+        x = u.multiply(x, u.gen_vector(g))
+    assert got == x
 
 
 # -- vanishing witness -------------------------------------------------------------

@@ -2,6 +2,7 @@
 null systems, truncations, regrading."""
 
 import random
+from math import comb
 
 import pytest
 
@@ -46,7 +47,7 @@ from koszul_kit.suite import (
     tor,
 )
 
-from conftest import SEED
+from conftest import SEED, heisenberg_deformation, symmetric_presentation
 
 
 # -- CE complex and Tor -----------------------------------------------------------
@@ -139,6 +140,17 @@ def test_abelian_dim2_reduces_to_koszul(sym2_world):
 def test_koszulness_symmetric_and_exterior(sym3):
     assert koszulness_check(sym3, 4)["koszul_window"]
     assert koszulness_check(quadratic_dual(sym3), 4)["koszul_window"]
+
+
+@pytest.mark.parametrize("f", [QQ, Field(3)], ids=repr)
+def test_resolution_betti_ext3_and_heisenberg(f):
+    """Betti numbers of the minimal resolution of k up to degree 6: the
+    exterior algebra on 3 generators has Ext = S(V*), and the Heisenberg
+    base S(V) has Ext = Λ(V*)."""
+    ext3 = quadratic_dual(symmetric_presentation(f, 3))
+    assert koszulness_check(ext3, 6)["ext_betti"] == {(i, i): comb(i + 2, 2) for i in range(7)}
+    heis = heisenberg_deformation(f).base
+    assert koszulness_check(heis, 6)["ext_betti"] == {(i, i): comb(3, i) for i in range(4)}
 
 
 def test_koszulness_failure_found_by_search():
