@@ -388,12 +388,6 @@ class ChainMap:
     def zero(source, target) -> "ChainMap":
         return ChainMap(source, target, {})
 
-    def sub(self, other: "ChainMap") -> "ChainMap":
-        maps = {}
-        for p in set(self.maps) | set(other.maps):
-            maps[p] = self.map_at(p).sub(other.map_at(p))
-        return ChainMap(self.source, self.target, maps)
-
     def compose(self, first: "ChainMap") -> "ChainMap":
         """self after first."""
         maps = {}
@@ -497,12 +491,15 @@ def homology_dims(x: BaseComplex, window=None, per_weight=False):
     """Exact homology dimensions per degree (optionally per weight).
 
     Returns ({p: dim} or {(p, w): dim}, edge_degrees).  Degrees touching
-    the window boundary are reported but flagged edge-unreliable.
+    the window boundary are reported but flagged edge-unreliable.  Each
+    rank(d_p), or of its weight-w block, is computed once per call: it is
+    read as the outgoing map at p and as the incoming map at p + 1.
     """
     lo, hi = window if window is not None else x.window
     edges = set()
     if isinstance(x, CdgModule) and not x.cdga.curvature_is_zero:
         raise CurvedInputError("homology needs curvature c = 0")
+    ranks = {}  # p -> rank(d_p), or (p, w) -> rank of its weight-w block
     out = {}
     for p in range(lo, hi + 1):
         n = x.dim(p)
@@ -510,34 +507,38 @@ def homology_dims(x: BaseComplex, window=None, per_weight=False):
             edges.add(p)
         if per_weight and x.weights is not None:
             for w in sorted({wi for wi in (x.weights.get(p) or [])}):
-                out[(p, w)] = _homology_at_weight(x, p, w)
+                out[(p, w)] = _homology_at_weight(x, p, w, ranks)
         elif per_weight:
             if n:
-                out[(p, None)] = n - _rank_or0(x, p) - _rank_or0(x, p - 1)
+                out[(p, None)] = n - _rank_or0(x, p, ranks) - _rank_or0(x, p - 1, ranks)
         else:
-            out[p] = n - _rank_or0(x, p) - _rank_or0(x, p - 1)
+            out[p] = n - _rank_or0(x, p, ranks) - _rank_or0(x, p - 1, ranks)
     return out, edges
 
 
-def _rank_or0(x: BaseComplex, p: int) -> int:
-    if not x.dim(p) or not x.dim(p + 1):
-        return 0
-    return rank(x.diff(p))
+def _rank_or0(x: BaseComplex, p: int, ranks: dict) -> int:
+    got = ranks.get(p)
+    if got is None:
+        got = ranks[p] = rank(x.diff(p)) if x.dim(p) and x.dim(p + 1) else 0
+    return got
 
 
-def _homology_at_weight(x: BaseComplex, p: int, w) -> int:
+def _homology_at_weight(x: BaseComplex, p: int, w, ranks: dict) -> int:
     f = x.field
 
-    def block(mat, rows_w, cols_w):
-        rsel = [i for i, wi in enumerate(rows_w or []) if wi == w]
-        csel = [i for i, wi in enumerate(cols_w or []) if wi == w]
-        return Matrix(f, [[mat.data[i][j] for j in csel] for i in rsel],
-                      len(rsel), len(csel))
+    def block_rank(q):
+        """Rank of the weight-w block of d_q, from ``ranks`` once known."""
+        got = ranks.get((q, w))
+        if got is None:
+            mat = x.diff(q)
+            rsel = [i for i, wi in enumerate(x.weights.get(q + 1) or []) if wi == w]
+            csel = [i for i, wi in enumerate(x.weights.get(q) or []) if wi == w]
+            got = ranks[(q, w)] = rank(Matrix(f, [[mat.data[i][j] for j in csel] for i in rsel],
+                                              len(rsel), len(csel)))
+        return got
 
     n = len([i for i in (x.weights.get(p) or []) if i == w])
-    dout = block(x.diff(p), x.weights.get(p + 1), x.weights.get(p))
-    din = block(x.diff(p - 1), x.weights.get(p), x.weights.get(p - 1))
-    return n - rank(dout) - rank(din)
+    return n - block_rank(p) - block_rank(p - 1)
 
 
 # -- homotopy search --------------------------------------------------------

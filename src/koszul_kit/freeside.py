@@ -38,12 +38,6 @@ class FreeUComplex:
     def rank(self, p: int) -> int:
         return self.ranks.get(p, 0)
 
-    def entry(self, p: int, i: int, j: int):
-        mat = self.entries.get(p)
-        if mat is None:
-            return None
-        return mat[i][j]
-
     def entry_degree_bound(self) -> int:
         """Max filtration degree of any differential entry."""
         top = 0

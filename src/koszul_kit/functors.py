@@ -224,9 +224,6 @@ class FilteredFComplex(BaseComplex):
         self.bounds = bounds
         self.labels = labels  # {p: [(u_basis_index, n_basis_index)]}
 
-    def level(self, p: int) -> int:
-        return self.bounds.filtration + p
-
     def fiber_complex(self) -> BaseComplex:
         """k ⊗_U F_i(N): kills every basis label with a nonunit monomial."""
         f = self.field

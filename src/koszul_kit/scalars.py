@@ -108,11 +108,6 @@ class Field:
     def __repr__(self):
         return "QQ" if self.p is None else f"GF({self.p})"
 
-    def to_json(self):
-        if self.p is None:
-            return {"type": "Q"}
-        return {"type": "Fp", "p": self.p}
-
     @staticmethod
     def from_json(obj) -> "Field":
         if obj.get("type") == "Q":

@@ -67,6 +67,53 @@ def dense_solve(m, b):
     return x
 
 
+def full_cdga_verify(alg):
+    """The curved-dga axioms on every basis pair and every basis element,
+    through dense ``dual.multiply`` with unit vectors: the test-side oracle
+    of ``CdgAlgebra.verify``, which checks generators only.  Returns the
+    first violation as a string, or None."""
+    f = alg.field
+    top = alg.bound
+    dual = alg.dual
+    # Leibniz on basis pairs within bound
+    for i in range(0, top):
+        for j in range(0, top):
+            if i + j + 1 > top:
+                continue
+            mi, mj = dual.dim_at(i), dual.dim_at(j)
+            for a in range(mi):
+                ea = [f.one() if s == a else f.zero() for s in range(mi)]
+                for b in range(mj):
+                    eb = [f.one() if s == b else f.zero() for s in range(mj)]
+                    ab = dual.multiply(i, ea, j, eb)
+                    lhs = alg.d(i + j).apply(ab)
+                    rhs = dual.multiply(i + 1, alg.d(i).apply(ea), j, eb)
+                    db = alg.d(j).apply(eb)
+                    term2 = dual.multiply(i, ea, j + 1, db)
+                    if i % 2 == 1:
+                        term2 = [f.neg(x) for x in term2]
+                    rhs = [f.add(x, y) for x, y in zip(rhs, term2)]
+                    if any(not f.eq(x, y) for x, y in zip(lhs, rhs)):
+                        return f"Leibniz fails on basis pair A!_{i}[{a}] * A!_{j}[{b}]"
+    # d(c) = 0
+    if 3 <= top:
+        dc = alg.d(2).apply(alg.curvature)
+        if any(not f.is_zero(x) for x in dc):
+            return "d(c) != 0"
+    # d^2 = [c, -]
+    for n in range(0, top - 1):
+        mn = dual.dim_at(n)
+        for b in range(mn):
+            eb = [f.one() if s == b else f.zero() for s in range(mn)]
+            dd = alg.d(n + 1).apply(alg.d(n).apply(eb))
+            cb = dual.multiply(2, alg.curvature, n, eb)
+            bc = dual.multiply(n, eb, 2, alg.curvature)
+            comm = [f.sub(x, y) for x, y in zip(cb, bc)]
+            if any(not f.eq(x, y) for x, y in zip(dd, comm)):
+                return f"d^2 != [c,-] on basis A!_{n}[{b}]"
+    return None
+
+
 def symmetric_presentation(field, dim):
     """S(V): relations x_i x_j - x_j x_i for i < j."""
     rows = []

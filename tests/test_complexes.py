@@ -1,10 +1,21 @@
 """Modules, complexes, cones, homology, homotopies."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+from koszul_kit import complexes
+from koszul_kit.cli import (
+    DEFAULT_DEGREE,
+    DEFAULT_FILTRATION,
+    DEFAULT_INTERNAL,
+    DEFAULT_WINDOW,
+    Problem,
+)
 from koszul_kit.complexes import (
+    BaseComplex,
     CdgModule,
     ChainMap,
     UComplex,
@@ -15,8 +26,10 @@ from koszul_kit.complexes import (
     nullhomotopy,
 )
 from koszul_kit.errors import CurvedInputError, InputError
-from koszul_kit.linalg import Matrix
+from koszul_kit.functors import FunctorBounds
+from koszul_kit.linalg import Matrix, rank
 from koszul_kit.scalars import QQ
+from koszul_kit.suite import koszul_ce_complex
 
 from conftest import SEED
 
@@ -212,3 +225,53 @@ def test_cone_acyclic_iff_nullhomotopic(heis):
         acyclic = all(v == 0 for v in h.values())
         hom = nullhomotopy(ChainMap.identity(cn), ChainMap.zero(cn, cn))
         assert acyclic == (hom is not None)
+
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples_cli"
+
+
+def _counting_rank(monkeypatch):
+    """Patch the rank homology_dims calls; returns the list of its inputs."""
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return rank(m)
+
+    monkeypatch.setattr(complexes, "rank", counting)
+    return calls
+
+
+@pytest.mark.parametrize("per_weight", [False, True])
+def test_homology_ranks_each_differential_once(monkeypatch, per_weight):
+    """The `ce symmetric2.json` complex at default bounds: each d_p is read
+    at p and at p + 1 but reduced once, and the dims are n - rank - rank."""
+    problem = Problem(json.loads((EXAMPLES / "symmetric2.json").read_text()))
+    b = FunctorBounds(DEFAULT_WINDOW, DEFAULT_FILTRATION, DEFAULT_INTERNAL)
+    u = problem.u_truncation(max(DEFAULT_DEGREE, b.filtration + b.window[1] + 1))
+    fg, _, _ = koszul_ce_complex(problem.deformation(), problem.module("k"), u,
+                                 problem.cdga(DEFAULT_DEGREE), b)
+    lo, hi = b.window
+    calls = _counting_rank(monkeypatch)
+    h, _ = complexes.homology_dims(fg, b.window, per_weight=per_weight)
+    ranked = [p for m in calls for p in range(lo - 1, hi + 1) if fg.diffs.get(p) is m]
+    assert len(calls) == len(ranked) == len(set(ranked)) == 2
+    want = {p: fg.dim(p) - rank(fg.diff(p)) - rank(fg.diff(p - 1)) for p in range(lo, hi + 1)}
+    if per_weight:
+        want = {(p, None): n for p, n in want.items() if fg.dim(p)}
+    assert h == want
+
+
+def test_homology_ranks_each_weight_block_once(monkeypatch):
+    """Weights 0 and 1 in every degree: the four weight blocks of d_0 and
+    d_1 are reduced once each, not once per degree that reads them."""
+    f = QQ
+    d0 = Matrix.from_int_rows(f, [[1, 0], [0, 0]])
+    d1 = Matrix.from_int_rows(f, [[0, 0], [0, 1]])
+    x = BaseComplex(f, (0, 2), {0: 2, 1: 2, 2: 2}, {0: d0, 1: d1},
+                    weights={p: [0, 1] for p in range(3)})
+    calls = _counting_rank(monkeypatch)
+    h, _ = complexes.homology_dims(x, (0, 2), per_weight=True)
+    assert h == {(0, 0): 0, (0, 1): 1, (1, 0): 0, (1, 1): 0, (2, 0): 1, (2, 1): 0}
+    # (q, w) for q = -1..2 and w = 0, 1; the blocks of d_-1 and d_2 are empty
+    assert len(calls) == 8

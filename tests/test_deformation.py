@@ -9,19 +9,25 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from koszul_kit.deformations import (
+    CdgAlgebra,
     DeformationData,
     build_U,
     build_cdga,
     pbw_check,
     vanishing_witness,
 )
-from koszul_kit.errors import CdgaInvariantError, InputError, KoszulKitError
+from koszul_kit.errors import (
+    CdgaInvariantError,
+    InputError,
+    KoszulKitError,
+    WellDefinednessError,
+)
 from koszul_kit.linalg import Matrix
 from koszul_kit.presentations import truncate_algebra
 from koszul_kit.scalars import QQ, Field
 from koszul_kit.words import degree_offset, pair_index, word_global_index, words_of_length
 
-from conftest import SEED, dense_rref
+from conftest import SEED, dense_rref, full_cdga_verify
 
 
 # -- pbw_check ----------------------------------------------------------------
@@ -432,3 +438,74 @@ def test_beta_zero_iff_curvature_zero(heis, twopoint, sym2):
     assert build_cdga(heis, 3).curvature_is_zero
     assert build_cdga(DeformationData.trivial(sym2), 3).curvature_is_zero
     assert not build_cdga(twopoint, 3).curvature_is_zero
+
+
+# -- verify against the pairwise oracle ---------------------------------------------
+
+
+def _corrupted(alg, n, r, c, delta):
+    """alg with delta added to entry (r, c) of d_n, or to curvature
+    coordinate r when n is None; alg itself is left as it is."""
+    f = alg.field
+    derivations, curvature = dict(alg.derivations), list(alg.curvature)
+    if n is None:
+        curvature[r] = f.add(curvature[r], delta)
+    else:
+        data = alg.derivations[n].copy_data()
+        data[r][c] = f.add(data[r][c], delta)
+        derivations[n] = Matrix(f, data, len(data), alg.derivations[n].cols)
+    return CdgAlgebra(alg.data, alg.dual, derivations, curvature)
+
+
+@settings(max_examples=100)
+@given(small_deformation(), st.integers(min_value=3, max_value=6), st.booleans(),
+       st.data())
+def test_verify_matches_pairwise_oracle(case, bound, sign_debug, draws):
+    """The generator-only check returns the pairwise check's string, on the
+    build as it is and with one entry of some d_n or one curvature
+    coordinate changed.  Below bound 3 no axiom can fail."""
+    data, _ = case
+    try:
+        alg = build_cdga(data, bound, check=False, _sign_debug=sign_debug)
+    except WellDefinednessError:
+        assume(False)
+    assert alg.verify() == full_cdga_verify(alg)
+    f = alg.field
+    targets = [(n, m) for n, m in sorted(alg.derivations.items())
+               if m.rows and m.cols]
+    if alg.curvature:
+        targets.append((None, None))
+    if not targets:  # A!_2 = 0: nothing to corrupt
+        return
+    n, m = draws.draw(st.sampled_from(targets))
+    delta = f.of_int(draws.draw(st.integers(min_value=1, max_value=(f.p or 3) - 1)))
+    if n is None:
+        bad = _corrupted(alg, None, draws.draw(st.integers(0, len(alg.curvature) - 1)),
+                         None, delta)
+    else:
+        bad = _corrupted(alg, n, draws.draw(st.integers(0, m.rows - 1)),
+                         draws.draw(st.integers(0, m.cols - 1)), delta)
+    assert bad.verify() == full_cdga_verify(bad)
+
+
+def test_fault_in_d3_reported_on_a_generator_pair(twopoint):
+    """A fault only in d_3 first breaks Leibniz on (x*, A!_2): the check on
+    generators reaches it through the pair whose product lands in A!_3."""
+    alg = build_cdga(twopoint, 5)
+    assert alg.verify() is None and full_cdga_verify(alg) is None
+    bad = _corrupted(alg, 3, 0, 0, QQ.one())
+    msg = bad.verify()
+    assert msg == full_cdga_verify(bad) == "Leibniz fails on basis pair A!_1[0] * A!_2[0]"
+
+
+@pytest.mark.parametrize("rel, alpha, beta, want", [
+    ([[0, -1, 0, -1], [0, 1, 0, 0]], [[1, 0], [-1, 0]], [1, 1], "d(c) != 0"),
+    ([[0, -1, 0, -1], [1, 1, 0, 0]], [[-1, -1], [0, 0]], [-1, -1],
+     "d^2 != [c,-] on basis A!_1[0]"),
+])
+def test_curvature_fault_past_leibniz(rel, alpha, beta, want):
+    """Non-PBW data on x < y whose d satisfies Leibniz; a changed curvature
+    coordinate then fails d(c) = 0, or d^2 = [c, -] on a generator."""
+    alg = build_cdga(_xy(QQ, rel, alpha, beta), 4, check=False)
+    bad = _corrupted(alg, None, 0, None, QQ.one())
+    assert bad.verify() == full_cdga_verify(bad) == want
