@@ -242,8 +242,8 @@ class CdgAlgebra:
         some |a| = 1 pair fails whenever any pair does.  The same holds for
         d^2 and n = 1.
 
-        Products are read off the columns of the cached ``mult_tensor``:
-        x_a e_b is column a * dim A!_j + b of ``mult_tensor(1, j)``.
+        Products are read off the cached sparse ``mult_columns``: x_a e_b is
+        column a * dim A!_j + b of ``mult_columns(1, j)``.
         """
         top = self.bound
         if top < 1:
@@ -251,15 +251,15 @@ class CdgAlgebra:
         dual = self.dual
         p = self.field.p
         m1 = dual.dim_at(1)
-        left = [_sparse_columns(dual.mult_tensor(1, j)) for j in range(top)]
-        ds = [_sparse_columns(self.d(n)) for n in range(top)]
+        left = [dual.mult_columns(1, j) for j in range(top)]
+        ds = [self.d(n).sparse_columns() for n in range(top)]
         # with a = 1, Leibniz reads d(1) e_b = 0: it fails first on 1 * 1
         if _nonzero(ds[0][0], p):
             return "Leibniz fails on basis pair A!_0[0] * A!_0[0]"
         # d(x_a e_b) - d(x_a) e_b + x_a d(e_b) on A!_1 x A!_j
         for j in range(top - 1):
             mj, mj1 = dual.dim_at(j), dual.dim_at(j + 1)
-            right = _sparse_columns(dual.mult_tensor(2, j))
+            right = dual.mult_columns(2, j)
             for a in range(m1):
                 for b in range(mj):
                     acc = {}
@@ -280,7 +280,7 @@ class CdgAlgebra:
             return "d(c) != 0"
         # d^2(x_b) - c x_b + x_b c
         m2 = dual.dim_at(2)
-        cx = _sparse_columns(dual.mult_tensor(2, 1))
+        cx = dual.mult_columns(2, 1)
         xc = left[2]
         curv = [(s, c) for s, c in enumerate(self.curvature) if c]
         for b in range(m1):
@@ -293,16 +293,6 @@ class CdgAlgebra:
             if _nonzero(acc, p):
                 return f"d^2 != [c,-] on basis A!_1[{b}]"
         return None
-
-
-def _sparse_columns(m: Matrix):
-    """Columns of m as {row: raw value} dicts, zeros left out."""
-    cols = [{} for _ in range(m.cols)]
-    for i, row in enumerate(m.data):
-        for j, v in enumerate(row):
-            if v:
-                cols[j][i] = v
-    return cols
 
 
 def _axpy(acc: dict, c, col: dict):

@@ -148,18 +148,6 @@ class FreeUComplex:
             diffs[p] = Matrix(f, out, rows, cols)
         return BaseComplex(f, self.window, dims, diffs)
 
-    # -- algebraic ops -------------------------------------------------------
-
-    def shift(self) -> "FreeUComplex":
-        f = self.field
-        lo, hi = self.window
-        ranks = {p - 1: r for p, r in self.ranks.items()}
-        entries = {}
-        for p, ent in self.entries.items():
-            entries[p - 1] = [[_scale_vec(f, vec, f.neg(f.one())) for vec in row]
-                              for row in ent]
-        return FreeUComplex(self.u, (lo - 1, hi - 1), ranks, entries)
-
 
 def _unit_coord(f, n, i):
     v = [f.zero()] * n

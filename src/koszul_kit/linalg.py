@@ -1,13 +1,16 @@
 """Exact linear algebra on one elimination core, ``EchelonSpan``.
 
 All operations are exact; there is no tolerance anywhere.  ``Matrix`` is
-only a container: dense lists of rows with products, stacking and the
-like, but no elimination of its own.  ``EchelonSpan`` keeps sparse dict
-rows in echelon form, each row led by its largest coordinate, which is
-enough for a unique normal form modulo the span.  ``interreduce()`` turns
-the rows into the reduced basis for callers that read ``rows``.  The inner
-loops work on the field's raw values (``Fraction`` over Q, ``int`` with
-``% p`` over F_p), not through ``Field`` methods.
+a dense container whose ops skip zeros on raw values: dense lists of rows
+with products, stacking and the like, but no elimination of its own.  The
+ops rely on the entry invariant, a ``Fraction`` over Q and an ``int`` in
+[0, p) over F_p: a zero is then falsy and skipped by truthiness, and over
+F_p sums of products are reduced ``% p`` once per output entry, with no
+``Field`` call per entry.  ``EchelonSpan`` keeps sparse dict rows in
+echelon form, each row led by its largest coordinate, which is enough for
+a unique normal form modulo the span.  ``interreduce()`` turns the rows
+into the reduced basis for callers that read ``rows``.  Its inner loops
+work on the same raw values, not through ``Field`` methods.
 
 Everything else runs on that core: ``rref`` keys column j of a matrix as
 ``cols - 1 - j`` so that each lead is the leftmost nonzero column, which
@@ -72,7 +75,7 @@ class Matrix:
         data = [[columns[j][i] for j in range(len(columns))] for i in range(n)]
         return Matrix(field, data, n, len(columns))
 
-    # -- basic ops -------------------------------------------------------
+    # -- basic ops (on raw values; see the module docstring) ----------------
 
     def copy_data(self):
         return [row[:] for row in self.data]
@@ -80,82 +83,127 @@ class Matrix:
     def column(self, j):
         return [self.data[i][j] for i in range(self.rows)]
 
+    def sparse_columns(self):
+        """Columns as {row: value} dicts, zeros left out."""
+        cols = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.data):
+            for j, v in enumerate(row):
+                if v:
+                    cols[j][i] = v
+        return cols
+
     def transpose(self):
-        return Matrix(self.field, [[self.data[i][j] for i in range(self.rows)]
-                                   for j in range(self.cols)], self.cols, self.rows)
+        data = [list(col) for col in zip(*self.data)] if self.rows else \
+            [[] for _ in range(self.cols)]
+        return Matrix(self.field, data, self.cols, self.rows)
 
     def add(self, other):
-        f = self.field
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionError("shape mismatch in add")
-        return Matrix(f, [[f.add(a, b) for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.data, other.data)], self.rows, self.cols)
+        p = self.field.p
+        if p:
+            data = [[(a + b) % p if b else a for a, b in zip(r1, r2)]
+                    for r1, r2 in zip(self.data, other.data)]
+        else:
+            data = [[(a + b if a else b) if b else a for a, b in zip(r1, r2)]
+                    for r1, r2 in zip(self.data, other.data)]
+        return Matrix(self.field, data, self.rows, self.cols)
 
     def sub(self, other):
-        f = self.field
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionError("shape mismatch in sub")
-        return Matrix(f, [[f.sub(a, b) for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.data, other.data)], self.rows, self.cols)
+        p = self.field.p
+        if p:
+            data = [[(a - b) % p if b else a for a, b in zip(r1, r2)]
+                    for r1, r2 in zip(self.data, other.data)]
+        else:
+            data = [[(a - b if a else -b) if b else a for a, b in zip(r1, r2)]
+                    for r1, r2 in zip(self.data, other.data)]
+        return Matrix(self.field, data, self.rows, self.cols)
 
     def scale(self, c):
         f = self.field
-        return Matrix(f, [[f.mul(c, a) for a in r] for r in self.data], self.rows, self.cols)
+        p = f.p
+        if p:
+            c %= p
+        if not c:
+            return Matrix.zero(f, self.rows, self.cols)
+        if p:
+            data = [[c * a % p if a else 0 for a in r] for r in self.data]
+        else:
+            data = [[c * a if a else a for a in r] for r in self.data]
+        return Matrix(f, data, self.rows, self.cols)
 
     def neg(self):
-        return self.scale(self.field.neg(self.field.one()))
+        p = self.field.p
+        if p:
+            data = [[p - a if a else 0 for a in r] for r in self.data]
+        else:
+            data = [[-a if a else a for a in r] for r in self.data]
+        return Matrix(self.field, data, self.rows, self.cols)
 
     def mul(self, other):
         f = self.field
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        p, ncols, zero = f.p, other.cols, f.zero()
         ot = other.data
+        right = {}  # k -> nonzero (j, b) of row k of other, built on first use
         out = []
-        zero = f.zero()
-        for i in range(self.rows):
-            ri = self.data[i]
-            orow = [zero] * other.cols
-            for k in range(self.cols):
-                a = ri[k]
-                if f.is_zero(a):
-                    continue
-                rk = ot[k]
-                for j in range(other.cols):
-                    b = rk[j]
-                    if not f.is_zero(b):
-                        orow[j] = f.add(orow[j], f.mul(a, b))
+        for ri in self.data:
+            acc = {}
+            for k, a in enumerate(ri):
+                if a:
+                    pairs = right.get(k)
+                    if pairs is None:
+                        pairs = right[k] = [(j, b) for j, b in enumerate(ot[k]) if b]
+                    for j, b in pairs:
+                        acc[j] = acc[j] + a * b if j in acc else a * b
+            orow = [zero] * ncols
+            if p:
+                for j, v in acc.items():
+                    orow[j] = v % p
+            else:
+                for j, v in acc.items():
+                    orow[j] = v
             out.append(orow)
-        return Matrix(f, out, self.rows, other.cols)
+        return Matrix(f, out, self.rows, ncols)
 
     def apply(self, vec):
         """Matrix times column vector (vec given as a flat list)."""
         if len(vec) != self.cols:
             raise DimensionError("vector length mismatch")
         f = self.field
+        p, zero = f.p, f.zero()
+        nz = [(j, v) for j, v in enumerate(vec) if v]
+        if p:
+            return [sum(ri[j] * v for j, v in nz) % p for ri in self.data]
         out = []
-        for i in range(self.rows):
-            s = f.zero()
-            ri = self.data[i]
-            for j, v in enumerate(vec):
-                if not f.is_zero(v):
-                    s = f.add(s, f.mul(ri[j], v))
+        for ri in self.data:
+            s = zero
+            for j, v in nz:
+                a = ri[j]
+                if a:
+                    s += a * v
             out.append(s)
         return out
 
     def kron(self, other):
         """Kronecker product, row-major pair indexing."""
         f = self.field
+        p, zero = f.p, f.zero()
+        zeros = [zero] * other.cols
         out = []
-        for i1 in range(self.rows):
-            for i2 in range(other.rows):
+        for r1 in self.data:
+            for r2 in other.data:
                 row = []
-                r1, r2 = self.data[i1], other.data[i2]
-                for j1 in range(self.cols):
-                    a = r1[j1]
-                    if f.is_zero(a):
-                        row.extend([f.zero()] * other.cols)
+                for a in r1:
+                    if not a:
+                        row.extend(zeros)
+                    elif p:
+                        row.extend([a * b % p for b in r2])
                     else:
-                        row.extend([f.mul(a, b) for b in r2])
+                        row.extend([a * b if b else b for b in r2])
                 out.append(row)
         return Matrix(f, out, self.rows * other.rows, self.cols * other.cols)
 
@@ -166,15 +214,10 @@ class Matrix:
                       self.rows + other.rows, self.cols)
 
     def is_zero(self):
-        f = self.field
-        return all(f.is_zero(x) for row in self.data for x in row)
+        return not any(any(row) for row in self.data)
 
     def eq(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            return False
-        f = self.field
-        return all(f.eq(a, b) for r1, r2 in zip(self.data, other.data)
-                   for a, b in zip(r1, r2))
+        return (self.rows, self.cols) == (other.rows, other.cols) and self.data == other.data
 
     def __repr__(self):
         fmt = self.field.format

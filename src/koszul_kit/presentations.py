@@ -81,10 +81,6 @@ class QuadraticPresentation:
     def dual_generator_names(self):
         return tuple(g + "*" for g in self.generators)
 
-    def equal(self, other) -> bool:
-        return (self.field == other.field and self.dim == other.dim
-                and self.relations.eq(other.relations))
-
     def __repr__(self):
         return (f"QuadraticPresentation({self.field!r}, dim V={self.dim}, "
                 f"dim R={self.num_relations})")
@@ -350,6 +346,7 @@ class GradedAlgebraTruncation(WordQuotient):
         self._pos = {w: i for ws in self.basis_words.values() for i, w in enumerate(ws)}
         self._proj = {}
         self._mult = {}
+        self._mult_cols = {}
 
     # -- queries ---------------------------------------------------------
 
@@ -395,6 +392,21 @@ class GradedAlgebraTruncation(WordQuotient):
         m = Matrix.from_columns(f, cols, rows=self.dim_at(i + j))
         self._mult[key] = m
         return m
+
+    def mult_columns(self, i: int, j: int):
+        """Columns of ``mult_tensor(i, j)`` as {row: value} dicts, zeros left
+        out: the product of basis elements a of A_i and b of A_j is column
+        a * dim A_j + b.  Cached; the dense matrix is not built."""
+        key = (i, j)
+        cached = self._mult_cols.get(key)
+        if cached is not None:
+            return cached
+        if i + j > self.bound:
+            raise DegreeOverflowError(f"product degree {i + j} beyond bound {self.bound}")
+        cols = [{r: c for r, c in enumerate(self.project_word(u + v)) if c}
+                for u in self.basis_words[i] for v in self.basis_words[j]]
+        self._mult_cols[key] = cols
+        return cols
 
     def multiply(self, i: int, a, j: int, b):
         """Product of homogeneous elements, given as basis-coordinate lists."""

@@ -59,20 +59,16 @@ def minimal_resolution_betti(alg: GradedAlgebraTruncation, steps: int,
     betti = {(0, 0): 1}
     # the augmentation F_0 = A -> k: kernel is A_+ (degrees 1..cap)
     current = GradedFreeModule(alg, [0])
-    # kernel bases per degree: {degree: Matrix columns in expanded coords}
-    kernels = {}
-    for deg in range(1, degree_cap + 1):
-        n = current.dim_at(deg)
-        if n:
-            kernels[deg] = Matrix.identity(f, n)  # all of A_deg
+    # kernel bases per degree, as sparse {expanded coordinate: value} columns
+    one = f.one()
+    kernels = {deg: [{i: one} for i in range(current.dim_at(deg))]  # all of A_deg
+               for deg in range(1, degree_cap + 1)}
     step = 1
     while step <= steps:
-        gens = {}   # degree -> list of expanded kernel vectors chosen as generators
         next_shifts = []
-        gen_vectors = []  # (shift degree, expanded vector per that degree)
+        gen_vectors = []  # sparse expanded vector of each generator, at its shift
         for deg in sorted(kernels):
-            kb = kernels[deg]
-            if kb.cols == 0:
+            if not kernels[deg]:
                 continue
             # span of A_+ . (kernel elements of lower degree), expanded at deg
             span = EchelonSpan(f)
@@ -82,66 +78,62 @@ def minimal_resolution_betti(alg: GradedAlgebraTruncation, steps: int,
                 mdeg = deg - ldeg
                 if mdeg < 1 or mdeg > alg.bound:
                     continue
-                lk = kernels[ldeg]
-                for ci in range(lk.cols):
-                    vec = lk.column(ci)
+                for vec in kernels[ldeg]:
                     for mb in range(alg.dim_at(mdeg)):
-                        prod = _act_on_expanded(current, mdeg, mb, ldeg, vec)
-                        span.insert(dict(enumerate(prod)))
+                        span.insert(_act_on_expanded(current, mdeg, mb, ldeg, vec))
             # minimal generators at this degree: kernel columns independent
             # modulo the span
-            chosen = [ci for ci in range(kb.cols)
-                      if span.insert(dict(enumerate(kb.column(ci))))]
+            chosen = [vec for vec in kernels[deg] if span.insert(vec)]
             if chosen:
                 betti[(step, deg)] = len(chosen)
-                for ci in chosen:
-                    next_shifts.append(deg)
-                    gen_vectors.append((deg, kb.column(ci)))
+                next_shifts.extend([deg] * len(chosen))
+                gen_vectors.extend(chosen)
         if not next_shifts:
             break
         # build the expanded maps F_{step} -> F_{step-1} per degree, then kernels
         nxt = GradedFreeModule(alg, next_shifts)
+        zero = f.zero()
         new_kernels = {}
         for deg in range(1, degree_cap + 1):
             src_labs = nxt.basis_labels(deg)[0]
             if not src_labs:
                 continue
+            nrows = current.dim_at(deg)
             cols = []
             for (si, d, b) in src_labs:
-                shift, gvec = next_shifts[si], gen_vectors[si][1]
-                # generator gvec sits in expanded degree `shift`; multiply by
-                # the basis element b of A_d
-                cols.append(_act_on_expanded(current, d, b, shift, gvec))
-            expanded = Matrix.from_columns(f, cols, rows=current.dim_at(deg))
-            kb = kernel_basis(expanded)
-            if kb.cols:
-                new_kernels[deg] = kb
+                # generator si sits in expanded degree next_shifts[si];
+                # multiply by the basis element b of A_d
+                col = [zero] * nrows
+                for r, v in _act_on_expanded(current, d, b, next_shifts[si],
+                                             gen_vectors[si]).items():
+                    col[r] = v
+                cols.append(col)
+            new_kernels[deg] = kernel_basis(
+                Matrix.from_columns(f, cols, rows=nrows)).sparse_columns()
         current = nxt
         kernels = new_kernels
         step += 1
     return betti
 
 
-def _act_on_expanded(free: GradedFreeModule, mdeg: int, mb: int, vdeg: int, vec):
-    """Multiply an expanded degree-vdeg element of the free module by the
-    basis element mb of A_mdeg; result expanded at degree vdeg+mdeg.
+def _act_on_expanded(free: GradedFreeModule, mdeg: int, mb: int, vdeg: int, vec: dict):
+    """Multiply an expanded degree-vdeg element of the free module, a sparse
+    {coordinate: value} dict, by the basis element mb of A_mdeg; the result
+    is expanded at degree vdeg+mdeg, as a zero-free {coordinate: value} dict.
 
     The product of mb with basis element b of A_d is column
-    mb * dim A_d + b of the cached ``mult_tensor(mdeg, d)``."""
+    mb * dim A_d + b of the cached ``mult_columns(mdeg, d)``."""
     alg = free.alg
-    f = alg.field
+    p = alg.field.p
     src_labs = free.basis_labels(vdeg)[0]
-    tgt_labs, tstart = free.basis_labels(vdeg + mdeg)
-    out = [f.zero()] * len(tgt_labs)
-    for (gi, d, b), c in zip(src_labs, vec):
-        if f.is_zero(c):
-            continue
-        mt = alg.mult_tensor(mdeg, d)
-        j = mb * alg.dim_at(d) + b
+    tstart = free.basis_labels(vdeg + mdeg)[1]
+    out = {}
+    for i, c in vec.items():
+        gi, d, b = src_labs[i]
         row = tstart[gi]
-        for prow in mt.data:
-            pc = prow[j]
-            if not f.is_zero(pc):
-                out[row] = f.add(out[row], f.mul(c, pc))
-            row += 1
-    return out
+        for r, v in alg.mult_columns(mdeg, d)[mb * alg.dim_at(d) + b].items():
+            k = row + r
+            out[k] = out[k] + c * v if k in out else c * v
+    if p:
+        return {k: v % p for k, v in out.items() if v % p}
+    return {k: v for k, v in out.items() if v}

@@ -19,6 +19,7 @@ from .errors import CurvedInputError, InputError, MissingWeightsError
 from .functors import FunctorBounds, apply_F, apply_Fprime, apply_G, counit
 from .linalg import Matrix
 from .presentations import (
+    GradedAlgebraTruncation,
     QuadraticPresentation,
     quadratic_dual,
     truncate_algebra,
@@ -33,9 +34,6 @@ class HomologyReport:
     window: tuple
     edge_degrees: set = dc_field(default_factory=set)
     stabilized: bool = True
-
-    def dim(self, degree, weight=None):
-        return self.entries.get((degree, weight), 0)
 
     def by_degree(self):
         out = {}
@@ -111,6 +109,48 @@ def koszul_ce_complex(data: DeformationData, m: UModule,
 # -- Koszulness ----------------------------------------------------------------
 
 
+def strand_complex(alg: GradedAlgebraTruncation, dual: GradedAlgebraTruncation,
+                   n: int) -> BaseComplex:
+    """Strand n of A ⊗ (A!)*: A_{n-q} ⊗ (A!_q)* in degree -q, q = n..0,
+    with differential u ⊗ a* -> sum_g (u x_g) ⊗ (x_g* a*), where
+    (x_g* a*)(b) = a*(b x_g*) is the dual of right multiplication.
+
+    Each differential is summed over the nonzero entries of the right
+    multiplications by x_g in A and in A!, on raw values."""
+    f = alg.field
+    p, zero = f.p, f.zero()
+    dims, comps = {}, {}
+    for q in range(0, n + 1):
+        da, dq = alg.dim_at(n - q), dual.dim_at(q)
+        if da and dq:
+            comps[-q] = (n - q, q)
+            dims[-q] = da * dq
+    diffs = {}
+    for pos in sorted(comps):
+        if pos + 1 not in comps:
+            continue
+        adeg, qdeg = comps[pos]
+        dq, dq1 = dual.dim_at(qdeg), dual.dim_at(qdeg - 1)
+        acc = {}
+        for g in range(alg.pres.dim):
+            dualrm = _nonzero_entries(dual.right_mult_matrix(g, qdeg - 1))  # A!_{q-1} -> A!_q
+            for aj, ai, cu in _nonzero_entries(alg.right_mult_matrix(g, adeg)):
+                for si, sj, ca in dualrm:
+                    key = (aj * dq1 + sj, ai * dq + si)
+                    acc[key] = acc[key] + cu * ca if key in acc else cu * ca
+        rows, cols = dims[pos + 1], dims[pos]
+        out = [[zero] * cols for _ in range(rows)]
+        for (r, c), v in acc.items():
+            out[r][c] = v % p if p else v
+        diffs[pos] = Matrix(f, out, rows, cols)
+    return BaseComplex(f, (-n, 0), dims, diffs)
+
+
+def _nonzero_entries(m: Matrix):
+    """(row, column, value) of every nonzero entry of m."""
+    return [(i, j, v) for i, row in enumerate(m.data) for j, v in enumerate(row) if v]
+
+
 def koszulness_check(p: QuadraticPresentation, n_max: int):
     """Windowed Koszulness certificate.
 
@@ -119,48 +159,11 @@ def koszulness_check(p: QuadraticPresentation, n_max: int):
     equal to dim A!_i, read off an independently computed minimal graded
     free resolution.
     """
-    f = p.field
     alg = truncate_algebra(p, n_max)
     dual = truncate_algebra(quadratic_dual(p), n_max)
     strand_pass = {}
     for n in range(1, n_max + 1):
-        # strand: A_{n-q} ⊗ (A!_q)* for q = n..0, differential
-        # u ⊗ a* -> sum_g (u x_g) ⊗ (x_g* a*)
-        dims = {}
-        comps = {}
-        for q in range(0, n + 1):
-            da = alg.dim_at(n - q)
-            dq = dual.dim_at(q)
-            if da and dq:
-                comps[-q] = (n - q, q)
-                dims[-q] = da * dq
-        diffs = {}
-        for pos in sorted(comps):
-            if pos + 1 not in comps:
-                continue
-            adeg, qdeg = comps[pos]
-            rows = dims[pos + 1]
-            out = [[f.zero()] * dims[pos] for _ in range(rows)]
-            for g in range(p.dim):
-                rm = alg.right_mult_matrix(g, adeg)
-                dualrm = dual.right_mult_matrix(g, qdeg - 1)  # A!_{q-1} -> A!_q
-                for ai in range(alg.dim_at(adeg)):
-                    for si in range(dual.dim_at(qdeg)):
-                        col = ai * dual.dim_at(qdeg) + si
-                        uxg = rm.column(ai)
-                        # (x_g* a*)(b) = a*(b x_g*): dual of right mult
-                        for aj, cu in enumerate(uxg):
-                            if f.is_zero(cu):
-                                continue
-                            for sj in range(dual.dim_at(qdeg - 1)):
-                                ca = dualrm.data[si][sj]
-                                if f.is_zero(ca):
-                                    continue
-                                row = aj * dual.dim_at(qdeg - 1) + sj
-                                out[row][col] = f.add(out[row][col],
-                                                      f.mul(cu, ca))
-            diffs[pos] = Matrix(f, out, rows, dims[pos])
-        cx = BaseComplex(f, (-n, 0), dims, diffs)
+        cx = strand_complex(alg, dual, n)
         msg = cx.check_d_squared()
         if msg:
             raise InputError(f"strand {n}: {msg}")

@@ -7,8 +7,9 @@ from hypothesis import settings
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from koszul_kit.deformations import DeformationData, build_U, build_cdga
-from koszul_kit.linalg import Matrix
+from koszul_kit.linalg import DimensionError, EchelonSpan, Matrix, kernel_basis
 from koszul_kit.presentations import QuadraticPresentation
+from koszul_kit.resolution import GradedFreeModule
 from koszul_kit.scalars import QQ
 
 SEED = int(os.environ.get("KOSZUL_SEED", "0"))
@@ -65,6 +66,216 @@ def dense_solve(m, b):
     for i, p in enumerate(pivots):
         x[p] = r.data[i][m.cols]
     return x
+
+
+# -- dense Matrix ops: one Field call per entry, zeros included -------------------
+#
+# The test-side oracle of the ``Matrix`` ops, which run on raw values and
+# skip zeros.
+
+
+def dense_transpose(m):
+    return Matrix(m.field, [[m.data[i][j] for i in range(m.rows)]
+                            for j in range(m.cols)], m.cols, m.rows)
+
+
+def dense_add(m, other):
+    f = m.field
+    if (m.rows, m.cols) != (other.rows, other.cols):
+        raise DimensionError("shape mismatch in add")
+    return Matrix(f, [[f.add(a, b) for a, b in zip(r1, r2)]
+                      for r1, r2 in zip(m.data, other.data)], m.rows, m.cols)
+
+
+def dense_sub(m, other):
+    f = m.field
+    if (m.rows, m.cols) != (other.rows, other.cols):
+        raise DimensionError("shape mismatch in sub")
+    return Matrix(f, [[f.sub(a, b) for a, b in zip(r1, r2)]
+                      for r1, r2 in zip(m.data, other.data)], m.rows, m.cols)
+
+
+def dense_scale(m, c):
+    f = m.field
+    return Matrix(f, [[f.mul(c, a) for a in r] for r in m.data], m.rows, m.cols)
+
+
+def dense_neg(m):
+    return dense_scale(m, m.field.neg(m.field.one()))
+
+
+def dense_mul(m, other):
+    f = m.field
+    if m.cols != other.rows:
+        raise DimensionError(f"cannot multiply {m.rows}x{m.cols} by {other.rows}x{other.cols}")
+    ot = other.data
+    out = []
+    zero = f.zero()
+    for i in range(m.rows):
+        ri = m.data[i]
+        orow = [zero] * other.cols
+        for k in range(m.cols):
+            a = ri[k]
+            if f.is_zero(a):
+                continue
+            rk = ot[k]
+            for j in range(other.cols):
+                b = rk[j]
+                if not f.is_zero(b):
+                    orow[j] = f.add(orow[j], f.mul(a, b))
+        out.append(orow)
+    return Matrix(f, out, m.rows, other.cols)
+
+
+def dense_apply(m, vec):
+    if len(vec) != m.cols:
+        raise DimensionError("vector length mismatch")
+    f = m.field
+    out = []
+    for i in range(m.rows):
+        s = f.zero()
+        ri = m.data[i]
+        for j, v in enumerate(vec):
+            if not f.is_zero(v):
+                s = f.add(s, f.mul(ri[j], v))
+        out.append(s)
+    return out
+
+
+def dense_kron(m, other):
+    f = m.field
+    out = []
+    for i1 in range(m.rows):
+        for i2 in range(other.rows):
+            row = []
+            r1, r2 = m.data[i1], other.data[i2]
+            for j1 in range(m.cols):
+                a = r1[j1]
+                if f.is_zero(a):
+                    row.extend([f.zero()] * other.cols)
+                else:
+                    row.extend([f.mul(a, b) for b in r2])
+            out.append(row)
+    return Matrix(f, out, m.rows * other.rows, m.cols * other.cols)
+
+
+def dense_is_zero(m):
+    return all(m.field.is_zero(x) for row in m.data for x in row)
+
+
+def dense_eq(m, other):
+    if (m.rows, m.cols) != (other.rows, other.cols):
+        return False
+    f = m.field
+    return all(f.eq(a, b) for r1, r2 in zip(m.data, other.data) for a, b in zip(r1, r2))
+
+
+# -- the minimal resolution on dense expanded vectors --------------------------------
+
+
+def dense_act_on_expanded(free, mdeg, mb, vdeg, vec):
+    """``resolution._act_on_expanded`` on dense lists: every row of the dense
+    ``mult_tensor`` is read, zeros included."""
+    alg = free.alg
+    f = alg.field
+    src_labs = free.basis_labels(vdeg)[0]
+    tgt_labs, tstart = free.basis_labels(vdeg + mdeg)
+    out = [f.zero()] * len(tgt_labs)
+    for (gi, d, b), c in zip(src_labs, vec):
+        if f.is_zero(c):
+            continue
+        mt = alg.mult_tensor(mdeg, d)
+        j = mb * alg.dim_at(d) + b
+        row = tstart[gi]
+        for prow in mt.data:
+            pc = prow[j]
+            if not f.is_zero(pc):
+                out[row] = f.add(out[row], f.mul(c, pc))
+            row += 1
+    return out
+
+
+def dense_resolution_betti(alg, steps, degree_cap):
+    """``minimal_resolution_betti`` on dense kernel columns and
+    ``dense_act_on_expanded``."""
+    f = alg.field
+    betti = {(0, 0): 1}
+    current = GradedFreeModule(alg, [0])
+    kernels = {}
+    for deg in range(1, degree_cap + 1):
+        n = current.dim_at(deg)
+        if n:
+            kernels[deg] = Matrix.identity(f, n)
+    step = 1
+    while step <= steps:
+        next_shifts, gen_vectors = [], []
+        for deg in sorted(kernels):
+            kb = kernels[deg]
+            if kb.cols == 0:
+                continue
+            span = EchelonSpan(f)
+            for ldeg in sorted(kernels):
+                if ldeg >= deg:
+                    break
+                mdeg = deg - ldeg
+                if mdeg < 1 or mdeg > alg.bound:
+                    continue
+                lk = kernels[ldeg]
+                for ci in range(lk.cols):
+                    for mb in range(alg.dim_at(mdeg)):
+                        prod = dense_act_on_expanded(current, mdeg, mb, ldeg, lk.column(ci))
+                        span.insert(dict(enumerate(prod)))
+            chosen = [ci for ci in range(kb.cols)
+                      if span.insert(dict(enumerate(kb.column(ci))))]
+            if chosen:
+                betti[(step, deg)] = len(chosen)
+                for ci in chosen:
+                    next_shifts.append(deg)
+                    gen_vectors.append(kb.column(ci))
+        if not next_shifts:
+            break
+        nxt = GradedFreeModule(alg, next_shifts)
+        new_kernels = {}
+        for deg in range(1, degree_cap + 1):
+            src_labs = nxt.basis_labels(deg)[0]
+            if not src_labs:
+                continue
+            cols = [dense_act_on_expanded(current, d, b, next_shifts[si], gen_vectors[si])
+                    for (si, d, b) in src_labs]
+            kb = kernel_basis(Matrix.from_columns(f, cols, rows=current.dim_at(deg)))
+            if kb.cols:
+                new_kernels[deg] = kb
+        current = nxt
+        kernels = new_kernels
+        step += 1
+    return betti
+
+
+def dense_strand_differentials(alg, dual, n):
+    """The differentials of ``suite.strand_complex(alg, dual, n)``, assembled
+    cell by cell with one ``Field`` call per product."""
+    f = alg.field
+    comps = {-q: (n - q, q) for q in range(n + 1)
+             if alg.dim_at(n - q) and dual.dim_at(q)}
+    diffs = {}
+    for pos, (adeg, qdeg) in comps.items():
+        if pos + 1 not in comps:
+            continue
+        dq, dq1 = dual.dim_at(qdeg), dual.dim_at(qdeg - 1)
+        rows, cols = alg.dim_at(adeg + 1) * dq1, alg.dim_at(adeg) * dq
+        out = [[f.zero()] * cols for _ in range(rows)]
+        for g in range(alg.pres.dim):
+            rm = alg.right_mult_matrix(g, adeg)
+            dualrm = dual.right_mult_matrix(g, qdeg - 1)
+            for ai in range(alg.dim_at(adeg)):
+                for si in range(dq):
+                    for aj in range(alg.dim_at(adeg + 1)):
+                        for sj in range(dq1):
+                            cell = out[aj * dq1 + sj]
+                            cell[ai * dq + si] = f.add(cell[ai * dq + si], f.mul(
+                                rm.data[aj][ai], dualrm.data[si][sj]))
+        diffs[pos] = Matrix(f, out, rows, cols)
+    return diffs
 
 
 def full_cdga_verify(alg):

@@ -1,6 +1,7 @@
 """Exact linear algebra kernel: worked examples and random properties."""
 
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
@@ -20,7 +21,20 @@ from koszul_kit.linalg import (
 )
 from koszul_kit.scalars import QQ, Field
 
-from conftest import dense_rref, dense_solve
+from conftest import (
+    dense_add,
+    dense_apply,
+    dense_eq,
+    dense_is_zero,
+    dense_kron,
+    dense_mul,
+    dense_neg,
+    dense_rref,
+    dense_scale,
+    dense_solve,
+    dense_sub,
+    dense_transpose,
+)
 
 F2 = Field(2)
 F3 = Field(3)
@@ -289,3 +303,90 @@ def test_one_core_matches_dense_oracle(case):
         assert (x.rows, x.cols) == (m.cols, len(rhs))
         assert [x.column(j) for j in range(x.cols)] == want_x
 
+
+
+# -- Matrix ops against the dense Field-call oracle ----------------------------------
+
+
+def raw_scalars(f):
+    """Field elements as the ops hold them, zero drawn often: ``Fraction``
+    over Q, ``int`` in [0, p) over F_p."""
+    if f.p:
+        return st.one_of(st.just(0), st.integers(min_value=0, max_value=f.p - 1))
+    return st.one_of(st.just(f.zero()),
+                     st.builds(Fraction, st.integers(min_value=-3, max_value=3),
+                               st.integers(min_value=1, max_value=3)))
+
+
+@st.composite
+def raw_matrix(draw, f, rows, cols):
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        return Matrix.zero(f, rows, cols)
+    data = draw(st.lists(st.lists(raw_scalars(f), min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    return Matrix(f, data, rows, cols)
+
+
+def _assert_raw(f, values):
+    for x in values:
+        if f.p:
+            assert type(x) is int and 0 <= x < f.p, x
+        else:
+            assert type(x) is Fraction, x
+
+
+def _assert_same(got, want):
+    assert (got.rows, got.cols) == (want.rows, want.cols)
+    assert len(got.data) == got.rows and all(len(r) == got.cols for r in got.data)
+    assert got.data == want.data
+    _assert_raw(got.field, [x for r in got.data for x in r])
+
+
+def _check_matrix_ops(f, a, b, m, o, vec, c):
+    """Every op on a, b (same shape), m (a.cols rows), o (any shape), vec
+    (length a.cols) and scalar c agrees with the dense oracle and keeps the
+    entry invariant; no op changes its operands."""
+    before = [x.copy_data() for x in (a, b, m, o)]
+    _assert_same(a.add(b), dense_add(a, b))
+    _assert_same(a.sub(b), dense_sub(a, b))
+    _assert_same(a.scale(c), dense_scale(a, c))
+    _assert_same(a.neg(), dense_neg(a))
+    _assert_same(a.mul(m), dense_mul(a, m))
+    _assert_same(a.kron(o), dense_kron(a, o))
+    _assert_same(o.kron(a), dense_kron(o, a))
+    _assert_same(a.transpose(), dense_transpose(a))
+    got = a.apply(vec)
+    assert got == dense_apply(a, vec)
+    _assert_raw(f, got)
+    assert a.is_zero() == dense_is_zero(a)
+    for x, y in ((a, b), (a, a.add(Matrix.zero(f, a.rows, a.cols))), (a, o),
+                 (a, a.transpose())):
+        assert x.eq(y) == dense_eq(x, y)
+    assert [x.data for x in (a, b, m, o)] == before
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_matrix_ops_match_dense_oracle(data):
+    f = data.draw(st.sampled_from([QQ, F2, F3, F5]))
+    r, c, k, r2, c2 = (data.draw(st.integers(min_value=0, max_value=4)) for _ in range(5))
+    a, b = data.draw(raw_matrix(f, r, c)), data.draw(raw_matrix(f, r, c))
+    m, o = data.draw(raw_matrix(f, c, k)), data.draw(raw_matrix(f, r2, c2))
+    vec = data.draw(st.lists(raw_scalars(f), min_size=c, max_size=c))
+    # a scalar may also be any int: scale reduces it mod p
+    scalar = data.draw(st.one_of(raw_scalars(f), st.integers(min_value=-3, max_value=3)))
+    _check_matrix_ops(f, a, b, m, o, vec, scalar)
+
+
+def test_matrix_ops_on_empty_and_zero_shapes():
+    for f in (QQ, F2, F3, F5):
+        one, two = f.one(), f.of_int(2)
+        for r, c in ((0, 3), (3, 0), (0, 0), (2, 3)):
+            z = Matrix.zero(f, r, c)
+            full = Matrix(f, [[two] * c for _ in range(r)], r, c)
+            for a, b in ((z, z), (z, full), (full, z)):
+                for k in (0, 2):
+                    _check_matrix_ops(f, a, b, Matrix.zero(f, c, k),
+                                      Matrix.identity(f, 2), [one] * c, two)
+                    _check_matrix_ops(f, a, b, Matrix(f, [[one] * k for _ in range(c)], c, k),
+                                      Matrix.zero(f, 0, 2), [f.zero()] * c, f.zero())
