@@ -21,7 +21,13 @@ from .deformations import (
     pbw_check,
     vanishing_witness,
 )
-from .errors import InputError, KoszulKitError
+from .errors import (
+    CdgaInvariantError,
+    InputError,
+    KoszulKitError,
+    NonFreeComponentError,
+    WellDefinednessError,
+)
 from .functors import (
     FunctorBounds,
     adjunction_report,
@@ -43,6 +49,7 @@ from .scalars import Field
 from .suite import (
     bigraded_from_weighted,
     ext,
+    f_homology_stabilized,
     koszul_ce_complex,
     koszulness_check,
     regrade,
@@ -123,7 +130,6 @@ class Problem:
     # -- named objects ----------------------------------------------------
 
     def module(self, name: str) -> UModule:
-        f = self.field
         data = self.deformation()
         if name == "k":
             spec = (self.raw.get("modules") or {}).get("k")
@@ -203,7 +209,6 @@ class Problem:
         if spec is None:
             if name in (self.raw.get("complexes") or {}) \
                     or name in (self.raw.get("modules") or {}):
-                from .errors import NonFreeComponentError
                 raise NonFreeComponentError(
                     f"{name!r} is not declared as a complex of free modules")
             raise InputError(f"free complex {name!r} not declared")
@@ -353,7 +358,6 @@ def cmd_pbw(problem, args):
 
 def cmd_cdga(problem, args):
     f = problem.field
-    from .errors import CdgaInvariantError, WellDefinednessError
     try:
         cdga = problem.cdga(args.degree)
     except (WellDefinednessError, CdgaInvariantError) as e:
@@ -403,7 +407,6 @@ def cmd_koszul_check(problem, args):
 
 
 def cmd_apply_f(problem, args):
-    from .suite import f_homology_stabilized
     b = bounds_from(args)
     n = problem.cdg_module(args.cdg, args.degree)
     u = problem.u_truncation(max(args.degree, b.filtration + b.window[1] + 1))

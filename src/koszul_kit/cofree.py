@@ -12,9 +12,17 @@ geometric series terminates.
 
 from __future__ import annotations
 
-from .complexes import CdgModule, ChainMap, Homotopy, homology_dims, nullhomotopy
+from .complexes import (
+    BaseComplex,
+    CdgModule,
+    ChainMap,
+    Homotopy,
+    homology_dims,
+    nullhomotopy,
+)
 from .deformations import CdgAlgebra
 from .errors import CurvedInputError, InconsistentDataError, NotCofreeError
+from .functors import apply_G, cofree_actions
 from .linalg import EchelonSpan, Matrix, kernel_basis, rank, row_space, solve_matrix
 
 
@@ -37,38 +45,6 @@ def cofree_labels(cdga: CdgAlgebra, socle_dims: dict, window, cap: int):
         if labs:
             labels[p] = labs
     return labels
-
-
-def cofree_actions(cdga: CdgAlgebra, labels: dict, twisted=True):
-    """Generator action matrices on a labelled cofree module.
-
-    (x* . f)(t) = f(t x*) composed with the parity twist when ``twisted``,
-    matching the convention of apply_G images.
-    """
-    f = cdga.field
-    dual = cdga.dual
-    d_gens = dual.pres.dim
-    actions = {}
-    for p, labs in labels.items():
-        tgt = labels.get(p + 1, [])
-        tpos = {lab: i for i, lab in enumerate(tgt)}
-        acts = []
-        for g in range(d_gens):
-            out = [[f.zero()] * len(labs) for _ in range(len(tgt))]
-            for col, (r, s, i) in enumerate(labs):
-                if r == 0:
-                    continue
-                rm = dual.right_mult_matrix(g, r - 1)
-                for t in range(dual.dim_at(r - 1)):
-                    c = rm.data[s][t]
-                    if f.is_zero(c):
-                        continue
-                    row = tpos.get((r - 1, t, i))
-                    if row is not None:
-                        out[row][col] = f.neg(c) if twisted else c
-            acts.append(Matrix(f, out, len(tgt), len(labs)))
-        actions[p] = acts
-    return actions
 
 
 # -- socle-level strong deformation retract ----------------------------------
@@ -338,7 +314,7 @@ def transfer_minimal(big: CdgModule, labels: dict, socle_diffs: dict,
 
     minimal = CdgModule(cdga, window,
                         {p: len(labs) for p, labs in hlabels.items()},
-                        cofree_actions(cdga, hlabels), dmin)
+                        cofree_actions(cdga.dual, hlabels), dmin)
     minimal.labels = hlabels
     into = ChainMap(minimal, big, iinf)
     onto = ChainMap(big, minimal, pinf)
@@ -367,7 +343,6 @@ def minimize_G(m, cdga: CdgAlgebra, bounds, certify=True) -> MinimizeResult:
     differential and homology dimensions, with explicit chain maps both
     ways and exact homotopy certificates.
     """
-    from .functors import apply_G
     if not cdga.curvature_is_zero:
         raise CurvedInputError("minimization needs c = 0")
     g = apply_G(m, cdga, bounds)
@@ -569,7 +544,6 @@ def t_truncate(i: CdgModule, cdga: CdgAlgebra, p_cut: int, cap: int,
 
 def to_cofree_coordinates(module: CdgModule, dec: CofreeDecomposition) -> CdgModule:
     """Conjugate a detected cofree module onto its coordinate model."""
-    f = module.field
     dims = {p: len(labs) for p, labs in dec.labels.items()}
     diffs, actions = {}, {}
     for p in dims:
@@ -679,7 +653,6 @@ def null_test_cofree(i: CdgModule, cdga: CdgAlgebra, cap: int, interior,
     f = i.field
     window, socle_bases, socle_diffs = i.socle_complex()
     socle_dims = {q: b.cols for q, b in socle_bases.items() if b.cols}
-    from .complexes import BaseComplex
     socle_weights = None
     if i.weights is not None:
         socle_weights = {}
@@ -756,6 +729,7 @@ def complex_of_free_dual_modules(cdga: CdgAlgebra, ranks: dict, entries: dict,
     dims = {p: len(labs) for p, labs in labels.items()}
     pos = {p: {lab: i for i, lab in enumerate(labs)} for p, labs in labels.items()}
     d_gens = dual.pres.dim
+    char = f.p
     diffs, actions = {}, {}
     for p in sorted(labels):
         labs = labels[p]
@@ -787,15 +761,12 @@ def complex_of_free_dual_modules(cdga: CdgAlgebra, ranks: dict, entries: dict,
         for g in range(d_gens):
             out = [[f.zero()] * len(labs) for _ in range(nt)]
             for col, (P, gi, deg, bidx) in enumerate(labs):
-                lm = dual.left_mult_matrix(g, deg)
-                sgn = f.one() if P % 2 == 0 else f.neg(f.one())
-                for tb in range(dual.dim_at(deg + 1)):
-                    c = lm.data[tb][bidx]
-                    if f.is_zero(c):
-                        continue
+                left = dual.mult_columns(1, deg)  # x_g e_b: column g * dim A!_deg + b
+                sgn = 1 if P % 2 == 0 else -1
+                for tb, c in left[g * dual.dim_at(deg) + bidx].items():
                     row = pos.get(p + 1, {}).get((P, gi, deg + 1, tb))
                     if row is not None:
-                        out[row][col] = f.mul(sgn, c)
+                        out[row][col] = sgn * c % char if char else sgn * c
             acts.append(Matrix(f, out, nt, len(labs)))
         actions[p] = acts
     weights = None

@@ -10,7 +10,7 @@ window, which embeds the expanded object as a subcomplex of the true one.
 
 from __future__ import annotations
 
-from .complexes import BaseComplex
+from .complexes import BaseComplex, homology_dims
 from .deformations import FilteredAlgebraTruncation
 from .errors import InputError
 from .linalg import RHS, Matrix, solve_sparse
@@ -298,7 +298,6 @@ def null_test_free(p: FreeUComplex, base_level: int, interior):
     ``interior`` is the degree range on which acyclicity is asserted;
     window edges are excluded by the caller via guard bands.
     """
-    from .complexes import homology_dims
     msg = p.check_d_squared()
     if msg:
         raise InputError(msg)

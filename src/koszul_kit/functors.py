@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .complexes import BaseComplex, CdgModule, ChainMap, UComplex
 from .deformations import CdgAlgebra, FilteredAlgebraTruncation
 from .errors import InconsistentDataError, InputError
-from .linalg import Matrix, rank
+from .linalg import EchelonSpan, Matrix, rank
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,7 @@ class KoszulBimodule:
     def delta(self, level: int, r: int) -> Matrix:
         """Matrix of delta on U_{<=level} ⊗ A!_r (columns u-major)."""
         f = self.field
+        char = f.p
         u, dual = self.u, self.cdga.dual
         d_gens = self.u.data.base.dim
         src_u = [i for i in range(u.total_dim) if len(u.basis_words[i]) <= level]
@@ -63,28 +64,28 @@ class KoszulBimodule:
         cols = len(src_u) * na_src
         out = [[f.zero()] * cols for _ in range(rows)]
         dmat = self.cdga.d(r)
+        left = dual.mult_columns(1, r)  # x_g e_a: column g * na_src + a
         for ci, ui in enumerate(src_u):
             for a in range(na_src):
                 col = ci * na_src + a
                 # sum_g (u x_g) ⊗ (x_g* a)
                 for g in range(d_gens):
                     uxg = u.mult_basis(ui, u._basis_pos[(g,)])
-                    xga = dual.left_mult_matrix(g, r).column(a)
+                    xga = left[g * na_src + a]
                     for ti, cu in enumerate(uxg):
-                        if f.is_zero(cu):
+                        if not cu:
                             continue
                         if len(u.basis_words[ti]) > level + 1:
                             raise InputError("filtration overflow in delta")
-                        for b, ca in enumerate(xga):
-                            if not f.is_zero(ca):
-                                row = tgt_pos[ti] * na_tgt + b
-                                out[row][col] = f.add(out[row][col], f.mul(cu, ca))
+                        for b, ca in xga.items():
+                            out[tgt_pos[ti] * na_tgt + b][col] += cu * ca
                 # u ⊗ d(a)
                 for b in range(na_tgt):
                     c = dmat.data[b][a]
-                    if not f.is_zero(c):
-                        row = tgt_pos[ui] * na_tgt + b
-                        out[row][col] = f.add(out[row][col], c)
+                    if c:
+                        out[tgt_pos[ui] * na_tgt + b][col] += c
+        if char:
+            out = [[v % char for v in row] for row in out]
         return Matrix(f, out, rows, cols)
 
     def check_delta_squared(self, level: int, r: int):
@@ -149,34 +150,35 @@ class KoszulBimodule:
 
     def _delta_elem(self, r: int, ui: int, avec):
         """delta(u_i ⊗ a) as {(u_index, a!_{r+1} index): coeff}."""
-        f = self.field
+        char = self.field.p
         u, dual = self.u, self.cdga.dual
         d_gens = u.data.base.dim
+        left = dual.mult_columns(1, r)  # x_g e_a: column g * dim A!_r + a
+        na = dual.dim_at(r)
         out = {}
         for g in range(d_gens):
             uxg = u.mult_basis(ui, u._basis_pos[(g,)])
-            lm = dual.left_mult_matrix(g, r)
             for a, ca in enumerate(avec):
-                if f.is_zero(ca):
+                if not ca:
                     continue
-                xga = lm.column(a)
                 for ti, cu in enumerate(uxg):
-                    if f.is_zero(cu):
+                    if not cu:
                         continue
-                    for b, cb in enumerate(xga):
-                        if not f.is_zero(cb):
-                            k = (ti, b)
-                            out[k] = f.add(out.get(k, f.zero()), f.mul(ca, f.mul(cu, cb)))
+                    for b, cb in left[g * na + a].items():
+                        k = (ti, b)
+                        out[k] = out.get(k, 0) + ca * cu * cb
         dmat = self.cdga.d(r)
         for a, ca in enumerate(avec):
-            if f.is_zero(ca):
+            if not ca:
                 continue
             for b in range(dmat.rows):
                 c = dmat.data[b][a]
-                if not f.is_zero(c):
+                if c:
                     k = (ui, b)
-                    out[k] = f.add(out.get(k, f.zero()), f.mul(ca, c))
-        return {k: v for k, v in out.items() if not f.is_zero(v)}
+                    out[k] = out.get(k, 0) + ca * c
+        if char:
+            out = {k: v % char for k, v in out.items()}
+        return {k: v for k, v in out.items() if v}
 
 
 def _unit(f, n, i):
@@ -299,6 +301,43 @@ def apply_F(n: CdgModule, u: FilteredAlgebraTruncation,
 # -- the functor G -----------------------------------------------------------
 
 
+def cofree_actions(dual, labels: dict) -> dict:
+    """The twisted action (x_g* . f)(t) = -f(t x_g*) on functionals
+    labelled (r, s, *rest): the dual basis functional s* of A!_r, with the
+    rest of the label carried through.  Images of G, (GF)_i and the cofree
+    minimal models all carry it; the parity twist is what makes the module
+    anti-derivation law hold literally.
+
+    Returns {p: [Matrix per generator]} for each p with p + 1 labelled.
+    """
+    f = dual.field
+    char = f.p
+    d_gens = dual.pres.dim
+    actions = {}
+    for p, labs in labels.items():
+        tgt = labels.get(p + 1)
+        if tgt is None:
+            continue
+        tpos = {lab: i for i, lab in enumerate(tgt)}
+        acts = []
+        for g in range(d_gens):
+            out = [[f.zero()] * len(labs) for _ in range(len(tgt))]
+            for col, lab in enumerate(labs):
+                r, s = lab[0], lab[1]
+                if r == 0:
+                    continue
+                right = dual.mult_columns(r - 1, 1)  # e_t x_g: column t * d_gens + g
+                for t in range(dual.dim_at(r - 1)):
+                    c = right[t * d_gens + g].get(s)
+                    if c:
+                        row = tpos.get((r - 1, t) + lab[2:])
+                        if row is not None:
+                            out[row][col] = -c % char if char else -c
+            acts.append(Matrix(f, out, len(tgt), len(labs)))
+        actions[p] = acts
+    return actions
+
+
 def apply_G(m: UComplex, cdga: CdgAlgebra, bounds: FunctorBounds,
             verify=True) -> CdgModule:
     """G(M)^p = product over r <= cap of Hom(A!_r, M^{p+r}).
@@ -326,36 +365,35 @@ def apply_G(m: UComplex, cdga: CdgAlgebra, bounds: FunctorBounds,
     pos = {p: {lab: i for i, lab in enumerate(labs)} for p, labs in labels.items()}
 
     d_gens = dual.pres.dim
+    char = f.p
     diffs = {}
-    actions = {}
     for p in sorted(dims):
         # differential: component on (r, t, j) of d(f), f supported (r', s, i)
         if p + 1 in dims:
             out = [[f.zero()] * dims[p] for _ in range(dims[p + 1])]
             for col, (r, s, i) in enumerate(labels[p]):
-                sgn_col = f.one()
                 # evaluate d(f)(t) = (-1)^{|t|}[ sum_g x_g f(x_g* t) + f(d t) + d_M f(t) ]
                 # contribution of the basis functional f = (s*, i) to each target
                 # (rt, t, j): via terms where the argument reaches dual degree r.
                 # term 1: x_g f(x_g* t): t in A!_{r-1}
                 if r >= 1 and m.dim(p + r):
-                    sgn = f.one() if (r - 1) % 2 == 0 else f.neg(f.one())
+                    sgn = 1 if (r - 1) % 2 == 0 else -1
+                    n1 = dual.dim_at(r - 1)
+                    left = dual.mult_columns(1, r - 1)  # x_g e_t: column g * n1 + t
                     for g in range(d_gens):
-                        lm = dual.left_mult_matrix(g, r - 1)  # A!_{r-1} -> A!_r
                         act = m.action(p + r, g)
-                        for t in range(dual.dim_at(r - 1)):
-                            c1 = lm.data[s][t]
-                            if f.is_zero(c1):
+                        for t in range(n1):
+                            c1 = left[g * n1 + t].get(s)
+                            if not c1:
                                 continue
                             for j in range(m.dim(p + r)):
                                 c2 = act.data[j][i]
-                                if f.is_zero(c2):
+                                if not c2:
                                     continue
-                                lab = (r - 1, t, j)
-                                row = pos[p + 1].get(lab)
+                                row = pos[p + 1].get((r - 1, t, j))
                                 if row is not None:
-                                    out[row][col] = f.add(out[row][col],
-                                                          f.mul(sgn, f.mul(c1, c2)))
+                                    v = out[row][col] + sgn * c1 * c2
+                                    out[row][col] = v % char if char else v
                 # term 2: f(d_{A!} t): t in A!_{r-1}, d t in A!_r
                 if r >= 1:
                     sgn = f.one() if (r - 1) % 2 == 0 else f.neg(f.one())
@@ -379,25 +417,6 @@ def apply_G(m: UComplex, cdga: CdgAlgebra, bounds: FunctorBounds,
                         if row is not None:
                             out[row][col] = f.add(out[row][col], f.mul(sgn, c1))
             diffs[p] = Matrix(f, out, dims[p + 1], dims[p])
-        # twisted action: (x_g* . f)(t) = -f(t x_g*)
-        if p + 1 in dims:
-            acts = []
-            for g in range(d_gens):
-                out = [[f.zero()] * dims[p] for _ in range(dims[p + 1])]
-                for col, (r, s, i) in enumerate(labels[p]):
-                    if r == 0:
-                        continue
-                    rm = dual.right_mult_matrix(g, r - 1)  # A!_{r-1} -> A!_r
-                    for t in range(dual.dim_at(r - 1)):
-                        c1 = rm.data[s][t]
-                        if f.is_zero(c1):
-                            continue
-                        lab = (r - 1, t, i)
-                        row = pos[p + 1].get(lab)
-                        if row is not None:
-                            out[row][col] = f.sub(out[row][col], c1)
-                acts.append(Matrix(f, out, dims[p + 1], dims[p]))
-            actions[p] = acts
 
     weights = None
     if m.weights is not None and dual.pres.weights is not None:
@@ -406,7 +425,7 @@ def apply_G(m: UComplex, cdga: CdgAlgebra, bounds: FunctorBounds,
             weights[p] = [m.weight_of(p + r, i) - dual.basis_weight(r, s)
                           for (r, s, i) in labs]
 
-    g = CdgModule(cdga, (lo, hi), dims, actions, diffs, weights)
+    g = CdgModule(cdga, (lo, hi), dims, cofree_actions(dual, labels), diffs, weights)
     g.labels = labels
     if verify:
         msg = g.validate()
@@ -504,7 +523,8 @@ def gf_composite(n: CdgModule, u: FilteredAlgebraTruncation, cdga: CdgAlgebra,
             labels[p] = labs
     pos = {p: {lab: i for i, lab in enumerate(labs)} for p, labs in labels.items()}
 
-    diffs, actions = {}, {}
+    char = f.p
+    diffs = {}
     for p in sorted(dims):
         if p + 1 not in dims:
             continue
@@ -513,23 +533,23 @@ def gf_composite(n: CdgModule, u: FilteredAlgebraTruncation, cdga: CdgAlgebra,
             # d(f)(t) = (-1)^{|t|}[ sum_g x_g . f(x_g* t) + f(d t) + d_F(f(t)) ]
             # where d_F(u ⊗ n) = sum_g (u x_g) ⊗ (x_g* n) + u ⊗ d_N(n).
             if r >= 1:
-                sgn = f.one() if (r - 1) % 2 == 0 else f.neg(f.one())
+                sgn = 1 if (r - 1) % 2 == 0 else -1
+                n1 = dual.dim_at(r - 1)
+                left = dual.mult_columns(1, r - 1)  # x_g e_t: column g * n1 + t
                 for g in range(d_gens):
-                    lm = dual.left_mult_matrix(g, r - 1)
                     # x_g acts on F(N) = U ⊗ N by left multiplication
                     xgu = u.mult_basis(u._basis_pos[(g,)], ui)
-                    for t in range(dual.dim_at(r - 1)):
-                        c1 = lm.data[s][t]
-                        if f.is_zero(c1):
+                    for t in range(n1):
+                        c1 = left[g * n1 + t].get(s)
+                        if not c1:
                             continue
                         for ti, cu in enumerate(xgu):
-                            if f.is_zero(cu):
+                            if not cu:
                                 continue
-                            lab = (r - 1, t, ti, ni)
-                            row = pos[p + 1].get(lab)
+                            row = pos[p + 1].get((r - 1, t, ti, ni))
                             if row is not None:
-                                out[row][col] = f.add(out[row][col],
-                                                      f.mul(sgn, f.mul(c1, cu)))
+                                v = out[row][col] + sgn * c1 * cu
+                                out[row][col] = v % char if char else v
                 dm = cdga.d(r - 1)
                 for t in range(dual.dim_at(r - 1)):
                     c1 = dm.data[s][t] if dm.rows > s else f.zero()
@@ -566,25 +586,7 @@ def gf_composite(n: CdgModule, u: FilteredAlgebraTruncation, cdga: CdgAlgebra,
                         out[row][col] = f.add(out[row][col], f.mul(sgn, c))
         diffs[p] = Matrix(f, out, dims[p + 1], dims[p])
 
-        acts = []
-        for g in range(d_gens):
-            out = [[f.zero()] * dims[p] for _ in range(dims[p + 1])]
-            for col, (r, s, ui, ni) in enumerate(labels[p]):
-                if r == 0:
-                    continue
-                rm = dual.right_mult_matrix(g, r - 1)
-                for t in range(dual.dim_at(r - 1)):
-                    c1 = rm.data[s][t]
-                    if f.is_zero(c1):
-                        continue
-                    lab = (r - 1, t, ui, ni)
-                    row = pos[p + 1].get(lab)
-                    if row is not None:
-                        out[row][col] = f.sub(out[row][col], c1)
-            acts.append(Matrix(f, out, dims[p + 1], dims[p]))
-        actions[p] = acts
-
-    gf = GFComplex(cdga, (lo, hi), dims, actions, diffs)
+    gf = GFComplex(cdga, (lo, hi), dims, cofree_actions(dual, labels), diffs)
     gf.labels = labels
     if verify:
         msg = gf.check_d_squared()
@@ -699,7 +701,6 @@ def module_linear_hom_basis(n: CdgModule, g: CdgModule, degree: int):
     Maps are collections h_r: N^r -> G^{r+degree} with h(x* v) = x* h(v).
     Returns (varmap {(r, i, j): index}, list of dense solution vectors).
     """
-    from .linalg import EchelonSpan
     f = n.field
     varmap = {}
     for r in n.dims:
@@ -835,7 +836,6 @@ def adjunction_report(n: CdgModule, m: UComplex, cdga: CdgAlgebra,
                                              f.mul(sgn, f.mul(c, c2)))
             # express img in explicit coordinates and compare with
             # explicit.diff applied to the translated vector
-            varmap1, _ = rhs_bases.get(p + 1, ({}, []))
             img_vec = [f.zero()] * explicit.dim(p + 1)
             pos1 = {lab: i for i, lab in enumerate(exp_labels.get(p + 1, []))}
             for (r, gi, j), c in img.items():
@@ -889,60 +889,53 @@ def apply_Fprime(m: UComplex, cdga: CdgAlgebra, bounds: FunctorBounds,
             labels[t] = labs
     pos = {t: {lab: i for i, lab in enumerate(labs)} for t, labs in labels.items()}
     d_gens = dual.pres.dim
+    char = f.p
     diffs, actions = {}, {}
     for t in sorted(dims):
-        if t + 1 in dims or True:
-            out_rows = dims.get(t + 1, 0)
+        out_rows = dims.get(t + 1, 0)
+        tpos = pos.get(t + 1, {})
+        if out_rows:
             out = [[f.zero()] * dims[t] for _ in range(out_rows)]
             for col, (r, s, i) in enumerate(labels[t]):
-                sgn_twist = f.neg(f.one()) if r % 2 == 0 else f.one()  # (-1)^{r+1}
-                if out_rows:
-                    for g in range(d_gens):
-                        rm = dual.right_mult_matrix(g, r)  # A!_r -> A!_{r+1}
-                        am = m.action(t - r, g)
-                        for s2 in range(dual.dim_at(r + 1)):
-                            c1 = rm.data[s2][s]
-                            if f.is_zero(c1):
+                sgn_twist = -1 if r % 2 == 0 else 1  # (-1)^{r+1}
+                for g in range(d_gens):
+                    right = dual.mult_columns(r, 1)  # e_s x_g: column s * d_gens + g
+                    am = m.action(t - r, g)
+                    for s2, c1 in right[s * d_gens + g].items():
+                        for i2 in range(m.dim(t - r)):
+                            c2 = am.data[i2][i]
+                            if not c2:
                                 continue
-                            for i2 in range(m.dim(t - r)):
-                                c2 = am.data[i2][i]
-                                if f.is_zero(c2):
-                                    continue
-                                row = pos[t + 1].get((r + 1, s2, i2))
-                                if row is not None:
-                                    out[row][col] = f.add(
-                                        out[row][col],
-                                        f.mul(sgn_twist, f.mul(c1, c2)))
-                    dd = cdga.d(r)
-                    for s2 in range(dual.dim_at(r + 1)):
-                        c1 = dd.data[s2][s] if dd.rows > s2 else f.zero()
-                        if not f.is_zero(c1):
-                            row = pos[t + 1].get((r + 1, s2, i))
+                            row = tpos.get((r + 1, s2, i2))
                             if row is not None:
-                                out[row][col] = f.add(out[row][col], c1)
-                    sgn = f.one() if r % 2 == 0 else f.neg(f.one())
-                    dm = m.diff(t - r)
-                    for i2 in range(m.dim(t - r + 1)):
-                        c1 = dm.data[i2][i]
-                        if not f.is_zero(c1):
-                            row = pos[t + 1].get((r, s, i2))
-                            if row is not None:
-                                out[row][col] = f.add(out[row][col], f.mul(sgn, c1))
-            if out_rows:
-                diffs[t] = Matrix(f, out, out_rows, dims[t])
+                                v = out[row][col] + sgn_twist * c1 * c2
+                                out[row][col] = v % char if char else v
+                dd = cdga.d(r)
+                for s2 in range(dual.dim_at(r + 1)):
+                    c1 = dd.data[s2][s] if dd.rows > s2 else f.zero()
+                    if not f.is_zero(c1):
+                        row = tpos.get((r + 1, s2, i))
+                        if row is not None:
+                            out[row][col] = f.add(out[row][col], c1)
+                sgn = f.one() if r % 2 == 0 else f.neg(f.one())
+                dm = m.diff(t - r)
+                for i2 in range(m.dim(t - r + 1)):
+                    c1 = dm.data[i2][i]
+                    if not f.is_zero(c1):
+                        row = tpos.get((r, s, i2))
+                        if row is not None:
+                            out[row][col] = f.add(out[row][col], f.mul(sgn, c1))
+            diffs[t] = Matrix(f, out, out_rows, dims[t])
         # strict left multiplication on the A!-factor
         acts = []
-        out_rows = dims.get(t + 1, 0)
         for g in range(d_gens):
             out = [[f.zero()] * dims[t] for _ in range(out_rows)]
             for col, (r, s, i) in enumerate(labels[t]):
-                lm = dual.left_mult_matrix(g, r)
-                for s2 in range(dual.dim_at(r + 1)):
-                    c1 = lm.data[s2][s]
-                    if not f.is_zero(c1):
-                        row = pos[t + 1].get((r + 1, s2, i)) if out_rows else None
-                        if row is not None:
-                            out[row][col] = c1
+                left = dual.mult_columns(1, r)  # x_g e_s: column g * dim A!_r + s
+                for s2, c1 in left[g * dual.dim_at(r) + s].items():
+                    row = tpos.get((r + 1, s2, i))
+                    if row is not None:
+                        out[row][col] = c1
             acts.append(Matrix(f, out, out_rows, dims[t]))
         actions[t] = acts
     fp = CdgModule(cdga, (lo, hi), dims, actions, diffs)
@@ -960,7 +953,6 @@ def triangle_check(m: UComplex, u: FilteredAlgebraTruncation, cdga: CdgAlgebra,
     Returns (G(M), composite ChainMap); the composite is the identity up
     to (often on the nose) homotopy.
     """
-    from .complexes import ChainMap
     f = u.field
     g = apply_G(m, cdga, bounds)
     gf, eta = unit(g, u, cdga, bounds)

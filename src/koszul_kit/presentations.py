@@ -345,7 +345,6 @@ class GradedAlgebraTruncation(WordQuotient):
         self.dims = tuple(len(ws) for ws in self.basis_words.values())
         self._pos = {w: i for ws in self.basis_words.values() for i, w in enumerate(ws)}
         self._proj = {}
-        self._mult = {}
         self._mult_cols = {}
 
     # -- queries ---------------------------------------------------------
@@ -376,27 +375,13 @@ class GradedAlgebraTruncation(WordQuotient):
             return None
         return word_weight(self.basis_words[n][i], self.pres.weights)
 
-    def mult_tensor(self, i: int, j: int) -> Matrix:
-        """Matrix of A_i ⊗ A_j -> A_{i+j} in basis coordinates."""
-        if i + j > self.bound:
-            raise DegreeOverflowError(f"product degree {i + j} beyond bound {self.bound}")
-        key = (i, j)
-        cached = self._mult.get(key)
-        if cached is not None:
-            return cached
-        f = self.field
-        cols = []
-        for u in self.basis_words[i]:
-            for v in self.basis_words[j]:
-                cols.append(self.project_word(u + v))
-        m = Matrix.from_columns(f, cols, rows=self.dim_at(i + j))
-        self._mult[key] = m
-        return m
-
     def mult_columns(self, i: int, j: int):
-        """Columns of ``mult_tensor(i, j)`` as {row: value} dicts, zeros left
-        out: the product of basis elements a of A_i and b of A_j is column
-        a * dim A_j + b.  Cached; the dense matrix is not built."""
+        """The product table A_i ⊗ A_j -> A_{i+j}, as sparse columns: the
+        product of basis elements a of A_i and b of A_j is the {row: value}
+        dict of column a * dim A_j + b, zeros left out.  A_1's basis is the
+        generators in order, so x_g e_t is column g * dim A_j + t of
+        ``mult_columns(1, j)`` and e_t x_g is column t * dim A_1 + g of
+        ``mult_columns(j, 1)``.  Cached."""
         key = (i, j)
         cached = self._mult_cols.get(key)
         if cached is not None:
@@ -409,35 +394,23 @@ class GradedAlgebraTruncation(WordQuotient):
         return cols
 
     def multiply(self, i: int, a, j: int, b):
-        """Product of homogeneous elements, given as basis-coordinate lists."""
-        f = self.field
+        """Product of homogeneous elements, given as basis-coordinate lists,
+        summed over the nonzero coordinates on raw values."""
         if i + j > self.bound:
             raise DegreeOverflowError(f"product degree {i + j} beyond bound {self.bound}")
+        p = self.field.p
         nb = self.dim_at(j)
-        vec = [f.zero()] * (self.dim_at(i) * nb)
+        cols = self.mult_columns(i, j)
+        out = [self.field.zero()] * self.dim_at(i + j)
         for s, x in enumerate(a):
-            if f.is_zero(x):
+            if not x:
                 continue
             for t, y in enumerate(b):
-                if not f.is_zero(y):
-                    vec[s * nb + t] = f.mul(x, y)
-        return self.mult_tensor(i, j).apply(vec)
-
-    def left_mult_matrix(self, g: int, j: int) -> Matrix:
-        """Action of generator g: A_j -> A_{1+j}."""
-        f = self.field
-        cols = []
-        for v in self.basis_words[j]:
-            cols.append(self.project_word((g,) + v))
-        return Matrix.from_columns(f, cols, rows=self.dim_at(1 + j))
-
-    def right_mult_matrix(self, g: int, j: int) -> Matrix:
-        """Right multiplication by generator g: A_j -> A_{j+1}."""
-        f = self.field
-        cols = []
-        for v in self.basis_words[j]:
-            cols.append(self.project_word(v + (g,)))
-        return Matrix.from_columns(f, cols, rows=self.dim_at(j + 1))
+                if y:
+                    xy = x * y
+                    for r, c in cols[s * nb + t].items():
+                        out[r] += xy * c
+        return [v % p for v in out] if p else out
 
     def unit_vector(self):
         return [self.field.one()]

@@ -115,10 +115,11 @@ def strand_complex(alg: GradedAlgebraTruncation, dual: GradedAlgebraTruncation,
     with differential u ⊗ a* -> sum_g (u x_g) ⊗ (x_g* a*), where
     (x_g* a*)(b) = a*(b x_g*) is the dual of right multiplication.
 
-    Each differential is summed over the nonzero entries of the right
-    multiplications by x_g in A and in A!, on raw values."""
+    Each differential is summed over the sparse product columns of the
+    right multiplications by x_g in A and in A!, on raw values."""
     f = alg.field
     p, zero = f.p, f.zero()
+    d_gens = alg.pres.dim
     dims, comps = {}, {}
     for q in range(0, n + 1):
         da, dq = alg.dim_at(n - q), dual.dim_at(q)
@@ -131,24 +132,23 @@ def strand_complex(alg: GradedAlgebraTruncation, dual: GradedAlgebraTruncation,
             continue
         adeg, qdeg = comps[pos]
         dq, dq1 = dual.dim_at(qdeg), dual.dim_at(qdeg - 1)
+        aright = alg.mult_columns(adeg, 1)        # e_ai x_g: column ai * d_gens + g
+        dright = dual.mult_columns(qdeg - 1, 1)   # e_sj x_g*: column sj * d_gens + g
         acc = {}
-        for g in range(alg.pres.dim):
-            dualrm = _nonzero_entries(dual.right_mult_matrix(g, qdeg - 1))  # A!_{q-1} -> A!_q
-            for aj, ai, cu in _nonzero_entries(alg.right_mult_matrix(g, adeg)):
-                for si, sj, ca in dualrm:
-                    key = (aj * dq1 + sj, ai * dq + si)
-                    acc[key] = acc[key] + cu * ca if key in acc else cu * ca
+        for g in range(d_gens):
+            dual_g = [(sj, si, ca) for sj in range(dq1)
+                      for si, ca in dright[sj * d_gens + g].items()]
+            for ai in range(alg.dim_at(adeg)):
+                for aj, cu in aright[ai * d_gens + g].items():
+                    for sj, si, ca in dual_g:
+                        key = (aj * dq1 + sj, ai * dq + si)
+                        acc[key] = acc[key] + cu * ca if key in acc else cu * ca
         rows, cols = dims[pos + 1], dims[pos]
         out = [[zero] * cols for _ in range(rows)]
         for (r, c), v in acc.items():
             out[r][c] = v % p if p else v
         diffs[pos] = Matrix(f, out, rows, cols)
     return BaseComplex(f, (-n, 0), dims, diffs)
-
-
-def _nonzero_entries(m: Matrix):
-    """(row, column, value) of every nonzero entry of m."""
-    return [(i, j, v) for i, row in enumerate(m.data) for j, v in enumerate(row) if v]
 
 
 def koszulness_check(p: QuadraticPresentation, n_max: int):
@@ -282,7 +282,6 @@ class BigradedComplex:
         return self.components.get((p, q), 0)
 
     def check(self):
-        f = self.field
         for (p, q), d in self.diffs.items():
             if d.cols != self.dim(p, q) or d.rows != self.dim(p + 1, q):
                 return f"differential at {(p, q)} is not of bidegree (1, 0)"

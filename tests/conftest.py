@@ -1,8 +1,9 @@
 import os
 import sys
+from fractions import Fraction
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -170,12 +171,84 @@ def dense_eq(m, other):
     return all(f.eq(a, b) for r1, r2 in zip(m.data, other.data) for a, b in zip(r1, r2))
 
 
+# -- the product table of a graded truncation, dense ---------------------------------
+
+
+def dense_mult_tensor(alg, i, j):
+    """Matrix of A_i ⊗ A_j -> A_{i+j}, one ``project_word`` per basis pair:
+    the oracle of ``GradedAlgebraTruncation.mult_columns`` and ``multiply``."""
+    cols = [alg.project_word(u + v) for u in alg.basis_words[i] for v in alg.basis_words[j]]
+    return Matrix.from_columns(alg.field, cols, rows=alg.dim_at(i + j))
+
+
+def dense_left_mult(alg, g, j):
+    """Matrix of left multiplication by generator g, A_j -> A_{1+j}."""
+    cols = [alg.project_word((g,) + v) for v in alg.basis_words[j]]
+    return Matrix.from_columns(alg.field, cols, rows=alg.dim_at(1 + j))
+
+
+def dense_right_mult(alg, g, j):
+    """Matrix of right multiplication by generator g, A_j -> A_{j+1}."""
+    cols = [alg.project_word(v + (g,)) for v in alg.basis_words[j]]
+    return Matrix.from_columns(alg.field, cols, rows=alg.dim_at(j + 1))
+
+
+def dense_cofree_actions(dual, labels):
+    """The twisted action (x_g* . f)(t) = -f(t x_g*) on labels (r, s, *rest),
+    cell by cell from ``dense_right_mult``: the oracle of
+    ``functors.cofree_actions``, with a matrix for every labelled degree."""
+    f = dual.field
+    actions = {}
+    for p, labs in labels.items():
+        tgt = labels.get(p + 1, [])
+        tpos = {lab: i for i, lab in enumerate(tgt)}
+        acts = []
+        for g in range(dual.pres.dim):
+            out = [[f.zero()] * len(labs) for _ in range(len(tgt))]
+            for col, (r, s, *rest) in enumerate(labs):
+                if r == 0:
+                    continue
+                rm = dense_right_mult(dual, g, r - 1)
+                for t in range(dual.dim_at(r - 1)):
+                    c = rm.data[s][t]
+                    if f.is_zero(c):
+                        continue
+                    row = tpos.get((r - 1, t, *rest))
+                    if row is not None:
+                        out[row][col] = f.sub(out[row][col], c)
+            acts.append(Matrix(f, out, len(tgt), len(labs)))
+        actions[p] = acts
+    return actions
+
+
+@st.composite
+def truncated_presentation(draw, fields):
+    """A random quadratic presentation on d <= 3 generators over one of
+    ``fields`` (no relations, a free algebra, included) and a truncation
+    bound."""
+    f = draw(st.sampled_from(fields))
+    d = draw(st.integers(min_value=1, max_value=3))
+    small = st.integers(min_value=-2, max_value=2)
+    rows = draw(st.lists(st.lists(small, min_size=d * d, max_size=d * d),
+                         min_size=0, max_size=d * d))
+    rel = Matrix(f, [[f.of_int(x) for x in r] for r in rows], len(rows), d * d)
+    pres = QuadraticPresentation(f, [f"x{i}" for i in range(d)], rel)
+    return pres, draw(st.integers(min_value=2, max_value=4 if d <= 2 else 3))
+
+
+def raw_values(f, values):
+    """Every value a ``Fraction`` over Q, an ``int`` in [0, p) over F_p."""
+    if f.p:
+        return all(type(x) is int and 0 <= x < f.p for x in values)
+    return all(type(x) is Fraction for x in values)
+
+
 # -- the minimal resolution on dense expanded vectors --------------------------------
 
 
 def dense_act_on_expanded(free, mdeg, mb, vdeg, vec):
     """``resolution._act_on_expanded`` on dense lists: every row of the dense
-    ``mult_tensor`` is read, zeros included."""
+    ``dense_mult_tensor`` is read, zeros included."""
     alg = free.alg
     f = alg.field
     src_labs = free.basis_labels(vdeg)[0]
@@ -184,7 +257,7 @@ def dense_act_on_expanded(free, mdeg, mb, vdeg, vec):
     for (gi, d, b), c in zip(src_labs, vec):
         if f.is_zero(c):
             continue
-        mt = alg.mult_tensor(mdeg, d)
+        mt = dense_mult_tensor(alg, mdeg, d)
         j = mb * alg.dim_at(d) + b
         row = tstart[gi]
         for prow in mt.data:
@@ -265,8 +338,8 @@ def dense_strand_differentials(alg, dual, n):
         rows, cols = alg.dim_at(adeg + 1) * dq1, alg.dim_at(adeg) * dq
         out = [[f.zero()] * cols for _ in range(rows)]
         for g in range(alg.pres.dim):
-            rm = alg.right_mult_matrix(g, adeg)
-            dualrm = dual.right_mult_matrix(g, qdeg - 1)
+            rm = dense_right_mult(alg, g, adeg)
+            dualrm = dense_right_mult(dual, g, qdeg - 1)
             for ai in range(alg.dim_at(adeg)):
                 for si in range(dq):
                     for aj in range(alg.dim_at(adeg + 1)):

@@ -184,7 +184,6 @@ def test_criterion_04_vanishing(heis, twopoint):
 
 def test_criterion_05_bimodule_curvature(twopoint_world, heis_world, sym2_world):
     f = QQ
-    budgets = []
     # k[x] example: delta^2 = -(.c) for filtration <= 6, internal <= 6
     twop, u2, c2 = twopoint_world
     u2b = build_U(twop, 8)

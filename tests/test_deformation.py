@@ -130,11 +130,20 @@ def test_pbw_cdga_equivalence_random_f3():
         [0, 1, 0, 2, 0, 0, 0, 0, 0],
         [0, 0, 1, 0, 0, 0, 2, 0, 0],
         [0, 0, 0, 0, 0, 1, 0, 2, 0]])
-    agree = both = 0
+    cases = []
     for _ in range(40):
         alpha = Matrix(f3, [[f3.of_int(rng.randrange(3)) for _ in range(3)]
                             for _ in range(3)], 3, 3)
         beta = [f3.of_int(rng.randrange(3)) for _ in range(3)]
+        cases.append((alpha, beta))
+    # random (alpha, beta) are almost never PBW; a nonzero multiple of the
+    # Heisenberg bracket [x, y] = c z is
+    for _ in range(10):
+        c = rng.randrange(1, 3)
+        cases.append((Matrix.from_int_rows(f3, [[0, 0, c], [0, 0, 0], [0, 0, 0]]),
+                      [f3.zero()] * 3))
+    agree = both = 0
+    for alpha, beta in cases:
         data = DeformationData.from_raw(f3, ["x", "y", "z"], rel, alpha, beta)
         bg = pbw_check(data).all_pass
         try:
@@ -145,7 +154,8 @@ def test_pbw_cdga_equivalence_random_f3():
         assert bg == ok
         agree += 1
         both += bg
-    assert agree == 40
+    assert agree == len(cases)
+    assert 0 < both < len(cases)
 
 
 # -- build_U ---------------------------------------------------------------------
@@ -434,7 +444,6 @@ def test_relation_without_quadratic_part_rejected(f):
 
 def test_beta_zero_iff_curvature_zero(heis, twopoint, sym2):
     # augmented case: c = 0 exactly when beta = 0
-    f = QQ
     assert build_cdga(heis, 3).curvature_is_zero
     assert build_cdga(DeformationData.trivial(sym2), 3).curvature_is_zero
     assert not build_cdga(twopoint, 3).curvature_is_zero

@@ -13,7 +13,8 @@ from koszul_kit.complexes import (
     homology_dims,
     nullhomotopy,
 )
-from koszul_kit.deformations import DeformationData, build_cdga
+from koszul_kit.cofree import minimize_G
+from koszul_kit.deformations import DeformationData, build_U, build_cdga
 from koszul_kit.errors import InconsistentDataError
 from koszul_kit.functors import (
     FunctorBounds,
@@ -25,12 +26,20 @@ from koszul_kit.functors import (
     apply_G_map,
     build_T,
     counit,
+    gf_composite,
     unit,
 )
 from koszul_kit.linalg import Matrix
+from koszul_kit.presentations import QuadraticPresentation, quadratic_dual
 from koszul_kit.scalars import QQ, Field
 
-from conftest import SEED, heisenberg_deformation
+from conftest import (
+    SEED,
+    dense_cofree_actions,
+    dense_left_mult,
+    heisenberg_deformation,
+    raw_values,
+)
 
 
 BOUNDS = FunctorBounds(window=(-5, 2), filtration=5, internal=4)
@@ -91,7 +100,7 @@ def test_f_of_dual_algebra_is_koszul_complex(sym2_world):
     dims = {r: dual.dim_at(r) for r in range(3)}
     acts = {}
     for r in range(2):
-        acts[r] = [dual.left_mult_matrix(g, r).scale(f.neg(f.one()))
+        acts[r] = [dense_left_mult(dual, g, r).scale(f.neg(f.one()))
                    for g in range(2)]
     n = CdgModule(cdga, (0, 2), dims, acts, {})
     assert n.validate() is None
@@ -323,7 +332,6 @@ def test_fprime_of_zero(sym2_world):
 def test_fprime_periodic_for_kx_mod_x2(qq):
     # U = k[x]/(x^2) via the trivial deformation of A = k[x]/(x^2)
     p = Matrix.from_int_rows(qq, [[1]])
-    from koszul_kit.presentations import QuadraticPresentation
     pres = QuadraticPresentation(qq, ["x"], p)
     data = DeformationData.trivial(pres)
     cdga = build_cdga(data, 6)
@@ -343,7 +351,6 @@ def test_balancing_tensor_identity(sym2_world):
     (x_g* n) + m ⊗ d(n); equality is checked entrywise.
     """
     data, u, cdga = sym2_world
-    f = QQ
     # right module M = trivial k (right actions zero); N = G(k)
     kc = um_trivial_complex(data)
     n = apply_G(kc, cdga, FunctorBounds((-3, 0), 3, 2))
@@ -371,3 +378,100 @@ def test_bimodule_exact_element_twopoint(twopoint_world):
     col = comp.column(0)
     expected = [f.of_int(-2), f.zero()]
     assert [f.format(x) for x in col] == [f.format(x) for x in expected]
+
+
+# -- generator products read off the product table ------------------------------
+
+
+def _same(got, want):
+    assert (got.rows, got.cols, got.data) == (want.rows, want.cols, want.data)
+
+
+def _dense_delta(t, level, r):
+    """``KoszulBimodule.delta`` cell by cell from ``dense_left_mult``."""
+    f, u, dual = t.field, t.u, t.cdga.dual
+    src_u = [i for i in range(u.total_dim) if len(u.basis_words[i]) <= level]
+    tgt_pos = {ui: k for k, ui in enumerate(
+        i for i in range(u.total_dim) if len(u.basis_words[i]) <= level + 1)}
+    na, nb = dual.dim_at(r), dual.dim_at(r + 1)
+    out = [[f.zero()] * (len(src_u) * na) for _ in range(len(tgt_pos) * nb)]
+    for ci, ui in enumerate(src_u):
+        for a in range(na):
+            for g in range(dual.pres.dim):
+                uxg = u.mult_basis(ui, u._basis_pos[(g,)])
+                xga = dense_left_mult(dual, g, r).column(a)
+                for ti, cu in enumerate(uxg):
+                    if f.is_zero(cu):
+                        continue
+                    for b, ca in enumerate(xga):
+                        cell = out[tgt_pos[ti] * nb + b]
+                        cell[ci * na + a] = f.add(cell[ci * na + a], f.mul(cu, ca))
+            for b in range(nb):
+                cell = out[tgt_pos[ui] * nb + b]
+                cell[ci * na + a] = f.add(cell[ci * na + a], t.cdga.d(r).data[b][a])
+    return out
+
+
+def test_generator_products_match_dense_oracles(sym2_world, heis_world, twopoint_world):
+    """The twisted action of G(M), (GF)_i(N) and the cofree minimal model,
+    the strict action of F'(M) and the bimodule delta, against the dense
+    left and right multiplication matrices, over Q, F_2, F_3 and F_5.
+
+    On the quantum plane A! = k<x, y>/(yx - 2xy) left and right products
+    differ and carry powers of 2; for the Lie algebra [x, y] = y over F_5
+    the two terms of delta(y ⊗ y*) sum to 5, which must reduce to 0."""
+    worlds = [(*w, um_trivial_complex(w[0])) for w in (sym2_world, heis_world)]
+    twop, u, cdga = twopoint_world
+    simple = UModule(twop, 1, [Matrix.from_int_rows(QQ, [[1]])])  # x acts by the root 1
+    worlds.append((twop, u, cdga, UComplex(twop, (0, 0), {0: simple}, {})))
+    for f in (Field(2), Field(3)):
+        data = heisenberg_deformation(f)
+        worlds.append((data, build_U(data, 6), build_cdga(data, 5), um_trivial_complex(data)))
+    for f in (QQ, Field(5)):
+        plane = QuadraticPresentation(f, ["x", "y"], Matrix.from_int_rows(f, [[0, -2, 1, 0]]))
+        data = DeformationData.trivial(quadratic_dual(plane))
+        worlds.append((data, build_U(data, 6), build_cdga(data, 5), um_trivial_complex(data)))
+    f5 = Field(5)
+    data = DeformationData.from_raw(f5, ["x", "y"], Matrix.from_int_rows(f5, [[0, 1, -1, 0]]),
+                                    Matrix.from_int_rows(f5, [[0, -1]]), [f5.zero()])
+    worlds.append((data, build_U(data, 6), build_cdga(data, 5), um_trivial_complex(data)))
+    b = FunctorBounds((-3, 1), 3, 3)
+    for data, u, cdga, m in worlds:
+        dual = cdga.dual
+        modules = [apply_G(m, cdga, b), gf_composite(k_cdg(cdga), u, cdga, b)]
+        if cdga.curvature_is_zero:
+            modules.append(minimize_G(m, cdga, b, certify=False).minimal)
+        for mod in modules:
+            want = dense_cofree_actions(dual, mod.labels)
+            assert any(r for labs in mod.labels.values() for r, *_ in labs)
+            for p in mod.dims:
+                for g in range(dual.pres.dim):
+                    _same(mod.action(p, g), want[p][g])
+                    assert raw_values(data.field, [x for row in mod.action(p, g).data for x in row])
+        fp = apply_Fprime(m, cdga, b)
+        for t, labs in fp.labels.items():
+            tpos = {lab: i for i, lab in enumerate(fp.labels.get(t + 1, []))}
+            for g in range(dual.pres.dim):
+                out = [[data.field.zero()] * len(labs) for _ in range(len(tpos))]
+                for col, (r, s, i) in enumerate(labs):
+                    lm = dense_left_mult(dual, g, r)
+                    for s2 in range(lm.rows):
+                        row = tpos.get((r + 1, s2, i))
+                        if row is not None:
+                            out[row][col] = lm.data[s2][s]
+                _same(fp.action(t, g), Matrix(data.field, out, len(tpos), len(labs)))
+        t = build_T(u, cdga, b, verify=False)
+        for level, r in ((0, 0), (1, 1), (2, 1), (1, 2), (2, 3)):
+            got = t.delta(level, r).data
+            assert got == _dense_delta(t, level, r)
+            assert raw_values(data.field, [x for row in got for x in row])
+            # the sparse delta(u_i ⊗ e_a) is the column of u_i ⊗ e_a
+            tgt_u = [i for i in range(u.total_dim) if len(u.basis_words[i]) <= level + 1]
+            src_u = [i for i in tgt_u if len(u.basis_words[i]) <= level]
+            na, nb = dual.dim_at(r), dual.dim_at(r + 1)
+            for ci, ui in enumerate(src_u):
+                for a in range(na):
+                    unit_a = [data.field.of_int(int(s == a)) for s in range(na)]
+                    col = {(tgt_u[row // nb], row % nb): got[row][ci * na + a]
+                           for row in range(len(got)) if got[row][ci * na + a]}
+                    assert t._delta_elem(r, ui, unit_a) == col

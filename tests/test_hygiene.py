@@ -1,10 +1,12 @@
 """Source hygiene: every name the package and the tests import is read,
-and every private module-level function or class of the package is named
-somewhere besides its own definition.
+every private module-level function or class of the package is named
+somewhere besides its own definition, no local variable is written and
+never read, and no ``and``/``or`` of the package has a literal operand.
 
 An import that nothing reads hides which functions a module really
 depends on, and which builders and fixtures a test module exercises; a
-private helper that nothing calls is dead code.
+private helper that nothing calls is dead code, and so is a local that
+nothing reads; ``x or True`` is a condition that only seems to select.
 """
 
 import ast
@@ -98,3 +100,89 @@ def test_no_unnamed_private_defs():
     unnamed = [f"{path.relative_to(ROOT)}: {name}"
                for path, name in _unnamed_private_defs(sources, package)]
     assert unnamed == []
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_nodes(scope):
+    """The nodes of a function body outside its nested functions and classes."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _unread_assignments(source):
+    """(line, names) of every assignment in a function none of whose target
+    names the function, nested functions included, ever reads.  Names that
+    start with ``_`` and names declared ``global`` or ``nonlocal`` are left
+    out."""
+    hits = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {n.id for n in ast.walk(func)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in _own_nodes(func):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                read.update(node.names)
+        for node in _own_nodes(func):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            names = {n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+                     and not n.id.startswith("_")}
+            if names and not names & read:
+                hits.add((node.lineno, ", ".join(sorted(names))))
+    return sorted(hits)
+
+
+def test_scan_flags_an_unread_local():
+    src = ("x = 1\n"
+           "def f(a):\n"
+           "    b, _ = a\n"
+           "    c = d = a\n"
+           "    e = 0\n"
+           "    e += d\n"
+           "    g, h = a\n"
+           "    a[0] = self.k = 2\n"
+           "    def inner():\n"
+           "        nonlocal n\n"
+           "        n = 1\n"
+           "        m = n\n"
+           "    return h\n")
+    assert _unread_assignments(src) == [(3, "b"), (5, "e"), (6, "e"), (12, "m")]
+
+
+def test_no_unread_locals():
+    unread = [f"{path.relative_to(ROOT)}:{line}: {names}" for path in FILES
+              for line, names in _unread_assignments(path.read_text())]
+    assert unread == []
+
+
+def _literal_bool_operands(source):
+    """Line of every ``and``/``or`` with a literal True or False operand."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.BoolOp)
+                  and any(isinstance(v, ast.Constant) and isinstance(v.value, bool)
+                          for v in node.values))
+
+
+def test_scan_flags_a_literal_bool_operand():
+    src = "if a or True:\n    pass\nx = b and (c or False)\ny = a or b and 1\n"
+    assert _literal_bool_operands(src) == [1, 3]
+
+
+def test_no_literal_bool_operands():
+    package = sorted(ROOT.glob("src/koszul_kit/*.py"))
+    assert package
+    hits = [f"{path.relative_to(ROOT)}:{line}" for path in package
+            for line in _literal_bool_operands(path.read_text())]
+    assert hits == []

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from koszul_kit.errors import DegreeOverflowError, InputError
 from koszul_kit.linalg import Matrix, solve
@@ -13,6 +14,15 @@ from koszul_kit.presentations import (
     truncate_algebra,
 )
 from koszul_kit.scalars import QQ, Field
+
+from conftest import (
+    dense_left_mult,
+    dense_mult_tensor,
+    dense_right_mult,
+    raw_values,
+    symmetric_presentation,
+    truncated_presentation,
+)
 
 
 def test_dual_of_symmetric_is_exterior(sym2):
@@ -119,7 +129,6 @@ def test_weights_block_structure():
 
 def test_inhomogeneous_weights_rejected():
     f = QQ
-    rows = Matrix.from_int_rows(f, [[0, 1, 0, 0]])  # x1 ox x2: weight 1+2 vs nothing else
     # a relation mixing weights 2 and 3 must be rejected
     bad = Matrix.from_int_rows(f, [[1, 1, 0, 0]])   # x1 ox x1 + x1 ox x2
     with pytest.raises(InputError):
@@ -141,3 +150,75 @@ def test_euler_characteristic_of_koszul_pair(sym3):
         for i in range(0, n + 1):
             total += (-1) ** i * alg.dim_at(n - i) * e.dim_at(i)
         assert total == 0
+
+
+# -- the product table -----------------------------------------------------------
+
+
+def _sparse(col):
+    return {r: v for r, v in enumerate(col) if v}
+
+
+def _dense_product(alg, i, a, j, b):
+    """a * b cell by cell through ``Field`` calls and ``dense_mult_tensor``."""
+    f = alg.field
+    mt = dense_mult_tensor(alg, i, j)
+    vec = [f.mul(x, y) for x in a for y in b]
+    out = [f.zero()] * mt.rows
+    for r in range(mt.rows):
+        for k, v in enumerate(vec):
+            out[r] = f.add(out[r], f.mul(mt.data[r][k], v))
+    return out
+
+
+def _check_product_table(alg, draw_vector):
+    f, d, bound = alg.field, alg.pres.dim, alg.bound
+    assert alg.basis_words[1] == [(g,) for g in range(d)]
+    for i in range(bound + 1):
+        for j in range(bound + 1 - i):
+            mt = dense_mult_tensor(alg, i, j)
+            cols = alg.mult_columns(i, j)
+            assert cols == [_sparse(mt.column(k)) for k in range(mt.cols)]
+            assert all(raw_values(f, c.values()) and all(c.values()) for c in cols)
+            zero_a, zero_b = [f.zero()] * alg.dim_at(i), [f.zero()] * alg.dim_at(j)
+            for a, b in ((draw_vector(i), draw_vector(j)), (zero_a, draw_vector(j)),
+                         (draw_vector(i), zero_b)):
+                got = alg.multiply(i, a, j, b)
+                assert got == _dense_product(alg, i, a, j, b)
+                assert raw_values(f, got)
+    # generator products, as the callers read them
+    for j in range(bound):
+        left, right, nj = alg.mult_columns(1, j), alg.mult_columns(j, 1), alg.dim_at(j)
+        for g in range(d):
+            lm, rm = dense_left_mult(alg, g, j), dense_right_mult(alg, g, j)
+            for t in range(nj):
+                assert left[g * nj + t] == _sparse(lm.column(t))
+                assert right[t * d + g] == _sparse(rm.column(t))
+    for i in range(bound + 2):
+        with pytest.raises(DegreeOverflowError):
+            alg.mult_columns(i, bound + 1 - i)
+    with pytest.raises(DegreeOverflowError):
+        alg.multiply(1, [f.one()] * d, bound, [f.one()] * alg.dim_at(bound))
+
+
+@settings(max_examples=100)
+@given(truncated_presentation([QQ, Field(2), Field(3), Field(5)]), st.data())
+def test_product_table_matches_dense(case, data):
+    pres, bound = case
+    alg = truncate_algebra(pres, bound)
+    entries = st.integers(min_value=-3, max_value=3).map(alg.field.of_int)
+    _check_product_table(alg, lambda n: data.draw(st.lists(entries, min_size=alg.dim_at(n),
+                                                             max_size=alg.dim_at(n))))
+
+
+def test_product_table_with_zero_pieces():
+    # k[x]/(x^2) and the exterior algebra on 3 generators over F_2 and F_5:
+    # degrees past the top are zero-dimensional
+    for f in (QQ, Field(2), Field(5)):
+        x2 = QuadraticPresentation(f, ["x"], Matrix.from_int_rows(f, [[1]]))
+        ext3 = quadratic_dual(symmetric_presentation(f, 3))
+        for pres, bound in ((x2, 3), (ext3, 5)):
+            alg = truncate_algebra(pres, bound)
+            assert alg.dim_at(bound) == 0
+            _check_product_table(alg, lambda n: [f.of_int(k + 2) for k in range(alg.dim_at(n))])
+        assert truncate_algebra(x2, 2).mult_columns(1, 1) == [{}]

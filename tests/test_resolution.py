@@ -1,7 +1,5 @@
 """The minimal resolution and the Koszul strands against dense oracles."""
 
-from fractions import Fraction
-
 from hypothesis import given, settings, strategies as st
 
 from koszul_kit.linalg import Matrix
@@ -10,33 +8,19 @@ from koszul_kit.resolution import GradedFreeModule, _act_on_expanded, minimal_re
 from koszul_kit.scalars import QQ, Field
 from koszul_kit.suite import strand_complex
 
-from conftest import dense_act_on_expanded, dense_resolution_betti, dense_strand_differentials
+from conftest import (
+    dense_act_on_expanded,
+    dense_resolution_betti,
+    dense_strand_differentials,
+    raw_values,
+    truncated_presentation,
+)
 
-small = st.integers(min_value=-2, max_value=2)
-
-
-@st.composite
-def truncated_presentation(draw):
-    """A random quadratic presentation on d <= 3 generators over Q, F_2 or
-    F_3 (no relations, a free algebra, included) and a truncation bound."""
-    f = draw(st.sampled_from([QQ, Field(2), Field(3)]))
-    d = draw(st.integers(min_value=1, max_value=3))
-    rows = draw(st.lists(st.lists(small, min_size=d * d, max_size=d * d),
-                         min_size=0, max_size=d * d))
-    rel = Matrix(f, [[f.of_int(x) for x in r] for r in rows], len(rows), d * d)
-    pres = QuadraticPresentation(f, [f"x{i}" for i in range(d)], rel)
-    return pres, draw(st.integers(min_value=2, max_value=4 if d <= 2 else 3))
-
-
-def _raw(f, values):
-    """Every value a ``Fraction`` over Q, an ``int`` in [0, p) over F_p."""
-    if f.p:
-        return all(type(x) is int and 0 <= x < f.p for x in values)
-    return all(type(x) is Fraction for x in values)
+PRESENTATIONS = truncated_presentation([QQ, Field(2), Field(3)])
 
 
 @settings(max_examples=80)
-@given(truncated_presentation(), st.data())
+@given(PRESENTATIONS, st.data())
 def test_act_on_expanded_matches_dense(case, data):
     pres, bound = case
     alg = truncate_algebra(pres, bound)
@@ -59,7 +43,7 @@ def _check_act(free, mdeg, vdeg, vec):
         got = _act_on_expanded(free, mdeg, mb, vdeg, sparse)
         want = dense_act_on_expanded(free, mdeg, mb, vdeg, vec)
         assert got == {i: v for i, v in enumerate(want) if v}
-        assert _raw(free.alg.field, got.values()) and all(got.values())
+        assert raw_values(free.alg.field, got.values()) and all(got.values())
 
 
 def test_act_on_expanded_reduces_mod_p():
@@ -72,7 +56,7 @@ def test_act_on_expanded_reduces_mod_p():
 
 
 @settings(max_examples=120)
-@given(truncated_presentation())
+@given(PRESENTATIONS)
 def test_resolution_and_strands_match_dense(case):
     pres, bound = case
     alg = truncate_algebra(pres, bound)
@@ -84,7 +68,7 @@ def test_resolution_and_strands_match_dense(case):
         assert got.keys() == want.keys()
         for pos, m in got.items():
             assert (m.rows, m.cols, m.data) == (want[pos].rows, want[pos].cols, want[pos].data)
-            assert _raw(alg.field, [x for row in m.data for x in row])
+            assert raw_values(alg.field, [x for row in m.data for x in row])
 
 
 def test_resolution_and_strands_match_dense_on_sym3(sym3):

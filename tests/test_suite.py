@@ -416,7 +416,6 @@ def test_t_truncate_two_line_socle(sym2_world):
 def test_regrade_identity_and_roundtrip():
     f = QQ
     comps = {(0, 0): 2, (1, 1): 1, (2, 3): 1}
-    diffs = {(0, 0): Matrix.zero(f, 0, 2)}
     bg = BigradedComplex(f, comps, {})
     assert regrade(bg, 1).equal(bg)
     for r in (-1, 0, 1, 2):
