@@ -9,8 +9,10 @@ codes: 0 success, 1 a requested check failed, 2 input or usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
+import shutil
 import sys
 
 from .complexes import CdgModule, UComplex, UModule, cone, homology_dims
@@ -686,13 +688,18 @@ COMMANDS = {
 
 
 def build_parser():
+    # argparse's default help width, read from the terminal once per build:
+    # by default every formatter reads it, and a build makes one per argument
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
     ap = argparse.ArgumentParser(
         prog="koszul-kit",
         description="Exact Koszul-duality computations for nonhomogeneous "
-                    "quadratic algebras and their curved dual dgas.")
+                    "quadratic algebras and their curved dual dgas.",
+        formatter_class=formatter)
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (fn, extras) in COMMANDS.items():
-        sp = sub.add_parser(name)
+        sp = sub.add_parser(name, formatter_class=formatter)
         _add_common(sp)
         if "cdg" in extras:
             sp.add_argument("--cdg", required=True, help="named cdg module (or 'k')")

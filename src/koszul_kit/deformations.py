@@ -434,6 +434,11 @@ class FilteredAlgebraTruncation(WordQuotient):
     standard words, lex-least in each degree, listed degree by degree as
     one flat basis; for PBW deformations it is the lifted monomial basis of
     the associated graded algebra A.
+
+    U's one product table is ``mult_basis(i, j)``: the product of basis
+    words i and j as a cached sparse column {basis index: raw value}, read
+    straight from the word's normal form.  ``multiply`` and the functor
+    layer (F, the bimodule delta, (GF)_i) sum over its nonzero entries.
     """
 
     def __init__(self, data: DeformationData, bound: int):
@@ -457,38 +462,49 @@ class FilteredAlgebraTruncation(WordQuotient):
 
     def reduce_word(self, word):
         """Coordinates of the class of a word on the chosen basis."""
-        if len(word) > self.bound:
-            raise InputError(f"word degree {len(word)} beyond bound {self.bound}")
         out = [self.field.zero()] * len(self.basis_words)
-        for w, c in self.normal_form(word).items():
-            out[self._basis_pos[w]] = c
+        for k, c in self._word_column(word).items():
+            out[k] = c
         return out
 
+    def _word_column(self, word):
+        """The class of a word as {basis index: value}, zeros left out."""
+        if len(word) > self.bound:
+            raise InputError(f"word degree {len(word)} beyond bound {self.bound}")
+        pos = self._basis_pos
+        return {pos[w]: c for w, c in self.normal_form(word).items()}
+
     def mult_basis(self, i: int, j: int):
-        """Column of basis_word[i] * basis_word[j], reduced; cached."""
+        """basis_word[i] * basis_word[j] as the sparse column {basis index:
+        value}, zeros left out, values raw (a ``Fraction`` over Q, an int
+        in [0, p) over F_p); cached.  U's product table: u x_g is
+        ``mult_basis(i, pos of (g,))``, x_g u is ``mult_basis(pos of (g,), i)``.
+        The dict is shared by later calls: callers read it, never change it."""
         key = (i, j)
         got = self._mult_cache.get(key)
         if got is None:
-            got = self.reduce_word(self.basis_words[i] + self.basis_words[j])
+            got = self._word_column(self.basis_words[i] + self.basis_words[j])
             self._mult_cache[key] = got
         return got
 
     def multiply(self, a, b):
-        """Product of two coordinate vectors over the full basis."""
-        f = self.field
-        out = [f.zero()] * len(self.basis_words)
+        """Product of two coordinate vectors over the full basis, summed
+        over the nonzero coordinates on raw values."""
+        p = self.field.p
+        words = self.basis_words
+        out = [self.field.zero()] * len(words)
         for i, x in enumerate(a):
-            if f.is_zero(x):
+            if not x:
                 continue
             for j, y in enumerate(b):
-                if f.is_zero(y):
+                if not y:
                     continue
-                if len(self.basis_words[i]) + len(self.basis_words[j]) > self.bound:
+                if len(words[i]) + len(words[j]) > self.bound:
                     raise InputError("product degree beyond bound")
-                col = self.mult_basis(i, j)
-                c = f.mul(x, y)
-                out = [f.add(o, f.mul(c, v)) for o, v in zip(out, col)]
-        return out
+                xy = x * y
+                for k, c in self.mult_basis(i, j).items():
+                    out[k] += xy * c
+        return [v % p for v in out] if p else out
 
     def unit_vector(self):
         f = self.field

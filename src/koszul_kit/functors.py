@@ -6,6 +6,12 @@ U-level growing by one per cohomological degree, so every differential
 lands exactly in the next component and squares to zero on the nose.
 G is materialized as the subobject of functionals supported in dual
 degrees <= the internal cap, which is a genuine cdg-submodule.
+
+Products come from the two sparse product tables: u x_g and x_g u from
+U's cached ``mult_basis`` columns, x_g e_t and e_t x_g from A!'s
+``mult_columns``.  F, the bimodule delta and (GF)_i read a module's
+actions and differential as sparse columns, sum raw values over nonzero
+entries only and reduce mod p once per output entry.
 """
 
 from __future__ import annotations
@@ -63,27 +69,26 @@ class KoszulBimodule:
         rows = len(tgt_u) * na_tgt
         cols = len(src_u) * na_src
         out = [[f.zero()] * cols for _ in range(rows)]
-        dmat = self.cdga.d(r)
+        dcols = self.cdga.d(r).sparse_columns()
         left = dual.mult_columns(1, r)  # x_g e_a: column g * na_src + a
+        gens = [u._basis_pos[(g,)] for g in range(d_gens)]
         for ci, ui in enumerate(src_u):
+            uxgs = [u.mult_basis(ui, gi) for gi in gens]
             for a in range(na_src):
                 col = ci * na_src + a
                 # sum_g (u x_g) ⊗ (x_g* a)
-                for g in range(d_gens):
-                    uxg = u.mult_basis(ui, u._basis_pos[(g,)])
+                for g, uxg in enumerate(uxgs):
                     xga = left[g * na_src + a]
-                    for ti, cu in enumerate(uxg):
-                        if not cu:
-                            continue
+                    for ti, cu in uxg.items():
                         if len(u.basis_words[ti]) > level + 1:
                             raise InputError("filtration overflow in delta")
+                        base = tgt_pos[ti] * na_tgt
                         for b, ca in xga.items():
-                            out[tgt_pos[ti] * na_tgt + b][col] += cu * ca
+                            out[base + b][col] += cu * ca
                 # u ⊗ d(a)
-                for b in range(na_tgt):
-                    c = dmat.data[b][a]
-                    if c:
-                        out[tgt_pos[ui] * na_tgt + b][col] += c
+                base = tgt_pos[ui] * na_tgt
+                for b, c in dcols[a].items():
+                    out[base + b][col] += c
         if char:
             out = [[v % char for v in row] for row in out]
         return Matrix(f, out, rows, cols)
@@ -101,16 +106,18 @@ class KoszulBimodule:
         na_tgt = dual.dim_at(r + 2)
         rows = len(tgt_u) * na_tgt
         cols = len(src_u) * na_src
+        char = f.p
+        acs = []  # the nonzero entries of -(e_a c), which depends on a only
+        for a in range(na_src):
+            ac = dual.multiply(r, _unit(f, na_src, a), 2, self.cdga.curvature)
+            acs.append([(b, -c % char if char else -c) for b, c in enumerate(ac) if c])
         rc = [[f.zero()] * cols for _ in range(rows)]
         for ci, ui in enumerate(src_u):
-            for a in range(na_src):
-                ea = [f.one() if s == a else f.zero() for s in range(na_src)]
-                ac = dual.multiply(r, ea, 2, self.cdga.curvature)
+            base = tgt_pos[ui] * na_tgt
+            for a, ac in enumerate(acs):
                 col = ci * na_src + a
-                for b, c in enumerate(ac):
-                    if not f.is_zero(c):
-                        row = tgt_pos[ui] * na_tgt + b
-                        rc[row][col] = f.neg(c)
+                for b, c in ac:
+                    rc[base + b][col] = c
         return d2.eq(Matrix(f, rc, rows, cols))
 
     def check_right_module(self, level: int, r_max: int):
@@ -155,22 +162,19 @@ class KoszulBimodule:
         d_gens = u.data.base.dim
         left = dual.mult_columns(1, r)  # x_g e_a: column g * dim A!_r + a
         na = dual.dim_at(r)
+        terms = [(a, ca) for a, ca in enumerate(avec) if ca]
         out = {}
         for g in range(d_gens):
             uxg = u.mult_basis(ui, u._basis_pos[(g,)])
-            for a, ca in enumerate(avec):
-                if not ca:
-                    continue
-                for ti, cu in enumerate(uxg):
-                    if not cu:
-                        continue
-                    for b, cb in left[g * na + a].items():
+            for a, ca in terms:
+                xga = left[g * na + a]
+                for ti, cu in uxg.items():
+                    c = ca * cu
+                    for b, cb in xga.items():
                         k = (ti, b)
-                        out[k] = out.get(k, 0) + ca * cu * cb
+                        out[k] = out.get(k, 0) + c * cb
         dmat = self.cdga.d(r)
-        for a, ca in enumerate(avec):
-            if not ca:
-                continue
+        for a, ca in terms:
             for b in range(dmat.rows):
                 c = dmat.data[b][a]
                 if c:
@@ -262,6 +266,8 @@ def apply_F(n: CdgModule, u: FilteredAlgebraTruncation,
         uidx = [i for i in range(u.total_dim) if len(u.basis_words[i]) <= lev]
         labels[p] = [(ui, ni) for ui in uidx for ni in range(n.dim(p))]
         dims[p] = len(labels[p])
+    char = f.p
+    gens = [u._basis_pos[(g,)] for g in range(u.data.base.dim)]
     diffs = {}
     for p in sorted(dims):
         if p + 1 not in dims:
@@ -270,25 +276,23 @@ def apply_F(n: CdgModule, u: FilteredAlgebraTruncation,
         tgt_pos = {lab: i for i, lab in enumerate(labels[p + 1])}
         rows = dims[p + 1]
         out = [[f.zero()] * len(src) for _ in range(rows)]
-        d_n = n.diff(p)
-        d_gens = u.data.base.dim
+        acts = [(gi, n.action(p, g).sparse_columns()) for g, gi in enumerate(gens)]
+        d_n = n.diff(p).sparse_columns()
         for col, (ui, ni) in enumerate(src):
-            for g in range(d_gens):
-                uxg = u.mult_basis(ui, u._basis_pos[(g,)])
-                act = n.action(p, g)
-                for ti, cu in enumerate(uxg):
-                    if f.is_zero(cu):
-                        continue
-                    for nj in range(n.dim(p + 1)):
-                        ca = act.data[nj][ni]
-                        if not f.is_zero(ca):
-                            row = tgt_pos[(ti, nj)]
-                            out[row][col] = f.add(out[row][col], f.mul(cu, ca))
-            for nj in range(n.dim(p + 1)):
-                c = d_n.data[nj][ni]
-                if not f.is_zero(c):
-                    row = tgt_pos[(ui, nj)]
-                    out[row][col] = f.add(out[row][col], c)
+            acc = {}
+            for gi, act in acts:
+                xn = act[ni]  # x_g* n
+                if not xn:
+                    continue
+                for ti, cu in u.mult_basis(ui, gi).items():
+                    for nj, ca in xn.items():
+                        row = tgt_pos[(ti, nj)]
+                        acc[row] = acc.get(row, 0) + cu * ca
+            for nj, c in d_n[ni].items():
+                row = tgt_pos[(ui, nj)]
+                acc[row] = acc.get(row, 0) + c
+            for row, v in acc.items():
+                out[row][col] = v % char if char else v
         diffs[p] = Matrix(f, out, rows, len(src))
     fc = FilteredFComplex(u, n, bounds, dims, diffs, labels)
     if verify:
@@ -524,66 +528,64 @@ def gf_composite(n: CdgModule, u: FilteredAlgebraTruncation, cdga: CdgAlgebra,
     pos = {p: {lab: i for i, lab in enumerate(labs)} for p, labs in labels.items()}
 
     char = f.p
+    gens = [u._basis_pos[(g,)] for g in range(d_gens)]
+    # N^q as sparse columns: of each x_g* . (-), and of d_N
+    n_cols = {q: ([n.action(q, g).sparse_columns() for g in range(d_gens)],
+                  n.diff(q).sparse_columns())
+              for q in range(lo, hi + cap + 1) if n.dim(q)}
     diffs = {}
     for p in sorted(dims):
         if p + 1 not in dims:
             continue
+        tpos = pos[p + 1]
         out = [[f.zero()] * dims[p] for _ in range(dims[p + 1])]
         for col, (r, s, ui, ni) in enumerate(labels[p]):
             # d(f)(t) = (-1)^{|t|}[ sum_g x_g . f(x_g* t) + f(d t) + d_F(f(t)) ]
             # where d_F(u ⊗ n) = sum_g (u x_g) ⊗ (x_g* n) + u ⊗ d_N(n).
+            acc = {}
             if r >= 1:
                 sgn = 1 if (r - 1) % 2 == 0 else -1
                 n1 = dual.dim_at(r - 1)
                 left = dual.mult_columns(1, r - 1)  # x_g e_t: column g * n1 + t
-                for g in range(d_gens):
+                for g, gi in enumerate(gens):
                     # x_g acts on F(N) = U ⊗ N by left multiplication
-                    xgu = u.mult_basis(u._basis_pos[(g,)], ui)
+                    xgu = u.mult_basis(gi, ui)
                     for t in range(n1):
                         c1 = left[g * n1 + t].get(s)
                         if not c1:
                             continue
-                        for ti, cu in enumerate(xgu):
-                            if not cu:
-                                continue
-                            row = pos[p + 1].get((r - 1, t, ti, ni))
+                        c1 *= sgn
+                        for ti, cu in xgu.items():
+                            row = tpos.get((r - 1, t, ti, ni))
                             if row is not None:
-                                v = out[row][col] + sgn * c1 * cu
-                                out[row][col] = v % char if char else v
+                                acc[row] = acc.get(row, 0) + c1 * cu
                 dm = cdga.d(r - 1)
-                for t in range(dual.dim_at(r - 1)):
-                    c1 = dm.data[s][t] if dm.rows > s else f.zero()
-                    if f.is_zero(c1):
-                        continue
-                    lab = (r - 1, t, ui, ni)
-                    row = pos[p + 1].get(lab)
-                    if row is not None:
-                        out[row][col] = f.add(out[row][col], f.mul(sgn, c1))
-            # inner differential of F(N)
-            sgn = f.one() if r % 2 == 0 else f.neg(f.one())
-            for g in range(d_gens):
-                uxg = u.mult_basis(ui, u._basis_pos[(g,)])
-                act = n.action(p + r, g)
-                for ti, cu in enumerate(uxg):
-                    if f.is_zero(cu):
-                        continue
-                    for nj in range(n.dim(p + r + 1)):
-                        ca = act.data[nj][ni]
-                        if f.is_zero(ca):
+                if dm.rows > s:
+                    for t, c1 in enumerate(dm.data[s]):
+                        if not c1:
                             continue
-                        lab = (r, s, ti, nj)
-                        row = pos[p + 1].get(lab)
+                        row = tpos.get((r - 1, t, ui, ni))
                         if row is not None:
-                            out[row][col] = f.add(out[row][col],
-                                                  f.mul(sgn, f.mul(cu, ca)))
-            dn = n.diff(p + r)
-            for nj in range(n.dim(p + r + 1)):
-                c = dn.data[nj][ni]
-                if not f.is_zero(c):
-                    lab = (r, s, ui, nj)
-                    row = pos[p + 1].get(lab)
-                    if row is not None:
-                        out[row][col] = f.add(out[row][col], f.mul(sgn, c))
+                            acc[row] = acc.get(row, 0) + sgn * c1
+            # inner differential of F(N)
+            sgn = 1 if r % 2 == 0 else -1
+            acts, dn = n_cols[p + r]
+            for gi, act in zip(gens, acts):
+                xn = act[ni]  # x_g* n
+                if not xn:
+                    continue
+                for ti, cu in u.mult_basis(ui, gi).items():
+                    cu *= sgn
+                    for nj, ca in xn.items():
+                        row = tpos.get((r, s, ti, nj))
+                        if row is not None:
+                            acc[row] = acc.get(row, 0) + cu * ca
+            for nj, c in dn[ni].items():
+                row = tpos.get((r, s, ui, nj))
+                if row is not None:
+                    acc[row] = acc.get(row, 0) + sgn * c
+            for row, v in acc.items():
+                out[row][col] = v % char if char else v
         diffs[p] = Matrix(f, out, dims[p + 1], dims[p])
 
     gf = GFComplex(cdga, (lo, hi), dims, cofree_actions(dual, labels), diffs)

@@ -221,6 +221,117 @@ def dense_cofree_actions(dual, labels):
     return actions
 
 
+# -- the product table of the filtered truncation U, dense ---------------------------
+#
+# The old U products: a dense column over the whole U basis, every cell of
+# which is tested with ``Field.is_zero``.
+
+
+def dense_mult_basis(u, i, j):
+    """basis_word[i] * basis_word[j] as a dense list over the U basis: the
+    oracle of ``FilteredAlgebraTruncation.mult_basis``."""
+    return u.reduce_word(u.basis_words[i] + u.basis_words[j])
+
+
+def dense_u_multiply(u, a, b):
+    """``FilteredAlgebraTruncation.multiply`` from the dense columns."""
+    f = u.field
+    out = [f.zero()] * u.total_dim
+    for i, x in enumerate(a):
+        if f.is_zero(x):
+            continue
+        for j, y in enumerate(b):
+            if f.is_zero(y):
+                continue
+            c = f.mul(x, y)
+            out = [f.add(o, f.mul(c, v)) for o, v in zip(out, dense_mult_basis(u, i, j))]
+    return out
+
+
+def dense_f_differentials(n, u, labels):
+    """The differentials u ⊗ n -> sum_g (u x_g) ⊗ (x_g* n) + u ⊗ d(n) of
+    ``functors.apply_F`` on its ``labels``, cell by cell."""
+    f = u.field
+    diffs = {}
+    for p, src in labels.items():
+        if p + 1 not in labels:
+            continue
+        tgt_pos = {lab: i for i, lab in enumerate(labels[p + 1])}
+        out = [[f.zero()] * len(src) for _ in range(len(tgt_pos))]
+        d_n = n.diff(p)
+        for col, (ui, ni) in enumerate(src):
+            for g in range(u.data.base.dim):
+                uxg = dense_mult_basis(u, ui, u._basis_pos[(g,)])
+                act = n.action(p, g)
+                for ti, cu in enumerate(uxg):
+                    if f.is_zero(cu):
+                        continue
+                    for nj in range(n.dim(p + 1)):
+                        ca = act.data[nj][ni]
+                        if not f.is_zero(ca):
+                            row = tgt_pos[(ti, nj)]
+                            out[row][col] = f.add(out[row][col], f.mul(cu, ca))
+            for nj in range(n.dim(p + 1)):
+                c = d_n.data[nj][ni]
+                if not f.is_zero(c):
+                    row = tgt_pos[(ui, nj)]
+                    out[row][col] = f.add(out[row][col], c)
+        diffs[p] = Matrix(f, out, len(tgt_pos), len(src))
+    return diffs
+
+
+def dense_gf_differentials(n, u, cdga, labels):
+    """The differentials of ``functors.gf_composite`` on its ``labels``
+    (r, s, u_i, n_j), cell by cell from ``dense_mult_basis`` and
+    ``dense_left_mult``."""
+    f = n.field
+    dual = cdga.dual
+    diffs = {}
+    for p, src in labels.items():
+        if p + 1 not in labels:
+            continue
+        tpos = {lab: i for i, lab in enumerate(labels[p + 1])}
+        out = [[f.zero()] * len(src) for _ in range(len(tpos))]
+
+        def add(lab, col, c):
+            row = tpos.get(lab)
+            if row is not None:
+                out[row][col] = f.add(out[row][col], c)
+
+        for col, (r, s, ui, ni) in enumerate(src):
+            sgn = f.one() if r % 2 == 0 else f.neg(f.one())
+            if r >= 1:
+                # x_g . f(x_g* t) and f(d t), t in A!_{r-1}, with sign -sgn
+                for g in range(dual.pres.dim):
+                    lm = dense_left_mult(dual, g, r - 1)
+                    xgu = dense_mult_basis(u, u._basis_pos[(g,)], ui)
+                    for t in range(dual.dim_at(r - 1)):
+                        c1 = lm.data[s][t]
+                        for ti, cu in enumerate(xgu):
+                            if not f.is_zero(c1) and not f.is_zero(cu):
+                                add((r - 1, t, ti, ni), col, f.neg(f.mul(sgn, f.mul(c1, cu))))
+                dm = cdga.d(r - 1)
+                for t in range(dual.dim_at(r - 1)):
+                    c1 = dm.data[s][t] if dm.rows > s else f.zero()
+                    if not f.is_zero(c1):
+                        add((r - 1, t, ui, ni), col, f.neg(f.mul(sgn, c1)))
+            # the differential of F(N) on f(t), with sign sgn
+            for g in range(dual.pres.dim):
+                uxg = dense_mult_basis(u, ui, u._basis_pos[(g,)])
+                act = n.action(p + r, g)
+                for ti, cu in enumerate(uxg):
+                    for nj in range(n.dim(p + r + 1)):
+                        ca = act.data[nj][ni]
+                        if not f.is_zero(cu) and not f.is_zero(ca):
+                            add((r, s, ti, nj), col, f.mul(sgn, f.mul(cu, ca)))
+            dn = n.diff(p + r)
+            for nj in range(n.dim(p + r + 1)):
+                if not f.is_zero(dn.data[nj][ni]):
+                    add((r, s, ui, nj), col, f.mul(sgn, dn.data[nj][ni]))
+        diffs[p] = Matrix(f, out, len(tpos), len(src))
+    return diffs
+
+
 @st.composite
 def truncated_presentation(draw, fields):
     """A random quadratic presentation on d <= 3 generators over one of

@@ -1,9 +1,16 @@
 """CLI front end: parsing, dispatch, exit codes, determinism."""
 
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+
+import pytest
+
+from koszul_kit import cli
 
 PKG = os.path.join(os.path.dirname(__file__), "..")
 ENV = dict(os.environ, PYTHONPATH=os.path.join(PKG, "src"))
@@ -228,3 +235,78 @@ def test_non_free_component_exit_two():
 def test_missing_weights_exit_two():
     run_cli("regrade", SYM2, "--cdg", "twostep", "--r", "1",
             "--degree", "5", expect=2)
+
+
+# -- the argument parser ----------------------------------------------------------
+
+
+def _reference_parser():
+    """``cli.build_parser`` as it was before the help width was read once
+    per build: every formatter reads the terminal width itself."""
+    ap = argparse.ArgumentParser(
+        prog="koszul-kit",
+        description="Exact Koszul-duality computations for nonhomogeneous "
+                    "quadratic algebras and their curved dual dgas.")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (fn, extras) in cli.COMMANDS.items():
+        sp = sub.add_parser(name)
+        cli._add_common(sp)
+        if "cdg" in extras:
+            sp.add_argument("--cdg", required=True, help="named cdg module (or 'k')")
+        if "cdg?" in extras:
+            sp.add_argument("--cdg", help="named cdg module (or 'k')")
+        if "complex" in extras:
+            sp.add_argument("--complex", required=True,
+                            help="named U-complex (or module name)")
+        if "complex?" in extras:
+            sp.add_argument("--complex", help="named U-complex")
+        if "module" in extras:
+            sp.add_argument("--module", default="k")
+        if "range" in extras:
+            sp.add_argument("--range", type=cli._parse_range, default=(0, 4))
+        if "cross_check" in extras:
+            sp.add_argument("--cross-check", dest="cross_check",
+                            action="store_true")
+        if "free" in extras:
+            sp.add_argument("--free", required=True, help="named free complex")
+        if "free_dual?" in extras:
+            sp.add_argument("--free-dual", dest="free_dual",
+                            help="named complex of free dual modules")
+        if "at" in extras:
+            sp.add_argument("--at", type=int, required=True)
+        if "r" in extras:
+            sp.add_argument("--r", type=int, required=True)
+        if "seed" in extras:
+            env = os.environ.get("KOSZUL_SEED")
+            sp.add_argument("--seed", type=int,
+                            default=int(env) if env else 0)
+        if "corrupt_sign_debug" in extras:
+            sp.add_argument("--corrupt-sign-debug", dest="corrupt_sign_debug",
+                            action="store_true")
+    return ap
+
+
+def _parse(build, argv):
+    """(exit code or parsed namespace, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            got = vars(build().parse_args(argv))
+        except SystemExit as e:
+            got = e.code
+    return got, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("columns", ["80", "37", "200"])
+def test_parser_help_and_errors_match_reference(monkeypatch, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    monkeypatch.setenv("KOSZUL_SEED", "7")
+    argvs = [["--help"], [], ["nope"], ["pbw", "--degree", "x"], ["ce", "--window", "1"],
+             ["apply-g", "f.json"], ["tor", "--range", "0..x"], ["selftest"],
+             ["regrade", "f.json", "--cdg", "k", "--r", "2", "--json", "--extra"],
+             ["tor", "f.json", "--range", "1..3", "--cross-check"]]
+    argvs += [[name, "--help"] for name in cli.COMMANDS]
+    for argv in argvs:
+        got = _parse(cli.build_parser, argv)
+        assert got == _parse(_reference_parser, argv), argv
+        assert got[0] in (0, 2) or isinstance(got[0], dict)

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from koszul_kit.complexes import (
     CdgModule,
@@ -14,8 +15,8 @@ from koszul_kit.complexes import (
     nullhomotopy,
 )
 from koszul_kit.cofree import minimize_G
-from koszul_kit.deformations import DeformationData, build_U, build_cdga
-from koszul_kit.errors import InconsistentDataError
+from koszul_kit.deformations import DeformationData, build_U, build_cdga, pbw_check
+from koszul_kit.errors import InconsistentDataError, InputError
 from koszul_kit.functors import (
     FunctorBounds,
     adjunction_check,
@@ -36,9 +37,14 @@ from koszul_kit.scalars import QQ, Field
 from conftest import (
     SEED,
     dense_cofree_actions,
+    dense_f_differentials,
+    dense_gf_differentials,
     dense_left_mult,
+    dense_mult_basis,
+    dense_u_multiply,
     heisenberg_deformation,
     raw_values,
+    truncated_presentation,
 )
 
 
@@ -388,7 +394,8 @@ def _same(got, want):
 
 
 def _dense_delta(t, level, r):
-    """``KoszulBimodule.delta`` cell by cell from ``dense_left_mult``."""
+    """``KoszulBimodule.delta`` cell by cell from ``dense_mult_basis`` and
+    ``dense_left_mult``."""
     f, u, dual = t.field, t.u, t.cdga.dual
     src_u = [i for i in range(u.total_dim) if len(u.basis_words[i]) <= level]
     tgt_pos = {ui: k for k, ui in enumerate(
@@ -398,7 +405,7 @@ def _dense_delta(t, level, r):
     for ci, ui in enumerate(src_u):
         for a in range(na):
             for g in range(dual.pres.dim):
-                uxg = u.mult_basis(ui, u._basis_pos[(g,)])
+                uxg = dense_mult_basis(u, ui, u._basis_pos[(g,)])
                 xga = dense_left_mult(dual, g, r).column(a)
                 for ti, cu in enumerate(uxg):
                     if f.is_zero(cu):
@@ -475,3 +482,134 @@ def test_generator_products_match_dense_oracles(sym2_world, heis_world, twopoint
                     col = {(tgt_u[row // nb], row % nb): got[row][ci * na + a]
                            for row in range(len(got)) if got[row][ci * na + a]}
                     assert t._delta_elem(r, ui, unit_a) == col
+
+
+# -- U products read off the sparse table ---------------------------------------
+
+
+FIELDS = [QQ, Field(2), Field(3), Field(5)]
+
+
+def _lie2(f, a, b, c):
+    """[x, y] = a x + b y + c on two generators: PBW for every a, b, c,
+    since (R⊗V) ∩ (V⊗R) = Λ^3 V is zero; curved when c != 0."""
+    return DeformationData.from_raw(f, ["x", "y"], Matrix.from_int_rows(f, [[0, 1, -1, 0]]),
+                                    Matrix.from_int_rows(f, [[-a, -b]]), [f.of_int(-c)])
+
+
+@st.composite
+def pbw_deformation(draw):
+    """A random PBW deformation over Q, F_2, F_3 or F_5: U = k[x]/(x^2 -
+    s x - t), a two-generator Lie algebra with a central term, the
+    semidirect product k x1 ⋉ k^2 (x1 acting by a random 2x2 matrix M,
+    with the central term c on [x2, x3] allowed when tr M = 0), or the
+    trivial deformation of a random quadratic presentation."""
+    f = draw(st.sampled_from(FIELDS))
+    small = st.integers(min_value=-2, max_value=2)
+    kind = draw(st.sampled_from(["x2", "lie2", "semidirect", "trivial"]))
+    if kind == "x2":
+        s, t = draw(small), draw(small)
+        return DeformationData.from_raw(f, ["x"], Matrix.from_int_rows(f, [[1]]),
+                                        Matrix.from_int_rows(f, [[-s]]), [f.of_int(-t)])
+    if kind == "lie2":
+        return _lie2(f, draw(small), draw(small), draw(small))
+    if kind == "semidirect":
+        m11, m12, m21, m22, c = (draw(small) for _ in range(5))
+        if c:
+            m22 = -m11
+        rel = [[0, 1, 0, -1, 0, 0, 0, 0, 0],
+               [0, 0, 1, 0, 0, 0, -1, 0, 0],
+               [0, 0, 0, 0, 0, 1, 0, -1, 0]]
+        alpha = [[0, -m11, -m21], [0, -m12, -m22], [0, 0, 0]]
+        return DeformationData.from_raw(f, ["x1", "x2", "x3"], Matrix.from_int_rows(f, rel),
+                                        Matrix.from_int_rows(f, alpha),
+                                        [f.zero(), f.zero(), f.of_int(-c)])
+    pres, _ = draw(truncated_presentation([f]))
+    return DeformationData.trivial(pres)
+
+
+def _random_cdg_module(cdga, window, rng):
+    """A CdgModule with random sparse actions and differentials, axioms
+    unchecked: F and (GF)_i read only its matrices."""
+    f = cdga.field
+    lo, hi = window
+    dims = {p: rng.randint(1, 2) for p in range(lo - 1, hi + 4)}
+
+    def mat(p):
+        return Matrix.from_int_rows(f, [[rng.choice([0, 0, 0, 1, -1, 2]) for _ in range(dims[p])]
+                                        for _ in range(dims[p + 1])])
+
+    actions = {p: [mat(p) for _ in range(cdga.dual.pres.dim)] for p in range(lo - 1, hi + 3)}
+    diffs = {p: mat(p) for p in range(lo - 1, hi + 3)}
+    return CdgModule(cdga, window, dims, actions, diffs)
+
+
+def _check_u_products(data, rng):
+    """U's sparse product table and every reader of it against the dense
+    oracles, with the raw-value invariant on each stored value."""
+    f = data.field
+    assert pbw_check(data).all_pass
+    u, cdga = build_U(data, 3), build_cdga(data, 3, check=False)
+    words = u.basis_words
+    for i, wi in enumerate(words):
+        for j, wj in enumerate(words):
+            if len(wi) + len(wj) > u.bound:
+                with pytest.raises(InputError):
+                    u.mult_basis(i, j)
+                continue
+            col = u.mult_basis(i, j)
+            assert all(col.values()) and raw_values(f, col.values())
+            assert [col.get(k, f.zero()) for k in range(u.total_dim)] == dense_mult_basis(u, i, j)
+    # multiply, zero vectors included, with |a| + |b| within the bound
+    for top in range(u.bound + 1):
+        n_a, n_b = u.dim_leq(top), u.dim_leq(u.bound - top)
+        for a_nz, b_nz in ((0, n_b), (n_a, 0), (n_a, n_b)):
+            a = [f.of_int(rng.choice([0, 1, -1, 2])) if k < a_nz else f.zero()
+                 for k in range(u.total_dim)]
+            b = [f.of_int(rng.choice([0, 1, -1, 2])) if k < b_nz else f.zero()
+                 for k in range(u.total_dim)]
+            got = u.multiply(a, b)
+            assert got == dense_u_multiply(u, a, b) and raw_values(f, got)
+    # F and (GF)_i on a random module
+    b = FunctorBounds((-2, 1), 1, 2)
+    n = _random_cdg_module(cdga, b.window, rng)
+    fc = apply_F(n, u, b, verify=False)
+    gf = gf_composite(n, u, cdga, b, verify=False)
+    for got, want in ((fc, dense_f_differentials(n, u, fc.labels)),
+                      (gf, dense_gf_differentials(n, u, cdga, gf.labels))):
+        assert sorted(got.diffs) == sorted(p for p, m in want.items() if m.rows and m.cols)
+        for p, m in want.items():
+            _same(got.diff(p), m)
+            assert raw_values(f, [x for row in got.diff(p).data for x in row])
+    # the bimodule delta and delta(u_i ⊗ a) for a random a
+    t = build_T(u, cdga, b, verify=False)
+    dual = cdga.dual
+    for level in range(u.bound):
+        for r in range(dual.bound):
+            got = t.delta(level, r).data
+            want = _dense_delta(t, level, r)
+            assert got == want and raw_values(f, [x for row in got for x in row])
+            na, nb = dual.dim_at(r), dual.dim_at(r + 1)
+            tgt_u = [i for i in range(u.total_dim) if len(words[i]) <= level + 1]
+            for ci, ui in enumerate(i for i in tgt_u if len(words[i]) <= level):
+                avec = [f.of_int(rng.choice([0, 1, -1, 2])) for _ in range(na)]
+                col = {}
+                for row in range(len(want)):
+                    v = f.zero()
+                    for a, ca in enumerate(avec):
+                        v = f.add(v, f.mul(ca, want[row][ci * na + a]))
+                    if not f.is_zero(v):
+                        col[(tgt_u[row // nb], row % nb)] = v
+                elem = t._delta_elem(r, ui, avec)
+                assert elem == col and raw_values(f, elem.values())
+
+
+@settings(max_examples=60)
+@given(pbw_deformation(), st.integers(min_value=0, max_value=2**16))
+@example(_lie2(Field(5), 0, 1, 0), 0)
+def test_u_products_match_dense_oracles(data, seed):
+    """``mult_basis`` (densified), ``multiply``, the differentials of F and
+    (GF)_i, ``delta`` and ``_delta_elem`` against the dense oracles on
+    random PBW deformations over Q, F_2, F_3 and F_5.  The example is
+    [x, y] = y over F_5, where raw sums such as 5 y must reduce to 0."""
+    _check_u_products(data, random.Random(seed + SEED))
