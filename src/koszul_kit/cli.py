@@ -45,7 +45,7 @@ from .cofree import (
     t_truncate,
 )
 from .freeside import FreeUComplex, null_test_free
-from .linalg import Matrix
+from .linalg import Matrix, axpy, zero_free
 from .presentations import QuadraticPresentation, quadratic_dual, truncate_algebra
 from .scalars import Field
 from .suite import (
@@ -248,27 +248,24 @@ class Problem:
         return m
 
     def _u_element(self, u, terms):
+        """A U element as a sparse column: sum of coeff * word."""
         f = self.field
-        vec = [f.zero()] * u.total_dim
+        out = {}
         for (word, coeff) in terms:
-            widx = tuple(self.gen_index[g] for g in word)
-            red = u.reduce_word(widx)
-            c = f.parse(coeff)
-            vec = [f.add(x, f.mul(c, y)) for x, y in zip(vec, red)]
-        return vec
+            col = u.reduce_word(tuple(self.gen_index[g] for g in word))
+            axpy(out, f.parse(coeff), col)
+        return zero_free(out, f.p)
 
     def _dual_element(self, dual, terms):
+        """An A! element as {degree: sparse column}."""
         f = self.field
         out = {}
         names = {g: i for i, g in enumerate(dual.pres.generators)}
         for (word, coeff) in terms:
             widx = tuple(names[g] for g in word)
             c = f.parse(coeff)
-            deg = len(widx)
-            pr = dual.project_word(widx)
-            cur = out.setdefault(deg, [f.zero()] * dual.dim_at(deg))
-            out[deg] = [f.add(x, f.mul(c, y)) for x, y in zip(cur, pr)]
-        return out
+            axpy(out.setdefault(len(widx), {}), c, dual.project_word(widx))
+        return {deg: zero_free(col, f.p) for deg, col in out.items()}
 
 
 # -- output ---------------------------------------------------------------------
@@ -293,13 +290,12 @@ def emit(args, payload, human_lines):
     return payload
 
 
-def fmt_poly(field, dual, degree, coords, gen_names=None):
-    """Human form of a homogeneous dual element, e.g. '2 x*^2'."""
-    names = gen_names or dual.pres.generators
+def fmt_poly(field, dual, degree, col):
+    """Human form of a homogeneous dual element, a sparse column, e.g.
+    '2 x*^2'."""
+    names = dual.pres.generators
     terms = []
-    for i, c in enumerate(coords):
-        if field.is_zero(c):
-            continue
+    for i, c in sorted(col.items()):
         word = dual.basis_words[degree][i]
         factors = []
         for g in word:
@@ -318,10 +314,6 @@ def bounds_from(args) -> FunctorBounds:
     lo, hi = args.window
     return FunctorBounds(window=(lo, hi), filtration=args.filtration,
                          internal=args.internal)
-
-
-def report_payload(rep):
-    return rep.to_json()
 
 
 # -- command implementations ------------------------------------------------------
@@ -367,13 +359,14 @@ def cmd_cdga(problem, args):
                  "the deformation is not of PBW type"]
         return 1, {"pbw_type": False, "reason": str(e)}, lines
     dual = cdga.dual
-    lines = [f"A! dims: {list(dual.dims)}",
-             f"c = {fmt_poly(f, dual, 2, cdga.curvature)}"]
+    curv = {s: c for s, c in enumerate(cdga.curvature) if c}
+    lines = [f"A! dims: {list(dual.dims)}", f"c = {fmt_poly(f, dual, 2, curv)}"]
+    d1 = cdga.d(1)
+    d1_cols = d1.sparse_columns()
     dmat = {}
     for g, name in enumerate(dual.pres.generators):
-        col = cdga.d(1).column(g)
-        lines.append(f"d({name}) = {fmt_poly(f, dual, 2, col)}")
-        dmat[name] = [f.format(x) for x in col]
+        lines.append(f"d({name}) = {fmt_poly(f, dual, 2, d1_cols[g])}")
+        dmat[name] = [f.format(x) for x in d1.column(g)]
     wit = vanishing_witness(problem.deformation(), cdga=cdga,
                             u=problem.u_truncation(max(2, min(args.degree, 3))))
     lines.append(f"vanishing lemma witness: {'pass' if wit else 'FAIL'}")
@@ -418,7 +411,7 @@ def cmd_apply_f(problem, args):
              f"homology by degree: {rep.by_degree()}",
              f"stabilized over three filtration levels: {rep.stabilized}"]
     return 0, {"dims": {str(k): v for k, v in sorted(fc.dims.items())},
-               "homology": report_payload(rep)}, lines
+               "homology": rep.to_json()}, lines
 
 
 def cmd_apply_g(problem, args):
@@ -494,16 +487,11 @@ def cmd_ce(problem, args):
     lines = [f"CE dims: {dict(sorted(fg.dims.items()))}",
              f"homology by degree: {rep.by_degree()}"]
     return 0, {"dims": {str(k): v for k, v in sorted(fg.dims.items())},
-               "homology": report_payload(rep)}, lines
-
-
-def _range_window(args):
-    a, bb = args.range
-    return a, bb
+               "homology": rep.to_json()}, lines
 
 
 def cmd_tor(problem, args):
-    a, bb = _range_window(args)
+    a, bb = args.range
     b = FunctorBounds(window=(-bb - 2, 1), filtration=args.filtration,
                       internal=args.internal)
     m = problem.complex(args.module)
@@ -514,11 +502,11 @@ def cmd_tor(problem, args):
     dims = [by_deg.get(-p, 0) for p in range(a, bb + 1)]
     lines = [f"Tor_p(k, {args.module}) for p = {a}..{bb}: {dims}"]
     return 0, {"range": [a, bb], "dims": dims,
-               "homology": report_payload(rep)}, lines
+               "homology": rep.to_json()}, lines
 
 
 def cmd_ext(problem, args):
-    a, bb = _range_window(args)
+    a, bb = args.range
     b = FunctorBounds(window=(min(a, 0), bb + 1), filtration=args.filtration,
                       internal=max(args.internal, bb + 1))
     m = problem.complex(args.module)
@@ -527,7 +515,7 @@ def cmd_ext(problem, args):
     dims = [by_deg.get(p, 0) for p in range(a, bb + 1)]
     lines = [f"Ext^p(k, {args.module}) for p = {a}..{bb}: {dims}"]
     return 0, {"range": [a, bb], "dims": dims,
-               "homology": report_payload(rep)}, lines
+               "homology": rep.to_json()}, lines
 
 
 def cmd_minimize(problem, args):

@@ -131,11 +131,11 @@ def _bhb_basis(f, dims, diffs, q):
     span = EchelonSpan(f)
     _grow(span, b_cols)
     h_cols = _grow(span, (z.column(j) for j in range(z.cols)))
-    bp_cols = _grow(span, _unit_vectors(f, n))
+    bp_cols = _grow(span, _standard_basis(f, n))
     return b_cols, h_cols, bp_cols
 
 
-def _unit_vectors(f, n):
+def _standard_basis(f, n):
     """e_0, ..., e_{n-1} as dense lists."""
     for j in range(n):
         yield [f.one() if s == j else f.zero() for s in range(n)]
@@ -398,9 +398,6 @@ class CofreeDecomposition:
         self.unit_maps = unit_maps       # {p: Matrix module^p -> cofree coords}
         self.labels = labels
 
-    def socle_complex(self):
-        return self.module.socle_complex()
-
 
 def cofree_decomposition(i: CdgModule, cdga: CdgAlgebra, cap: int,
                          interior=None) -> CofreeDecomposition:
@@ -437,7 +434,7 @@ def cofree_decomposition(i: CdgModule, cdga: CdgAlgebra, cap: int,
         cols = [b.column(j) for j in range(b.cols)]
         span = EchelonSpan(f)
         _grow(span, cols)
-        inv = _invert(Matrix.from_columns(f, cols + _grow(span, _unit_vectors(f, n)), rows=n))
+        inv = _invert(Matrix.from_columns(f, cols + _grow(span, _standard_basis(f, n)), rows=n))
         projections[q] = Matrix(f, inv.data[: b.cols], b.cols, n)
     unit_maps = {}
     for p in range(lo, hi + 1):
@@ -455,8 +452,7 @@ def cofree_decomposition(i: CdgModule, cdga: CdgAlgebra, cap: int,
             if proj is None:
                 raise NotCofreeError(f"socle missing at degree {q}")
             # action of the standard monomial s on I^p, then socle projection
-            ea = [f.one() if t == s else f.zero() for t in range(dual.dim_at(r))]
-            act = i.act_element(p, r, ea) if r else Matrix.identity(f, n)
+            act = i.act_element(p, r, {s: f.one()}) if r else Matrix.identity(f, n)
             prow = proj.mul(act)
             for col in range(n):
                 out[row][col] = prow.data[si][col]
@@ -577,7 +573,7 @@ def _sub_quotient(i: CdgModule, sub_cols: dict):
         span = EchelonSpan(f)
         if len(_grow(span, cols)) != len(cols):
             raise InconsistentDataError("dependent subobject columns")
-        stacked = cols + _grow(span, _unit_vectors(f, n))
+        stacked = cols + _grow(span, _standard_basis(f, n))
         basis_full[p] = (cols, stacked)
         sub_dims[p] = len(cols)
         quot_dims[p] = n - len(cols)
@@ -701,8 +697,8 @@ def complex_of_free_dual_modules(cdga: CdgAlgebra, ranks: dict, entries: dict,
     """A complex of free graded A!-modules as a single-graded cdg-module.
 
     ``ranks[P]`` lists the generator shifts of the free module at complex
-    position P; ``entries[P][i][j]`` is an A!-element {degree: coords}
-    with phi(gen_j) = sum_i entry_{ij} gen_i, strictly linear.  The merge
+    position P; ``entries[P][i][j]`` is an A!-element {degree: sparse
+    column} with phi(gen_j) = sum_i entry_{ij} gen_i, strictly linear.  The merge
     puts the piece of internal degree q at cdg-degree P + q and twists the
     generator action by (-1)^P, which is what makes the strictly-linear
     differential satisfy the module anti-derivation law (d_{A!} must be 0).
@@ -740,18 +736,14 @@ def complex_of_free_dual_modules(cdga: CdgAlgebra, ranks: dict, entries: dict,
             ent = entries.get(P)
             if ent is None:
                 continue
-            ea = [f.one() if s == bidx else f.zero() for s in range(dual.dim_at(deg))]
             for ti in range(len(ranks.get(P + 1, []))):
-                evec = ent[ti][gi]
-                for edeg, coords in evec.items():
-                    if edeg > dual.bound or not any(not f.is_zero(c) for c in coords):
+                for edeg, col_e in ent[ti][gi].items():
+                    if edeg > dual.bound or not col_e:
                         continue
                     # a . entry: basis element a of E times the entry, in E
-                    prod = dual.multiply(deg, ea, edeg, coords)
+                    prod = dual.multiply(deg, {bidx: f.one()}, edeg, col_e)
                     tdeg = deg + edeg
-                    for tb, c in enumerate(prod):
-                        if f.is_zero(c):
-                            continue
+                    for tb, c in prod.items():
                         row = pos.get(p + 1, {}).get((P + 1, ti, tdeg, tb))
                         if row is not None:
                             out[row][col] = f.add(out[row][col], c)

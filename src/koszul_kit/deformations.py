@@ -16,7 +16,7 @@ from .errors import (
     InputError,
     WellDefinednessError,
 )
-from .linalg import Matrix, intersect_row_spaces, rref, solve
+from .linalg import Matrix, axpy, intersect_row_spaces, is_nonzero, rref, solve, zero_free
 from .presentations import (
     GradedAlgebraTruncation,
     QuadraticPresentation,
@@ -254,7 +254,7 @@ class CdgAlgebra:
         left = [dual.mult_columns(1, j) for j in range(top)]
         ds = [self.d(n).sparse_columns() for n in range(top)]
         # with a = 1, Leibniz reads d(1) e_b = 0: it fails first on 1 * 1
-        if _nonzero(ds[0][0], p):
+        if is_nonzero(ds[0][0], p):
             return "Leibniz fails on basis pair A!_0[0] * A!_0[0]"
         # d(x_a e_b) - d(x_a) e_b + x_a d(e_b) on A!_1 x A!_j
         for j in range(top - 1):
@@ -264,12 +264,12 @@ class CdgAlgebra:
                 for b in range(mj):
                     acc = {}
                     for r, v in left[j][a * mj + b].items():
-                        _axpy(acc, v, ds[j + 1][r])
+                        axpy(acc, v, ds[j + 1][r])
                     for s, v in ds[1][a].items():
-                        _axpy(acc, -v, right[s * mj + b])
+                        axpy(acc, -v, right[s * mj + b])
                     for t, v in ds[j][b].items():
-                        _axpy(acc, v, left[j + 1][a * mj1 + t])
-                    if _nonzero(acc, p):
+                        axpy(acc, v, left[j + 1][a * mj1 + t])
+                    if is_nonzero(acc, p):
                         return f"Leibniz fails on basis pair A!_1[{a}] * A!_{j}[{b}]"
         if top < 3:
             return None
@@ -286,23 +286,13 @@ class CdgAlgebra:
         for b in range(m1):
             acc = {}
             for s, v in ds[1][b].items():
-                _axpy(acc, v, ds[2][s])
+                axpy(acc, v, ds[2][s])
             for s, c in curv:
-                _axpy(acc, -c, cx[s * m1 + b])
-                _axpy(acc, c, xc[b * m2 + s])
-            if _nonzero(acc, p):
+                axpy(acc, -c, cx[s * m1 + b])
+                axpy(acc, c, xc[b * m2 + s])
+            if is_nonzero(acc, p):
                 return f"d^2 != [c,-] on basis A!_1[{b}]"
         return None
-
-
-def _axpy(acc: dict, c, col: dict):
-    """acc += c * col on raw values, reduced (mod p) only by ``_nonzero``."""
-    for r, v in col.items():
-        acc[r] = acc.get(r, 0) + c * v
-
-
-def _nonzero(acc: dict, p) -> bool:
-    return any(v % p for v in acc.values()) if p else any(acc.values())
 
 
 def _dual_pairing(dual: GradedAlgebraTruncation, rel: Matrix) -> Matrix:
@@ -337,81 +327,54 @@ def build_cdga(data: DeformationData, bound: int, check=True,
 
     pairing = _dual_pairing(dual, rel)  # dim A!_2 x m, invertible
     # d1 on generators: <d(x_g*), r_j> = x_g*(alpha(r_j)) = alpha[g][j]
-    d1_cols = []
-    lift = []  # chosen representative of d(x_g*) in V*⊗V* coordinates
+    lift = []  # chosen representative of d(x_g*), as {V*⊗V* word: coeff}
     for g in range(d):
         rhs = [data.alpha.data[g][j] for j in range(m)]
         coeffs = solve(pairing.transpose(), rhs)
         if coeffs is None:
             raise WellDefinednessError("degree-2 pairing is degenerate")
-        d1_cols.append(coeffs)
-        vec = [f.zero()] * (d * d)
-        for s, word in enumerate(dual.basis_words[2]):
-            vec[pair_index(word[0], word[1], d)] = coeffs[s]
-        lift.append(vec)
+        lift.append({w: c for w, c in zip(dual.basis_words[2], coeffs) if c})
     # curvature: <c, r_j> = beta(r_j)
     curv = solve(pairing.transpose(), [data.beta.data[0][j] for j in range(m)])
 
     # well-definedness: the lifted derivation must kill R-perp in A!_3
     # (the sign-debug hook corrupts only the Leibniz extension below, so a
     # corrupted build fails at the Leibniz axiom, not here)
+    p = f.p
     if bound >= 3:
-        sign = f.neg(f.one())
         for t in range(dual_pres.relations.rows):
             rho = dual_pres.relations.data[t]
-            acc = [f.zero()] * dual.dim_at(3)
+            acc = {}
             for a in range(d):
                 for b in range(d):
                     c = rho[pair_index(a, b, d)]
-                    if f.is_zero(c):
+                    if not c:
                         continue
                     # d(a ⊗ b) = d(a) ⊗ b - a ⊗ d(b), projected to A!_3
-                    for idx, coeff in enumerate(lift[a]):
-                        if f.is_zero(coeff):
-                            continue
-                        w = (idx // d, idx % d, b)
-                        pr = dual.project_word(w)
-                        cc = f.mul(c, coeff)
-                        acc = [f.add(x, f.mul(cc, y)) for x, y in zip(acc, pr)]
-                    for idx, coeff in enumerate(lift[b]):
-                        if f.is_zero(coeff):
-                            continue
-                        w = (a, idx // d, idx % d)
-                        pr = dual.project_word(w)
-                        cc = f.mul(f.mul(c, coeff), sign)
-                        acc = [f.add(x, f.mul(cc, y)) for x, y in zip(acc, pr)]
-            if any(not f.is_zero(x) for x in acc):
+                    for w, coeff in lift[a].items():
+                        axpy(acc, c * coeff, dual.project_word(w + (b,)))
+                    for w, coeff in lift[b].items():
+                        axpy(acc, -c * coeff, dual.project_word((a,) + w))
+            if is_nonzero(acc, p):
                 raise WellDefinednessError(
                     f"derivation does not preserve the relation ideal (R-perp row {t})")
 
-    # extend through the quotient by the (anti-)Leibniz rule on lifted words
+    # extend through the quotient by the (anti-)Leibniz rule on lifted
+    # words: d~(g_1 ... g_n) = sum over positions of (+-1) g_1 .. d(g_i) .. g_n
     derivations = {}
     if bound >= 1:
         derivations[0] = Matrix.zero(f, dual.dim_at(1), 1)
-    sign = f.one() if _sign_debug else f.neg(f.one())
-
-    def lift_word_derivative(word):
-        """d~ of a tensor word, as a dict {longer word: coeff}."""
-        out = {}
-        for pos in range(len(word)):
-            g = word[pos]
-            s = f.one() if pos % 2 == 0 else sign
-            for idx, coeff in enumerate(lift[g]):
-                if f.is_zero(coeff):
-                    continue
-                w = word[:pos] + (idx // d, idx % d) + word[pos + 1:]
-                out[w] = f.add(out.get(w, f.zero()), f.mul(s, coeff))
-        return out
-
+    sign = 1 if _sign_debug else -1
     for n in range(1, bound):
         cols = []
         for word in dual.basis_words[n]:
-            acc = [f.zero()] * dual.dim_at(n + 1)
-            for w, coeff in lift_word_derivative(word).items():
-                pr = dual.project_word(w)
-                acc = [f.add(x, f.mul(coeff, y)) for x, y in zip(acc, pr)]
+            acc = {}
+            for pos, g in enumerate(word):
+                s = 1 if pos % 2 == 0 else sign
+                for w, coeff in lift[g].items():
+                    axpy(acc, s * coeff, dual.project_word(word[:pos] + w + word[pos + 1:]))
             cols.append(acc)
-        derivations[n] = Matrix.from_columns(f, cols, rows=dual.dim_at(n + 1))
+        derivations[n] = Matrix.from_sparse_columns(f, cols, dual.dim_at(n + 1))
 
     alg = CdgAlgebra(data, dual, derivations, curv)
     if check:
@@ -435,10 +398,13 @@ class FilteredAlgebraTruncation(WordQuotient):
     one flat basis; for PBW deformations it is the lifted monomial basis of
     the associated graded algebra A.
 
-    U's one product table is ``mult_basis(i, j)``: the product of basis
-    words i and j as a cached sparse column {basis index: raw value}, read
-    straight from the word's normal form.  ``multiply`` and the functor
-    layer (F, the bimodule delta, (GF)_i) sum over its nonzero entries.
+    An element of U is a sparse column {basis index: raw value}, zeros
+    left out, the format of A and A! too: ``reduce_word`` gives a word's
+    column, the unit is {position of (): 1}, and ``multiply`` takes and
+    returns columns.  U's one product table is ``mult_basis(i, j)``: the
+    product of basis words i and j as a cached column.  ``multiply``, the
+    functor layer (F, the bimodule delta, (GF)_i) and the free side sum
+    over its nonzero entries.
     """
 
     def __init__(self, data: DeformationData, bound: int):
@@ -461,14 +427,8 @@ class FilteredAlgebraTruncation(WordQuotient):
         return sum(self.gr_dims[: n + 1]) if n >= 0 else 0
 
     def reduce_word(self, word):
-        """Coordinates of the class of a word on the chosen basis."""
-        out = [self.field.zero()] * len(self.basis_words)
-        for k, c in self._word_column(word).items():
-            out[k] = c
-        return out
-
-    def _word_column(self, word):
-        """The class of a word as {basis index: value}, zeros left out."""
+        """The class of a word as the sparse column {basis index: raw
+        value}, zeros left out; a new dict on every call."""
         if len(word) > self.bound:
             raise InputError(f"word degree {len(word)} beyond bound {self.bound}")
         pos = self._basis_pos
@@ -483,40 +443,21 @@ class FilteredAlgebraTruncation(WordQuotient):
         key = (i, j)
         got = self._mult_cache.get(key)
         if got is None:
-            got = self._word_column(self.basis_words[i] + self.basis_words[j])
+            got = self.reduce_word(self.basis_words[i] + self.basis_words[j])
             self._mult_cache[key] = got
         return got
 
     def multiply(self, a, b):
-        """Product of two coordinate vectors over the full basis, summed
-        over the nonzero coordinates on raw values."""
-        p = self.field.p
+        """Product of two elements, given and returned as sparse columns;
+        sums run on raw values."""
         words = self.basis_words
-        out = [self.field.zero()] * len(words)
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                if not y:
-                    continue
+        out = {}
+        for i, x in a.items():
+            for j, y in b.items():
                 if len(words[i]) + len(words[j]) > self.bound:
                     raise InputError("product degree beyond bound")
-                xy = x * y
-                for k, c in self.mult_basis(i, j).items():
-                    out[k] += xy * c
-        return [v % p for v in out] if p else out
-
-    def unit_vector(self):
-        f = self.field
-        v = [f.zero()] * len(self.basis_words)
-        v[self._basis_pos[()]] = f.one()
-        return v
-
-    def gen_vector(self, g: int):
-        f = self.field
-        v = [f.zero()] * len(self.basis_words)
-        v[self._basis_pos[(g,)]] = f.one()
-        return v
+                axpy(out, x * y, self.mult_basis(i, j))
+        return zero_free(out, self.field.p)
 
 
 def build_U(data: DeformationData, bound: int) -> FilteredAlgebraTruncation:
@@ -532,7 +473,9 @@ def vanishing_witness(data: DeformationData, bound: int = 3,
     """Both canonical elements of U⊗A!_2 and A!_2⊗U vanish exactly.
 
     Evaluates sum x_a x_b ⊗ x_b* x_a* + sum x_a ⊗ d(x_a*) + 1 ⊗ c in
-    U_{<=2} ⊗ A!_2, and its mirror, returning True iff both are zero.
+    U_{<=2} ⊗ A!_2 and returns True iff it is zero.  Its mirror in
+    A!_2 ⊗ U has the transposed coefficient table, since scalars commute,
+    so it vanishes exactly when this one does.
     """
     f = data.field
     d = data.base.dim
@@ -541,28 +484,17 @@ def vanishing_witness(data: DeformationData, bound: int = 3,
     if u is None:
         u = build_U(data, max(bound, 2))
     dual = cdga.dual
-    nu = u.total_dim
-    na = dual.dim_at(2)
-    first = [[f.zero()] * na for _ in range(nu)]
-    second = [[f.zero()] * nu for _ in range(na)]
+    elem = {}  # {U basis index: A!_2 column}
 
-    def accumulate(uvec, avec):
-        for i, x in enumerate(uvec):
-            if f.is_zero(x):
-                continue
-            for j, y in enumerate(avec):
-                if not f.is_zero(y):
-                    first[i][j] = f.add(first[i][j], f.mul(x, y))
-                    second[j][i] = f.add(second[j][i], f.mul(y, x))
+    def accumulate(ucol, acol):
+        for i, x in ucol.items():
+            axpy(elem.setdefault(i, {}), x, acol)
 
     for a in range(d):
         for b in range(d):
             accumulate(u.reduce_word((a, b)), dual.project_word((b, a)))
-    d1 = cdga.d(1)
+    d1 = cdga.d(1).sparse_columns()
     for a in range(d):
-        accumulate(u.reduce_word((a,)), d1.column(a))
-    accumulate(u.unit_vector(), cdga.curvature)
-
-    ok1 = all(f.is_zero(x) for row in first for x in row)
-    ok2 = all(f.is_zero(x) for row in second for x in row)
-    return ok1 and ok2
+        accumulate(u.reduce_word((a,)), d1[a])
+    accumulate({u._basis_pos[()]: f.one()}, {s: c for s, c in enumerate(cdga.curvature) if c})
+    return not any(is_nonzero(col, f.p) for col in elem.values())

@@ -2,8 +2,9 @@
 k ⊗_U (-), null-system membership, and U-linear homotopy search.
 
 A free complex is a matrix over U: component p is U^{ranks[p]} and the
-differential entry (i, j) is an element of the truncated U, acting on the
-generator e_j of component p and read off in the generators of p+1.
+differential entry (i, j) is an element of the truncated U, a sparse
+column {U basis index: raw value}, acting on the generator e_j of
+component p and read off in the generators of p+1.
 Expansion replaces U by its filtration piece at a level growing along the
 window, which embeds the expanded object as a subcomplex of the true one.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 from .complexes import BaseComplex, homology_dims
 from .deformations import FilteredAlgebraTruncation
 from .errors import InputError
-from .linalg import RHS, Matrix, solve_sparse
+from .linalg import RHS, Matrix, axpy, is_nonzero, solve_sparse, zero_free
 
 
 class FreeUComplex:
@@ -25,8 +26,8 @@ class FreeUComplex:
         self.field = u.field
         self.window = (int(window[0]), int(window[1]))
         self.ranks = {p: int(r) for p, r in ranks.items() if r}
-        # entries[p][i][j]: coordinate vector over the U basis, for the map
-        # component U^{ranks[p]} -> U^{ranks[p+1]}
+        # entries[p][i][j]: sparse U column, for the map component
+        # U^{ranks[p]} -> U^{ranks[p+1]}
         self.entries = entries
         for p, mat in entries.items():
             if len(mat) != self.ranks.get(p + 1, 0):
@@ -41,13 +42,11 @@ class FreeUComplex:
     def entry_degree_bound(self) -> int:
         """Max filtration degree of any differential entry."""
         top = 0
-        f = self.field
         for mat in self.entries.values():
             for row in mat:
-                for vec in row:
-                    for bi, c in enumerate(vec):
-                        if not f.is_zero(c):
-                            top = max(top, len(self.u.basis_words[bi]))
+                for col in row:
+                    for bi in col:
+                        top = max(top, len(self.u.basis_words[bi]))
         return top
 
     def check_d_squared(self):
@@ -57,7 +56,6 @@ class FreeUComplex:
         composite entry is (psi phi)_{ij} = sum_k c^phi_{kj} . c^psi_{ik}:
         the first map's entry multiplies on the left.
         """
-        f = self.field
         u = self.u
         for p in sorted(self.entries):
             if p + 1 not in self.entries:
@@ -66,11 +64,10 @@ class FreeUComplex:
             b = self.entries[p + 1]
             for i in range(self.rank(p + 2)):
                 for j in range(self.rank(p)):
-                    acc = [f.zero()] * u.total_dim
+                    acc = {}
                     for k in range(self.rank(p + 1)):
-                        prod = u.multiply(a[k][j], b[i][k])
-                        acc = [f.add(x, y) for x, y in zip(acc, prod)]
-                    if any(not f.is_zero(x) for x in acc):
+                        axpy(acc, 1, u.multiply(a[k][j], b[i][k]))
+                    if is_nonzero(acc, self.field.p):
                         return f"d^2 != 0 at degree {p} (entry {i},{j})"
         return None
 
@@ -107,24 +104,20 @@ class FreeUComplex:
             if p + 1 not in dims:
                 continue
             tpos = {lab: i for i, lab in enumerate(labels[p + 1])}
-            out = [[f.zero()] * dims[p] for _ in range(dims[p + 1])]
             ent = self.entries.get(p)
-            if ent is None:
-                diffs[p] = Matrix(f, out, dims[p + 1], dims[p])
-                continue
-            for col, (ui, j) in enumerate(labels[p]):
-                for i in range(self.rank(p + 1)):
-                    vec = ent[i][j]
+            cols = []
+            for ui, j in labels[p]:
+                acc = {}
+                for i, erow in enumerate(ent or ()):
                     # u_basis[ui] * entry, reduced in U
-                    prod = u.multiply(_unit_coord(f, u.total_dim, ui), vec)
-                    for ti, c in enumerate(prod):
-                        if f.is_zero(c):
-                            continue
-                        row = tpos.get((ti, i))
-                        if row is None:
-                            raise InputError("expansion level overflow")
-                        out[row][col] = f.add(out[row][col], c)
-            diffs[p] = Matrix(f, out, dims[p + 1], dims[p])
+                    for k, c in erow[j].items():
+                        for ti, v in u.mult_basis(ui, k).items():
+                            row = tpos.get((ti, i))
+                            if row is None:
+                                raise InputError("expansion level overflow")
+                            acc[row] = acc.get(row, 0) + c * v
+                cols.append(acc)
+            diffs[p] = Matrix.from_sparse_columns(f, cols, dims[p + 1])
         return BaseComplex(f, self.window, dims, diffs)
 
     def fiber_complex(self) -> BaseComplex:
@@ -141,37 +134,22 @@ class FreeUComplex:
             cols = self.rank(p)
             if not rows or not cols:
                 continue
-            out = [[f.zero()] * cols for _ in range(rows)]
-            for i in range(rows):
-                for j in range(cols):
-                    out[i][j] = ent[i][j][one_idx]
+            out = [[ent[i][j].get(one_idx, f.zero()) for j in range(cols)]
+                   for i in range(rows)]
             diffs[p] = Matrix(f, out, rows, cols)
         return BaseComplex(f, self.window, dims, diffs)
 
 
-def _unit_coord(f, n, i):
-    v = [f.zero()] * n
-    v[i] = f.one()
-    return v
-
-
-def _scale_vec(f, vec, c):
-    return [f.mul(c, x) for x in vec]
-
-
 def free_identity_map(p_ranks, u):
-    f = u.field
-    one = u.unit_vector()
-    zero = [f.zero()] * u.total_dim
-    return {p: [[one if i == j else zero for j in range(r)] for i in range(r)]
+    one = {u._basis_pos[()]: u.field.one()}
+    return {p: [[one if i == j else {} for j in range(r)] for i in range(r)]
             for p, r in p_ranks.items()}
 
 
 def free_cone_of_map(src: FreeUComplex, tgt: FreeUComplex, fmat: dict) -> FreeUComplex:
     """Cone of a U-matrix chain map between free complexes."""
-    u = src.u
     f = src.field
-    zero = [f.zero()] * u.total_dim
+    zero = {}
     lo = min(src.window[0] - 1, tgt.window[0])
     hi = max(src.window[1] - 1, tgt.window[1])
     ranks = {}
@@ -194,7 +172,7 @@ def free_cone_of_map(src: FreeUComplex, tgt: FreeUComplex, fmat: dict) -> FreeUC
         for i in range(s2):
             for j in range(s1):
                 v = sent[i][j] if sent else zero
-                ent[i][j] = _scale_vec(f, v, f.neg(f.one()))
+                ent[i][j] = {k: f.neg(c) for k, c in v.items()}
         for i in range(t2):
             for j in range(s1):
                 v = fent[i][j] if fent else zero
@@ -204,7 +182,7 @@ def free_cone_of_map(src: FreeUComplex, tgt: FreeUComplex, fmat: dict) -> FreeUC
                 v = tent[i][j] if tent else zero
                 ent[s2 + i][s1 + j] = v
         entries[p] = ent
-    return FreeUComplex(u, (lo, hi), ranks, entries)
+    return FreeUComplex(src.u, (lo, hi), ranks, entries)
 
 
 def free_nullhomotopy(p: FreeUComplex, fmat: dict, gmat: dict, degree_cap=None):
@@ -212,13 +190,12 @@ def free_nullhomotopy(p: FreeUComplex, fmat: dict, gmat: dict, degree_cap=None):
 
     Unknowns are the U-coordinates of s on generators; the identity
     f - g = (-1)^n d s + (-1)^{n+1} s d is solved exactly on generators.
-    Returns {p: matrix of U-coordinate vectors} or None.
+    Returns {p: matrix of sparse U columns} or None.
     """
     f = p.field
     u = p.u
-    nb = u.total_dim
     cap = degree_cap if degree_cap is not None else u.bound
-    keep = [i for i in range(nb) if len(u.basis_words[i]) <= cap]
+    keep = [i for i in range(u.total_dim) if len(u.basis_words[i]) <= cap]
     lo, hi = p.window
     varmap = {}
     for q in range(lo, hi + 2):
@@ -227,39 +204,32 @@ def free_nullhomotopy(p: FreeUComplex, fmat: dict, gmat: dict, degree_cap=None):
                 for bi in keep:
                     varmap[(q, i, j, bi)] = len(varmap)
     eqs = []
-    one = f.one()
     for q in range(lo, hi + 1):
-        sgn_d = one if q % 2 == 0 else f.neg(one)
-        sgn_s = f.neg(sgn_d)
+        sgn_d = 1 if q % 2 == 0 else -1
         dq = p.entries.get(q)
         dprev = p.entries.get(q - 1)
         fm = fmat.get(q)
         gm = gmat.get(q)
         for i in range(p.rank(q)):
             for j in range(p.rank(q)):
-                # one scalar equation per U basis element
-                rhs = [f.zero()] * nb
+                # one scalar equation per U basis element t: coeff[t] holds
+                # its unknowns, rhs[t] the coordinate t of f - g
+                rhs = {}
                 if fm is not None:
-                    rhs = [f.add(x, y) for x, y in zip(rhs, fm[i][j])]
+                    axpy(rhs, 1, fm[i][j])
                 if gm is not None:
-                    rhs = [f.sub(x, y) for x, y in zip(rhs, gm[i][j])]
+                    axpy(rhs, -1, gm[i][j])
                 coeff = {}
 
-                def add_term(var_key_base, fixed_vec, unknown_left, sgn):
+                def add_term(var_key_base, fixed, unknown_left, sgn):
                     # composite entry: first map's entry multiplies on the left
                     for bi in keep:
-                        if unknown_left:
-                            prod = u.multiply(_unit_coord(f, nb, bi), fixed_vec)
-                        else:
-                            prod = u.multiply(fixed_vec, _unit_coord(f, nb, bi))
-                        v = varmap.get(var_key_base + (bi,))
-                        if v is None:
-                            continue
-                        for t, c in enumerate(prod):
-                            if not f.is_zero(c):
-                                coeff.setdefault(t, {})[v] = f.add(
-                                    coeff.get(t, {}).get(v, f.zero()),
-                                    f.mul(sgn, c))
+                        v = varmap[var_key_base + (bi,)]
+                        for k, c in fixed.items():
+                            prod = u.mult_basis(bi, k) if unknown_left else u.mult_basis(k, bi)
+                            for t, x in prod.items():
+                                eq = coeff.setdefault(t, {})
+                                eq[v] = eq.get(v, 0) + sgn * c * x
 
                 # (d o s)_{ij} = sum_k s[q][k][j] . d[q-1][i][k]  (s first)
                 if dprev is not None:
@@ -268,27 +238,19 @@ def free_nullhomotopy(p: FreeUComplex, fmat: dict, gmat: dict, degree_cap=None):
                 # (s o d)_{ij} = sum_k d[q][k][j] . s[q+1][i][k]  (d first)
                 if dq is not None:
                     for k in range(p.rank(q + 1)):
-                        add_term((q + 1, i, k), dq[k][j], False, sgn_s)
-                for t in range(nb):
-                    eq = dict(coeff.get(t, {}))
-                    r = rhs[t]
-                    if eq or not f.is_zero(r):
-                        eq[RHS] = r
-                        eqs.append(eq)
+                        add_term((q + 1, i, k), dq[k][j], False, -sgn_d)
+                for t in coeff.keys() | rhs.keys():
+                    eq = coeff.get(t, {})
+                    eq[RHS] = rhs.get(t, 0)
+                    eqs.append(eq)
     sol = solve_sparse(f, eqs, len(varmap))
     if sol is None:
         return None
     out = {}
     for q in range(lo, hi + 2):
-        if not p.rank(q) or not p.rank(q - 1):
-            continue
-        mat = [[[f.zero()] * nb for _ in range(p.rank(q))]
-               for _ in range(p.rank(q - 1))]
-        for i in range(p.rank(q - 1)):
-            for j in range(p.rank(q)):
-                for bi in keep:
-                    mat[i][j][bi] = sol[varmap[(q, i, j, bi)]]
-        out[q] = mat
+        if p.rank(q) and p.rank(q - 1):
+            out[q] = [[zero_free({bi: sol[varmap[(q, i, j, bi)]] for bi in keep}, f.p)
+                       for j in range(p.rank(q))] for i in range(p.rank(q - 1))]
     return out
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .complexes import BaseComplex, CdgModule, ChainMap, UComplex
 from .deformations import CdgAlgebra, FilteredAlgebraTruncation
 from .errors import InconsistentDataError, InputError
-from .linalg import EchelonSpan, Matrix, rank
+from .linalg import EchelonSpan, Matrix, rank, zero_free
 
 
 @dataclass(frozen=True)
@@ -107,10 +107,11 @@ class KoszulBimodule:
         rows = len(tgt_u) * na_tgt
         cols = len(src_u) * na_src
         char = f.p
+        curv = {s: c for s, c in enumerate(self.cdga.curvature) if c}
         acs = []  # the nonzero entries of -(e_a c), which depends on a only
         for a in range(na_src):
-            ac = dual.multiply(r, _unit(f, na_src, a), 2, self.cdga.curvature)
-            acs.append([(b, -c % char if char else -c) for b, c in enumerate(ac) if c])
+            ac = dual.multiply(r, {a: f.one()}, 2, curv)
+            acs.append([(b, -c % char if char else -c) for b, c in ac.items()])
         rc = [[f.zero()] * cols for _ in range(rows)]
         for ci, ui in enumerate(src_u):
             base = tgt_pos[ui] * na_tgt
@@ -123,46 +124,38 @@ class KoszulBimodule:
     def check_right_module(self, level: int, r_max: int):
         """delta((u⊗a)b) = delta(u⊗a)b + (-1)^{|a|} (u⊗a) d(b) on basis triples."""
         f = self.field
+        one = f.one()
         u, dual = self.u, self.cdga.dual
         for r in range(r_max):
+            sgn = 1 if r % 2 == 0 else -1
             for s in range(1, r_max - r + 1):
                 if r + s + 1 > dual.bound:
                     continue
+                ds = self.cdga.d(s).sparse_columns()
                 for ui in range(u.dim_leq(level)):
-                    if len(u.basis_words[ui]) > level:
-                        continue
                     for a in range(dual.dim_at(r)):
-                        ea = _unit(f, dual.dim_at(r), a)
+                        ea = {a: one}
+                        ab1 = self._delta_elem(r, ui, ea)
                         for b in range(dual.dim_at(s)):
-                            eb = _unit(f, dual.dim_at(s), b)
+                            eb = {b: one}
                             lhs = self._delta_elem(r + s, ui, dual.multiply(r, ea, s, eb))
-                            ab1 = self._delta_elem(r, ui, ea)
                             rhs = {}
                             for (ti, c1), co in ab1.items():
-                                prod = dual.multiply(r + 1, _unit_scaled(f, dual.dim_at(r + 1), c1, co), s, eb)
-                                for b2, c2 in enumerate(prod):
-                                    if not f.is_zero(c2):
-                                        k = (ti, b2)
-                                        rhs[k] = f.add(rhs.get(k, f.zero()), c2)
-                            db = self.cdga.d(s).apply(eb)
-                            adb = dual.multiply(r, ea, s + 1, db)
-                            sgn = f.one() if r % 2 == 0 else f.neg(f.one())
-                            for b2, c2 in enumerate(adb):
-                                if not f.is_zero(c2):
-                                    k = (ui, b2)
-                                    rhs[k] = f.add(rhs.get(k, f.zero()), f.mul(sgn, c2))
+                                for b2, c2 in dual.multiply(r + 1, {c1: co}, s, eb).items():
+                                    rhs[(ti, b2)] = rhs.get((ti, b2), 0) + c2
+                            for b2, c2 in dual.multiply(r, ea, s + 1, ds[b]).items():
+                                rhs[(ui, b2)] = rhs.get((ui, b2), 0) + sgn * c2
                             if _sparse_ne(f, lhs, rhs):
                                 return False
         return True
 
     def _delta_elem(self, r: int, ui: int, avec):
         """delta(u_i ⊗ a) as {(u_index, a!_{r+1} index): coeff}."""
-        char = self.field.p
         u, dual = self.u, self.cdga.dual
         d_gens = u.data.base.dim
         left = dual.mult_columns(1, r)  # x_g e_a: column g * dim A!_r + a
         na = dual.dim_at(r)
-        terms = [(a, ca) for a, ca in enumerate(avec) if ca]
+        terms = avec.items()
         out = {}
         for g in range(d_gens):
             uxg = u.mult_basis(ui, u._basis_pos[(g,)])
@@ -180,17 +173,7 @@ class KoszulBimodule:
                 if c:
                     k = (ui, b)
                     out[k] = out.get(k, 0) + ca * c
-        if char:
-            out = {k: v % char for k, v in out.items()}
-        return {k: v for k, v in out.items() if v}
-
-
-def _unit(f, n, i):
-    return [f.one() if s == i else f.zero() for s in range(n)]
-
-
-def _unit_scaled(f, n, i, c):
-    return [c if s == i else f.zero() for s in range(n)]
+        return zero_free(out, self.field.p)
 
 
 def _sparse_ne(f, a: dict, b: dict) -> bool:
@@ -266,19 +249,16 @@ def apply_F(n: CdgModule, u: FilteredAlgebraTruncation,
         uidx = [i for i in range(u.total_dim) if len(u.basis_words[i]) <= lev]
         labels[p] = [(ui, ni) for ui in uidx for ni in range(n.dim(p))]
         dims[p] = len(labels[p])
-    char = f.p
     gens = [u._basis_pos[(g,)] for g in range(u.data.base.dim)]
     diffs = {}
     for p in sorted(dims):
         if p + 1 not in dims:
             continue
-        src = labels[p]
         tgt_pos = {lab: i for i, lab in enumerate(labels[p + 1])}
-        rows = dims[p + 1]
-        out = [[f.zero()] * len(src) for _ in range(rows)]
         acts = [(gi, n.action(p, g).sparse_columns()) for g, gi in enumerate(gens)]
         d_n = n.diff(p).sparse_columns()
-        for col, (ui, ni) in enumerate(src):
+        cols = []
+        for ui, ni in labels[p]:
             acc = {}
             for gi, act in acts:
                 xn = act[ni]  # x_g* n
@@ -291,9 +271,8 @@ def apply_F(n: CdgModule, u: FilteredAlgebraTruncation,
             for nj, c in d_n[ni].items():
                 row = tgt_pos[(ui, nj)]
                 acc[row] = acc.get(row, 0) + c
-            for row, v in acc.items():
-                out[row][col] = v % char if char else v
-        diffs[p] = Matrix(f, out, rows, len(src))
+            cols.append(acc)
+        diffs[p] = Matrix.from_sparse_columns(f, cols, dims[p + 1])
     fc = FilteredFComplex(u, n, bounds, dims, diffs, labels)
     if verify:
         msg = fc.check_d_squared()
@@ -527,7 +506,6 @@ def gf_composite(n: CdgModule, u: FilteredAlgebraTruncation, cdga: CdgAlgebra,
             labels[p] = labs
     pos = {p: {lab: i for i, lab in enumerate(labs)} for p, labs in labels.items()}
 
-    char = f.p
     gens = [u._basis_pos[(g,)] for g in range(d_gens)]
     # N^q as sparse columns: of each x_g* . (-), and of d_N
     n_cols = {q: ([n.action(q, g).sparse_columns() for g in range(d_gens)],
@@ -538,8 +516,8 @@ def gf_composite(n: CdgModule, u: FilteredAlgebraTruncation, cdga: CdgAlgebra,
         if p + 1 not in dims:
             continue
         tpos = pos[p + 1]
-        out = [[f.zero()] * dims[p] for _ in range(dims[p + 1])]
-        for col, (r, s, ui, ni) in enumerate(labels[p]):
+        cols = []
+        for r, s, ui, ni in labels[p]:
             # d(f)(t) = (-1)^{|t|}[ sum_g x_g . f(x_g* t) + f(d t) + d_F(f(t)) ]
             # where d_F(u ⊗ n) = sum_g (u x_g) ⊗ (x_g* n) + u ⊗ d_N(n).
             acc = {}
@@ -584,9 +562,8 @@ def gf_composite(n: CdgModule, u: FilteredAlgebraTruncation, cdga: CdgAlgebra,
                 row = tpos.get((r, s, ui, nj))
                 if row is not None:
                     acc[row] = acc.get(row, 0) + sgn * c
-            for row, v in acc.items():
-                out[row][col] = v % char if char else v
-        diffs[p] = Matrix(f, out, dims[p + 1], dims[p])
+            cols.append(acc)
+        diffs[p] = Matrix.from_sparse_columns(f, cols, dims[p + 1])
 
     gf = GFComplex(cdga, (lo, hi), dims, cofree_actions(dual, labels), diffs)
     gf.labels = labels
@@ -602,7 +579,6 @@ def unit(n: CdgModule, u: FilteredAlgebraTruncation, cdga: CdgAlgebra,
     """N -> (GF)_i(N): n -> (a -> (-1)^r 1 ⊗ a.n).  Returns (GF, ChainMap)."""
     f = n.field
     gf = gf_composite(n, u, cdga, bounds)
-    dual = cdga.dual
     one_idx = u._basis_pos[()]
     maps = {}
     for p in gf.dims:
@@ -614,8 +590,7 @@ def unit(n: CdgModule, u: FilteredAlgebraTruncation, cdga: CdgAlgebra,
                 continue
             # a . n for a the standard monomial s of A!_r, with the parity
             # twist (-1)^r matching the twisted action on G-images
-            ea = _unit(f, dual.dim_at(r), s)
-            act = n.act_element(p, r, ea) if r else Matrix.identity(f, n.dim(p))
+            act = n.act_element(p, r, {s: f.one()}) if r else Matrix.identity(f, n.dim(p))
             sgn = f.one() if r % 2 == 0 else f.neg(f.one())
             for col in range(n.dim(p)):
                 c = act.data[ni][col]
@@ -693,9 +668,8 @@ def hom_complex_explicit(n: CdgModule, m: UComplex, window):
                                 out[row][col] = f.add(out[row][col],
                                                       f.mul(sgn2, f.mul(c1, c2)))
         diffs[p] = Matrix(f, out, dims[p + 1], dims[p])
-    cx = BaseComplex(f, window, dims, diffs)
-    cx_labels = labels
-    return cx, cx_labels
+    return BaseComplex(f, window, dims, diffs), labels
+
 
 def module_linear_hom_basis(n: CdgModule, g: CdgModule, degree: int):
     """Basis of degree-``degree`` strictly A!-linear graded maps n -> g.

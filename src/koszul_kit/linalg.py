@@ -12,6 +12,12 @@ a unique normal form modulo the span.  ``interreduce()`` turns the rows
 into the reduced basis for callers that read ``rows``.  Its inner loops
 work on the same raw values, not through ``Field`` methods.
 
+Elements of A, A! and U, and many matrix columns, are sparse columns
+{index: raw value}: ``axpy`` adds a multiple of one to an accumulator of
+unreduced sums, ``zero_free`` reduces the sums and drops the zeros, and
+``Matrix.from_sparse_columns`` / ``sparse_columns`` convert to and from the
+dense layout.
+
 Everything else runs on that core: ``rref`` keys column j of a matrix as
 ``cols - 1 - j`` so that each lead is the leftmost nonzero column, which
 makes the interreduced rows the unique RREF; ``rank``, ``kernel_basis``,
@@ -74,6 +80,18 @@ class Matrix:
         n = len(columns[0])
         data = [[columns[j][i] for j in range(len(columns))] for i in range(n)]
         return Matrix(field, data, n, len(columns))
+
+    @staticmethod
+    def from_sparse_columns(field, cols, rows):
+        """The matrix whose column j is the {row: raw value} dict cols[j]:
+        the inverse of ``sparse_columns()``.  Over F_p each value is
+        reduced mod p here, so callers may pass unreduced sums."""
+        p, zero = field.p, field.zero()
+        data = [[zero] * len(cols) for _ in range(rows)]
+        for j, col in enumerate(cols):
+            for i, v in col.items():
+                data[i][j] = v % p if p else v
+        return Matrix(field, data, rows, len(cols))
 
     # -- basic ops (on raw values; see the module docstring) ----------------
 
@@ -223,6 +241,26 @@ class Matrix:
         fmt = self.field.format
         body = "; ".join(" ".join(fmt(x) for x in row) for row in self.data)
         return f"Matrix({self.rows}x{self.cols}: {body})"
+
+
+def axpy(acc: dict, c, col: dict):
+    """acc += c * col on sparse columns, raw values left unreduced: finish
+    with ``zero_free`` or test with ``is_nonzero``."""
+    for r, v in col.items():
+        acc[r] = acc.get(r, 0) + c * v
+
+
+def is_nonzero(acc: dict, p) -> bool:
+    """Whether a column of unreduced sums has a nonzero value (mod p)."""
+    return any(v % p for v in acc.values()) if p else any(acc.values())
+
+
+def zero_free(col: dict, p) -> dict:
+    """A {key: raw value} dict of sums with each value reduced mod p (over
+    F_p) and the zeros left out: the one element format of A, A! and U."""
+    if p:
+        return {k: v % p for k, v in col.items() if v % p}
+    return {k: v for k, v in col.items() if v}
 
 
 # -- elimination ---------------------------------------------------------
@@ -412,9 +450,8 @@ class EchelonSpan:
     def _reduce(self, vec) -> dict:
         """Normal form of a zero-free copy of vec; ``vec`` is not changed."""
         p = self._p
-        if p:
-            return _reduce_mod(self.rows, {k: v % p for k, v in vec.items() if v % p}, p)
-        return _reduce_q(self.rows, {k: v for k, v in vec.items() if v})
+        vec = zero_free(vec, p)
+        return _reduce_mod(self.rows, vec, p) if p else _reduce_q(self.rows, vec)
 
     def insert(self, vec: dict) -> bool:
         """Add vec to the span. Returns True if the dimension grew."""

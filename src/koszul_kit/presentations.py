@@ -17,7 +17,7 @@ from heapq import heapify, heappop, heappush
 from itertools import count
 
 from .errors import DegreeOverflowError, InputError
-from .linalg import Matrix, kernel_basis, row_space
+from .linalg import Matrix, axpy, kernel_basis, row_space, zero_free
 from .scalars import Field
 from .words import (
     degree_offset,
@@ -332,8 +332,11 @@ class GradedAlgebraTruncation(WordQuotient):
     """Graded pieces A_n (n <= bound) with sections and multiplication.
 
     ``basis_words[n]`` lists the chosen monomials of A_n: basis vector i is
-    the class of ``basis_words[n][i]``.  ``project_word`` gives a word's
-    coordinates in its degree, reduced on first use and cached.
+    the class of ``basis_words[n][i]``.  An element of A_n is a sparse
+    column {basis index: raw value}, zeros left out, values a ``Fraction``
+    over Q or an int in [0, p) over F_p.  ``project_word`` gives a word's
+    column, reduced on first use and cached; ``mult_columns`` is the
+    product table and ``multiply`` takes and returns columns.
     """
 
     def __init__(self, pres: QuadraticPresentation, bound: int):
@@ -357,18 +360,18 @@ class GradedAlgebraTruncation(WordQuotient):
         return len(self.basis_words[n])
 
     def project_word(self, word):
-        """Coordinates of the class of a word in its degree component, as
-        a new list; the reduction is done on first use and cached."""
+        """The class of a word in its degree component, as the sparse
+        column {basis index: raw value}, zeros left out; reduced on first
+        use and cached.  The dict is shared by later calls and by
+        ``mult_columns``: callers read it, never change it."""
         n = len(word)
         if n > self.bound:
             raise DegreeOverflowError(f"degree {n} beyond bound {self.bound}")
         col = self._proj.get(word)
         if col is None:
-            col = [self.field.zero()] * len(self.basis_words[n])
-            for w, c in self.normal_form(word).items():
-                col[self._pos[w]] = c
-            self._proj[word] = col
-        return list(col)
+            pos = self._pos
+            col = self._proj[word] = {pos[w]: c for w, c in self.normal_form(word).items()}
+        return col
 
     def basis_weight(self, n: int, i: int):
         if self.pres.weights is None:
@@ -377,43 +380,31 @@ class GradedAlgebraTruncation(WordQuotient):
 
     def mult_columns(self, i: int, j: int):
         """The product table A_i ⊗ A_j -> A_{i+j}, as sparse columns: the
-        product of basis elements a of A_i and b of A_j is the {row: value}
-        dict of column a * dim A_j + b, zeros left out.  A_1's basis is the
-        generators in order, so x_g e_t is column g * dim A_j + t of
-        ``mult_columns(1, j)`` and e_t x_g is column t * dim A_1 + g of
-        ``mult_columns(j, 1)``.  Cached."""
+        product of basis elements a of A_i and b of A_j is the
+        ``project_word`` column of the concatenated word, at position
+        a * dim A_j + b.  A_1's basis is the generators in order, so x_g e_t
+        is column g * dim A_j + t of ``mult_columns(1, j)`` and e_t x_g is
+        column t * dim A_1 + g of ``mult_columns(j, 1)``.  Cached."""
         key = (i, j)
         cached = self._mult_cols.get(key)
         if cached is not None:
             return cached
         if i + j > self.bound:
             raise DegreeOverflowError(f"product degree {i + j} beyond bound {self.bound}")
-        cols = [{r: c for r, c in enumerate(self.project_word(u + v)) if c}
-                for u in self.basis_words[i] for v in self.basis_words[j]]
+        cols = [self.project_word(u + v) for u in self.basis_words[i] for v in self.basis_words[j]]
         self._mult_cols[key] = cols
         return cols
 
     def multiply(self, i: int, a, j: int, b):
-        """Product of homogeneous elements, given as basis-coordinate lists,
-        summed over the nonzero coordinates on raw values."""
-        if i + j > self.bound:
-            raise DegreeOverflowError(f"product degree {i + j} beyond bound {self.bound}")
-        p = self.field.p
-        nb = self.dim_at(j)
+        """Product of homogeneous elements a of A_i and b of A_j, given and
+        returned as sparse columns; sums run on raw values."""
         cols = self.mult_columns(i, j)
-        out = [self.field.zero()] * self.dim_at(i + j)
-        for s, x in enumerate(a):
-            if not x:
-                continue
-            for t, y in enumerate(b):
-                if y:
-                    xy = x * y
-                    for r, c in cols[s * nb + t].items():
-                        out[r] += xy * c
-        return [v % p for v in out] if p else out
-
-    def unit_vector(self):
-        return [self.field.one()]
+        nb = self.dim_at(j)
+        out = {}
+        for s, x in a.items():
+            for t, y in b.items():
+                axpy(out, x * y, cols[s * nb + t])
+        return zero_free(out, self.field.p)
 
     # -- verification ------------------------------------------------------
 
@@ -421,11 +412,11 @@ class GradedAlgebraTruncation(WordQuotient):
         """Every word reduces onto basis monomials of its own weight."""
         if self.pres.weights is None:
             return True
-        f, w = self.field, self.pres.weights
+        w = self.pres.weights
         for n in range(2, self.bound + 1):
             for word in words_of_length(self._d, n):
-                for i, c in enumerate(self.project_word(word)):
-                    if not f.is_zero(c) and word_weight(word, w) != self.basis_weight(n, i):
+                for i in self.project_word(word):
+                    if word_weight(word, w) != self.basis_weight(n, i):
                         return False
         return True
 

@@ -10,7 +10,7 @@ genuinely different computations.
 from __future__ import annotations
 
 from .errors import InputError
-from .linalg import EchelonSpan, Matrix, kernel_basis
+from .linalg import EchelonSpan, Matrix, kernel_basis, zero_free
 from .presentations import GradedAlgebraTruncation
 
 
@@ -66,7 +66,7 @@ def minimal_resolution_betti(alg: GradedAlgebraTruncation, steps: int,
     step = 1
     while step <= steps:
         next_shifts = []
-        gen_vectors = []  # sparse expanded vector of each generator, at its shift
+        gen_cols = []  # sparse expanded vector of each generator, at its shift
         for deg in sorted(kernels):
             if not kernels[deg]:
                 continue
@@ -87,29 +87,22 @@ def minimal_resolution_betti(alg: GradedAlgebraTruncation, steps: int,
             if chosen:
                 betti[(step, deg)] = len(chosen)
                 next_shifts.extend([deg] * len(chosen))
-                gen_vectors.extend(chosen)
+                gen_cols.extend(chosen)
         if not next_shifts:
             break
         # build the expanded maps F_{step} -> F_{step-1} per degree, then kernels
         nxt = GradedFreeModule(alg, next_shifts)
-        zero = f.zero()
         new_kernels = {}
         for deg in range(1, degree_cap + 1):
             src_labs = nxt.basis_labels(deg)[0]
             if not src_labs:
                 continue
-            nrows = current.dim_at(deg)
-            cols = []
-            for (si, d, b) in src_labs:
-                # generator si sits in expanded degree next_shifts[si];
-                # multiply by the basis element b of A_d
-                col = [zero] * nrows
-                for r, v in _act_on_expanded(current, d, b, next_shifts[si],
-                                             gen_vectors[si]).items():
-                    col[r] = v
-                cols.append(col)
+            # generator si sits in expanded degree next_shifts[si]; multiply
+            # by the basis element b of A_d
+            cols = [_act_on_expanded(current, d, b, next_shifts[si], gen_cols[si])
+                    for (si, d, b) in src_labs]
             new_kernels[deg] = kernel_basis(
-                Matrix.from_columns(f, cols, rows=nrows)).sparse_columns()
+                Matrix.from_sparse_columns(f, cols, current.dim_at(deg))).sparse_columns()
         current = nxt
         kernels = new_kernels
         step += 1
@@ -134,6 +127,4 @@ def _act_on_expanded(free: GradedFreeModule, mdeg: int, mb: int, vdeg: int, vec:
         for r, v in alg.mult_columns(mdeg, d)[mb * alg.dim_at(d) + b].items():
             k = row + r
             out[k] = out[k] + c * v if k in out else c * v
-    if p:
-        return {k: v % p for k, v in out.items() if v % p}
-    return {k: v for k, v in out.items() if v}
+    return zero_free(out, p)

@@ -8,7 +8,7 @@ from hypothesis import settings, strategies as st
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from koszul_kit.deformations import DeformationData, build_U, build_cdga
-from koszul_kit.linalg import DimensionError, EchelonSpan, Matrix, kernel_basis
+from koszul_kit.linalg import RHS, DimensionError, EchelonSpan, Matrix, kernel_basis, solve_sparse
 from koszul_kit.presentations import QuadraticPresentation
 from koszul_kit.resolution import GradedFreeModule
 from koszul_kit.scalars import QQ
@@ -171,26 +171,49 @@ def dense_eq(m, other):
     return all(f.eq(a, b) for r1, r2 in zip(m.data, other.data) for a, b in zip(r1, r2))
 
 
+# -- the one element format of A, A! and U, at the test boundary --------------------
+#
+# The library passes an element as a sparse column {basis index: raw value},
+# zeros left out; the oracles below compute on dense coordinate lists.
+
+
+def dense(f, col, n):
+    """A sparse column as a dense list of length n."""
+    out = [f.zero()] * n
+    for k, v in col.items():
+        out[k] = v
+    return out
+
+
+def sparse(vec):
+    """A dense list as a sparse column, zeros left out."""
+    return {k: v for k, v in enumerate(vec) if v}
+
+
 # -- the product table of a graded truncation, dense ---------------------------------
 
 
 def dense_mult_tensor(alg, i, j):
     """Matrix of A_i ⊗ A_j -> A_{i+j}, one ``project_word`` per basis pair:
     the oracle of ``GradedAlgebraTruncation.mult_columns`` and ``multiply``."""
-    cols = [alg.project_word(u + v) for u in alg.basis_words[i] for v in alg.basis_words[j]]
-    return Matrix.from_columns(alg.field, cols, rows=alg.dim_at(i + j))
+    n = alg.dim_at(i + j)
+    cols = [dense(alg.field, alg.project_word(u + v), n)
+            for u in alg.basis_words[i] for v in alg.basis_words[j]]
+    return Matrix.from_columns(alg.field, cols, rows=n)
 
 
 def dense_left_mult(alg, g, j):
     """Matrix of left multiplication by generator g, A_j -> A_{1+j}."""
-    cols = [alg.project_word((g,) + v) for v in alg.basis_words[j]]
-    return Matrix.from_columns(alg.field, cols, rows=alg.dim_at(1 + j))
+    n = alg.dim_at(1 + j)
+    cols = [dense(alg.field, alg.project_word((g,) + v), n) for v in alg.basis_words[j]]
+    return Matrix.from_columns(alg.field, cols, rows=n)
 
 
 def dense_right_mult(alg, g, j):
     """Matrix of right multiplication by generator g, A_j -> A_{j+1}."""
-    cols = [alg.project_word(v + (g,)) for v in alg.basis_words[j]]
-    return Matrix.from_columns(alg.field, cols, rows=alg.dim_at(j + 1))
+    n = alg.dim_at(j + 1)
+    cols = [dense(alg.field, alg.project_word(v + (g,)), n) for v in alg.basis_words[j]]
+    return Matrix.from_columns(alg.field, cols, rows=n)
 
 
 def dense_cofree_actions(dual, labels):
@@ -230,7 +253,7 @@ def dense_cofree_actions(dual, labels):
 def dense_mult_basis(u, i, j):
     """basis_word[i] * basis_word[j] as a dense list over the U basis: the
     oracle of ``FilteredAlgebraTruncation.mult_basis``."""
-    return u.reduce_word(u.basis_words[i] + u.basis_words[j])
+    return dense(u.field, u.reduce_word(u.basis_words[i] + u.basis_words[j]), u.total_dim)
 
 
 def dense_u_multiply(u, a, b):
@@ -330,6 +353,142 @@ def dense_gf_differentials(n, u, cdga, labels):
                     add((r, s, ui, nj), col, f.mul(sgn, dn.data[nj][ni]))
         diffs[p] = Matrix(f, out, len(tpos), len(src))
     return diffs
+
+
+# -- the free side on dense U coordinate lists ------------------------------------
+#
+# The old ``freeside`` bodies, on dense lists over the U basis with one
+# ``Field`` call per cell: the oracles of ``FreeUComplex`` and
+# ``free_nullhomotopy``, which read sparse U columns.
+
+
+def dense_free_entries(fc):
+    """The differential entries of a ``FreeUComplex`` as dense lists."""
+    u = fc.u
+    return {p: [[dense(u.field, e, u.total_dim) for e in row] for row in mat]
+            for p, mat in fc.entries.items()}
+
+
+def dense_free_check_d_squared(fc):
+    """``FreeUComplex.check_d_squared`` on dense entries."""
+    f, u = fc.field, fc.u
+    entries = dense_free_entries(fc)
+    for p in sorted(entries):
+        if p + 1 not in entries:
+            continue
+        a, b = entries[p], entries[p + 1]
+        for i in range(fc.rank(p + 2)):
+            for j in range(fc.rank(p)):
+                acc = [f.zero()] * u.total_dim
+                for k in range(fc.rank(p + 1)):
+                    prod = dense_u_multiply(u, a[k][j], b[i][k])
+                    acc = [f.add(x, y) for x, y in zip(acc, prod)]
+                if any(not f.is_zero(x) for x in acc):
+                    return f"d^2 != 0 at degree {p} (entry {i},{j})"
+    return None
+
+
+def dense_free_expand(fc, base_level):
+    """The differentials of ``FreeUComplex.expand``, as {p: Matrix}."""
+    f, u = fc.field, fc.u
+    entries = dense_free_entries(fc)
+    e = max((len(u.basis_words[bi]) for mat in entries.values() for row in mat
+             for vec in row for bi, c in enumerate(vec) if not f.is_zero(c)), default=0)
+    lo, hi = fc.window
+    levels = {p: base_level + (p - lo) * e for p in range(lo, hi + 1)}
+    labels = {p: [(ui, j) for j in range(fc.rank(p)) for ui in range(u.total_dim)
+                  if len(u.basis_words[ui]) <= levels[p]]
+              for p in range(lo, hi + 1) if fc.rank(p)}
+    diffs = {}
+    for p in sorted(labels):
+        if p + 1 not in labels:
+            continue
+        tpos = {lab: i for i, lab in enumerate(labels[p + 1])}
+        out = [[f.zero()] * len(labels[p]) for _ in range(len(tpos))]
+        ent = entries.get(p)
+        for col, (ui, j) in enumerate(labels[p]):
+            for i in range(fc.rank(p + 1) if ent else 0):
+                unit = [f.one() if k == ui else f.zero() for k in range(u.total_dim)]
+                for ti, c in enumerate(dense_u_multiply(u, unit, ent[i][j])):
+                    if not f.is_zero(c):
+                        row = tpos[(ti, i)]
+                        out[row][col] = f.add(out[row][col], c)
+        diffs[p] = Matrix(f, out, len(tpos), len(labels[p]))
+    return diffs
+
+
+def dense_free_fiber(fc):
+    """The differentials of ``FreeUComplex.fiber_complex``, as {p: Matrix}."""
+    f = fc.field
+    one_idx = fc.u._basis_pos[()]
+    diffs = {}
+    for p, ent in dense_free_entries(fc).items():
+        rows, cols = fc.rank(p + 1), fc.rank(p)
+        if rows and cols:
+            diffs[p] = Matrix(f, [[ent[i][j][one_idx] for j in range(cols)]
+                                  for i in range(rows)], rows, cols)
+    return diffs
+
+
+def dense_free_nullhomotopy(fc, fmat, gmat, degree_cap):
+    """``free_nullhomotopy`` with dense entries and maps: one scalar
+    equation per U basis element, assembled through unit-vector products.
+    Returns {p: matrix of dense lists} or None."""
+    f, u = fc.field, fc.u
+    nb = u.total_dim
+    entries = dense_free_entries(fc)
+    keep = [i for i in range(nb) if len(u.basis_words[i]) <= degree_cap]
+    lo, hi = fc.window
+    varmap = {}
+    for q in range(lo, hi + 2):
+        for i in range(fc.rank(q - 1)):
+            for j in range(fc.rank(q)):
+                for bi in keep:
+                    varmap[(q, i, j, bi)] = len(varmap)
+    eqs = []
+    one = f.one()
+    for q in range(lo, hi + 1):
+        sgn_d = one if q % 2 == 0 else f.neg(one)
+        sgn_s = f.neg(sgn_d)
+        dq, dprev = entries.get(q), entries.get(q - 1)
+        fm, gm = fmat.get(q), gmat.get(q)
+        for i in range(fc.rank(q)):
+            for j in range(fc.rank(q)):
+                rhs = [f.zero()] * nb
+                if fm is not None:
+                    rhs = [f.add(x, y) for x, y in zip(rhs, fm[i][j])]
+                if gm is not None:
+                    rhs = [f.sub(x, y) for x, y in zip(rhs, gm[i][j])]
+                coeff = {}
+
+                def add_term(key, fixed, unknown_left, sgn):
+                    for bi in keep:
+                        unit = [one if k == bi else f.zero() for k in range(nb)]
+                        prod = (dense_u_multiply(u, unit, fixed) if unknown_left
+                                else dense_u_multiply(u, fixed, unit))
+                        v = varmap[key + (bi,)]
+                        for t, c in enumerate(prod):
+                            if not f.is_zero(c):
+                                row = coeff.setdefault(t, {})
+                                row[v] = f.add(row.get(v, f.zero()), f.mul(sgn, c))
+
+                if dprev is not None:
+                    for k in range(fc.rank(q - 1)):
+                        add_term((q, k, j), dprev[i][k], True, sgn_d)
+                if dq is not None:
+                    for k in range(fc.rank(q + 1)):
+                        add_term((q + 1, i, k), dq[k][j], False, sgn_s)
+                for t in range(nb):
+                    eq = dict(coeff.get(t, {}))
+                    if eq or not f.is_zero(rhs[t]):
+                        eq[RHS] = rhs[t]
+                        eqs.append(eq)
+    sol = solve_sparse(f, eqs, len(varmap))
+    if sol is None:
+        return None
+    return {q: [[[sol[varmap[(q, i, j, bi)]] if bi in keep else f.zero() for bi in range(nb)]
+                 for j in range(fc.rank(q))] for i in range(fc.rank(q - 1))]
+            for q in range(lo, hi + 2) if fc.rank(q) and fc.rank(q - 1)}
 
 
 @st.composite
@@ -464,12 +623,16 @@ def dense_strand_differentials(alg, dual, n):
 
 def full_cdga_verify(alg):
     """The curved-dga axioms on every basis pair and every basis element,
-    through dense ``dual.multiply`` with unit vectors: the test-side oracle
-    of ``CdgAlgebra.verify``, which checks generators only.  Returns the
-    first violation as a string, or None."""
+    on dense lists through ``dual.multiply`` with unit vectors: the
+    test-side oracle of ``CdgAlgebra.verify``, which checks generators
+    only.  Returns the first violation as a string, or None."""
     f = alg.field
     top = alg.bound
     dual = alg.dual
+
+    def multiply(i, a, j, b):
+        return dense(f, dual.multiply(i, sparse(a), j, sparse(b)), dual.dim_at(i + j))
+
     # Leibniz on basis pairs within bound
     for i in range(0, top):
         for j in range(0, top):
@@ -480,11 +643,11 @@ def full_cdga_verify(alg):
                 ea = [f.one() if s == a else f.zero() for s in range(mi)]
                 for b in range(mj):
                     eb = [f.one() if s == b else f.zero() for s in range(mj)]
-                    ab = dual.multiply(i, ea, j, eb)
+                    ab = multiply(i, ea, j, eb)
                     lhs = alg.d(i + j).apply(ab)
-                    rhs = dual.multiply(i + 1, alg.d(i).apply(ea), j, eb)
+                    rhs = multiply(i + 1, alg.d(i).apply(ea), j, eb)
                     db = alg.d(j).apply(eb)
-                    term2 = dual.multiply(i, ea, j + 1, db)
+                    term2 = multiply(i, ea, j + 1, db)
                     if i % 2 == 1:
                         term2 = [f.neg(x) for x in term2]
                     rhs = [f.add(x, y) for x, y in zip(rhs, term2)]
@@ -501,8 +664,8 @@ def full_cdga_verify(alg):
         for b in range(mn):
             eb = [f.one() if s == b else f.zero() for s in range(mn)]
             dd = alg.d(n + 1).apply(alg.d(n).apply(eb))
-            cb = dual.multiply(2, alg.curvature, n, eb)
-            bc = dual.multiply(n, eb, 2, alg.curvature)
+            cb = multiply(2, alg.curvature, n, eb)
+            bc = multiply(n, eb, 2, alg.curvature)
             comm = [f.sub(x, y) for x, y in zip(cb, bc)]
             if any(not f.eq(x, y) for x, y in zip(dd, comm)):
                 return f"d^2 != [c,-] on basis A!_{n}[{b}]"

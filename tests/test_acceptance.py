@@ -290,9 +290,9 @@ def test_criterion_08_ext_duality(sym2, sym3):
 def test_criterion_09_null_system_separation(sym2_world):
     data, u, cdga = sym2_world
     f = QQ
-    one_e1 = {1: [f.one(), f.zero()]}
-    one_e2 = {1: [f.zero(), f.one()]}
-    socle = {2: [f.one()]}
+    one_e1 = {1: {0: f.one()}}
+    one_e2 = {1: {1: f.one()}}
+    socle = {2: {0: f.one()}}
     z = {}
 
     def res_mat(n):

@@ -27,7 +27,7 @@ from koszul_kit.presentations import truncate_algebra
 from koszul_kit.scalars import QQ, Field
 from koszul_kit.words import degree_offset, pair_index, word_global_index, words_of_length
 
-from conftest import SEED, dense_rref, full_cdga_verify
+from conftest import SEED, dense, dense_rref, full_cdga_verify, raw_values
 
 
 # -- pbw_check ----------------------------------------------------------------
@@ -173,11 +173,8 @@ def test_twopoint_u(twopoint_world):
     assert u.gr_dims[:3] == [1, 1, 0]
     # x . x = 3x - 2 in U
     f = u.field
-    prod = u.multiply(u.gen_vector(0), u.gen_vector(0))
-    expected = [f.add(a, b) for a, b in zip(
-        [f.mul(f.of_int(3), c) for c in u.gen_vector(0)],
-        [f.mul(f.of_int(-2), c) for c in u.unit_vector()])]
-    assert prod == expected
+    x, one = u._basis_pos[(0,)], u._basis_pos[()]
+    assert u.multiply({x: f.one()}, {x: f.one()}) == {x: f.of_int(3), one: f.of_int(-2)}
 
 
 def test_trivial_deformation_u_is_graded(sym2):
@@ -291,14 +288,17 @@ def _assert_matches_oracle(data, bound):
             v = _dense_normal_form(f, oracle, ambient, g)
             assert u.normal_form(w) == {b: v[word_global_index(b, d)] for b in u.basis_words
                                         if not f.is_zero(v[word_global_index(b, d)])}
-            assert u.reduce_word(w) == [v[word_global_index(b, d)] for b in u.basis_words]
+            col = u.reduce_word(w)
+            assert all(col.values()) and raw_values(f, col.values())
+            assert dense(f, col, u.total_dim) == [v[word_global_index(b, d)]
+                                                  for b in u.basis_words]
             v = _dense_normal_form(f, graded, ambient, g)
             want = [v[word_global_index(b, d)] for b in alg.basis_words[n]]
-            got = alg.project_word(w)
-            assert got == want
-            # the returned list is the caller's: changing it leaves the cache
-            got[:] = [f.one()] * (len(got) + 1)
-            assert alg.project_word(w) == want
+            col = alg.project_word(w)
+            assert all(col.values()) and raw_values(f, col.values())
+            assert dense(f, col, alg.dim_at(n)) == want
+            # the column is cached and shared, like mult_basis
+            assert alg.project_word(w) is col
 
 
 @settings(max_examples=40)
@@ -395,9 +395,9 @@ def test_long_rewrite_chain_without_recursion(heis):
         got = u.reduce_word(word)
     finally:
         sys.setrecursionlimit(limit)
-    x = u.gen_vector(word[0])
+    x = {u._basis_pos[word[:1]]: QQ.one()}
     for g in word[1:]:
-        x = u.multiply(x, u.gen_vector(g))
+        x = u.multiply(x, {u._basis_pos[(g,)]: QQ.one()})
     assert got == x
 
 

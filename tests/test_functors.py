@@ -36,6 +36,7 @@ from koszul_kit.scalars import QQ, Field
 
 from conftest import (
     SEED,
+    dense,
     dense_cofree_actions,
     dense_f_differentials,
     dense_gf_differentials,
@@ -44,6 +45,7 @@ from conftest import (
     dense_u_multiply,
     heisenberg_deformation,
     raw_values,
+    sparse,
     truncated_presentation,
 )
 
@@ -478,7 +480,7 @@ def test_generator_products_match_dense_oracles(sym2_world, heis_world, twopoint
             na, nb = dual.dim_at(r), dual.dim_at(r + 1)
             for ci, ui in enumerate(src_u):
                 for a in range(na):
-                    unit_a = [data.field.of_int(int(s == a)) for s in range(na)]
+                    unit_a = {a: data.field.one()}
                     col = {(tgt_u[row // nb], row % nb): got[row][ci * na + a]
                            for row in range(len(got)) if got[row][ci * na + a]}
                     assert t._delta_elem(r, ui, unit_a) == col
@@ -568,8 +570,9 @@ def _check_u_products(data, rng):
                  for k in range(u.total_dim)]
             b = [f.of_int(rng.choice([0, 1, -1, 2])) if k < b_nz else f.zero()
                  for k in range(u.total_dim)]
-            got = u.multiply(a, b)
-            assert got == dense_u_multiply(u, a, b) and raw_values(f, got)
+            got = u.multiply(sparse(a), sparse(b))
+            assert dense(f, got, u.total_dim) == dense_u_multiply(u, a, b)
+            assert all(got.values()) and raw_values(f, got.values())
     # F and (GF)_i on a random module
     b = FunctorBounds((-2, 1), 1, 2)
     n = _random_cdg_module(cdga, b.window, rng)
@@ -600,7 +603,7 @@ def _check_u_products(data, rng):
                         v = f.add(v, f.mul(ca, want[row][ci * na + a]))
                     if not f.is_zero(v):
                         col[(tgt_u[row // nb], row % nb)] = v
-                elem = t._delta_elem(r, ui, avec)
+                elem = t._delta_elem(r, ui, sparse(avec))
                 assert elem == col and raw_values(f, elem.values())
 
 

@@ -1,12 +1,14 @@
 """Source hygiene: every name the package and the tests import is read,
 every private module-level function or class of the package is named
 somewhere besides its own definition, no local variable is written and
-never read, and no ``and``/``or`` of the package has a literal operand.
+never read, no ``and``/``or`` of the package has a literal operand, and
+no ``if`` without ``else`` has a body of only ``pass``.
 
 An import that nothing reads hides which functions a module really
 depends on, and which builders and fixtures a test module exercises; a
 private helper that nothing calls is dead code, and so is a local that
-nothing reads; ``x or True`` is a condition that only seems to select.
+nothing reads; ``x or True`` is a condition that only seems to select,
+and ``if c: pass`` is a test whose outcome changes nothing.
 """
 
 import ast
@@ -185,4 +187,28 @@ def test_no_literal_bool_operands():
     assert package
     hits = [f"{path.relative_to(ROOT)}:{line}" for path in package
             for line in _literal_bool_operands(path.read_text())]
+    assert hits == []
+
+
+def _pass_only_ifs(source):
+    """Line of every ``if`` (``elif`` included) that has no ``else`` and
+    whose body is only ``pass``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.If) and not node.orelse
+                  and all(isinstance(s, ast.Pass) for s in node.body))
+
+
+def test_scan_flags_a_pass_only_if():
+    src = ("if a:\n    pass\n"
+           "if b:\n    pass\nelse:\n    x = 1\n"
+           "if c:\n    y = 2\nelif d:\n    pass\n"
+           "def f():\n    if e:\n        # nothing to do\n        pass\n    return 0\n")
+    assert _pass_only_ifs(src) == [1, 9, 12]
+
+
+def test_no_pass_only_ifs():
+    files = sorted([*FILES, *ROOT.glob("perfbench/*.py")])
+    assert any(path.parent.name == "perfbench" for path in files)
+    hits = [f"{path.relative_to(ROOT)}:{line}" for path in files
+            for line in _pass_only_ifs(path.read_text())]
     assert hits == []

@@ -16,10 +16,12 @@ from koszul_kit.presentations import (
 from koszul_kit.scalars import QQ, Field
 
 from conftest import (
+    dense,
     dense_left_mult,
     dense_mult_tensor,
     dense_right_mult,
     raw_values,
+    sparse,
     symmetric_presentation,
     truncated_presentation,
 )
@@ -69,18 +71,18 @@ def test_truncation_dims(sym3):
 
 def test_unit_and_relations_in_product(sym2):
     alg = truncate_algebra(sym2, 3)
-    one = alg.unit_vector()
-    a = [QQ.one(), QQ.zero()]
+    one = {0: QQ.one()}
+    a = {0: QQ.one()}
     assert alg.multiply(0, one, 1, a) == a
     # x1 x2 = x2 x1 in A_2
-    x1, x2 = [QQ.one(), QQ.zero()], [QQ.zero(), QQ.one()]
+    x1, x2 = {0: QQ.one()}, {1: QQ.one()}
     assert alg.multiply(1, x1, 1, x2) == alg.multiply(1, x2, 1, x1)
 
 
 def test_exterior_square_zero(sym2):
     e = truncate_algebra(quadratic_dual(sym2), 3)
-    x1 = [QQ.one(), QQ.zero()]
-    assert all(QQ.is_zero(c) for c in e.multiply(1, x1, 1, x1))
+    x1 = {0: QQ.one()}
+    assert e.multiply(1, x1, 1, x1) == {}
 
 
 def test_associativity_within_bound(sym3):
@@ -93,7 +95,7 @@ def test_associativity_within_bound(sym3):
 def test_degree_overflow(sym2):
     alg = truncate_algebra(sym2, 2)
     with pytest.raises(DegreeOverflowError):
-        alg.multiply(1, [QQ.one(), QQ.zero()], 2, [QQ.one()] * 3)
+        alg.multiply(1, {0: QQ.one()}, 2, sparse([QQ.one()] * 3))
 
 
 def test_double_dual_random_f5():
@@ -155,10 +157,6 @@ def test_euler_characteristic_of_koszul_pair(sym3):
 # -- the product table -----------------------------------------------------------
 
 
-def _sparse(col):
-    return {r: v for r, v in enumerate(col) if v}
-
-
 def _dense_product(alg, i, a, j, b):
     """a * b cell by cell through ``Field`` calls and ``dense_mult_tensor``."""
     f = alg.field
@@ -178,27 +176,27 @@ def _check_product_table(alg, draw_vector):
         for j in range(bound + 1 - i):
             mt = dense_mult_tensor(alg, i, j)
             cols = alg.mult_columns(i, j)
-            assert cols == [_sparse(mt.column(k)) for k in range(mt.cols)]
+            assert cols == [sparse(mt.column(k)) for k in range(mt.cols)]
             assert all(raw_values(f, c.values()) and all(c.values()) for c in cols)
             zero_a, zero_b = [f.zero()] * alg.dim_at(i), [f.zero()] * alg.dim_at(j)
             for a, b in ((draw_vector(i), draw_vector(j)), (zero_a, draw_vector(j)),
                          (draw_vector(i), zero_b)):
-                got = alg.multiply(i, a, j, b)
-                assert got == _dense_product(alg, i, a, j, b)
-                assert raw_values(f, got)
+                got = alg.multiply(i, sparse(a), j, sparse(b))
+                assert dense(f, got, alg.dim_at(i + j)) == _dense_product(alg, i, a, j, b)
+                assert all(got.values()) and raw_values(f, got.values())
     # generator products, as the callers read them
     for j in range(bound):
         left, right, nj = alg.mult_columns(1, j), alg.mult_columns(j, 1), alg.dim_at(j)
         for g in range(d):
             lm, rm = dense_left_mult(alg, g, j), dense_right_mult(alg, g, j)
             for t in range(nj):
-                assert left[g * nj + t] == _sparse(lm.column(t))
-                assert right[t * d + g] == _sparse(rm.column(t))
+                assert left[g * nj + t] == sparse(lm.column(t))
+                assert right[t * d + g] == sparse(rm.column(t))
     for i in range(bound + 2):
         with pytest.raises(DegreeOverflowError):
             alg.mult_columns(i, bound + 1 - i)
     with pytest.raises(DegreeOverflowError):
-        alg.multiply(1, [f.one()] * d, bound, [f.one()] * alg.dim_at(bound))
+        alg.multiply(1, sparse([f.one()] * d), bound, sparse([f.one()] * alg.dim_at(bound)))
 
 
 @settings(max_examples=100)

@@ -283,10 +283,10 @@ def test_null_free_cone_identity(sym2_world):
 def test_null_free_koszul_resolution(sym2_world):
     data, u, cdga = sym2_world
     f = QQ
-    x1, x2 = u.gen_vector(0), u.gen_vector(1)
-    neg = lambda v: [f.neg(c) for c in v]
+    pos = u._basis_pos
+    x1, x2, minus_x1 = {pos[(0,)]: f.one()}, {pos[(1,)]: f.one()}, {pos[(0,)]: f.of_int(-1)}
     K = FreeUComplex(u, (-2, 0), {-2: 1, -1: 2, 0: 1},
-                     {-2: [[x2], [neg(x1)]], -1: [[x1, x2]]})
+                     {-2: [[x2], [minus_x1]], -1: [[x1, x2]]})
     assert K.check_d_squared() is None
     rep = null_test_free(K, 4, (-1, -1))
     assert rep["acyclic"] and not rep["fiber_acyclic"]
@@ -303,9 +303,9 @@ def test_null_free_zero_complex(sym2_world):
 
 def spliced_complex(cdga):
     f = cdga.field
-    one_e1 = {1: [f.one(), f.zero()]}
-    one_e2 = {1: [f.zero(), f.one()]}
-    socle = {2: [f.one()]}
+    one_e1 = {1: {0: f.one()}}
+    one_e2 = {1: {1: f.one()}}
+    socle = {2: {0: f.one()}}
     z = {}
 
     def res_mat(n):
