@@ -87,15 +87,12 @@ class Problem:
         d = len(self.generators)
         rows = []
         for rel in self.raw.get("relations", []):
-            row = [f.zero()] * (d * d)
-            for term in rel:
-                a, b, c = term
-                ia, ib = self.gen_index[a], self.gen_index[b]
-                row[ia * d + ib] = f.add(row[ia * d + ib], f.parse(c))
-            rows.append(row)
-        if not rows:
-            return Matrix(f, [], 0, d * d)
-        return Matrix(f, rows, len(rows), d * d)
+            row = {}
+            for a, b, c in rel:
+                k = self.gen_index[a] * d + self.gen_index[b]
+                row[k] = row.get(k, 0) + f.parse(c)
+            rows.append(zero_free(row, f.p))
+        return Matrix(f, d * d, rows).transpose()
 
     def deformation(self) -> DeformationData:
         if self._deformation is not None:
@@ -104,10 +101,13 @@ class Problem:
         d = len(self.generators)
         rel = self._parse_relation_rows()
         m = rel.rows
-        alpha_rows = Matrix.zero(f, m, d)
+        alpha_cols = [{} for _ in range(d)]
         for i, terms in enumerate(self.raw.get("alpha", []) or []):
+            if terms and i >= m:
+                raise InputError("alpha length must not exceed the relation list")
             for (g, c) in terms:
-                alpha_rows.data[i][self.gen_index[g]] = f.parse(c)
+                alpha_cols[self.gen_index[g]][i] = f.parse(c)
+        alpha_rows = Matrix(f, m, [zero_free(col, f.p) for col in alpha_cols])
         beta = [f.parse(c) for c in (self.raw.get("beta") or ["0"] * m)]
         if len(beta) != m:
             raise InputError("beta length must match the relation list")
@@ -240,12 +240,9 @@ class Problem:
     def _matrix(self, rows, nrows, ncols) -> Matrix:
         f = self.field
         data = [[f.parse(c) for c in row] for row in rows]
-        m = Matrix(f, data) if data else Matrix(f, [], 0, ncols)
-        if m.rows != nrows or (m.rows and m.cols != ncols):
+        if len(data) != nrows or any(len(row) != ncols for row in data):
             raise InputError(f"matrix must be {nrows}x{ncols}")
-        if m.rows == 0:
-            return Matrix.zero(f, nrows, ncols)
-        return m
+        return Matrix.from_rows(f, data, ncols)
 
     def _u_element(self, u, terms):
         """A U element as a sparse column: sum of coeff * word."""
@@ -323,7 +320,7 @@ def cmd_dual(problem, args):
     p = problem.presentation()
     dual = quadratic_dual(p)
     f = problem.field
-    rel = [[f.format(x) for x in row] for row in dual.relations.data]
+    rel = [[f.format(x) for x in row] for row in dual.relations.to_rows()]
     lines = [f"dual generators: {' '.join(dual.generators)}",
              f"dim R = {p.num_relations}, dim Rperp = {dual.relations.rows}"]
     for row in rel:
@@ -362,11 +359,10 @@ def cmd_cdga(problem, args):
     curv = {s: c for s, c in enumerate(cdga.curvature) if c}
     lines = [f"A! dims: {list(dual.dims)}", f"c = {fmt_poly(f, dual, 2, curv)}"]
     d1 = cdga.d(1)
-    d1_cols = d1.sparse_columns()
     dmat = {}
     for g, name in enumerate(dual.pres.generators):
-        lines.append(f"d({name}) = {fmt_poly(f, dual, 2, d1_cols[g])}")
-        dmat[name] = [f.format(x) for x in d1.column(g)]
+        lines.append(f"d({name}) = {fmt_poly(f, dual, 2, d1.columns[g])}")
+        dmat[name] = [f.format(d1.entry(i, g)) for i in range(d1.rows)]
     wit = vanishing_witness(problem.deformation(), cdga=cdga,
                             u=problem.u_truncation(max(2, min(args.degree, 3))))
     lines.append(f"vanishing lemma witness: {'pass' if wit else 'FAIL'}")

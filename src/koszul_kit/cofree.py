@@ -23,7 +23,7 @@ from .complexes import (
 from .deformations import CdgAlgebra
 from .errors import CurvedInputError, InconsistentDataError, NotCofreeError
 from .functors import apply_G, cofree_actions
-from .linalg import EchelonSpan, Matrix, kernel_basis, rank, row_space, solve_matrix
+from .linalg import EchelonSpan, Matrix, kernel_basis, rank, row_space, solve_matrix, zero_free
 
 
 # -- label bookkeeping -------------------------------------------------------
@@ -71,22 +71,19 @@ def socle_sdr(field, dims: dict, diffs: dict):
         n = dim_at(q)
         b_cols, h_cols, bp_cols = bhb[q]
         hdims[q] = len(h_cols)
-        basis = Matrix.from_columns(f, b_cols + h_cols + bp_cols, rows=n)
-        inv = _invert(basis)
+        inv = _invert(Matrix(f, n, b_cols + h_cols + bp_cols))
         nb, nh = len(b_cols), len(h_cols)
-        i0[q] = (Matrix.from_columns(f, h_cols, rows=n) if nh
-                 else Matrix.zero(f, n, 0))
-        p0[q] = Matrix(f, inv.data[nb: nb + nh], nh, n)
+        i0[q] = Matrix(f, n, h_cols)
+        p0[q] = inv.submatrix(range(nb, nb + nh), range(n))
         # h0 on S^q: project onto the boundary part, lift through d0|B'
         bpq1 = bhb.get(q - 1, ([], [], []))[2]
         if b_cols and bpq1:
-            dmat = Matrix.from_columns(
-                f, [diff_at(q - 1).apply(v) for v in bpq1], rows=n)
-            pre = solve_matrix(dmat, Matrix.from_columns(f, b_cols, rows=n))
+            dmat = Matrix(f, n, [diff_at(q - 1).apply(v) for v in bpq1])
+            pre = solve_matrix(dmat, Matrix(f, n, b_cols))
             if pre is None:
                 raise InconsistentDataError("SDR: boundary preimage failed")
-            bp_mat = Matrix.from_columns(f, bpq1, rows=dim_at(q - 1))
-            proj_b = Matrix(f, inv.data[:nb], nb, n)
+            bp_mat = Matrix(f, dim_at(q - 1), bpq1)
+            proj_b = inv.submatrix(range(nb), range(n))
             h0[q] = bp_mat.mul(pre).mul(proj_b)
         else:
             h0[q] = Matrix.zero(f, dim_at(q - 1), n)
@@ -112,7 +109,7 @@ def socle_sdr(field, dims: dict, diffs: dict):
 
 
 def _bhb_basis(f, dims, diffs, q):
-    """(B, H, B') column bases of S^q, deterministic."""
+    """(B, H, B') column bases of S^q, as sparse columns, deterministic."""
     n = dims.get(q, 0)
     if not n:
         return [], [], []
@@ -125,25 +122,18 @@ def _bhb_basis(f, dims, diffs, q):
 
     b_cols = []
     if dims.get(q - 1, 0):
-        rs = row_space(diff_at(q - 1).transpose())
-        b_cols = [rs.data[i] for i in range(rs.rows)]
+        b_cols = row_space(diff_at(q - 1).transpose()).transpose().columns
     z = kernel_basis(diff_at(q)) if dims.get(q + 1, 0) else Matrix.identity(f, n)
     span = EchelonSpan(f)
     _grow(span, b_cols)
-    h_cols = _grow(span, (z.column(j) for j in range(z.cols)))
-    bp_cols = _grow(span, _standard_basis(f, n))
+    h_cols = _grow(span, z.columns)
+    bp_cols = _grow(span, Matrix.identity(f, n).columns)
     return b_cols, h_cols, bp_cols
 
 
-def _standard_basis(f, n):
-    """e_0, ..., e_{n-1} as dense lists."""
-    for j in range(n):
-        yield [f.one() if s == j else f.zero() for s in range(n)]
-
-
 def _grow(span: EchelonSpan, vecs):
-    """The dense vectors, in order, whose insertion enlarges ``span``."""
-    return [v for v in vecs if span.insert(dict(enumerate(v)))]
+    """The sparse columns, in order, whose insertion enlarges ``span``."""
+    return [v for v in vecs if span.insert(v)]
 
 
 def _invert(m: Matrix) -> Matrix:
@@ -182,22 +172,19 @@ def transfer_minimal(big: CdgModule, labels: dict, socle_diffs: dict,
 
     def mk_block(src_labs, tgt_labs, per_q_mat, sign):
         tpos = {lab: i for i, lab in enumerate(tgt_labs)}
-        out = [[f.zero()] * len(src_labs) for _ in range(len(tgt_labs))]
-        for col, (r, s, i) in enumerate(src_labs):
-            mat = per_q_mat(r, s, i)
+        cols = []
+        for r, s, i in src_labs:
+            col = {}
+            cols.append(col)
+            mat = per_q_mat(r)
             if mat is None:
                 continue
-            q, m = mat
-            for j in range(m.rows):
-                c = m.data[j][i]
-                if f.is_zero(c):
-                    continue
-                lab = (r, s, j)
-                row = tpos.get(lab)
+            sg = sign(r)
+            for j, c in mat.columns[i].items():
+                row = tpos.get((r, s, j))
                 if row is not None:
-                    sg = sign(r)
-                    out[row][col] = f.add(out[row][col], f.mul(sg, c))
-        return Matrix(f, out, len(tgt_labs), len(src_labs))
+                    col[row] = f.mul(sg, c)
+        return Matrix(f, len(tgt_labs), cols)
 
     one = f.one()
     neg = f.neg(one)
@@ -216,14 +203,11 @@ def transfer_minimal(big: CdgModule, labels: dict, socle_diffs: dict,
             d0m = socle_diffs.get(p + r)
             if d0m is None:
                 continue
-            for j in range(d0m.rows):
-                base = d0m.data[j][i]
-                if f.is_zero(base):
-                    continue
+            for j, base in sorted(d0m.columns[i].items()):
                 row = tpos.get((r, s, j))
                 if row is None:
                     continue
-                got = d.data[row][col]
+                got = d.entry(row, col)
                 if f.eq(got, base):
                     eps[r] = one
                 elif f.eq(got, f.neg(base)):
@@ -246,21 +230,21 @@ def transfer_minimal(big: CdgModule, labels: dict, socle_diffs: dict,
         # D0: (r,s,i)@p -> (r,s,j)@p+1 via socle diff at q = p + r
         d0hat[p] = mk_block(
             src, labels.get(p + 1, []),
-            lambda r, s, i: ((p + r), socle_diffs.get(p + r)) if socle_diffs.get(p + r) is not None else None,
+            lambda r: socle_diffs.get(p + r),
             sgn_r)
         # h: (r,s,i)@p -> (r,s,j)@p-1 via h0 at q = p + r
         hhat[p] = mk_block(
             src, labels.get(p - 1, []),
-            lambda r, s, i: ((p + r), h0.get(p + r)) if h0.get(p + r) is not None else None,
+            lambda r: h0.get(p + r),
             sgn_r)
         # i: H-labels -> labels, p: labels -> H-labels via i0/p0 at q = p + r
         ihat[p] = mk_block(
             hlabels.get(p, []), src,
-            lambda r, s, i: ((p + r), i0.get(p + r)) if i0.get(p + r) is not None else None,
+            lambda r: i0.get(p + r),
             no_sign)
         phat[p] = mk_block(
             src, hlabels.get(p, []),
-            lambda r, s, i: ((p + r), p0.get(p + r)) if p0.get(p + r) is not None else None,
+            lambda r: p0.get(p + r),
             no_sign)
         tpert[p] = big.diff(p).sub(d0hat[p])
 
@@ -366,14 +350,11 @@ def minimize_G(m, cdga: CdgAlgebra, bounds, certify=True) -> MinimizeResult:
             raise InconsistentDataError("p o i != id on the minimal model")
     # socle differential of the minimal model must vanish
     for p, labs in minimal.labels.items():
-        d = minimal.diff(p)
-        for col, (r, s, i) in enumerate(labs):
-            if r != 0:
-                continue
-            for row, (r2, s2, j) in enumerate(minimal.labels.get(p + 1, [])):
-                if r2 == 0 and not minimal.field.is_zero(d.data[row][col]):
-                    raise InconsistentDataError("nonzero socle differential "
-                                                "after minimization")
+        nxt = minimal.labels.get(p + 1, [])
+        for (r, s, i), col in zip(labs, minimal.diff(p).columns):
+            if r == 0 and any(nxt[row][0] == 0 for row in col):
+                raise InconsistentDataError("nonzero socle differential "
+                                            "after minimization")
     witness_into = witness_onto = None
     if certify:
         witness_onto = nullhomotopy(into.compose(onto), ChainMap.identity(g))
@@ -431,11 +412,10 @@ def cofree_decomposition(i: CdgModule, cdga: CdgAlgebra, cap: int,
         if not b.cols:
             continue
         n = i.dim(q)
-        cols = [b.column(j) for j in range(b.cols)]
         span = EchelonSpan(f)
-        _grow(span, cols)
-        inv = _invert(Matrix.from_columns(f, cols + _grow(span, _standard_basis(f, n)), rows=n))
-        projections[q] = Matrix(f, inv.data[: b.cols], b.cols, n)
+        _grow(span, b.columns)
+        inv = _invert(Matrix(f, n, b.columns + _grow(span, Matrix.identity(f, n).columns)))
+        projections[q] = inv.submatrix(range(b.cols), range(n))
     unit_maps = {}
     for p in range(lo, hi + 1):
         n = i.dim(p)
@@ -445,7 +425,7 @@ def cofree_decomposition(i: CdgModule, cdga: CdgAlgebra, cap: int,
                 f"degree {p}: dim {n} != cofree count {len(labs)}")
         if not n:
             continue
-        out = [[f.zero()] * n for _ in range(len(labs))]
+        cols = [{} for _ in range(n)]
         for row, (r, s, si) in enumerate(labs):
             q = p + r
             proj = projections.get(q)
@@ -453,10 +433,11 @@ def cofree_decomposition(i: CdgModule, cdga: CdgAlgebra, cap: int,
                 raise NotCofreeError(f"socle missing at degree {q}")
             # action of the standard monomial s on I^p, then socle projection
             act = i.act_element(p, r, {s: f.one()}) if r else Matrix.identity(f, n)
-            prow = proj.mul(act)
-            for col in range(n):
-                out[row][col] = prow.data[si][col]
-        um = Matrix(f, out, len(labs), n)
+            for col, pcol in zip(cols, proj.mul(act).columns):
+                c = pcol.get(si)
+                if c:
+                    col[row] = c
+        um = Matrix(f, len(labs), cols)
         if rank(um) != n:
             raise NotCofreeError(f"coinduction unit not bijective at degree {p}")
         unit_maps[p] = um
@@ -499,26 +480,19 @@ def t_truncate(i: CdgModule, cdga: CdgAlgebra, p_cut: int, cap: int,
         cols = []
         for row, (r, s, si) in enumerate(labs):
             if p + r < p_cut:
-                e = [f.one() if t == row else f.zero() for t in range(len(labs))]
-                cols.append(um_inv.apply(e))
+                cols.append(um_inv.columns[row])
         if k_basis.cols:
             slots = {}
             for row, (r, s, si) in enumerate(labs):
                 if p + r == p_cut:
                     slots.setdefault((r, s), {})[si] = row
             for (r, s), by_line in sorted(slots.items()):
-                for kc in range(k_basis.cols):
-                    e = [f.zero()] * len(labs)
-                    found = False
-                    for si, row in by_line.items():
-                        c = k_basis.data[si][kc]
-                        if not f.is_zero(c):
-                            e[row] = c
-                            found = True
-                    if found:
+                for kcol in k_basis.columns:
+                    e = {row: kcol[si] for si, row in by_line.items() if si in kcol}
+                    if e:
                         cols.append(um_inv.apply(e))
         if cols:
-            sub_cols[p] = Matrix.from_columns(f, cols, rows=i.dim(p))
+            sub_cols[p] = Matrix(f, i.dim(p), cols)
     sub, quot, incl, proj = _sub_quotient(i, sub_cols)
     msg = incl.validate(check_actions=True)
     if msg:
@@ -569,22 +543,20 @@ def _sub_quotient(i: CdgModule, sub_cols: dict):
     for p in i.dims:
         n = i.dim(p)
         sc = sub_cols.get(p)
-        cols = [sc.column(j) for j in range(sc.cols)] if sc is not None else []
+        cols = sc.columns if sc is not None else []
         span = EchelonSpan(f)
         if len(_grow(span, cols)) != len(cols):
             raise InconsistentDataError("dependent subobject columns")
-        stacked = cols + _grow(span, _standard_basis(f, n))
+        stacked = cols + _grow(span, Matrix.identity(f, n).columns)
         basis_full[p] = (cols, stacked)
         sub_dims[p] = len(cols)
         quot_dims[p] = n - len(cols)
     for p in i.dims:
         cols, stacked = basis_full[p]
         n = i.dim(p)
-        full = Matrix.from_columns(f, stacked, rows=n)
-        inv = _invert(full)
-        k = len(cols)
-        incl_maps[p] = Matrix.from_columns(f, cols, rows=n) if k else Matrix.zero(f, n, 0)
-        proj_maps[p] = Matrix(f, inv.data[k:], n - k, n)
+        inv = _invert(Matrix(f, n, stacked))
+        incl_maps[p] = Matrix(f, n, cols)
+        proj_maps[p] = inv.submatrix(range(len(cols), n), range(n))
     for p in i.dims:
         if i.dim(p + 1):
             d = i.diff(p)
@@ -655,16 +627,9 @@ def null_test_cofree(i: CdgModule, cdga: CdgAlgebra, cap: int, interior,
         for q, b in socle_bases.items():
             if not b.cols:
                 continue
-            ws = []
-            for j in range(b.cols):
-                col = b.column(j)
-                w = None
-                for idx, c in enumerate(col):
-                    if not f.is_zero(c):
-                        w = i.weight_of(q, idx)
-                        break
-                ws.append(w)
-            socle_weights[q] = ws
+            # the weight of a socle vector is that of its first coordinate
+            socle_weights[q] = [i.weight_of(q, min(col)) if col else None
+                                for col in b.columns]
     socle_cx = BaseComplex(f, i.window, socle_dims, socle_diffs, socle_weights)
     lo, hi = interior
     if by_position:
@@ -731,35 +696,37 @@ def complex_of_free_dual_modules(cdga: CdgAlgebra, ranks: dict, entries: dict,
         labs = labels[p]
         tgt = labels.get(p + 1, [])
         nt = len(tgt)
-        out = [[f.zero()] * len(labs) for _ in range(nt)]
-        for col, (P, gi, deg, bidx) in enumerate(labs):
-            ent = entries.get(P)
-            if ent is None:
-                continue
-            for ti in range(len(ranks.get(P + 1, []))):
-                for edeg, col_e in ent[ti][gi].items():
+        tpos = pos.get(p + 1, {})
+        cols = []
+        for P, gi, deg, bidx in labs:
+            acc = {}
+            for ti, erow in enumerate(entries.get(P, ())):
+                for edeg, col_e in erow[gi].items():
                     if edeg > dual.bound or not col_e:
                         continue
                     # a . entry: basis element a of E times the entry, in E
                     prod = dual.multiply(deg, {bidx: f.one()}, edeg, col_e)
                     tdeg = deg + edeg
                     for tb, c in prod.items():
-                        row = pos.get(p + 1, {}).get((P + 1, ti, tdeg, tb))
+                        row = tpos.get((P + 1, ti, tdeg, tb))
                         if row is not None:
-                            out[row][col] = f.add(out[row][col], c)
+                            acc[row] = acc.get(row, 0) + c
+            cols.append(zero_free(acc, char))
         if nt:
-            diffs[p] = Matrix(f, out, nt, len(labs))
+            diffs[p] = Matrix(f, nt, cols)
         acts = []
         for g in range(d_gens):
-            out = [[f.zero()] * len(labs) for _ in range(nt)]
-            for col, (P, gi, deg, bidx) in enumerate(labs):
+            cols = []
+            for P, gi, deg, bidx in labs:
                 left = dual.mult_columns(1, deg)  # x_g e_b: column g * dim A!_deg + b
                 sgn = 1 if P % 2 == 0 else -1
+                col = {}
                 for tb, c in left[g * dual.dim_at(deg) + bidx].items():
-                    row = pos.get(p + 1, {}).get((P, gi, deg + 1, tb))
+                    row = tpos.get((P, gi, deg + 1, tb))
                     if row is not None:
-                        out[row][col] = sgn * c % char if char else sgn * c
-            acts.append(Matrix(f, out, nt, len(labs)))
+                        col[row] = sgn * c % char if char else sgn * c
+                cols.append(col)
+            acts.append(Matrix(f, nt, cols))
         actions[p] = acts
     weights = None
     if dual.pres.weights is None or all(w == 1 for w in dual.pres.weights):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .deformations import CdgAlgebra, DeformationData
 from .errors import CurvedInputError, InconsistentDataError, InputError
-from .linalg import RHS, Matrix, kernel_basis, rank, solve_matrix, solve_sparse
+from .linalg import RHS, Matrix, kernel_basis, rank, solve_matrix, solve_sparse, zero_free
 from .scalars import Field
 
 
@@ -40,32 +40,25 @@ class UModule:
         """First violated relation of P, or None."""
         f = self.field
         d = self.data.base.dim
-        rel = self.data.base.relations
-        for i in range(rel.rows):
+        # row i of the graph rows: r_i over V⊗V, then alpha(r_i), then beta(r_i)
+        for i, row in enumerate(self.data.graph_rows().transpose().columns):
             acc = Matrix.zero(f, self.dim, self.dim)
-            for a in range(d):
-                for b in range(d):
-                    c = rel.data[i][a * d + b]
-                    if not f.is_zero(c):
-                        acc = acc.add(self.actions[a].mul(self.actions[b]).scale(c))
-            for g in range(d):
-                c = self.data.alpha.data[g][i]
-                if not f.is_zero(c):
-                    acc = acc.add(self.actions[g].scale(c))
-            b0 = self.data.beta.data[0][i]
-            if not f.is_zero(b0):
-                acc = acc.add(Matrix.identity(f, self.dim).scale(b0))
+            for k, c in row.items():
+                if k < d * d:
+                    term = self.actions[k // d].mul(self.actions[k % d])
+                elif k < d * d + d:
+                    term = self.actions[k - d * d]
+                else:
+                    term = Matrix.identity(f, self.dim)
+                acc = acc.add(term.scale(c))
             if not acc.is_zero():
                 return f"relation {i} of P does not annihilate the module"
         if self.weights is not None:
             wts = self.data.base.weights or [1] * d
             for g in range(d):
-                m = self.actions[g]
-                for r in range(self.dim):
-                    for c in range(self.dim):
-                        if not f.is_zero(m.data[r][c]):
-                            if self.weights[r] != self.weights[c] + wts[g]:
-                                return f"action of generator {g} is not weight-homogeneous"
+                for c, col in enumerate(self.actions[g].columns):
+                    if any(self.weights[r] != self.weights[c] + wts[g] for r in col):
+                        return f"action of generator {g} is not weight-homogeneous"
         return None
 
     def act_word(self, word) -> Matrix:
@@ -77,26 +70,17 @@ class UModule:
 
     @staticmethod
     def trivial(data: DeformationData) -> "UModule":
-        f = data.field
-        if any(not f.is_zero(x) for x in data.beta.data[0]):
+        if not data.beta.is_zero():
             raise InputError("trivial module requires beta = 0")
-        z = Matrix.zero(f, 1, 1)
+        z = Matrix.zero(data.field, 1, 1)
         return UModule(data, 1, [z] * data.base.dim,
                        weights=[0] if data.base.weights is not None else None)
 
     def direct_sum(self, other: "UModule") -> "UModule":
         f = self.field
         n1, n2 = self.dim, other.dim
-        acts = []
-        for a, b in zip(self.actions, other.actions):
-            m = Matrix.zero(f, n1 + n2, n1 + n2).copy_data()
-            for i in range(n1):
-                for j in range(n1):
-                    m[i][j] = a.data[i][j]
-            for i in range(n2):
-                for j in range(n2):
-                    m[n1 + i][n1 + j] = b.data[i][j]
-            acts.append(Matrix(f, m, n1 + n2, n1 + n2))
+        acts = [_block(f, [[a, None], [None, b]], [n1, n2], [n1, n2])
+                for a, b in zip(self.actions, other.actions)]
         w = None
         if self.weights is not None and other.weights is not None:
             w = self.weights + other.weights
@@ -260,22 +244,20 @@ class CdgModule(BaseComplex):
         f = self.field
         dual = self.cdga.dual
         d = dual.pres.dim
-        rel = dual.pres.relations
+        rel_rows = dual.pres.relations.transpose().columns
         # relations of R-perp annihilate (composition in increasing degree)
         for p in self.degrees():
             if not self.dim(p) or not self.dim(p + 2):
                 continue
-            for i in range(rel.rows):
+            for i, row in enumerate(rel_rows):
                 acc = Matrix.zero(f, self.dim(p + 2), self.dim(p))
-                for a in range(d):
-                    for b in range(d):
-                        c = rel.data[i][a * d + b]
-                        if not f.is_zero(c):
-                            acc = acc.add(self.action(p + 1, a).mul(self.action(p, b)).scale(c))
+                for ab, c in row.items():
+                    a, b = divmod(ab, d)
+                    acc = acc.add(self.action(p + 1, a).mul(self.action(p, b)).scale(c))
                 if not acc.is_zero():
                     return f"R-perp relation {i} acts nonzero at degree {p}"
         # module anti-derivation: d(x*n) = d_{A!}(x*) n - x* d(n)
-        d1 = self.cdga.d(1).sparse_columns()
+        d1 = self.cdga.d(1).columns
         for p in self.degrees():
             if not self.dim(p):
                 continue
@@ -291,13 +273,10 @@ class CdgModule(BaseComplex):
             wts = self.cdga.dual.pres.weights or [1] * d
             for p in self.degrees():
                 for g in range(d):
-                    m = self.action(p, g)
-                    for r in range(m.rows):
-                        for c in range(m.cols):
-                            if not f.is_zero(m.data[r][c]):
-                                if (self.weight_of(p + 1, r)
-                                        != self.weight_of(p, c) + wts[g]):
-                                    return f"action not weight-homogeneous at degree {p}"
+                    for c, col in enumerate(self.action(p, g).columns):
+                        if any(self.weight_of(p + 1, r) != self.weight_of(p, c) + wts[g]
+                               for r in col):
+                            return f"action not weight-homogeneous at degree {p}"
         return None
 
     def shift(self) -> "CdgModule":
@@ -404,20 +383,19 @@ class Homotopy:
 
 def _block(f: Field, blocks, heights, widths):
     """Assemble a block matrix; None blocks are zero."""
-    data = []
-    for i, row in enumerate(blocks):
-        h = heights[i]
-        rows_data = [[] for _ in range(h)]
-        for j, b in enumerate(row):
-            w = widths[j]
-            if b is None or b.rows == 0 or b.cols == 0:
-                for r in range(h):
-                    rows_data[r].extend([f.zero()] * w)
-            else:
-                for r in range(h):
-                    rows_data[r].extend(b.data[r])
-        data.extend(rows_data)
-    return Matrix(f, data, sum(heights), sum(widths))
+    columns = []
+    for j, w in enumerate(widths):
+        cols = [{} for _ in range(w)]
+        top = 0
+        for i, h in enumerate(heights):
+            b = blocks[i][j]
+            if b is not None and b.rows and b.cols:
+                for col, bcol in zip(cols, b.columns):
+                    for r, v in bcol.items():
+                        col[top + r] = v
+            top += h
+        columns.extend(cols)
+    return Matrix(f, sum(heights), columns)
 
 
 def cone(fmap: ChainMap):
@@ -524,17 +502,13 @@ def _rank_or0(x: BaseComplex, p: int, ranks: dict) -> int:
 
 
 def _homology_at_weight(x: BaseComplex, p: int, w, ranks: dict) -> int:
-    f = x.field
-
     def block_rank(q):
         """Rank of the weight-w block of d_q, from ``ranks`` once known."""
         got = ranks.get((q, w))
         if got is None:
-            mat = x.diff(q)
             rsel = [i for i, wi in enumerate(x.weights.get(q + 1) or []) if wi == w]
             csel = [i for i, wi in enumerate(x.weights.get(q) or []) if wi == w]
-            got = ranks[(q, w)] = rank(Matrix(f, [[mat.data[i][j] for j in csel] for i in rsel],
-                                              len(rsel), len(csel)))
+            got = ranks[(q, w)] = rank(x.diff(q).submatrix(rsel, csel))
         return got
 
     n = len([i for i in (x.weights.get(p) or []) if i == w])
@@ -565,61 +539,64 @@ def nullhomotopy(fmap: ChainMap, gmap: ChainMap):
     def var(p, i, j):
         return varmap.get((p, i, j))
 
+    def rows_of(m: Matrix, nrows: int):
+        """Row i of m as {column: value}, for i < nrows (m may be smaller)."""
+        rows = [{} for _ in range(nrows)]
+        for j, col in enumerate(m.columns):
+            for i, v in col.items():
+                if i < nrows:
+                    rows[i][j] = v
+        return rows
+
     eqs = []
-    one = f.one()
     # homotopy identity per degree
     for p in range(lo - 1, hi + 1):
         ns = src.dim(p)
         delta = fmap.map_at(p).sub(gmap.map_at(p))
-        sgn_d = one if p % 2 == 0 else f.neg(one)
-        sgn_s = f.neg(sgn_d)
-        dprev = tgt.diff(p - 1)   # tgt^{p-1} -> tgt^p
-        dnext = src.diff(p)       # src^p -> src^{p+1}
+        sgn_d = 1 if p % 2 == 0 else -1
+        dprev = rows_of(tgt.diff(p - 1), tgt.dim(p))  # tgt^{p-1} -> tgt^p
+        dnext = src.diff(p).columns                   # src^p -> src^{p+1}
         for i in range(tgt.dim(p)):
             for j in range(ns):
                 eq = {}
                 # (-1)^p (d s^p)_{ij} = sum_k d[i,k] s^p[k,j]
-                for k in range(tgt.dim(p - 1)):
-                    c = dprev.data[i][k]
-                    if not f.is_zero(c):
-                        v = var(p, k, j)
-                        if v is not None:
-                            eq[v] = f.add(eq.get(v, f.zero()), f.mul(sgn_d, c))
+                for k, c in dprev[i].items():
+                    v = var(p, k, j)
+                    if v is not None:
+                        eq[v] = eq.get(v, 0) + sgn_d * c
                 # (-1)^{p+1} (s^{p+1} d)_{ij} = sum_k s^{p+1}[i,k] d[k,j]
-                for k in range(src.dim(p + 1)):
-                    c = dnext.data[k][j]
-                    if not f.is_zero(c):
+                if j < len(dnext):
+                    for k, c in dnext[j].items():
                         v = var(p + 1, i, k)
                         if v is not None:
-                            eq[v] = f.add(eq.get(v, f.zero()), f.mul(sgn_s, c))
-                rhs = delta.data[i][j] if (delta.rows > i and delta.cols > j) else f.zero()
-                if eq or not f.is_zero(rhs):
-                    eq[RHS] = rhs
+                            eq[v] = eq.get(v, 0) - sgn_d * c
+                eq = zero_free(eq, f.p)
+                rhs = delta.columns[j].get(i) if j < delta.cols else None
+                if eq or rhs:
+                    eq[RHS] = rhs or f.zero()
                     eqs.append(eq)
     # module linearity of s
     act_shift = 1 if src.side == "A!" else 0
     for p in range(lo - 1, hi + 1):
         for g in range(src.num_generators()):
-            a_s = src.action(p, g)            # src^p -> src^{p+shift}
-            a_t = tgt.action(p - 1, g)        # tgt^{p-1} -> tgt^{p-1+shift}
+            a_s = src.action(p, g).columns    # src^p -> src^{p+shift}
             rows_t = tgt.dim(p - 1 + act_shift)
+            a_t = rows_of(tgt.action(p - 1, g), rows_t)  # tgt^{p-1} -> tgt^{p-1+shift}
             for i in range(rows_t):
                 for j in range(src.dim(p)):
                     eq = {}
                     # (s^{p+shift} a_src)_{ij}
-                    for k in range(src.dim(p + act_shift)):
-                        c = a_s.data[k][j] if (a_s.rows > k and a_s.cols > j) else f.zero()
-                        if not f.is_zero(c):
+                    if j < len(a_s):
+                        for k, c in a_s[j].items():
                             v = var(p + act_shift, i, k)
                             if v is not None:
-                                eq[v] = f.add(eq.get(v, f.zero()), c)
+                                eq[v] = eq.get(v, 0) + c
                     # -(a_tgt s^p)_{ij}
-                    for k in range(tgt.dim(p - 1)):
-                        c = a_t.data[i][k] if (a_t.rows > i and a_t.cols > k) else f.zero()
-                        if not f.is_zero(c):
-                            v = var(p, k, j)
-                            if v is not None:
-                                eq[v] = f.sub(eq.get(v, f.zero()), c)
+                    for k, c in a_t[i].items():
+                        v = var(p, k, j)
+                        if v is not None:
+                            eq[v] = eq.get(v, 0) - c
+                    eq = zero_free(eq, f.p)
                     if eq:
                         eqs.append(eq)
     sol = solve_sparse(f, eqs, len(varmap))
@@ -630,11 +607,8 @@ def nullhomotopy(fmap: ChainMap, gmap: ChainMap):
         ns, nt = src.dim(p), tgt.dim(p - 1)
         if not ns or not nt:
             continue
-        m = Matrix.zero(f, nt, ns).copy_data()
-        for i in range(nt):
-            for j in range(ns):
-                m[i][j] = sol[varmap[(p, i, j)]]
-        maps[p] = Matrix(f, m, nt, ns)
+        maps[p] = Matrix(f, nt, [zero_free({i: sol[varmap[(p, i, j)]] for i in range(nt)}, f.p)
+                                 for j in range(ns)])
     return Homotopy(maps)
 
 

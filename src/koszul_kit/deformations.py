@@ -63,20 +63,19 @@ class DeformationData:
             beta_entries = [f.zero()] * m
         if alpha_rows.rows != m or alpha_rows.cols != d or len(beta_entries) != m:
             raise InputError("alpha/beta shape must match the raw relation list")
-        graph = [relation_rows.data[i][:] + alpha_rows.data[i][:] + [beta_entries[i]]
-                 for i in range(m)]
-        gm = Matrix(f, graph, m, d * d + d + 1)
+        beta_col = {i: b for i, b in enumerate(beta_entries) if b}
+        gm = Matrix(f, m, relation_rows.columns + alpha_rows.columns + [beta_col])
         red, pivots = rref(gm)
-        if pivots and pivots[-1] >= d * d:
+        dd, n = d * d, len(pivots)
+        if pivots and pivots[-1] >= dd:
             raise InputError("P meets k + V nontrivially: a relation has no quadratic part")
-        nonzero = red.data[: len(pivots)]
-        base = QuadraticPresentation(
-            f, generators, Matrix(f, [r[: d * d] for r in nonzero], len(nonzero), d * d),
-            weights=weights)
-        # every pivot is quadratic, so the quadratic parts are already the
-        # rref rows of `base.relations`, in the same order as their tails
-        alpha = Matrix.from_columns(f, [r[d * d: d * d + d] for r in nonzero], rows=d)
-        beta = Matrix(f, [[r[d * d + d] for r in nonzero]], 1, len(nonzero))
+        # the nonzero rref rows are its first n; every pivot is quadratic, so
+        # their quadratic parts are already the rref rows of `base.relations`,
+        # in the same order as their tails
+        base = QuadraticPresentation(f, generators, Matrix(f, n, red.columns[:dd]),
+                                     weights=weights)
+        alpha = Matrix(f, n, red.columns[dd: dd + d]).transpose()
+        beta = Matrix(f, n, red.columns[dd + d:]).transpose()
         return DeformationData(base, alpha, beta)
 
     @staticmethod
@@ -88,25 +87,20 @@ class DeformationData:
     # -- invariants ------------------------------------------------------
 
     def _check_weights(self):
-        f = self.field
         wts = self.base.weights
         for i in range(self.base.num_relations):
             rw = self.base.relation_weight(i)
-            for g in range(self.base.dim):
-                if not f.is_zero(self.alpha.data[g][i]) and wts[g] != rw:
-                    raise InputError(
-                        f"alpha breaks weight homogeneity on relation {i}")
-            if not f.is_zero(self.beta.data[0][i]) and rw != 0:
+            if any(wts[g] != rw for g in self.alpha.columns[i]):
+                raise InputError(
+                    f"alpha breaks weight homogeneity on relation {i}")
+            if self.beta.columns[i] and rw != 0:
                 raise InputError(f"beta nonzero on weight-{rw} relation {i}")
 
     def graph_rows(self) -> Matrix:
         """Rows (r | alpha(r) | beta(r)) over the canonical relation basis."""
-        f, d = self.field, self.base.dim
-        rows = []
-        for i in range(self.base.num_relations):
-            rows.append(self.base.relations.data[i][:]
-                        + self.alpha.column(i) + [self.beta.data[0][i]])
-        return Matrix(f, rows, len(rows), d * d + d + 1)
+        return Matrix(self.field, self.base.num_relations,
+                      self.base.relations.columns + self.alpha.transpose().columns
+                      + self.beta.transpose().columns)
 
 
 # -- Braverman-Gaitsgory conditions ---------------------------------------
@@ -127,63 +121,46 @@ class PbwReport:
 def pbw_check(data: DeformationData) -> PbwReport:
     """The three PBW conditions, verified exactly on a basis of (R⊗V)∩(V⊗R)."""
     f = data.field
+    p = f.p
     d = data.base.dim
     rel = data.base.relations
     m = rel.rows
+    alpha, beta = data.alpha.columns, data.beta.columns  # per relation i
     idm = Matrix.identity(f, d)
     rv = rel.kron(idm)        # rows r_i ⊗ e_k span R ⊗ V
     vr = idm.kron(rel)        # rows e_k ⊗ r_i span V ⊗ R
     overlap = intersect_row_spaces(rv, vr)
+    rvt, vrt, relt = rv.transpose(), vr.transpose(), rel.transpose()
 
     cond1 = True
     cond2 = True
     cond3 = True
-    for t in range(overlap.rows):
-        vec = overlap.data[t]
-        # express in R⊗V coordinates: coefficients c[i][k] with t = sum c r_i ⊗ e_k
-        c_rv = solve(rv.transpose(), vec)
-        c_vr = solve(vr.transpose(), vec)
-        # (alpha ⊗ id)(t) - (id ⊗ alpha)(t) in V ⊗ V coordinates
-        img = [f.zero()] * (d * d)
-        for i in range(m):
-            for k in range(d):
-                c = c_rv[i * d + k]
-                if not f.is_zero(c):
-                    for g in range(d):
-                        a = data.alpha.data[g][i]
-                        if not f.is_zero(a):
-                            idx = pair_index(g, k, d)
-                            img[idx] = f.add(img[idx], f.mul(c, a))
-        for k in range(d):
-            for i in range(m):
-                c = c_vr[k * m + i]
-                if not f.is_zero(c):
-                    for g in range(d):
-                        a = data.alpha.data[g][i]
-                        if not f.is_zero(a):
-                            idx = pair_index(k, g, d)
-                            img[idx] = f.sub(img[idx], f.mul(c, a))
+    for vec in overlap.transpose().columns:
+        # t as sum c r_i ⊗ e_k (key i * d + k) and as sum c e_k ⊗ r_i (key k * m + i)
+        c_rv = [(divmod(key, d), c) for key, c in solve(rvt, vec).items()]
+        c_vr = [(divmod(key, m)[::-1], c) for key, c in solve(vrt, vec).items()]
+        # (alpha ⊗ id)(t) - (id ⊗ alpha)(t) in V ⊗ V coordinates, and
+        # (beta ⊗ id)(t) - (id ⊗ beta)(t) in V
+        img, rhs2 = {}, {}
+        for coeffs, sign, left in ((c_rv, 1, True), (c_vr, -1, False)):
+            for (i, k), c in coeffs:
+                c *= sign
+                for g, a in alpha[i].items():
+                    idx = pair_index(g, k, d) if left else pair_index(k, g, d)
+                    img[idx] = img.get(idx, 0) + c * a
+                for b in beta[i].values():
+                    rhs2[k] = rhs2.get(k, 0) + c * b
         # express img in R coordinates and push through alpha / beta; an
         # img outside R fails all three conditions
-        u = solve(rel.transpose(), img)
+        u = solve(relt, zero_free(img, p))
         if u is None:
             cond1 = False
             cond2 = False
             cond3 = False
             continue
-        lhs2 = data.alpha.apply(u)
-        rhs2 = [f.zero()] * d
-        for i in range(m):
-            b = data.beta.data[0][i]
-            if f.is_zero(b):
-                continue
-            for k in range(d):
-                rhs2[k] = f.add(rhs2[k], f.mul(b, c_rv[i * d + k]))
-                rhs2[k] = f.sub(rhs2[k], f.mul(b, c_vr[k * m + i]))
-        if any(not f.eq(x, y) for x, y in zip(lhs2, rhs2)):
+        if data.alpha.apply(u) != zero_free(rhs2, p):
             cond2 = False
-        lhs3 = data.beta.apply(u)[0]
-        if not f.is_zero(lhs3):
+        if data.beta.apply(u):
             cond3 = False
     return PbwReport(cond1, cond2, cond3, overlap.rows)
 
@@ -252,7 +229,7 @@ class CdgAlgebra:
         p = self.field.p
         m1 = dual.dim_at(1)
         left = [dual.mult_columns(1, j) for j in range(top)]
-        ds = [self.d(n).sparse_columns() for n in range(top)]
+        ds = [self.d(n).columns for n in range(top)]
         # with a = 1, Leibniz reads d(1) e_b = 0: it fails first on 1 * 1
         if is_nonzero(ds[0][0], p):
             return "Leibniz fails on basis pair A!_0[0] * A!_0[0]"
@@ -274,20 +251,18 @@ class CdgAlgebra:
         if top < 3:
             return None
         # d(c) = 0
-        f = self.field
-        dc = self.d(2).apply(self.curvature)
-        if any(not f.is_zero(x) for x in dc):
+        curv = {s: c for s, c in enumerate(self.curvature) if c}
+        if self.d(2).apply(curv):
             return "d(c) != 0"
         # d^2(x_b) - c x_b + x_b c
         m2 = dual.dim_at(2)
         cx = dual.mult_columns(2, 1)
         xc = left[2]
-        curv = [(s, c) for s, c in enumerate(self.curvature) if c]
         for b in range(m1):
             acc = {}
             for s, v in ds[1][b].items():
                 axpy(acc, v, ds[2][s])
-            for s, c in curv:
+            for s, c in curv.items():
                 axpy(acc, -c, cx[s * m1 + b])
                 axpy(acc, c, xc[b * m2 + s])
             if is_nonzero(acc, p):
@@ -296,18 +271,15 @@ class CdgAlgebra:
 
 
 def _dual_pairing(dual: GradedAlgebraTruncation, rel: Matrix) -> Matrix:
-    """Pairing matrix <section(s), r_j> between A!_2 basis and relation rows.
+    """Pairing matrix <r_j, section(s)> between relation rows and the A!_2
+    basis: column s is the column of R at the pair coordinate of s.
 
     Contragredient pairing, matching quadratic_dual: the word (a, b) pairs
     against the (b, a) coordinate of the relation.
     """
-    f = dual.field
     d = dual.pres.dim
-    rows = []
-    for s, word in enumerate(dual.basis_words[2]):
-        idx = pair_index(word[1], word[0], d)
-        rows.append([rel.data[j][idx] for j in range(rel.rows)])
-    return Matrix(f, rows, dual.dim_at(2), rel.rows)
+    return Matrix(dual.field, rel.rows,
+                  [rel.columns[pair_index(w[1], w[0], d)] for w in dual.basis_words[2]])
 
 
 def build_cdga(data: DeformationData, bound: int, check=True,
@@ -323,38 +295,33 @@ def build_cdga(data: DeformationData, bound: int, check=True,
     dual_pres = quadratic_dual(data.base)
     dual = truncate_algebra(dual_pres, bound)
     rel = data.base.relations
-    m = rel.rows
 
-    pairing = _dual_pairing(dual, rel)  # dim A!_2 x m, invertible
+    pairing = _dual_pairing(dual, rel)  # m x dim A!_2, invertible
     # d1 on generators: <d(x_g*), r_j> = x_g*(alpha(r_j)) = alpha[g][j]
     lift = []  # chosen representative of d(x_g*), as {V*⊗V* word: coeff}
-    for g in range(d):
-        rhs = [data.alpha.data[g][j] for j in range(m)]
-        coeffs = solve(pairing.transpose(), rhs)
+    for alpha_g in data.alpha.transpose().columns:
+        coeffs = solve(pairing, alpha_g)
         if coeffs is None:
             raise WellDefinednessError("degree-2 pairing is degenerate")
-        lift.append({w: c for w, c in zip(dual.basis_words[2], coeffs) if c})
+        lift.append({dual.basis_words[2][s]: c for s, c in coeffs.items()})
     # curvature: <c, r_j> = beta(r_j)
-    curv = solve(pairing.transpose(), [data.beta.data[0][j] for j in range(m)])
+    curv_col = solve(pairing, data.beta.transpose().columns[0])
+    curv = [curv_col.get(s, f.zero()) for s in range(dual.dim_at(2))]
 
     # well-definedness: the lifted derivation must kill R-perp in A!_3
     # (the sign-debug hook corrupts only the Leibniz extension below, so a
     # corrupted build fails at the Leibniz axiom, not here)
     p = f.p
     if bound >= 3:
-        for t in range(dual_pres.relations.rows):
-            rho = dual_pres.relations.data[t]
+        for t, rho in enumerate(dual_pres.relations.transpose().columns):
             acc = {}
-            for a in range(d):
-                for b in range(d):
-                    c = rho[pair_index(a, b, d)]
-                    if not c:
-                        continue
-                    # d(a ⊗ b) = d(a) ⊗ b - a ⊗ d(b), projected to A!_3
-                    for w, coeff in lift[a].items():
-                        axpy(acc, c * coeff, dual.project_word(w + (b,)))
-                    for w, coeff in lift[b].items():
-                        axpy(acc, -c * coeff, dual.project_word((a,) + w))
+            for ab, c in rho.items():
+                a, b = divmod(ab, d)
+                # d(a ⊗ b) = d(a) ⊗ b - a ⊗ d(b), projected to A!_3
+                for w, coeff in lift[a].items():
+                    axpy(acc, c * coeff, dual.project_word(w + (b,)))
+                for w, coeff in lift[b].items():
+                    axpy(acc, -c * coeff, dual.project_word((a,) + w))
             if is_nonzero(acc, p):
                 raise WellDefinednessError(
                     f"derivation does not preserve the relation ideal (R-perp row {t})")
@@ -373,8 +340,8 @@ def build_cdga(data: DeformationData, bound: int, check=True,
                 s = 1 if pos % 2 == 0 else sign
                 for w, coeff in lift[g].items():
                     axpy(acc, s * coeff, dual.project_word(word[:pos] + w + word[pos + 1:]))
-            cols.append(acc)
-        derivations[n] = Matrix.from_sparse_columns(f, cols, dual.dim_at(n + 1))
+            cols.append(zero_free(acc, p))
+        derivations[n] = Matrix(f, dual.dim_at(n + 1), cols)
 
     alg = CdgAlgebra(data, dual, derivations, curv)
     if check:
@@ -408,7 +375,7 @@ class FilteredAlgebraTruncation(WordQuotient):
     """
 
     def __init__(self, data: DeformationData, bound: int):
-        super().__init__(data.field, data.base.dim, data.graph_rows().data, bound)
+        super().__init__(data.field, data.base.dim, data.graph_rows(), bound)
         self.data = data
         self.gr_dims = [len(ws) for ws in self._standard]
         self.basis_words = [w for ws in self._standard for w in ws]
@@ -493,7 +460,7 @@ def vanishing_witness(data: DeformationData, bound: int = 3,
     for a in range(d):
         for b in range(d):
             accumulate(u.reduce_word((a, b)), dual.project_word((b, a)))
-    d1 = cdga.d(1).sparse_columns()
+    d1 = cdga.d(1).columns
     for a in range(d):
         accumulate(u.reduce_word((a,)), d1[a])
     accumulate({u._basis_pos[()]: f.one()}, {s: c for s, c in enumerate(cdga.curvature) if c})

@@ -116,28 +116,26 @@ class FreeUComplex:
                             if row is None:
                                 raise InputError("expansion level overflow")
                             acc[row] = acc.get(row, 0) + c * v
-                cols.append(acc)
-            diffs[p] = Matrix.from_sparse_columns(f, cols, dims[p + 1])
+                cols.append(zero_free(acc, f.p))
+            diffs[p] = Matrix(f, dims[p + 1], cols)
         return BaseComplex(f, self.window, dims, diffs)
 
     def fiber_complex(self) -> BaseComplex:
         """k ⊗_U P: scalar parts of the differential entries (needs beta = 0)."""
-        f = self.field
         u = self.u
         one_idx = u._basis_pos[()]
-        if any(not f.is_zero(x) for x in u.data.beta.data[0]):
+        if not u.data.beta.is_zero():
             raise InputError("k tensor needs an augmented U (beta = 0)")
         dims = {p: r for p, r in self.ranks.items()}
         diffs = {}
         for p, ent in self.entries.items():
             rows = self.rank(p + 1)
-            cols = self.rank(p)
-            if not rows or not cols:
+            if not rows or not self.rank(p):
                 continue
-            out = [[ent[i][j].get(one_idx, f.zero()) for j in range(cols)]
-                   for i in range(rows)]
-            diffs[p] = Matrix(f, out, rows, cols)
-        return BaseComplex(f, self.window, dims, diffs)
+            diffs[p] = Matrix(self.field, rows,
+                              [{i: ent[i][j][one_idx] for i in range(rows) if one_idx in ent[i][j]}
+                               for j in range(self.rank(p))])
+        return BaseComplex(self.field, self.window, dims, diffs)
 
 
 def free_identity_map(p_ranks, u):
@@ -190,11 +188,14 @@ def free_nullhomotopy(p: FreeUComplex, fmat: dict, gmat: dict, degree_cap=None):
 
     Unknowns are the U-coordinates of s on generators; the identity
     f - g = (-1)^n d s + (-1)^{n+1} s d is solved exactly on generators.
+    The unknown coordinates run over U basis words of degree at most
+    ``degree_cap``; by default the largest cap whose products with every
+    entry stay within U's bound, ``u.bound - p.entry_degree_bound()``.
     Returns {p: matrix of sparse U columns} or None.
     """
     f = p.field
     u = p.u
-    cap = degree_cap if degree_cap is not None else u.bound
+    cap = degree_cap if degree_cap is not None else u.bound - p.entry_degree_bound()
     keep = [i for i in range(u.total_dim) if len(u.basis_words[i]) <= cap]
     lo, hi = p.window
     varmap = {}

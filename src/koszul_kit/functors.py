@@ -48,7 +48,7 @@ class KoszulBimodule:
 
     def __init__(self, u: FilteredAlgebraTruncation, cdga: CdgAlgebra,
                  bounds: FunctorBounds):
-        if u.data is not cdga.data and u.data.graph_rows().data != cdga.data.graph_rows().data:
+        if u.data is not cdga.data and not u.data.graph_rows().eq(cdga.data.graph_rows()):
             raise InconsistentDataError("U and (A!, d, c) come from different deformations")
         self.u = u
         self.cdga = cdga
@@ -66,16 +66,14 @@ class KoszulBimodule:
         tgt_pos = {g: i for i, g in enumerate(tgt_u)}
         na_src = dual.dim_at(r)
         na_tgt = dual.dim_at(r + 1)
-        rows = len(tgt_u) * na_tgt
-        cols = len(src_u) * na_src
-        out = [[f.zero()] * cols for _ in range(rows)]
-        dcols = self.cdga.d(r).sparse_columns()
+        dcols = self.cdga.d(r).columns
         left = dual.mult_columns(1, r)  # x_g e_a: column g * na_src + a
         gens = [u._basis_pos[(g,)] for g in range(d_gens)]
-        for ci, ui in enumerate(src_u):
+        cols = []  # column ci * na_src + a is delta(u_ci ⊗ e_a)
+        for ui in src_u:
             uxgs = [u.mult_basis(ui, gi) for gi in gens]
             for a in range(na_src):
-                col = ci * na_src + a
+                acc = {}
                 # sum_g (u x_g) ⊗ (x_g* a)
                 for g, uxg in enumerate(uxgs):
                     xga = left[g * na_src + a]
@@ -84,14 +82,13 @@ class KoszulBimodule:
                             raise InputError("filtration overflow in delta")
                         base = tgt_pos[ti] * na_tgt
                         for b, ca in xga.items():
-                            out[base + b][col] += cu * ca
+                            acc[base + b] = acc.get(base + b, 0) + cu * ca
                 # u ⊗ d(a)
                 base = tgt_pos[ui] * na_tgt
                 for b, c in dcols[a].items():
-                    out[base + b][col] += c
-        if char:
-            out = [[v % char for v in row] for row in out]
-        return Matrix(f, out, rows, cols)
+                    acc[base + b] = acc.get(base + b, 0) + c
+                cols.append(zero_free(acc, char))
+        return Matrix(f, len(tgt_u) * na_tgt, cols)
 
     def check_delta_squared(self, level: int, r: int):
         """delta^2 = -(.c) on U_{<=level} ⊗ A!_r, exactly."""
@@ -104,22 +101,17 @@ class KoszulBimodule:
         tgt_pos = {g: i for i, g in enumerate(tgt_u)}
         na_src = dual.dim_at(r)
         na_tgt = dual.dim_at(r + 2)
-        rows = len(tgt_u) * na_tgt
-        cols = len(src_u) * na_src
         char = f.p
         curv = {s: c for s, c in enumerate(self.cdga.curvature) if c}
         acs = []  # the nonzero entries of -(e_a c), which depends on a only
         for a in range(na_src):
             ac = dual.multiply(r, {a: f.one()}, 2, curv)
             acs.append([(b, -c % char if char else -c) for b, c in ac.items()])
-        rc = [[f.zero()] * cols for _ in range(rows)]
-        for ci, ui in enumerate(src_u):
+        rc = []  # column ci * na_src + a is -(u_ci ⊗ e_a c)
+        for ui in src_u:
             base = tgt_pos[ui] * na_tgt
-            for a, ac in enumerate(acs):
-                col = ci * na_src + a
-                for b, c in ac:
-                    rc[base + b][col] = c
-        return d2.eq(Matrix(f, rc, rows, cols))
+            rc.extend({base + b: c for b, c in ac} for ac in acs)
+        return d2.eq(Matrix(f, len(tgt_u) * na_tgt, rc))
 
     def check_right_module(self, level: int, r_max: int):
         """delta((u⊗a)b) = delta(u⊗a)b + (-1)^{|a|} (u⊗a) d(b) on basis triples."""
@@ -131,7 +123,7 @@ class KoszulBimodule:
             for s in range(1, r_max - r + 1):
                 if r + s + 1 > dual.bound:
                     continue
-                ds = self.cdga.d(s).sparse_columns()
+                ds = self.cdga.d(s).columns
                 for ui in range(u.dim_leq(level)):
                     for a in range(dual.dim_at(r)):
                         ea = {a: one}
@@ -166,13 +158,11 @@ class KoszulBimodule:
                     for b, cb in xga.items():
                         k = (ti, b)
                         out[k] = out.get(k, 0) + c * cb
-        dmat = self.cdga.d(r)
+        dcols = self.cdga.d(r).columns
         for a, ca in terms:
-            for b in range(dmat.rows):
-                c = dmat.data[b][a]
-                if c:
-                    k = (ui, b)
-                    out[k] = out.get(k, 0) + ca * c
+            for b, c in dcols[a].items():
+                k = (ui, b)
+                out[k] = out.get(k, 0) + ca * c
         return zero_free(out, self.field.p)
 
 
@@ -215,7 +205,6 @@ class FilteredFComplex(BaseComplex):
 
     def fiber_complex(self) -> BaseComplex:
         """k ⊗_U F_i(N): kills every basis label with a nonunit monomial."""
-        f = self.field
         dims = {}
         sel = {}
         for p, labs in self.labels.items():
@@ -223,14 +212,8 @@ class FilteredFComplex(BaseComplex):
             if keep:
                 dims[p] = len(keep)
                 sel[p] = keep
-        diffs = {}
-        for p in dims:
-            if p + 1 not in dims:
-                continue
-            d = self.diff(p)
-            rows = [[d.data[i][j] for j in sel[p]] for i in sel[p + 1]]
-            diffs[p] = Matrix(f, rows, len(sel[p + 1]), len(sel[p]))
-        return BaseComplex(f, self.window, dims, diffs)
+        diffs = {p: self.diff(p).submatrix(sel[p + 1], sel[p]) for p in dims if p + 1 in dims}
+        return BaseComplex(self.field, self.window, dims, diffs)
 
 
 def apply_F(n: CdgModule, u: FilteredAlgebraTruncation,
@@ -255,8 +238,8 @@ def apply_F(n: CdgModule, u: FilteredAlgebraTruncation,
         if p + 1 not in dims:
             continue
         tgt_pos = {lab: i for i, lab in enumerate(labels[p + 1])}
-        acts = [(gi, n.action(p, g).sparse_columns()) for g, gi in enumerate(gens)]
-        d_n = n.diff(p).sparse_columns()
+        acts = [(gi, n.action(p, g).columns) for g, gi in enumerate(gens)]
+        d_n = n.diff(p).columns
         cols = []
         for ui, ni in labels[p]:
             acc = {}
@@ -271,8 +254,8 @@ def apply_F(n: CdgModule, u: FilteredAlgebraTruncation,
             for nj, c in d_n[ni].items():
                 row = tgt_pos[(ui, nj)]
                 acc[row] = acc.get(row, 0) + c
-            cols.append(acc)
-        diffs[p] = Matrix.from_sparse_columns(f, cols, dims[p + 1])
+            cols.append(zero_free(acc, f.p))
+        diffs[p] = Matrix(f, dims[p + 1], cols)
     fc = FilteredFComplex(u, n, bounds, dims, diffs, labels)
     if verify:
         msg = fc.check_d_squared()
@@ -304,19 +287,20 @@ def cofree_actions(dual, labels: dict) -> dict:
         tpos = {lab: i for i, lab in enumerate(tgt)}
         acts = []
         for g in range(d_gens):
-            out = [[f.zero()] * len(labs) for _ in range(len(tgt))]
-            for col, lab in enumerate(labs):
+            cols = []
+            for lab in labs:
                 r, s = lab[0], lab[1]
-                if r == 0:
-                    continue
-                right = dual.mult_columns(r - 1, 1)  # e_t x_g: column t * d_gens + g
-                for t in range(dual.dim_at(r - 1)):
-                    c = right[t * d_gens + g].get(s)
-                    if c:
-                        row = tpos.get((r - 1, t) + lab[2:])
-                        if row is not None:
-                            out[row][col] = -c % char if char else -c
-            acts.append(Matrix(f, out, len(tgt), len(labs)))
+                col = {}
+                if r:
+                    right = dual.mult_columns(r - 1, 1)  # e_t x_g: column t * d_gens + g
+                    for t in range(dual.dim_at(r - 1)):
+                        c = right[t * d_gens + g].get(s)
+                        if c:
+                            row = tpos.get((r - 1, t) + lab[2:])
+                            if row is not None:
+                                col[row] = -c % char if char else -c
+                cols.append(col)
+            acts.append(Matrix(f, len(tgt), cols))
         actions[p] = acts
     return actions
 
@@ -353,53 +337,44 @@ def apply_G(m: UComplex, cdga: CdgAlgebra, bounds: FunctorBounds,
     for p in sorted(dims):
         # differential: component on (r, t, j) of d(f), f supported (r', s, i)
         if p + 1 in dims:
-            out = [[f.zero()] * dims[p] for _ in range(dims[p + 1])]
-            for col, (r, s, i) in enumerate(labels[p]):
+            tpos = pos[p + 1]
+            cols = []
+            for r, s, i in labels[p]:
                 # evaluate d(f)(t) = (-1)^{|t|}[ sum_g x_g f(x_g* t) + f(d t) + d_M f(t) ]
                 # contribution of the basis functional f = (s*, i) to each target
                 # (rt, t, j): via terms where the argument reaches dual degree r.
-                # term 1: x_g f(x_g* t): t in A!_{r-1}
-                if r >= 1 and m.dim(p + r):
+                acc = {}
+                if r >= 1:
                     sgn = 1 if (r - 1) % 2 == 0 else -1
                     n1 = dual.dim_at(r - 1)
-                    left = dual.mult_columns(1, r - 1)  # x_g e_t: column g * n1 + t
-                    for g in range(d_gens):
-                        act = m.action(p + r, g)
-                        for t in range(n1):
-                            c1 = left[g * n1 + t].get(s)
-                            if not c1:
-                                continue
-                            for j in range(m.dim(p + r)):
-                                c2 = act.data[j][i]
-                                if not c2:
+                    # term 1: x_g f(x_g* t): t in A!_{r-1}
+                    if m.dim(p + r):
+                        left = dual.mult_columns(1, r - 1)  # x_g e_t: column g * n1 + t
+                        for g in range(d_gens):
+                            act = m.action(p + r, g).columns[i]
+                            for t in range(n1):
+                                c1 = left[g * n1 + t].get(s)
+                                if not c1:
                                     continue
-                                row = pos[p + 1].get((r - 1, t, j))
-                                if row is not None:
-                                    v = out[row][col] + sgn * c1 * c2
-                                    out[row][col] = v % char if char else v
-                # term 2: f(d_{A!} t): t in A!_{r-1}, d t in A!_r
-                if r >= 1:
-                    sgn = f.one() if (r - 1) % 2 == 0 else f.neg(f.one())
-                    dm = cdga.d(r - 1)
-                    for t in range(dual.dim_at(r - 1)):
-                        c1 = dm.data[s][t] if dm.rows > s else f.zero()
-                        if f.is_zero(c1):
-                            continue
-                        lab = (r - 1, t, i)
-                        row = pos[p + 1].get(lab)
-                        if row is not None:
-                            out[row][col] = f.add(out[row][col], f.mul(sgn, c1))
+                                for j, c2 in act.items():
+                                    row = tpos.get((r - 1, t, j))
+                                    if row is not None:
+                                        acc[row] = acc.get(row, 0) + sgn * c1 * c2
+                    # term 2: f(d_{A!} t): t in A!_{r-1}, d t in A!_r
+                    for t, dcol in enumerate(cdga.d(r - 1).columns):
+                        c1 = dcol.get(s)
+                        if c1:
+                            row = tpos.get((r - 1, t, i))
+                            if row is not None:
+                                acc[row] = acc.get(row, 0) + sgn * c1
                 # term 3: d_M(f(t)): t in A!_r
-                sgn = f.one() if r % 2 == 0 else f.neg(f.one())
-                dmm = m.diff(p + r)
-                for j in range(m.dim(p + r + 1)):
-                    c1 = dmm.data[j][i]
-                    if not f.is_zero(c1):
-                        lab = (r, s, j)
-                        row = pos[p + 1].get(lab)
-                        if row is not None:
-                            out[row][col] = f.add(out[row][col], f.mul(sgn, c1))
-            diffs[p] = Matrix(f, out, dims[p + 1], dims[p])
+                sgn = 1 if r % 2 == 0 else -1
+                for j, c1 in m.diff(p + r).columns[i].items():
+                    row = tpos.get((r, s, j))
+                    if row is not None:
+                        acc[row] = acc.get(row, 0) + sgn * c1
+                cols.append(zero_free(acc, char))
+            diffs[p] = Matrix(f, dims[p + 1], cols)
 
     weights = None
     if m.weights is not None and dual.pres.weights is not None:
@@ -426,17 +401,16 @@ def apply_G_map(phi: ChainMap, cdga: CdgAlgebra, bounds: FunctorBounds) -> Chain
     for p in gsrc.dims:
         if p not in gtgt.dims:
             continue
-        out = [[f.zero()] * gsrc.dim(p) for _ in range(gtgt.dim(p))]
         tpos = {lab: i for i, lab in enumerate(gtgt.labels[p])}
-        for col, (r, s, i) in enumerate(gsrc.labels[p]):
-            ph = phi.map_at(p + r)
-            for j in range(phi.target.dim(p + r)):
-                c = ph.data[j][i]
-                if not f.is_zero(c):
-                    row = tpos.get((r, s, j))
-                    if row is not None:
-                        out[row][col] = c
-        maps[p] = Matrix(f, out, gtgt.dim(p), gsrc.dim(p))
+        cols = []
+        for r, s, i in gsrc.labels[p]:
+            col = {}
+            for j, c in phi.map_at(p + r).columns[i].items():
+                row = tpos.get((r, s, j))
+                if row is not None:
+                    col[row] = c
+            cols.append(col)
+        maps[p] = Matrix(f, gtgt.dim(p), cols)
     return ChainMap(gsrc, gtgt, maps)
 
 
@@ -453,19 +427,12 @@ def counit(m: UComplex, u: FilteredAlgebraTruncation, cdga: CdgAlgebra,
     for p in fg.dims:
         if m.dim(p) == 0:
             continue
-        out = [[f.zero()] * fg.dim(p) for _ in range(m.dim(p))]
-        for col, (ui, ni) in enumerate(fg.labels[p]):
+        cols = []
+        for ui, ni in fg.labels[p]:
             r, s, i = g.labels[p][ni]
-            if r != 0:
-                continue
             # act by the monomial word of u_i on m^p
-            mod = m.module(p)
-            act = mod.act_word(u.basis_words[ui])
-            for j in range(m.dim(p)):
-                c = act.data[j][i]
-                if not f.is_zero(c):
-                    out[j][col] = f.add(out[j][col], c)
-        maps[p] = Matrix(f, out, m.dim(p), fg.dim(p))
+            cols.append(m.module(p).act_word(u.basis_words[ui]).columns[i] if r == 0 else {})
+        maps[p] = Matrix(f, m.dim(p), cols)
     eps = ChainMap(fg, m, maps)
     msg = eps.validate(check_actions=False)
     if msg:
@@ -508,8 +475,7 @@ def gf_composite(n: CdgModule, u: FilteredAlgebraTruncation, cdga: CdgAlgebra,
 
     gens = [u._basis_pos[(g,)] for g in range(d_gens)]
     # N^q as sparse columns: of each x_g* . (-), and of d_N
-    n_cols = {q: ([n.action(q, g).sparse_columns() for g in range(d_gens)],
-                  n.diff(q).sparse_columns())
+    n_cols = {q: ([n.action(q, g).columns for g in range(d_gens)], n.diff(q).columns)
               for q in range(lo, hi + cap + 1) if n.dim(q)}
     diffs = {}
     for p in sorted(dims):
@@ -537,11 +503,9 @@ def gf_composite(n: CdgModule, u: FilteredAlgebraTruncation, cdga: CdgAlgebra,
                             row = tpos.get((r - 1, t, ti, ni))
                             if row is not None:
                                 acc[row] = acc.get(row, 0) + c1 * cu
-                dm = cdga.d(r - 1)
-                if dm.rows > s:
-                    for t, c1 in enumerate(dm.data[s]):
-                        if not c1:
-                            continue
+                for t, dcol in enumerate(cdga.d(r - 1).columns):
+                    c1 = dcol.get(s)
+                    if c1:
                         row = tpos.get((r - 1, t, ui, ni))
                         if row is not None:
                             acc[row] = acc.get(row, 0) + sgn * c1
@@ -562,8 +526,8 @@ def gf_composite(n: CdgModule, u: FilteredAlgebraTruncation, cdga: CdgAlgebra,
                 row = tpos.get((r, s, ui, nj))
                 if row is not None:
                     acc[row] = acc.get(row, 0) + sgn * c
-            cols.append(acc)
-        diffs[p] = Matrix.from_sparse_columns(f, cols, dims[p + 1])
+            cols.append(zero_free(acc, f.p))
+        diffs[p] = Matrix(f, dims[p + 1], cols)
 
     gf = GFComplex(cdga, (lo, hi), dims, cofree_actions(dual, labels), diffs)
     gf.labels = labels
@@ -584,19 +548,18 @@ def unit(n: CdgModule, u: FilteredAlgebraTruncation, cdga: CdgAlgebra,
     for p in gf.dims:
         if n.dim(p) == 0:
             continue
-        out = [[f.zero()] * n.dim(p) for _ in range(gf.dim(p))]
+        cols = [{} for _ in range(n.dim(p))]
         for row, (r, s, ui, ni) in enumerate(gf.labels[p]):
             if ui != one_idx:
                 continue
             # a . n for a the standard monomial s of A!_r, with the parity
             # twist (-1)^r matching the twisted action on G-images
             act = n.act_element(p, r, {s: f.one()}) if r else Matrix.identity(f, n.dim(p))
-            sgn = f.one() if r % 2 == 0 else f.neg(f.one())
-            for col in range(n.dim(p)):
-                c = act.data[ni][col]
-                if not f.is_zero(c):
-                    out[row][col] = f.mul(sgn, c)
-        maps[p] = Matrix(f, out, gf.dim(p), n.dim(p))
+            for col, acol in zip(cols, act.columns):
+                c = acol.get(ni)
+                if c:
+                    col[row] = f.neg(c) if r % 2 else c
+        maps[p] = Matrix(f, gf.dim(p), cols)
     eta = ChainMap(n, gf, maps)
     msg = eta.validate(check_actions=False)
     if msg:
@@ -628,46 +591,38 @@ def hom_complex_explicit(n: CdgModule, m: UComplex, window):
     for p in sorted(dims):
         if p + 1 not in dims:
             continue
-        out = [[f.zero()] * dims[p] for _ in range(dims[p + 1])]
-        for col, (r, i, j) in enumerate(labels[p]):
-            sgn = f.one() if r % 2 == 0 else f.neg(f.one())
+        tpos = pos[p + 1]
+        cols = []
+        for r, i, j in labels[p]:
+            acc = {}
+            sgn = 1 if r % 2 == 0 else -1
             # (-1)^r d_M f
-            dm = m.diff(p + r)
-            for i2 in range(m.dim(p + r + 1)):
-                c = dm.data[i2][i]
-                if not f.is_zero(c):
-                    row = pos[p + 1].get((r, i2, j))
-                    if row is not None:
-                        out[row][col] = f.add(out[row][col], f.mul(sgn, c))
-            # (-1)^{r+1} f d_N : contributes to component r' = r - 1
+            for i2, c in m.diff(p + r).columns[i].items():
+                row = tpos.get((r, i2, j))
+                if row is not None:
+                    acc[row] = acc.get(row, 0) + sgn * c
             if r >= 1 and n.dim(r - 1):
-                sgn2 = f.one() if (r - 1) % 2 == 1 else f.neg(f.one())
-                dn = n.diff(r - 1)
-                for j2 in range(n.dim(r - 1)):
-                    c = dn.data[j][j2]
-                    if not f.is_zero(c):
-                        row = pos[p + 1].get((r - 1, i, j2))
+                # (-1)^{r+1} f d_N : contributes to component r' = r - 1
+                for j2, dcol in enumerate(n.diff(r - 1).columns):
+                    c = dcol.get(j)
+                    if c:
+                        row = tpos.get((r - 1, i, j2))
                         if row is not None:
-                            out[row][col] = f.add(out[row][col], f.mul(sgn2, c))
-            # (-1)^{r+1} sum_g x_g f(x_g* x): also lands in component r - 1
-            if r >= 1 and n.dim(r - 1) and m.dim(p + r):
-                sgn2 = f.one() if (r - 1) % 2 == 1 else f.neg(f.one())
-                for g in range(d_gens):
-                    an = n.action(r - 1, g)
-                    am = m.action(p + r, g)
-                    for j2 in range(n.dim(r - 1)):
-                        c1 = an.data[j][j2]
-                        if f.is_zero(c1):
-                            continue
-                        for i2 in range(m.dim(p + r)):
-                            c2 = am.data[i2][i]
-                            if f.is_zero(c2):
+                            acc[row] = acc.get(row, 0) + sgn * c
+                # (-1)^{r+1} sum_g x_g f(x_g* x): also lands in component r - 1
+                if m.dim(p + r):
+                    for g in range(d_gens):
+                        am = m.action(p + r, g).columns[i]
+                        for j2, acol in enumerate(n.action(r - 1, g).columns):
+                            c1 = acol.get(j)
+                            if not c1:
                                 continue
-                            row = pos[p + 1].get((r - 1, i2, j2))
-                            if row is not None:
-                                out[row][col] = f.add(out[row][col],
-                                                      f.mul(sgn2, f.mul(c1, c2)))
-        diffs[p] = Matrix(f, out, dims[p + 1], dims[p])
+                            for i2, c2 in am.items():
+                                row = tpos.get((r - 1, i2, j2))
+                                if row is not None:
+                                    acc[row] = acc.get(row, 0) + sgn * c1 * c2
+            cols.append(zero_free(acc, f.p))
+        diffs[p] = Matrix(f, dims[p + 1], cols)
     return BaseComplex(f, window, dims, diffs), labels
 
 
@@ -691,18 +646,17 @@ def module_linear_hom_basis(n: CdgModule, g: CdgModule, degree: int):
             for i in range(g.dim(r + 1 + degree)):
                 for j in range(n.dim(r)):
                     eq = {}
-                    for k in range(n.dim(r + 1)):
-                        c = a_n.data[k][j]
-                        if not f.is_zero(c):
-                            v = varmap.get((r + 1, i, k))
-                            if v is not None:
-                                eq[v] = f.add(eq.get(v, f.zero()), c)
-                    for k in range(g.dim(r + degree)):
-                        c = a_g.data[i][k]
-                        if not f.is_zero(c):
+                    for k, c in a_n.columns[j].items():
+                        v = varmap.get((r + 1, i, k))
+                        if v is not None:
+                            eq[v] = eq.get(v, 0) + c
+                    for k, gcol in enumerate(a_g.columns):
+                        c = gcol.get(i)
+                        if c:
                             v = varmap.get((r, k, j))
                             if v is not None:
-                                eq[v] = f.sub(eq.get(v, f.zero()), c)
+                                eq[v] = eq.get(v, 0) - c
+                    eq = zero_free(eq, f.p)
                     if eq:
                         eqs.append(eq)
     span = EchelonSpan(f)
@@ -756,8 +710,9 @@ def adjunction_report(n: CdgModule, m: UComplex, cdga: CdgAlgebra,
 
     # socle evaluation: h -> (v -> h(v)_0(1)); in G-labels the (0, 0, i) slots
     def to_explicit(p, vec):
+        """The image of a map, as a sparse column of explicit coordinates."""
         varmap, _ = rhs_bases[p]
-        out = [f.zero()] * explicit.dim(p)
+        out = {}
         pos = {lab: i for i, lab in enumerate(exp_labels.get(p, []))}
         for (r, gi, j), v in varmap.items():
             c = vec[v]
@@ -770,15 +725,14 @@ def adjunction_report(n: CdgModule, m: UComplex, cdga: CdgAlgebra,
             if rr == 0:
                 k = pos.get((r, ii, j))
                 if k is not None:
-                    out[k] = f.add(out[k], c)
-        return out
+                    out[k] = out.get(k, 0) + c
+        return zero_free(out, f.p)
 
     for p in range(lo, hi + 1):
         varmap, basis = rhs_bases[p]
         if not basis:
             continue
-        cols = [to_explicit(p, vec) for vec in basis]
-        mat = Matrix.from_columns(f, cols, rows=explicit.dim(p))
+        mat = Matrix(f, explicit.dim(p), [to_explicit(p, vec) for vec in basis])
         if rank(mat) != len(basis):
             report["iso"] = False
         # differential correspondence: drive each basis map through the
@@ -791,28 +745,21 @@ def adjunction_report(n: CdgModule, m: UComplex, cdga: CdgAlgebra,
                 c = vec[v]
                 if f.is_zero(c):
                     continue
+                sgn = c if r % 2 == 0 else -c
                 # (-1)^r d_G compose h
-                dg = g.diff(r + p)
-                for gi2 in range(g.dim(r + p + 1)):
-                    c2 = dg.data[gi2][gi]
-                    if not f.is_zero(c2):
-                        key = (r, gi2, j)
-                        sgn = f.one() if r % 2 == 0 else f.neg(f.one())
-                        img[key] = f.add(img.get(key, f.zero()),
-                                         f.mul(sgn, f.mul(c, c2)))
+                for gi2, c2 in g.diff(r + p).columns[gi].items():
+                    key = (r, gi2, j)
+                    img[key] = img.get(key, 0) + sgn * c2
                 # (-1)^{r+1} h compose d_N : contributes at evaluation degree r-1
                 if r >= 1 and n.dim(r - 1):
-                    dn = n.diff(r - 1)
-                    sgn = f.one() if r % 2 == 0 else f.neg(f.one())
-                    for j2 in range(n.dim(r - 1)):
-                        c2 = dn.data[j][j2]
-                        if not f.is_zero(c2):
+                    for j2, dcol in enumerate(n.diff(r - 1).columns):
+                        c2 = dcol.get(j)
+                        if c2:
                             key = (r - 1, gi, j2)
-                            img[key] = f.add(img.get(key, f.zero()),
-                                             f.mul(sgn, f.mul(c, c2)))
+                            img[key] = img.get(key, 0) + sgn * c2
             # express img in explicit coordinates and compare with
             # explicit.diff applied to the translated vector
-            img_vec = [f.zero()] * explicit.dim(p + 1)
+            img_vec = {}
             pos1 = {lab: i for i, lab in enumerate(exp_labels.get(p + 1, []))}
             for (r, gi, j), c in img.items():
                 lab_g = g.labels.get(r + p + 1)
@@ -822,9 +769,8 @@ def adjunction_report(n: CdgModule, m: UComplex, cdga: CdgAlgebra,
                 if rr == 0:
                     k = pos1.get((r, ii, j))
                     if k is not None:
-                        img_vec[k] = f.add(img_vec[k], c)
-            direct = explicit.diff(p).apply(to_explicit(p, vec))
-            if any(not f.eq(a, b) for a, b in zip(direct, img_vec)):
+                        img_vec[k] = img_vec.get(k, 0) + c
+            if explicit.diff(p).apply(to_explicit(p, vec)) != zero_free(img_vec, f.p):
                 report["differentials_match"] = False
     # degree-0 cycles on the explicit side
     d0 = explicit.diff(0)
@@ -871,48 +817,42 @@ def apply_Fprime(m: UComplex, cdga: CdgAlgebra, bounds: FunctorBounds,
         out_rows = dims.get(t + 1, 0)
         tpos = pos.get(t + 1, {})
         if out_rows:
-            out = [[f.zero()] * dims[t] for _ in range(out_rows)]
-            for col, (r, s, i) in enumerate(labels[t]):
+            cols = []
+            for r, s, i in labels[t]:
+                acc = {}
                 sgn_twist = -1 if r % 2 == 0 else 1  # (-1)^{r+1}
                 for g in range(d_gens):
                     right = dual.mult_columns(r, 1)  # e_s x_g: column s * d_gens + g
-                    am = m.action(t - r, g)
+                    am = m.action(t - r, g).columns[i]
                     for s2, c1 in right[s * d_gens + g].items():
-                        for i2 in range(m.dim(t - r)):
-                            c2 = am.data[i2][i]
-                            if not c2:
-                                continue
+                        for i2, c2 in am.items():
                             row = tpos.get((r + 1, s2, i2))
                             if row is not None:
-                                v = out[row][col] + sgn_twist * c1 * c2
-                                out[row][col] = v % char if char else v
-                dd = cdga.d(r)
-                for s2 in range(dual.dim_at(r + 1)):
-                    c1 = dd.data[s2][s] if dd.rows > s2 else f.zero()
-                    if not f.is_zero(c1):
-                        row = tpos.get((r + 1, s2, i))
-                        if row is not None:
-                            out[row][col] = f.add(out[row][col], c1)
-                sgn = f.one() if r % 2 == 0 else f.neg(f.one())
-                dm = m.diff(t - r)
-                for i2 in range(m.dim(t - r + 1)):
-                    c1 = dm.data[i2][i]
-                    if not f.is_zero(c1):
-                        row = tpos.get((r, s, i2))
-                        if row is not None:
-                            out[row][col] = f.add(out[row][col], f.mul(sgn, c1))
-            diffs[t] = Matrix(f, out, out_rows, dims[t])
+                                acc[row] = acc.get(row, 0) + sgn_twist * c1 * c2
+                for s2, c1 in cdga.d(r).columns[s].items():
+                    row = tpos.get((r + 1, s2, i))
+                    if row is not None:
+                        acc[row] = acc.get(row, 0) + c1
+                sgn = 1 if r % 2 == 0 else -1
+                for i2, c1 in m.diff(t - r).columns[i].items():
+                    row = tpos.get((r, s, i2))
+                    if row is not None:
+                        acc[row] = acc.get(row, 0) + sgn * c1
+                cols.append(zero_free(acc, char))
+            diffs[t] = Matrix(f, out_rows, cols)
         # strict left multiplication on the A!-factor
         acts = []
         for g in range(d_gens):
-            out = [[f.zero()] * dims[t] for _ in range(out_rows)]
-            for col, (r, s, i) in enumerate(labels[t]):
+            cols = []
+            for r, s, i in labels[t]:
                 left = dual.mult_columns(1, r)  # x_g e_s: column g * dim A!_r + s
+                col = {}
                 for s2, c1 in left[g * dual.dim_at(r) + s].items():
                     row = tpos.get((r + 1, s2, i))
                     if row is not None:
-                        out[row][col] = c1
-            acts.append(Matrix(f, out, out_rows, dims[t]))
+                        col[row] = c1
+                cols.append(col)
+            acts.append(Matrix(f, out_rows, cols))
         actions[t] = acts
     fp = CdgModule(cdga, (lo, hi), dims, actions, diffs)
     fp.labels = labels
@@ -937,24 +877,20 @@ def triangle_check(m: UComplex, u: FilteredAlgebraTruncation, cdga: CdgAlgebra,
         if g.dim(p) == 0:
             continue
         tpos = {lab: i for i, lab in enumerate(g.labels.get(p, []))}
-        out = [[f.zero()] * gf.dim(p) for _ in range(g.dim(p))]
-        for col, (r, s, ui, ni) in enumerate(gf.labels[p]):
+        cols = []
+        for r, s, ui, ni in gf.labels[p]:
+            col = {}
+            cols.append(col)
             # ni indexes G(M)^{p+r}; the counit keeps its socle component
             r2, s2, i2 = g.labels[p + r][ni]
-            if r2 != 0:
-                continue
             mod = m.module(p + r)
-            if mod is None:
+            if r2 != 0 or mod is None:
                 continue
-            act = mod.act_word(u.basis_words[ui])
-            for j in range(mod.dim):
-                c = act.data[j][i2]
-                if f.is_zero(c):
-                    continue
+            for j, c in mod.act_word(u.basis_words[ui]).columns[i2].items():
                 row = tpos.get((r, s, j))
                 if row is not None:
-                    out[row][col] = f.add(out[row][col], c)
-        maps[p] = Matrix(f, out, g.dim(p), gf.dim(p))
+                    col[row] = c
+        maps[p] = Matrix(f, g.dim(p), cols)
     geps = ChainMap(gf, g, maps)
     msg = geps.validate(check_actions=False)
     if msg:

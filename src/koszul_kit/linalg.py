@@ -1,29 +1,30 @@
 """Exact linear algebra on one elimination core, ``EchelonSpan``.
 
-All operations are exact; there is no tolerance anywhere.  ``Matrix`` is
-a dense container whose ops skip zeros on raw values: dense lists of rows
-with products, stacking and the like, but no elimination of its own.  The
-ops rely on the entry invariant, a ``Fraction`` over Q and an ``int`` in
-[0, p) over F_p: a zero is then falsy and skipped by truthiness, and over
-F_p sums of products are reduced ``% p`` once per output entry, with no
-``Field`` call per entry.  ``EchelonSpan`` keeps sparse dict rows in
-echelon form, each row led by its largest coordinate, which is enough for
-a unique normal form modulo the span.  ``interreduce()`` turns the rows
-into the reduced basis for callers that read ``rows``.  Its inner loops
-work on the same raw values, not through ``Field`` methods.
+All operations are exact; there is no tolerance anywhere.  A vector is a
+sparse column {index: raw value}, zeros left out: the one element format
+of A, A! and U.  ``Matrix`` stores its columns in that format, so every
+op (products, sums, stacking, Kronecker products) visits nonzeros only,
+and a builder writes a matrix one column at a time.  Raw values are a
+``Fraction`` over Q and an ``int`` in [0, p) over F_p: a zero is falsy,
+and over F_p sums of products are reduced ``% p`` once per output entry,
+with no ``Field`` call per entry.  ``axpy`` adds a multiple of one column
+to an accumulator of unreduced sums, and ``zero_free`` reduces the sums
+and drops the zeros.  Dense rows are made only by ``to_rows()``, for
+printing and the test oracles.
 
-Elements of A, A! and U, and many matrix columns, are sparse columns
-{index: raw value}: ``axpy`` adds a multiple of one to an accumulator of
-unreduced sums, ``zero_free`` reduces the sums and drops the zeros, and
-``Matrix.from_sparse_columns`` / ``sparse_columns`` convert to and from the
-dense layout.
+``EchelonSpan`` keeps sparse dict rows in echelon form, each row led by
+its largest coordinate, which is enough for a unique normal form modulo
+the span.  ``interreduce()`` turns the rows into the reduced basis for
+callers that read ``rows``.  Its inner loops work on the same raw values,
+not through ``Field`` methods.
 
 Everything else runs on that core: ``rref`` keys column j of a matrix as
 ``cols - 1 - j`` so that each lead is the leftmost nonzero column, which
-makes the interreduced rows the unique RREF; ``rank``, ``kernel_basis``,
-``row_space``, ``solve`` and ``solve_matrix`` read that RREF or the span's
-dimension; ``solve_sparse`` and ``sparse_rank`` feed it sparse rows
-directly, and callers extend bases greedily with ``EchelonSpan.insert``.
+makes the interreduced rows the unique RREF; ``rank`` inserts the columns
+(rank M = rank M^T); ``kernel_basis``, ``row_space``, ``solve`` and
+``solve_matrix`` read the RREF; ``solve_sparse`` and ``sparse_rank`` feed
+it sparse rows directly, and callers extend bases greedily with
+``EchelonSpan.insert``.
 """
 
 from __future__ import annotations
@@ -41,103 +42,94 @@ class DimensionError(ValueError):
 
 
 class Matrix:
-    """Dense matrix over an exact field. Treated as immutable once built."""
+    """Matrix over an exact field: ``columns[j]`` is column j as a zero-free
+    {row: raw value} dict.  Treated as immutable once built: matrices may
+    share column dicts, so no code changes one in place."""
 
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "rows", "cols", "columns")
 
-    def __init__(self, field: Field, data, rows=None, cols=None):
+    def __init__(self, field: Field, rows: int, columns):
         self.field = field
-        if rows is None:
-            rows = len(data)
-            cols = len(data[0]) if data else 0
         self.rows = rows
-        self.cols = cols
-        self.data = data
+        self.cols = len(columns)
+        self.columns = columns
 
     # -- constructors ----------------------------------------------------
 
     @staticmethod
     def zero(field, rows, cols):
-        z = field.zero()
-        return Matrix(field, [[z] * cols for _ in range(rows)], rows, cols)
+        return Matrix(field, rows, [{} for _ in range(cols)])
 
     @staticmethod
     def identity(field, n):
-        z, o = field.zero(), field.one()
-        data = [[z] * n for _ in range(n)]
-        for i in range(n):
-            data[i][i] = o
-        return Matrix(field, data, n, n)
+        one = field.one()
+        return Matrix(field, n, [{j: one} for j in range(n)])
+
+    @staticmethod
+    def from_rows(field, rows, cols=0):
+        """The matrix with the given dense rows of field elements; ``cols``
+        is the width when there are no rows."""
+        columns = [{} for _ in range(len(rows[0]) if rows else cols)]
+        for i, row in enumerate(rows):
+            for j, v in enumerate(row):
+                if v:
+                    columns[j][i] = v
+        return Matrix(field, len(rows), columns)
 
     @staticmethod
     def from_int_rows(field, int_rows):
-        return Matrix(field, [[field.of_int(x) for x in r] for r in int_rows])
+        return Matrix.from_rows(field, [[field.of_int(x) for x in r] for r in int_rows])
 
-    @staticmethod
-    def from_columns(field, columns, rows=None):
-        if not columns:
-            return Matrix(field, [[] for _ in range(rows or 0)], rows or 0, 0)
-        n = len(columns[0])
-        data = [[columns[j][i] for j in range(len(columns))] for i in range(n)]
-        return Matrix(field, data, n, len(columns))
+    # -- reads -------------------------------------------------------------
 
-    @staticmethod
-    def from_sparse_columns(field, cols, rows):
-        """The matrix whose column j is the {row: raw value} dict cols[j]:
-        the inverse of ``sparse_columns()``.  Over F_p each value is
-        reduced mod p here, so callers may pass unreduced sums."""
-        p, zero = field.p, field.zero()
-        data = [[zero] * len(cols) for _ in range(rows)]
-        for j, col in enumerate(cols):
+    def entry(self, i, j):
+        return self.columns[j].get(i, self.field.zero())
+
+    def to_rows(self):
+        """Dense rows, zeros filled with ``field.zero()``: for printing and
+        the test oracles."""
+        zero = self.field.zero()
+        out = [[zero] * self.cols for _ in range(self.rows)]
+        for j, col in enumerate(self.columns):
             for i, v in col.items():
-                data[i][j] = v % p if p else v
-        return Matrix(field, data, rows, len(cols))
+                out[i][j] = v
+        return out
 
-    # -- basic ops (on raw values; see the module docstring) ----------------
+    def submatrix(self, row_sel, col_sel):
+        """The rows ``row_sel`` (distinct indices) and the columns ``col_sel``,
+        in the order given."""
+        pos = {i: k for k, i in enumerate(row_sel)}
+        return Matrix(self.field, len(row_sel),
+                      [{pos[i]: v for i, v in self.columns[j].items() if i in pos}
+                       for j in col_sel])
 
-    def copy_data(self):
-        return [row[:] for row in self.data]
-
-    def column(self, j):
-        return [self.data[i][j] for i in range(self.rows)]
-
-    def sparse_columns(self):
-        """Columns as {row: value} dicts, zeros left out."""
-        cols = [{} for _ in range(self.cols)]
-        for i, row in enumerate(self.data):
-            for j, v in enumerate(row):
-                if v:
-                    cols[j][i] = v
-        return cols
+    # -- ops (on raw values; see the module docstring) ----------------------
 
     def transpose(self):
-        data = [list(col) for col in zip(*self.data)] if self.rows else \
-            [[] for _ in range(self.cols)]
-        return Matrix(self.field, data, self.cols, self.rows)
+        out = [{} for _ in range(self.rows)]
+        for j, col in enumerate(self.columns):
+            for i, v in col.items():
+                out[i][j] = v
+        return Matrix(self.field, self.cols, out)
 
     def add(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionError("shape mismatch in add")
-        p = self.field.p
-        if p:
-            data = [[(a + b) % p if b else a for a, b in zip(r1, r2)]
-                    for r1, r2 in zip(self.data, other.data)]
-        else:
-            data = [[(a + b if a else b) if b else a for a, b in zip(r1, r2)]
-                    for r1, r2 in zip(self.data, other.data)]
-        return Matrix(self.field, data, self.rows, self.cols)
+        return self._combine(other, 1)
 
     def sub(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionError("shape mismatch in sub")
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign):
         p = self.field.p
-        if p:
-            data = [[(a - b) % p if b else a for a, b in zip(r1, r2)]
-                    for r1, r2 in zip(self.data, other.data)]
-        else:
-            data = [[(a - b if a else -b) if b else a for a, b in zip(r1, r2)]
-                    for r1, r2 in zip(self.data, other.data)]
-        return Matrix(self.field, data, self.rows, self.cols)
+        columns = []
+        for a, b in zip(self.columns, other.columns):
+            acc = dict(a)
+            axpy(acc, sign, b)
+            columns.append(zero_free(acc, p))
+        return Matrix(self.field, self.rows, columns)
 
     def scale(self, c):
         f = self.field
@@ -147,99 +139,75 @@ class Matrix:
         if not c:
             return Matrix.zero(f, self.rows, self.cols)
         if p:
-            data = [[c * a % p if a else 0 for a in r] for r in self.data]
+            columns = [{i: c * v % p for i, v in col.items()} for col in self.columns]
         else:
-            data = [[c * a if a else a for a in r] for r in self.data]
-        return Matrix(f, data, self.rows, self.cols)
+            columns = [{i: c * v for i, v in col.items()} for col in self.columns]
+        return Matrix(f, self.rows, columns)
 
     def neg(self):
         p = self.field.p
         if p:
-            data = [[p - a if a else 0 for a in r] for r in self.data]
+            columns = [{i: p - v for i, v in col.items()} for col in self.columns]
         else:
-            data = [[-a if a else a for a in r] for r in self.data]
-        return Matrix(self.field, data, self.rows, self.cols)
+            columns = [{i: -v for i, v in col.items()} for col in self.columns]
+        return Matrix(self.field, self.rows, columns)
 
     def mul(self, other):
-        f = self.field
+        """Column j of self * other is the sum over k of other[k, j] times
+        column k of self."""
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        p, ncols, zero = f.p, other.cols, f.zero()
-        ot = other.data
-        right = {}  # k -> nonzero (j, b) of row k of other, built on first use
+        p, cols = self.field.p, self.columns
         out = []
-        for ri in self.data:
+        for bcol in other.columns:
             acc = {}
-            for k, a in enumerate(ri):
-                if a:
-                    pairs = right.get(k)
-                    if pairs is None:
-                        pairs = right[k] = [(j, b) for j, b in enumerate(ot[k]) if b]
-                    for j, b in pairs:
-                        acc[j] = acc[j] + a * b if j in acc else a * b
-            orow = [zero] * ncols
-            if p:
-                for j, v in acc.items():
-                    orow[j] = v % p
-            else:
-                for j, v in acc.items():
-                    orow[j] = v
-            out.append(orow)
-        return Matrix(f, out, self.rows, ncols)
+            for k, b in bcol.items():
+                axpy(acc, b, cols[k])
+            out.append(zero_free(acc, p))
+        return Matrix(self.field, self.rows, out)
 
-    def apply(self, vec):
-        """Matrix times column vector (vec given as a flat list)."""
-        if len(vec) != self.cols:
+    def apply(self, vec: dict) -> dict:
+        """Matrix times a sparse column {index: raw value}, as a zero-free
+        sparse column."""
+        if any(j >= self.cols for j in vec):
             raise DimensionError("vector length mismatch")
-        f = self.field
-        p, zero = f.p, f.zero()
-        nz = [(j, v) for j, v in enumerate(vec) if v]
-        if p:
-            return [sum(ri[j] * v for j, v in nz) % p for ri in self.data]
-        out = []
-        for ri in self.data:
-            s = zero
-            for j, v in nz:
-                a = ri[j]
-                if a:
-                    s += a * v
-            out.append(s)
-        return out
+        return self.mul(Matrix(self.field, self.cols, [vec])).columns[0]
 
     def kron(self, other):
         """Kronecker product, row-major pair indexing."""
-        f = self.field
-        p, zero = f.p, f.zero()
-        zeros = [zero] * other.cols
-        out = []
-        for r1 in self.data:
-            for r2 in other.data:
-                row = []
-                for a in r1:
-                    if not a:
-                        row.extend(zeros)
-                    elif p:
-                        row.extend([a * b % p for b in r2])
-                    else:
-                        row.extend([a * b if b else b for b in r2])
-                out.append(row)
-        return Matrix(f, out, self.rows * other.rows, self.cols * other.cols)
+        p, orows = self.field.p, other.rows
+        columns = []
+        for a in self.columns:
+            for b in other.columns:
+                col = {}
+                for i1, x in a.items():
+                    base = i1 * orows
+                    for i2, y in b.items():
+                        col[base + i2] = x * y % p if p else x * y
+                columns.append(col)
+        return Matrix(self.field, self.rows * orows, columns)
 
     def vstack(self, other):
         if self.cols != other.cols:
             raise DimensionError("col mismatch in vstack")
-        return Matrix(self.field, self.copy_data() + other.copy_data(),
-                      self.rows + other.rows, self.cols)
+        n = self.rows
+        columns = []
+        for a, b in zip(self.columns, other.columns):
+            col = dict(a)
+            for i, v in b.items():
+                col[n + i] = v
+            columns.append(col)
+        return Matrix(self.field, n + other.rows, columns)
 
     def is_zero(self):
-        return not any(any(row) for row in self.data)
+        return not any(self.columns)
 
     def eq(self, other):
-        return (self.rows, self.cols) == (other.rows, other.cols) and self.data == other.data
+        return (self.rows, self.cols) == (other.rows, other.cols) and self.columns == other.columns
 
     def __repr__(self):
         fmt = self.field.format
-        body = "; ".join(" ".join(fmt(x) for x in row) for row in self.data)
+        body = "; ".join(" ".join(fmt(x) for x in row) for row in self.to_rows())
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
@@ -269,63 +237,65 @@ def zero_free(col: dict, p) -> dict:
 def rref(m: Matrix):
     """Reduced row echelon form, as (R, pivots).
 
-    The rows go into an ``EchelonSpan`` with column j keyed as
-    ``m.cols - 1 - j``, so each lead is the row's leftmost nonzero column,
-    the one Gauss-Jordan picks; after ``interreduce()`` the rows are the
-    unique RREF.  R lists them by increasing pivot column, padded with zero
-    rows to ``m.rows``; pivots is the strictly increasing list of pivot
-    columns.
+    The rows, gathered from the columns in one pass, go into an
+    ``EchelonSpan`` with column j keyed as ``m.cols - 1 - j``, so each lead
+    is the row's leftmost nonzero column, the one Gauss-Jordan picks; after
+    ``interreduce()`` the rows are the unique RREF.  R holds them by
+    increasing pivot column, followed by zero rows up to ``m.rows``; pivots
+    is the strictly increasing list of pivot columns.
     """
     f, ncols = m.field, m.cols
     top = ncols - 1
+    rows = [{} for _ in range(m.rows)]
+    for j, col in enumerate(m.columns):
+        for i, v in col.items():
+            rows[i][top - j] = v
     span = EchelonSpan(f)
-    for row in m.data:
-        span.insert({top - j: v for j, v in enumerate(row)})
+    for row in rows:
+        span.insert(row)
     span.interreduce()
-    zero = f.zero()
-    data, pivots = [], []
-    for lead in sorted(span.rows, reverse=True):
-        dense = [zero] * ncols
+    columns = [{} for _ in range(ncols)]
+    pivots = []
+    for i, lead in enumerate(sorted(span.rows, reverse=True)):
         for k, v in span.rows[lead].items():
-            dense[top - k] = v
-        data.append(dense)
+            columns[top - k][i] = v
         pivots.append(top - lead)
-    data.extend([zero] * ncols for _ in range(m.rows - len(data)))
-    return Matrix(f, data, m.rows, ncols), pivots
+    return Matrix(f, m.rows, columns), pivots
 
 
 def rank(m: Matrix) -> int:
-    return sparse_rank(m.field, [dict(enumerate(row)) for row in m.data])
+    return sparse_rank(m.field, m.columns)
 
 
 def row_space(m: Matrix) -> Matrix:
     """Canonical basis of the row space (nonzero rows of the rref)."""
     r, pivots = rref(m)
-    return Matrix(m.field, r.data[: len(pivots)], len(pivots), m.cols)
+    return Matrix(m.field, len(pivots), r.columns)
 
 
 def kernel_basis(m: Matrix) -> Matrix:
-    """Matrix whose columns form a basis of ker(m)."""
+    """Matrix whose columns form a basis of ker(m): one per free column j,
+    with 1 at j and minus column j of the RREF at the pivots."""
     f = m.field
+    one, p = f.one(), f.p
     r, pivots = rref(m)
     pivset = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivset]
     cols = []
-    for j in free:
-        v = [f.zero()] * m.cols
-        v[j] = f.one()
-        for i, p in enumerate(pivots):
-            v[p] = f.neg(r.data[i][j])
-        cols.append(v)
-    return Matrix.from_columns(f, cols, rows=m.cols)
+    for j in range(m.cols):
+        if j in pivset:
+            continue
+        # R[i, j] != 0 only for pivots[i] < j: the keys come out ascending
+        col = {pivots[i]: (p - v if p else -v) for i, v in r.columns[j].items()}
+        col[j] = one
+        cols.append(col)
+    return Matrix(f, m.cols, cols)
 
 
-def solve(m: Matrix, b):
-    """One exact solution x of m.x = b, or None if b is not in the image."""
-    if len(b) != m.rows:
-        raise DimensionError("rhs length mismatch")
-    x = solve_matrix(m, Matrix(m.field, [[v] for v in b], m.rows, 1))
-    return None if x is None else x.column(0)
+def solve(m: Matrix, b: dict):
+    """One exact solution x of m.x = b, both sparse columns, or None if b
+    is not in the image."""
+    x = solve_matrix(m, Matrix(m.field, m.rows, [b]))
+    return None if x is None else x.columns[0]
 
 
 def solve_matrix(m: Matrix, b: Matrix):
@@ -335,31 +305,21 @@ def solve_matrix(m: Matrix, b: Matrix):
     if b.rows != m.rows:
         raise DimensionError("rhs row mismatch")
     f, n = m.field, m.cols
-    aug = Matrix(f, [r1 + r2 for r1, r2 in zip(m.data, b.data)], m.rows, n + b.cols)
-    r, pivots = rref(aug)
+    r, pivots = rref(Matrix(f, m.rows, m.columns + b.columns))
     if pivots and pivots[-1] >= n:
         return None
-    x = [[f.zero()] * b.cols for _ in range(n)]
-    for i, p in enumerate(pivots):
-        x[p] = r.data[i][n:]
-    return Matrix(f, x, n, b.cols)
+    return Matrix(f, n, [{pivots[i]: v for i, v in col.items()} for col in r.columns[n:]])
 
 
 def intersect_row_spaces(a: Matrix, b: Matrix) -> Matrix:
     """Canonical basis (rref rows) of rowspace(a) ∩ rowspace(b)."""
-    f = a.field
     if a.cols != b.cols:
         raise DimensionError("ambient mismatch in intersection")
     # (x, y) with x.a = y.b  <=>  (x, y) in left kernel of [a; -b]
-    stacked = a.vstack(b.neg())
-    k = kernel_basis(stacked.transpose())  # columns are (x | y)
-    vecs = []
-    for j in range(k.cols):
-        x = [k.data[i][j] for i in range(a.rows)]
-        vecs.append(Matrix(f, [x], 1, a.rows).mul(a).data[0])
-    if not vecs:
-        return Matrix(f, [], 0, a.cols)
-    return row_space(Matrix(f, vecs, len(vecs), a.cols))
+    k = kernel_basis(a.vstack(b.neg()).transpose())  # columns are (x | y)
+    at = a.transpose()
+    vecs = [at.apply({i: v for i, v in col.items() if i < a.rows}) for col in k.columns]
+    return row_space(Matrix(a.field, a.cols, vecs).transpose())
 
 
 # -- sparse incremental echelon (fast path) -------------------------------

@@ -57,26 +57,21 @@ class QuadraticPresentation:
         return self.relations.rows
 
     def _check_weight_homogeneous(self):
-        f, d = self.field, self.dim
-        for i in range(self.relations.rows):
-            seen = set()
-            for a in range(d):
-                for b in range(d):
-                    if not f.is_zero(self.relations.data[i][pair_index(a, b, d)]):
-                        seen.add(self.weights[a] + self.weights[b])
+        for i, row in enumerate(self.relations.transpose().columns):
+            seen = {self._pair_weight(k) for k in row}
             if len(seen) > 1:
                 raise InputError(f"relation {i} is not weight-homogeneous: weights {sorted(seen)}")
+
+    def _pair_weight(self, k: int):
+        a, b = divmod(k, self.dim)
+        return self.weights[a] + self.weights[b]
 
     def relation_weight(self, i: int):
         """Weight of canonical relation row i (None when ungraded)."""
         if self.weights is None:
             return None
-        f, d = self.field, self.dim
-        for a in range(d):
-            for b in range(d):
-                if not f.is_zero(self.relations.data[i][pair_index(a, b, d)]):
-                    return self.weights[a] + self.weights[b]
-        return None
+        row = self.relations.transpose().columns[i]
+        return self._pair_weight(min(row)) if row else None
 
     def dual_generator_names(self):
         return tuple(g + "*" for g in self.generators)
@@ -96,12 +91,13 @@ def quadratic_dual(p: QuadraticPresentation) -> QuadraticPresentation:
     swap-stable R (symmetric or exterior relations) it agrees with the
     componentwise pairing.
     """
-    f, d = p.field, p.dim
-    swapped = [[p.relations.data[i][pair_index(b, a, d)] for a in range(d) for b in range(d)]
-               for i in range(p.relations.rows)]
-    ann = kernel_basis(Matrix(f, swapped, p.relations.rows, d * d))
-    rows = ann.transpose()
-    return QuadraticPresentation(f, p.dual_generator_names(), rows, weights=p.weights)
+    d = p.dim
+    # column (a, b) of the swapped relations is column (b, a) of R
+    rel = p.relations.columns
+    swapped = Matrix(p.field, p.relations.rows,
+                     [rel[pair_index(b, a, d)] for a in range(d) for b in range(d)])
+    rows = kernel_basis(swapped).transpose()
+    return QuadraticPresentation(p.field, p.dual_generator_names(), rows, weights=p.weights)
 
 
 def double_dual_check(p: QuadraticPresentation, n_max: int) -> bool:
@@ -131,9 +127,9 @@ class SpanSize:
 class WordQuotient:
     """T(V)_{<=bound} modulo S = span{u p v : |u| + 2 + |v| <= bound}.
 
-    ``rows`` are the coefficients of each p over V⊗V, then V, then k (a
-    quadratic relation row stops after V⊗V): the relations of A and A!,
-    or the graph rows (r | alpha(r) | beta(r)) of U.
+    The rows of ``relations`` are the coefficients of each p over V⊗V,
+    then V, then k (a quadratic relation row stops after V⊗V): the
+    relations of A and A!, or the graph rows (r | alpha(r) | beta(r)) of U.
 
     Writing w for w t^(bound - |w|) identifies S with the degree-``bound``
     part of the ideal generated by the homogenised rows p_2 + p_1 t +
@@ -157,7 +153,7 @@ class WordQuotient:
     same at every choice of rule, and memoised per word.
     """
 
-    def __init__(self, field: Field, d: int, rows, bound: int):
+    def __init__(self, field: Field, d: int, relations: Matrix, bound: int):
         self.field = field
         self.bound = bound
         self._d = d
@@ -166,8 +162,8 @@ class WordQuotient:
         self._lengths = []   # lead lengths, ascending
         self._nf = {}
         middles = words_of_length(d, 2) + words_of_length(d, 1) + [()]
-        self._complete([{w: c for w, c in zip(middles, row) if not field.is_zero(c)}
-                        for row in rows])
+        self._complete([{middles[k]: c for k, c in row.items()}
+                        for row in relations.transpose().columns])
         self._standard = [self._standard_words(n) for n in range(bound + 1)]
         self.span = SpanSize(degree_offset(d, bound + 1)
                              - sum(len(ws) for ws in self._standard))
@@ -342,7 +338,7 @@ class GradedAlgebraTruncation(WordQuotient):
     def __init__(self, pres: QuadraticPresentation, bound: int):
         if bound < 0:
             raise InputError("bound must be >= 0")
-        super().__init__(pres.field, pres.dim, pres.relations.data, bound)
+        super().__init__(pres.field, pres.dim, pres.relations, bound)
         self.pres = pres
         self.basis_words = dict(enumerate(self._standard))
         self.dims = tuple(len(ws) for ws in self.basis_words.values())

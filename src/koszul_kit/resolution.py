@@ -101,8 +101,7 @@ def minimal_resolution_betti(alg: GradedAlgebraTruncation, steps: int,
             # by the basis element b of A_d
             cols = [_act_on_expanded(current, d, b, next_shifts[si], gen_cols[si])
                     for (si, d, b) in src_labs]
-            new_kernels[deg] = kernel_basis(
-                Matrix.from_sparse_columns(f, cols, current.dim_at(deg))).sparse_columns()
+            new_kernels[deg] = kernel_basis(Matrix(f, current.dim_at(deg), cols)).columns
         current = nxt
         kernels = new_kernels
         step += 1

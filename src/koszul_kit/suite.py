@@ -17,7 +17,7 @@ from .complexes import (
 from .deformations import CdgAlgebra, DeformationData, FilteredAlgebraTruncation
 from .errors import CurvedInputError, InputError, MissingWeightsError
 from .functors import FunctorBounds, apply_F, apply_Fprime, apply_G, counit
-from .linalg import Matrix
+from .linalg import Matrix, zero_free
 from .presentations import (
     GradedAlgebraTruncation,
     QuadraticPresentation,
@@ -118,7 +118,6 @@ def strand_complex(alg: GradedAlgebraTruncation, dual: GradedAlgebraTruncation,
     Each differential is summed over the sparse product columns of the
     right multiplications by x_g in A and in A!, on raw values."""
     f = alg.field
-    p, zero = f.p, f.zero()
     d_gens = alg.pres.dim
     dims, comps = {}, {}
     for q in range(0, n + 1):
@@ -134,20 +133,16 @@ def strand_complex(alg: GradedAlgebraTruncation, dual: GradedAlgebraTruncation,
         dq, dq1 = dual.dim_at(qdeg), dual.dim_at(qdeg - 1)
         aright = alg.mult_columns(adeg, 1)        # e_ai x_g: column ai * d_gens + g
         dright = dual.mult_columns(qdeg - 1, 1)   # e_sj x_g*: column sj * d_gens + g
-        acc = {}
+        cols = [{} for _ in range(dims[pos])]  # column ai * dq + si
         for g in range(d_gens):
             dual_g = [(sj, si, ca) for sj in range(dq1)
                       for si, ca in dright[sj * d_gens + g].items()]
             for ai in range(alg.dim_at(adeg)):
                 for aj, cu in aright[ai * d_gens + g].items():
                     for sj, si, ca in dual_g:
-                        key = (aj * dq1 + sj, ai * dq + si)
-                        acc[key] = acc[key] + cu * ca if key in acc else cu * ca
-        rows, cols = dims[pos + 1], dims[pos]
-        out = [[zero] * cols for _ in range(rows)]
-        for (r, c), v in acc.items():
-            out[r][c] = v % p if p else v
-        diffs[pos] = Matrix(f, out, rows, cols)
+                        col, row = cols[ai * dq + si], aj * dq1 + sj
+                        col[row] = col.get(row, 0) + cu * ca
+        diffs[pos] = Matrix(f, dims[pos + 1], [zero_free(col, f.p) for col in cols])
     return BaseComplex(f, (-n, 0), dims, diffs)
 
 
@@ -346,7 +341,6 @@ def bigraded_from_weighted(x) -> BigradedComplex:
     """Split a weighted complex into its (degree, weight) components."""
     if x.weights is None:
         raise MissingWeightsError("regrading needs integer weights")
-    f = x.field
     comps, diffs = {}, {}
     sel = {}
     for p in x.dims:
@@ -360,7 +354,5 @@ def bigraded_from_weighted(x) -> BigradedComplex:
         for w in sorted({wi for wi in (x.weights.get(p) or [])}):
             if (p + 1, w) not in comps:
                 continue
-            rows = [[d.data[i][j] for j in sel[(p, w)]]
-                    for i in sel[(p + 1, w)]]
-            diffs[(p, w)] = Matrix(f, rows, len(sel[(p + 1, w)]), len(sel[(p, w)]))
-    return BigradedComplex(f, comps, diffs)
+            diffs[(p, w)] = d.submatrix(sel[(p + 1, w)], sel[(p, w)])
+    return BigradedComplex(x.field, comps, diffs)

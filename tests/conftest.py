@@ -32,7 +32,7 @@ def dense_rref(m, col_order=None):
     coordinate); R is stored in natural column order.
     """
     f = m.field
-    data = m.copy_data()
+    data = m.to_rows()
     nrows, ncols = m.rows, m.cols
     order = list(range(ncols)) if col_order is None else list(col_order)
     pivots = []
@@ -53,52 +53,53 @@ def dense_rref(m, col_order=None):
         pivots.append(col)
         r += 1
     rows_sorted = [row for _, row in sorted(zip(pivots, data[:r]))]
-    return Matrix(f, rows_sorted + data[r:], nrows, ncols), sorted(pivots)
+    return Matrix.from_rows(f, rows_sorted + data[r:], ncols), sorted(pivots)
 
 
 def dense_solve(m, b):
     """Oracle solution of m.x = b (free variables zero), or None."""
     f = m.field
-    aug = Matrix(f, [row + [bi] for row, bi in zip(m.data, b)], m.rows, m.cols + 1)
+    aug = Matrix.from_rows(f, [row + [bi] for row, bi in zip(m.to_rows(), b)], m.cols + 1)
     r, pivots = dense_rref(aug)
     if m.cols in pivots:
         return None
     x = [f.zero()] * m.cols
     for i, p in enumerate(pivots):
-        x[p] = r.data[i][m.cols]
+        x[p] = r.to_rows()[i][m.cols]
     return x
 
 
 # -- dense Matrix ops: one Field call per entry, zeros included -------------------
 #
 # The test-side oracle of the ``Matrix`` ops, which run on raw values and
-# skip zeros.
+# visit nonzeros only; the oracles read the dense ``to_rows()``.
 
 
 def dense_transpose(m):
-    return Matrix(m.field, [[m.data[i][j] for i in range(m.rows)]
-                            for j in range(m.cols)], m.cols, m.rows)
+    data = m.to_rows()
+    return Matrix.from_rows(m.field, [[data[i][j] for i in range(m.rows)]
+                                      for j in range(m.cols)], m.rows)
 
 
 def dense_add(m, other):
     f = m.field
     if (m.rows, m.cols) != (other.rows, other.cols):
         raise DimensionError("shape mismatch in add")
-    return Matrix(f, [[f.add(a, b) for a, b in zip(r1, r2)]
-                      for r1, r2 in zip(m.data, other.data)], m.rows, m.cols)
+    return Matrix.from_rows(f, [[f.add(a, b) for a, b in zip(r1, r2)]
+                                for r1, r2 in zip(m.to_rows(), other.to_rows())], m.cols)
 
 
 def dense_sub(m, other):
     f = m.field
     if (m.rows, m.cols) != (other.rows, other.cols):
         raise DimensionError("shape mismatch in sub")
-    return Matrix(f, [[f.sub(a, b) for a, b in zip(r1, r2)]
-                      for r1, r2 in zip(m.data, other.data)], m.rows, m.cols)
+    return Matrix.from_rows(f, [[f.sub(a, b) for a, b in zip(r1, r2)]
+                                for r1, r2 in zip(m.to_rows(), other.to_rows())], m.cols)
 
 
 def dense_scale(m, c):
     f = m.field
-    return Matrix(f, [[f.mul(c, a) for a in r] for r in m.data], m.rows, m.cols)
+    return Matrix.from_rows(f, [[f.mul(c, a) for a in r] for r in m.to_rows()], m.cols)
 
 
 def dense_neg(m):
@@ -109,11 +110,12 @@ def dense_mul(m, other):
     f = m.field
     if m.cols != other.rows:
         raise DimensionError(f"cannot multiply {m.rows}x{m.cols} by {other.rows}x{other.cols}")
-    ot = other.data
+    ot = other.to_rows()
+    md = m.to_rows()
     out = []
     zero = f.zero()
     for i in range(m.rows):
-        ri = m.data[i]
+        ri = md[i]
         orow = [zero] * other.cols
         for k in range(m.cols):
             a = ri[k]
@@ -125,17 +127,18 @@ def dense_mul(m, other):
                 if not f.is_zero(b):
                     orow[j] = f.add(orow[j], f.mul(a, b))
         out.append(orow)
-    return Matrix(f, out, m.rows, other.cols)
+    return Matrix.from_rows(f, out, other.cols)
 
 
 def dense_apply(m, vec):
     if len(vec) != m.cols:
         raise DimensionError("vector length mismatch")
     f = m.field
+    md = m.to_rows()
     out = []
     for i in range(m.rows):
         s = f.zero()
-        ri = m.data[i]
+        ri = md[i]
         for j, v in enumerate(vec):
             if not f.is_zero(v):
                 s = f.add(s, f.mul(ri[j], v))
@@ -145,11 +148,12 @@ def dense_apply(m, vec):
 
 def dense_kron(m, other):
     f = m.field
+    md, od = m.to_rows(), other.to_rows()
     out = []
     for i1 in range(m.rows):
         for i2 in range(other.rows):
             row = []
-            r1, r2 = m.data[i1], other.data[i2]
+            r1, r2 = md[i1], od[i2]
             for j1 in range(m.cols):
                 a = r1[j1]
                 if f.is_zero(a):
@@ -157,18 +161,19 @@ def dense_kron(m, other):
                 else:
                     row.extend([f.mul(a, b) for b in r2])
             out.append(row)
-    return Matrix(f, out, m.rows * other.rows, m.cols * other.cols)
+    return Matrix.from_rows(f, out, m.cols * other.cols)
 
 
 def dense_is_zero(m):
-    return all(m.field.is_zero(x) for row in m.data for x in row)
+    return all(m.field.is_zero(x) for row in m.to_rows() for x in row)
 
 
 def dense_eq(m, other):
     if (m.rows, m.cols) != (other.rows, other.cols):
         return False
     f = m.field
-    return all(f.eq(a, b) for r1, r2 in zip(m.data, other.data) for a, b in zip(r1, r2))
+    return all(f.eq(a, b) for r1, r2 in zip(m.to_rows(), other.to_rows())
+               for a, b in zip(r1, r2))
 
 
 # -- the one element format of A, A! and U, at the test boundary --------------------
@@ -190,6 +195,11 @@ def sparse(vec):
     return {k: v for k, v in enumerate(vec) if v}
 
 
+def dense_columns(f, cols, n):
+    """The n-row matrix whose columns are the dense lists ``cols``."""
+    return Matrix.from_rows(f, [[col[i] for col in cols] for i in range(n)], len(cols))
+
+
 # -- the product table of a graded truncation, dense ---------------------------------
 
 
@@ -199,21 +209,21 @@ def dense_mult_tensor(alg, i, j):
     n = alg.dim_at(i + j)
     cols = [dense(alg.field, alg.project_word(u + v), n)
             for u in alg.basis_words[i] for v in alg.basis_words[j]]
-    return Matrix.from_columns(alg.field, cols, rows=n)
+    return dense_columns(alg.field, cols, n)
 
 
 def dense_left_mult(alg, g, j):
     """Matrix of left multiplication by generator g, A_j -> A_{1+j}."""
     n = alg.dim_at(1 + j)
     cols = [dense(alg.field, alg.project_word((g,) + v), n) for v in alg.basis_words[j]]
-    return Matrix.from_columns(alg.field, cols, rows=n)
+    return dense_columns(alg.field, cols, n)
 
 
 def dense_right_mult(alg, g, j):
     """Matrix of right multiplication by generator g, A_j -> A_{j+1}."""
     n = alg.dim_at(j + 1)
     cols = [dense(alg.field, alg.project_word(v + (g,)), n) for v in alg.basis_words[j]]
-    return Matrix.from_columns(alg.field, cols, rows=n)
+    return dense_columns(alg.field, cols, n)
 
 
 def dense_cofree_actions(dual, labels):
@@ -231,15 +241,15 @@ def dense_cofree_actions(dual, labels):
             for col, (r, s, *rest) in enumerate(labs):
                 if r == 0:
                     continue
-                rm = dense_right_mult(dual, g, r - 1)
+                rm = dense_right_mult(dual, g, r - 1).to_rows()
                 for t in range(dual.dim_at(r - 1)):
-                    c = rm.data[s][t]
+                    c = rm[s][t]
                     if f.is_zero(c):
                         continue
                     row = tpos.get((r - 1, t, *rest))
                     if row is not None:
                         out[row][col] = f.sub(out[row][col], c)
-            acts.append(Matrix(f, out, len(tgt), len(labs)))
+            acts.append(Matrix.from_rows(f, out, len(labs)))
         actions[p] = acts
     return actions
 
@@ -281,25 +291,25 @@ def dense_f_differentials(n, u, labels):
             continue
         tgt_pos = {lab: i for i, lab in enumerate(labels[p + 1])}
         out = [[f.zero()] * len(src) for _ in range(len(tgt_pos))]
-        d_n = n.diff(p)
+        d_n = n.diff(p).to_rows()
         for col, (ui, ni) in enumerate(src):
             for g in range(u.data.base.dim):
                 uxg = dense_mult_basis(u, ui, u._basis_pos[(g,)])
-                act = n.action(p, g)
+                act = n.action(p, g).to_rows()
                 for ti, cu in enumerate(uxg):
                     if f.is_zero(cu):
                         continue
                     for nj in range(n.dim(p + 1)):
-                        ca = act.data[nj][ni]
+                        ca = act[nj][ni]
                         if not f.is_zero(ca):
                             row = tgt_pos[(ti, nj)]
                             out[row][col] = f.add(out[row][col], f.mul(cu, ca))
             for nj in range(n.dim(p + 1)):
-                c = d_n.data[nj][ni]
+                c = d_n[nj][ni]
                 if not f.is_zero(c):
                     row = tgt_pos[(ui, nj)]
                     out[row][col] = f.add(out[row][col], c)
-        diffs[p] = Matrix(f, out, len(tgt_pos), len(src))
+        diffs[p] = Matrix.from_rows(f, out, len(src))
     return diffs
 
 
@@ -326,32 +336,33 @@ def dense_gf_differentials(n, u, cdga, labels):
             if r >= 1:
                 # x_g . f(x_g* t) and f(d t), t in A!_{r-1}, with sign -sgn
                 for g in range(dual.pres.dim):
-                    lm = dense_left_mult(dual, g, r - 1)
+                    lm = dense_left_mult(dual, g, r - 1).to_rows()
                     xgu = dense_mult_basis(u, u._basis_pos[(g,)], ui)
                     for t in range(dual.dim_at(r - 1)):
-                        c1 = lm.data[s][t]
+                        c1 = lm[s][t]
                         for ti, cu in enumerate(xgu):
                             if not f.is_zero(c1) and not f.is_zero(cu):
                                 add((r - 1, t, ti, ni), col, f.neg(f.mul(sgn, f.mul(c1, cu))))
                 dm = cdga.d(r - 1)
+                dmr = dm.to_rows()
                 for t in range(dual.dim_at(r - 1)):
-                    c1 = dm.data[s][t] if dm.rows > s else f.zero()
+                    c1 = dmr[s][t] if dm.rows > s else f.zero()
                     if not f.is_zero(c1):
                         add((r - 1, t, ui, ni), col, f.neg(f.mul(sgn, c1)))
             # the differential of F(N) on f(t), with sign sgn
             for g in range(dual.pres.dim):
                 uxg = dense_mult_basis(u, ui, u._basis_pos[(g,)])
-                act = n.action(p + r, g)
+                act = n.action(p + r, g).to_rows()
                 for ti, cu in enumerate(uxg):
                     for nj in range(n.dim(p + r + 1)):
-                        ca = act.data[nj][ni]
+                        ca = act[nj][ni]
                         if not f.is_zero(cu) and not f.is_zero(ca):
                             add((r, s, ti, nj), col, f.mul(sgn, f.mul(cu, ca)))
-            dn = n.diff(p + r)
+            dn = n.diff(p + r).to_rows()
             for nj in range(n.dim(p + r + 1)):
-                if not f.is_zero(dn.data[nj][ni]):
-                    add((r, s, ui, nj), col, f.mul(sgn, dn.data[nj][ni]))
-        diffs[p] = Matrix(f, out, len(tpos), len(src))
+                if not f.is_zero(dn[nj][ni]):
+                    add((r, s, ui, nj), col, f.mul(sgn, dn[nj][ni]))
+        diffs[p] = Matrix.from_rows(f, out, len(src))
     return diffs
 
 
@@ -413,7 +424,7 @@ def dense_free_expand(fc, base_level):
                     if not f.is_zero(c):
                         row = tpos[(ti, i)]
                         out[row][col] = f.add(out[row][col], c)
-        diffs[p] = Matrix(f, out, len(tpos), len(labels[p]))
+        diffs[p] = Matrix.from_rows(f, out, len(labels[p]))
     return diffs
 
 
@@ -425,8 +436,8 @@ def dense_free_fiber(fc):
     for p, ent in dense_free_entries(fc).items():
         rows, cols = fc.rank(p + 1), fc.rank(p)
         if rows and cols:
-            diffs[p] = Matrix(f, [[ent[i][j][one_idx] for j in range(cols)]
-                                  for i in range(rows)], rows, cols)
+            diffs[p] = Matrix.from_rows(f, [[ent[i][j][one_idx] for j in range(cols)]
+                                            for i in range(rows)], cols)
     return diffs
 
 
@@ -501,7 +512,7 @@ def truncated_presentation(draw, fields):
     small = st.integers(min_value=-2, max_value=2)
     rows = draw(st.lists(st.lists(small, min_size=d * d, max_size=d * d),
                          min_size=0, max_size=d * d))
-    rel = Matrix(f, [[f.of_int(x) for x in r] for r in rows], len(rows), d * d)
+    rel = Matrix.from_rows(f, [[f.of_int(x) for x in r] for r in rows], d * d)
     pres = QuadraticPresentation(f, [f"x{i}" for i in range(d)], rel)
     return pres, draw(st.integers(min_value=2, max_value=4 if d <= 2 else 3))
 
@@ -530,7 +541,7 @@ def dense_act_on_expanded(free, mdeg, mb, vdeg, vec):
         mt = dense_mult_tensor(alg, mdeg, d)
         j = mb * alg.dim_at(d) + b
         row = tstart[gi]
-        for prow in mt.data:
+        for prow in mt.to_rows():
             pc = prow[j]
             if not f.is_zero(pc):
                 out[row] = f.add(out[row], f.mul(c, pc))
@@ -566,15 +577,16 @@ def dense_resolution_betti(alg, steps, degree_cap):
                 lk = kernels[ldeg]
                 for ci in range(lk.cols):
                     for mb in range(alg.dim_at(mdeg)):
-                        prod = dense_act_on_expanded(current, mdeg, mb, ldeg, lk.column(ci))
+                        prod = dense_act_on_expanded(current, mdeg, mb, ldeg,
+                                                     dense(f, lk.columns[ci], lk.rows))
                         span.insert(dict(enumerate(prod)))
             chosen = [ci for ci in range(kb.cols)
-                      if span.insert(dict(enumerate(kb.column(ci))))]
+                      if span.insert(dict(enumerate(dense(f, kb.columns[ci], kb.rows))))]
             if chosen:
                 betti[(step, deg)] = len(chosen)
                 for ci in chosen:
                     next_shifts.append(deg)
-                    gen_vectors.append(kb.column(ci))
+                    gen_vectors.append(dense(f, kb.columns[ci], kb.rows))
         if not next_shifts:
             break
         nxt = GradedFreeModule(alg, next_shifts)
@@ -585,7 +597,7 @@ def dense_resolution_betti(alg, steps, degree_cap):
                 continue
             cols = [dense_act_on_expanded(current, d, b, next_shifts[si], gen_vectors[si])
                     for (si, d, b) in src_labs]
-            kb = kernel_basis(Matrix.from_columns(f, cols, rows=current.dim_at(deg)))
+            kb = kernel_basis(dense_columns(f, cols, current.dim_at(deg)))
             if kb.cols:
                 new_kernels[deg] = kb
         current = nxt
@@ -608,16 +620,16 @@ def dense_strand_differentials(alg, dual, n):
         rows, cols = alg.dim_at(adeg + 1) * dq1, alg.dim_at(adeg) * dq
         out = [[f.zero()] * cols for _ in range(rows)]
         for g in range(alg.pres.dim):
-            rm = dense_right_mult(alg, g, adeg)
-            dualrm = dense_right_mult(dual, g, qdeg - 1)
+            rm = dense_right_mult(alg, g, adeg).to_rows()
+            dualrm = dense_right_mult(dual, g, qdeg - 1).to_rows()
             for ai in range(alg.dim_at(adeg)):
                 for si in range(dq):
                     for aj in range(alg.dim_at(adeg + 1)):
                         for sj in range(dq1):
                             cell = out[aj * dq1 + sj]
                             cell[ai * dq + si] = f.add(cell[ai * dq + si], f.mul(
-                                rm.data[aj][ai], dualrm.data[si][sj]))
-        diffs[pos] = Matrix(f, out, rows, cols)
+                                rm[aj][ai], dualrm[si][sj]))
+        diffs[pos] = Matrix.from_rows(f, out, cols)
     return diffs
 
 
@@ -644,9 +656,9 @@ def full_cdga_verify(alg):
                 for b in range(mj):
                     eb = [f.one() if s == b else f.zero() for s in range(mj)]
                     ab = multiply(i, ea, j, eb)
-                    lhs = alg.d(i + j).apply(ab)
-                    rhs = multiply(i + 1, alg.d(i).apply(ea), j, eb)
-                    db = alg.d(j).apply(eb)
+                    lhs = dense_apply(alg.d(i + j), ab)
+                    rhs = multiply(i + 1, dense_apply(alg.d(i), ea), j, eb)
+                    db = dense_apply(alg.d(j), eb)
                     term2 = multiply(i, ea, j + 1, db)
                     if i % 2 == 1:
                         term2 = [f.neg(x) for x in term2]
@@ -655,7 +667,7 @@ def full_cdga_verify(alg):
                         return f"Leibniz fails on basis pair A!_{i}[{a}] * A!_{j}[{b}]"
     # d(c) = 0
     if 3 <= top:
-        dc = alg.d(2).apply(alg.curvature)
+        dc = dense_apply(alg.d(2), alg.curvature)
         if any(not f.is_zero(x) for x in dc):
             return "d(c) != 0"
     # d^2 = [c, -]
@@ -663,7 +675,7 @@ def full_cdga_verify(alg):
         mn = dual.dim_at(n)
         for b in range(mn):
             eb = [f.one() if s == b else f.zero() for s in range(mn)]
-            dd = alg.d(n + 1).apply(alg.d(n).apply(eb))
+            dd = dense_apply(alg.d(n + 1), dense_apply(alg.d(n), eb))
             cb = multiply(2, alg.curvature, n, eb)
             bc = multiply(n, eb, 2, alg.curvature)
             comm = [f.sub(x, y) for x, y in zip(cb, bc)]
@@ -682,7 +694,7 @@ def symmetric_presentation(field, dim):
             row[j * dim + i] = field.neg(field.one())
             rows.append(row)
     return QuadraticPresentation(field, [f"x{i+1}" for i in range(dim)],
-                                 Matrix(field, rows, len(rows), dim * dim))
+                                 Matrix.from_rows(field, rows, dim * dim))
 
 
 def heisenberg_deformation(field):

@@ -175,8 +175,8 @@ def test_shift_negates_differential_and_twists_actions(twopoint_world):
     sh = g.shift()
     assert sh.validate() is None
     assert sh.dims == {p - 1: 1 for p in range(-2, 1)}
-    assert f.eq(sh.diff(-2).data[0][0], f.of_int(-1))
-    assert f.eq(sh.action(-2, 0).data[0][0], f.one())
+    assert f.eq(sh.diff(-2).entry(0, 0), f.of_int(-1))
+    assert f.eq(sh.action(-2, 0).entry(0, 0), f.one())
 
 
 def test_socle_complex_of_g(sym2_world):
@@ -216,8 +216,8 @@ def test_cone_acyclic_iff_nullhomotopic(heis):
     k = UModule.trivial(heis)
     k2 = k.direct_sum(k)
     for _ in range(8):
-        a = Matrix(f, [[f.of_int(rng.randrange(-2, 3)) for _ in range(2)]
-                       for _ in range(2)], 2, 2)
+        a = Matrix.from_rows(f, [[f.of_int(rng.randrange(-2, 3)) for _ in range(2)]
+                                 for _ in range(2)], 2)
         c1 = UComplex(heis, (0, 0), {0: k2}, {})
         fmap = ChainMap(c1, c1, {0: a})
         cn = cone(fmap)

@@ -77,9 +77,10 @@ def test_heisenberg_cdga_is_ce(heis_world):
     # d vanishes on x1*, x2*; d(x3*) pairs to -1 against x1 ^ x2, the
     # classical Chevalley-Eilenberg value -x1* ^ x2* as a bilinear form
     f = cdga.field
-    assert all(f.is_zero(x) for x in cdga.d(1).column(0))
-    assert all(f.is_zero(x) for x in cdga.d(1).column(1))
-    col = cdga.d(1).column(2)
+    d1 = cdga.d(1).to_rows()
+    assert all(f.is_zero(row[0]) for row in d1)
+    assert all(f.is_zero(row[1]) for row in d1)
+    col = [row[2] for row in d1]
     # pairing of d(x3*) against the relation r12 = x1 ox x2 - x2 ox x1
     # under the contragredient pairing
     word = cdga.dual.basis_words[2][0]
@@ -89,7 +90,7 @@ def test_heisenberg_cdga_is_ce(heis_world):
     for i, c in enumerate(col):
         w = cdga.dual.basis_words[2][i]
         # <w, r> = r at the swapped pair coordinate
-        val = f.add(val, f.mul(c, rel.data[0][w[1] * 3 + w[0]]))
+        val = f.add(val, f.mul(c, rel.to_rows()[0][w[1] * 3 + w[0]]))
     assert f.eq(val, f.of_int(-1))
     assert cdga.verify() is None
 
@@ -99,7 +100,7 @@ def test_twopoint_cdga_golden(twopoint_world):
     f = cdga.field
     assert f.eq(cdga.curvature[0], f.of_int(2))
     for n in range(1, 5):
-        val = cdga.d(n).data[0][0]
+        val = cdga.d(n).entry(0, 0)
         if n % 2 == 1:
             assert f.eq(val, f.of_int(-3))
         else:
@@ -132,8 +133,8 @@ def test_pbw_cdga_equivalence_random_f3():
         [0, 0, 0, 0, 0, 1, 0, 2, 0]])
     cases = []
     for _ in range(40):
-        alpha = Matrix(f3, [[f3.of_int(rng.randrange(3)) for _ in range(3)]
-                            for _ in range(3)], 3, 3)
+        alpha = Matrix.from_rows(f3, [[f3.of_int(rng.randrange(3)) for _ in range(3)]
+                                      for _ in range(3)], 3)
         beta = [f3.of_int(rng.randrange(3)) for _ in range(3)]
         cases.append((alpha, beta))
     # random (alpha, beta) are almost never PBW; a nonzero multiple of the
@@ -240,7 +241,7 @@ def _dense_u_oracle(data, bound):
         for i in range(n - 1):
             for u in words_of_length(d, i):
                 for v in words_of_length(d, n - 2 - i):
-                    for g in data.graph_rows().data:
+                    for g in data.graph_rows().to_rows():
                         row = [f.zero()] * ambient
                         for a in range(d):
                             for b in range(d):
@@ -248,9 +249,10 @@ def _dense_u_oracle(data, bound):
                             row[word_global_index(u + (a,) + v, d)] = g[d * d + a]
                         row[word_global_index(u + v, d)] = g[d * d + d]
                         rows.append(row)
-    r, pivots = dense_rref(Matrix(f, rows, len(rows), ambient),
+    r, pivots = dense_rref(Matrix.from_rows(f, rows, ambient),
                            col_order=range(ambient - 1, -1, -1))
-    return {p: r.data[i] for i, p in enumerate(pivots)}
+    r_rows = r.to_rows()
+    return {p: r_rows[i] for i, p in enumerate(pivots)}
 
 
 def _dense_normal_form(f, oracle, ambient, g):
@@ -439,7 +441,7 @@ def test_relation_without_quadratic_part_rejected(f):
     # x0.x0 + x0 twice spans one relation, with its tail kept
     data = DeformationData.from_raw(f, ["x0"], rel, Matrix.from_int_rows(f, [[1], [1]]),
                                     [f.zero()] * 2)
-    assert data.base.num_relations == 1 and data.alpha.data == [[f.one()]]
+    assert data.base.num_relations == 1 and data.alpha.to_rows() == [[f.one()]]
 
 
 def test_beta_zero_iff_curvature_zero(heis, twopoint, sym2):
@@ -460,9 +462,9 @@ def _corrupted(alg, n, r, c, delta):
     if n is None:
         curvature[r] = f.add(curvature[r], delta)
     else:
-        data = alg.derivations[n].copy_data()
+        data = alg.derivations[n].to_rows()
         data[r][c] = f.add(data[r][c], delta)
-        derivations[n] = Matrix(f, data, len(data), alg.derivations[n].cols)
+        derivations[n] = Matrix.from_rows(f, data, alg.derivations[n].cols)
     return CdgAlgebra(alg.data, alg.dual, derivations, curvature)
 
 

@@ -147,7 +147,7 @@ def _change_basis(fc, rng):
 
 def _same(got, want):
     assert (got.rows, got.cols) == (want.rows, want.cols)
-    assert got.data == want.data
+    assert got.to_rows() == want.to_rows()
 
 
 def _check_against_oracles(fc, base_level):
@@ -173,7 +173,7 @@ def _check_against_oracles(fc, base_level):
     assert sorted(expanded.diffs) == sorted(want)
     for p, m in want.items():
         _same(expanded.diff(p), m)
-        assert raw_values(f, [x for row in expanded.diff(p).data for x in row])
+        assert raw_values(f, [x for row in expanded.diff(p).to_rows() for x in row])
 
 
 def _assert_homotopy(fc, fmat, gmat, s):
@@ -263,3 +263,22 @@ def test_free_side_matches_dense_oracles(f, kind, a, b, base_level, cap, seed):
         ident = free_identity_map(cone.ranks, u)
         maps = (ident, {}) if seed % 2 else ({}, ident)
         assert _check_homotopy(cone, *maps, cap) is not None
+
+
+def test_free_nullhomotopy_default_cap():
+    """The default cap is u.bound - entry_degree_bound(), the largest whose
+    products with every entry stay within U: on the Koszul complex of k over
+    S(V), dim V = 2, with U built to bound 4, it is 3.  The default equals
+    the explicit cap on the identity (no homotopy, H_0 = k) and on the cone
+    of the identity (a homotopy)."""
+    u = _augmented_u(QQ, "sym", 0, 0)
+    koszul = _koszul(u)
+    assert (u.data.base.dim, u.bound, koszul.entry_degree_bound()) == (2, 4, 1)
+    ident = free_identity_map(koszul.ranks, u)
+    assert free_nullhomotopy(koszul, ident, {}) is None
+    assert free_nullhomotopy(koszul, ident, {}, degree_cap=3) is None
+    cone = free_cone_of_map(koszul, koszul, ident)
+    cone_ident = free_identity_map(cone.ranks, u)
+    s = free_nullhomotopy(cone, cone_ident, {})
+    assert s is not None and s == free_nullhomotopy(cone, cone_ident, {}, degree_cap=3)
+    _assert_homotopy(cone, cone_ident, {}, s)

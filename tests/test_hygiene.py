@@ -1,8 +1,9 @@
 """Source hygiene: every name the package and the tests import is read,
 every private module-level function or class of the package is named
 somewhere besides its own definition, no local variable is written and
-never read, no ``and``/``or`` of the package has a literal operand, and
-no ``if`` without ``else`` has a body of only ``pass``.
+never read, no ``and``/``or`` of the package has a literal operand, no
+``if`` without ``else`` has a body of only ``pass``, and no package code
+reads a matrix through a dense ``.data`` store.
 
 An import that nothing reads hides which functions a module really
 depends on, and which builders and fixtures a test module exercises; a
@@ -13,6 +14,8 @@ and ``if c: pass`` is a test whose outcome changes nothing.
 
 import ast
 from pathlib import Path
+
+from koszul_kit.linalg import Matrix
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted([*ROOT.glob("src/koszul_kit/*.py"), *ROOT.glob("tests/*.py")])
@@ -211,4 +214,30 @@ def test_no_pass_only_ifs():
     assert any(path.parent.name == "perfbench" for path in files)
     hits = [f"{path.relative_to(ROOT)}:{line}" for path in files
             for line in _pass_only_ifs(path.read_text())]
+    assert hits == []
+
+
+def _data_subscripts(source):
+    """Line of every subscript of a ``.data`` attribute, as in
+    ``m.data[i][j]``: the dense row store that ``Matrix`` no longer has."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Subscript)
+                  and isinstance(node.value, ast.Attribute) and node.value.attr == "data")
+
+
+def test_scan_flags_a_data_subscript():
+    src = ("a = m.data[0][1]\n"
+           "b = m.data\n"
+           "c = m.columns[0].get(1)\n"
+           "d = u.data.base.dim\n"
+           "e = [row[:] for row in x.data[1:]]\n")
+    assert _data_subscripts(src) == [1, 5]
+
+
+def test_no_dense_matrix_store():
+    assert Matrix.__slots__ == ("field", "rows", "cols", "columns")
+    package = sorted(ROOT.glob("src/koszul_kit/*.py"))
+    assert package
+    hits = [f"{path.relative_to(ROOT)}:{line}" for path in package
+            for line in _data_subscripts(path.read_text())]
     assert hits == []

@@ -22,6 +22,7 @@ from koszul_kit.linalg import (
 from koszul_kit.scalars import QQ, Field
 
 from conftest import (
+    dense,
     dense_add,
     dense_apply,
     dense_eq,
@@ -34,6 +35,7 @@ from conftest import (
     dense_solve,
     dense_sub,
     dense_transpose,
+    sparse,
 )
 
 F2 = Field(2)
@@ -52,8 +54,8 @@ def test_rref_rank_one():
     m = Matrix.from_int_rows(QQ, [[1, 2], [2, 4]])
     r, pivots = rref(m)
     assert pivots == [0]
-    assert [QQ.format(x) for x in r.data[0]] == ["1", "2"]
-    assert all(QQ.is_zero(x) for x in r.data[1])
+    assert [QQ.format(x) for x in r.to_rows()[0]] == ["1", "2"]
+    assert all(QQ.is_zero(x) for x in r.to_rows()[1])
 
 
 def test_rref_f2_by_hand_oracle():
@@ -79,22 +81,22 @@ def test_kernel_one_equation():
     assert k.cols == 2
     assert m.mul(k).is_zero()
     # contains (1,-1,0) and (0,0,1)
-    assert solve(k, [QQ.of_int(1), QQ.of_int(-1), QQ.zero()]) is not None
-    assert solve(k, [QQ.zero(), QQ.zero(), QQ.one()]) is not None
+    assert solve(k, sparse([QQ.of_int(1), QQ.of_int(-1), QQ.zero()])) is not None
+    assert solve(k, sparse([QQ.zero(), QQ.zero(), QQ.one()])) is not None
 
 
 def test_solve_identity():
-    b = [QQ.of_int(3), QQ.of_int(-1)]
+    b = sparse([QQ.of_int(3), QQ.of_int(-1)])
     assert solve(Matrix.identity(QQ, 2), b) == b
 
 
 def test_solve_absent():
     m = Matrix.from_int_rows(QQ, [[1, 2], [2, 4]])
-    assert solve(m, [QQ.of_int(1), QQ.of_int(3)]) is None
+    assert solve(m, sparse([QQ.of_int(1), QQ.of_int(3)])) is None
 
 
 def test_solve_half():
-    x = solve(Matrix.from_int_rows(QQ, [[2]]), [QQ.one()])
+    x = solve(Matrix.from_int_rows(QQ, [[2]]), {0: QQ.one()})
     assert QQ.format(x[0]) == "1/2"
 
 
@@ -126,7 +128,7 @@ def test_kernel_and_solve_roundtrip(rows):
         assert m.mul(k).is_zero()
     assert k.cols + rank(m) == m.cols
     x0 = [QQ.of_int(i - 1) for i in range(m.cols)]
-    b = m.apply(x0)
+    b = m.apply(sparse(x0))
     x = solve(m, b)
     assert x is not None and m.apply(x) == b
 
@@ -136,7 +138,7 @@ def test_intersect_row_spaces():
     b = Matrix.from_int_rows(QQ, [[0, 1, 0], [0, 0, 1]])
     i = intersect_row_spaces(a, b)
     assert i.rows == 1
-    assert [QQ.format(x) for x in i.data[0]] == ["0", "1", "0"]
+    assert [QQ.format(x) for x in i.to_rows()[0]] == ["0", "1", "0"]
 
 
 # -- the elimination core against the dense Gauss-Jordan oracle --------------
@@ -173,7 +175,7 @@ def _dense(f, vec, n):
 def _descending_rref(m):
     """{pivot: rref row} with pivots searched from the largest column."""
     r, pivots = dense_rref(m, col_order=range(m.cols - 1, -1, -1))
-    return {p: r.data[i] for i, p in enumerate(pivots)}
+    return {p: r.to_rows()[i] for i, p in enumerate(pivots)}
 
 
 def _dense_normal_form(f, rows, vec):
@@ -190,13 +192,13 @@ def _dense_normal_form(f, rows, vec):
 def test_echelon_span_matches_dense(fm, data):
     f, m = fm
     span = EchelonSpan(f)
-    grew = [span.insert(_sparse(f, r)) for r in m.data]
+    grew = [span.insert(_sparse(f, r)) for r in m.to_rows()]
     oracle = _descending_rref(m)
     assert set(span.leads()) == set(oracle)
     assert span.dim() == sum(grew) == len(oracle)
     probe = [f.of_int(x) for x in data.draw(
         st.lists(entry, min_size=m.cols, max_size=m.cols))]
-    vecs = m.data + [probe]
+    vecs = m.to_rows() + [probe]
     want = [_dense_normal_form(f, oracle, v) for v in vecs]
     assert [_dense(f, span.reduce(_sparse(f, v)), m.cols) for v in vecs] == want
     span.interreduce()
@@ -212,18 +214,19 @@ def test_solve_sparse_matches_dense(fm, data):
     if data.draw(st.booleans()):  # a consistent system
         x0 = [f.of_int(x) for x in data.draw(
             st.lists(entry, min_size=m.cols, max_size=m.cols))]
-        b = m.apply(x0)
+        b = dense(f, m.apply(sparse(x0)), m.rows)
     else:
         b = [f.of_int(x) for x in data.draw(
             st.lists(entry, min_size=m.rows, max_size=m.rows))]
-    eqs = [{**_sparse(f, row), RHS: bi} for row, bi in zip(m.data, b)]
+    rows = m.to_rows()
+    eqs = [{**_sparse(f, row), RHS: bi} for row, bi in zip(rows, b)]
     got = solve_sparse(f, eqs, m.cols)
     # solve_sparse pivots on the largest variables and sets the smallest
     # free; dense solve on the reversed variable order makes the same choice
-    reversed_m = Matrix(f, [row[::-1] for row in m.data], m.rows, m.cols)
+    reversed_m = Matrix.from_rows(f, [row[::-1] for row in rows], m.cols)
     want = dense_solve(reversed_m, b)
     assert got == (None if want is None else want[::-1])
-    assert sparse_rank(f, [_sparse(f, r) for r in m.data]) == len(dense_rref(m)[1])
+    assert sparse_rank(f, [_sparse(f, r) for r in rows]) == len(dense_rref(m)[1])
 
 
 def test_solve_sparse_consistency():
@@ -232,14 +235,15 @@ def test_solve_sparse_consistency():
         m = Matrix.from_int_rows(QQ, [[rng.randrange(-3, 4) for _ in range(4)]
                                       for _ in range(3)])
         x0 = [QQ.of_int(rng.randrange(-2, 3)) for _ in range(4)]
-        b = m.apply(x0)
+        b = dense(QQ, m.apply(sparse(x0)), 3)
+        rows = m.to_rows()
         eqs = []
         for i in range(3):
-            eq = {j: m.data[i][j] for j in range(4) if not QQ.is_zero(m.data[i][j])}
+            eq = {j: rows[i][j] for j in range(4) if not QQ.is_zero(rows[i][j])}
             eq[RHS] = b[i]
             eqs.append(eq)
         x = solve_sparse(QQ, eqs, 4)
-        assert x is not None and m.apply(x) == b
+        assert x is not None and dense(QQ, m.apply(sparse(x)), 3) == b
 
 
 def test_solve_sparse_inconsistent():
@@ -249,8 +253,8 @@ def test_solve_sparse_inconsistent():
 
 def test_row_space_membership():
     rs = row_space(Matrix.from_int_rows(QQ, [[1, 1, 0], [0, 0, 1]]))
-    assert solve(rs.transpose(), [QQ.of_int(2), QQ.of_int(2), QQ.of_int(5)]) == [2, 5]
-    assert solve(rs.transpose(), [QQ.one(), QQ.zero(), QQ.zero()]) is None
+    assert solve(rs.transpose(), sparse([QQ.of_int(2), QQ.of_int(2), QQ.of_int(5)])) == {0: 2, 1: 5}
+    assert solve(rs.transpose(), sparse([QQ.one(), QQ.zero(), QQ.zero()])) is None
 
 
 @st.composite
@@ -264,15 +268,15 @@ def field_matrix_and_rhs(draw):
                          min_size=nrows, max_size=nrows))
     if draw(st.booleans()) and draw(st.booleans()):
         rows = [[0] * ncols for _ in range(nrows)]
-    m = Matrix(f, [[f.of_int(x) for x in r] for r in rows], nrows, ncols)
-    rhs = []
+    m = Matrix.from_rows(f, [[f.of_int(x) for x in r] for r in rows], ncols)
+    rhs = []  # sparse columns
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
         if draw(st.booleans()):
             x0 = draw(st.lists(entry, min_size=ncols, max_size=ncols))
-            rhs.append(m.apply([f.of_int(x) for x in x0]))
+            rhs.append(m.apply(sparse([f.of_int(x) for x in x0])))
         else:
-            rhs.append([f.of_int(x) for x in draw(
-                st.lists(entry, min_size=nrows, max_size=nrows))])
+            rhs.append(sparse([f.of_int(x) for x in draw(
+                st.lists(entry, min_size=nrows, max_size=nrows))]))
     return f, m, rhs
 
 
@@ -283,25 +287,32 @@ def test_one_core_matches_dense_oracle(case):
     want_r, want_p = dense_rref(m)
     r, pivots = rref(m)
     assert (r.rows, r.cols) == (m.rows, m.cols)
-    assert r.data == want_r.data and pivots == want_p
+    assert r.to_rows() == want_r.to_rows() and pivots == want_p
+    _assert_stored(r)
     assert rank(m) == len(want_p)
     rs = row_space(m)
     assert (rs.rows, rs.cols) == (len(want_p), m.cols)
-    assert rs.data == want_r.data[: len(want_p)]
+    assert rs.to_rows() == want_r.to_rows()[: len(want_p)]
+    _assert_stored(rs)
     # the kernel basis is the one with an identity block on the free columns
     k = kernel_basis(m)
     free = [j for j in range(m.cols) if j not in want_p]
     assert (k.rows, k.cols) == (m.cols, len(free))
     assert m.mul(k).is_zero()
-    assert [k.data[j] for j in free] == Matrix.identity(f, len(free)).data
-    want_x = [dense_solve(m, b) for b in rhs]
-    assert [solve(m, b) for b in rhs] == want_x
-    x = solve_matrix(m, Matrix.from_columns(f, rhs, rows=m.rows))
+    k_rows = k.to_rows()
+    assert [k_rows[j] for j in free] == Matrix.identity(f, len(free)).to_rows()
+    _assert_stored(k)
+    want_x = [dense_solve(m, dense(f, b, m.rows)) for b in rhs]
+    got_x = [solve(m, b) for b in rhs]
+    assert [None if x is None else dense(f, x, m.cols) for x in got_x] == want_x
+    assert [None if x is None else sparse(x) for x in want_x] == got_x
+    x = solve_matrix(m, Matrix(f, m.rows, rhs))
     if None in want_x:
         assert x is None
     else:
         assert (x.rows, x.cols) == (m.cols, len(rhs))
-        assert [x.column(j) for j in range(x.cols)] == want_x
+        assert [dense(f, col, x.rows) for col in x.columns] == want_x
+        _assert_stored(x)
 
 
 
@@ -324,7 +335,7 @@ def raw_matrix(draw, f, rows, cols):
         return Matrix.zero(f, rows, cols)
     data = draw(st.lists(st.lists(raw_scalars(f), min_size=cols, max_size=cols),
                          min_size=rows, max_size=rows))
-    return Matrix(f, data, rows, cols)
+    return Matrix.from_rows(f, data, cols)
 
 
 def _assert_raw(f, values):
@@ -335,18 +346,30 @@ def _assert_raw(f, values):
             assert type(x) is Fraction, x
 
 
+def _assert_stored(m):
+    """The storage invariant: one zero-free column dict per column, keys in
+    ``range(rows)``, raw values."""
+    assert len(m.columns) == m.cols
+    for col in m.columns:
+        assert all(0 <= i < m.rows for i in col)
+        assert all(col.values())
+        _assert_raw(m.field, col.values())
+
+
 def _assert_same(got, want):
     assert (got.rows, got.cols) == (want.rows, want.cols)
-    assert len(got.data) == got.rows and all(len(r) == got.cols for r in got.data)
-    assert got.data == want.data
-    _assert_raw(got.field, [x for r in got.data for x in r])
+    _assert_stored(got)
+    rows = got.to_rows()
+    assert len(rows) == got.rows and all(len(r) == got.cols for r in rows)
+    assert rows == want.to_rows()
+    _assert_raw(got.field, [x for r in rows for x in r])
 
 
 def _check_matrix_ops(f, a, b, m, o, vec, c):
     """Every op on a, b (same shape), m (a.cols rows), o (any shape), vec
     (length a.cols) and scalar c agrees with the dense oracle and keeps the
     entry invariant; no op changes its operands."""
-    before = [x.copy_data() for x in (a, b, m, o)]
+    before = [x.to_rows() for x in (a, b, m, o)]
     _assert_same(a.add(b), dense_add(a, b))
     _assert_same(a.sub(b), dense_sub(a, b))
     _assert_same(a.scale(c), dense_scale(a, c))
@@ -355,14 +378,21 @@ def _check_matrix_ops(f, a, b, m, o, vec, c):
     _assert_same(a.kron(o), dense_kron(a, o))
     _assert_same(o.kron(a), dense_kron(o, a))
     _assert_same(a.transpose(), dense_transpose(a))
-    got = a.apply(vec)
-    assert got == dense_apply(a, vec)
-    _assert_raw(f, got)
+    # rows picked in descending order, columns permuted
+    rsel, csel = list(range(a.rows))[::-2], list(range(a.cols))[1::2] + list(range(a.cols))[::2]
+    a_rows = a.to_rows()
+    _assert_same(a.submatrix(rsel, csel),
+                 Matrix.from_rows(f, [[a_rows[i][j] for j in csel] for i in rsel], len(csel)))
+    got = a.apply(sparse(vec))
+    assert got == sparse(dense_apply(a, vec))
+    assert dense(f, got, a.rows) == dense_apply(a, vec)
+    assert all(got.values())
+    _assert_raw(f, got.values())
     assert a.is_zero() == dense_is_zero(a)
     for x, y in ((a, b), (a, a.add(Matrix.zero(f, a.rows, a.cols))), (a, o),
                  (a, a.transpose())):
         assert x.eq(y) == dense_eq(x, y)
-    assert [x.data for x in (a, b, m, o)] == before
+    assert [x.to_rows() for x in (a, b, m, o)] == before
 
 
 @settings(max_examples=300)
@@ -383,10 +413,16 @@ def test_matrix_ops_on_empty_and_zero_shapes():
         one, two = f.one(), f.of_int(2)
         for r, c in ((0, 3), (3, 0), (0, 0), (2, 3)):
             z = Matrix.zero(f, r, c)
-            full = Matrix(f, [[two] * c for _ in range(r)], r, c)
+            full = Matrix.from_rows(f, [[two] * c for _ in range(r)], c)
+            for x, rows in ((z, [[f.zero()] * c for _ in range(r)]),
+                            (full, [[two] * c for _ in range(r)])):
+                assert (x.rows, x.cols) == (r, c) and x.to_rows() == rows
+                assert Matrix.from_rows(f, x.to_rows(), c).eq(x)
+                _assert_stored(x)
             for a, b in ((z, z), (z, full), (full, z)):
                 for k in (0, 2):
                     _check_matrix_ops(f, a, b, Matrix.zero(f, c, k),
                                       Matrix.identity(f, 2), [one] * c, two)
-                    _check_matrix_ops(f, a, b, Matrix(f, [[one] * k for _ in range(c)], c, k),
+                    ones = Matrix.from_rows(f, [[one] * k for _ in range(c)], k)
+                    _check_matrix_ops(f, a, b, ones,
                                       Matrix.zero(f, 0, 2), [f.zero()] * c, f.zero())

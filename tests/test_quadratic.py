@@ -33,7 +33,7 @@ def test_dual_of_symmetric_is_exterior(sym2):
     # R-perp contains x1*x1*, x2*x2*, x1*x2* + x2*x1*
     f = QQ
     for vec in ([1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 1, 0]):
-        assert solve(dual.relations.transpose(), [f.of_int(x) for x in vec]) is not None
+        assert solve(dual.relations.transpose(), sparse([f.of_int(x) for x in vec])) is not None
 
 
 def test_dual_dims(sym2, sym3):
@@ -43,7 +43,7 @@ def test_dual_dims(sym2, sym3):
 
 def test_dual_of_zero_relations():
     # R = 0: the dual relations are all of V* ⊗ V*, so (A!)_n = 0 for n >= 2
-    p = QuadraticPresentation(QQ, ["x"], Matrix(QQ, [], 0, 1))
+    p = QuadraticPresentation(QQ, ["x"], Matrix.from_rows(QQ, [], 1))
     dual = quadratic_dual(p)
     assert dual.num_relations == 1
     alg = truncate_algebra(dual, 3)
@@ -104,8 +104,8 @@ def test_double_dual_random_f5():
     for _ in range(25):
         d = rng.randint(1, 3)
         nrel = rng.randint(0, d * d)
-        rows = Matrix(f5, [[f5.of_int(rng.randrange(5)) for _ in range(d * d)]
-                           for _ in range(nrel)], nrel, d * d)
+        rows = Matrix.from_rows(f5, [[f5.of_int(rng.randrange(5)) for _ in range(d * d)]
+                                     for _ in range(nrel)], d * d)
         p = QuadraticPresentation(f5, [f"x{i}" for i in range(d)], rows)
         assert double_dual_check(p, 3)
 
@@ -160,12 +160,12 @@ def test_euler_characteristic_of_koszul_pair(sym3):
 def _dense_product(alg, i, a, j, b):
     """a * b cell by cell through ``Field`` calls and ``dense_mult_tensor``."""
     f = alg.field
-    mt = dense_mult_tensor(alg, i, j)
+    mt = dense_mult_tensor(alg, i, j).to_rows()
     vec = [f.mul(x, y) for x in a for y in b]
-    out = [f.zero()] * mt.rows
-    for r in range(mt.rows):
+    out = [f.zero()] * len(mt)
+    for r in range(len(mt)):
         for k, v in enumerate(vec):
-            out[r] = f.add(out[r], f.mul(mt.data[r][k], v))
+            out[r] = f.add(out[r], f.mul(mt[r][k], v))
     return out
 
 
@@ -176,7 +176,7 @@ def _check_product_table(alg, draw_vector):
         for j in range(bound + 1 - i):
             mt = dense_mult_tensor(alg, i, j)
             cols = alg.mult_columns(i, j)
-            assert cols == [sparse(mt.column(k)) for k in range(mt.cols)]
+            assert cols == [sparse([row[k] for row in mt.to_rows()]) for k in range(mt.cols)]
             assert all(raw_values(f, c.values()) and all(c.values()) for c in cols)
             zero_a, zero_b = [f.zero()] * alg.dim_at(i), [f.zero()] * alg.dim_at(j)
             for a, b in ((draw_vector(i), draw_vector(j)), (zero_a, draw_vector(j)),
@@ -188,10 +188,10 @@ def _check_product_table(alg, draw_vector):
     for j in range(bound):
         left, right, nj = alg.mult_columns(1, j), alg.mult_columns(j, 1), alg.dim_at(j)
         for g in range(d):
-            lm, rm = dense_left_mult(alg, g, j), dense_right_mult(alg, g, j)
+            lm, rm = dense_left_mult(alg, g, j).to_rows(), dense_right_mult(alg, g, j).to_rows()
             for t in range(nj):
-                assert left[g * nj + t] == sparse(lm.column(t))
-                assert right[t * d + g] == sparse(rm.column(t))
+                assert left[g * nj + t] == sparse([row[t] for row in lm])
+                assert right[t * d + g] == sparse([row[t] for row in rm])
     for i in range(bound + 2):
         with pytest.raises(DegreeOverflowError):
             alg.mult_columns(i, bound + 1 - i)

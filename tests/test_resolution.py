@@ -67,8 +67,9 @@ def test_resolution_and_strands_match_dense(case):
         want = dense_strand_differentials(alg, dual, n)
         assert got.keys() == want.keys()
         for pos, m in got.items():
-            assert (m.rows, m.cols, m.data) == (want[pos].rows, want[pos].cols, want[pos].data)
-            assert raw_values(alg.field, [x for row in m.data for x in row])
+            assert (m.rows, m.cols, m.to_rows()) == \
+                (want[pos].rows, want[pos].cols, want[pos].to_rows())
+            assert raw_values(alg.field, [x for row in m.to_rows() for x in row])
 
 
 def test_resolution_and_strands_match_dense_on_sym3(sym3):
@@ -78,5 +79,5 @@ def test_resolution_and_strands_match_dense_on_sym3(sym3):
         assert minimal_resolution_betti(alg, 4, 4) == dense_resolution_betti(alg, 4, 4)
         for n in range(1, 5):
             want = dense_strand_differentials(alg, dual, n)
-            assert {pos: m.data for pos, m in strand_complex(alg, dual, n).diffs.items()} == \
-                {pos: m.data for pos, m in want.items()}
+            assert {pos: m.to_rows() for pos, m in strand_complex(alg, dual, n).diffs.items()} == \
+                {pos: m.to_rows() for pos, m in want.items()}

@@ -161,8 +161,8 @@ def test_koszulness_failure_found_by_search():
     found = None
     for _ in range(200):
         nrel = rng.randint(1, 8)
-        rows = Matrix(f2, [[f2.of_int(rng.randrange(2)) for _ in range(9)]
-                           for _ in range(nrel)], nrel, 9)
+        rows = Matrix.from_rows(f2, [[f2.of_int(rng.randrange(2)) for _ in range(9)]
+                                     for _ in range(nrel)], 9)
         p = QuadraticPresentation(f2, ["a", "b", "c"], rows)
         rep = koszulness_check(p, 4)
         if not rep["koszul_window"]:
@@ -223,9 +223,9 @@ def random_bounded_complex(data, u, rng, max_dim=2, length=3):
     prev = None
     for p in range(length - 1):
         while True:
-            d = Matrix(f, [[f.of_int(rng.randrange(-2, 3))
-                            for _ in range(dims[p])]
-                           for _ in range(dims[p + 1])], dims[p + 1], dims[p])
+            d = Matrix.from_rows(f, [[f.of_int(rng.randrange(-2, 3))
+                                      for _ in range(dims[p])]
+                                     for _ in range(dims[p + 1])], dims[p])
             if prev is None or d.mul(prev).is_zero():
                 break
         diffs[p] = d
@@ -432,10 +432,9 @@ def test_regrade_random_roundtrips():
         diffs = {}
         for (p, q), n in list(comps.items()):
             if (p + 1, q) in comps:
-                diffs[(p, q)] = Matrix(f, [[f.of_int(rng.randrange(-2, 3))
-                                            for _ in range(n)]
-                                           for _ in range(comps[(p + 1, q)])],
-                                       comps[(p + 1, q)], n)
+                diffs[(p, q)] = Matrix.from_rows(f, [[f.of_int(rng.randrange(-2, 3))
+                                                      for _ in range(n)]
+                                                     for _ in range(comps[(p + 1, q)])], n)
         # force d^2 = 0 by zeroing composites
         for (p, q) in list(diffs):
             if (p + 1, q) in diffs:
