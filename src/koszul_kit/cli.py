@@ -671,9 +671,66 @@ COMMANDS = {
 }
 
 
-def build_parser():
+def _add_command(sub, name, formatter):
+    """Register ``name`` with its full arguments."""
+    extras = COMMANDS[name][1]
+    sp = sub.add_parser(name, formatter_class=formatter)
+    _add_common(sp)
+    if "cdg" in extras:
+        sp.add_argument("--cdg", required=True, help="named cdg module (or 'k')")
+    if "cdg?" in extras:
+        sp.add_argument("--cdg", help="named cdg module (or 'k')")
+    if "complex" in extras:
+        sp.add_argument("--complex", required=True,
+                        help="named U-complex (or module name)")
+    if "complex?" in extras:
+        sp.add_argument("--complex", help="named U-complex")
+    if "module" in extras:
+        sp.add_argument("--module", default="k")
+    if "range" in extras:
+        sp.add_argument("--range", type=_parse_range, default=(0, 4))
+    if "cross_check" in extras:
+        sp.add_argument("--cross-check", dest="cross_check",
+                        action="store_true")
+    if "free" in extras:
+        sp.add_argument("--free", required=True, help="named free complex")
+    if "free_dual?" in extras:
+        sp.add_argument("--free-dual", dest="free_dual",
+                        help="named complex of free dual modules")
+    if "at" in extras:
+        sp.add_argument("--at", type=int, required=True)
+    if "r" in extras:
+        sp.add_argument("--r", type=int, required=True)
+    if "seed" in extras:
+        # a string default goes through type=int at parse time, so a
+        # malformed KOSZUL_SEED is a usage error of selftest alone
+        sp.add_argument("--seed", type=int,
+                        default=os.environ.get("KOSZUL_SEED") or 0)
+    if "corrupt_sign_debug" in extras:
+        sp.add_argument("--corrupt-sign-debug", dest="corrupt_sign_debug",
+                        action="store_true")
+
+
+def _add_placeholder(sub, names):
+    """Register ``names`` as the aliases of one parser without arguments."""
+    if names:
+        sub.add_parser(names[0], aliases=names[1:], add_help=False)
+
+
+def build_parser(argv):
+    """The parser for ``argv``: full arguments for the one subcommand
+    argparse will dispatch to, bare placeholders for the other names.
+
+    The top level has only ``-h``, so argparse hands the first token that
+    does not start with "-" to the subcommand choice; tokens it treats as
+    positional although they start with "-" (``-5``, ``-``) are never
+    command names and end in the invalid-choice error, which reads only the
+    names.  Each run of other names shares one placeholder through
+    ``aliases``, which keeps the choices in ``COMMANDS`` order for the
+    usage line and the errors; argparse never parses with a placeholder.
+    """
     # argparse's default help width, read from the terminal once per build:
-    # by default every formatter reads it, and a build makes one per argument
+    # by default every formatter reads it
     formatter = functools.partial(argparse.HelpFormatter,
                                   width=shutil.get_terminal_size().columns - 2)
     ap = argparse.ArgumentParser(
@@ -682,47 +739,19 @@ def build_parser():
                     "quadratic algebras and their curved dual dgas.",
         formatter_class=formatter)
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (fn, extras) in COMMANDS.items():
-        sp = sub.add_parser(name, formatter_class=formatter)
-        _add_common(sp)
-        if "cdg" in extras:
-            sp.add_argument("--cdg", required=True, help="named cdg module (or 'k')")
-        if "cdg?" in extras:
-            sp.add_argument("--cdg", help="named cdg module (or 'k')")
-        if "complex" in extras:
-            sp.add_argument("--complex", required=True,
-                            help="named U-complex (or module name)")
-        if "complex?" in extras:
-            sp.add_argument("--complex", help="named U-complex")
-        if "module" in extras:
-            sp.add_argument("--module", default="k")
-        if "range" in extras:
-            sp.add_argument("--range", type=_parse_range, default=(0, 4))
-        if "cross_check" in extras:
-            sp.add_argument("--cross-check", dest="cross_check",
-                            action="store_true")
-        if "free" in extras:
-            sp.add_argument("--free", required=True, help="named free complex")
-        if "free_dual?" in extras:
-            sp.add_argument("--free-dual", dest="free_dual",
-                            help="named complex of free dual modules")
-        if "at" in extras:
-            sp.add_argument("--at", type=int, required=True)
-        if "r" in extras:
-            sp.add_argument("--r", type=int, required=True)
-        if "seed" in extras:
-            env = os.environ.get("KOSZUL_SEED")
-            sp.add_argument("--seed", type=int,
-                            default=int(env) if env else 0)
-        if "corrupt_sign_debug" in extras:
-            sp.add_argument("--corrupt-sign-debug", dest="corrupt_sign_debug",
-                            action="store_true")
+    names = list(COMMANDS)
+    chosen = next((a for a in argv if not a.startswith("-")), None)
+    at = names.index(chosen) if chosen in COMMANDS else len(names)
+    _add_placeholder(sub, names[:at])
+    if at < len(names):
+        _add_command(sub, chosen, formatter)
+        _add_placeholder(sub, names[at + 1:])
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     fn, extras = COMMANDS[args.command]
     try:
         problem = None

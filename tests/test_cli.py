@@ -9,6 +9,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from koszul_kit import cli
 
@@ -16,9 +17,9 @@ PKG = os.path.join(os.path.dirname(__file__), "..")
 ENV = dict(os.environ, PYTHONPATH=os.path.join(PKG, "src"))
 
 
-def run_cli(*argv, expect=0):
+def run_cli(*argv, expect=0, env=ENV):
     out = subprocess.run([sys.executable, "-m", "koszul_kit.cli", *argv],
-                         capture_output=True, text=True, env=ENV, cwd=PKG)
+                         capture_output=True, text=True, env=env, cwd=PKG)
     assert out.returncode == expect, (out.stdout, out.stderr)
     return out.stdout
 
@@ -306,7 +307,63 @@ def test_parser_help_and_errors_match_reference(monkeypatch, columns):
              ["regrade", "f.json", "--cdg", "k", "--r", "2", "--json", "--extra"],
              ["tor", "f.json", "--range", "1..3", "--cross-check"]]
     argvs += [[name, "--help"] for name in cli.COMMANDS]
+    # tokens argparse reads as positional though they start with "-", options
+    # before the command, and extra positionals after it
+    argvs += [["--", "ce", "f.json"], ["-5", "ce"], ["-", "pbw"], ["-x y", "counit"],
+              ["--json", "ce", "f.json"], ["--he"], ["ce", "null-free", "minimize"]]
     for argv in argvs:
-        got = _parse(cli.build_parser, argv)
+        got = _parse(lambda: cli.build_parser(argv), argv)
         assert got == _parse(_reference_parser, argv), argv
         assert got[0] in (0, 2) or isinstance(got[0], dict)
+
+
+TOKENS = [*cli.COMMANDS, "-h", "--help", "--", "-5", "-", "--json", "f.json",
+          "--degree", "x", "--window", "1:2", "--cdg", "k", "--r", "2", "--seed",
+          "--nope", "-x y"]
+
+
+@settings(max_examples=150)
+@given(st.lists(st.sampled_from(TOKENS), max_size=6))
+def test_parser_matches_reference_on_drawn_argvs(argv):
+    for columns in ("80", "37"):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("COLUMNS", columns)
+            mp.setenv("KOSZUL_SEED", "7")
+            got = _parse(lambda: cli.build_parser(argv), argv)
+            assert got == _parse(_reference_parser, argv), (columns, argv)
+
+
+def test_parser_builds_only_the_chosen_command(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (["ce", "f.json"], ["selftest"]):
+        built.clear()
+        cli.build_parser(argv)
+        # the top level, the chosen command and at most two placeholders
+        assert len(built) <= 4, (argv, built)
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    assert cli.main(["dual", SYM2, "--json"]) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["koszul-kit", "dual", SYM2, "--json"])
+    assert cli.main() == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_malformed_env_seed_fails_selftest_only(monkeypatch):
+    env = dict(ENV, KOSZUL_SEED="abc")
+    run_cli("dual", SYM2, env=env)
+    run_cli("selftest", expect=2, env=env)
+    monkeypatch.setenv("KOSZUL_SEED", "abc")
+    code, out, err = _parse(lambda: cli.build_parser(["selftest"]), ["selftest"])
+    assert code == 2 and out == ""
+    assert err.endswith("error: argument --seed: invalid int value: 'abc'\n")
+    argv = ["selftest", "--seed", "3"]
+    assert _parse(lambda: cli.build_parser(argv), argv)[0]["seed"] == 3

@@ -1,14 +1,15 @@
 """Source hygiene: every name the package and the tests import is read,
 every private module-level function or class of the package is named
 somewhere besides its own definition, no local variable is written and
-never read, no ``and``/``or`` of the package has a literal operand, no
-``if`` without ``else`` has a body of only ``pass``, and no package code
-reads a matrix through a dense ``.data`` store.
+never read, no ``except ... as name`` binds a name its function never
+reads, no ``and``/``or`` of the package has a literal operand, no ``if``
+without ``else`` has a body of only ``pass``, and no package code reads a
+matrix through a dense ``.data`` store.
 
 An import that nothing reads hides which functions a module really
 depends on, and which builders and fixtures a test module exercises; a
-private helper that nothing calls is dead code, and so is a local that
-nothing reads; ``x or True`` is a condition that only seems to select,
+private helper that nothing calls is dead code, and so is a local or an
+exception name that nothing reads; ``x or True`` is a condition that only seems to select,
 and ``if c: pass`` is a test whose outcome changes nothing.
 """
 
@@ -170,6 +171,42 @@ def test_no_unread_locals():
     unread = [f"{path.relative_to(ROOT)}:{line}: {names}" for path in FILES
               for line, names in _unread_assignments(path.read_text())]
     assert unread == []
+
+
+def _unread_exception_names(source):
+    """(line, name) of every ``except ... as name`` that its function,
+    nested functions included, never reads; a handler outside any function
+    counts against the whole module."""
+    tree = ast.parse(source)
+    hits = set()
+    for scope in ast.walk(tree):
+        if not isinstance(scope, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {n.id for n in ast.walk(scope)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        hits.update((n.lineno, n.name) for n in _own_nodes(scope)
+                    if isinstance(n, ast.ExceptHandler) and n.name
+                    and n.name not in read)
+    return sorted(hits)
+
+
+def test_scan_flags_an_unread_exception_name():
+    src = ("try:\n    pass\nexcept OSError as top:\n    pass\n"
+           "def f():\n"
+           "    try:\n        pass\n"
+           "    except KeyError as e:\n        return e\n"
+           "    except ValueError as v:\n        return 0\n"
+           "    except Exception:\n        return 1\n"
+           "def g():\n"
+           "    try:\n        pass\n"
+           "    except TypeError as t:\n        return lambda: t\n")
+    assert _unread_exception_names(src) == [(3, "top"), (10, "v")]
+
+
+def test_no_unread_exception_names():
+    hits = [f"{path.relative_to(ROOT)}:{line}: {name}" for path in FILES
+            for line, name in _unread_exception_names(path.read_text())]
+    assert hits == []
 
 
 def _literal_bool_operands(source):
