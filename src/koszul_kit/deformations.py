@@ -403,9 +403,10 @@ class FilteredAlgebraTruncation(WordQuotient):
 
     def mult_basis(self, i: int, j: int):
         """basis_word[i] * basis_word[j] as the sparse column {basis index:
-        value}, zeros left out, values raw (a ``Fraction`` over Q, an int
-        in [0, p) over F_p); cached.  U's product table: u x_g is
-        ``mult_basis(i, pos of (g,))``, x_g u is ``mult_basis(pos of (g,), i)``.
+        value}, zeros left out, values raw and canonical (over Q an int when
+        integral and a ``Fraction`` otherwise, over F_p an int in [0, p));
+        cached.  U's product table: u x_g is ``mult_basis(i, pos of (g,))``,
+        x_g u is ``mult_basis(pos of (g,), i)``.
         The dict is shared by later calls: callers read it, never change it."""
         key = (i, j)
         got = self._mult_cache.get(key)

@@ -4,13 +4,18 @@ All operations are exact; there is no tolerance anywhere.  A vector is a
 sparse column {index: raw value}, zeros left out: the one element format
 of A, A! and U.  ``Matrix`` stores its columns in that format, so every
 op (products, sums, stacking, Kronecker products) visits nonzeros only,
-and a builder writes a matrix one column at a time.  Raw values are a
-``Fraction`` over Q and an ``int`` in [0, p) over F_p: a zero is falsy,
-and over F_p sums of products are reduced ``% p`` once per output entry,
-with no ``Field`` call per entry.  ``axpy`` adds a multiple of one column
-to an accumulator of unreduced sums, and ``zero_free`` reduces the sums
-and drops the zeros.  Dense rows are made only by ``to_rows()``, for
-printing and the test oracles.
+and code that makes a matrix writes it one column at a time.  Raw
+values are the canonical ones of ``scalars``: over Q an ``int`` when
+integral and a ``Fraction`` only with a denominator > 1, over F_p an
+``int`` in [0, p).  A zero is falsy, and sums of products are reduced
+once per output entry (``% p``, or ``canon`` over Q), with no ``Field``
+call per entry.  ``axpy`` adds a multiple of one column to an
+accumulator of unreduced sums, which may hold any int or Fraction, and
+``zero_free`` reduces the sums and drops the zeros.  Every op that
+stores a value (``zero_free``, ``kron``, ``scale``, the row
+normalization and reductions of ``EchelonSpan``) stores it canonical, so
+the integral values of most inputs stay on int arithmetic.  Dense rows
+are made only by ``to_rows()``, for printing and the test oracles.
 
 ``EchelonSpan`` keeps sparse dict rows in echelon form, each row led by
 its largest coordinate, which is enough for a unique normal form modulo
@@ -29,12 +34,9 @@ it sparse rows directly, and callers extend bases greedily with
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
-from .scalars import Field
-
-_ONE = Fraction(1)
+from .scalars import Field, canon
 
 
 class DimensionError(ValueError):
@@ -141,7 +143,7 @@ class Matrix:
         if p:
             columns = [{i: c * v % p for i, v in col.items()} for col in self.columns]
         else:
-            columns = [{i: c * v for i, v in col.items()} for col in self.columns]
+            columns = [{i: canon(c * v) for i, v in col.items()} for col in self.columns]
         return Matrix(f, self.rows, columns)
 
     def neg(self):
@@ -183,7 +185,7 @@ class Matrix:
                 for i1, x in a.items():
                     base = i1 * orows
                     for i2, y in b.items():
-                        col[base + i2] = x * y % p if p else x * y
+                        col[base + i2] = x * y % p if p else canon(x * y)
                 columns.append(col)
         return Matrix(self.field, self.rows * orows, columns)
 
@@ -224,11 +226,12 @@ def is_nonzero(acc: dict, p) -> bool:
 
 
 def zero_free(col: dict, p) -> dict:
-    """A {key: raw value} dict of sums with each value reduced mod p (over
-    F_p) and the zeros left out: the one element format of A, A! and U."""
+    """A {key: raw value} dict of sums with each value reduced (mod p over
+    F_p, to its canonical int or Fraction over Q) and the zeros left out:
+    the one element format of A, A! and U."""
     if p:
         return {k: v % p for k, v in col.items() if v % p}
-    return {k: v for k, v in col.items() if v}
+    return {k: v if type(v) is int else canon(v) for k, v in col.items() if v}
 
 
 # -- elimination ---------------------------------------------------------
@@ -326,7 +329,8 @@ def intersect_row_spaces(a: Matrix, b: Matrix) -> Matrix:
 
 
 def _reduce_q(rows, vec):
-    """Normal form of ``vec`` (owned, zero-free) over Q, in place.
+    """Normal form of ``vec`` (owned, zero-free) over Q, in place; every
+    value it writes is canonical.
 
     Leads are taken from a max-heap, so each row is used at most once: a row
     only adds coordinates below its lead, and ``row[k] == 1`` cancels the
@@ -342,13 +346,14 @@ def _reduce_q(rows, vec):
         for j, v in rows[k].items():
             nv = vec.get(j)
             if nv is None:
-                vec[j] = c * v
+                nv = c * v
+                vec[j] = nv if type(nv) is int else canon(nv)
                 if j in rows:
                     heappush(heap, -j)
             else:
                 nv += c * v
                 if nv:
-                    vec[j] = nv
+                    vec[j] = nv if type(nv) is int else canon(nv)
                 else:
                     del vec[j]
     return vec
@@ -419,13 +424,14 @@ class EchelonSpan:
         if not red:
             return False
         lead = max(red)
-        p = self._p
+        c, p = red[lead], self._p
         if p:
-            inv = pow(red[lead], p - 2, p)
-            self.rows[lead] = {k: v * inv % p for k, v in red.items()}
-        else:
-            inv = _ONE / red[lead]
-            self.rows[lead] = {k: v * inv for k, v in red.items()}
+            inv = pow(c, p - 2, p)
+            red = {k: v * inv % p for k, v in red.items()}
+        elif c != 1:
+            inv = self.field.inv(c)
+            red = {k: canon(v * inv) for k, v in red.items()}
+        self.rows[lead] = red
         return True
 
     def reduce(self, vec: dict) -> dict:

@@ -6,7 +6,9 @@ matrix, so presentations that span the same subspace compare equal.
 degree-truncated Buchberger completion turns the relations into rewriting
 rules, each replacing its deg-lex greatest word by smaller ones, and only
 within the bound its sugar allows; the chosen basis monomials are the
-words no rule rewrites, the lex-least independent words.
+words no rule rewrites, the lex-least independent words.  Rule tails,
+S-polynomials and normal forms hold canonical raw values (``scalars``):
+over Q an int when integral, a ``Fraction`` only with a denominator > 1.
 ``GradedAlgebraTruncation`` reads it degree by degree (A and A!);
 ``deformations.FilteredAlgebraTruncation`` reads it as one flat basis (U).
 """
@@ -18,7 +20,7 @@ from itertools import count
 
 from .errors import DegreeOverflowError, InputError
 from .linalg import Matrix, axpy, kernel_basis, row_space, zero_free
-from .scalars import Field
+from .scalars import Field, canon
 from .words import (
     degree_offset,
     pair_index,
@@ -182,7 +184,7 @@ class WordQuotient:
             lead = max(red, key=lambda w: word_global_index(w, self._d))
             inv = self.field.inv(red.pop(lead))
             p = self._p
-            tail = tuple((w, -c * inv % p if p else -c * inv) for w, c in red.items())
+            tail = tuple((w, -c * inv % p if p else canon(-c * inv)) for w, c in red.items())
             self._rules[lead] = (sugar - len(lead), tail)
             if len(lead) not in self._lengths:
                 self._lengths = sorted(self._lengths + [len(lead)])
@@ -225,9 +227,7 @@ class WordQuotient:
             for w, c in self._rules[lead][1]:
                 w = u + w + v
                 out[w] = out.get(w, 0) + sign * c
-        if p:
-            return {w: c % p for w, c in out.items() if c % p}
-        return {w: c for w, c in out.items() if c}
+        return zero_free(out, p)
 
     # -- rewriting ---------------------------------------------------------
 
@@ -263,10 +263,10 @@ class WordQuotient:
             for x, cx in step:
                 old = poly.get(x)
                 if old is None:
-                    poly[x] = c * cx % p if p else c * cx
+                    poly[x] = c * cx % p if p else canon(c * cx)
                     heappush(heap, (-word_global_index(x, d), x))
                 else:
-                    new = (old + c * cx) % p if p else old + c * cx
+                    new = (old + c * cx) % p if p else canon(old + c * cx)
                     if new:
                         poly[x] = new
                     else:
@@ -329,10 +329,11 @@ class GradedAlgebraTruncation(WordQuotient):
 
     ``basis_words[n]`` lists the chosen monomials of A_n: basis vector i is
     the class of ``basis_words[n][i]``.  An element of A_n is a sparse
-    column {basis index: raw value}, zeros left out, values a ``Fraction``
-    over Q or an int in [0, p) over F_p.  ``project_word`` gives a word's
-    column, reduced on first use and cached; ``mult_columns`` is the
-    product table and ``multiply`` takes and returns columns.
+    column {basis index: raw value}, zeros left out, values canonical: over
+    Q an int when integral and a ``Fraction`` otherwise, over F_p an int in
+    [0, p).  ``project_word`` gives a word's column, reduced on first use
+    and cached; ``mult_columns`` is the product table and ``multiply``
+    takes and returns columns.
     """
 
     def __init__(self, pres: QuadraticPresentation, bound: int):

@@ -52,6 +52,10 @@ def minimal_resolution_betti(alg: GradedAlgebraTruncation, steps: int,
     previous expanded map is computed per degree, minimal generators are
     split off modulo A_+ times lower-degree kernel elements, and the next
     free module is assembled from their degrees.
+
+    The kernel K is a submodule and A is generated in degree 1, so
+    A_m K_l lies in A_1 K_{l+m-1}: A_+ times the kernel below degree deg
+    is spanned by A_1 K_{deg-1} alone, and only those products are formed.
     """
     if degree_cap > alg.bound:
         raise InputError("degree cap beyond the algebra truncation bound")
@@ -70,17 +74,12 @@ def minimal_resolution_betti(alg: GradedAlgebraTruncation, steps: int,
         for deg in sorted(kernels):
             if not kernels[deg]:
                 continue
-            # span of A_+ . (kernel elements of lower degree), expanded at deg
+            # span of A_+ . (kernel elements of lower degree) = A_1 . K_{deg-1},
+            # expanded at deg
             span = EchelonSpan(f)
-            for ldeg in sorted(kernels):
-                if ldeg >= deg:
-                    break
-                mdeg = deg - ldeg
-                if mdeg < 1 or mdeg > alg.bound:
-                    continue
-                for vec in kernels[ldeg]:
-                    for mb in range(alg.dim_at(mdeg)):
-                        span.insert(_act_on_expanded(current, mdeg, mb, ldeg, vec))
+            for vec in kernels.get(deg - 1, ()):
+                for mb in range(alg.dim_at(1)):
+                    span.insert(_act_on_expanded(current, 1, mb, deg - 1, vec))
             # minimal generators at this degree: kernel columns independent
             # modulo the span
             chosen = [vec for vec in kernels[deg] if span.insert(vec)]

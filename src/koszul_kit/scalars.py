@@ -1,9 +1,20 @@
 """Exact scalar arithmetic over Q and F_p.
 
-Elements are plain ``Fraction`` objects (rational field) or ints in
-``[0, p)`` (prime field); the ``Field`` object carries the operations.
-Keeping elements as primitive values lets the elimination core
-(``linalg.EchelonSpan``) run on them directly.
+Elements are primitive values, and the ``Field`` object carries the
+operations.  Over F_p an element is an int in ``[0, p)``.  Over Q it is
+canonical: a plain ``int`` when it is integral, and a ``Fraction`` only
+when its denominator is > 1, so each rational has one representation.
+``canon`` is that rule.  Every ``Field`` method returns canonical values,
+and every place that stores a value in a column applies ``canon`` to what
+raw arithmetic left there: ``int`` and ``Fraction`` mix freely, and a sum
+or product of Fractions can be integral.  An ``int`` and the equal
+``Fraction`` compare and hash equal, so the rule changes no result, only
+the cost: the integral values that most inputs produce stay on Python's
+int arithmetic.  Keeping elements as primitive values lets the
+elimination core (``linalg.EchelonSpan``) run on them directly.
+
+This is the one module that builds a ``Fraction`` or divides: ``int /
+int`` would give a float.
 """
 
 from __future__ import annotations
@@ -26,6 +37,14 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def canon(x):
+    """The canonical raw value of a rational x (an int or a Fraction): the
+    int itself when x is integral, else the Fraction."""
+    if type(x) is int:
+        return x
+    return x.numerator if x.denominator == 1 else x
+
+
 class Field:
     """The ground field: rationals or a prime field F_p."""
 
@@ -39,15 +58,13 @@ class Field:
     # -- element constructors ------------------------------------------
 
     def zero(self):
-        return 0 if self.p else Fraction(0)
+        return 0
 
     def one(self):
-        return 1 if self.p else Fraction(1)
+        return 1
 
     def of_int(self, n: int):
-        if self.p:
-            return n % self.p
-        return Fraction(n)
+        return n % self.p if self.p else n
 
     def parse(self, s: str):
         """Parse "n" or "n/d" into a field element."""
@@ -56,28 +73,27 @@ class Field:
             num, den = s.split("/", 1)
             if self.p:
                 return self.of_int(int(num)) * self.inv(self.of_int(int(den))) % self.p
-            return Fraction(int(num), int(den))
+            return canon(Fraction(int(num), int(den)))
         return self.of_int(int(s))
 
     def format(self, x) -> str:
         if self.p:
             return str(x % self.p)
-        x = Fraction(x)
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        return str(canon(x))
 
     # -- arithmetic ----------------------------------------------------
 
     def add(self, a, b):
-        return (a + b) % self.p if self.p else a + b
+        return (a + b) % self.p if self.p else canon(a + b)
 
     def sub(self, a, b):
-        return (a - b) % self.p if self.p else a - b
+        return (a - b) % self.p if self.p else canon(a - b)
 
     def mul(self, a, b):
-        return (a * b) % self.p if self.p else a * b
+        return (a * b) % self.p if self.p else canon(a * b)
 
     def neg(self, a):
-        return (-a) % self.p if self.p else -a
+        return (-a) % self.p if self.p else canon(-a)
 
     def inv(self, a):
         if self.p:
@@ -86,7 +102,7 @@ class Field:
             return pow(a, self.p - 2, self.p)
         if a == 0:
             raise ZeroDivisionError("inverse of zero rational")
-        return 1 / Fraction(a)
+        return canon(Fraction(a.denominator, a.numerator))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

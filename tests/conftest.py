@@ -517,11 +517,20 @@ def truncated_presentation(draw, fields):
     return pres, draw(st.integers(min_value=2, max_value=4 if d <= 2 else 3))
 
 
+# Rationals over Q whose sums and products are often integral (2 * 1/2,
+# 3/2 + 1/2, -2/3 * 3/2), zero drawn often, each in canonical form: what
+# every op must store as an int again.
+canonical_fractions = st.one_of(st.just(0), st.sampled_from(
+    [Fraction(1, 2), 2, Fraction(-2, 3), Fraction(3, 2), -1, Fraction(-3, 2), 3]))
+
+
 def raw_values(f, values):
-    """Every value a ``Fraction`` over Q, an ``int`` in [0, p) over F_p."""
+    """Every value canonical: over Q an ``int`` when integral and a
+    ``Fraction`` only with a denominator > 1, over F_p an ``int`` in [0, p)."""
     if f.p:
         return all(type(x) is int and 0 <= x < f.p for x in values)
-    return all(type(x) is Fraction for x in values)
+    return all(type(x) is int or (type(x) is Fraction and x.denominator > 1)
+               for x in values)
 
 
 # -- the minimal resolution on dense expanded vectors --------------------------------

@@ -27,7 +27,14 @@ from koszul_kit.presentations import truncate_algebra
 from koszul_kit.scalars import QQ, Field
 from koszul_kit.words import degree_offset, pair_index, word_global_index, words_of_length
 
-from conftest import SEED, dense, dense_rref, full_cdga_verify, raw_values
+from conftest import (
+    SEED,
+    canonical_fractions,
+    dense,
+    dense_rref,
+    full_cdga_verify,
+    raw_values,
+)
 
 
 # -- pbw_check ----------------------------------------------------------------
@@ -212,20 +219,22 @@ small = st.integers(min_value=-2, max_value=2)
 
 
 @st.composite
-def small_deformation(draw):
-    """Random (R, alpha, beta) on d <= 3 generators, PBW or not, and a bound."""
-    f = draw(st.sampled_from([QQ, Field(2), Field(3), Field(5)]))
+def small_deformation(draw, fields=(QQ, Field(2), Field(3), Field(5)), entries=None):
+    """Random (R, alpha, beta) on d <= 3 generators, PBW or not, and a bound;
+    coefficients are small ints, or drawn from ``entries``."""
+    f = draw(st.sampled_from(fields))
+    e = small.map(f.of_int) if entries is None else entries
     d = draw(st.integers(min_value=1, max_value=3))
     m = draw(st.integers(min_value=1, max_value=min(d * d, 3)))
-    rel = draw(st.lists(st.lists(small, min_size=d * d, max_size=d * d),
+    rel = draw(st.lists(st.lists(e, min_size=d * d, max_size=d * d),
                         min_size=m, max_size=m))
-    alpha = draw(st.lists(st.lists(small, min_size=d, max_size=d),
+    alpha = draw(st.lists(st.lists(e, min_size=d, max_size=d),
                           min_size=m, max_size=m))
-    beta = draw(st.lists(small, min_size=m, max_size=m))
+    beta = draw(st.lists(e, min_size=m, max_size=m))
     try:
         data = DeformationData.from_raw(
-            f, [f"x{i}" for i in range(d)], Matrix.from_int_rows(f, rel),
-            Matrix.from_int_rows(f, alpha), [f.of_int(b) for b in beta])
+            f, [f"x{i}" for i in range(d)], Matrix.from_rows(f, rel, d * d),
+            Matrix.from_rows(f, alpha, d), beta)
     except InputError:  # a relation without quadratic part
         assume(False)
     return data, draw(st.integers(min_value=2, max_value=4 if d <= 2 else 3))
@@ -307,6 +316,21 @@ def _assert_matches_oracle(data, bound):
 @given(small_deformation())
 def test_filtered_truncation_matches_dense_oracle(case):
     _assert_matches_oracle(*case)
+
+
+@settings(max_examples=40)
+@given(small_deformation(fields=(QQ,), entries=canonical_fractions))
+def test_fraction_coefficients_give_canonical_normal_forms(case):
+    """Relations, alpha and beta over Q with coefficients like 1/2, 2, -2/3
+    and 3/2, whose sums and products are often integral: the rewriting rules,
+    S-polynomials and normal forms keep every value canonical (checked on
+    each word's column by the oracle) and agree with the dense oracle."""
+    data, bound = case
+    _assert_matches_oracle(data, bound)
+    u = build_U(data, bound)
+    assert all(raw_values(QQ, [c for _, c in tail]) for _, tail in u._rules.values())
+    words = [w for n in range(bound + 1) for w in words_of_length(data.base.dim, n)]
+    assert all(raw_values(QQ, u.normal_form(w).values()) for w in words)
 
 
 @st.composite

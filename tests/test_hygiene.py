@@ -3,14 +3,17 @@ every private module-level function or class of the package is named
 somewhere besides its own definition, no local variable is written and
 never read, no ``except ... as name`` binds a name its function never
 reads, no ``and``/``or`` of the package has a literal operand, no ``if``
-without ``else`` has a body of only ``pass``, and no package code reads a
-matrix through a dense ``.data`` store.
+without ``else`` has a body of only ``pass``, no package code reads a
+matrix through a dense ``.data`` store, and no package module but
+``scalars`` builds a ``Fraction`` or divides with ``/``.
 
 An import that nothing reads hides which functions a module really
 depends on, and which builders and fixtures a test module exercises; a
 private helper that nothing calls is dead code, and so is a local or an
 exception name that nothing reads; ``x or True`` is a condition that only seems to select,
-and ``if c: pass`` is a test whose outcome changes nothing.
+and ``if c: pass`` is a test whose outcome changes nothing.  A rational
+built outside ``scalars`` can escape the canonical form (an int when
+integral), and ``int / int`` is a float.
 """
 
 import ast
@@ -277,4 +280,36 @@ def test_no_dense_matrix_store():
     assert package
     hits = [f"{path.relative_to(ROOT)}:{line}" for path in package
             for line in _data_subscripts(path.read_text())]
+    assert hits == []
+
+
+def _rational_builds(source):
+    """Line of every ``Fraction(...)`` call and every true division ``/`` or
+    ``/=``: on two ints, ``/`` gives a float, not a rational."""
+    hits = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and _named(node.func) == "Fraction":
+            hits.add(node.lineno)
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            hits.add(node.lineno)
+    return sorted(hits)
+
+
+def test_scan_flags_a_rational_build():
+    src = ("from fractions import Fraction\n"
+           "a = Fraction(1, 2)\n"
+           "b = x // y\n"
+           "c = fractions.Fraction(3)\n"
+           "d = x / y\n"
+           "e = '1/2'.split('/')\n"
+           "f /= 2\n"
+           "g = field.inv(x)  # not x / y\n")
+    assert _rational_builds(src) == [2, 4, 5, 7]
+
+
+def test_rationals_are_built_only_in_scalars():
+    package = sorted(ROOT.glob("src/koszul_kit/*.py"))
+    assert any(path.name == "scalars.py" for path in package)
+    hits = [f"{path.relative_to(ROOT)}:{line}" for path in package if path.name != "scalars.py"
+            for line in _rational_builds(path.read_text())]
     assert hits == []

@@ -19,9 +19,10 @@ from koszul_kit.linalg import (
     sparse_rank,
     RHS,
 )
-from koszul_kit.scalars import QQ, Field
+from koszul_kit.scalars import QQ, Field, canon
 
 from conftest import (
+    canonical_fractions,
     dense,
     dense_add,
     dense_apply,
@@ -187,24 +188,38 @@ def _dense_normal_form(f, rows, vec):
     return v
 
 
-@settings(max_examples=200)
-@given(field_and_matrix(), st.data())
-def test_echelon_span_matches_dense(fm, data):
-    f, m = fm
+def _check_echelon_span(f, m, probe):
+    """``EchelonSpan`` on the rows of m against the descending dense rref:
+    leads, normal forms of the rows and of ``probe`` before and after
+    ``interreduce()``, and raw values in every row and normal form."""
     span = EchelonSpan(f)
     grew = [span.insert(_sparse(f, r)) for r in m.to_rows()]
     oracle = _descending_rref(m)
     assert set(span.leads()) == set(oracle)
     assert span.dim() == sum(grew) == len(oracle)
-    probe = [f.of_int(x) for x in data.draw(
-        st.lists(entry, min_size=m.cols, max_size=m.cols))]
+    for row in span.rows.values():
+        _assert_raw(f, row.values())
     vecs = m.to_rows() + [probe]
     want = [_dense_normal_form(f, oracle, v) for v in vecs]
-    assert [_dense(f, span.reduce(_sparse(f, v)), m.cols) for v in vecs] == want
+    got = [span.reduce(_sparse(f, v)) for v in vecs]
+    assert [_dense(f, x, m.cols) for x in got] == want
     span.interreduce()
     assert {lead: _dense(f, row, m.cols) for lead, row in span.rows.items()} == oracle
     # the normal form does not depend on whether the rows are reduced
-    assert [_dense(f, span.reduce(_sparse(f, v)), m.cols) for v in vecs] == want
+    got += [span.reduce(_sparse(f, v)) for v in vecs]
+    assert [_dense(f, x, m.cols) for x in got[len(vecs):]] == want
+    for x in [*got, *span.rows.values()]:
+        assert all(x.values())
+        _assert_raw(f, x.values())
+
+
+@settings(max_examples=200)
+@given(field_and_matrix(), st.data())
+def test_echelon_span_matches_dense(fm, data):
+    f, m = fm
+    probe = [f.of_int(x) for x in data.draw(
+        st.lists(entry, min_size=m.cols, max_size=m.cols))]
+    _check_echelon_span(f, m, probe)
 
 
 @settings(max_examples=200)
@@ -280,10 +295,10 @@ def field_matrix_and_rhs(draw):
     return f, m, rhs
 
 
-@settings(max_examples=300)
-@given(field_matrix_and_rhs())
-def test_one_core_matches_dense_oracle(case):
-    f, m, rhs = case
+def _check_one_core(f, m, rhs):
+    """rref, rank, row_space, kernel_basis, solve and solve_matrix on m and
+    the sparse columns ``rhs`` against the dense oracles, with the storage
+    invariant on every matrix they return."""
     want_r, want_p = dense_rref(m)
     r, pivots = rref(m)
     assert (r.rows, r.cols) == (m.rows, m.cols)
@@ -306,6 +321,9 @@ def test_one_core_matches_dense_oracle(case):
     got_x = [solve(m, b) for b in rhs]
     assert [None if x is None else dense(f, x, m.cols) for x in got_x] == want_x
     assert [None if x is None else sparse(x) for x in want_x] == got_x
+    for x in got_x:
+        if x is not None:
+            _assert_raw(f, x.values())
     x = solve_matrix(m, Matrix(f, m.rows, rhs))
     if None in want_x:
         assert x is None
@@ -315,18 +333,25 @@ def test_one_core_matches_dense_oracle(case):
         _assert_stored(x)
 
 
+@settings(max_examples=300)
+@given(field_matrix_and_rhs())
+def test_one_core_matches_dense_oracle(case):
+    _check_one_core(*case)
+
+
 
 # -- Matrix ops against the dense Field-call oracle ----------------------------------
 
 
 def raw_scalars(f):
-    """Field elements as the ops hold them, zero drawn often: ``Fraction``
-    over Q, ``int`` in [0, p) over F_p."""
+    """Field elements as the ops hold them, zero drawn often: over Q an
+    ``int`` when integral and a ``Fraction`` otherwise, over F_p an ``int``
+    in [0, p)."""
     if f.p:
         return st.one_of(st.just(0), st.integers(min_value=0, max_value=f.p - 1))
     return st.one_of(st.just(f.zero()),
                      st.builds(Fraction, st.integers(min_value=-3, max_value=3),
-                               st.integers(min_value=1, max_value=3)))
+                               st.integers(min_value=1, max_value=3)).map(canon))
 
 
 @st.composite
@@ -343,7 +368,7 @@ def _assert_raw(f, values):
         if f.p:
             assert type(x) is int and 0 <= x < f.p, x
         else:
-            assert type(x) is Fraction, x
+            assert type(x) is int or (type(x) is Fraction and x.denominator > 1), x
 
 
 def _assert_stored(m):
@@ -426,3 +451,52 @@ def test_matrix_ops_on_empty_and_zero_shapes():
                     ones = Matrix.from_rows(f, [[one] * k for _ in range(c)], k)
                     _check_matrix_ops(f, a, b, ones,
                                       Matrix.zero(f, 0, 2), [f.zero()] * c, f.zero())
+
+
+# -- canonical rationals over Q ---------------------------------------------------
+
+
+def test_field_values_are_canonical():
+    assert type(QQ.zero()) is int and type(QQ.one()) is int and type(QQ.of_int(-4)) is int
+    two = QQ.parse("4/2")
+    assert type(two) is int and two == 2
+    assert QQ.parse("-2/4") == Fraction(-1, 2) and type(QQ.parse(" 3 ")) is int
+    three = QQ.inv(Fraction(1, 3))
+    assert type(three) is int and three == 3
+    assert QQ.inv(-1) == -1 and type(QQ.inv(-1)) is int
+    assert QQ.inv(2) == Fraction(1, 2) and QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+    half = Fraction(1, 2)
+    for got in (QQ.add(half, half), QQ.sub(Fraction(3, 2), half), QQ.mul(2, half),
+                QQ.div(1, half), QQ.neg(Fraction(-1)), canon(Fraction(4, 4))):
+        assert type(got) is int, got
+    assert canon(half) is half and canon(Fraction(6, -3)) == -2
+    for x in (3, Fraction(3), Fraction(6, 2)):
+        assert QQ.format(x) == "3"
+    for x in (Fraction(-1, 2), Fraction(2, -4)):
+        assert QQ.format(x) == "-1/2"
+    assert F5.parse("4/2") == 2 and F5.format(-1) == "4" and F5.inv(2) == 3
+
+
+@st.composite
+def fraction_matrix(draw, rows, cols):
+    data = draw(st.lists(st.lists(canonical_fractions, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    return Matrix.from_rows(QQ, data, cols)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_integral_fraction_results_are_stored_as_ints(data):
+    """Over Q, entries like 1/2, 2, -2/3 and 3/2, whose sums and products are
+    often integral, through every ``Matrix`` op, rref, kernel_basis, solve,
+    solve_matrix and ``EchelonSpan.insert``/``interreduce``: each result
+    equals its dense oracle, and every stored value is canonical."""
+    r, c, k, r2, c2 = (data.draw(st.integers(min_value=0, max_value=4)) for _ in range(5))
+    a, b = data.draw(fraction_matrix(r, c)), data.draw(fraction_matrix(r, c))
+    m, o = data.draw(fraction_matrix(c, k)), data.draw(fraction_matrix(r2, c2))
+    vecs = [data.draw(st.lists(canonical_fractions, min_size=n, max_size=n))
+            for n in (c, c, r)]
+    _check_matrix_ops(QQ, a, b, m, o, vecs[0], data.draw(canonical_fractions))
+    # one right-hand side in the image of a, one drawn freely
+    _check_one_core(QQ, a, [a.apply(sparse(vecs[1])), sparse(vecs[2])])
+    _check_echelon_span(QQ, a, vecs[1])
