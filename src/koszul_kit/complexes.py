@@ -10,8 +10,6 @@ and the curvature law d^2 = c.(-).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .deformations import CdgAlgebra, DeformationData
 from .errors import CurvedInputError, InconsistentDataError, InputError
 from .linalg import RHS, Matrix, kernel_basis, rank, solve_matrix, solve_sparse, zero_free
@@ -375,10 +373,11 @@ class ChainMap:
         return ChainMap(first.source, self.target, maps)
 
 
-@dataclass
 class Homotopy:
     """Certificate s with f^n - g^n = (-1)^n d s^n + (-1)^{n+1} s^{n+1} d."""
-    maps: dict  # {p: Matrix source^p -> target^{p-1}}
+
+    def __init__(self, maps):
+        self.maps = maps  # {p: Matrix source^p -> target^{p-1}}
 
 
 def _block(f: Field, blocks, heights, widths):

@@ -9,14 +9,12 @@ independently so they can certify each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     CdgaInvariantError,
     InputError,
     WellDefinednessError,
 )
-from .linalg import Matrix, axpy, intersect_row_spaces, is_nonzero, rref, solve, zero_free
+from .linalg import Matrix, axpy, is_nonzero, kernel_basis, rref, solve, zero_free
 from .presentations import (
     GradedAlgebraTruncation,
     QuadraticPresentation,
@@ -106,12 +104,12 @@ class DeformationData:
 # -- Braverman-Gaitsgory conditions ---------------------------------------
 
 
-@dataclass
 class PbwReport:
-    cond1: bool
-    cond2: bool
-    cond3: bool
-    overlap_dim: int
+    def __init__(self, cond1: bool, cond2: bool, cond3: bool, overlap_dim: int):
+        self.cond1 = cond1
+        self.cond2 = cond2
+        self.cond3 = cond3
+        self.overlap_dim = overlap_dim
 
     @property
     def all_pass(self) -> bool:
@@ -119,7 +117,13 @@ class PbwReport:
 
 
 def pbw_check(data: DeformationData) -> PbwReport:
-    """The three PBW conditions, verified exactly on a basis of (R⊗V)∩(V⊗R)."""
+    """The three PBW conditions, verified exactly on a basis of (R⊗V)∩(V⊗R).
+
+    A kernel vector (x | y) of [R⊗V; −V⊗R]ᵀ is an overlap vector t given in
+    both row sets at once: t = x·(R⊗V) = y·(V⊗R).  Each row set is
+    independent, so x determines t and the kernel dimension is the overlap
+    dimension.
+    """
     f = data.field
     p = f.p
     d = data.base.dim
@@ -129,16 +133,21 @@ def pbw_check(data: DeformationData) -> PbwReport:
     idm = Matrix.identity(f, d)
     rv = rel.kron(idm)        # rows r_i ⊗ e_k span R ⊗ V
     vr = idm.kron(rel)        # rows e_k ⊗ r_i span V ⊗ R
-    overlap = intersect_row_spaces(rv, vr)
-    rvt, vrt, relt = rv.transpose(), vr.transpose(), rel.transpose()
+    overlap = kernel_basis(rv.vstack(vr.neg()).transpose())
+    relt = rel.transpose()
+    # R is stored as rref rows: an element of R has its R-coordinates at the
+    # pivots, the leftmost column of each row
+    pivots = [min(row) for row in relt.columns]
+    top = rv.rows
 
     cond1 = True
     cond2 = True
     cond3 = True
-    for vec in overlap.transpose().columns:
-        # t as sum c r_i ⊗ e_k (key i * d + k) and as sum c e_k ⊗ r_i (key k * m + i)
-        c_rv = [(divmod(key, d), c) for key, c in solve(rvt, vec).items()]
-        c_vr = [(divmod(key, m)[::-1], c) for key, c in solve(vrt, vec).items()]
+    for vec in overlap.columns:
+        # t as sum c r_i ⊗ e_k (key i * d + k) and as sum c e_k ⊗ r_i (key
+        # top + k * m + i)
+        c_rv = [(divmod(key, d), c) for key, c in vec.items() if key < top]
+        c_vr = [(divmod(key - top, m)[::-1], c) for key, c in vec.items() if key >= top]
         # (alpha ⊗ id)(t) - (id ⊗ alpha)(t) in V ⊗ V coordinates, and
         # (beta ⊗ id)(t) - (id ⊗ beta)(t) in V
         img, rhs2 = {}, {}
@@ -152,8 +161,9 @@ def pbw_check(data: DeformationData) -> PbwReport:
                     rhs2[k] = rhs2.get(k, 0) + c * b
         # express img in R coordinates and push through alpha / beta; an
         # img outside R fails all three conditions
-        u = solve(relt, zero_free(img, p))
-        if u is None:
+        img = zero_free(img, p)
+        u = {i: img[j] for i, j in enumerate(pivots) if j in img}
+        if relt.apply(u) != img:
             cond1 = False
             cond2 = False
             cond3 = False
@@ -162,7 +172,7 @@ def pbw_check(data: DeformationData) -> PbwReport:
             cond2 = False
         if data.beta.apply(u):
             cond3 = False
-    return PbwReport(cond1, cond2, cond3, overlap.rows)
+    return PbwReport(cond1, cond2, cond3, overlap.cols)
 
 
 # -- the curved dga (A!, d, c) --------------------------------------------

@@ -16,7 +16,7 @@ entries only and reduce mod p once per output entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .complexes import BaseComplex, CdgModule, ChainMap, UComplex
 from .deformations import CdgAlgebra, FilteredAlgebraTruncation
@@ -24,19 +24,17 @@ from .errors import InconsistentDataError, InputError
 from .linalg import EchelonSpan, Matrix, rank, zero_free
 
 
-@dataclass(frozen=True)
-class FunctorBounds:
+class FunctorBounds(namedtuple("FunctorBounds", ("window", "filtration", "internal"))):
     """Cohomological window, U-filtration level, and internal degree cap."""
-    window: tuple
-    filtration: int
-    internal: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        lo, hi = self.window
+    def __new__(cls, window, filtration, internal):
+        lo, hi = window
         if lo > hi:
             raise InputError("window must be nonempty")
-        if self.filtration < 0 or self.internal < 0:
+        if filtration < 0 or internal < 0:
             raise InputError("bounds must be nonnegative")
+        return super().__new__(cls, window, filtration, internal)
 
 
 class KoszulBimodule:

@@ -314,17 +314,6 @@ def solve_matrix(m: Matrix, b: Matrix):
     return Matrix(f, n, [{pivots[i]: v for i, v in col.items()} for col in r.columns[n:]])
 
 
-def intersect_row_spaces(a: Matrix, b: Matrix) -> Matrix:
-    """Canonical basis (rref rows) of rowspace(a) ∩ rowspace(b)."""
-    if a.cols != b.cols:
-        raise DimensionError("ambient mismatch in intersection")
-    # (x, y) with x.a = y.b  <=>  (x, y) in left kernel of [a; -b]
-    k = kernel_basis(a.vstack(b.neg()).transpose())  # columns are (x | y)
-    at = a.transpose()
-    vecs = [at.apply({i: v for i, v in col.items() if i < a.rows}) for col in k.columns]
-    return row_space(Matrix(a.field, a.cols, vecs).transpose())
-
-
 # -- sparse incremental echelon (fast path) -------------------------------
 
 

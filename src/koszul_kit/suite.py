@@ -5,8 +5,6 @@ and the regrading between bigraded conventions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from .complexes import (
     BaseComplex,
     CdgModule,
@@ -27,13 +25,14 @@ from .presentations import (
 from .resolution import minimal_resolution_betti
 
 
-@dataclass
 class HomologyReport:
     """Per (degree, weight) dimensions with window and reliability flags."""
-    entries: dict               # {(degree, weight or None): dim}
-    window: tuple
-    edge_degrees: set = dc_field(default_factory=set)
-    stabilized: bool = True
+
+    def __init__(self, entries, window, edge_degrees=None, stabilized=True):
+        self.entries = entries  # {(degree, weight or None): dim}
+        self.window = window
+        self.edge_degrees = set() if edge_degrees is None else edge_degrees
+        self.stabilized = stabilized
 
     def by_degree(self):
         out = {}

@@ -7,11 +7,22 @@ from hypothesis import settings, strategies as st
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from koszul_kit.deformations import DeformationData, build_U, build_cdga
-from koszul_kit.linalg import RHS, DimensionError, EchelonSpan, Matrix, kernel_basis, solve_sparse
+from koszul_kit.deformations import DeformationData, PbwReport, build_U, build_cdga
+from koszul_kit.linalg import (
+    RHS,
+    DimensionError,
+    EchelonSpan,
+    Matrix,
+    kernel_basis,
+    row_space,
+    solve,
+    solve_sparse,
+    zero_free,
+)
 from koszul_kit.presentations import QuadraticPresentation
 from koszul_kit.resolution import GradedFreeModule
 from koszul_kit.scalars import QQ
+from koszul_kit.words import pair_index
 
 SEED = int(os.environ.get("KOSZUL_SEED", "0"))
 
@@ -640,6 +651,70 @@ def dense_strand_differentials(alg, dual, n):
                                 rm[aj][ai], dualrm[si][sj]))
         diffs[pos] = Matrix.from_rows(f, out, cols)
     return diffs
+
+
+# -- pbw_check by solves -------------------------------------------------------------
+
+
+def intersect_row_spaces(a: Matrix, b: Matrix) -> Matrix:
+    """Canonical basis (rref rows) of rowspace(a) ∩ rowspace(b)."""
+    if a.cols != b.cols:
+        raise DimensionError("ambient mismatch in intersection")
+    # (x, y) with x.a = y.b  <=>  (x, y) in left kernel of [a; -b]
+    k = kernel_basis(a.vstack(b.neg()).transpose())  # columns are (x | y)
+    at = a.transpose()
+    vecs = [at.apply({i: v for i, v in col.items() if i < a.rows}) for col in k.columns]
+    return row_space(Matrix(a.field, a.cols, vecs).transpose())
+
+
+def pbw_check_by_solves(data):
+    """``deformations.pbw_check`` as it was before it read coordinates off
+    the kernel: the rref basis of (R⊗V)∩(V⊗R), two ``solve`` calls per
+    basis vector for its coordinates in both row sets, and a third for the
+    R-coordinates of its image.  The test-side oracle of ``pbw_check``."""
+    f = data.field
+    p = f.p
+    d = data.base.dim
+    rel = data.base.relations
+    m = rel.rows
+    alpha, beta = data.alpha.columns, data.beta.columns  # per relation i
+    idm = Matrix.identity(f, d)
+    rv = rel.kron(idm)        # rows r_i ⊗ e_k span R ⊗ V
+    vr = idm.kron(rel)        # rows e_k ⊗ r_i span V ⊗ R
+    overlap = intersect_row_spaces(rv, vr)
+    rvt, vrt, relt = rv.transpose(), vr.transpose(), rel.transpose()
+
+    cond1 = True
+    cond2 = True
+    cond3 = True
+    for vec in overlap.transpose().columns:
+        # t as sum c r_i ⊗ e_k (key i * d + k) and as sum c e_k ⊗ r_i (key k * m + i)
+        c_rv = [(divmod(key, d), c) for key, c in solve(rvt, vec).items()]
+        c_vr = [(divmod(key, m)[::-1], c) for key, c in solve(vrt, vec).items()]
+        # (alpha ⊗ id)(t) - (id ⊗ alpha)(t) in V ⊗ V coordinates, and
+        # (beta ⊗ id)(t) - (id ⊗ beta)(t) in V
+        img, rhs2 = {}, {}
+        for coeffs, sign, left in ((c_rv, 1, True), (c_vr, -1, False)):
+            for (i, k), c in coeffs:
+                c *= sign
+                for g, a in alpha[i].items():
+                    idx = pair_index(g, k, d) if left else pair_index(k, g, d)
+                    img[idx] = img.get(idx, 0) + c * a
+                for b in beta[i].values():
+                    rhs2[k] = rhs2.get(k, 0) + c * b
+        # express img in R coordinates and push through alpha / beta; an
+        # img outside R fails all three conditions
+        u = solve(relt, zero_free(img, p))
+        if u is None:
+            cond1 = False
+            cond2 = False
+            cond3 = False
+            continue
+        if data.alpha.apply(u) != zero_free(rhs2, p):
+            cond2 = False
+        if data.beta.apply(u):
+            cond3 = False
+    return PbwReport(cond1, cond2, cond3, overlap.rows)
 
 
 def full_cdga_verify(alg):

@@ -7,6 +7,7 @@ spans and counters it reads are reached.
 """
 
 import contextlib
+import importlib
 import io
 import os
 import sys
@@ -18,6 +19,16 @@ import layers  # noqa: E402
 from tracer import CallCounter, Patcher, SpanRecorder  # noqa: E402
 
 from koszul_kit import cli  # noqa: E402
+
+# The patcher wraps a function in the koszul_kit namespaces loaded when it
+# patches.  A module first imported while it patches binds a wrapper that
+# restore() never puts back, so every module the span and counter sets
+# name, and ``module_commands``, which ``cli.main`` loads on first use, is
+# imported before the first patch.
+PATCHED = sorted({entry[1] for entry in layers.SPAN_FUNCTIONS + layers.SPAN_METHODS}
+                 | {"scalars", "linalg", "deformations", "module_commands"})
+for name in PATCHED:
+    importlib.import_module(f"koszul_kit.{name}")
 
 EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "examples_cli")
 # reaches truncate_algebra, build_U and mult_basis in about a second
@@ -48,3 +59,7 @@ def test_trace_hooks_fire():
         spans["deformations.build_U.ambient_words"] - spans["deformations.build_U.basis_dim"])
     assert counts["linalg.echelon.inserts"] > 0
     assert counts["deformations.mult_basis.calls"] > 0
+    stale = [f"{mod.__name__}.{attr}" for mod in list(sys.modules.values())
+             if getattr(mod, "__name__", "").startswith("koszul_kit")
+             for attr, val in vars(mod).items() if hasattr(val, "__wrapped__")]
+    assert stale == []

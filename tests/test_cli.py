@@ -249,7 +249,7 @@ def _reference_parser():
         description="Exact Koszul-duality computations for nonhomogeneous "
                     "quadratic algebras and their curved dual dgas.")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (fn, extras) in cli.COMMANDS.items():
+    for name, extras in cli.COMMANDS.items():
         sp = sub.add_parser(name)
         cli._add_common(sp)
         if "cdg" in extras:

@@ -28,6 +28,7 @@ from koszul_kit.complexes import (
 from koszul_kit.errors import CurvedInputError, InputError
 from koszul_kit.functors import FunctorBounds
 from koszul_kit.linalg import Matrix, rank
+from koszul_kit.module_commands import named_module
 from koszul_kit.scalars import QQ
 from koszul_kit.suite import koszul_ce_complex
 
@@ -249,7 +250,7 @@ def test_homology_ranks_each_differential_once(monkeypatch, per_weight):
     problem = Problem(json.loads((EXAMPLES / "symmetric2.json").read_text()))
     b = FunctorBounds(DEFAULT_WINDOW, DEFAULT_FILTRATION, DEFAULT_INTERNAL)
     u = problem.u_truncation(max(DEFAULT_DEGREE, b.filtration + b.window[1] + 1))
-    fg, _, _ = koszul_ce_complex(problem.deformation(), problem.module("k"), u,
+    fg, _, _ = koszul_ce_complex(problem.deformation(), named_module(problem, "k"), u,
                                  problem.cdga(DEFAULT_DEGREE), b)
     lo, hi = b.window
     calls = _counting_rank(monkeypatch)

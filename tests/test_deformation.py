@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from koszul_kit.deformations import (
     CdgAlgebra,
     DeformationData,
+    PbwReport,
     build_U,
     build_cdga,
     pbw_check,
@@ -33,6 +34,7 @@ from conftest import (
     dense,
     dense_rref,
     full_cdga_verify,
+    pbw_check_by_solves,
     raw_values,
 )
 
@@ -73,6 +75,12 @@ def test_associative_multiplication_on_full_relations(qq):
     alpha = Matrix.from_int_rows(qq, [[-1, 0], [0, -1], [0, 0], [0, 0]])
     d2 = DeformationData.from_raw(qq, ["e", "f"], rel, alpha, [qq.zero()] * 4)
     assert pbw_check(d2).all_pass
+
+
+def test_pbw_report_all_pass():
+    for conds in ((True, True, True), (True, False, True), (False, False, False),
+                  (True, True, False)):
+        assert PbwReport(*conds, 3).all_pass == all(conds)
 
 
 # -- build_cdga -----------------------------------------------------------------
@@ -425,6 +433,47 @@ def test_long_rewrite_chain_without_recursion(heis):
     for g in word[1:]:
         x = u.multiply(x, {u._basis_pos[(g,)]: QQ.one()})
     assert got == x
+
+
+# -- pbw_check against the solves oracle ----------------------------------------------
+
+
+@st.composite
+def binomial_deformation(draw):
+    """Relations x_i x_j - x_j x_i, x_i x_j + x_j x_i or x_i x_j for a set of
+    pairs (symmetric, exterior and monomial algebras among them, so that
+    the overlap is often large and its dimension differs from the number
+    of generators), with sparse small alpha and beta: PBW or not, so that
+    all three conditions pass often enough, and fail one at a time."""
+    f = draw(st.sampled_from([QQ, Field(2), Field(3), Field(5)]))
+    d = draw(st.integers(min_value=1, max_value=3))
+    shapes = [(i, j, s) for i in range(d) for j in range(i, d) for s in (-1, 1, 0)
+              if i < j or s == 0]
+    chosen = draw(st.lists(st.sampled_from(shapes), unique=True))
+    coeff = st.sampled_from([0, 0, 0, 1, -1, 2]).map(f.of_int)
+    rel = []
+    for i, j, sign in chosen:
+        row = [f.zero()] * (d * d)
+        row[i * d + j] = f.one()
+        if sign:
+            row[j * d + i] = f.of_int(sign)
+        rel.append(row)
+    alpha = [[draw(coeff) for _ in range(d)] for _ in chosen]
+    beta = [draw(coeff) for _ in chosen]
+    try:
+        return DeformationData.from_raw(f, [f"x{i}" for i in range(d)],
+                                        Matrix.from_rows(f, rel, d * d),
+                                        Matrix.from_rows(f, alpha, d), beta)
+    except InputError:  # over F_2 x_i x_j + x_j x_i and x_i x_j - x_j x_i agree
+        assume(False)
+
+
+@settings(max_examples=150)
+@given(st.one_of(small_deformation().map(lambda case: case[0]), binomial_deformation()))
+def test_pbw_check_matches_solves_oracle(data):
+    got, want = pbw_check(data), pbw_check_by_solves(data)
+    assert (got.cond1, got.cond2, got.cond3, got.overlap_dim) == (
+        want.cond1, want.cond2, want.cond3, want.overlap_dim)
 
 
 # -- vanishing witness -------------------------------------------------------------

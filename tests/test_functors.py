@@ -62,6 +62,24 @@ def k_cdg(cdga):
     return CdgModule(cdga, (0, 0), {0: 1}, {}, {})
 
 
+def test_functor_bounds_is_an_immutable_value():
+    b = FunctorBounds((-5, 2), 5, 4)
+    assert b == BOUNDS and hash(b) == hash(BOUNDS) and len({b, BOUNDS}) == 1
+    assert b != FunctorBounds((-5, 2), 5, 3)
+    assert (b.window, b.filtration, b.internal) == ((-5, 2), 5, 4)
+    assert FunctorBounds((-5, 2), filtration=5, internal=4) == b
+    assert repr(b) == "FunctorBounds(window=(-5, 2), filtration=5, internal=4)"
+    with pytest.raises(AttributeError):
+        b.filtration = 6
+    with pytest.raises(AttributeError):
+        b.extra = 1
+    for args in (((1, 0), 2, 2), ((0, 1), -1, 2), ((0, 1), 2, -1)):
+        with pytest.raises(InputError):
+            FunctorBounds(*args)
+    with pytest.raises(TypeError):
+        FunctorBounds((0, 1), 2)
+
+
 # -- the bimodule -------------------------------------------------------------
 
 

@@ -4,8 +4,9 @@ somewhere besides its own definition, no local variable is written and
 never read, no ``except ... as name`` binds a name its function never
 reads, no ``and``/``or`` of the package has a literal operand, no ``if``
 without ``else`` has a body of only ``pass``, no package code reads a
-matrix through a dense ``.data`` store, and no package module but
-``scalars`` builds a ``Fraction`` or divides with ``/``.
+matrix through a dense ``.data`` store, no package module but
+``scalars`` builds a ``Fraction`` or divides with ``/``, and no package
+module imports ``dataclasses``.
 
 An import that nothing reads hides which functions a module really
 depends on, and which builders and fixtures a test module exercises; a
@@ -13,7 +14,9 @@ private helper that nothing calls is dead code, and so is a local or an
 exception name that nothing reads; ``x or True`` is a condition that only seems to select,
 and ``if c: pass`` is a test whose outcome changes nothing.  A rational
 built outside ``scalars`` can escape the canonical form (an int when
-integral), and ``int / int`` is a float.
+integral), and ``int / int`` is a float.  ``dataclasses`` imports
+``inspect``, ``ast``, ``dis``, ``tokenize`` and ``typing``, several
+milliseconds of every process's start-up.
 """
 
 import ast
@@ -312,4 +315,30 @@ def test_rationals_are_built_only_in_scalars():
     assert any(path.name == "scalars.py" for path in package)
     hits = [f"{path.relative_to(ROOT)}:{line}" for path in package if path.name != "scalars.py"
             for line in _rational_builds(path.read_text())]
+    assert hits == []
+
+
+def _dataclasses_imports(source):
+    """Line of every ``import dataclasses`` and ``from dataclasses import``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+                  or (isinstance(node, ast.Import)
+                      and any(a.name == "dataclasses" for a in node.names)))
+
+
+def test_scan_flags_a_dataclasses_import():
+    src = ("from dataclasses import dataclass\n"
+           "import os, dataclasses as dc\n"
+           "import dataclasses_json\n"
+           "def f():\n"
+           "    from dataclasses import field\n"
+           "x = 'dataclasses'\n")
+    assert _dataclasses_imports(src) == [1, 2, 5]
+
+
+def test_no_dataclasses_in_the_package():
+    package = sorted(ROOT.glob("src/koszul_kit/*.py"))
+    assert package
+    hits = [f"{path.relative_to(ROOT)}:{line}" for path in package
+            for line in _dataclasses_imports(path.read_text())]
     assert hits == []

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from koszul_kit.linalg import (
     EchelonSpan,
     Matrix,
-    intersect_row_spaces,
     kernel_basis,
     rank,
     row_space,
@@ -36,6 +35,7 @@ from conftest import (
     dense_solve,
     dense_sub,
     dense_transpose,
+    intersect_row_spaces,
     sparse,
 )
 

@@ -37,6 +37,7 @@ from koszul_kit.presentations import QuadraticPresentation, quadratic_dual, trun
 from koszul_kit.scalars import QQ, Field
 from koszul_kit.suite import (
     BigradedComplex,
+    HomologyReport,
     bigraded_from_weighted,
     ext,
     koszul_ce_complex,
@@ -48,6 +49,17 @@ from koszul_kit.suite import (
 )
 
 from conftest import SEED, heisenberg_deformation, symmetric_presentation
+
+
+def test_homology_reports_own_their_edge_degrees():
+    a, b = HomologyReport({(0, None): 1}, (0, 1)), HomologyReport({}, (0, 1))
+    a.edge_degrees.add(1)
+    assert b.edge_degrees == set() and a.edge_degrees == {1}
+    assert a.stabilized and b.stabilized
+    c = HomologyReport({(0, None): 2, (0, 1): 1}, (-1, 1), {1}, stabilized=False)
+    assert c.by_degree() == {0: 3}
+    assert c.to_json() == {"entries": [[0, 1, 1], [0, None, 2]], "window": [-1, 1],
+                           "edge_degrees": [1], "stabilized": False}
 
 
 # -- CE complex and Tor -----------------------------------------------------------
