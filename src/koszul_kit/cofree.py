@@ -16,7 +16,6 @@ from .complexes import (
     BaseComplex,
     CdgModule,
     ChainMap,
-    Homotopy,
     homology_dims,
     nullhomotopy,
 )
@@ -50,25 +49,16 @@ def cofree_labels(cdga: CdgAlgebra, socle_dims: dict, window, cap: int):
 # -- socle-level strong deformation retract ----------------------------------
 
 
-def socle_sdr(field, dims: dict, diffs: dict):
+def socle_sdr(socle: BaseComplex):
     """SDR of a finite complex (S, d0) onto its homology with zero
     differential: returns (h_dims, i0, p0, h0) per degree, verified."""
-    f = field
-
-    def dim_at(q):
-        return dims.get(q, 0)
-
-    def diff_at(q):
-        d = diffs.get(q)
-        if d is None:
-            return Matrix.zero(f, dim_at(q + 1), dim_at(q))
-        return d
-
-    degs = sorted(dims)
-    bhb = {q: _bhb_basis(f, dims, diffs, q) for q in degs}
+    f = socle.field
+    dim, diff = socle.dim, socle.diff
+    degs = sorted(socle.dims)
+    bhb = {q: _bhb_basis(socle, q) for q in degs}
     i0, p0, h0, hdims = {}, {}, {}, {}
     for q in degs:
-        n = dim_at(q)
+        n = dim(q)
         b_cols, h_cols, bp_cols = bhb[q]
         hdims[q] = len(h_cols)
         inv = _invert(Matrix(f, n, b_cols + h_cols + bp_cols))
@@ -78,29 +68,27 @@ def socle_sdr(field, dims: dict, diffs: dict):
         # h0 on S^q: project onto the boundary part, lift through d0|B'
         bpq1 = bhb.get(q - 1, ([], [], []))[2]
         if b_cols and bpq1:
-            dmat = Matrix(f, n, [diff_at(q - 1).apply(v) for v in bpq1])
+            dmat = Matrix(f, n, [diff(q - 1).apply(v) for v in bpq1])
             pre = solve_matrix(dmat, Matrix(f, n, b_cols))
             if pre is None:
                 raise InconsistentDataError("SDR: boundary preimage failed")
-            bp_mat = Matrix(f, dim_at(q - 1), bpq1)
+            bp_mat = Matrix(f, dim(q - 1), bpq1)
             proj_b = inv.submatrix(range(nb), range(n))
             h0[q] = bp_mat.mul(pre).mul(proj_b)
         else:
-            h0[q] = Matrix.zero(f, dim_at(q - 1), n)
+            h0[q] = Matrix.zero(f, dim(q - 1), n)
     # verify the SDR identities exactly
     for q in degs:
-        n = dim_at(q)
-        if not n:
-            continue
+        n = dim(q)
         lhs = Matrix.identity(f, n).sub(i0[q].mul(p0[q]))
         rhs = Matrix.zero(f, n, n)
-        if dim_at(q - 1):
-            rhs = rhs.add(diff_at(q - 1).mul(h0[q]))
-        if dim_at(q + 1) and h0.get(q + 1) is not None:
-            rhs = rhs.add(h0[q + 1].mul(diff_at(q)))
+        if dim(q - 1):
+            rhs = rhs.add(diff(q - 1).mul(h0[q]))
+        if dim(q + 1):
+            rhs = rhs.add(h0[q + 1].mul(diff(q)))
         if not lhs.eq(rhs):
             raise InconsistentDataError("SDR identity 1 - ip = dh + hd fails")
-        if dim_at(q + 1) and h0.get(q + 1) is not None and dim_at(q - 1):
+        if dim(q + 1) and dim(q - 1):
             if not h0[q].mul(h0[q + 1]).is_zero():
                 raise InconsistentDataError("SDR h^2 != 0")
         if not p0[q].mul(i0[q]).eq(Matrix.identity(f, hdims[q])):
@@ -108,22 +96,13 @@ def socle_sdr(field, dims: dict, diffs: dict):
     return hdims, i0, p0, h0
 
 
-def _bhb_basis(f, dims, diffs, q):
+def _bhb_basis(socle: BaseComplex, q: int):
     """(B, H, B') column bases of S^q, as sparse columns, deterministic."""
-    n = dims.get(q, 0)
-    if not n:
-        return [], [], []
-
-    def diff_at(qq):
-        d = diffs.get(qq)
-        if d is None:
-            return Matrix.zero(f, dims.get(qq + 1, 0), dims.get(qq, 0))
-        return d
-
+    f, n = socle.field, socle.dim(q)
     b_cols = []
-    if dims.get(q - 1, 0):
-        b_cols = row_space(diff_at(q - 1).transpose()).transpose().columns
-    z = kernel_basis(diff_at(q)) if dims.get(q + 1, 0) else Matrix.identity(f, n)
+    if socle.dim(q - 1):
+        b_cols = row_space(socle.diff(q - 1).transpose()).transpose().columns
+    z = kernel_basis(socle.diff(q)) if socle.dim(q + 1) else Matrix.identity(f, n)
     span = EchelonSpan(f)
     _grow(span, b_cols)
     h_cols = _grow(span, z.columns)
@@ -147,27 +126,29 @@ def _invert(m: Matrix) -> Matrix:
 
 
 class TransferResult:
-    def __init__(self, minimal, into, onto, homotopy, socle_dims):
+    def __init__(self, minimal, into, onto, socle_dims):
         self.minimal = minimal          # CdgModule on cofree labels
         self.into = into                # ChainMap minimal -> big
         self.onto = onto                # ChainMap big -> minimal
-        self.homotopy = homotopy        # {p: Matrix big^p -> big^{p-1}}
         self.socle_dims = socle_dims
 
 
 def transfer_minimal(big: CdgModule, labels: dict, socle_diffs: dict,
                      cdga: CdgAlgebra, cap: int) -> TransferResult:
     """Transfer the differential of a labelled cofree complex onto the
-    homology of its socle complex by exact homological perturbation."""
+    homology of its socle complex by exact homological perturbation.  The
+    socle dimensions are read off the labels, the differential from
+    ``socle_diffs``."""
     f = big.field
     socle_dims = {}
     for p, labs in labels.items():
         for (r, s, i) in labs:
             q = p + r
             socle_dims[q] = max(socle_dims.get(q, 0), i + 1)
-    hdims, i0, p0, h0 = socle_sdr(f, socle_dims, socle_diffs)
-    hdims = {q: n for q, n in hdims.items() if n}
     window = big.window
+    socle = BaseComplex(f, window, socle_dims, socle_diffs)
+    hdims, i0, p0, h0 = socle_sdr(socle)
+    hdims = {q: n for q, n in hdims.items() if n}
     hlabels = cofree_labels(cdga, hdims, window, cap)
 
     def mk_block(src_labs, tgt_labs, per_q_mat, sign):
@@ -200,7 +181,7 @@ def transfer_minimal(big: CdgModule, labels: dict, socle_diffs: dict,
         for col, (r, s, i) in enumerate(labs):
             if r in eps:
                 continue
-            d0m = socle_diffs.get(p + r)
+            d0m = socle.diffs.get(p + r)
             if d0m is None:
                 continue
             for j, base in sorted(d0m.columns[i].items()):
@@ -230,7 +211,7 @@ def transfer_minimal(big: CdgModule, labels: dict, socle_diffs: dict,
         # D0: (r,s,i)@p -> (r,s,j)@p+1 via socle diff at q = p + r
         d0hat[p] = mk_block(
             src, labels.get(p + 1, []),
-            lambda r: socle_diffs.get(p + r),
+            lambda r: socle.diffs.get(p + r),
             sgn_r)
         # h: (r,s,i)@p -> (r,s,j)@p-1 via h0 at q = p + r
         hhat[p] = mk_block(
@@ -274,7 +255,7 @@ def transfer_minimal(big: CdgModule, labels: dict, socle_diffs: dict,
         amat[p] = tpert[p].mul(acc) if tpert[p].rows else tpert[p]
 
     # transferred data
-    dmin, iinf, pinf, hinf = {}, {}, {}, {}
+    dmin, iinf, pinf = {}, {}, {}
     for p in range(lo, hi + 1):
         if amat.get(p) is not None and ihat.get(p) is not None:
             if len(hlabels.get(p, [])) and len(hlabels.get(p + 1, [])):
@@ -290,11 +271,6 @@ def transfer_minimal(big: CdgModule, labels: dict, socle_diffs: dict,
                     and hhat[p].cols == len(labels.get(p, [])):
                 pm = pm.add(phat[p].mul(amat[p - 1].mul(hhat[p])))
             pinf[p] = pm
-        if hhat.get(p) is not None and amat.get(p - 1) is not None:
-            hm = hhat[p]
-            if hm.cols and amat[p - 1].rows == hm.cols:
-                hm = hm.add(hhat[p].mul(amat[p - 1].mul(hhat[p])))
-            hinf[p] = hm
 
     minimal = CdgModule(cdga, window,
                         {p: len(labs) for p, labs in hlabels.items()},
@@ -302,21 +278,19 @@ def transfer_minimal(big: CdgModule, labels: dict, socle_diffs: dict,
     minimal.labels = hlabels
     into = ChainMap(minimal, big, iinf)
     onto = ChainMap(big, minimal, pinf)
-    return TransferResult(minimal, into, onto, hinf, hdims)
+    return TransferResult(minimal, into, onto, hdims)
 
 # -- minimal versions of G(M) --------------------------------------------------
 
 
 class MinimizeResult:
-    def __init__(self, g_of_m, minimal, into, onto, socle_dims,
-                 witness_into=None, witness_onto=None):
+    def __init__(self, g_of_m, minimal, into, onto, socle_dims, witness_onto=None):
         self.g_of_m = g_of_m
         self.minimal = minimal
         self.into = into
         self.onto = onto
         self.socle_dims = socle_dims
-        self.witness_into = witness_into
-        self.witness_onto = witness_onto
+        self.witness_onto = witness_onto  # i o p ~ id on G(M); p o i is id exactly
 
 
 def minimize_G(m, cdga: CdgAlgebra, bounds, certify=True) -> MinimizeResult:
@@ -330,8 +304,7 @@ def minimize_G(m, cdga: CdgAlgebra, bounds, certify=True) -> MinimizeResult:
     if not cdga.curvature_is_zero:
         raise CurvedInputError("minimization needs c = 0")
     g = apply_G(m, cdga, bounds)
-    socle_diffs = {q: m.diff(q) for q in m.dims if m.dim(q + 1)}
-    res = transfer_minimal(g, g.labels, socle_diffs, cdga, bounds.internal)
+    res = transfer_minimal(g, g.labels, m.diffs, cdga, bounds.internal)
     minimal, into, onto = res.minimal, res.into, res.onto
     # exact consistency checks
     msg = minimal.check_d_squared()
@@ -355,28 +328,24 @@ def minimize_G(m, cdga: CdgAlgebra, bounds, certify=True) -> MinimizeResult:
             if r == 0 and any(nxt[row][0] == 0 for row in col):
                 raise InconsistentDataError("nonzero socle differential "
                                             "after minimization")
-    witness_into = witness_onto = None
+    witness_onto = None
     if certify:
         witness_onto = nullhomotopy(into.compose(onto), ChainMap.identity(g))
         if witness_onto is None:
             raise InconsistentDataError("no homotopy i o p ~ id on G(M)")
-        witness_into = Homotopy({})  # p o i equals the identity exactly
-    return MinimizeResult(g, minimal, into, onto, res.socle_dims,
-                          witness_into, witness_onto)
+    return MinimizeResult(g, minimal, into, onto, res.socle_dims, witness_onto)
 
 
 # -- cofree detection ----------------------------------------------------------
 
 
 class CofreeDecomposition:
-    """Socle spaces N^q and the coinduction-unit isomorphism per degree."""
+    """Of a cofree module I: its socle complex and the coinduction-unit
+    isomorphism per degree."""
 
-    def __init__(self, module: CdgModule, socle_dims, socle_bases,
-                 unit_maps, labels):
-        self.module = module
-        self.socle_dims = socle_dims
-        self.socle_bases = socle_bases   # {q: Matrix columns inside module^q}
-        self.unit_maps = unit_maps       # {p: Matrix module^p -> cofree coords}
+    def __init__(self, socle: BaseComplex, unit_maps, labels):
+        self.socle = socle               # Hom_{A!}(k, I)
+        self.unit_maps = unit_maps       # {p: Matrix I^p -> cofree coords}
         self.labels = labels
 
 
@@ -393,8 +362,7 @@ def cofree_decomposition(i: CdgModule, cdga: CdgAlgebra, cap: int,
     """
     f = i.field
     dual = cdga.dual
-    _, socle_bases, _ = i.socle_complex()
-    socle_dims = {q: b.cols for q, b in socle_bases.items() if b.cols}
+    bases, socle = i.socle_complex()
     if interior is not None:
         lo, hi = interior
     else:
@@ -402,13 +370,13 @@ def cofree_decomposition(i: CdgModule, cdga: CdgAlgebra, cap: int,
         # lowest socle line; a module that is genuinely zero there is not
         # cofree, so the default check range includes that support
         lo, hi = i.window
-        if socle_dims:
-            lo = min(lo, min(socle_dims) - min(cap, dual.bound))
-    labels = cofree_labels(cdga, socle_dims, (lo, i.window[1]), cap)
-    labels.update(cofree_labels(cdga, socle_dims, i.window, cap))
+        if socle.dims:
+            lo = min(lo, min(socle.dims) - min(cap, dual.bound))
+    labels = cofree_labels(cdga, socle.dims, (lo, i.window[1]), cap)
+    labels.update(cofree_labels(cdga, socle.dims, i.window, cap))
     # socle projections: extend the socle basis, project onto it
     projections = {}
-    for q, b in socle_bases.items():
+    for q, b in bases.items():
         if not b.cols:
             continue
         n = i.dim(q)
@@ -416,6 +384,7 @@ def cofree_decomposition(i: CdgModule, cdga: CdgAlgebra, cap: int,
         _grow(span, b.columns)
         inv = _invert(Matrix(f, n, b.columns + _grow(span, Matrix.identity(f, n).columns)))
         projections[q] = inv.submatrix(range(b.cols), range(n))
+    one = f.one()
     unit_maps = {}
     for p in range(lo, hi + 1):
         n = i.dim(p)
@@ -426,22 +395,21 @@ def cofree_decomposition(i: CdgModule, cdga: CdgAlgebra, cap: int,
         if not n:
             continue
         cols = [{} for _ in range(n)]
-        for row, (r, s, si) in enumerate(labs):
-            q = p + r
-            proj = projections.get(q)
-            if proj is None:
-                raise NotCofreeError(f"socle missing at degree {q}")
-            # action of the standard monomial s on I^p, then socle projection
-            act = i.act_element(p, r, {s: f.one()}) if r else Matrix.identity(f, n)
-            for col, pcol in zip(cols, proj.mul(act).columns):
-                c = pcol.get(si)
-                if c:
-                    col[row] = c
-        um = Matrix(f, len(labs), cols)
+        # the lines (r, s, 0..) of one monomial s are consecutive rows: their
+        # block is the socle projection of the action of s on I^p
+        for top, (r, s, si) in enumerate(labs):
+            if si:
+                continue
+            proj = projections[p + r]
+            block = proj.mul(i.act_element(p, r, {s: one})) if r else proj
+            for col, bcol in zip(cols, block.columns):
+                for row, c in bcol.items():
+                    col[top + row] = c
+        um = Matrix(f, n, cols)
         if rank(um) != n:
             raise NotCofreeError(f"coinduction unit not bijective at degree {p}")
         unit_maps[p] = um
-    return CofreeDecomposition(i, socle_dims, socle_bases, unit_maps, labels)
+    return CofreeDecomposition(socle, unit_maps, labels)
 
 
 # -- t-truncation ---------------------------------------------------------------
@@ -460,15 +428,8 @@ def t_truncate(i: CdgModule, cdga: CdgAlgebra, p_cut: int, cap: int,
         raise CurvedInputError("t-truncation needs c = 0")
     f = i.field
     dec = cofree_decomposition(i, cdga, cap, interior)
-    window, socle_bases, socle_diffs = i.socle_complex()
     # kernel of the socle differential at p_cut
-    nq = dec.socle_dims.get(p_cut, 0)
-    if nq:
-        d0 = socle_diffs.get(p_cut)
-        k_basis = (kernel_basis(d0) if d0 is not None and d0.rows
-                   else Matrix.identity(f, nq))
-    else:
-        k_basis = Matrix.zero(f, 0, 0)
+    k_basis = kernel_basis(dec.socle.diff(p_cut))
     # subobject in cofree coordinates: all lines of socle degree < p_cut,
     # plus the K^p-combinations of the socle-degree-p_cut lines; pull the
     # coordinate vectors back through the unit isomorphism
@@ -498,14 +459,12 @@ def t_truncate(i: CdgModule, cdga: CdgAlgebra, p_cut: int, cap: int,
     if msg:
         raise InconsistentDataError(f"t-truncation subobject: {msg}")
     # restructure the quotient as cofree with socle in degrees > p_cut
-    restructured = None
     try:
         qdec = cofree_decomposition(quot, cdga, cap, interior)
         quot_c = to_cofree_coordinates(quot, qdec)
-        _, _, q_socle_diffs = quot.socle_complex()
         # the detected socle basis orders the lines exactly as the labels
         # do, so the socle differentials carry over unchanged
-        res = transfer_minimal(quot_c, qdec.labels, q_socle_diffs, cdga, cap)
+        res = transfer_minimal(quot_c, qdec.labels, qdec.socle.diffs, cdga, cap)
         restructured = res.minimal
     except (NotCofreeError, InconsistentDataError):
         restructured = None
@@ -617,20 +576,7 @@ def null_test_cofree(i: CdgModule, cdga: CdgAlgebra, cap: int, interior,
     if not cdga.curvature_is_zero:
         raise CurvedInputError("null test needs c = 0")
     # the declared window is taken as the true support for the precondition
-    cofree_decomposition(i, cdga, cap)
-    f = i.field
-    window, socle_bases, socle_diffs = i.socle_complex()
-    socle_dims = {q: b.cols for q, b in socle_bases.items() if b.cols}
-    socle_weights = None
-    if i.weights is not None:
-        socle_weights = {}
-        for q, b in socle_bases.items():
-            if not b.cols:
-                continue
-            # the weight of a socle vector is that of its first coordinate
-            socle_weights[q] = [i.weight_of(q, min(col)) if col else None
-                                for col in b.columns]
-    socle_cx = BaseComplex(f, i.window, socle_dims, socle_diffs, socle_weights)
+    socle_cx = cofree_decomposition(i, cdga, cap).socle
     lo, hi = interior
     if by_position:
         if i.weights is None:
@@ -657,8 +603,7 @@ def null_test_cofree(i: CdgModule, cdga: CdgAlgebra, cap: int, interior,
 # -- complexes of free A!-modules as cdg-modules -------------------------------
 
 
-def complex_of_free_dual_modules(cdga: CdgAlgebra, ranks: dict, entries: dict,
-                                 window=None) -> CdgModule:
+def complex_of_free_dual_modules(cdga: CdgAlgebra, ranks: dict, entries: dict) -> CdgModule:
     """A complex of free graded A!-modules as a single-graded cdg-module.
 
     ``ranks[P]`` lists the generator shifts of the free module at complex
@@ -667,6 +612,7 @@ def complex_of_free_dual_modules(cdga: CdgAlgebra, ranks: dict, entries: dict,
     puts the piece of internal degree q at cdg-degree P + q and twists the
     generator action by (-1)^P, which is what makes the strictly-linear
     differential satisfy the module anti-derivation law (d_{A!} must be 0).
+    The window runs from the lowest to the highest occupied cdg-degree.
     """
     f = cdga.field
     dual = cdga.dual
@@ -684,9 +630,8 @@ def complex_of_free_dual_modules(cdga: CdgAlgebra, ranks: dict, entries: dict,
                 n = dual.dim_at(deg)
                 for bidx in range(n):
                     labels.setdefault(p, []).append((P, gi, deg, bidx))
-    if window is None:
-        ps = sorted(labels)
-        window = (ps[0], ps[-1]) if ps else (0, 0)
+    ps = sorted(labels)
+    window = (ps[0], ps[-1]) if ps else (0, 0)
     dims = {p: len(labs) for p, labs in labels.items()}
     pos = {p: {lab: i for i, lab in enumerate(labs)} for p, labs in labels.items()}
     d_gens = dual.pres.dim

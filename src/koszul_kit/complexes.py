@@ -289,9 +289,11 @@ class CdgModule(BaseComplex):
         return CdgModule(self.cdga, (lo - 1, hi - 1), dims, acts, diffs, weights)
 
     def socle_complex(self):
-        """Hom_{A!}(k, -): per-degree socle bases and induced differential.
+        """Hom_{A!}(k, -): per-degree socle bases and the socle complex.
 
-        Returns (window, {p: basis Matrix (columns)}, {p: Matrix}).
+        Returns ({p: basis Matrix (columns)}, BaseComplex) on this window:
+        the induced differential, and with weights, each socle vector
+        weighted by its first coordinate.
         """
         f = self.field
         bases = {}
@@ -316,7 +318,12 @@ class CdgModule(BaseComplex):
             if expr is None:
                 raise InconsistentDataError("socle is not preserved by d")
             diffs[p] = expr
-        return self.window, bases, diffs
+        weights = None
+        if self.weights is not None:
+            weights = {p: [self.weight_of(p, min(col)) for col in b.columns]
+                       for p, b in bases.items() if b.cols}
+        dims = {p: b.cols for p, b in bases.items()}
+        return bases, BaseComplex(f, self.window, dims, diffs, weights)
 
 
 # -- chain maps, cones, homotopies ----------------------------------------

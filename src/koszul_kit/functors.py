@@ -21,7 +21,7 @@ from collections import namedtuple
 from .complexes import BaseComplex, CdgModule, ChainMap, UComplex
 from .deformations import CdgAlgebra, FilteredAlgebraTruncation
 from .errors import InconsistentDataError, InputError
-from .linalg import EchelonSpan, Matrix, rank, zero_free
+from .linalg import Matrix, kernel_basis, rank, zero_free
 
 
 class FunctorBounds(namedtuple("FunctorBounds", ("window", "filtration", "internal"))):
@@ -44,13 +44,11 @@ class KoszulBimodule:
     U_{<=l} ⊗ A!_r into U_{<=l+1} ⊗ A!_{r+1}.
     """
 
-    def __init__(self, u: FilteredAlgebraTruncation, cdga: CdgAlgebra,
-                 bounds: FunctorBounds):
+    def __init__(self, u: FilteredAlgebraTruncation, cdga: CdgAlgebra):
         if u.data is not cdga.data and not u.data.graph_rows().eq(cdga.data.graph_rows()):
             raise InconsistentDataError("U and (A!, d, c) come from different deformations")
         self.u = u
         self.cdga = cdga
-        self.bounds = bounds
         self.field = u.field
 
     def delta(self, level: int, r: int) -> Matrix:
@@ -173,7 +171,7 @@ def _sparse_ne(f, a: dict, b: dict) -> bool:
 
 def build_T(u: FilteredAlgebraTruncation, cdga: CdgAlgebra,
             bounds: FunctorBounds, verify=True) -> KoszulBimodule:
-    t = KoszulBimodule(u, cdga, bounds)
+    t = KoszulBimodule(u, cdga)
     if verify:
         lev = min(bounds.filtration, u.bound - 2)
         for r in range(min(bounds.internal - 1, cdga.bound - 2)):
@@ -194,11 +192,9 @@ class FilteredFComplex(BaseComplex):
 
     side = "F"
 
-    def __init__(self, u, source, bounds, dims, diffs, labels):
+    def __init__(self, u, bounds, dims, diffs, labels):
         super().__init__(u.field, bounds.window, dims, diffs)
         self.u = u
-        self.source = source
-        self.bounds = bounds
         self.labels = labels  # {p: [(u_basis_index, n_basis_index)]}
 
     def fiber_complex(self) -> BaseComplex:
@@ -254,7 +250,7 @@ def apply_F(n: CdgModule, u: FilteredAlgebraTruncation,
                 acc[row] = acc.get(row, 0) + c
             cols.append(zero_free(acc, f.p))
         diffs[p] = Matrix(f, dims[p + 1], cols)
-    fc = FilteredFComplex(u, n, bounds, dims, diffs, labels)
+    fc = FilteredFComplex(u, bounds, dims, diffs, labels)
     if verify:
         msg = fc.check_d_squared()
         if msg:
@@ -438,12 +434,9 @@ def counit(m: UComplex, u: FilteredAlgebraTruncation, cdga: CdgAlgebra,
     return fg, eps
 
 
-class GFComplex(CdgModule):
-    """(GF)_i(N)^p = product over r of Hom(A!_r, U_{p+i} ⊗ N^{r+p})."""
-
-
 def gf_composite(n: CdgModule, u: FilteredAlgebraTruncation, cdga: CdgAlgebra,
-                 bounds: FunctorBounds, verify=True) -> GFComplex:
+                 bounds: FunctorBounds, verify=True) -> CdgModule:
+    """(GF)_i(N)^p = product over r of Hom(A!_r, U_{p+i} ⊗ N^{r+p})."""
     f = n.field
     dual = cdga.dual
     cap = min(bounds.internal, dual.bound)
@@ -527,7 +520,7 @@ def gf_composite(n: CdgModule, u: FilteredAlgebraTruncation, cdga: CdgAlgebra,
             cols.append(zero_free(acc, f.p))
         diffs[p] = Matrix(f, dims[p + 1], cols)
 
-    gf = GFComplex(cdga, (lo, hi), dims, cofree_actions(dual, labels), diffs)
+    gf = CdgModule(cdga, (lo, hi), dims, cofree_actions(dual, labels), diffs)
     gf.labels = labels
     if verify:
         msg = gf.check_d_squared()
@@ -628,15 +621,15 @@ def module_linear_hom_basis(n: CdgModule, g: CdgModule, degree: int):
     """Basis of degree-``degree`` strictly A!-linear graded maps n -> g.
 
     Maps are collections h_r: N^r -> G^{r+degree} with h(x* v) = x* h(v).
-    Returns (varmap {(r, i, j): index}, list of dense solution vectors).
+    Returns (keys, basis): ``keys[v]`` is the entry (r, i, j) of h_r that
+    coordinate v holds, and the columns of ``basis`` span the solutions.
     """
     f = n.field
-    varmap = {}
-    for r in n.dims:
-        for i in range(g.dim(r + degree)):
-            for j in range(n.dim(r)):
-                varmap[(r, i, j)] = len(varmap)
-    eqs = []
+    keys = [(r, i, j) for r in n.dims
+            for i in range(g.dim(r + degree)) for j in range(n.dim(r))]
+    varmap = {key: v for v, key in enumerate(keys)}
+    cols = [{} for _ in keys]  # column v: the coefficients of variable v
+    neqs = 0
     for r in n.dims:
         for gen in range(n.num_generators()):
             a_n = n.action(r, gen)           # N^r -> N^{r+1}
@@ -656,25 +649,10 @@ def module_linear_hom_basis(n: CdgModule, g: CdgModule, degree: int):
                                 eq[v] = eq.get(v, 0) - c
                     eq = zero_free(eq, f.p)
                     if eq:
-                        eqs.append(eq)
-    span = EchelonSpan(f)
-    for eq in eqs:
-        span.insert(eq)
-    span.interreduce()
-    leads = set(span.leads())
-    basis = []
-    nvars = len(varmap)
-    for free in range(nvars):
-        if free in leads:
-            continue
-        vec = [f.zero()] * nvars
-        vec[free] = f.one()
-        for lead, row in span.rows.items():
-            c = row.get(free)
-            if c is not None and not f.is_zero(c):
-                vec[lead] = f.neg(c)
-        basis.append(vec)
-    return varmap, basis
+                        for v, c in eq.items():
+                            cols[v][neqs] = c
+                        neqs += 1
+    return keys, kernel_basis(Matrix(f, neqs, cols))
 
 
 def adjunction_report(n: CdgModule, m: UComplex, cdga: CdgAlgebra,
@@ -699,27 +677,25 @@ def adjunction_report(n: CdgModule, m: UComplex, cdga: CdgAlgebra,
     lo, hi = window
     rhs_bases = {}
     for p in range(lo, hi + 1):
-        varmap, basis = module_linear_hom_basis(n, g, p)
-        rhs_bases[p] = (varmap, basis)
-        if len(basis) != explicit.dim(p):
+        keys, basis = module_linear_hom_basis(n, g, p)
+        rhs_bases[p] = (keys, basis)
+        if basis.cols != explicit.dim(p):
             report["dims_match"] = False
             report["iso"] = False
             return report
+    exp_pos = {p: {lab: k for k, lab in enumerate(labs)} for p, labs in exp_labels.items()}
 
-    # socle evaluation: h -> (v -> h(v)_0(1)); in G-labels the (0, 0, i) slots
-    def to_explicit(p, vec):
-        """The image of a map, as a sparse column of explicit coordinates."""
-        varmap, _ = rhs_bases[p]
+    def to_explicit(p, entries):
+        """The socle evaluation h -> (v -> h(v)_0(1)) of a degree-p map
+        given as ((r, gi, j), c) pairs in G-labels: the pairs whose G-label
+        has dual degree 0, as a sparse column of explicit coordinates."""
+        pos = exp_pos.get(p, {})
         out = {}
-        pos = {lab: i for i, lab in enumerate(exp_labels.get(p, []))}
-        for (r, gi, j), v in varmap.items():
-            c = vec[v]
-            if f.is_zero(c):
-                continue
+        for (r, gi, j), c in entries:
             lab_g = g.labels.get(r + p)
             if lab_g is None:
                 continue
-            rr, ss, ii = lab_g[gi]
+            rr, _, ii = lab_g[gi]
             if rr == 0:
                 k = pos.get((r, ii, j))
                 if k is not None:
@@ -727,22 +703,21 @@ def adjunction_report(n: CdgModule, m: UComplex, cdga: CdgAlgebra,
         return zero_free(out, f.p)
 
     for p in range(lo, hi + 1):
-        varmap, basis = rhs_bases[p]
-        if not basis:
+        keys, basis = rhs_bases[p]
+        if not basis.cols:
             continue
-        mat = Matrix(f, explicit.dim(p), [to_explicit(p, vec) for vec in basis])
-        if rank(mat) != len(basis):
+        images = [to_explicit(p, ((keys[v], c) for v, c in vec.items()))
+                  for vec in basis.columns]
+        if rank(Matrix(f, explicit.dim(p), images)) != basis.cols:
             report["iso"] = False
         # differential correspondence: drive each basis map through the
         # ambient Hom differential delta(h) = (-1)^r d_G h + (-1)^{r+1} h d_N
         if p + 1 > hi:
             continue
-        for vec in basis:
+        for vec, image in zip(basis.columns, images):
             img = {}
-            for (r, gi, j), v in varmap.items():
-                c = vec[v]
-                if f.is_zero(c):
-                    continue
+            for v, c in vec.items():
+                r, gi, j = keys[v]
                 sgn = c if r % 2 == 0 else -c
                 # (-1)^r d_G compose h
                 for gi2, c2 in g.diff(r + p).columns[gi].items():
@@ -755,20 +730,8 @@ def adjunction_report(n: CdgModule, m: UComplex, cdga: CdgAlgebra,
                         if c2:
                             key = (r - 1, gi, j2)
                             img[key] = img.get(key, 0) + sgn * c2
-            # express img in explicit coordinates and compare with
-            # explicit.diff applied to the translated vector
-            img_vec = {}
-            pos1 = {lab: i for i, lab in enumerate(exp_labels.get(p + 1, []))}
-            for (r, gi, j), c in img.items():
-                lab_g = g.labels.get(r + p + 1)
-                if lab_g is None:
-                    continue
-                rr, ss, ii = lab_g[gi]
-                if rr == 0:
-                    k = pos1.get((r, ii, j))
-                    if k is not None:
-                        img_vec[k] = img_vec.get(k, 0) + c
-            if explicit.diff(p).apply(to_explicit(p, vec)) != zero_free(img_vec, f.p):
+            # compare in explicit coordinates with explicit.diff of the image
+            if explicit.diff(p).apply(image) != to_explicit(p + 1, img.items()):
                 report["differentials_match"] = False
     # degree-0 cycles on the explicit side
     d0 = explicit.diff(0)

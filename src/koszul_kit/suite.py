@@ -296,22 +296,24 @@ class BigradedComplex:
         return set(self.diffs) == set(other.diffs)
 
 
+def _reindex(x: BigradedComplex, shift: int) -> BigradedComplex:
+    """(p, q) -> (p + shift * q, q) on components, differentials, actions
+    and the action bidegree."""
+    def move(key):
+        p, q = key
+        return (p + shift * q, q)
+
+    bideg = x.action_bidegree
+    return BigradedComplex(x.field,
+                           {move(k): n for k, n in x.components.items()},
+                           {move(k): d for k, d in x.diffs.items()},
+                           {move(k): a for k, a in x.actions.items()},
+                           None if bideg is None else move(bideg))
+
+
 def regrade(x: BigradedComplex, r: int) -> BigradedComplex:
     """Reindex (p, q) -> (p + (r-1) q, q); differentials stay (1, 0)."""
-    comps = {}
-    diffs = {}
-    actions = {}
-    for (p, q), n in x.components.items():
-        comps[(p + (r - 1) * q, q)] = n
-    for (p, q), d in x.diffs.items():
-        diffs[(p + (r - 1) * q, q)] = d
-    for (p, q), a in x.actions.items():
-        actions[(p + (r - 1) * q, q)] = a
-    bideg = x.action_bidegree
-    if bideg is not None:
-        dp, dq = bideg
-        bideg = (dp + (r - 1) * dq, dq)
-    out = BigradedComplex(x.field, comps, diffs, actions, bideg)
+    out = _reindex(x, r - 1)
     msg = out.check()
     if msg:
         raise InputError(f"regrade: {msg}")
@@ -320,20 +322,7 @@ def regrade(x: BigradedComplex, r: int) -> BigradedComplex:
 
 def regrade_inverse(x: BigradedComplex, r: int) -> BigradedComplex:
     """The inverse reindexing p = p' - (r-1) q."""
-    comps = {}
-    diffs = {}
-    actions = {}
-    for (p, q), n in x.components.items():
-        comps[(p - (r - 1) * q, q)] = n
-    for (p, q), d in x.diffs.items():
-        diffs[(p - (r - 1) * q, q)] = d
-    for (p, q), a in x.actions.items():
-        actions[(p - (r - 1) * q, q)] = a
-    bideg = x.action_bidegree
-    if bideg is not None:
-        dp, dq = bideg
-        bideg = (dp - (r - 1) * dq, dq)
-    return BigradedComplex(x.field, comps, diffs, actions, bideg)
+    return _reindex(x, 1 - r)
 
 
 def bigraded_from_weighted(x) -> BigradedComplex:

@@ -7,15 +7,19 @@ from hypothesis import settings, strategies as st
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from koszul_kit.cofree import cofree_labels
 from koszul_kit.deformations import DeformationData, PbwReport, build_U, build_cdga
+from koszul_kit.errors import NotCofreeError
 from koszul_kit.linalg import (
     RHS,
     DimensionError,
     EchelonSpan,
     Matrix,
     kernel_basis,
+    rank,
     row_space,
     solve,
+    solve_matrix,
     solve_sparse,
     zero_free,
 )
@@ -715,6 +719,62 @@ def pbw_check_by_solves(data):
         if data.beta.apply(u):
             cond3 = False
     return PbwReport(cond1, cond2, cond3, overlap.rows)
+
+
+# -- the coinduction unit, one socle line at a time ----------------------------------
+
+
+def unit_maps_by_lines(i, cdga, cap, interior=None):
+    """The unit maps of ``cofree.cofree_decomposition`` as it built them
+    before it stacked one block per monomial: for each label (r, s, si) of
+    degree p, the action of the monomial s on I^p followed by the
+    projection onto socle line si, one ``act_element`` and one product per
+    line.  Raises ``NotCofreeError`` with the library's message where the
+    module fails the test.  The test-side oracle of the unit maps."""
+    f = i.field
+    dual = cdga.dual
+    socle_bases, _ = i.socle_complex()
+    socle_dims = {q: b.cols for q, b in socle_bases.items() if b.cols}
+    if interior is not None:
+        lo, hi = interior
+    else:
+        lo, hi = i.window
+        if socle_dims:
+            lo = min(lo, min(socle_dims) - min(cap, dual.bound))
+    labels = cofree_labels(cdga, socle_dims, (lo, i.window[1]), cap)
+    labels.update(cofree_labels(cdga, socle_dims, i.window, cap))
+    projections = {}
+    for q, b in socle_bases.items():
+        if not b.cols:
+            continue
+        n = i.dim(q)
+        span = EchelonSpan(f)
+        for v in b.columns:
+            span.insert(v)
+        full = b.columns + [v for v in Matrix.identity(f, n).columns if span.insert(v)]
+        inv = solve_matrix(Matrix(f, n, full), Matrix.identity(f, n))
+        projections[q] = inv.submatrix(range(b.cols), range(n))
+    unit_maps = {}
+    for p in range(lo, hi + 1):
+        n = i.dim(p)
+        labs = labels.get(p, [])
+        if n != len(labs):
+            raise NotCofreeError(f"degree {p}: dim {n} != cofree count {len(labs)}")
+        if not n:
+            continue
+        cols = [{} for _ in range(n)]
+        for row, (r, s, si) in enumerate(labs):
+            proj = projections[p + r]
+            act = i.act_element(p, r, {s: f.one()}) if r else Matrix.identity(f, n)
+            for col, pcol in zip(cols, proj.mul(act).columns):
+                c = pcol.get(si)
+                if c:
+                    col[row] = c
+        um = Matrix(f, len(labs), cols)
+        if rank(um) != n:
+            raise NotCofreeError(f"coinduction unit not bijective at degree {p}")
+        unit_maps[p] = um
+    return unit_maps
 
 
 def full_cdga_verify(alg):

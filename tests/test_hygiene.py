@@ -1,8 +1,9 @@
 """Source hygiene: every name the package and the tests import is read,
 every private module-level function or class of the package is named
 somewhere besides its own definition, no local variable is written and
-never read, no ``except ... as name`` binds a name its function never
-reads, no ``and``/``or`` of the package has a literal operand, no ``if``
+never read, no attribute the package assigns goes unread by the package,
+the tests and the benchmark, no ``except ... as name`` binds a name its
+function never reads, no ``and``/``or`` of the package has a literal operand, no ``if``
 without ``else`` has a body of only ``pass``, no package code reads a
 matrix through a dense ``.data`` store, no package module but
 ``scalars`` builds a ``Fraction`` or divides with ``/``, and no package
@@ -10,8 +11,8 @@ module imports ``dataclasses``.
 
 An import that nothing reads hides which functions a module really
 depends on, and which builders and fixtures a test module exercises; a
-private helper that nothing calls is dead code, and so is a local or an
-exception name that nothing reads; ``x or True`` is a condition that only seems to select,
+private helper that nothing calls is dead code, and so is a local, an
+attribute or an exception name that nothing reads; ``x or True`` is a condition that only seems to select,
 and ``if c: pass`` is a test whose outcome changes nothing.  A rational
 built outside ``scalars`` can escape the canonical form (an int when
 integral), and ``int / int`` is a float.  ``dataclasses`` imports
@@ -177,6 +178,48 @@ def test_no_unread_locals():
     unread = [f"{path.relative_to(ROOT)}:{line}: {names}" for path in FILES
               for line, names in _unread_assignments(path.read_text())]
     assert unread == []
+
+
+def _unread_attributes(sources, package):
+    """(file, line, name) of every attribute assignment, as in
+    ``self.name = ...``, in the ``package`` files whose name no source
+    reads as an attribute."""
+    trees = {path: ast.parse(src) for path, src in sources.items()}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted({(path, node.lineno, node.attr) for path in package
+                   for node in ast.walk(trees[path])
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                   and node.attr not in read})
+
+
+def test_scan_flags_an_unread_attribute():
+    sources = {
+        "pkg.py": "class A:\n"
+                  "    def __init__(self, x):\n"
+                  "        self.kept = x\n"
+                  "        self.dropped = x\n"
+                  "        self.count = 0\n"
+                  "        self.count += 1\n"
+                  "        self.bench = x\n"
+                  "a = A(1)\n"
+                  "a.tag = 'k'\n",
+        "test_pkg.py": "from pkg import a\nassert a.kept == 1\nkept = a.dropped2\n",
+        "bench.py": "from pkg import a\nprint(a.bench)\n",
+    }
+    assert _unread_attributes(sources, ["pkg.py"]) == [
+        ("pkg.py", 4, "dropped"), ("pkg.py", 5, "count"), ("pkg.py", 6, "count"),
+        ("pkg.py", 9, "tag")]
+
+
+def test_no_unread_attributes():
+    package = sorted(ROOT.glob("src/koszul_kit/*.py"))
+    readers = sorted([*FILES, *ROOT.glob("perfbench/*.py")])
+    assert package and any(path.parent.name == "perfbench" for path in readers)
+    sources = {path: path.read_text() for path in readers}
+    hits = [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for path, line, name in _unread_attributes(sources, package)]
+    assert hits == []
 
 
 def _unread_exception_names(source):

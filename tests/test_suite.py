@@ -1,12 +1,15 @@
 """Headline operations: CE complexes, Koszulness, Tor/Ext, minimization,
 null systems, truncations, regrading."""
 
+import functools
 import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from koszul_kit.cofree import (
+    cofree_decomposition,
     complex_of_free_dual_modules,
     minimize_G,
     null_test_cofree,
@@ -32,7 +35,7 @@ from koszul_kit.freeside import (
     null_test_free,
 )
 from koszul_kit.functors import FunctorBounds, apply_G
-from koszul_kit.linalg import Matrix
+from koszul_kit.linalg import Matrix, zero_free
 from koszul_kit.presentations import QuadraticPresentation, quadratic_dual, truncate_algebra
 from koszul_kit.scalars import QQ, Field
 from koszul_kit.suite import (
@@ -48,7 +51,7 @@ from koszul_kit.suite import (
     tor,
 )
 
-from conftest import SEED, heisenberg_deformation, symmetric_presentation
+from conftest import SEED, heisenberg_deformation, symmetric_presentation, unit_maps_by_lines
 
 
 def test_homology_reports_own_their_edge_degrees():
@@ -313,7 +316,9 @@ def test_null_free_zero_complex(sym2_world):
     assert rep["in_null_system"]
 
 
-def spliced_complex(cdga):
+def spliced_complex(cdga, lo=-3, hi=3):
+    """The complex of free modules over E(V*), dim V = 2, that splices the
+    resolution of k to its coresolution; positions lo..hi of it."""
     f = cdga.field
     one_e1 = {1: {0: f.one()}}
     one_e2 = {1: {1: f.one()}}
@@ -338,7 +343,108 @@ def spliced_complex(cdga):
              1: [-2], 2: [-3] * 2, 3: [-4] * 3}
     entries = {-3: res_mat(3), -2: res_mat(2), -1: res_mat(1),
                0: [[socle]], 1: cores_mat(1), 2: cores_mat(2)}
-    return complex_of_free_dual_modules(cdga, ranks, entries)
+    return complex_of_free_dual_modules(
+        cdga, {P: r for P, r in ranks.items() if lo <= P <= hi},
+        {P: e for P, e in entries.items() if lo <= P < hi})
+
+
+FIELDS = [QQ, Field(2), Field(3), Field(5)]
+
+
+@functools.cache
+def _deformation_and_cdga(kind, f):
+    """The trivial deformation of S(V), dim 2 or 3, or the Heisenberg
+    algebra over f, with its cdga to degree 4; built once per field."""
+    data = (heisenberg_deformation(f) if kind == "heis"
+            else DeformationData.trivial(symmetric_presentation(f, int(kind[-1]))))
+    return data, build_cdga(data, 4)
+
+
+def _random_linear_map(cdga, rng):
+    """A two-term complex of free modules over E(V*), dim V = 2: a random
+    strictly linear map F^0 -> F^1 with entries in E_1."""
+    f = cdga.field
+    n0, n1, shift = rng.randint(1, 2), rng.randint(1, 2), rng.randint(-1, 2)
+    entries = [[{1: zero_free({0: rng.randrange(-2, 3), 1: rng.randrange(-2, 3)}, f.p)}
+                for _ in range(n0)] for _ in range(n1)]
+    return complex_of_free_dual_modules(cdga, {0: [shift] * n0, 1: [shift - 1] * n1},
+                                        {0: entries})
+
+
+@st.composite
+def cofree_candidate(draw):
+    """(module, cdga, cap, interior) for ``cofree_decomposition`` over Q,
+    F_2, F_3 or F_5: G(M) of a random complex of trivial modules (over
+    S(V), dim 2 or 3, or the Heisenberg algebra), a piece of the spliced
+    complex or a random linear map of free modules; cap and interior are
+    drawn, so some candidates fail the test.  G(M) plus a trivial line
+    (the cone of a zero map) has a coinduction unit that is not injective
+    when the cap stops below the top of A!."""
+    f = draw(st.sampled_from(FIELDS))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**16)))
+    source = draw(st.sampled_from(["G", "G plus a line", "spliced", "linear"]))
+    if source.startswith("G"):
+        data, cdga = _deformation_and_cdga(draw(st.sampled_from(["sym2", "sym3", "heis"])), f)
+        m = random_bounded_complex(data, None, rng, length=draw(st.integers(1, 3)))
+        module = apply_G(m, cdga, FunctorBounds((-3, 2), 3, draw(st.integers(1, 3))))
+        if source == "G plus a line":
+            at = draw(st.integers(-2, 2))
+            line = CdgModule(cdga, (at, at), {at: 1}, {}, {})
+            module = cone(ChainMap.zero(line, module))
+    else:
+        data, cdga = _deformation_and_cdga("sym2", f)
+        if source == "spliced":
+            lo = draw(st.integers(-3, 3))
+            module = spliced_complex(cdga, lo, draw(st.integers(lo, 3)))
+        else:
+            module = _random_linear_map(cdga, rng)
+    lo, hi = module.window
+    interior = draw(st.none() | st.tuples(st.integers(lo - 2, hi), st.integers(lo, hi + 1)))
+    return module, cdga, draw(st.integers(1, 3)), interior
+
+
+def _unit_maps_or_error(build):
+    try:
+        return build(), None
+    except NotCofreeError as e:
+        return None, str(e)
+
+
+def _assert_unit_maps_match_oracle(module, cdga, cap, interior=None):
+    """The stacked coinduction unit equals the per-line oracle, and both
+    refuse the same candidates with the same message; returns that message."""
+    got, got_err = _unit_maps_or_error(
+        lambda: cofree_decomposition(module, cdga, cap, interior).unit_maps)
+    want, want_err = _unit_maps_or_error(
+        lambda: unit_maps_by_lines(module, cdga, cap, interior))
+    assert got_err == want_err
+    if want is not None:
+        assert sorted(got) == sorted(want)
+        assert all(got[p].eq(want[p]) for p in want)
+    return got_err
+
+
+@settings(max_examples=80)
+@given(cofree_candidate())
+def test_unit_maps_match_per_line_oracle(case):
+    _assert_unit_maps_match_oracle(*case)
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=str)
+def test_unit_maps_match_oracle_where_the_unit_is_not_injective(f):
+    """G(k^2) over E(V*), dim V = 2, is cofree; plus a trivial line in
+    degree -1 it has the cofree dimension counts at cap 1, but its two top
+    lines reach the socle only through degree-2 monomials."""
+    data, cdga = _deformation_and_cdga("sym2", f)
+    k = UModule.trivial(data)
+    g = apply_G(UComplex(data, (0, 0), {0: k.direct_sum(k)}, {}), cdga,
+                FunctorBounds((-3, 0), 3, 2))
+    line = CdgModule(cdga, (0, 0), {0: 1}, {}, {})
+    module = cone(ChainMap.zero(line, g))
+    assert (_assert_unit_maps_match_oracle(module, cdga, 1)
+            == "coinduction unit not bijective at degree -2")
+    assert _assert_unit_maps_match_oracle(module, cdga, 2) == "degree -3: dim 0 != cofree count 1"
+    assert _assert_unit_maps_match_oracle(g, cdga, 2) is None
 
 
 def test_null_cofree_spliced_separation(sym2_world):
@@ -402,6 +508,30 @@ def test_t_truncate_socle_split(sym2_world):
     assert not sub.dims and dict(quot.dims) == dict(g.dims)
 
 
+def test_socle_complex_built_once_per_module(sym2_world, monkeypatch):
+    """null_test_cofree builds the socle complex of its input once;
+    t_truncate builds it once for the input and once for the quotient."""
+    data, u, cdga = sym2_world
+    built = []
+    socle_complex = CdgModule.socle_complex
+
+    def counted(module):
+        built.append(module)
+        return socle_complex(module)
+
+    monkeypatch.setattr(CdgModule, "socle_complex", counted)
+    spliced = spliced_complex(cdga)
+    null_test_cofree(spliced, cdga, 3, (-2, 2), by_position=True)
+    assert built == [spliced]
+    built.clear()
+    k2 = UModule.trivial(data).direct_sum(UModule.trivial(data))
+    m = UComplex(data, (0, 1), {0: k2, 1: k2},
+                 {0: Matrix.from_int_rows(QQ, [[0, 1], [0, 0]])})
+    g = apply_G(m, cdga, FunctorBounds((-4, 3), 4, 3))
+    sub, quot, restr = t_truncate(g, cdga, 0, 3)
+    assert restr is not None and built == [g, quot]
+
+
 def test_t_truncate_two_line_socle(sym2_world):
     data, u, cdga = sym2_world
     f = QQ
@@ -413,12 +543,12 @@ def test_t_truncate_two_line_socle(sym2_world):
     g = apply_G(m, cdga, b)
     sub, quot, restr = t_truncate(g, cdga, 0, 3)
     # the kernel of the socle differential at 0 is 1-dimensional
-    _, bases, _ = sub.socle_complex()
+    bases, _ = sub.socle_complex()
     assert {p: x.cols for p, x in bases.items() if x.cols} == {0: 1}
     assert quot.dims
     # the quotient restructures as cofree with socle in degrees >= 1
     assert restr is not None
-    _, rbases, _ = restr.socle_complex()
+    rbases, _ = restr.socle_complex()
     assert all(p >= 1 for p, x in rbases.items() if x.cols)
 
 
