@@ -30,6 +30,7 @@ from .deformations import (
 )
 from .errors import (
     CdgaInvariantError,
+    DegreeOverflowError,
     InputError,
     KoszulKitError,
     WellDefinednessError,
@@ -385,6 +386,11 @@ def main(argv=None) -> int:
         return code
     except (InputError, FileNotFoundError, json.JSONDecodeError, KeyError) as e:
         sys.stderr.write(f"input error: {e}\n")
+        return 2
+    except DegreeOverflowError as e:
+        # every A and A! truncation a command builds is bounded by --degree
+        # or by a value derived from it
+        sys.stderr.write(f"input error: {e}; raise --degree\n")
         return 2
     except KoszulKitError as e:
         # preconditions violated by the input data (curved input where c = 0

@@ -1,11 +1,14 @@
 """Finite complexes of U-modules, cdg-modules over (A!, d, c), chain maps,
 cones, homotopies, and windowed homology.
 
-Both kinds of complex expose the same skeleton (window, per-degree
-dimensions, differentials); the module structure differs.  A U-complex
-carries degree-zero generator actions on each component, a cdg-module
-carries degree-one actions of the dual generators, an anti-derivation
-and the curvature law d^2 = c.(-).
+There is one complex type, ``BaseComplex``: window, per-degree
+dimensions, differentials, optional weights and the generator actions
+``{p: [Matrix per generator]}``.  The kinds differ in one fact, the
+degree of the action: none for a plain complex, 0 for a complex of
+U-modules (generators of U), 1 for a cdg-module (dual generators of A!).
+Shift, cone, words of the action and brutal truncation read that fact
+and are written once; each kind keeps only its axioms (``validate``),
+the algebra that acts, and ``rebuild``.
 """
 
 from __future__ import annotations
@@ -59,13 +62,6 @@ class UModule:
                         return f"action of generator {g} is not weight-homogeneous"
         return None
 
-    def act_word(self, word) -> Matrix:
-        """Action of a monomial word (applied right to left)."""
-        m = Matrix.identity(self.field, self.dim)
-        for g in reversed(word):
-            m = self.actions[g].mul(m)
-        return m
-
     @staticmethod
     def trivial(data: DeformationData) -> "UModule":
         if not data.beta.is_zero():
@@ -89,14 +85,30 @@ class UModule:
 
 
 class BaseComplex:
-    """Shared skeleton: window, dimensions, differentials."""
+    """The one complex type: window, dimensions, differentials, optional
+    weights and generator actions.
 
-    def __init__(self, field: Field, window, dims: dict, diffs: dict, weights=None):
+    ``action_degree`` is the one fact that tells the kinds apart: None for
+    a plain complex (no actions), 0 for a complex of U-modules, 1 for a
+    cdg-module over (A!, d, c).  ``actions[p]`` holds one Matrix
+    C^p -> C^{p + action_degree} per generator.
+    """
+
+    action_degree = None
+
+    def __init__(self, field: Field, window, dims: dict, diffs: dict, weights=None,
+                 actions=None, n_gens=0):
         self.field = field
         self.window = (int(window[0]), int(window[1]))
         self.dims = {p: int(n) for p, n in dims.items() if n}
         self.diffs = {p: d for p, d in diffs.items() if d.rows and d.cols}
         self.weights = weights  # {p: [weight per basis vector]} or None
+        self.actions = actions or {}  # {p: [Matrix per generator]}
+        self.n_gens = n_gens
+
+    def rebuild(self, window, dims, actions, diffs, weights) -> "BaseComplex":
+        """A complex of this kind on new data (a plain one here)."""
+        return BaseComplex(self.field, window, dims, diffs, weights)
 
     def dim(self, p: int) -> int:
         return self.dims.get(p, 0)
@@ -123,52 +135,60 @@ class BaseComplex:
             return None
         return self.weights.get(p, [None] * self.dim(p))[i]
 
-    side = "plain"
-
     def num_generators(self) -> int:
-        return 0
+        return self.n_gens
 
     def action(self, p: int, g: int) -> Matrix:
-        return Matrix.zero(self.field, 0, 0)
+        acts = self.actions.get(p)
+        if acts is None:
+            return Matrix.zero(self.field, self.dim(p + self.action_degree), self.dim(p))
+        return acts[g]
+
+    def act_word(self, p: int, word) -> Matrix:
+        """Action of a monomial word on C^p (applied right to left)."""
+        m = Matrix.identity(self.field, self.dim(p))
+        for g in reversed(word):
+            m = self.action(p, g).mul(m)
+            p += self.action_degree
+        return m
 
     def shift(self) -> "BaseComplex":
+        """[1]: degree p is old p + 1 and the differential is negated; so
+        is the action when its degree is odd (the odd generators flip)."""
         lo, hi = self.window
-        return BaseComplex(self.field, (lo - 1, hi - 1),
-                           {p - 1: n for p, n in self.dims.items()},
-                           {p - 1: self.diff(p).neg() for p in list(self.diffs)},
-                           None if self.weights is None
-                           else {p - 1: w for p, w in self.weights.items()})
+        acts = {p - 1: [a.neg() for a in a_p] if self.action_degree % 2 else a_p
+                for p, a_p in self.actions.items()}
+        return self.rebuild((lo - 1, hi - 1), {p - 1: n for p, n in self.dims.items()},
+                            acts, {p - 1: d.neg() for p, d in self.diffs.items()},
+                            None if self.weights is None
+                            else {p - 1: w for p, w in self.weights.items()})
 
 
 class UComplex(BaseComplex):
     """Complex of finite-dimensional U-modules with U-linear differentials."""
 
-    side = "U"
+    action_degree = 0
 
     def __init__(self, data: DeformationData, window, modules: dict, diffs: dict):
         self.data = data
-        self.modules = {p: m for p, m in modules.items() if m.dim}
+        modules = {p: m for p, m in modules.items() if m.dim}
         weights = None
-        if any(m.weights is not None for m in self.modules.values()):
-            weights = {p: m.weights for p, m in self.modules.items()}
-        super().__init__(data.field, window,
-                         {p: m.dim for p, m in self.modules.items()}, diffs, weights)
+        if any(m.weights is not None for m in modules.values()):
+            weights = {p: m.weights for p, m in modules.items()}
+        super().__init__(data.field, window, {p: m.dim for p, m in modules.items()},
+                         diffs, weights, {p: m.actions for p, m in modules.items()},
+                         data.base.dim)
 
-    def module(self, p: int):
-        return self.modules.get(p)
-
-    def action(self, p: int, g: int) -> Matrix:
-        m = self.modules.get(p)
-        if m is None:
-            return Matrix.zero(self.field, 0, 0)
-        return m.actions[g]
-
-    def num_generators(self) -> int:
-        return self.data.base.dim
+    def rebuild(self, window, dims, actions, diffs, weights) -> "UComplex":
+        return UComplex(self.data, window,
+                        {p: UModule(self.data, n, actions[p],
+                                    None if weights is None else weights.get(p))
+                         for p, n in dims.items()}, diffs)
 
     def validate(self):
-        for p, m in self.modules.items():
-            msg = m.validate()
+        for p, n in self.dims.items():
+            msg = UModule(self.data, n, self.actions[p],
+                          None if self.weights is None else self.weights.get(p)).validate()
             if msg:
                 return f"degree {p}: {msg}"
         msg = self.check_d_squared()
@@ -184,48 +204,28 @@ class UComplex(BaseComplex):
                         return f"differential not U-linear at degree {p}, generator {g}"
         return None
 
-    def shift(self) -> "UComplex":
-        """[1]: degree p component becomes old p+1; differential negated."""
-        lo, hi = self.window
-        mods = {p - 1: m for p, m in self.modules.items()}
-        diffs = {p - 1: self.diff(p).neg() for p in list(self.diffs)}
-        return UComplex(self.data, (lo - 1, hi - 1), mods, diffs)
-
 
 class CdgModule(BaseComplex):
     """Graded A!-module with degree-1 anti-derivation and curvature law."""
 
-    side = "A!"
+    action_degree = 1
 
     def __init__(self, cdga: CdgAlgebra, window, dims: dict, actions: dict,
                  diffs: dict, weights=None):
         self.cdga = cdga
-        super().__init__(cdga.field, window, dims, diffs, weights)
-        self.actions = actions  # {p: [Matrix N^p -> N^{p+1} per dual generator]}
+        super().__init__(cdga.field, window, dims, diffs, weights, actions,
+                         cdga.dual.pres.dim)
 
-    def action(self, p: int, g: int) -> Matrix:
-        acts = self.actions.get(p)
-        if acts is None:
-            return Matrix.zero(self.field, self.dim(p + 1), self.dim(p))
-        return acts[g]
-
-    def num_generators(self) -> int:
-        return self.cdga.dual.pres.dim
+    def rebuild(self, window, dims, actions, diffs, weights) -> "CdgModule":
+        return CdgModule(self.cdga, window, dims, actions, diffs, weights)
 
     def act_element(self, p: int, degree: int, col) -> Matrix:
         """Action of an A!_degree element, a sparse column {basis index:
         raw value}, on N^p."""
-        f = self.field
-        out = Matrix.zero(f, self.dim(p + degree), self.dim(p))
-        dual = self.cdga.dual
+        out = Matrix.zero(self.field, self.dim(p + degree), self.dim(p))
+        words = self.cdga.dual.basis_words[degree]
         for i, c in col.items():
-            word = dual.basis_words[degree][i]
-            m = Matrix.identity(f, self.dim(p))
-            deg = p
-            for g in reversed(word):
-                m = self.action(deg, g).mul(m)
-                deg += 1
-            out = out.add(m.scale(c))
+            out = out.add(self.act_word(p, words[i]).scale(c))
         return out
 
     def check_d_squared(self):
@@ -276,17 +276,6 @@ class CdgModule(BaseComplex):
                                for r in col):
                             return f"action not weight-homogeneous at degree {p}"
         return None
-
-    def shift(self) -> "CdgModule":
-        """[1] with the sign twist on the action (odd generators flip)."""
-        lo, hi = self.window
-        dims = {p - 1: n for p, n in self.dims.items()}
-        diffs = {p - 1: self.diff(p).neg() for p in list(self.diffs)}
-        acts = {p - 1: [a.neg() for a in self.actions[p]] for p in self.actions}
-        weights = None
-        if self.weights is not None:
-            weights = {p - 1: w for p, w in self.weights.items()}
-        return CdgModule(self.cdga, (lo - 1, hi - 1), dims, acts, diffs, weights)
 
     def socle_complex(self):
         """Hom_{A!}(k, -): per-degree socle bases and the socle complex.
@@ -355,7 +344,7 @@ class ChainMap:
             if not lhs.eq(rhs):
                 return f"does not commute with d at degree {p}"
         if check_actions:
-            shift = 1 if self.source.side == "A!" else 0
+            shift = self.source.action_degree
             for p in range(lo, hi + 1):
                 for g in range(self.source.num_generators()):
                     lhs = self.map_at(p + shift).mul(self.source.action(p, g))
@@ -407,8 +396,8 @@ def _block(f: Field, blocks, heights, widths):
 def cone(fmap: ChainMap):
     """C(f)^p = source^{p+1} ⊕ target^p, d(m, n) = (-d m, f m + d n).
 
-    Module structure is carried through when source and target are both
-    U-complexes or both cdg-modules; otherwise the cone is a plain complex.
+    The actions are block diagonal and the weights concatenated.  A map
+    between two kinds of complex has a plain cone.
     """
     src, tgt = fmap.source, fmap.target
     f = fmap.field
@@ -432,40 +421,18 @@ def cone(fmap: ChainMap):
             heights=[ssh.dim(p + 1), tgt.dim(p + 1)],
             widths=[ssh.dim(p), tgt.dim(p)])
 
-    if src.side != tgt.side or src.side == "plain" or src.side == "F":
-        return BaseComplex(f, (lo, hi), dims, diffs)
-
-    if src.side == "U":
-        mods = {}
-        for p in range(lo, hi + 1):
-            m1 = ssh.modules.get(p)
-            m2 = tgt.modules.get(p)
-            if m1 and m2:
-                mods[p] = m1.direct_sum(m2)
-            elif m1 or m2:
-                mods[p] = m1 or m2
-        return UComplex(src.data, (lo, hi), mods, diffs)
-
-    actions = {}
-    for p in range(lo, hi + 1):
-        if not dims.get(p):
-            continue
-        acts = []
-        for g in range(src.num_generators()):
-            acts.append(_block(
-                f,
-                [[ssh.action(p, g), None],
-                 [None, tgt.action(p, g)]],
-                heights=[ssh.dim(p + 1), tgt.dim(p + 1)],
-                widths=[ssh.dim(p), tgt.dim(p)]))
-        actions[p] = acts
+    kind = tgt if src.action_degree == tgt.action_degree else BaseComplex(f, (lo, hi), {}, {})
+    actions = {p: [_block(f, [[ssh.action(p, g), None], [None, tgt.action(p, g)]],
+                          heights=[ssh.dim(p + kind.action_degree),
+                                   tgt.dim(p + kind.action_degree)],
+                          widths=[ssh.dim(p), tgt.dim(p)])
+                   for g in range(kind.num_generators())]
+               for p in dims}
     weights = None
     if ssh.weights is not None and tgt.weights is not None:
-        weights = {}
-        for p in range(lo, hi + 1):
-            if dims.get(p):
-                weights[p] = list((ssh.weights.get(p) or [])) + list((tgt.weights.get(p) or []))
-    return CdgModule(src.cdga, (lo, hi), dims, actions, diffs, weights)
+        weights = {p: list(ssh.weights.get(p) or []) + list(tgt.weights.get(p) or [])
+                   for p in dims}
+    return kind.rebuild((lo, hi), dims, actions, diffs, weights)
 
 
 # -- homology ---------------------------------------------------------------
@@ -582,7 +549,7 @@ def nullhomotopy(fmap: ChainMap, gmap: ChainMap):
                     eq[RHS] = rhs or f.zero()
                     eqs.append(eq)
     # module linearity of s
-    act_shift = 1 if src.side == "A!" else 0
+    act_shift = src.action_degree
     for p in range(lo - 1, hi + 1):
         for g in range(src.num_generators()):
             a_s = src.action(p, g).columns    # src^p -> src^{p+shift}

@@ -300,6 +300,8 @@ def build_cdga(data: DeformationData, bound: int, check=True,
     ``check``) CdgaInvariantError if any curved-dga axiom fails; both
     signal that the deformation is not of PBW type.
     """
+    if bound < 2:
+        raise InputError(f"--degree {bound} is below 2: the cdga reads A!_2")
     f = data.field
     d = data.base.dim
     dual_pres = quadratic_dual(data.base)

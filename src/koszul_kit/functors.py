@@ -190,8 +190,6 @@ class FilteredFComplex(BaseComplex):
     structure only exists in the colimit, the fiber k ⊗_U (-) is exact.
     """
 
-    side = "F"
-
     def __init__(self, u, bounds, dims, diffs, labels):
         super().__init__(u.field, bounds.window, dims, diffs)
         self.u = u
@@ -425,7 +423,7 @@ def counit(m: UComplex, u: FilteredAlgebraTruncation, cdga: CdgAlgebra,
         for ui, ni in fg.labels[p]:
             r, s, i = g.labels[p][ni]
             # act by the monomial word of u_i on m^p
-            cols.append(m.module(p).act_word(u.basis_words[ui]).columns[i] if r == 0 else {})
+            cols.append(m.act_word(p, u.basis_words[ui]).columns[i] if r == 0 else {})
         maps[p] = Matrix(f, m.dim(p), cols)
     eps = ChainMap(fg, m, maps)
     msg = eps.validate(check_actions=False)
@@ -844,10 +842,9 @@ def triangle_check(m: UComplex, u: FilteredAlgebraTruncation, cdga: CdgAlgebra,
             cols.append(col)
             # ni indexes G(M)^{p+r}; the counit keeps its socle component
             r2, s2, i2 = g.labels[p + r][ni]
-            mod = m.module(p + r)
-            if r2 != 0 or mod is None:
+            if r2 != 0:
                 continue
-            for j, c in mod.act_word(u.basis_words[ui]).columns[i2].items():
+            for j, c in m.act_word(p + r, u.basis_words[ui]).columns[i2].items():
                 row = tpos.get((r, s, j))
                 if row is not None:
                     col[row] = c

@@ -21,19 +21,37 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import InputError
+
+
+# Miller-Rabin on the first 13 primes as bases is exact for every n below
+# _MR_BOUND (Sorenson and Webster 2015); no answer is ever probabilistic.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
 
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _MR_BOUND:
+        raise InputError("modulus too large to certify prime")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -52,7 +70,7 @@ class Field:
 
     def __init__(self, p=None):
         if p is not None and not _is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
+            raise InputError(f"modulus {p} is not prime")
         self.p = p
 
     # -- element constructors ------------------------------------------
@@ -126,11 +144,13 @@ class Field:
 
     @staticmethod
     def from_json(obj) -> "Field":
-        if obj.get("type") == "Q":
+        kind = obj.get("type") if isinstance(obj, dict) else None
+        if kind == "Q":
             return Field()
-        if obj.get("type") == "Fp":
+        # through str, so that 7.5 or true is refused, not read as 7 or 1
+        if kind == "Fp" and str(obj.get("p")).isdigit():
             return Field(int(obj["p"]))
-        raise ValueError(f"bad field spec {obj!r}")
+        raise InputError(f"bad field spec {obj!r}")
 
 
 QQ = Field()

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from .complexes import (
     BaseComplex,
-    CdgModule,
     UComplex,
     UModule,
     homology_dims,
@@ -223,33 +222,18 @@ def sigma_truncate(x, p_cut: int):
     """(sigma^{>p} x, sigma^{<=p} x): the subcomplex in degrees > p and the
     quotient in degrees <= p, with the exact sequence verified by shape."""
     lo, hi = x.window
-    above_dims = {p: n for p, n in x.dims.items() if p > p_cut}
-    below_dims = {p: n for p, n in x.dims.items() if p <= p_cut}
-    above_diffs = {p: d for p, d in x.diffs.items() if p > p_cut}
-    below_diffs = {p: d for p, d in x.diffs.items() if p + 1 <= p_cut}
-    if isinstance(x, UComplex):
-        above = UComplex(x.data, (max(lo, p_cut + 1), hi),
-                         {p: m for p, m in x.modules.items() if p > p_cut},
-                         above_diffs)
-        below = UComplex(x.data, (lo, min(hi, p_cut)),
-                         {p: m for p, m in x.modules.items() if p <= p_cut},
-                         below_diffs)
-    elif isinstance(x, CdgModule):
-        above = CdgModule(x.cdga, (max(lo, p_cut + 1), hi), above_dims,
-                          {p: a for p, a in x.actions.items() if p > p_cut},
-                          above_diffs,
-                          None if x.weights is None else
-                          {p: w for p, w in x.weights.items() if p > p_cut})
-        below = CdgModule(x.cdga, (lo, min(hi, p_cut)), below_dims,
-                          {p: a for p, a in x.actions.items() if p + 1 <= p_cut},
-                          below_diffs,
-                          None if x.weights is None else
-                          {p: w for p, w in x.weights.items() if p <= p_cut})
-    else:
-        above = BaseComplex(x.field, (max(lo, p_cut + 1), hi), above_dims,
-                            above_diffs)
-        below = BaseComplex(x.field, (lo, min(hi, p_cut)), below_dims,
-                            below_diffs)
+
+    def part(keep, window):
+        """x restricted to the degrees that ``keep``: each map kept when
+        both its ends are."""
+        return x.rebuild(
+            window, {p: n for p, n in x.dims.items() if keep(p)},
+            {p: a for p, a in x.actions.items() if keep(p) and keep(p + x.action_degree)},
+            {p: d for p, d in x.diffs.items() if keep(p) and keep(p + 1)},
+            None if x.weights is None else {p: w for p, w in x.weights.items() if keep(p)})
+
+    above = part(lambda p: p > p_cut, (max(lo, p_cut + 1), hi))
+    below = part(lambda p: p <= p_cut, (lo, min(hi, p_cut)))
     for p in x.dims:
         total = above.dim(p) + below.dim(p)
         if total != x.dim(p):

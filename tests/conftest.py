@@ -8,6 +8,7 @@ from hypothesis import settings, strategies as st
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from koszul_kit.cofree import cofree_labels
+from koszul_kit.complexes import CdgModule, UComplex, UModule, _block
 from koszul_kit.deformations import DeformationData, PbwReport, build_U, build_cdga
 from koszul_kit.errors import NotCofreeError
 from koszul_kit.linalg import (
@@ -826,6 +827,167 @@ def full_cdga_verify(alg):
             if any(not f.eq(x, y) for x, y in zip(dd, comm)):
                 return f"d^2 != [c,-] on basis A!_{n}[{b}]"
     return None
+
+
+# -- the per-kind complex operations that BaseComplex writes once ---------------
+#
+# Each oracle is the body one kind of complex had before the kinds shared a
+# single shift, cone, brutal truncation and word action; the kind was a
+# ``side`` tag ("plain", "U" or "A!"), and a U-complex stored its UModules.
+# An oracle returns the ``complex_snapshot`` of the complex it built.
+
+
+def _side(x):
+    return {UComplex: "U", CdgModule: "A!"}.get(type(x), "plain")
+
+
+def _modules(x):
+    """The UModule per degree that a U-complex stored."""
+    return {p: UModule(x.data, n, x.actions[p], None if x.weights is None else x.weights.get(p))
+            for p, n in x.dims.items()}
+
+
+def _dense_of(m):
+    return (m.rows, m.cols, m.to_rows())
+
+
+def _snapshot(kind, window, dims, diffs, actions=None, weights=None):
+    return (kind, (int(window[0]), int(window[1])),
+            {p: int(n) for p, n in dims.items() if n},
+            {p: _dense_of(d) for p, d in diffs.items() if d.rows and d.cols},
+            {p: [_dense_of(a) for a in acts] for p, acts in (actions or {}).items()},
+            weights)
+
+
+def complex_snapshot(x):
+    """(kind, window, dims, diffs, actions, weights), matrices as (rows,
+    cols, dense rows)."""
+    return _snapshot(type(x).__name__, x.window, x.dims, x.diffs, x.actions, x.weights)
+
+
+def _u_snapshot(window, modules, diffs):
+    """The snapshot of ``UComplex(data, window, modules, diffs)``."""
+    modules = {p: m for p, m in modules.items() if m.dim}
+    weights = None
+    if any(m.weights is not None for m in modules.values()):
+        weights = {p: m.weights for p, m in modules.items()}
+    return _snapshot("UComplex", window, {p: m.dim for p, m in modules.items()}, diffs,
+                     {p: m.actions for p, m in modules.items()}, weights)
+
+
+def oracle_shift(x):
+    lo, hi = x.window
+    window = (lo - 1, hi - 1)
+    diffs = {p - 1: x.diff(p).neg() for p in list(x.diffs)}
+    if _side(x) == "U":
+        return _u_snapshot(window, {p - 1: m for p, m in _modules(x).items()}, diffs)
+    dims = {p - 1: n for p, n in x.dims.items()}
+    weights = None if x.weights is None else {p - 1: w for p, w in x.weights.items()}
+    if _side(x) == "A!":
+        acts = {p - 1: [a.neg() for a in x.actions[p]] for p in x.actions}
+        return _snapshot("CdgModule", window, dims, diffs, acts, weights)
+    return _snapshot("BaseComplex", window, dims, diffs, None, weights)
+
+
+def oracle_cone(fmap):
+    """The cone with module structure when both ends are U-complexes or both
+    cdg-modules, else a plain complex.  The shift of the source is the
+    one under test (``oracle_shift`` checks it)."""
+    src, tgt = fmap.source, fmap.target
+    f = fmap.field
+    lo = min(src.window[0] - 1, tgt.window[0])
+    hi = max(src.window[1] - 1, tgt.window[1])
+    ssh = src.shift()
+    dims = {}
+    for p in range(lo, hi + 1):
+        n = ssh.dim(p) + tgt.dim(p)
+        if n:
+            dims[p] = n
+    diffs = {}
+    for p in range(lo, hi + 1):
+        if not dims.get(p) or not dims.get(p + 1):
+            continue
+        diffs[p] = _block(f, [[ssh.diff(p), None], [fmap.map_at(p + 1), tgt.diff(p)]],
+                          heights=[ssh.dim(p + 1), tgt.dim(p + 1)],
+                          widths=[ssh.dim(p), tgt.dim(p)])
+    if _side(src) != _side(tgt) or _side(src) == "plain":
+        return _snapshot("BaseComplex", (lo, hi), dims, diffs)
+    if _side(src) == "U":
+        smods, tmods = _modules(ssh), _modules(tgt)
+        mods = {}
+        for p in range(lo, hi + 1):
+            m1, m2 = smods.get(p), tmods.get(p)
+            if m1 and m2:
+                mods[p] = m1.direct_sum(m2)
+            elif m1 or m2:
+                mods[p] = m1 or m2
+        return _u_snapshot((lo, hi), mods, diffs)
+    actions = {}
+    for p in range(lo, hi + 1):
+        if not dims.get(p):
+            continue
+        actions[p] = [_block(f, [[ssh.action(p, g), None], [None, tgt.action(p, g)]],
+                             heights=[ssh.dim(p + 1), tgt.dim(p + 1)],
+                             widths=[ssh.dim(p), tgt.dim(p)])
+                      for g in range(src.num_generators())]
+    weights = None
+    if ssh.weights is not None and tgt.weights is not None:
+        weights = {p: list(ssh.weights.get(p) or []) + list(tgt.weights.get(p) or [])
+                   for p in range(lo, hi + 1) if dims.get(p)}
+    return _snapshot("CdgModule", (lo, hi), dims, diffs, actions, weights)
+
+
+def oracle_sigma_truncate(x, p_cut):
+    """(above, below) snapshots of the brutal truncation at p_cut."""
+    lo, hi = x.window
+    up, down = (max(lo, p_cut + 1), hi), (lo, min(hi, p_cut))
+    above_dims = {p: n for p, n in x.dims.items() if p > p_cut}
+    below_dims = {p: n for p, n in x.dims.items() if p <= p_cut}
+    above_diffs = {p: d for p, d in x.diffs.items() if p > p_cut}
+    below_diffs = {p: d for p, d in x.diffs.items() if p + 1 <= p_cut}
+    if _side(x) == "U":
+        mods = _modules(x)
+        return (_u_snapshot(up, {p: m for p, m in mods.items() if p > p_cut}, above_diffs),
+                _u_snapshot(down, {p: m for p, m in mods.items() if p <= p_cut}, below_diffs))
+    if _side(x) == "A!":
+        return (_snapshot("CdgModule", up, above_dims,  above_diffs,
+                          {p: a for p, a in x.actions.items() if p > p_cut},
+                          None if x.weights is None else
+                          {p: w for p, w in x.weights.items() if p > p_cut}),
+                _snapshot("CdgModule", down, below_dims, below_diffs,
+                          {p: a for p, a in x.actions.items() if p + 1 <= p_cut},
+                          None if x.weights is None else
+                          {p: w for p, w in x.weights.items() if p <= p_cut}))
+    return (_snapshot("BaseComplex", up, above_dims, above_diffs),
+            _snapshot("BaseComplex", down, below_dims, below_diffs))
+
+
+def oracle_act_word(x, p, word):
+    """A monomial word (applied right to left) on degree p: the U-module's
+    own action matrices, or the cdg-module's actions degree by degree."""
+    f = x.field
+    if _side(x) == "U":
+        mod = _modules(x)[p]
+        m = Matrix.identity(f, mod.dim)
+        for g in reversed(word):
+            m = mod.actions[g].mul(m)
+        return m
+    m = Matrix.identity(f, x.dim(p))
+    deg = p
+    for g in reversed(word):
+        acts = x.actions.get(deg)
+        a = Matrix.zero(f, x.dim(deg + 1), x.dim(deg)) if acts is None else acts[g]
+        m = a.mul(m)
+        deg += 1
+    return m
+
+
+def oracle_act_element(x, p, degree, col):
+    """An A!_degree element, a sparse column, on N^p of a cdg-module."""
+    out = Matrix.zero(x.field, x.dim(p + degree), x.dim(p))
+    for i, c in col.items():
+        out = out.add(oracle_act_word(x, p, x.cdga.dual.basis_words[degree][i]).scale(c))
+    return out
 
 
 def symmetric_presentation(field, dim):

@@ -229,6 +229,31 @@ def test_counit_heisenberg_default_bounds():
     assert all(h == 0 for h in out["cone_homology"].values())
 
 
+@pytest.mark.parametrize("spec", [{"type": "Fp", "p": 4}, {"type": "Fp", "p": "abc"},
+                                  {"p": 4}, {"type": "Fp", "p": 7.5}])
+def test_bad_field_spec_exit_two(tmp_path, capsys, spec):
+    raw = json.load(open(SYM2))
+    raw["field"] = spec
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert cli.main(["dual", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("degree", ["0", "1"])
+@pytest.mark.parametrize("argv", [["ce", HEIS], ["counit", SYM2, "--complex", "k"],
+                                  ["minimize", SYM2, "--complex", "two"], ["cdga", TWOP]])
+def test_degree_below_two_names_the_flag(capsys, argv, degree):
+    assert cli.main(argv + ["--degree", degree]) == 2
+    assert "--degree" in capsys.readouterr().err
+
+
+def test_truncation_overflow_names_the_flag(capsys):
+    assert cli.main(["null-cofree", SYM2, "--free-dual", "spliced", "--degree", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "beyond bound 2" in err and "--degree" in err
+
+
 def test_non_free_component_exit_two():
     run_cli("null-free", SYM2, "--free", "two", expect=2)
 

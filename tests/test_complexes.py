@@ -5,6 +5,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from koszul_kit import complexes
 from koszul_kit.cli import (
@@ -25,14 +26,26 @@ from koszul_kit.complexes import (
     homotopy_identity_holds,
     nullhomotopy,
 )
+from koszul_kit.deformations import DeformationData, build_cdga
 from koszul_kit.errors import CurvedInputError, InputError
 from koszul_kit.functors import FunctorBounds
 from koszul_kit.linalg import Matrix, rank
 from koszul_kit.module_commands import named_module
-from koszul_kit.scalars import QQ
-from koszul_kit.suite import koszul_ce_complex
+from koszul_kit.scalars import QQ, Field
+from koszul_kit.suite import koszul_ce_complex, sigma_truncate
 
-from conftest import SEED
+from conftest import (
+    SEED,
+    complex_snapshot,
+    heisenberg_deformation,
+    oracle_act_element,
+    oracle_act_word,
+    oracle_cone,
+    oracle_shift,
+    oracle_sigma_truncate,
+    symmetric_presentation,
+    twopoint_deformation,
+)
 
 
 def test_trivial_module_requires_beta_zero(heis, twopoint):
@@ -276,3 +289,115 @@ def test_homology_ranks_each_weight_block_once(monkeypatch):
     assert h == {(0, 0): 0, (0, 1): 1, (1, 0): 0, (1, 1): 0, (2, 0): 1, (2, 1): 0}
     # (q, w) for q = -1..2 and w = 0, 1; the blocks of d_-1 and d_2 are empty
     assert len(calls) == 8
+
+
+# -- the one complex type against the per-kind bodies it replaced -----------------
+
+
+@pytest.fixture(scope="session")
+def kind_worlds():
+    """(deformation, cdga) over Q, F_2 and F_3: the Heisenberg algebra, S(V)
+    on two generators, and the curved two-point algebra."""
+    worlds = {}
+    for f in (QQ, Field(2), Field(3)):
+        for data in (heisenberg_deformation(f),
+                     DeformationData.trivial(symmetric_presentation(f, 2)),
+                     twopoint_deformation(f)):
+            worlds.setdefault(f, []).append((data, build_cdga(data, 4)))
+    return worlds
+
+
+def _matrix(draw, f, rows, cols):
+    entries = st.integers(min_value=-1, max_value=2)
+    return Matrix.from_rows(f, [[f.of_int(draw(entries)) for _ in range(cols)]
+                                for _ in range(rows)], cols)
+
+
+def _complex(draw, kind, f, world, weighted):
+    """A complex of ``kind`` on a window of at most four degrees: random
+    matrices of the right shapes (shift, cone and truncation do not read the
+    axioms).  A cdg-module may leave the actions of some degrees unstored."""
+    data, cdga = world
+    lo = draw(st.integers(min_value=-2, max_value=1))
+    hi = lo + draw(st.integers(min_value=0, max_value=3))
+    dims = {p: draw(st.integers(min_value=0, max_value=2)) for p in range(lo, hi + 1)}
+    diffs = {p: _matrix(draw, f, dims[p + 1], dims[p])
+             for p in range(lo, hi) if dims[p] and dims[p + 1]}
+    weights = None
+    if weighted:
+        weights = {p: [draw(st.integers(min_value=-2, max_value=2)) for _ in range(n)]
+                   for p, n in dims.items() if n}
+    if kind == "plain":
+        return BaseComplex(f, (lo, hi), dims, diffs, weights)
+    if kind == "U":
+        mods = {p: UModule(data, n, [_matrix(draw, f, n, n) for _ in range(data.base.dim)],
+                           None if weights is None else weights[p])
+                for p, n in dims.items() if n}
+        return UComplex(data, (lo, hi), mods, diffs)
+    acts = {p: [_matrix(draw, f, dims.get(p + 1, 0), n) for _ in range(cdga.dual.pres.dim)]
+            for p, n in dims.items() if n and draw(st.booleans())}
+    return CdgModule(cdga, (lo, hi), dims, acts, diffs, weights)
+
+
+@settings(max_examples=120)
+@given(st.data())
+def test_one_complex_type_matches_per_kind_oracles(kind_worlds, data):
+    """Shift, cone, brutal truncation and the word action of every kind of
+    complex, over Q, F_2 and F_3, equal the per-kind bodies they replaced:
+    window, dims, differentials, actions and weights.
+
+    One weights rule now holds for every kind: each operation carries the
+    weights through, and a cone is weighted when both ends are.  The old
+    bodies differed from it in two places, asserted here: a plain cone or
+    truncation dropped the weights, and a U-cone of a weighted and an
+    unweighted complex kept the weights of the degrees where only the
+    weighted end lives."""
+    draw = data.draw
+    f = draw(st.sampled_from(list(kind_worlds)))
+    world = draw(st.sampled_from(kind_worlds[f]))
+    kinds = st.sampled_from(["plain", "U", "cdg"])
+    x = _complex(draw, draw(kinds), f, world, draw(st.booleans()))
+    kind = type(x).__name__
+
+    assert complex_snapshot(x.shift()) == oracle_shift(x)
+
+    for p_cut in range(x.window[0] - 1, x.window[1] + 1):
+        got = [complex_snapshot(part) for part in sigma_truncate(x, p_cut)]
+        want = oracle_sigma_truncate(x, p_cut)
+        if kind == "BaseComplex" and x.weights is not None:
+            assert [g[:5] for g in got] == [w[:5] for w in want]
+            assert got[0][5] == {p: w for p, w in x.weights.items() if p > p_cut}
+            assert got[1][5] == {p: w for p, w in x.weights.items() if p <= p_cut}
+        else:
+            assert got == list(want)
+
+    if x.action_degree is not None:
+        for p in x.dims:
+            word = tuple(draw(st.lists(st.integers(min_value=0, max_value=x.num_generators() - 1),
+                                       max_size=3)))
+            assert x.act_word(p, word).to_rows() == oracle_act_word(x, p, word).to_rows()
+            if kind == "CdgModule":
+                degree = draw(st.integers(min_value=0, max_value=2))
+                col = {i: f.of_int(draw(st.integers(min_value=1, max_value=2)))
+                       for i in range(x.cdga.dual.dim_at(degree)) if draw(st.booleans())}
+                assert (x.act_element(p, degree, col).to_rows()
+                        == oracle_act_element(x, p, degree, col).to_rows())
+
+    # a cone: to the same kind of complex most often, to any kind otherwise
+    tkind = draw(st.sampled_from([{"BaseComplex": "plain", "UComplex": "U",
+                                   "CdgModule": "cdg"}[kind], "plain", "U", "cdg"]))
+    y = _complex(draw, tkind, f, world, draw(st.booleans()))
+    lo = min(x.window[0], y.window[0]) - 1
+    hi = max(x.window[1], y.window[1]) + 1
+    fmap = ChainMap(x, y, {p: _matrix(draw, f, y.dim(p), x.dim(p)) for p in range(lo, hi + 1)})
+    got, want = complex_snapshot(cone(fmap)), oracle_cone(fmap)
+    assert got[:5] == want[:5]
+    both = x.weights is not None and y.weights is not None
+    assert got[5] == (None if not both else
+                      {p: list(x.weights.get(p + 1) or []) + list(y.weights.get(p) or [])
+                       for p in got[2]})
+    old_rule_differs = ((want[0] == "BaseComplex" and both)
+                        or (want[0] == "UComplex" and not both
+                            and (x.weights is not None or y.weights is not None)))
+    if not old_rule_differs:
+        assert got[5] == want[5]

@@ -1,8 +1,10 @@
 """Exact linear algebra kernel: worked examples and random properties."""
 
 import random
+import time
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from koszul_kit.linalg import (
@@ -18,7 +20,8 @@ from koszul_kit.linalg import (
     sparse_rank,
     RHS,
 )
-from koszul_kit.scalars import QQ, Field, canon
+from koszul_kit.errors import InputError
+from koszul_kit.scalars import QQ, Field, _is_prime, canon
 
 from conftest import (
     canonical_fractions,
@@ -500,3 +503,33 @@ def test_integral_fraction_results_are_stored_as_ints(data):
     # one right-hand side in the image of a, one drawn freely
     _check_one_core(QQ, a, [a.apply(sparse(vecs[1])), sparse(vecs[2])])
     _check_echelon_span(QQ, a, vecs[1])
+
+
+# -- certified primality of the modulus ---------------------------------------------
+
+
+def test_primality_matches_a_sieve():
+    n = 10_000
+    sieve = [False, False] + [True] * (n - 2)
+    for i in range(2, 100):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(range(i * i, n, i))
+    assert [m for m in range(n) if _is_prime(m)] == [m for m in range(n) if sieve[m]]
+    # a strong pseudoprime to every prime base up to 37
+    assert not _is_prime(3825123056546413051)
+
+
+def _within(seconds, fn):
+    start = time.perf_counter()
+    out = fn()
+    assert time.perf_counter() - start < seconds
+    return out
+
+
+def test_large_moduli_are_certified_in_time():
+    assert _within(1.0, lambda: Field(2**61 - 1)).p == 2**61 - 1
+    with pytest.raises(InputError, match="not prime"):
+        _within(1.0, lambda: Field(2147483647 * 2147483629))  # two 31-bit primes
+    # 2^89 - 1 is prime, but past the bound below which the bases are proven exact
+    with pytest.raises(InputError, match="too large to certify"):
+        Field(2**89 - 1)
