@@ -21,29 +21,8 @@ from .complexes import (
 )
 from .deformations import CdgAlgebra
 from .errors import CurvedInputError, InconsistentDataError, NotCofreeError
-from .functors import apply_G, cofree_actions
+from .functors import apply_G, cofree_actions, hom_labels
 from .linalg import EchelonSpan, Matrix, kernel_basis, rank, row_space, solve_matrix, zero_free
-
-
-# -- label bookkeeping -------------------------------------------------------
-
-
-def cofree_labels(cdga: CdgAlgebra, socle_dims: dict, window, cap: int):
-    """{p: [(r, s, i) ...]} for the cofree module on the given socle dims."""
-    dual = cdga.dual
-    labels = {}
-    lo, hi = window
-    for p in range(lo, hi + 1):
-        labs = []
-        for r in range(0, min(cap, dual.bound) + 1):
-            q = p + r
-            n = socle_dims.get(q, 0)
-            if n and dual.dim_at(r):
-                labs.extend((r, s, i) for s in range(dual.dim_at(r))
-                            for i in range(n))
-        if labs:
-            labels[p] = labs
-    return labels
 
 
 # -- socle-level strong deformation retract ----------------------------------
@@ -149,7 +128,7 @@ def transfer_minimal(big: CdgModule, labels: dict, socle_diffs: dict,
     socle = BaseComplex(f, window, socle_dims, socle_diffs)
     hdims, i0, p0, h0 = socle_sdr(socle)
     hdims = {q: n for q, n in hdims.items() if n}
-    hlabels = cofree_labels(cdga, hdims, window, cap)
+    hlabels = hom_labels(cdga.dual, window, cap, lambda p, q: range(hdims.get(q, 0)))
 
     def mk_block(src_labs, tgt_labs, per_q_mat, sign):
         tpos = {lab: i for i, lab in enumerate(tgt_labs)}
@@ -372,8 +351,12 @@ def cofree_decomposition(i: CdgModule, cdga: CdgAlgebra, cap: int,
         lo, hi = i.window
         if socle.dims:
             lo = min(lo, min(socle.dims) - min(cap, dual.bound))
-    labels = cofree_labels(cdga, socle.dims, (lo, i.window[1]), cap)
-    labels.update(cofree_labels(cdga, socle.dims, i.window, cap))
+
+    def socle_lines(p, q):
+        return range(socle.dim(q))
+
+    labels = hom_labels(dual, (lo, i.window[1]), cap, socle_lines)
+    labels.update(hom_labels(dual, i.window, cap, socle_lines))
     # socle projections: extend the socle basis, project onto it
     projections = {}
     for q, b in bases.items():
@@ -494,7 +477,7 @@ def _sub_quotient(i: CdgModule, sub_cols: dict):
     """Split I into a submodule-subcomplex and its quotient, with maps."""
     f = i.field
     sub_dims, quot_dims = {}, {}
-    incl_maps, proj_maps = {}, {}
+    incl_maps, proj_maps, sections = {}, {}, {}
     sub_diffs, quot_diffs = {}, {}
     sub_actions, quot_actions = {}, {}
     # choose complements and build coordinate changes per degree
@@ -516,6 +499,8 @@ def _sub_quotient(i: CdgModule, sub_cols: dict):
         inv = _invert(Matrix(f, n, stacked))
         incl_maps[p] = Matrix(f, n, cols)
         proj_maps[p] = inv.submatrix(range(len(cols), n), range(n))
+        # the complement columns: a right inverse of proj_maps[p]
+        sections[p] = Matrix(f, n, stacked[len(cols):])
     for p in i.dims:
         if i.dim(p + 1):
             d = i.diff(p)
@@ -526,7 +511,7 @@ def _sub_quotient(i: CdgModule, sub_cols: dict):
                     raise InconsistentDataError("subspace is not d-stable")
                 sub_diffs[p] = expr
             if quot_dims.get(p) and quot_dims.get(p + 1):
-                quot_diffs[p] = proj_maps[p + 1].mul(d).mul(_pinv_cols(f, proj_maps[p]))
+                quot_diffs[p] = proj_maps[p + 1].mul(d).mul(sections[p])
             acts_s, acts_q = [], []
             for g in range(i.num_generators()):
                 a = i.action(p, g)
@@ -540,7 +525,7 @@ def _sub_quotient(i: CdgModule, sub_cols: dict):
                 else:
                     acts_s.append(Matrix.zero(f, sub_dims.get(p + 1, 0), 0))
                 if quot_dims.get(p):
-                    acts_q.append(proj_maps[p + 1].mul(a).mul(_pinv_cols(f, proj_maps[p]))
+                    acts_q.append(proj_maps[p + 1].mul(a).mul(sections[p])
                                   if quot_dims.get(p + 1)
                                   else Matrix.zero(f, 0, quot_dims[p]))
                 else:
@@ -552,14 +537,6 @@ def _sub_quotient(i: CdgModule, sub_cols: dict):
     incl = ChainMap(sub, i, {p: incl_maps[p] for p in i.dims if sub_dims.get(p)})
     proj = ChainMap(i, quot, {p: proj_maps[p] for p in i.dims if quot_dims.get(p)})
     return sub, quot, incl, proj
-
-
-def _pinv_cols(f, proj: Matrix) -> Matrix:
-    """A right inverse of a surjective projection (section of quotient coords)."""
-    x = solve_matrix(proj, Matrix.identity(f, proj.rows))
-    if x is None:
-        raise InconsistentDataError("projection not surjective")
-    return x
 
 
 # -- cofree null test -----------------------------------------------------------

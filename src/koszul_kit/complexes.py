@@ -172,9 +172,10 @@ class UComplex(BaseComplex):
     def __init__(self, data: DeformationData, window, modules: dict, diffs: dict):
         self.data = data
         modules = {p: m for p, m in modules.items() if m.dim}
-        weights = None
-        if any(m.weights is not None for m in modules.values()):
-            weights = {p: m.weights for p, m in modules.items()}
+        weighted = [m.weights is not None for m in modules.values()]
+        if any(weighted) and not all(weighted):
+            raise InputError("either every module of a complex carries weights or none does")
+        weights = {p: m.weights for p, m in modules.items()} if any(weighted) else None
         super().__init__(data.field, window, {p: m.dim for p, m in modules.items()},
                          diffs, weights, {p: m.actions for p, m in modules.items()},
                          data.base.dim)

@@ -95,9 +95,7 @@ class FreeUComplex:
             r = self.rank(p)
             if not r:
                 continue
-            uidx = [i for i in range(u.total_dim)
-                    if len(u.basis_words[i]) <= levels[p]]
-            labels[p] = [(ui, j) for j in range(r) for ui in uidx]
+            labels[p] = [(ui, j) for j in range(r) for ui in range(u.dim_leq(levels[p]))]
             dims[p] = len(labels[p])
         diffs = {}
         for p in sorted(dims):
@@ -196,7 +194,7 @@ def free_nullhomotopy(p: FreeUComplex, fmat: dict, gmat: dict, degree_cap=None):
     f = p.field
     u = p.u
     cap = degree_cap if degree_cap is not None else u.bound - p.entry_degree_bound()
-    keep = [i for i in range(u.total_dim) if len(u.basis_words[i]) <= cap]
+    keep = range(u.dim_leq(cap))
     lo, hi = p.window
     varmap = {}
     for q in range(lo, hi + 2):

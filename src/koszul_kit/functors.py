@@ -1,6 +1,12 @@
 """The Koszul bimodule T = U ⊗ A!, the functors F and G, filtrations,
 unit/counit, the adjunction check, and the mirror functor F'.
 
+F is T ⊗_{A!} (-) and G is Hom_U(T, -), and each differential is written
+once.  ``_add_F`` is F's, d(u ⊗ n) = sum_g (u x_g) ⊗ (x_g* n) + u ⊗ d(n):
+T's delta is F on A!.  ``_G_differentials`` is G's, on the functionals
+that ``hom_labels`` lists: (GF)_i is G over F, with x_g acting on
+U ⊗ N by left multiplication and F's differential as d_M.
+
 Windowing: F is materialized through its filtration pieces, with the
 U-level growing by one per cohomological degree, so every differential
 lands exactly in the next component and squares to zero on the nose.
@@ -9,9 +15,8 @@ degrees <= the internal cap, which is a genuine cdg-submodule.
 
 Products come from the two sparse product tables: u x_g and x_g u from
 U's cached ``mult_basis`` columns, x_g e_t and e_t x_g from A!'s
-``mult_columns``.  F, the bimodule delta and (GF)_i read a module's
-actions and differential as sparse columns, sum raw values over nonzero
-entries only and reduce mod p once per output entry.
+``mult_columns``.  Both kernels sum raw values over nonzero entries only
+and reduce mod p once per output entry.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from collections import namedtuple
 from .complexes import BaseComplex, CdgModule, ChainMap, UComplex
 from .deformations import CdgAlgebra, FilteredAlgebraTruncation
 from .errors import InconsistentDataError, InputError
-from .linalg import Matrix, kernel_basis, rank, zero_free
+from .linalg import Matrix, axpy, kernel_basis, rank, zero_free
 
 
 class FunctorBounds(namedtuple("FunctorBounds", ("window", "filtration", "internal"))):
@@ -37,11 +42,128 @@ class FunctorBounds(namedtuple("FunctorBounds", ("window", "filtration", "intern
         return super().__new__(cls, window, filtration, internal)
 
 
+# -- the two kernels ----------------------------------------------------------
+
+
+def _gen_pos(u: FilteredAlgebraTruncation):
+    """U's basis positions of the generators x_g, in order."""
+    return [u._basis_pos[(g,)] for g in range(u.data.base.dim)]
+
+
+def _add_rows(acc: dict, rows: dict, c, col: dict):
+    """acc += c * col, each key of col sent to its row; a key with no row
+    is cut off."""
+    for key, v in col.items():
+        k = rows.get(key)
+        if k is not None:
+            acc[k] = acc.get(k, 0) + c * v
+
+
+def _add_F(acc: dict, rows: dict, sign, u: FilteredAlgebraTruncation,
+           acts, d_cols, ui: int, ni: int) -> dict:
+    """F's differential: acc += sign · d(u_ui ⊗ n_ni), where
+    d(u ⊗ n) = sum_g (u x_g) ⊗ (x_g* n) + u ⊗ d(n).
+
+    ``acts`` pairs U's position of each x_g with the columns of x_g* on N,
+    ``d_cols`` are the columns of d_N, and ``rows`` maps (U index, N index)
+    to a row of ``acc``; a term with no row is cut off.  Returns ``acc``,
+    raw values unreduced.
+    """
+    for gi, act in acts:
+        xn = act[ni]  # x_g* n
+        if not xn:
+            continue
+        for ti, cu in u.mult_basis(ui, gi).items():
+            if sign < 0:
+                cu = -cu
+            for nj, ca in xn.items():
+                k = rows.get((ti, nj))
+                if k is not None:
+                    acc[k] = acc.get(k, 0) + cu * ca
+    for nj, c in d_cols[ni].items():
+        k = rows.get((ui, nj))
+        if k is not None:
+            acc[k] = acc.get(k, 0) + sign * c
+    return acc
+
+
+def hom_labels(dual, window, cap: int, basis) -> dict:
+    """The basis of prod_r Hom(A!_r, M^{p+r}), r <= min(cap, A! bound), for
+    each p of the window, as {p: [(r, s, e) ...]}: the functional s* of A!_r
+    with value e.  ``basis(p, q)`` lists the basis of M^q that term p uses;
+    degrees with no label are left out."""
+    labels = {}
+    lo, hi = window
+    for p in range(lo, hi + 1):
+        labs = []
+        for r in range(min(cap, dual.bound) + 1):
+            es = basis(p, p + r)
+            if es and dual.dim_at(r):
+                labs.extend((r, s, e) for s in range(dual.dim_at(r)) for e in es)
+        if labs:
+            labels[p] = labs
+    return labels
+
+
+def _G_differentials(cdga: CdgAlgebra, labels: dict, act, d_m) -> dict:
+    """G's differential on functionals labelled (r, s, e): the basis
+    functional f = (s*, e) of Hom(A!_r, M^{p+r}) goes to
+    d(f)(t) = (-1)^{|t|}[sum_g x_g f(x_g* t) + f(dt) + d_M f(t)].
+
+    ``act(acc, rows, c, q, g, e)`` adds c · x_g e and ``d_m(acc, rows, c,
+    q, e)`` adds c · d_M e, for e in M^q, to ``acc`` through ``rows``
+    ({element of M^{q+1}: row}); a term beyond the truncation has no row
+    and is cut off.  Returns {p: Matrix} for each p with p + 1 labelled.
+    """
+    dual = cdga.dual
+    f = dual.field
+    d_gens = dual.pres.dim
+    diffs = {}
+    for p, labs in labels.items():
+        tgt = labels.get(p + 1)
+        if tgt is None:
+            continue
+        rows = {}  # (r, s) -> {e: row}
+        for k, (r, s, e) in enumerate(tgt):
+            rows.setdefault((r, s), {})[e] = k
+        cols = []
+        for r, s, e in labs:
+            q = p + r
+            acc = {}
+            if r:
+                # the terms at t in A!_{r-1}, with sign (-1)^{r-1}
+                sgn = 1 if r % 2 else -1
+                n1 = dual.dim_at(r - 1)
+                left = dual.mult_columns(1, r - 1)  # x_g e_t: column g * n1 + t
+                for g in range(d_gens):
+                    for t in range(n1):
+                        c1 = left[g * n1 + t].get(s)
+                        if c1:
+                            at = rows.get((r - 1, t))
+                            if at is not None:
+                                act(acc, at, sgn * c1, q, g, e)
+                for t, dcol in enumerate(cdga.d(r - 1).columns):
+                    c1 = dcol.get(s)
+                    if c1:
+                        k = rows.get((r - 1, t), {}).get(e)
+                        if k is not None:
+                            acc[k] = acc.get(k, 0) + sgn * c1
+            at = rows.get((r, s))
+            if at is not None:
+                d_m(acc, at, 1 if r % 2 == 0 else -1, q, e)
+            cols.append(zero_free(acc, f.p))
+        diffs[p] = Matrix(f, len(tgt), cols)
+    return diffs
+
+
+# -- the Koszul bimodule --------------------------------------------------------
+
+
 class KoszulBimodule:
     """Truncation of T = U ⊗ A! with the twisting endomorphism.
 
     delta(u ⊗ a) = sum_g u x_g ⊗ x_g* a + u ⊗ d(a), taking the component
-    U_{<=l} ⊗ A!_r into U_{<=l+1} ⊗ A!_{r+1}.
+    U_{<=l} ⊗ A!_r into U_{<=l+1} ⊗ A!_{r+1}: F's differential with N = A!.
     """
 
     def __init__(self, u: FilteredAlgebraTruncation, cdga: CdgAlgebra):
@@ -53,48 +175,23 @@ class KoszulBimodule:
 
     def delta(self, level: int, r: int) -> Matrix:
         """Matrix of delta on U_{<=level} ⊗ A!_r (columns u-major)."""
-        f = self.field
-        char = f.p
         u, dual = self.u, self.cdga.dual
-        d_gens = self.u.data.base.dim
-        src_u = [i for i in range(u.total_dim) if len(u.basis_words[i]) <= level]
-        tgt_u = [i for i in range(u.total_dim) if len(u.basis_words[i]) <= level + 1]
-        tgt_pos = {g: i for i, g in enumerate(tgt_u)}
-        na_src = dual.dim_at(r)
-        na_tgt = dual.dim_at(r + 1)
-        dcols = self.cdga.d(r).columns
-        left = dual.mult_columns(1, r)  # x_g e_a: column g * na_src + a
-        gens = [u._basis_pos[(g,)] for g in range(d_gens)]
-        cols = []  # column ci * na_src + a is delta(u_ci ⊗ e_a)
-        for ui in src_u:
-            uxgs = [u.mult_basis(ui, gi) for gi in gens]
-            for a in range(na_src):
-                acc = {}
-                # sum_g (u x_g) ⊗ (x_g* a)
-                for g, uxg in enumerate(uxgs):
-                    xga = left[g * na_src + a]
-                    for ti, cu in uxg.items():
-                        if len(u.basis_words[ti]) > level + 1:
-                            raise InputError("filtration overflow in delta")
-                        base = tgt_pos[ti] * na_tgt
-                        for b, ca in xga.items():
-                            acc[base + b] = acc.get(base + b, 0) + cu * ca
-                # u ⊗ d(a)
-                base = tgt_pos[ui] * na_tgt
-                for b, c in dcols[a].items():
-                    acc[base + b] = acc.get(base + b, 0) + c
-                cols.append(zero_free(acc, char))
-        return Matrix(f, len(tgt_u) * na_tgt, cols)
+        na, nb = dual.dim_at(r), dual.dim_at(r + 1)
+        left = dual.mult_columns(1, r)  # x_g e_a: column g * na + a
+        acts = [(gi, left[g * na:(g + 1) * na]) for g, gi in enumerate(_gen_pos(u))]
+        d_cols = self.cdga.d(r).columns
+        n_tgt = u.dim_leq(level + 1)
+        rows = {(ti, b): ti * nb + b for ti in range(n_tgt) for b in range(nb)}
+        return Matrix(self.field, n_tgt * nb,
+                      [zero_free(_add_F({}, rows, 1, u, acts, d_cols, ui, a), self.field.p)
+                       for ui in range(u.dim_leq(level)) for a in range(na)])
 
     def check_delta_squared(self, level: int, r: int):
         """delta^2 = -(.c) on U_{<=level} ⊗ A!_r, exactly."""
         f = self.field
         d2 = self.delta(level + 1, r + 1).mul(self.delta(level, r))
         # right multiplication by -c: u ⊗ a -> -u ⊗ (a c)
-        u, dual = self.u, self.cdga.dual
-        src_u = [i for i in range(u.total_dim) if len(u.basis_words[i]) <= level]
-        tgt_u = [i for i in range(u.total_dim) if len(u.basis_words[i]) <= level + 2]
-        tgt_pos = {g: i for i, g in enumerate(tgt_u)}
+        dual = self.cdga.dual
         na_src = dual.dim_at(r)
         na_tgt = dual.dim_at(r + 2)
         char = f.p
@@ -103,11 +200,11 @@ class KoszulBimodule:
         for a in range(na_src):
             ac = dual.multiply(r, {a: f.one()}, 2, curv)
             acs.append([(b, -c % char if char else -c) for b, c in ac.items()])
-        rc = []  # column ci * na_src + a is -(u_ci ⊗ e_a c)
-        for ui in src_u:
-            base = tgt_pos[ui] * na_tgt
+        rc = []  # column ui * na_src + a is -(u_ui ⊗ e_a c)
+        for ui in range(self.u.dim_leq(level)):
+            base = ui * na_tgt
             rc.extend({base + b: c for b, c in ac} for ac in acs)
-        return d2.eq(Matrix(f, len(tgt_u) * na_tgt, rc))
+        return d2.eq(Matrix(f, self.u.dim_leq(level + 2) * na_tgt, rc))
 
     def check_right_module(self, level: int, r_max: int):
         """delta((u⊗a)b) = delta(u⊗a)b + (-1)^{|a|} (u⊗a) d(b) on basis triples."""
@@ -138,28 +235,15 @@ class KoszulBimodule:
         return True
 
     def _delta_elem(self, r: int, ui: int, avec):
-        """delta(u_i ⊗ a) as {(u_index, a!_{r+1} index): coeff}."""
-        u, dual = self.u, self.cdga.dual
-        d_gens = u.data.base.dim
-        left = dual.mult_columns(1, r)  # x_g e_a: column g * dim A!_r + a
-        na = dual.dim_at(r)
-        terms = avec.items()
+        """delta(u_i ⊗ a) as {(u_index, a!_{r+1} index): coeff}, summed
+        from the columns u_i ⊗ e_a of delta's matrix."""
+        cols = self.delta(len(self.u.basis_words[ui]), r).columns
+        dual = self.cdga.dual
+        na, nb = dual.dim_at(r), dual.dim_at(r + 1)
         out = {}
-        for g in range(d_gens):
-            uxg = u.mult_basis(ui, u._basis_pos[(g,)])
-            for a, ca in terms:
-                xga = left[g * na + a]
-                for ti, cu in uxg.items():
-                    c = ca * cu
-                    for b, cb in xga.items():
-                        k = (ti, b)
-                        out[k] = out.get(k, 0) + c * cb
-        dcols = self.cdga.d(r).columns
-        for a, ca in terms:
-            for b, c in dcols[a].items():
-                k = (ui, b)
-                out[k] = out.get(k, 0) + ca * c
-        return zero_free(out, self.field.p)
+        for a, ca in avec.items():
+            axpy(out, ca, cols[ui * na + a])
+        return {divmod(k, nb): c for k, c in zero_free(out, self.field.p).items()}
 
 
 def _sparse_ne(f, a: dict, b: dict) -> bool:
@@ -221,33 +305,19 @@ def apply_F(n: CdgModule, u: FilteredAlgebraTruncation,
             continue
         if lev > u.bound:
             raise InputError(f"filtration level {lev} beyond U bound {u.bound}")
-        uidx = [i for i in range(u.total_dim) if len(u.basis_words[i]) <= lev]
-        labels[p] = [(ui, ni) for ui in uidx for ni in range(n.dim(p))]
+        labels[p] = [(ui, ni) for ui in range(u.dim_leq(lev)) for ni in range(n.dim(p))]
         dims[p] = len(labels[p])
-    gens = [u._basis_pos[(g,)] for g in range(u.data.base.dim)]
+    gens = _gen_pos(u)
     diffs = {}
     for p in sorted(dims):
         if p + 1 not in dims:
             continue
-        tgt_pos = {lab: i for i, lab in enumerate(labels[p + 1])}
+        rows = {lab: i for i, lab in enumerate(labels[p + 1])}
         acts = [(gi, n.action(p, g).columns) for g, gi in enumerate(gens)]
-        d_n = n.diff(p).columns
-        cols = []
-        for ui, ni in labels[p]:
-            acc = {}
-            for gi, act in acts:
-                xn = act[ni]  # x_g* n
-                if not xn:
-                    continue
-                for ti, cu in u.mult_basis(ui, gi).items():
-                    for nj, ca in xn.items():
-                        row = tgt_pos[(ti, nj)]
-                        acc[row] = acc.get(row, 0) + cu * ca
-            for nj, c in d_n[ni].items():
-                row = tgt_pos[(ui, nj)]
-                acc[row] = acc.get(row, 0) + c
-            cols.append(zero_free(acc, f.p))
-        diffs[p] = Matrix(f, dims[p + 1], cols)
+        d_cols = n.diff(p).columns
+        diffs[p] = Matrix(f, dims[p + 1],
+                          [zero_free(_add_F({}, rows, 1, u, acts, d_cols, ui, ni), f.p)
+                           for ui, ni in labels[p]])
     fc = FilteredFComplex(u, bounds, dims, diffs, labels)
     if verify:
         msg = fc.check_d_squared()
@@ -306,76 +376,22 @@ def apply_G(m: UComplex, cdga: CdgAlgebra, bounds: FunctorBounds,
     x* . f := -(f composed with right multiplication), which is what makes
     the module anti-derivation axiom hold literally.
     """
-    f = m.field
     dual = cdga.dual
-    cap = min(bounds.internal, dual.bound)
-    lo, hi = bounds.window
-    dims, labels = {}, {}
-    for p in range(lo, hi + 1):
-        labs = []
-        for r in range(0, cap + 1):
-            if m.dim(p + r) == 0 or dual.dim_at(r) == 0:
-                continue
-            labs.extend((r, s, i) for s in range(dual.dim_at(r))
-                        for i in range(m.dim(p + r)))
-        if labs:
-            dims[p] = len(labs)
-            labels[p] = labs
-    pos = {p: {lab: i for i, lab in enumerate(labs)} for p, labs in labels.items()}
+    labels = hom_labels(dual, bounds.window, bounds.internal, lambda p, q: range(m.dim(q)))
 
-    d_gens = dual.pres.dim
-    char = f.p
-    diffs = {}
-    for p in sorted(dims):
-        # differential: component on (r, t, j) of d(f), f supported (r', s, i)
-        if p + 1 in dims:
-            tpos = pos[p + 1]
-            cols = []
-            for r, s, i in labels[p]:
-                # evaluate d(f)(t) = (-1)^{|t|}[ sum_g x_g f(x_g* t) + f(d t) + d_M f(t) ]
-                # contribution of the basis functional f = (s*, i) to each target
-                # (rt, t, j): via terms where the argument reaches dual degree r.
-                acc = {}
-                if r >= 1:
-                    sgn = 1 if (r - 1) % 2 == 0 else -1
-                    n1 = dual.dim_at(r - 1)
-                    # term 1: x_g f(x_g* t): t in A!_{r-1}
-                    if m.dim(p + r):
-                        left = dual.mult_columns(1, r - 1)  # x_g e_t: column g * n1 + t
-                        for g in range(d_gens):
-                            act = m.action(p + r, g).columns[i]
-                            for t in range(n1):
-                                c1 = left[g * n1 + t].get(s)
-                                if not c1:
-                                    continue
-                                for j, c2 in act.items():
-                                    row = tpos.get((r - 1, t, j))
-                                    if row is not None:
-                                        acc[row] = acc.get(row, 0) + sgn * c1 * c2
-                    # term 2: f(d_{A!} t): t in A!_{r-1}, d t in A!_r
-                    for t, dcol in enumerate(cdga.d(r - 1).columns):
-                        c1 = dcol.get(s)
-                        if c1:
-                            row = tpos.get((r - 1, t, i))
-                            if row is not None:
-                                acc[row] = acc.get(row, 0) + sgn * c1
-                # term 3: d_M(f(t)): t in A!_r
-                sgn = 1 if r % 2 == 0 else -1
-                for j, c1 in m.diff(p + r).columns[i].items():
-                    row = tpos.get((r, s, j))
-                    if row is not None:
-                        acc[row] = acc.get(row, 0) + sgn * c1
-                cols.append(zero_free(acc, char))
-            diffs[p] = Matrix(f, dims[p + 1], cols)
+    def act(acc, rows, c, q, g, i):
+        _add_rows(acc, rows, c, m.action(q, g).columns[i])
+
+    def d_m(acc, rows, c, q, i):
+        _add_rows(acc, rows, c, m.diff(q).columns[i])
 
     weights = None
     if m.weights is not None and dual.pres.weights is not None:
-        weights = {}
-        for p, labs in labels.items():
-            weights[p] = [m.weight_of(p + r, i) - dual.basis_weight(r, s)
-                          for (r, s, i) in labs]
-
-    g = CdgModule(cdga, (lo, hi), dims, cofree_actions(dual, labels), diffs, weights)
+        weights = {p: [m.weight_of(p + r, i) - dual.basis_weight(r, s) for r, s, i in labs]
+                   for p, labs in labels.items()}
+    g = CdgModule(cdga, bounds.window, {p: len(labs) for p, labs in labels.items()},
+                  cofree_actions(dual, labels), _G_differentials(cdga, labels, act, d_m),
+                  weights)
     g.labels = labels
     if verify:
         msg = g.validate()
@@ -434,91 +450,41 @@ def counit(m: UComplex, u: FilteredAlgebraTruncation, cdga: CdgAlgebra,
 
 def gf_composite(n: CdgModule, u: FilteredAlgebraTruncation, cdga: CdgAlgebra,
                  bounds: FunctorBounds, verify=True) -> CdgModule:
-    """(GF)_i(N)^p = product over r of Hom(A!_r, U_{p+i} ⊗ N^{r+p})."""
-    f = n.field
+    """(GF)_i(N)^p = product over r of Hom(A!_r, U_{p+i} ⊗ N^{r+p}): G's
+    differential over F's, with x_g acting on U ⊗ N by left multiplication.
+    The labels are flat, (r, s, u_i, n_j)."""
     dual = cdga.dual
-    cap = min(bounds.internal, dual.bound)
     lo, hi = bounds.window
-    d_gens = dual.pres.dim
 
     def ulevel(p):
         # the paper indexes U by p+i, clamped at U_0 for very negative p
         return max(p + bounds.filtration, 0)
 
-    dims, labels = {}, {}
     for p in range(lo, hi + 1):
-        lev = ulevel(p)
-        if lev > u.bound:
-            raise InputError(f"filtration level {lev} beyond U bound {u.bound}")
-        uidx = [i for i in range(u.total_dim) if len(u.basis_words[i]) <= lev]
-        labs = []
-        for r in range(0, cap + 1):
-            if dual.dim_at(r) == 0 or n.dim(p + r) == 0:
-                continue
-            labs.extend((r, s, ui, ni) for s in range(dual.dim_at(r))
-                        for ui in uidx for ni in range(n.dim(p + r)))
-        if labs:
-            dims[p] = len(labs)
-            labels[p] = labs
-    pos = {p: {lab: i for i, lab in enumerate(labs)} for p, labs in labels.items()}
-
-    gens = [u._basis_pos[(g,)] for g in range(d_gens)]
+        if ulevel(p) > u.bound:
+            raise InputError(f"filtration level {ulevel(p)} beyond U bound {u.bound}")
+    labels = hom_labels(dual, bounds.window, bounds.internal,
+                        lambda p, q: [(ui, ni) for ui in range(u.dim_leq(ulevel(p)))
+                                      for ni in range(n.dim(q))])
+    gens = _gen_pos(u)
     # N^q as sparse columns: of each x_g* . (-), and of d_N
-    n_cols = {q: ([n.action(q, g).columns for g in range(d_gens)], n.diff(q).columns)
-              for q in range(lo, hi + cap + 1) if n.dim(q)}
-    diffs = {}
-    for p in sorted(dims):
-        if p + 1 not in dims:
-            continue
-        tpos = pos[p + 1]
-        cols = []
-        for r, s, ui, ni in labels[p]:
-            # d(f)(t) = (-1)^{|t|}[ sum_g x_g . f(x_g* t) + f(d t) + d_F(f(t)) ]
-            # where d_F(u ⊗ n) = sum_g (u x_g) ⊗ (x_g* n) + u ⊗ d_N(n).
-            acc = {}
-            if r >= 1:
-                sgn = 1 if (r - 1) % 2 == 0 else -1
-                n1 = dual.dim_at(r - 1)
-                left = dual.mult_columns(1, r - 1)  # x_g e_t: column g * n1 + t
-                for g, gi in enumerate(gens):
-                    # x_g acts on F(N) = U ⊗ N by left multiplication
-                    xgu = u.mult_basis(gi, ui)
-                    for t in range(n1):
-                        c1 = left[g * n1 + t].get(s)
-                        if not c1:
-                            continue
-                        c1 *= sgn
-                        for ti, cu in xgu.items():
-                            row = tpos.get((r - 1, t, ti, ni))
-                            if row is not None:
-                                acc[row] = acc.get(row, 0) + c1 * cu
-                for t, dcol in enumerate(cdga.d(r - 1).columns):
-                    c1 = dcol.get(s)
-                    if c1:
-                        row = tpos.get((r - 1, t, ui, ni))
-                        if row is not None:
-                            acc[row] = acc.get(row, 0) + sgn * c1
-            # inner differential of F(N)
-            sgn = 1 if r % 2 == 0 else -1
-            acts, dn = n_cols[p + r]
-            for gi, act in zip(gens, acts):
-                xn = act[ni]  # x_g* n
-                if not xn:
-                    continue
-                for ti, cu in u.mult_basis(ui, gi).items():
-                    cu *= sgn
-                    for nj, ca in xn.items():
-                        row = tpos.get((r, s, ti, nj))
-                        if row is not None:
-                            acc[row] = acc.get(row, 0) + cu * ca
-            for nj, c in dn[ni].items():
-                row = tpos.get((r, s, ui, nj))
-                if row is not None:
-                    acc[row] = acc.get(row, 0) + sgn * c
-            cols.append(zero_free(acc, f.p))
-        diffs[p] = Matrix(f, dims[p + 1], cols)
+    n_cols = {q: ([(gi, n.action(q, g).columns) for g, gi in enumerate(gens)],
+                  n.diff(q).columns) for q in n.dims}
 
-    gf = CdgModule(cdga, (lo, hi), dims, cofree_actions(dual, labels), diffs)
+    def act(acc, rows, c, q, g, e):
+        ui, ni = e
+        for ti, cu in u.mult_basis(gens[g], ui).items():
+            k = rows.get((ti, ni))
+            if k is not None:
+                acc[k] = acc.get(k, 0) + c * cu
+
+    def d_m(acc, rows, c, q, e):
+        _add_F(acc, rows, c, u, *n_cols[q], *e)
+
+    diffs = _G_differentials(cdga, labels, act, d_m)
+    labels = {p: [(r, s, ui, ni) for r, s, (ui, ni) in labs] for p, labs in labels.items()}
+    gf = CdgModule(cdga, bounds.window, {p: len(labs) for p, labs in labels.items()},
+                   cofree_actions(dual, labels), diffs)
     gf.labels = labels
     if verify:
         msg = gf.check_d_squared()

@@ -7,10 +7,10 @@ from hypothesis import settings, strategies as st
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from koszul_kit.cofree import cofree_labels
 from koszul_kit.complexes import CdgModule, UComplex, UModule, _block
 from koszul_kit.deformations import DeformationData, PbwReport, build_U, build_cdga
 from koszul_kit.errors import NotCofreeError
+from koszul_kit.functors import hom_labels
 from koszul_kit.linalg import (
     RHS,
     DimensionError,
@@ -722,6 +722,19 @@ def pbw_check_by_solves(data):
     return PbwReport(cond1, cond2, cond3, overlap.rows)
 
 
+# -- quotient coordinates through a fresh solve ---------------------------------------
+
+
+def pinv_cols(f, proj):
+    """A right inverse of a surjective projection, solved for from scratch:
+    the section that ``cofree._sub_quotient`` used before it read the
+    complement columns it had already chosen.  The oracle of its quotient
+    differentials and actions."""
+    x = solve_matrix(proj, Matrix.identity(f, proj.rows))
+    assert x is not None, "projection not surjective"
+    return x
+
+
 # -- the coinduction unit, one socle line at a time ----------------------------------
 
 
@@ -742,8 +755,12 @@ def unit_maps_by_lines(i, cdga, cap, interior=None):
         lo, hi = i.window
         if socle_dims:
             lo = min(lo, min(socle_dims) - min(cap, dual.bound))
-    labels = cofree_labels(cdga, socle_dims, (lo, i.window[1]), cap)
-    labels.update(cofree_labels(cdga, socle_dims, i.window, cap))
+
+    def socle_lines(p, q):
+        return range(socle_dims.get(q, 0))
+
+    labels = hom_labels(dual, (lo, i.window[1]), cap, socle_lines)
+    labels.update(hom_labels(dual, i.window, cap, socle_lines))
     projections = {}
     for q, b in socle_bases.items():
         if not b.cols:

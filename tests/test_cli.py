@@ -263,6 +263,24 @@ def test_missing_weights_exit_two():
             "--degree", "5", expect=2)
 
 
+def test_mixed_weights_complex_exit_two(tmp_path):
+    """A complex of one weighted and one unweighted module is refused as
+    input, not left to fail inside G or to truncate with partial weights."""
+    raw = json.load(open(SYM2))
+    raw["weights"] = [1, 1]
+    raw["modules"]["k2w"] = dict(raw["modules"]["k2"], weights=[0, 0])
+    raw["complexes"]["mixed"] = {"window": [0, 1], "modules": ["k2w", "k2"],
+                                 "differentials": {}}
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(raw))
+    for argv in (["apply-g", "--window=-4:2"],
+                 ["counit", "--window=-3:1", "--filtration", "3"],
+                 ["sigma-trunc", "--at", "0"]):
+        run_cli(argv[0], str(path), "--complex", "mixed", *argv[1:], expect=2)
+    # the unweighted complex of the same file is still accepted
+    run_cli("sigma-trunc", str(path), "--complex", "two", "--at", "0")
+
+
 # -- the argument parser ----------------------------------------------------------
 
 

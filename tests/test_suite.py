@@ -4,10 +4,12 @@ null systems, truncations, regrading."""
 import functools
 import random
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from koszul_kit import cofree
 from koszul_kit.cofree import (
     cofree_decomposition,
     complex_of_free_dual_modules,
@@ -51,7 +53,13 @@ from koszul_kit.suite import (
     tor,
 )
 
-from conftest import SEED, heisenberg_deformation, symmetric_presentation, unit_maps_by_lines
+from conftest import (
+    SEED,
+    heisenberg_deformation,
+    pinv_cols,
+    symmetric_presentation,
+    unit_maps_by_lines,
+)
 
 
 def test_homology_reports_own_their_edge_degrees():
@@ -186,6 +194,40 @@ def test_koszulness_failure_found_by_search():
     assert found is not None, "no non-Koszul presentation found in 200 draws"
     p, rep = found
     assert (not rep["strands_pass"]) or (not rep["ext_concentrated"])
+
+
+@st.composite
+def quadratic_window(draw):
+    """A random quadratic presentation on dim V = 2 or 3 generators over
+    Q, F_2, F_3 or F_5 (from no relations to a full row set) and a window
+    degree: at most 5 for dim 2 and at most 4 for dim 3."""
+    f = draw(st.sampled_from(FIELDS))
+    d = draw(st.sampled_from([2, 3]))
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=d * d, max_size=d * d),
+                         max_size=d * d))
+    rel = Matrix.from_rows(f, [[f.of_int(x) for x in r] for r in rows], d * d)
+    pres = QuadraticPresentation(f, [f"x{i}" for i in range(d)], rel)
+    return pres, draw(st.integers(2, 5 if d == 2 else 4))
+
+
+@settings(max_examples=330)
+@given(quadratic_window())
+def test_koszul_verdicts_obey_the_theory(case):
+    """Two consequences of Koszul duality that the verdicts must respect.
+    A Koszul algebra satisfies H_A(t) H_{A!}(-t) = 1, so within a window
+    where ``koszul_window`` holds, sum_i (-1)^i dim A_{m-i} dim A!_i = 0
+    for 1 <= m <= n.  And A is Koszul exactly when A! is, strand by strand:
+    the strands of A ⊗ (A!)* and of A! ⊗ A* are dual complexes, so their
+    exactness verdicts agree degree by degree."""
+    pres, n = case
+    dual = quadratic_dual(pres)
+    rep = koszulness_check(pres, n)
+    assert rep["strands"] == koszulness_check(dual, n)["strands"]
+    if rep["koszul_window"]:
+        alg, alg_dual = truncate_algebra(pres, n), truncate_algebra(dual, n)
+        for m in range(1, n + 1):
+            assert sum((-1) ** i * alg.dim_at(m - i) * alg_dual.dim_at(i)
+                       for i in range(m + 1)) == 0
 
 
 # -- Ext ---------------------------------------------------------------------------
@@ -550,6 +592,45 @@ def test_t_truncate_two_line_socle(sym2_world):
     assert restr is not None
     rbases, _ = restr.socle_complex()
     assert all(p >= 1 for p, x in rbases.items() if x.cols)
+
+
+def test_quotient_sections_match_solved_right_inverse():
+    """The quotient of a t-truncation reads its differentials and actions
+    through the complement columns it chose; a right inverse solved from
+    scratch gives the same matrices (two right inverses differ by columns
+    in the subobject, which d and the actions keep and the projection
+    kills).  Seeded G(M) of random complexes of trivial modules over Q,
+    F_2, F_3 and F_5, cut at every degree of the window."""
+    captured = []
+
+    def spy(i, sub_cols):
+        out = sub_quotient(i, sub_cols)
+        captured.append((i, out))
+        return out
+
+    sub_quotient = cofree._sub_quotient
+    rng = random.Random(SEED)
+    for f in FIELDS:
+        for kind in ("sym2", "sym3", "heis"):
+            data, cdga = _deformation_and_cdga(kind, f)
+            m = random_bounded_complex(data, None, rng, length=rng.randint(2, 3))
+            g = apply_G(m, cdga, FunctorBounds((-3, 2), 3, 3))
+            for p_cut in range(-2, 3):
+                with mock.patch.object(cofree, "_sub_quotient", spy):
+                    t_truncate(g, cdga, p_cut, 3)
+    compared = 0
+    for i, (_, quot, _, proj) in captured:
+        f = i.field
+        for p in quot.dims:
+            if not quot.dim(p + 1):
+                continue
+            sec = pinv_cols(f, proj.map_at(p))
+            to_quot = proj.map_at(p + 1)
+            assert quot.diff(p).eq(to_quot.mul(i.diff(p)).mul(sec))
+            for gen in range(i.num_generators()):
+                assert quot.action(p, gen).eq(to_quot.mul(i.action(p, gen)).mul(sec))
+            compared += 1
+    assert compared >= 40
 
 
 # -- regrading -------------------------------------------------------------------
