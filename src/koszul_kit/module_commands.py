@@ -298,8 +298,16 @@ def cmd_ce(problem, args):
                "homology": rep.to_json()}, lines
 
 
+def _range(args):
+    """The ``--range`` a..b of ``tor`` and ``ext``, refused when a > b."""
+    a, b = args.range
+    if a > b:
+        raise InputError(f"--range must be nonempty: {a}..{b} has {a} > {b}")
+    return a, b
+
+
 def cmd_tor(problem, args):
-    a, bb = args.range
+    a, bb = _range(args)
     b = FunctorBounds(window=(-bb - 2, 1), filtration=args.filtration,
                       internal=args.internal)
     m = named_complex(problem, args.module)
@@ -314,7 +322,7 @@ def cmd_tor(problem, args):
 
 
 def cmd_ext(problem, args):
-    a, bb = args.range
+    a, bb = _range(args)
     b = FunctorBounds(window=(min(a, 0), bb + 1), filtration=args.filtration,
                       internal=max(args.internal, bb + 1))
     m = named_complex(problem, args.module)

@@ -9,8 +9,15 @@ within the bound its sugar allows; the chosen basis monomials are the
 words no rule rewrites, the lex-least independent words.  Rule tails,
 S-polynomials and normal forms hold canonical raw values (``scalars``):
 over Q an int when integral, a ``Fraction`` only with a denominator > 1.
-``GradedAlgebraTruncation`` reads it degree by degree (A and A!);
-``deformations.FilteredAlgebraTruncation`` reads it as one flat basis (U).
+``GradedAlgebraTruncation`` reads it degree by degree (A and A!).  Their
+relations are homogeneous, so right multiplication by a generator
+descends to A_m -> A_{m+1} and a word's class is its prefix's class times
+its last letter: a per-degree generator table, each entry filled by one
+rewriting step, gives every product, with no heap and no recursion.
+``deformations.FilteredAlgebraTruncation`` reads the engine as one flat
+basis (U) and keeps the heap reduction ``normal_form``, memoised per word:
+on non-PBW input U's truncation is not closed under multiplication, so the
+prefix rule does not hold there.
 """
 
 from __future__ import annotations
@@ -152,7 +159,8 @@ class WordQuotient:
     The standard words, which no rule rewrites, are the lex-least basis
     of the quotient: every element of S has its greatest word among the
     leads.  A word's normal form is its rewriting to standard words, the
-    same at every choice of rule, and memoised per word.
+    same at every choice of rule; ``normal_form`` reduces greatest word
+    first on a heap.
     """
 
     def __init__(self, field: Field, d: int, relations: Matrix, bound: int):
@@ -286,10 +294,6 @@ class WordQuotient:
                      if not any(w[m - k:] in banned for k in lengths if k <= m)]
         return words
 
-    def standard_words(self, n: int):
-        """The degree-n words no rule rewrites at the bound, in lex order."""
-        return list(self._standard[n])
-
     def normal_form(self, word) -> dict:
         """{standard word: coefficient} of the class of a word, memoised
         and shared by later calls (callers copy before changing it)."""
@@ -297,31 +301,6 @@ class WordQuotient:
         if nf is None:
             nf = self._nf[word] = self._reduce({word: self.field.one()}, self.bound)
         return nf
-
-    def check_associativity(self, max_total=None) -> bool:
-        """(ab)c = a(bc) exactly on standard words of degree >= 1 with
-        |a| + |b| + |c| within bound."""
-        top = self.bound if max_total is None else min(max_total, self.bound)
-        f = self.field
-
-        def product(x, y):
-            out = {}
-            for u, a in x.items():
-                for v, b in y.items():
-                    for w, c in self.normal_form(u + v).items():
-                        out[w] = f.add(out.get(w, f.zero()), f.mul(f.mul(a, b), c))
-            return {w: c for w, c in out.items() if not f.is_zero(c)}
-
-        gens = [(n, {w: f.one()}) for n in range(1, top + 1) for w in self._standard[n]]
-        for i, a in gens:
-            for j, b in gens:
-                if i + j >= top:
-                    continue
-                ab = product(a, b)
-                for k, c in gens:
-                    if i + j + k <= top and product(ab, c) != product(a, product(b, c)):
-                        return False
-        return True
 
 
 class GradedAlgebraTruncation(WordQuotient):
@@ -331,9 +310,14 @@ class GradedAlgebraTruncation(WordQuotient):
     the class of ``basis_words[n][i]``.  An element of A_n is a sparse
     column {basis index: raw value}, zeros left out, values canonical: over
     Q an int when integral and a ``Fraction`` otherwise, over F_p an int in
-    [0, p).  ``project_word`` gives a word's column, reduced on first use
-    and cached; ``mult_columns`` is the product table and ``multiply``
-    takes and returns columns.
+    [0, p).  ``project_word`` gives a word's column, ``mult_columns`` is
+    the product table and ``multiply`` takes and returns columns.
+
+    Up to the bound the truncated span is the ideal (R) degree by degree,
+    so right multiplication by x_g descends to A_m -> A_{m+1} and a word's
+    class is its prefix's class times its last letter: ``_right_table(m)``
+    holds e_i x_g for the basis of A_m, and ``project_word`` takes one
+    table step per letter past the longest prefix it has cached.
     """
 
     def __init__(self, pres: QuadraticPresentation, bound: int):
@@ -344,7 +328,8 @@ class GradedAlgebraTruncation(WordQuotient):
         self.basis_words = dict(enumerate(self._standard))
         self.dims = tuple(len(ws) for ws in self.basis_words.values())
         self._pos = {w: i for ws in self.basis_words.values() for i, w in enumerate(ws)}
-        self._proj = {}
+        self._proj = {(): {0: 1}}   # word -> its column, every prefix walked kept
+        self._table = []            # _table[m][i][g]: the column of e_i x_g
         self._mult_cols = {}
 
     # -- queries ---------------------------------------------------------
@@ -356,18 +341,69 @@ class GradedAlgebraTruncation(WordQuotient):
             raise DegreeOverflowError(f"degree {n} beyond bound {self.bound}")
         return len(self.basis_words[n])
 
+    def _right_table(self, m: int):
+        """The generator table of degree m < bound: entry [i][g] is the
+        column of (basis word i of A_m)·x_g in A_{m+1}.  The tables of
+        degrees <= m are built on first use, lowest first."""
+        table = self._table
+        while len(table) <= m:
+            table.append(self._build_right_table(len(table)))
+        return table[m]
+
+    def _build_right_table(self, m: int):
+        """The degree-m table, its entries filled in increasing deg-lex
+        order of the word s·x_g.  A standard s·x_g is its own basis column;
+        otherwise one rewriting step gives smaller words, and the class of
+        each is the class of its prefix (from the tables below m) times its
+        last letter.  That prefix's class lies on basis words no greater
+        than the prefix, so the entries it reads are filled already."""
+        d, pos, bound = self._d, self._pos, self.bound
+        rows = [[None] * d for _ in self.basis_words[m]]
+        # basis words in lex order, then g: increasing order of s·x_g
+        for s, row in zip(self.basis_words[m], rows):
+            for g in range(d):
+                w = s + (g,)
+                k = pos.get(w)
+                if k is not None:
+                    row[g] = {k: 1}
+                    continue
+                acc = {}
+                for x, c in self._rewrite(w, bound):
+                    last = x[-1]
+                    for j, a in self.project_word(x[:-1]).items():
+                        axpy(acc, c * a, rows[j][last])
+                row[g] = zero_free(acc, self._p)
+        return rows
+
     def project_word(self, word):
         """The class of a word in its degree component, as the sparse
-        column {basis index: raw value}, zeros left out; reduced on first
-        use and cached.  The dict is shared by later calls and by
-        ``mult_columns``: callers read it, never change it."""
+        column {basis index: raw value}, zeros left out: the class of its
+        longest cached prefix, times one letter at a time through the
+        generator tables; every prefix is cached.  The dict is shared by
+        later calls and by ``mult_columns``: callers read it, never change
+        it."""
         n = len(word)
         if n > self.bound:
             raise DegreeOverflowError(f"degree {n} beyond bound {self.bound}")
-        col = self._proj.get(word)
-        if col is None:
-            pos = self._pos
-            col = self._proj[word] = {pos[w]: c for w, c in self.normal_form(word).items()}
+        proj = self._proj
+        col = proj.get(word)
+        if col is not None:
+            return col
+        start = n - 1
+        while word[:start] not in proj:
+            start -= 1
+        col = proj[word[:start]]
+        for k in range(start, n):
+            table, g = self._right_table(k), word[k]
+            if len(col) == 1 and 1 in col.values():  # a basis word: read the entry
+                (i,) = col
+                col = table[i][g]
+            else:
+                acc = {}
+                for i, c in col.items():
+                    axpy(acc, c, table[i][g])
+                col = zero_free(acc, self._p)
+            proj[word[:k + 1]] = col
         return col
 
     def basis_weight(self, n: int, i: int):
@@ -381,14 +417,19 @@ class GradedAlgebraTruncation(WordQuotient):
         ``project_word`` column of the concatenated word, at position
         a * dim A_j + b.  A_1's basis is the generators in order, so x_g e_t
         is column g * dim A_j + t of ``mult_columns(1, j)`` and e_t x_g is
-        column t * dim A_1 + g of ``mult_columns(j, 1)``.  Cached."""
+        column t * dim A_1 + g of ``mult_columns(j, 1)``, read off the
+        generator table of degree j.  Cached."""
         key = (i, j)
         cached = self._mult_cols.get(key)
         if cached is not None:
             return cached
         if i + j > self.bound:
             raise DegreeOverflowError(f"product degree {i + j} beyond bound {self.bound}")
-        cols = [self.project_word(u + v) for u in self.basis_words[i] for v in self.basis_words[j]]
+        if j == 1:
+            cols = [col for row in self._right_table(i) for col in row]
+        else:
+            cols = [self.project_word(u + v) for u in self.basis_words[i]
+                    for v in self.basis_words[j]]
         self._mult_cols[key] = cols
         return cols
 
@@ -402,20 +443,6 @@ class GradedAlgebraTruncation(WordQuotient):
             for t, y in b.items():
                 axpy(out, x * y, cols[s * nb + t])
         return zero_free(out, self.field.p)
-
-    # -- verification ------------------------------------------------------
-
-    def check_weight_blocks(self):
-        """Every word reduces onto basis monomials of its own weight."""
-        if self.pres.weights is None:
-            return True
-        w = self.pres.weights
-        for n in range(2, self.bound + 1):
-            for word in words_of_length(self._d, n):
-                for i in self.project_word(word):
-                    if word_weight(word, w) != self.basis_weight(n, i):
-                        return False
-        return True
 
 
 def truncate_algebra(p: QuadraticPresentation, bound: int) -> GradedAlgebraTruncation:

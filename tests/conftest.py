@@ -24,10 +24,10 @@ from koszul_kit.linalg import (
     solve_sparse,
     zero_free,
 )
-from koszul_kit.presentations import QuadraticPresentation
+from koszul_kit.presentations import GradedAlgebraTruncation, QuadraticPresentation
 from koszul_kit.resolution import GradedFreeModule
 from koszul_kit.scalars import QQ
-from koszul_kit.words import pair_index
+from koszul_kit.words import pair_index, word_weight, words_of_length
 
 SEED = int(os.environ.get("KOSZUL_SEED", "0"))
 
@@ -268,6 +268,67 @@ def dense_cofree_actions(dual, labels):
             acts.append(Matrix.from_rows(f, out, len(labs)))
         actions[p] = acts
     return actions
+
+
+# -- word quotients: the heap normal form and the checks only tests read ------------
+
+
+def heap_column(alg, word):
+    """The heap ``normal_form`` of a word on the basis positions of its
+    degree: the oracle of ``GradedAlgebraTruncation.project_word``."""
+    pos = {w: i for i, w in enumerate(alg.basis_words[len(word)])}
+    return {pos[w]: c for w, c in alg.normal_form(word).items()}
+
+
+def standard_words(q, n):
+    """The degree-n words no rule rewrites at the bound, in lex order."""
+    return [w for w in words_of_length(q._d, n) if q._rewrite(w, q.bound) is None]
+
+
+def check_associativity(q, max_total=None):
+    """(ab)c = a(bc) exactly on standard words of degree >= 1 with
+    |a| + |b| + |c| within bound.  A and A! multiply through ``multiply``,
+    so through their generator tables; U through the normal forms of
+    concatenated words."""
+    top = q.bound if max_total is None else min(max_total, q.bound)
+    f = q.field
+    if isinstance(q, GradedAlgebraTruncation):
+        gens = [(n, {i: f.one()}) for n in range(1, top + 1) for i in range(q.dim_at(n))]
+        product = q.multiply
+    else:
+        gens = [(n, {w: f.one()}) for n in range(1, top + 1) for w in standard_words(q, n)]
+
+        def product(_i, x, _j, y):
+            out = {}
+            for u, a in x.items():
+                for v, b in y.items():
+                    for w, c in q.normal_form(u + v).items():
+                        out[w] = f.add(out.get(w, f.zero()), f.mul(f.mul(a, b), c))
+            return {w: c for w, c in out.items() if not f.is_zero(c)}
+
+    for i, a in gens:
+        for j, b in gens:
+            if i + j >= top:
+                continue
+            ab = product(i, a, j, b)
+            for k, c in gens:
+                if i + j + k <= top and (product(i + j, ab, k, c)
+                                         != product(i, a, j + k, product(j, b, k, c))):
+                    return False
+    return True
+
+
+def check_weight_blocks(alg):
+    """Every word reduces onto basis monomials of its own weight."""
+    if alg.pres.weights is None:
+        return True
+    w = alg.pres.weights
+    for n in range(2, alg.bound + 1):
+        for word in words_of_length(alg.pres.dim, n):
+            for i in alg.project_word(word):
+                if word_weight(word, w) != alg.basis_weight(n, i):
+                    return False
+    return True
 
 
 # -- the product table of the filtered truncation U, dense ---------------------------

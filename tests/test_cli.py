@@ -151,6 +151,20 @@ def test_missing_module_exit_two():
     run_cli("tor", HEIS, "--module", "nope", expect=2)
 
 
+@pytest.mark.parametrize("command", ["tor", "ext"])
+def test_reversed_range_exit_two(command):
+    """An empty ``--range`` a..b (a > b) is an input error naming the flag,
+    like an empty ``--window``; a one-point range still runs."""
+    for argv in ([], ["--json"]):
+        out = subprocess.run([sys.executable, "-m", "koszul_kit.cli", command, SYM2,
+                              "--module", "k", "--range", "5..2", *argv],
+                             capture_output=True, text=True, env=ENV, cwd=PKG)
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == "input error: --range must be nonempty: 5..2 has 5 > 2\n"
+    assert json.loads(run_cli(command, SYM2, "--module", "k", "--range", "2..2",
+                              "--json"))["range"] == [2, 2]
+
+
 def test_curved_input_exit_two():
     run_cli("minimize", TWOP, "--complex", "k1", "--window=-3:2", expect=2)
 

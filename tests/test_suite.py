@@ -213,18 +213,24 @@ def quadratic_window(draw):
 @settings(max_examples=330)
 @given(quadratic_window())
 def test_koszul_verdicts_obey_the_theory(case):
-    """Two consequences of Koszul duality that the verdicts must respect.
+    """Three consequences of Koszul duality that the verdicts must respect.
     A Koszul algebra satisfies H_A(t) H_{A!}(-t) = 1, so within a window
     where ``koszul_window`` holds, sum_i (-1)^i dim A_{m-i} dim A!_i = 0
-    for 1 <= m <= n.  And A is Koszul exactly when A! is, strand by strand:
+    for 1 <= m <= n.  A is Koszul exactly when A! is, strand by strand:
     the strands of A ⊗ (A!)* and of A! ⊗ A* are dual complexes, so their
-    exactness verdicts agree degree by degree."""
+    exactness verdicts agree degree by degree.  And a PBW algebra is
+    Koszul (Priddy 1970): when every rule of the truncated completion has
+    a quadratic lead, the relations are a Gröbner basis through degree n,
+    and ``koszul_window`` holds."""
     pres, n = case
     dual = quadratic_dual(pres)
     rep = koszulness_check(pres, n)
     assert rep["strands"] == koszulness_check(dual, n)["strands"]
+    alg = truncate_algebra(pres, n)
+    if all(len(lead) == 2 for lead in alg._rules):
+        assert rep["koszul_window"]
     if rep["koszul_window"]:
-        alg, alg_dual = truncate_algebra(pres, n), truncate_algebra(dual, n)
+        alg_dual = truncate_algebra(dual, n)
         for m in range(1, n + 1):
             assert sum((-1) ** i * alg.dim_at(m - i) * alg_dual.dim_at(i)
                        for i in range(m + 1)) == 0
