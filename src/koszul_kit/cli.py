@@ -36,7 +36,7 @@ from .errors import (
     WellDefinednessError,
 )
 from .linalg import Matrix, zero_free
-from .presentations import QuadraticPresentation, quadratic_dual, truncate_algebra
+from .presentations import QuadraticPresentation
 from .scalars import Field
 
 DEFAULT_DEGREE = 6
@@ -154,9 +154,18 @@ def fmt_poly(field, dual, degree, col):
 # -- command implementations ------------------------------------------------------
 
 
+def nonnegative(args, *flags):
+    """Refuse a negative value of each named flag, naming the flag and the
+    value given."""
+    for flag in flags:
+        v = getattr(args, flag)
+        if v < 0:
+            raise InputError(f"--{flag} must be >= 0: got {v}")
+
+
 def cmd_dual(problem, args):
     p = problem.presentation()
-    dual = quadratic_dual(p)
+    dual = p.dual()
     f = problem.field
     rel = [[f.format(x) for x in row] for row in dual.relations.to_rows()]
     lines = [f"dual generators: {' '.join(dual.generators)}",
@@ -167,8 +176,10 @@ def cmd_dual(problem, args):
 
 
 def cmd_truncate(problem, args):
-    alg = truncate_algebra(problem.presentation(), args.degree)
-    dual = truncate_algebra(quadratic_dual(problem.presentation()), args.degree)
+    nonnegative(args, "degree")
+    p = problem.presentation()
+    alg = p.truncation(args.degree)
+    dual = p.dual().truncation(args.degree)
     lines = [f"A dims:  {list(alg.dims)}", f"A! dims: {list(dual.dims)}"]
     return 0, {"a_dims": list(alg.dims), "dual_dims": list(dual.dims)}, lines
 
@@ -212,8 +223,9 @@ def cmd_cdga(problem, args):
 
 
 def cmd_build_u(problem, args):
+    nonnegative(args, "degree")
     u = problem.u_truncation(args.degree)
-    alg = truncate_algebra(problem.presentation(), args.degree)
+    alg = problem.presentation().truncation(args.degree)
     pbw_levels = [u.gr_dims[n] == alg.dim_at(n) for n in range(args.degree + 1)]
     lines = [f"gr dims: {u.gr_dims}",
              f"A dims:  {list(alg.dims)}",

@@ -19,8 +19,6 @@ from .presentations import (
     GradedAlgebraTruncation,
     QuadraticPresentation,
     WordQuotient,
-    quadratic_dual,
-    truncate_algebra,
 )
 from .words import pair_index
 
@@ -304,8 +302,8 @@ def build_cdga(data: DeformationData, bound: int, check=True,
         raise InputError(f"--degree {bound} is below 2: the cdga reads A!_2")
     f = data.field
     d = data.base.dim
-    dual_pres = quadratic_dual(data.base)
-    dual = truncate_algebra(dual_pres, bound)
+    dual_pres = data.base.dual()
+    dual = dual_pres.truncation(bound)
     rel = data.base.relations
 
     pairing = _dual_pairing(dual, rel)  # m x dim A!_2, invertible

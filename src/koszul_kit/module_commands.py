@@ -16,6 +16,7 @@ from __future__ import annotations
 import sys
 
 from .complexes import CdgModule, UComplex, UModule, cone, homology_dims
+from .cli import nonnegative
 from .errors import InputError, NonFreeComponentError
 from .functors import (
     FunctorBounds,
@@ -190,6 +191,9 @@ def _dual_element(f, dual, terms):
 
 def bounds_from(args) -> FunctorBounds:
     lo, hi = args.window
+    if lo > hi:
+        raise InputError(f"--window must be nonempty: {lo}:{hi} has {lo} > {hi}")
+    nonnegative(args, "filtration", "internal")
     return FunctorBounds(window=(lo, hi), filtration=args.filtration,
                          internal=args.internal)
 
@@ -198,6 +202,7 @@ def bounds_from(args) -> FunctorBounds:
 
 
 def cmd_koszul_check(problem, args):
+    nonnegative(args, "degree")
     rep = koszulness_check(problem.presentation(), args.degree)
     lines = [f"strands exact: {rep['strands']}",
              f"ext concentrated on the diagonal: {rep['ext_concentrated']}",
@@ -308,6 +313,7 @@ def _range(args):
 
 def cmd_tor(problem, args):
     a, bb = _range(args)
+    nonnegative(args, "filtration", "internal")
     b = FunctorBounds(window=(-bb - 2, 1), filtration=args.filtration,
                       internal=args.internal)
     m = named_complex(problem, args.module)
@@ -323,6 +329,7 @@ def cmd_tor(problem, args):
 
 def cmd_ext(problem, args):
     a, bb = _range(args)
+    nonnegative(args, "filtration")
     b = FunctorBounds(window=(min(a, 0), bb + 1), filtration=args.filtration,
                       internal=max(args.internal, bb + 1))
     m = named_complex(problem, args.module)

@@ -1,7 +1,11 @@
 """Quadratic presentations, the quadratic dual, and truncated word quotients.
 
 A presentation stores the span of its relations as a canonical rref
-matrix, so presentations that span the same subspace compare equal.
+matrix, so presentations that span the same subspace compare equal.  It
+owns what is derived from it: ``dual()`` is the presentation of A! and
+``truncation(n)`` is A_{<=n}, each built on its first call (through
+``quadratic_dual`` and ``truncate_algebra``) and kept, so every
+deformation (R, alpha, beta) of one R dualizes on one shared A!.
 ``WordQuotient`` is the one normal-form engine for A, A! and U: a
 degree-truncated Buchberger completion turns the relations into rewriting
 rules, each replacing its deg-lex greatest word by smaller ones, and only
@@ -22,6 +26,7 @@ prefix rule does not hold there.
 
 from __future__ import annotations
 
+import weakref
 from heapq import heapify, heappop, heappush
 from itertools import count
 
@@ -56,6 +61,8 @@ class QuadraticPresentation:
         self.relations = row_space(relations)
         if weights is not None:
             self._check_weight_homogeneous()
+        self._dual = None
+        self._truncations = {}
 
     @property
     def dim(self) -> int:
@@ -85,6 +92,27 @@ class QuadraticPresentation:
     def dual_generator_names(self):
         return tuple(g + "*" for g in self.generators)
 
+    def dual(self) -> "QuadraticPresentation":
+        """The presentation of A! (``quadratic_dual``), built on the first
+        call and kept: every later call returns the same object."""
+        if self._dual is None:
+            self._dual = quadratic_dual(self)
+        return self._dual
+
+    def truncation(self, bound: int) -> "GradedAlgebraTruncation":
+        """A_{<=bound} (``truncate_algebra``), built on the first call at
+        this bound and kept.  The truncation's caches only grow, so every
+        reader may share it; none changes it.  Its ``pres`` is a weak
+        proxy of this presentation, which owns it: read it only while the
+        presentation lives."""
+        alg = self._truncations.get(bound)
+        if alg is None:
+            alg = self._truncations[bound] = truncate_algebra(self, bound)
+            # a strong reference back would make the pair a cycle, which
+            # only the cyclic collector frees, long after the last reader
+            alg.pres = weakref.proxy(self)
+        return alg
+
     def __repr__(self):
         return (f"QuadraticPresentation({self.field!r}, dim V={self.dim}, "
                 f"dim R={self.num_relations})")
@@ -111,12 +139,10 @@ def quadratic_dual(p: QuadraticPresentation) -> QuadraticPresentation:
 
 def double_dual_check(p: QuadraticPresentation, n_max: int) -> bool:
     """(R⊥)⊥ = R as subspaces, and dims of ((A!)!)_n match A_n for n <= N."""
-    dd = quadratic_dual(quadratic_dual(p))
+    dd = p.dual().dual()
     if not dd.relations.eq(p.relations):
         return False
-    a = truncate_algebra(p, n_max)
-    b = truncate_algebra(dd, n_max)
-    return a.dims == b.dims
+    return p.truncation(n_max).dims == dd.truncation(n_max).dims
 
 
 class SpanSize:
@@ -174,7 +200,7 @@ class WordQuotient:
         middles = words_of_length(d, 2) + words_of_length(d, 1) + [()]
         self._complete([{middles[k]: c for k, c in row.items()}
                         for row in relations.transpose().columns])
-        self._standard = [self._standard_words(n) for n in range(bound + 1)]
+        self._standard = self._standard_words()
         self.span = SpanSize(degree_offset(d, bound + 1)
                              - sum(len(ws) for ws in self._standard))
 
@@ -281,18 +307,28 @@ class WordQuotient:
                         del poly[x]
         return out
 
-    def _standard_words(self, n: int):
-        slack = self.bound - n
-        banned = {lead for lead, (e, _) in self._rules.items() if e <= slack}
-        lengths = sorted({len(lead) for lead in banned if lead})
-        # a word is standard iff it avoids ``banned``, so its prefixes are
-        # standard too: extend them a letter at a time, testing suffixes
-        words = [] if () in banned else [()]
-        for m in range(1, n + 1):
-            longer = [w + (x,) for w in words for x in range(self._d)]
-            words = [w for w in longer
-                     if not any(w[m - k:] in banned for k in lengths if k <= m)]
-        return words
+    def _standard_words(self):
+        """The standard words of each length n <= bound: those no rule of
+        excess <= bound - n rewrites.  A word is standard iff it avoids the
+        leads of those rules, so its prefixes avoid them too: each distinct
+        set of leads is walked once, extending words a letter at a time and
+        testing suffixes, and every length that bans the same set reads its
+        words off that walk (one walk for A and A!, one per excess for U)."""
+        bound, d = self.bound, self._d
+        out, banned = [], None
+        for n in range(bound + 1):
+            now = {lead for lead, (e, _) in self._rules.items() if e <= bound - n}
+            if now != banned:
+                banned = now
+                lengths = sorted({len(lead) for lead in banned if lead})
+                words, m = ([] if () in banned else [()]), 0
+            while m < n:
+                m += 1
+                longer = [w + (x,) for w in words for x in range(d)]
+                words = [w for w in longer
+                         if not any(w[m - k:] in banned for k in lengths if k <= m)]
+            out.append(words)
+        return out
 
     def normal_form(self, word) -> dict:
         """{standard word: coefficient} of the class of a word, memoised

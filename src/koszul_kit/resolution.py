@@ -113,16 +113,22 @@ def _act_on_expanded(free: GradedFreeModule, mdeg: int, mb: int, vdeg: int, vec:
     is expanded at degree vdeg+mdeg, as a zero-free {coordinate: value} dict.
 
     The product of mb with basis element b of A_d is column
-    mb * dim A_d + b of the cached ``mult_columns(mdeg, d)``."""
+    mb * dim A_d + b of the cached ``mult_columns(mdeg, d)``; the row of
+    mb in that table is looked up once per source degree d."""
     alg = free.alg
     p = alg.field.p
     src_labs = free.basis_labels(vdeg)[0]
     tstart = free.basis_labels(vdeg + mdeg)[1]
+    tables = {}  # d -> (mult_columns(mdeg, d), mb * dim A_d)
     out = {}
     for i, c in vec.items():
         gi, d, b = src_labs[i]
+        got = tables.get(d)
+        if got is None:
+            got = tables[d] = (alg.mult_columns(mdeg, d), mb * alg.dim_at(d))
+        cols, base = got
         row = tstart[gi]
-        for r, v in alg.mult_columns(mdeg, d)[mb * alg.dim_at(d) + b].items():
+        for r, v in cols[base + b].items():
             k = row + r
             out[k] = out[k] + c * v if k in out else c * v
     return zero_free(out, p)

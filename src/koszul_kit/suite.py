@@ -15,12 +15,7 @@ from .deformations import CdgAlgebra, DeformationData, FilteredAlgebraTruncation
 from .errors import CurvedInputError, InputError, MissingWeightsError
 from .functors import FunctorBounds, apply_F, apply_Fprime, apply_G, counit
 from .linalg import Matrix, zero_free
-from .presentations import (
-    GradedAlgebraTruncation,
-    QuadraticPresentation,
-    quadratic_dual,
-    truncate_algebra,
-)
+from .presentations import GradedAlgebraTruncation, QuadraticPresentation
 from .resolution import minimal_resolution_betti
 
 
@@ -152,8 +147,8 @@ def koszulness_check(p: QuadraticPresentation, n_max: int):
     equal to dim A!_i, read off an independently computed minimal graded
     free resolution.
     """
-    alg = truncate_algebra(p, n_max)
-    dual = truncate_algebra(quadratic_dual(p), n_max)
+    alg = p.truncation(n_max)
+    dual = p.dual().truncation(n_max)
     strand_pass = {}
     for n in range(1, n_max + 1):
         cx = strand_complex(alg, dual, n)

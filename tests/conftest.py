@@ -285,6 +285,20 @@ def standard_words(q, n):
     return [w for w in words_of_length(q._d, n) if q._rewrite(w, q.bound) is None]
 
 
+def walked_standard_words(q, n):
+    """The degree-n standard words by a walk of their own: lengths 1..n
+    against the leads of the rules of excess <= bound - n, each word
+    extended a letter at a time and its suffixes tested."""
+    banned = {lead for lead, (e, _) in q._rules.items() if e <= q.bound - n}
+    lengths = sorted({len(lead) for lead in banned if lead})
+    words = [] if () in banned else [()]
+    for m in range(1, n + 1):
+        longer = [w + (x,) for w in words for x in range(q._d)]
+        words = [w for w in longer
+                 if not any(w[m - k:] in banned for k in lengths if k <= m)]
+    return words
+
+
 def check_associativity(q, max_total=None):
     """(ab)c = a(bc) exactly on standard words of degree >= 1 with
     |a| + |b| + |c| within bound.  A and A! multiply through ``multiply``,

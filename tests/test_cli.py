@@ -262,6 +262,21 @@ def test_degree_below_two_names_the_flag(capsys, argv, degree):
     assert "--degree" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["truncate", SYM2, "--degree", "-1"], "--degree must be >= 0: got -1"),
+    (["ce", HEIS, "--filtration", "-3"], "--filtration must be >= 0: got -3"),
+    (["apply-g", SYM2, "--complex", "k", "--internal", "-1"],
+     "--internal must be >= 0: got -1"),
+    (["ce", HEIS, "--window=3:-3"], "--window must be nonempty: 3:-3 has 3 > -3"),
+])
+def test_bad_bound_names_the_flag_and_value(capsys, argv, message):
+    """A negative bound or an empty window exits 2 with a message that
+    names the flag and the value given."""
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"input error: {message}\n")
+
+
 def test_truncation_overflow_names_the_flag(capsys):
     assert cli.main(["null-cofree", SYM2, "--free-dual", "spliced", "--degree", "2"]) == 2
     err = capsys.readouterr().err

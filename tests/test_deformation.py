@@ -24,7 +24,7 @@ from koszul_kit.errors import (
     WellDefinednessError,
 )
 from koszul_kit.linalg import Matrix
-from koszul_kit.presentations import truncate_algebra
+from koszul_kit.presentations import QuadraticPresentation, quadratic_dual, truncate_algebra
 from koszul_kit.scalars import QQ, Field
 from koszul_kit.words import degree_offset, pair_index, word_global_index, words_of_length
 
@@ -38,6 +38,7 @@ from conftest import (
     pbw_check_by_solves,
     raw_values,
     standard_words,
+    walked_standard_words,
 )
 
 
@@ -592,3 +593,119 @@ def test_curvature_fault_past_leibniz(rel, alpha, beta, want):
     alg = build_cdga(_xy(QQ, rel, alpha, beta), 4, check=False)
     bad = _corrupted(alg, None, 0, None, QQ.one())
     assert bad.verify() == full_cdga_verify(bad) == want
+
+
+# -- one A! per presentation -------------------------------------------------------
+
+
+def _random_deformation(rng, f, base):
+    """Random small alpha and beta over the canonical relations of ``base``;
+    mostly not of PBW type."""
+    m = base.num_relations
+    small = lambda: f.of_int(rng.randint(-2, 2))
+    return DeformationData(base, Matrix.from_rows(f, [[small() for _ in range(m)]
+                                                      for _ in range(base.dim)], m),
+                           Matrix.from_rows(f, [[small() for _ in range(m)]], m))
+
+
+def _random_base(rng, f, d):
+    rows = [[f.of_int(rng.randint(-2, 2)) for _ in range(d * d)]
+            for _ in range(rng.randint(0, d * d))]
+    return QuadraticPresentation(f, [f"x{i}" for i in range(d)],
+                                 Matrix.from_rows(f, rows, d * d))
+
+
+def test_standard_words_one_walk_per_lead_set():
+    """The standard words of A, A! and U, one walk per distinct set of
+    banned leads, equal a separate walk per length and the words no rule
+    rewrites.  U is mostly not of PBW type, and the draws reach rules of
+    excess >= 2, where the lead set changes with the length."""
+    excesses = set()
+    for seed in range(40):
+        rng = random.Random(SEED * 1000 + seed)
+        f = FIELDS[seed % 4]
+        d = rng.randint(1, 3)
+        bound = rng.randint(2, 5 if d <= 2 else 4)
+        base = _random_base(rng, f, d)
+        u = build_U(_random_deformation(rng, f, base), bound)
+        excesses |= {e for e, _ in u._rules.values()}
+        for q in (truncate_algebra(base, bound), truncate_algebra(quadratic_dual(base), bound),
+                  u):
+            for n in range(bound + 1):
+                assert q._standard[n] == walked_standard_words(q, n) == standard_words(q, n)
+    assert max(excesses) >= 2
+
+
+def _cdga_outcome(data, bound, sign_debug):
+    """(derivations as dense rows, curvature), or the error's type and text."""
+    try:
+        alg = build_cdga(data, bound, check=False, _sign_debug=sign_debug)
+    except KoszulKitError as e:
+        return type(e).__name__, str(e)
+    return ({n: m.to_rows() for n, m in alg.derivations.items()}, alg.curvature)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_build_cdga_shares_one_dual_across_deformations(seed):
+    """Two deformations of one base, the first built with the sign-debug
+    hook, share one truncated A! and give the derivations and curvature
+    (or the error) of deformations built on fresh ``from_raw`` bases."""
+    rng = random.Random(seed)
+    f = FIELDS[seed % 4]
+    d = rng.randint(1, 3)
+    bound = rng.randint(2, 4)
+    base = _random_base(rng, f, d)
+    built = []
+    for sign_debug in (True, False):
+        shared = _random_deformation(rng, f, base)
+        fresh = DeformationData.from_raw(
+            f, base.generators, base.relations, shared.alpha.transpose(),
+            [shared.beta.entry(0, i) for i in range(base.num_relations)])
+        assert fresh.alpha.eq(shared.alpha) and fresh.beta.eq(shared.beta)
+        got = _cdga_outcome(shared, bound, sign_debug)
+        assert got == _cdga_outcome(fresh, bound, sign_debug)
+        if not isinstance(got[0], str):
+            built.append(build_cdga(shared, bound, check=False).dual)
+    assert base.dual() is base.dual()
+    assert all(dual is base.dual().truncation(bound) for dual in built)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_selftest_draws_match_from_raw(monkeypatch, seed):
+    """The selftest's 20 PBW draws share one base, and each equals the
+    ``from_raw`` deformation of its raw alpha rows and beta entries: the
+    same relations, alpha and beta columns."""
+    import io
+
+    from koszul_kit import selftest
+
+    made, raw_alpha = [], []
+
+    class Recorded(DeformationData):
+        def __init__(self, base, alpha, beta):
+            super().__init__(base, alpha, beta)
+            made.append(self)
+
+    random_matrix = selftest._random_matrix
+
+    def recorded_matrix(f, rng, rows, cols, span=5):
+        m = random_matrix(f, rng, rows, cols, span)
+        if f.p == 3:  # the only F_3 draws are the PBW check's alpha rows
+            raw_alpha.append(m)
+        return m
+
+    monkeypatch.setattr(selftest, "DeformationData", Recorded)
+    monkeypatch.setattr(selftest, "_random_matrix", recorded_matrix)
+    failures, _ = selftest.run(seed, out=io.StringIO())
+    assert failures == 0 and len(made) == len(raw_alpha) == 20
+    assert len({id(data.base) for data in made}) == 1
+    f3 = Field(3)
+    rel3 = Matrix.from_int_rows(f3, [[0, 1, 0, 2, 0, 0, 0, 0, 0],
+                                     [0, 0, 1, 0, 0, 0, 2, 0, 0],
+                                     [0, 0, 0, 0, 0, 1, 0, 2, 0]])
+    for data, ar in zip(made, raw_alpha):
+        fresh = DeformationData.from_raw(f3, ["x", "y", "z"], rel3, ar,
+                                         [data.beta.entry(0, i) for i in range(3)])
+        assert fresh.base.relations.eq(data.base.relations)
+        assert fresh.alpha.columns == data.alpha.columns
+        assert fresh.beta.columns == data.beta.columns

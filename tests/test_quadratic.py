@@ -1,8 +1,10 @@
 """Quadratic presentations, duals, and graded truncations."""
 
+import gc
 import inspect
 import random
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -308,3 +310,43 @@ def test_generator_table_needs_no_recursion():
     finally:
         sys.setrecursionlimit(limit)
     assert got == heap_column(alg, word) == {alg.basis_words[12].index(tuple(sorted(word))): 1}
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_presentation_owns_its_dual_and_truncations(seed):
+    """``p.truncation(n)`` and ``p.dual().truncation(n)`` are built once
+    and kept; after reads in a random order they equal fresh
+    ``truncate_algebra`` builds in dims, basis words and every product
+    table of total degree <= n."""
+    rng = random.Random(seed)
+    f = [QQ, Field(2), Field(3), Field(5)][seed % 4]
+    d = rng.randint(1, 3)
+    rows = [[f.of_int(rng.randint(-2, 2)) for _ in range(d * d)]
+            for _ in range(rng.randint(0, d * d))]
+    pres = QuadraticPresentation(f, [f"x{i}" for i in range(d)],
+                                 Matrix.from_rows(f, rows, d * d))
+    n = rng.randint(2, 5 if d <= 2 else 4)
+    assert pres.dual() is pres.dual()
+    assert pres.dual().relations.eq(quadratic_dual(pres).relations)
+    for p, oracle in ((pres, pres), (pres.dual(), quadratic_dual(pres))):
+        alg = p.truncation(n)
+        for _ in range(10):
+            i = rng.randint(0, n)
+            alg.mult_columns(i, rng.randint(0, n - i))
+        assert p.truncation(n) is alg
+        fresh = truncate_algebra(oracle, n)
+        assert alg.dims == fresh.dims and alg.basis_words == fresh.basis_words
+        for i in range(n + 1):
+            for j in range(n + 1 - i):
+                assert alg.mult_columns(i, j) == fresh.mult_columns(i, j)
+    assert pres.truncation(n) is not pres.dual().truncation(n)
+    # nothing derived refers back strongly: dropping the presentation frees
+    # it all at once, with no cycle left for the collector
+    derived = [weakref.ref(x) for x in (pres.truncation(n), pres.dual(),
+                                         pres.dual().truncation(n))]
+    gc.disable()
+    try:
+        del p, alg, oracle, pres
+        assert all(ref() is None for ref in derived)
+    finally:
+        gc.enable()
