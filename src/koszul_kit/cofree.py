@@ -21,7 +21,7 @@ from .complexes import (
 )
 from .deformations import CdgAlgebra
 from .errors import CurvedInputError, InconsistentDataError, NotCofreeError
-from .functors import apply_G, cofree_actions, hom_labels
+from .functors import apply_G, cofree_actions, dual_dims, hom_labels
 from .linalg import EchelonSpan, Matrix, kernel_basis, rank, row_space, solve_matrix, zero_free
 
 
@@ -128,7 +128,7 @@ def transfer_minimal(big: CdgModule, labels: dict, socle_diffs: dict,
     socle = BaseComplex(f, window, socle_dims, socle_diffs)
     hdims, i0, p0, h0 = socle_sdr(socle)
     hdims = {q: n for q, n in hdims.items() if n}
-    hlabels = hom_labels(cdga.dual, window, cap, lambda p, q: range(hdims.get(q, 0)))
+    hlabels = hom_labels(dual_dims(cdga.dual, cap), window, lambda p, q: range(hdims.get(q, 0)))
 
     def mk_block(src_labs, tgt_labs, per_q_mat, sign):
         tpos = {lab: i for i, lab in enumerate(tgt_labs)}
@@ -355,8 +355,9 @@ def cofree_decomposition(i: CdgModule, cdga: CdgAlgebra, cap: int,
     def socle_lines(p, q):
         return range(socle.dim(q))
 
-    labels = hom_labels(dual, (lo, i.window[1]), cap, socle_lines)
-    labels.update(hom_labels(dual, i.window, cap, socle_lines))
+    dims = dual_dims(dual, cap)
+    labels = hom_labels(dims, (lo, i.window[1]), socle_lines)
+    labels.update(hom_labels(dims, i.window, socle_lines))
     # socle projections: extend the socle basis, project onto it
     projections = {}
     for q, b in bases.items():

@@ -329,7 +329,7 @@ def cmd_tor(problem, args):
 
 def cmd_ext(problem, args):
     a, bb = _range(args)
-    nonnegative(args, "filtration")
+    nonnegative(args, "filtration", "internal")
     b = FunctorBounds(window=(min(a, 0), bb + 1), filtration=args.filtration,
                       internal=max(args.internal, bb + 1))
     m = named_complex(problem, args.module)

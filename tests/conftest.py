@@ -7,10 +7,10 @@ from hypothesis import settings, strategies as st
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from koszul_kit.complexes import CdgModule, UComplex, UModule, _block
+from koszul_kit.complexes import BaseComplex, CdgModule, UComplex, UModule, _block
 from koszul_kit.deformations import DeformationData, PbwReport, build_U, build_cdga
 from koszul_kit.errors import NotCofreeError
-from koszul_kit.functors import hom_labels
+from koszul_kit.functors import dual_dims, hom_labels
 from koszul_kit.linalg import (
     RHS,
     DimensionError,
@@ -457,6 +457,68 @@ def dense_gf_differentials(n, u, cdga, labels):
     return diffs
 
 
+def dense_hom_complex_explicit(n, m, window):
+    """Hom_U(F(N), M) as ``functors.hom_complex_explicit`` built it before
+    it ran on ``_G_differentials``: its own loop, labels (r, i, j) for the
+    entry e_i of M^{p+r} at e_j of N^r, and the sign (-1)^r of the source
+    degree on every term, i.e. (-1)^{|t|}[d_M f(t) - f(d_N t) -
+    sum_g x_g f(x_g* t)].  The old body cut N's terms off below degree 1;
+    here they run wherever N^{r-1} is nonzero.  The oracle of the explicit
+    complex, whose differentials differ from it by (-1)^r per label.
+    Returns (BaseComplex, labels)."""
+    f = n.field
+    lo, hi = window
+    dims, labels = {}, {}
+    for p in range(lo, hi + 1):
+        labs = []
+        for r in n.dims:
+            if m.dim(p + r):
+                labs.extend((r, i, j) for i in range(m.dim(p + r))
+                            for j in range(n.dim(r)))
+        if labs:
+            dims[p] = len(labs)
+            labels[p] = labs
+    pos = {p: {lab: i for i, lab in enumerate(labs)} for p, labs in labels.items()}
+    diffs = {}
+    d_gens = n.num_generators()
+    for p in sorted(dims):
+        if p + 1 not in dims:
+            continue
+        tpos = pos[p + 1]
+        cols = []
+        for r, i, j in labels[p]:
+            acc = {}
+            sgn = 1 if r % 2 == 0 else -1
+            # (-1)^r d_M f
+            for i2, c in m.diff(p + r).columns[i].items():
+                row = tpos.get((r, i2, j))
+                if row is not None:
+                    acc[row] = acc.get(row, 0) + sgn * c
+            if n.dim(r - 1):
+                # (-1)^r f d_N : contributes to component r' = r - 1
+                for j2, dcol in enumerate(n.diff(r - 1).columns):
+                    c = dcol.get(j)
+                    if c:
+                        row = tpos.get((r - 1, i, j2))
+                        if row is not None:
+                            acc[row] = acc.get(row, 0) + sgn * c
+                # (-1)^r sum_g x_g f(x_g* x): also lands in component r - 1
+                if m.dim(p + r):
+                    for g in range(d_gens):
+                        am = m.action(p + r, g).columns[i]
+                        for j2, acol in enumerate(n.action(r - 1, g).columns):
+                            c1 = acol.get(j)
+                            if not c1:
+                                continue
+                            for i2, c2 in am.items():
+                                row = tpos.get((r - 1, i2, j2))
+                                if row is not None:
+                                    acc[row] = acc.get(row, 0) + sgn * c1 * c2
+            cols.append(zero_free(acc, f.p))
+        diffs[p] = Matrix(f, dims[p + 1], cols)
+    return BaseComplex(f, window, dims, diffs), labels
+
+
 # -- the free side on dense U coordinate lists ------------------------------------
 #
 # The old ``freeside`` bodies, on dense lists over the U basis with one
@@ -834,8 +896,9 @@ def unit_maps_by_lines(i, cdga, cap, interior=None):
     def socle_lines(p, q):
         return range(socle_dims.get(q, 0))
 
-    labels = hom_labels(dual, (lo, i.window[1]), cap, socle_lines)
-    labels.update(hom_labels(dual, i.window, cap, socle_lines))
+    dims = dual_dims(dual, cap)
+    labels = hom_labels(dims, (lo, i.window[1]), socle_lines)
+    labels.update(hom_labels(dims, i.window, socle_lines))
     projections = {}
     for q, b in socle_bases.items():
         if not b.cols:

@@ -268,6 +268,8 @@ def test_degree_below_two_names_the_flag(capsys, argv, degree):
     (["apply-g", SYM2, "--complex", "k", "--internal", "-1"],
      "--internal must be >= 0: got -1"),
     (["ce", HEIS, "--window=3:-3"], "--window must be nonempty: 3:-3 has 3 > -3"),
+    (["ext", SYM2, "--module", "k", "--range", "0..3", "--internal", "-3"],
+     "--internal must be >= 0: got -3"),
 ])
 def test_bad_bound_names_the_flag_and_value(capsys, argv, message):
     """A negative bound or an empty window exits 2 with a message that

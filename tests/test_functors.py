@@ -16,10 +16,10 @@ from koszul_kit.complexes import (
 )
 from koszul_kit.cofree import minimize_G
 from koszul_kit.deformations import DeformationData, build_U, build_cdga, pbw_check
+from koszul_kit import functors
 from koszul_kit.errors import InconsistentDataError, InputError
 from koszul_kit.functors import (
     FunctorBounds,
-    adjunction_check,
     adjunction_report,
     apply_F,
     apply_Fprime,
@@ -28,6 +28,7 @@ from koszul_kit.functors import (
     build_T,
     counit,
     gf_composite,
+    hom_complex_explicit,
     unit,
 )
 from koszul_kit.linalg import Matrix
@@ -40,12 +41,14 @@ from conftest import (
     dense_cofree_actions,
     dense_f_differentials,
     dense_gf_differentials,
+    dense_hom_complex_explicit,
     dense_left_mult,
     dense_mult_basis,
     dense_u_multiply,
     heisenberg_deformation,
     raw_values,
     sparse,
+    symmetric_presentation,
     truncated_presentation,
 )
 
@@ -297,7 +300,183 @@ def test_adjunction_random_heisenberg_f5():
         k = UModule.trivial(heis5)
         m = UComplex(heis5, (0, 1), {0: k, 1: k},
                      {0: Matrix.from_rows(f5, [[f5.of_int(rng.randrange(5))]], 1)})
-        assert adjunction_check(n, m, cdga, FunctorBounds((-3, 3), 4, 4))
+        assert adjunction_report(n, m, cdga, FunctorBounds((-3, 3), 4, 4))["ok"]
+
+
+def _random_matrix(f, rng, rows, cols):
+    return Matrix.from_rows(f, [[f.of_int(rng.randrange(f.p)) for _ in range(cols)]
+                                for _ in range(rows)], cols)
+
+
+def _random_n(cdga, rng, lo):
+    """A random two-term cdg-module on degrees lo, lo + 1 over F_p: every
+    action and differential is allowed, since d(x*) and c act by zero."""
+    f = cdga.field
+    nd = {lo: rng.randint(1, 2), lo + 1: rng.randint(1, 2)}
+    acts = {lo: [_random_matrix(f, rng, nd[lo + 1], nd[lo])
+                 for _ in range(cdga.dual.pres.dim)]}
+    n = CdgModule(cdga, (lo, lo + 1), nd, acts,
+                  {lo: _random_matrix(f, rng, nd[lo + 1], nd[lo])})
+    assert n.validate() is None
+    return n
+
+
+def _random_m(data, rng, lo):
+    """A random two-term complex on degrees lo, lo + 1 of k[x1, x2]-modules
+    (trivial deformation of S(V), dim 2) on which x1 and x2 act by
+    polynomials in one strictly lower triangular matrix, with a third such
+    polynomial as the differential: every term of the U-action is nonzero
+    in general."""
+    f = data.field
+    dim = rng.randint(1, 3)
+    a = Matrix.from_rows(f, [[f.of_int(rng.randrange(f.p)) if j < i else f.zero()
+                              for j in range(dim)] for i in range(dim)], dim)
+
+    def poly():
+        out, power = Matrix.zero(f, dim, dim), Matrix.identity(f, dim)
+        for _ in range(3):
+            out = out.add(power.scale(f.of_int(rng.randrange(f.p))))
+            power = a.mul(power)
+        return out
+
+    mod = UModule(data, dim, [poly(), poly()])
+    assert mod.validate() is None
+    return UComplex(data, (lo, lo + 1), {lo: mod, lo + 1: mod}, {lo: poly()})
+
+
+def _entries(cx, labels, twist=False):
+    """The differentials' nonzero entries keyed by (p, row label, column
+    label), times (-1)^r for each label of odd r when ``twist``."""
+    f = cx.field
+    out = {}
+    for p, d in cx.diffs.items():
+        for col, column in enumerate(d.columns):
+            for row, c in column.items():
+                src, tgt = labels[p][col], labels[p + 1][row]
+                out[(p, tgt, src)] = f.neg(c) if twist and (src[0] + tgt[0]) % 2 else c
+    return out
+
+
+def _explicit_pairs():
+    """Seeded (N, M, window) over F_5 and F_3: Heisenberg with trivial M,
+    S(V) with M carrying a nonzero U-action, N on degrees -2..1."""
+    rng = random.Random(SEED + 31)
+    pairs = []
+    for f in (Field(5), Field(3)):
+        heis = heisenberg_deformation(f)
+        s2 = DeformationData.trivial(symmetric_presentation(f, 2))
+        hc, sc = build_cdga(heis, 4), build_cdga(s2, 4)
+        k = UModule.trivial(heis)
+        for lo in (-2, -1, 0, 1):
+            m = UComplex(heis, (0, 1), {0: k, 1: k}, {0: _random_matrix(f, rng, 1, 1)})
+            pairs.append((heis, hc, _random_n(hc, rng, lo), m))
+            pairs.append((s2, sc, _random_n(sc, rng, lo), _random_m(s2, rng, rng.randint(-1, 1))))
+    return pairs
+
+
+def _assert_explicit_matches_oracle(n, m, window):
+    cx, labels = hom_complex_explicit(n, m, window)
+    old, old_labels = dense_hom_complex_explicit(n, m, window)
+    assert cx.dims == old.dims
+    for p, labs in labels.items():
+        assert sorted(labs) == sorted((r, j, i) for r, i, j in old_labels[p])
+    flipped = {p: [(r, j, i) for r, i, j in labs] for p, labs in old_labels.items()}
+    ours, theirs = _entries(cx, labels), _entries(old, flipped, twist=True)
+    assert ours.keys() == theirs.keys()
+    assert all(cx.field.eq(c, theirs[k]) for k, c in ours.items())
+    assert cx.check_d_squared() is None
+
+
+def test_hom_complex_explicit_matches_oracle_sym2(sym2_world):
+    data, u, cdga = sym2_world
+    q = cdga.field
+    k = UModule.trivial(data)
+    ms = [um_trivial_complex(data),
+          UComplex(data, (0, 1), {0: k.direct_sum(k), 1: k},
+                   {0: Matrix.from_rows(q, [[q.one(), q.of_int(2)]], 2)})]
+    ns = [k_cdg(cdga),
+          CdgModule(cdga, (0, 1), {0: 1, 1: 1},
+                    {0: [Matrix.identity(q, 1), Matrix.zero(q, 1, 1)]}, {}),
+          CdgModule(cdga, (-1, 0), {-1: 2, 0: 1},
+                    {-1: [Matrix.from_rows(q, [[q.one(), q.zero()]], 2),
+                          Matrix.from_rows(q, [[q.of_int(3), q.of_int(-1)]], 2)]},
+                    {-1: Matrix.from_rows(q, [[q.of_int(2), q.one()]], 2)})]
+    for n in ns:
+        assert n.validate() is None
+        for m in ms:
+            _assert_explicit_matches_oracle(n, m, (-3, 3))
+
+
+def test_hom_complex_explicit_matches_oracle_seeded():
+    for _, _, n, m in _explicit_pairs():
+        _assert_explicit_matches_oracle(n, m, (-3, 3))
+
+
+def test_adjunction_with_u_action_and_negative_degrees():
+    """Seeded pairs whose M has a nonzero U-action, or whose N lives in
+    negative degrees: the adjunction holds on every one."""
+    for _, cdga, n, m in _explicit_pairs():
+        rep = adjunction_report(n, m, cdga, FunctorBounds((-3, 3), 4, 4))
+        assert rep["ok"], rep
+
+
+def _nilpotent_pair(f):
+    """k[x1, x2] acting on k[x1]/(x1^2), x2 by zero, in degree 0 or on a
+    two-term identity; N = k --x1*--> k on degrees 0, 1 with d = 0."""
+    data = DeformationData.trivial(symmetric_presentation(f, 2))
+    cdga = build_cdga(data, 4)
+    x1 = Matrix.from_rows(f, [[f.zero(), f.zero()], [f.one(), f.zero()]], 2)
+    mod = UModule(data, 2, [x1, Matrix.zero(f, 2, 2)])
+    n = CdgModule(cdga, (0, 1), {0: 1, 1: 1},
+                  {0: [Matrix.identity(f, 1), Matrix.zero(f, 1, 1)]}, {})
+    ms = (UComplex(data, (0, 0), {0: mod}, {}),
+          UComplex(data, (0, 1), {0: mod, 1: mod}, {0: Matrix.identity(f, 2)}))
+    return cdga, n, ms
+
+
+def test_adjunction_with_nilpotent_u_action():
+    """The solution space must be the maps with h(x* v) = -x* h(v) under
+    G's twisted action: with h(x* v) = x* h(v) the differentials disagree
+    here."""
+    for f in (QQ, Field(5)):
+        cdga, n, ms = _nilpotent_pair(f)
+        for m in ms:
+            rep = adjunction_report(n, m, cdga, FunctorBounds((-3, 3), 4, 3))
+            assert rep == {"dims_match": True, "differentials_match": True, "iso": True,
+                           "cycle_dims": rep["cycle_dims"], "ok": True}
+
+
+def test_adjunction_check_fails_on_the_old_sign_convention(monkeypatch):
+    """Hom_U(F(N), M) in the old convention, (-1)^r per label away from
+    the one ``_G_differentials`` writes, is isomorphic but not by the
+    socle evaluation: the check must see it, through N's differential
+    against trivial M over the Heisenberg algebra, and through N's action
+    against M with a nonzero U-action over S(V)."""
+    f5 = Field(5)
+    heis5 = heisenberg_deformation(f5)
+    hc = build_cdga(heis5, 4)
+    rng = random.Random(SEED + 37)
+    n = _random_n(hc, rng, 0)
+    while n.diff(0).is_zero():
+        n = _random_n(hc, rng, 0)
+    assert any(not a.is_zero() for a in n.actions[0])
+    k = UModule.trivial(heis5)
+    cases = [(hc, n, UComplex(heis5, (0, 1), {0: k, 1: k},
+                              {0: _random_matrix(f5, rng, 1, 1)}))]
+    sc, n2, ms = _nilpotent_pair(f5)
+    cases += [(sc, n2, m) for m in ms]
+    b = FunctorBounds((-3, 3), 4, 4)
+    assert all(adjunction_report(n, m, cdga, b)["ok"] for cdga, n, m in cases)
+
+    def old_convention(n, m, window):
+        cx, labels = dense_hom_complex_explicit(n, m, window)
+        return cx, {p: [(r, j, i) for r, i, j in labs] for p, labs in labels.items()}
+
+    monkeypatch.setattr(functors, "hom_complex_explicit", old_convention)
+    for cdga, n, m in cases:
+        rep = adjunction_report(n, m, cdga, b)
+        assert rep["dims_match"] and rep["iso"]
+        assert rep["differentials_match"] is False and rep["ok"] is False
 
 
 # -- unit / counit -----------------------------------------------------------------
