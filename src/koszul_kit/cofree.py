@@ -368,7 +368,7 @@ def cofree_decomposition(i: CdgModule, cdga: CdgAlgebra, cap: int,
         _grow(span, b.columns)
         inv = _invert(Matrix(f, n, b.columns + _grow(span, Matrix.identity(f, n).columns)))
         projections[q] = inv.submatrix(range(b.cols), range(n))
-    one = f.one()
+    words = dual.basis_words
     unit_maps = {}
     for p in range(lo, hi + 1):
         n = i.dim(p)
@@ -385,7 +385,7 @@ def cofree_decomposition(i: CdgModule, cdga: CdgAlgebra, cap: int,
             if si:
                 continue
             proj = projections[p + r]
-            block = proj.mul(i.act_element(p, r, {s: one})) if r else proj
+            block = proj.mul(i.act_word(p, words[r][s])) if r else proj
             for col, bcol in zip(cols, block.columns):
                 for row, c in bcol.items():
                     col[top + row] = c

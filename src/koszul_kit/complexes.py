@@ -9,14 +9,52 @@ U-modules (generators of U), 1 for a cdg-module (dual generators of A!).
 Shift, cone, words of the action and brutal truncation read that fact
 and are written once; each kind keeps only its axioms (``validate``),
 the algebra that acts, and ``rebuild``.
+
+Each complex has one word-action table, filled on first read:
+``act_word(p, word)`` is kept per (p, word) and built suffix first, so
+the counit, the unit, the coinduction unit and the element actions of a
+cdg-module share one product per word.  Every certificate (the relations
+of P or of R-perp, the anti-derivation and curvature laws, d^2, the
+U-linearity of d, a chain map commuting with d and the actions) decides
+a sum of c * L * R = 0 one column at a time: one sparse sum per column
+(``linalg.combination_column``), tested with ``is_nonzero``, with no
+product or sum stored as a Matrix.
 """
 
 from __future__ import annotations
 
 from .deformations import CdgAlgebra, DeformationData
 from .errors import CurvedInputError, InconsistentDataError, InputError
-from .linalg import RHS, Matrix, kernel_basis, rank, solve_matrix, solve_sparse, zero_free
+from .linalg import (
+    RHS,
+    DimensionError,
+    Matrix,
+    combination_column,
+    is_nonzero,
+    kernel_basis,
+    rank,
+    solve_matrix,
+    solve_sparse,
+    zero_free,
+)
 from .scalars import Field
+
+
+def _vanishes(field: Field, ncols: int, terms) -> bool:
+    """Whether the sum of c * L * R over ``terms`` (c, L, R), read as by
+    ``combination_column``, is the zero matrix with ``ncols`` columns:
+    each column is one sparse sum, tested on its own, and no product is
+    stored."""
+    if not terms:
+        return True
+    for _, left, right in terms:
+        if right is not None and left.cols != right.rows:
+            raise DimensionError(f"cannot multiply {left.rows}x{left.cols} by {right.rows}x{right.cols}")
+    p = field.p
+    for j in range(ncols):
+        if is_nonzero(combination_column(terms, j), p):
+            return False
+    return True
 
 
 # -- modules ---------------------------------------------------------------
@@ -39,20 +77,15 @@ class UModule:
 
     def validate(self):
         """First violated relation of P, or None."""
-        f = self.field
         d = self.data.base.dim
+        acts = self.actions
         # row i of the graph rows: r_i over V⊗V, then alpha(r_i), then beta(r_i)
         for i, row in enumerate(self.data.graph_rows().transpose().columns):
-            acc = Matrix.zero(f, self.dim, self.dim)
-            for k, c in row.items():
-                if k < d * d:
-                    term = self.actions[k // d].mul(self.actions[k % d])
-                elif k < d * d + d:
-                    term = self.actions[k - d * d]
-                else:
-                    term = Matrix.identity(f, self.dim)
-                acc = acc.add(term.scale(c))
-            if not acc.is_zero():
+            terms = [(c, acts[k // d], acts[k % d]) if k < d * d
+                     else (c, acts[k - d * d], None) if k < d * d + d
+                     else (c, None, None)
+                     for k, c in row.items()]
+            if not _vanishes(self.field, self.dim, terms):
                 return f"relation {i} of P does not annihilate the module"
         if self.weights is not None:
             wts = self.data.base.weights or [1] * d
@@ -105,6 +138,7 @@ class BaseComplex:
         self.weights = weights  # {p: [weight per basis vector]} or None
         self.actions = actions or {}  # {p: [Matrix per generator]}
         self.n_gens = n_gens
+        self._word_actions = {}  # (p, word) -> act_word(p, word), filled on first read
 
     def rebuild(self, window, dims, actions, diffs, weights) -> "BaseComplex":
         """A complex of this kind on new data (a plain one here)."""
@@ -125,10 +159,15 @@ class BaseComplex:
 
     def check_d_squared(self):
         for p in self.degrees():
-            if self.dim(p) and self.dim(p + 2):
-                if not self.diff(p + 1).mul(self.diff(p)).is_zero():
-                    return f"d^2 != 0 at degree {p}"
+            if self.dim(p) and self.dim(p + 2) and not _vanishes(
+                    self.field, self.dim(p), self._d_squared_terms(p)):
+                return f"d^2 != 0 at degree {p}"
         return None
+
+    def _d_squared_terms(self, p: int) -> list:
+        """d_{p+1} d_p as a term of ``_vanishes``; none when a factor is 0."""
+        first, second = self.diffs.get(p), self.diffs.get(p + 1)
+        return [] if first is None or second is None else [(1, second, first)]
 
     def weight_of(self, p: int, i: int):
         if self.weights is None:
@@ -144,13 +183,25 @@ class BaseComplex:
             return Matrix.zero(self.field, self.dim(p + self.action_degree), self.dim(p))
         return acts[g]
 
-    def act_word(self, p: int, word) -> Matrix:
-        """Action of a monomial word on C^p (applied right to left)."""
-        m = Matrix.identity(self.field, self.dim(p))
-        for g in reversed(word):
-            m = self.action(p, g).mul(m)
-            p += self.action_degree
-        return m
+    def act_word(self, p: int, word: tuple) -> Matrix:
+        """Action of a monomial word on C^p (applied right to left), from
+        the complex's word-action table: built suffix first, g·w acting as
+        the action of g times that of w, a one-letter word as its action
+        and the empty word as the identity.  The matrix is shared by later
+        reads: callers read it, never change it."""
+        table = self._word_actions
+        key = (p, word)
+        got = table.get(key)
+        if got is None:
+            if not word:
+                got = Matrix.identity(self.field, self.dim(p))
+            elif len(word) == 1:
+                got = self.action(p, word[0])
+            else:
+                got = self.action(p + (len(word) - 1) * self.action_degree, word[0]).mul(
+                    self.act_word(p, word[1:]))
+            table[key] = got
+        return got
 
     def shift(self) -> "BaseComplex":
         """[1]: degree p is old p + 1 and the differential is negated; so
@@ -196,12 +247,11 @@ class UComplex(BaseComplex):
         if msg:
             return msg
         for p in self.degrees():
-            if self.dim(p) and self.dim(p + 1):
-                d = self.diff(p)
+            d = self.diffs.get(p)
+            if self.dim(p) and self.dim(p + 1) and d is not None:
                 for g in range(self.num_generators()):
-                    lhs = d.mul(self.action(p, g))
-                    rhs = self.action(p + 1, g).mul(d)
-                    if not lhs.eq(rhs):
+                    if not _vanishes(self.field, self.dim(p), [
+                            (1, d, self.action(p, g)), (-1, self.action(p + 1, g), d)]):
                         return f"differential not U-linear at degree {p}, generator {g}"
         return None
 
@@ -220,22 +270,22 @@ class CdgModule(BaseComplex):
     def rebuild(self, window, dims, actions, diffs, weights) -> "CdgModule":
         return CdgModule(self.cdga, window, dims, actions, diffs, weights)
 
-    def act_element(self, p: int, degree: int, col) -> Matrix:
-        """Action of an A!_degree element, a sparse column {basis index:
-        raw value}, on N^p."""
-        out = Matrix.zero(self.field, self.dim(p + degree), self.dim(p))
+    def element_terms(self, p: int, degree: int, col) -> list:
+        """The action of an A!_degree element, a sparse column {basis index:
+        raw value}, on N^p, as terms (c, word action, None) of
+        ``combination_column``: one entry of the word-action table per
+        basis word, read, not copied."""
         words = self.cdga.dual.basis_words[degree]
-        for i, c in col.items():
-            out = out.add(self.act_word(p, words[i]).scale(c))
-        return out
+        return [(c, self.act_word(p, words[i]), None) for i, c in col.items()]
 
     def check_d_squared(self):
         """The curvature law d^2 = c.(-); it reads d^2 = 0 when c = 0."""
         curv = {s: c for s, c in enumerate(self.cdga.curvature) if c}
         for p in self.degrees():
             if self.dim(p) and self.dim(p + 2):
-                lhs = self.diff(p + 1).mul(self.diff(p))
-                if not lhs.eq(self.act_element(p, 2, curv)):
+                terms = self.element_terms(p, 2, curv)
+                terms.extend((-c, left, right) for c, left, right in self._d_squared_terms(p))
+                if not _vanishes(self.field, self.dim(p), terms):
                     return f"curvature law d^2 = c.(-) fails at degree {p}"
         return None
 
@@ -244,26 +294,31 @@ class CdgModule(BaseComplex):
         dual = self.cdga.dual
         d = dual.pres.dim
         rel_rows = dual.pres.relations.transpose().columns
-        # relations of R-perp annihilate (composition in increasing degree)
+        # relations of R-perp annihilate (composition in increasing degree);
+        # a pair (a, b) is summed as x_a* x_b*, column by column, not stored
+        for p in self.degrees():
+            acts, acts_next = self.actions.get(p), self.actions.get(p + 1)
+            if not self.dim(p) or not self.dim(p + 2) or acts is None or acts_next is None:
+                continue
+            for i, row in enumerate(rel_rows):
+                if not _vanishes(f, self.dim(p), [(c, acts_next[ab // d], acts[ab % d])
+                                                  for ab, c in row.items()]):
+                    return f"R-perp relation {i} acts nonzero at degree {p}"
+        # module anti-derivation: d(x*n) = d_{A!}(x*) n - x* d(n); both sides
+        # vanish when N^{p+2} = 0
+        d1 = self.cdga.d(1).columns
         for p in self.degrees():
             if not self.dim(p) or not self.dim(p + 2):
                 continue
-            for i, row in enumerate(rel_rows):
-                acc = Matrix.zero(f, self.dim(p + 2), self.dim(p))
-                for ab, c in row.items():
-                    a, b = divmod(ab, d)
-                    acc = acc.add(self.action(p + 1, a).mul(self.action(p, b)).scale(c))
-                if not acc.is_zero():
-                    return f"R-perp relation {i} acts nonzero at degree {p}"
-        # module anti-derivation: d(x*n) = d_{A!}(x*) n - x* d(n)
-        d1 = self.cdga.d(1).columns
-        for p in self.degrees():
-            if not self.dim(p):
-                continue
+            before, after = self.diffs.get(p), self.diffs.get(p + 1)
+            acts, acts_next = self.actions.get(p), self.actions.get(p + 1)
             for g in range(d):
-                lhs = self.diff(p + 1).mul(self.action(p, g))
-                rhs = self.act_element(p, 2, d1[g]).sub(self.action(p + 1, g).mul(self.diff(p)))
-                if not lhs.eq(rhs):
+                terms = self.element_terms(p, 2, d1[g])
+                if after is not None and acts is not None:
+                    terms.append((-1, after, acts[g]))
+                if before is not None and acts_next is not None:
+                    terms.append((-1, acts_next[g], before))
+                if not _vanishes(f, self.dim(p), terms):
                     return f"anti-derivation law fails at degree {p}, generator {g}"
         msg = self.check_d_squared()
         if msg:
@@ -337,20 +392,32 @@ class ChainMap:
         return m
 
     def validate(self, check_actions=True):
-        lo = min(self.source.window[0], self.target.window[0])
-        hi = max(self.source.window[1], self.target.window[1])
+        src, tgt, maps = self.source, self.target, self.maps
+        lo = min(src.window[0], tgt.window[0])
+        hi = max(src.window[1], tgt.window[1])
         for p in range(lo, hi + 1):
-            lhs = self.target.diff(p).mul(self.map_at(p))
-            rhs = self.map_at(p + 1).mul(self.source.diff(p))
-            if not lhs.eq(rhs):
+            # d f - f d, each product left out when a factor is zero
+            terms = []
+            d_tgt, f_p = tgt.diffs.get(p), maps.get(p)
+            if d_tgt is not None and f_p is not None:
+                terms.append((1, d_tgt, f_p))
+            f_next, d_src = maps.get(p + 1), src.diffs.get(p)
+            if f_next is not None and d_src is not None:
+                terms.append((-1, f_next, d_src))
+            if not _vanishes(self.field, src.dim(p), terms):
                 return f"does not commute with d at degree {p}"
         if check_actions:
-            shift = self.source.action_degree
+            shift = src.action_degree
             for p in range(lo, hi + 1):
-                for g in range(self.source.num_generators()):
-                    lhs = self.map_at(p + shift).mul(self.source.action(p, g))
-                    rhs = self.target.action(p, g).mul(self.map_at(p))
-                    if not lhs.eq(rhs):
+                f_p, f_shift = maps.get(p), maps.get(p + shift)
+                s_acts, t_acts = src.actions.get(p), tgt.actions.get(p)
+                for g in range(src.num_generators()):
+                    terms = []
+                    if f_shift is not None and s_acts is not None:
+                        terms.append((1, f_shift, s_acts[g]))
+                    if f_p is not None and t_acts is not None:
+                        terms.append((-1, t_acts[g], f_p))
+                    if not _vanishes(self.field, src.dim(p), terms):
                         return f"does not commute with action at degree {p}"
         return None
 

@@ -539,6 +539,7 @@ def unit(n: CdgModule, u: FilteredAlgebraTruncation, cdga: CdgAlgebra,
     f = n.field
     gf = gf_composite(n, u, cdga, bounds)
     one_idx = u._basis_pos[()]
+    words = cdga.dual.basis_words
     maps = {}
     for p in gf.dims:
         if n.dim(p) == 0:
@@ -549,7 +550,7 @@ def unit(n: CdgModule, u: FilteredAlgebraTruncation, cdga: CdgAlgebra,
                 continue
             # a . n for a the standard monomial s of A!_r, with the parity
             # twist (-1)^r matching the twisted action on G-images
-            act = n.act_element(p, r, {s: f.one()}) if r else Matrix.identity(f, n.dim(p))
+            act = n.act_word(p, words[r][s])
             for col, acol in zip(cols, act.columns):
                 c = acol.get(ni)
                 if c:
@@ -599,8 +600,12 @@ def module_linear_hom_basis(n: CdgModule, g: CdgModule, degree: int, labels):
     for r in n.dims:
         for gen in range(n.num_generators()):
             a_n = n.action(r, gen)           # N^r -> N^{r+1}
-            a_g = g.action(r + degree, gen)  # G^{r+degree} -> G^{r+degree+1}
-            for i in range(g.dim(r + 1 + degree)):
+            # G^{r+degree} -> G^{r+degree+1}, read by rows
+            g_rows = [{} for _ in range(g.dim(r + 1 + degree))]
+            for k, gcol in enumerate(g.action(r + degree, gen).columns):
+                for i, c in gcol.items():
+                    g_rows[i][k] = c
+            for i, g_row in enumerate(g_rows):
                 for j in range(n.dim(r)):
                     # h(x* e_j) + x* h(e_j) at e_i
                     eq = {}
@@ -608,12 +613,10 @@ def module_linear_hom_basis(n: CdgModule, g: CdgModule, degree: int, labels):
                         v = varmap.get((r + 1, k, i))
                         if v is not None:
                             eq[v] = eq.get(v, 0) + c
-                    for k, gcol in enumerate(a_g.columns):
-                        c = gcol.get(i)
-                        if c:
-                            v = varmap.get((r, j, k))
-                            if v is not None:
-                                eq[v] = eq.get(v, 0) + c
+                    for k, c in g_row.items():
+                        v = varmap.get((r, j, k))
+                        if v is not None:
+                            eq[v] = eq.get(v, 0) + c
                     eq = zero_free(eq, f.p)
                     if eq:
                         for v, c in eq.items():

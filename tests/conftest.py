@@ -16,6 +16,7 @@ from koszul_kit.linalg import (
     DimensionError,
     EchelonSpan,
     Matrix,
+    combination_column,
     kernel_basis,
     rank,
     row_space,
@@ -879,7 +880,7 @@ def unit_maps_by_lines(i, cdga, cap, interior=None):
     """The unit maps of ``cofree.cofree_decomposition`` as it built them
     before it stacked one block per monomial: for each label (r, s, si) of
     degree p, the action of the monomial s on I^p followed by the
-    projection onto socle line si, one ``act_element`` and one product per
+    projection onto socle line si, one ``oracle_act_element`` and one product per
     line.  Raises ``NotCofreeError`` with the library's message where the
     module fails the test.  The test-side oracle of the unit maps."""
     f = i.field
@@ -921,7 +922,7 @@ def unit_maps_by_lines(i, cdga, cap, interior=None):
         cols = [{} for _ in range(n)]
         for row, (r, s, si) in enumerate(labs):
             proj = projections[p + r]
-            act = i.act_element(p, r, {s: f.one()}) if r else Matrix.identity(f, n)
+            act = oracle_act_element(i, p, r, {s: f.one()}) if r else Matrix.identity(f, n)
             for col, pcol in zip(cols, proj.mul(act).columns):
                 c = pcol.get(si)
                 if c:
@@ -1143,6 +1144,146 @@ def oracle_act_element(x, p, degree, col):
     for i, c in col.items():
         out = out.add(oracle_act_word(x, p, x.cdga.dual.basis_words[degree][i]).scale(c))
     return out
+
+
+def element_matrix(x, p, degree, col):
+    """The matrix of ``x.element_terms(p, degree, col)``, summed column by
+    column as the certificates sum them."""
+    terms = x.element_terms(p, degree, col)
+    return Matrix(x.field, x.dim(p + degree),
+                  [zero_free(combination_column(terms, j), x.field.p) for j in range(x.dim(p))])
+
+
+# -- the module certificates as products of matrices --------------------------
+#
+# The bodies of ``UModule.validate``, ``UComplex.validate``,
+# ``BaseComplex.check_d_squared``, ``CdgModule.check_d_squared``,
+# ``CdgModule.validate`` and ``ChainMap.validate`` from before the checks
+# summed one sparse column at a time: every product and every sum is a
+# Matrix, and words act through ``oracle_act_word``, uncached.
+
+
+def _oracle_action(x, p, g):
+    acts = x.actions.get(p)
+    if acts is None:
+        return Matrix.zero(x.field, x.dim(p + x.action_degree), x.dim(p))
+    return acts[g]
+
+
+def oracle_umodule_validate(m):
+    f = m.field
+    d = m.data.base.dim
+    for i, row in enumerate(m.data.graph_rows().transpose().columns):
+        acc = Matrix.zero(f, m.dim, m.dim)
+        for k, c in row.items():
+            if k < d * d:
+                term = m.actions[k // d].mul(m.actions[k % d])
+            elif k < d * d + d:
+                term = m.actions[k - d * d]
+            else:
+                term = Matrix.identity(f, m.dim)
+            acc = acc.add(term.scale(c))
+        if not acc.is_zero():
+            return f"relation {i} of P does not annihilate the module"
+    if m.weights is not None:
+        wts = m.data.base.weights or [1] * d
+        for g in range(d):
+            for c, col in enumerate(m.actions[g].columns):
+                if any(m.weights[r] != m.weights[c] + wts[g] for r in col):
+                    return f"action of generator {g} is not weight-homogeneous"
+    return None
+
+
+def oracle_check_d_squared(x):
+    """``BaseComplex.check_d_squared``."""
+    for p in x.degrees():
+        if x.dim(p) and x.dim(p + 2):
+            if not x.diff(p + 1).mul(x.diff(p)).is_zero():
+                return f"d^2 != 0 at degree {p}"
+    return None
+
+
+def oracle_ucomplex_validate(x):
+    for p, mod in _modules(x).items():
+        msg = oracle_umodule_validate(mod)
+        if msg:
+            return f"degree {p}: {msg}"
+    msg = oracle_check_d_squared(x)
+    if msg:
+        return msg
+    for p in x.degrees():
+        if x.dim(p) and x.dim(p + 1):
+            d = x.diff(p)
+            for g in range(x.num_generators()):
+                if not d.mul(_oracle_action(x, p, g)).eq(_oracle_action(x, p + 1, g).mul(d)):
+                    return f"differential not U-linear at degree {p}, generator {g}"
+    return None
+
+
+def oracle_cdg_check_d_squared(x):
+    """``CdgModule.check_d_squared``: the curvature law."""
+    curv = {s: c for s, c in enumerate(x.cdga.curvature) if c}
+    for p in x.degrees():
+        if x.dim(p) and x.dim(p + 2):
+            lhs = x.diff(p + 1).mul(x.diff(p))
+            if not lhs.eq(oracle_act_element(x, p, 2, curv)):
+                return f"curvature law d^2 = c.(-) fails at degree {p}"
+    return None
+
+
+def oracle_cdg_validate(x):
+    f = x.field
+    dual = x.cdga.dual
+    d = dual.pres.dim
+    for p in x.degrees():
+        if not x.dim(p) or not x.dim(p + 2):
+            continue
+        for i, row in enumerate(dual.pres.relations.transpose().columns):
+            acc = Matrix.zero(f, x.dim(p + 2), x.dim(p))
+            for ab, c in row.items():
+                a, b = divmod(ab, d)
+                acc = acc.add(_oracle_action(x, p + 1, a).mul(_oracle_action(x, p, b)).scale(c))
+            if not acc.is_zero():
+                return f"R-perp relation {i} acts nonzero at degree {p}"
+    d1 = x.cdga.d(1).columns
+    for p in x.degrees():
+        if not x.dim(p):
+            continue
+        for g in range(d):
+            lhs = x.diff(p + 1).mul(_oracle_action(x, p, g))
+            rhs = oracle_act_element(x, p, 2, d1[g]).sub(
+                _oracle_action(x, p + 1, g).mul(x.diff(p)))
+            if not lhs.eq(rhs):
+                return f"anti-derivation law fails at degree {p}, generator {g}"
+    msg = oracle_cdg_check_d_squared(x)
+    if msg:
+        return msg
+    if x.weights is not None:
+        wts = dual.pres.weights or [1] * d
+        for p in x.degrees():
+            for g in range(d):
+                for c, col in enumerate(_oracle_action(x, p, g).columns):
+                    if any(x.weight_of(p + 1, r) != x.weight_of(p, c) + wts[g] for r in col):
+                        return f"action not weight-homogeneous at degree {p}"
+    return None
+
+
+def oracle_chain_map_validate(fmap, check_actions=True):
+    src, tgt = fmap.source, fmap.target
+    lo = min(src.window[0], tgt.window[0])
+    hi = max(src.window[1], tgt.window[1])
+    for p in range(lo, hi + 1):
+        if not tgt.diff(p).mul(fmap.map_at(p)).eq(fmap.map_at(p + 1).mul(src.diff(p))):
+            return f"does not commute with d at degree {p}"
+    if check_actions:
+        shift = src.action_degree
+        for p in range(lo, hi + 1):
+            for g in range(src.num_generators()):
+                lhs = fmap.map_at(p + shift).mul(_oracle_action(src, p, g))
+                rhs = _oracle_action(tgt, p, g).mul(fmap.map_at(p))
+                if not lhs.eq(rhs):
+                    return f"does not commute with action at degree {p}"
+    return None
 
 
 def symmetric_presentation(field, dim):
