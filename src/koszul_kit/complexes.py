@@ -10,15 +10,13 @@ Shift, cone, words of the action and brutal truncation read that fact
 and are written once; each kind keeps only its axioms (``validate``),
 the algebra that acts, and ``rebuild``.
 
-Each complex has one word-action table, filled on first read:
-``act_word(p, word)`` is kept per (p, word) and built suffix first, so
-the counit, the unit, the coinduction unit and the element actions of a
-cdg-module share one product per word.  Every certificate (the relations
-of P or of R-perp, the anti-derivation and curvature laws, d^2, the
-U-linearity of d, a chain map commuting with d and the actions) decides
-a sum of c * L * R = 0 one column at a time: one sparse sum per column
-(``linalg.combination_column``), tested with ``is_nonzero``, with no
-product or sum stored as a Matrix.
+Every certificate (the relations of P or of R-perp, the anti-derivation
+and curvature laws, d^2, the U-linearity of d, a chain map commuting
+with d and the actions) decides a sum of c * L * R = 0 one column at a
+time (``_vanishes``): one sparse sum per column, tested with
+``is_nonzero``, with no product or sum stored as a Matrix.  Shapes are
+read as the matrix products, sums and comparisons read them, so a
+malformed input fails as it would there.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from .linalg import (
     RHS,
     DimensionError,
     Matrix,
-    combination_column,
+    axpy,
     is_nonzero,
     kernel_basis,
     rank,
@@ -40,19 +38,40 @@ from .linalg import (
 from .scalars import Field
 
 
-def _vanishes(field: Field, ncols: int, terms) -> bool:
-    """Whether the sum of c * L * R over ``terms`` (c, L, R), read as by
-    ``combination_column``, is the zero matrix with ``ncols`` columns:
-    each column is one sparse sum, tested on its own, and no product is
-    stored."""
-    if not terms:
-        return True
-    for _, left, right in terms:
+def _shape(term) -> tuple:
+    """(rows, cols) of a term (c, L, R) of ``_vanishes``."""
+    _, left, right = term
+    return left.rows, (left if right is None else right).cols
+
+
+def _vanishes(field: Field, terms, lead=None, shape=None) -> bool:
+    """Whether ``lead`` plus the sum of c * L * R over ``terms`` (c, L, R;
+    R None reads c * L) is zero: each column is one sparse sum, tested on
+    its own, and no product is stored.  Shapes are read as Matrix.mul, add
+    and eq read them: factors that cannot multiply raise DimensionError,
+    and so does a term of the sum whose shape is not ``shape`` (by default
+    that of the first term); ``lead``, the other side of an equation, of
+    another shape makes the sum nonzero."""
+    every = terms if lead is None else [lead, *terms]
+    for _, left, right in every:
         if right is not None and left.cols != right.rows:
             raise DimensionError(f"cannot multiply {left.rows}x{left.cols} by {right.rows}x{right.cols}")
+    shape = shape or _shape(terms[0])
+    if any(_shape(t) != shape for t in terms):
+        raise DimensionError("shape mismatch in add")
+    if lead is not None and _shape(lead) != shape:
+        return False
     p = field.p
-    for j in range(ncols):
-        if is_nonzero(combination_column(terms, j), p):
+    for j in range(shape[1]):
+        acc = {}
+        for c, left, right in every:
+            if right is None:
+                axpy(acc, c, left.columns[j])
+            else:
+                lcols = left.columns
+                for k, v in right.columns[j].items():
+                    axpy(acc, c * v, lcols[k])
+        if is_nonzero(acc, p):
             return False
     return True
 
@@ -79,13 +98,13 @@ class UModule:
         """First violated relation of P, or None."""
         d = self.data.base.dim
         acts = self.actions
+        one = Matrix.identity(self.field, self.dim)
         # row i of the graph rows: r_i over V⊗V, then alpha(r_i), then beta(r_i)
         for i, row in enumerate(self.data.graph_rows().transpose().columns):
             terms = [(c, acts[k // d], acts[k % d]) if k < d * d
-                     else (c, acts[k - d * d], None) if k < d * d + d
-                     else (c, None, None)
+                     else (c, acts[k - d * d] if k < d * d + d else one, None)
                      for k, c in row.items()]
-            if not _vanishes(self.field, self.dim, terms):
+            if not _vanishes(self.field, terms, shape=(self.dim, self.dim)):
                 return f"relation {i} of P does not annihilate the module"
         if self.weights is not None:
             wts = self.data.base.weights or [1] * d
@@ -138,7 +157,6 @@ class BaseComplex:
         self.weights = weights  # {p: [weight per basis vector]} or None
         self.actions = actions or {}  # {p: [Matrix per generator]}
         self.n_gens = n_gens
-        self._word_actions = {}  # (p, word) -> act_word(p, word), filled on first read
 
     def rebuild(self, window, dims, actions, diffs, weights) -> "BaseComplex":
         """A complex of this kind on new data (a plain one here)."""
@@ -160,14 +178,9 @@ class BaseComplex:
     def check_d_squared(self):
         for p in self.degrees():
             if self.dim(p) and self.dim(p + 2) and not _vanishes(
-                    self.field, self.dim(p), self._d_squared_terms(p)):
+                    self.field, [(1, self.diff(p + 1), self.diff(p))]):
                 return f"d^2 != 0 at degree {p}"
         return None
-
-    def _d_squared_terms(self, p: int) -> list:
-        """d_{p+1} d_p as a term of ``_vanishes``; none when a factor is 0."""
-        first, second = self.diffs.get(p), self.diffs.get(p + 1)
-        return [] if first is None or second is None else [(1, second, first)]
 
     def weight_of(self, p: int, i: int):
         if self.weights is None:
@@ -184,24 +197,16 @@ class BaseComplex:
         return acts[g]
 
     def act_word(self, p: int, word: tuple) -> Matrix:
-        """Action of a monomial word on C^p (applied right to left), from
-        the complex's word-action table: built suffix first, g·w acting as
-        the action of g times that of w, a one-letter word as its action
-        and the empty word as the identity.  The matrix is shared by later
-        reads: callers read it, never change it."""
-        table = self._word_actions
-        key = (p, word)
-        got = table.get(key)
-        if got is None:
-            if not word:
-                got = Matrix.identity(self.field, self.dim(p))
-            elif len(word) == 1:
-                got = self.action(p, word[0])
-            else:
-                got = self.action(p + (len(word) - 1) * self.action_degree, word[0]).mul(
-                    self.act_word(p, word[1:]))
-            table[key] = got
-        return got
+        """Action of a monomial word on C^p (applied right to left): the
+        action of its last letter, then one product per letter before it;
+        the empty word is the identity."""
+        if not word:
+            return Matrix.identity(self.field, self.dim(p))
+        m = self.action(p, word[-1])
+        for g in reversed(word[:-1]):
+            p += self.action_degree
+            m = self.action(p, g).mul(m)
+        return m
 
     def shift(self) -> "BaseComplex":
         """[1]: degree p is old p + 1 and the differential is negated; so
@@ -247,11 +252,11 @@ class UComplex(BaseComplex):
         if msg:
             return msg
         for p in self.degrees():
-            d = self.diffs.get(p)
-            if self.dim(p) and self.dim(p + 1) and d is not None:
+            if self.dim(p) and self.dim(p + 1):
+                d = self.diff(p)
                 for g in range(self.num_generators()):
-                    if not _vanishes(self.field, self.dim(p), [
-                            (1, d, self.action(p, g)), (-1, self.action(p + 1, g), d)]):
+                    if not _vanishes(self.field, [(-1, self.action(p + 1, g), d)],
+                                     lead=(1, d, self.action(p, g))):
                         return f"differential not U-linear at degree {p}, generator {g}"
         return None
 
@@ -273,8 +278,7 @@ class CdgModule(BaseComplex):
     def element_terms(self, p: int, degree: int, col) -> list:
         """The action of an A!_degree element, a sparse column {basis index:
         raw value}, on N^p, as terms (c, word action, None) of
-        ``combination_column``: one entry of the word-action table per
-        basis word, read, not copied."""
+        ``_vanishes``."""
         words = self.cdga.dual.basis_words[degree]
         return [(c, self.act_word(p, words[i]), None) for i, c in col.items()]
 
@@ -283,9 +287,9 @@ class CdgModule(BaseComplex):
         curv = {s: c for s, c in enumerate(self.cdga.curvature) if c}
         for p in self.degrees():
             if self.dim(p) and self.dim(p + 2):
-                terms = self.element_terms(p, 2, curv)
-                terms.extend((-c, left, right) for c, left, right in self._d_squared_terms(p))
-                if not _vanishes(self.field, self.dim(p), terms):
+                if not _vanishes(self.field, self.element_terms(p, 2, curv),
+                                 lead=(-1, self.diff(p + 1), self.diff(p)),
+                                 shape=(self.dim(p + 2), self.dim(p))):
                     return f"curvature law d^2 = c.(-) fails at degree {p}"
         return None
 
@@ -297,28 +301,27 @@ class CdgModule(BaseComplex):
         # relations of R-perp annihilate (composition in increasing degree);
         # a pair (a, b) is summed as x_a* x_b*, column by column, not stored
         for p in self.degrees():
-            acts, acts_next = self.actions.get(p), self.actions.get(p + 1)
-            if not self.dim(p) or not self.dim(p + 2) or acts is None or acts_next is None:
-                continue
-            for i, row in enumerate(rel_rows):
-                if not _vanishes(f, self.dim(p), [(c, acts_next[ab // d], acts[ab % d])
-                                                  for ab, c in row.items()]):
-                    return f"R-perp relation {i} acts nonzero at degree {p}"
-        # module anti-derivation: d(x*n) = d_{A!}(x*) n - x* d(n); both sides
-        # vanish when N^{p+2} = 0
-        d1 = self.cdga.d(1).columns
-        for p in self.degrees():
             if not self.dim(p) or not self.dim(p + 2):
                 continue
-            before, after = self.diffs.get(p), self.diffs.get(p + 1)
-            acts, acts_next = self.actions.get(p), self.actions.get(p + 1)
+            acts = [self.action(p, g) for g in range(d)]
+            acts_next = [self.action(p + 1, g) for g in range(d)]
+            shape = (self.dim(p + 2), self.dim(p))
+            for i, row in enumerate(rel_rows):
+                if not _vanishes(f, [(c, acts_next[ab // d], acts[ab % d])
+                                     for ab, c in row.items()], shape=shape):
+                    return f"R-perp relation {i} acts nonzero at degree {p}"
+        # module anti-derivation: d(x*n) = d_{A!}(x*) n - x* d(n)
+        d1 = self.cdga.d(1).columns
+        for p in self.degrees():
+            if not self.dim(p):
+                continue
+            before, after = self.diff(p), self.diff(p + 1)
+            shape = (self.dim(p + 2), self.dim(p))
             for g in range(d):
                 terms = self.element_terms(p, 2, d1[g])
-                if after is not None and acts is not None:
-                    terms.append((-1, after, acts[g]))
-                if before is not None and acts_next is not None:
-                    terms.append((-1, acts_next[g], before))
-                if not _vanishes(f, self.dim(p), terms):
+                terms.append((-1, self.action(p + 1, g), before))
+                if not _vanishes(f, terms, lead=(-1, after, self.action(p, g)),
+                                 shape=shape):
                     return f"anti-derivation law fails at degree {p}, generator {g}"
         msg = self.check_d_squared()
         if msg:
@@ -392,32 +395,19 @@ class ChainMap:
         return m
 
     def validate(self, check_actions=True):
-        src, tgt, maps = self.source, self.target, self.maps
+        src, tgt = self.source, self.target
         lo = min(src.window[0], tgt.window[0])
         hi = max(src.window[1], tgt.window[1])
         for p in range(lo, hi + 1):
-            # d f - f d, each product left out when a factor is zero
-            terms = []
-            d_tgt, f_p = tgt.diffs.get(p), maps.get(p)
-            if d_tgt is not None and f_p is not None:
-                terms.append((1, d_tgt, f_p))
-            f_next, d_src = maps.get(p + 1), src.diffs.get(p)
-            if f_next is not None and d_src is not None:
-                terms.append((-1, f_next, d_src))
-            if not _vanishes(self.field, src.dim(p), terms):
+            if not _vanishes(self.field, [(-1, self.map_at(p + 1), src.diff(p))],
+                             lead=(1, tgt.diff(p), self.map_at(p))):
                 return f"does not commute with d at degree {p}"
         if check_actions:
             shift = src.action_degree
             for p in range(lo, hi + 1):
-                f_p, f_shift = maps.get(p), maps.get(p + shift)
-                s_acts, t_acts = src.actions.get(p), tgt.actions.get(p)
                 for g in range(src.num_generators()):
-                    terms = []
-                    if f_shift is not None and s_acts is not None:
-                        terms.append((1, f_shift, s_acts[g]))
-                    if f_p is not None and t_acts is not None:
-                        terms.append((-1, t_acts[g], f_p))
-                    if not _vanishes(self.field, src.dim(p), terms):
+                    if not _vanishes(self.field, [(-1, tgt.action(p, g), self.map_at(p))],
+                                     lead=(1, self.map_at(p + shift), src.action(p, g))):
                         return f"does not commute with action at degree {p}"
         return None
 

@@ -476,10 +476,17 @@ def counit(m: UComplex, u: FilteredAlgebraTruncation, cdga: CdgAlgebra,
         if m.dim(p) == 0:
             continue
         cols = []
+        acts = {}
         for ui, ni in fg.labels[p]:
             r, s, i = g.labels[p][ni]
-            # act by the monomial word of u_i on m^p
-            cols.append(m.act_word(p, u.basis_words[ui]).columns[i] if r == 0 else {})
+            if r:
+                cols.append({})
+                continue
+            # act by the monomial word of u_i on m^p, one product per word
+            act = acts.get(ui)
+            if act is None:
+                act = acts[ui] = m.act_word(p, u.basis_words[ui])
+            cols.append(act.columns[i])
         maps[p] = Matrix(f, m.dim(p), cols)
     eps = ChainMap(fg, m, maps)
     msg = eps.validate(check_actions=False)
@@ -545,12 +552,16 @@ def unit(n: CdgModule, u: FilteredAlgebraTruncation, cdga: CdgAlgebra,
         if n.dim(p) == 0:
             continue
         cols = [{} for _ in range(n.dim(p))]
+        acts = {}
         for row, (r, s, ui, ni) in enumerate(gf.labels[p]):
             if ui != one_idx:
                 continue
             # a . n for a the standard monomial s of A!_r, with the parity
-            # twist (-1)^r matching the twisted action on G-images
-            act = n.act_word(p, words[r][s])
+            # twist (-1)^r matching the twisted action on G-images; one
+            # product per monomial
+            act = acts.get((r, s))
+            if act is None:
+                act = acts[(r, s)] = n.act_word(p, words[r][s])
             for col, acol in zip(cols, act.columns):
                 c = acol.get(ni)
                 if c:
@@ -790,14 +801,19 @@ def triangle_check(m: UComplex, u: FilteredAlgebraTruncation, cdga: CdgAlgebra,
             continue
         tpos = {lab: i for i, lab in enumerate(g.labels.get(p, []))}
         cols = []
+        acts = {}
         for r, s, ui, ni in gf.labels[p]:
             col = {}
             cols.append(col)
-            # ni indexes G(M)^{p+r}; the counit keeps its socle component
+            # ni indexes G(M)^{p+r}; the counit keeps its socle component,
+            # with one product per word
             r2, s2, i2 = g.labels[p + r][ni]
             if r2 != 0:
                 continue
-            for j, c in m.act_word(p + r, u.basis_words[ui]).columns[i2].items():
+            act = acts.get((r, ui))
+            if act is None:
+                act = acts[(r, ui)] = m.act_word(p + r, u.basis_words[ui])
+            for j, c in act.columns[i2].items():
                 row = tpos.get((r, s, j))
                 if row is not None:
                     col[row] = c

@@ -11,9 +11,7 @@ integral and a ``Fraction`` only with a denominator > 1, over F_p an
 once per output entry (``% p``, or ``canon`` over Q), with no ``Field``
 call per entry.  ``axpy`` adds a multiple of one column to an
 accumulator of unreduced sums, which may hold any int or Fraction, and
-``zero_free`` reduces the sums and drops the zeros;
-``combination_column`` sums one column of c * L * R over many terms
-that way, so a check never stores a product.  Every op that
+``zero_free`` reduces the sums and drops the zeros.  Every op that
 stores a value (``zero_free``, ``kron``, ``scale``, the row
 normalization and reductions of ``EchelonSpan``) stores it canonical, so
 the integral values of most inputs stay on int arithmetic.  Dense rows
@@ -225,25 +223,6 @@ def axpy(acc: dict, c, col: dict):
 def is_nonzero(acc: dict, p) -> bool:
     """Whether a column of unreduced sums has a nonzero value (mod p)."""
     return any(v % p for v in acc.values()) if p else any(acc.values())
-
-
-def combination_column(terms, j: int) -> dict:
-    """Column j of the sum of c * L * R over ``terms`` (c, L, R), as one
-    accumulator of unreduced sums: R None reads c * L, and L and R both
-    None read c times the identity.  Nothing is multiplied out but the
-    one column, so a check tests it with ``is_nonzero`` and a builder
-    finishes it with ``zero_free``."""
-    acc = {}
-    for c, left, right in terms:
-        if right is not None:
-            lcols = left.columns
-            for k, v in right.columns[j].items():
-                axpy(acc, c * v, lcols[k])
-        elif left is not None:
-            axpy(acc, c, left.columns[j])
-        else:
-            acc[j] = acc.get(j, 0) + c
-    return acc
 
 
 def zero_free(col: dict, p) -> dict:

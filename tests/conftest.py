@@ -16,7 +16,6 @@ from koszul_kit.linalg import (
     DimensionError,
     EchelonSpan,
     Matrix,
-    combination_column,
     kernel_basis,
     rank,
     row_space,
@@ -1147,11 +1146,12 @@ def oracle_act_element(x, p, degree, col):
 
 
 def element_matrix(x, p, degree, col):
-    """The matrix of ``x.element_terms(p, degree, col)``, summed column by
-    column as the certificates sum them."""
-    terms = x.element_terms(p, degree, col)
-    return Matrix(x.field, x.dim(p + degree),
-                  [zero_free(combination_column(terms, j), x.field.p) for j in range(x.dim(p))])
+    """The matrix of ``x.element_terms(p, degree, col)``: the sum of its
+    terms c * (word action)."""
+    out = Matrix.zero(x.field, x.dim(p + degree), x.dim(p))
+    for c, word_action, _ in x.element_terms(p, degree, col):
+        out = out.add(word_action.scale(c))
+    return out
 
 
 # -- the module certificates as products of matrices --------------------------

@@ -1,6 +1,6 @@
 """The module certificates, summed one sparse column at a time, and the
-word-action table they read, against the matrix bodies they replaced
-(the ``oracle_*`` functions of conftest.py).
+word actions they read, against the matrix bodies they replaced (the
+``oracle_*`` functions of conftest.py).
 
 Over Q (with ``Fraction`` values), F_2, F_3 and F_5 the tests build valid
 U-complexes, G(M), F'(M), FG(M), cdg-modules over the curved two-point
@@ -8,7 +8,9 @@ algebra (c != 0) and chain maps (identities, scalars, G on a map, the counit and
 the unit), inject at most one fault (an action entry, a differential
 entry, a dropped curvature coordinate, a chain-map entry or a weight),
 and require the certificate and its oracle to return the same message,
-or both None.
+or both None.  A shape fault (a map, an action or a differential with one
+row or column too many or too few) must fail in the same way as in the
+oracle: the same message, or the same exception.
 """
 
 import re
@@ -18,7 +20,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from koszul_kit.complexes import CdgModule, ChainMap, UComplex, UModule, cone
+from koszul_kit.complexes import CdgModule, ChainMap, UComplex, UModule
 from koszul_kit.deformations import CdgAlgebra, DeformationData, build_cdga, build_U
 from koszul_kit.functors import (
     FunctorBounds,
@@ -28,7 +30,7 @@ from koszul_kit.functors import (
     counit,
     unit,
 )
-from koszul_kit.linalg import Matrix
+from koszul_kit.linalg import DimensionError, Matrix
 from koszul_kit.presentations import QuadraticPresentation
 from koszul_kit.scalars import QQ, Field
 
@@ -234,14 +236,61 @@ def _map_faults(fmap, f):
     return out
 
 
+def _reshaped(m: Matrix, v):
+    """m with one row or column too many (holding v) or too few."""
+    f = m.field
+    out = [Matrix(f, m.rows + 1, [{m.rows: v}] + m.columns[1:] if m.cols else []),
+           Matrix(f, m.rows, m.columns + [{0: v} if m.rows else {}])]
+    if m.rows:
+        out.append(Matrix(f, m.rows - 1, [{i: c for i, c in col.items() if i < m.rows - 1}
+                                          for col in m.columns]))
+    if m.cols:
+        out.append(Matrix(f, m.rows, m.columns[:-1]))
+    return out
+
+
+def _shape_faults(x, f):
+    """Every complex made from x by one shape fault of an action or a
+    differential (a U-complex refuses a malformed action when it is made)."""
+    out = []
+    v = _value(f, 1)
+    if not isinstance(x, UComplex):
+        for p, acts in x.actions.items():
+            for g, a in enumerate(acts):
+                for bad in _reshaped(a, v):
+                    new = dict(x.actions)
+                    new[p] = acts[:g] + [bad] + acts[g + 1:]
+                    out.append(x.rebuild(x.window, x.dims, new, x.diffs, x.weights))
+    for p in x.dims:
+        for bad in _reshaped(x.diff(p), v):
+            out.append(x.rebuild(x.window, x.dims, x.actions, {**x.diffs, p: bad}, x.weights))
+    return out
+
+
+def _map_shape_faults(fmap, f):
+    src, tgt = fmap.source, fmap.target
+    return [ChainMap(src, tgt, {**fmap.maps, p: bad})
+            for p in set(src.dims) | set(tgt.dims)
+            for bad in _reshaped(fmap.map_at(p), _value(f, 2))]
+
+
+def _outcome(check):
+    """A certificate's message, or None, or the exception it raises on a
+    malformed input."""
+    try:
+        return check()
+    except (DimensionError, IndexError) as e:
+        return type(e).__name__
+
+
 def _verdicts(x):
-    """(new, oracle) message pairs of every certificate of a complex."""
+    """(new, oracle) outcome pairs of every certificate of a complex."""
     if isinstance(x, CdgModule):
-        return [(x.validate(), oracle_cdg_validate(x)),
-                (x.check_d_squared(), oracle_cdg_check_d_squared(x))]
-    pairs = [(x.check_d_squared(), oracle_check_d_squared(x))]
+        return [(_outcome(x.validate), _outcome(lambda: oracle_cdg_validate(x))),
+                (_outcome(x.check_d_squared), _outcome(lambda: oracle_cdg_check_d_squared(x)))]
+    pairs = [(_outcome(x.check_d_squared), _outcome(lambda: oracle_check_d_squared(x)))]
     if isinstance(x, UComplex):
-        pairs.append((x.validate(), oracle_ucomplex_validate(x)))
+        pairs.append((_outcome(x.validate), _outcome(lambda: oracle_ucomplex_validate(x))))
         for p, n in x.dims.items():
             mod = UModule(x.data, n, x.actions[p],
                           None if x.weights is None else x.weights.get(p))
@@ -250,7 +299,8 @@ def _verdicts(x):
 
 
 def _map_verdicts(fmap, check_actions):
-    return [(fmap.validate(check_actions), oracle_chain_map_validate(fmap, check_actions))]
+    return [(_outcome(lambda: fmap.validate(check_actions)),
+             _outcome(lambda: oracle_chain_map_validate(fmap, check_actions)))]
 
 
 def _spread(faults, per_kind=12):
@@ -315,50 +365,47 @@ def test_certificates_match_oracles_on_drawn_faults(worlds, data):
         assert new == old
 
 
+def test_every_shape_fault_fails_as_in_the_oracle(worlds):
+    """Every shape fault of every action, differential and map of the
+    objects built on the two-term complex of the first and the last module
+    of each world, over each field: the certificate gives the oracle's
+    message, or raises the oracle's exception, so a malformed input fails
+    exactly where it failed before.  Both kinds of failure occur."""
+    seen = set()
+    for f in FIELDS:
+        for world in worlds[f]:
+            _, data, _, _, mods = world
+            for mod in (mods[0], mods[-1]):
+                for kind, obj in _objects_of(world, _u_complexes(data, mod, f)[1], f):
+                    if kind == "map":
+                        pairs = [_map_verdicts(bad, obj[1])
+                                 for bad in _map_shape_faults(obj[0], f)]
+                    else:
+                        pairs = [_verdicts(bad) for bad in _shape_faults(obj, f)]
+                    for new, old in (pair for fault in pairs for pair in fault):
+                        assert new == old, (f.p, world[0], kind)
+                        seen.add("raises" if old in ("DimensionError", "IndexError")
+                                 else "message" if old else "passes")
+    assert seen == {"raises", "message", "passes"}
+
+
 def _words(ngens, max_len):
     """Every word of length <= max_len over ngens generators, shortest first."""
     return [w for n in range(max_len + 1) for w in product(range(ngens), repeat=n)]
 
 
-def _table_objects(worlds):
+def test_act_word_is_the_right_to_left_product(worlds):
+    """``act_word``, which starts from the last letter's action, equals the
+    uncached right-to-left product of the actions from the identity on
+    every word of length <= 3; the empty word is the identity."""
     for f in FIELDS:
         for world in worlds[f]:
-            for kind, obj in _objects(world, f):
-                if kind in ("U", "cdg"):  # the kinds with actions
-                    yield obj
-
-
-def test_word_action_table_holds_uncached_products(worlds):
-    """Every entry of the table equals the uncached right-to-left product of
-    the actions, suffixes included; a repeated read returns the same
-    object; the empty word is the identity."""
-    for x in _table_objects(worlds):
-        for p in x.dims:
-            for word in _words(x.num_generators(), 3):
-                got = x.act_word(p, word)
-                assert x.act_word(p, word) is got
-                assert got.to_rows() == oracle_act_word(x, p, word).to_rows()
-            assert x.act_word(p, ()).to_rows() == Matrix.identity(x.field, x.dim(p)).to_rows()
-        for (p, word), entry in x._word_actions.items():
-            assert entry.to_rows() == oracle_act_word(x, p, word).to_rows()
-
-
-def test_shift_cone_and_rebuild_get_fresh_tables(worlds):
-    """A complex made from another by shift, cone or rebuild starts with an
-    empty table of its own, fills it from its own actions, and leaves the
-    first complex's table as it was."""
-    for x in _table_objects(worlds):
-        gens = x.num_generators()
-        for p in x.dims:
-            for word in _words(gens, 2):
-                x.act_word(p, word)
-        before = dict(x._word_actions)
-        made = [x.shift(), cone(ChainMap.identity(x)),
-                x.rebuild(x.window, x.dims, x.actions, x.diffs, x.weights)]
-        for y in made:
-            assert y._word_actions == {} and y._word_actions is not x._word_actions
-            for p in y.dims:
-                for word in _words(gens, 2):
-                    assert y.act_word(p, word).to_rows() == oracle_act_word(y, p, word).to_rows()
-        assert x._word_actions == before
-        assert all(x._word_actions[key] is entry for key, entry in before.items())
+            for kind, x in _objects(world, f):
+                if kind not in ("U", "cdg"):  # the kinds with actions
+                    continue
+                for p in x.dims:
+                    for word in _words(x.num_generators(), 3):
+                        assert (x.act_word(p, word).to_rows()
+                                == oracle_act_word(x, p, word).to_rows())
+                    assert (x.act_word(p, ()).to_rows()
+                            == Matrix.identity(x.field, x.dim(p)).to_rows())
