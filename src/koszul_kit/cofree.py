@@ -3,11 +3,14 @@ G(M), t-truncation, and the cofree null-system test.
 
 A cofree object is modelled on labels (r, s, i): dual-degree r, standard
 monomial s of A!_r, socle line i of socle degree q, sitting in
-cohomological degree q - r.  Minimization transfers the differential of
-G(M) onto the cofree object over the homology of M with an exact
-homological perturbation: the unperturbed part is the socle differential
-extended summandwise, the perturbation lowers the dual degree, so the
-geometric series terminates.
+cohomological degree q - r.  One perturbation transfer serves
+minimization and the t-truncation quotient: it is G applied to the SDR
+of the socle complex (``functors.G_blocks``), whose G(d0) carries the sign
+(-1)^r of G's d_M term; the rest of the differential lowers the dual
+degree, so the geometric series terminates (Crainic, *On the
+perturbation lemma, and deformations*, 2004).  Every transfer is
+certified.  Cofree coordinates carry the parity twist (-1)^r, so their
+action is ``functors.cofree_actions``, as on G's images.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .complexes import (
 )
 from .deformations import CdgAlgebra
 from .errors import CurvedInputError, InconsistentDataError, NotCofreeError
-from .functors import apply_G, cofree_actions, dual_dims, hom_labels
+from .functors import G_blocks, apply_G, cofree_actions, dual_dims, hom_labels
 from .linalg import EchelonSpan, Matrix, kernel_basis, rank, row_space, solve_matrix, zero_free
 
 
@@ -115,160 +118,98 @@ class TransferResult:
 def transfer_minimal(big: CdgModule, labels: dict, socle_diffs: dict,
                      cdga: CdgAlgebra, cap: int) -> TransferResult:
     """Transfer the differential of a labelled cofree complex onto the
-    homology of its socle complex by exact homological perturbation.  The
-    socle dimensions are read off the labels, the differential from
-    ``socle_diffs``."""
+    homology of its socle complex by exact homological perturbation, and
+    certify the result.
+
+    The socle dimensions are read off the labels, the differential d0 from
+    ``socle_diffs``.  G applied to the socle SDR (i0, p0, h0) is an SDR of
+    (big, G(d0)), G(d0) carrying G's sign (-1)^r; the rest t of big's
+    differential lowers the dual degree, so the geometric series
+    terminates.  The lemma is taken in Crainic's convention
+    ip - 1 = dh + hd, so its homotopy is h = -G(h0) (``socle_sdr`` gives
+    1 - i0 p0 = d0 h0 + h0 d0).  Certified: d^2 of the minimal model,
+    p o i = id, a zero socle differential, and both maps chain maps for d
+    and the A!-action.
+    """
     f = big.field
+    lo, hi = big.window
     socle_dims = {}
     for p, labs in labels.items():
-        for (r, s, i) in labs:
-            q = p + r
-            socle_dims[q] = max(socle_dims.get(q, 0), i + 1)
-    window = big.window
-    socle = BaseComplex(f, window, socle_dims, socle_diffs)
+        for r, _, line in labs:
+            socle_dims[p + r] = max(socle_dims.get(p + r, 0), line + 1)
+    socle = BaseComplex(f, big.window, socle_dims, socle_diffs)
     hdims, i0, p0, h0 = socle_sdr(socle)
     hdims = {q: n for q, n in hdims.items() if n}
-    hlabels = hom_labels(dual_dims(cdga.dual, cap), window, lambda p, q: range(hdims.get(q, 0)))
+    hlabels = hom_labels(dual_dims(cdga.dual, cap), big.window, lambda p, q: range(hdims.get(q, 0)))
+    # the window with an empty degree on either side, so every block has its shape
+    pad = range(lo - 1, hi + 2)
+    labs = {p: labels.get(p, []) if lo <= p <= hi else [] for p in pad}
+    hlabs = {p: hlabels.get(p, []) for p in pad}
+    dhat = G_blocks(f, socle.diffs, labs, labs, 1)
+    hhat = {p: m.neg() for p, m in G_blocks(f, h0, labs, labs, -1).items()}
+    ihat = G_blocks(f, i0, hlabs, labs)
+    phat = G_blocks(f, p0, labs, hlabs)
 
-    def mk_block(src_labs, tgt_labs, per_q_mat, sign):
-        tpos = {lab: i for i, lab in enumerate(tgt_labs)}
-        cols = []
-        for r, s, i in src_labs:
-            col = {}
-            cols.append(col)
-            mat = per_q_mat(r)
-            if mat is None:
-                continue
-            sg = sign(r)
-            for j, c in mat.columns[i].items():
-                row = tpos.get((r, s, j))
-                if row is not None:
-                    col[row] = f.mul(sg, c)
-        return Matrix(f, len(tgt_labs), cols)
-
-    one = f.one()
-    neg = f.neg(one)
-
-    # detect the per-dual-degree sign with which the socle differential is
-    # extended along the summands (apply_G images carry (-1)^r); the SDR
-    # extension must use the same signs for the unperturbed part to split off
-    eps = {}
-    for p, labs in labels.items():
-        tgt = labels.get(p + 1, [])
-        tpos = {lab: k for k, lab in enumerate(tgt)}
-        d = big.diff(p)
-        for col, (r, s, i) in enumerate(labs):
-            if r in eps:
-                continue
-            d0m = socle.diffs.get(p + r)
-            if d0m is None:
-                continue
-            for j, base in sorted(d0m.columns[i].items()):
-                row = tpos.get((r, s, j))
-                if row is None:
-                    continue
-                got = d.entry(row, col)
-                if f.eq(got, base):
-                    eps[r] = one
-                elif f.eq(got, f.neg(base)):
-                    eps[r] = neg
-                break
-
-    def sgn_r(r):
-        got = eps.get(r)
-        if got is not None:
-            return got
-        return one if r % 2 == 0 else neg
-
-    def no_sign(r):
-        return one
-
-    lo, hi = window
-    d0hat, hhat, ihat, phat, tpert = {}, {}, {}, {}, {}
-    for p in range(lo, hi + 1):
-        src = labels.get(p, [])
-        # D0: (r,s,i)@p -> (r,s,j)@p+1 via socle diff at q = p + r
-        d0hat[p] = mk_block(
-            src, labels.get(p + 1, []),
-            lambda r: socle.diffs.get(p + r),
-            sgn_r)
-        # h: (r,s,i)@p -> (r,s,j)@p-1 via h0 at q = p + r
-        hhat[p] = mk_block(
-            src, labels.get(p - 1, []),
-            lambda r: h0.get(p + r),
-            sgn_r)
-        # i: H-labels -> labels, p: labels -> H-labels via i0/p0 at q = p + r
-        ihat[p] = mk_block(
-            hlabels.get(p, []), src,
-            lambda r: i0.get(p + r),
-            no_sign)
-        phat[p] = mk_block(
-            src, hlabels.get(p, []),
-            lambda r: p0.get(p + r),
-            no_sign)
-        tpert[p] = big.diff(p).sub(d0hat[p])
-
-    # A = t (1 - h t)^{-1} per degree, geometric series (t lowers r)
+    # A = t (1 - h t)^{-1} per degree, t = d - G(d0); t lowers r
     amat = {}
-    for p in range(lo, hi + 1):
-        n = len(labels.get(p, []))
-        if not n:
-            continue
-        ht = hhat.get(p + 1)
-        acc = Matrix.identity(f, n)
-        term = Matrix.identity(f, n)
-        if ht is not None and tpert.get(p) is not None and ht.cols and ht.rows:
-            nmat = hhat[p + 1].mul(tpert[p]) if tpert[p].rows else None
-        else:
-            nmat = None
-        if nmat is not None and nmat.rows == n:
-            for _ in range(cap + 2):
-                term = nmat.mul(term)
-                if term.is_zero():
-                    break
-                acc = acc.add(term)
-            if not term.is_zero():
-                raise InconsistentDataError(
-                    "perturbation series did not terminate; the input is not "
-                    "in the supported dual-degree-lowering shape")
-        amat[p] = tpert[p].mul(acc) if tpert[p].rows else tpert[p]
+    for p in range(lo - 1, hi + 1):
+        t = big.diff(p).sub(dhat[p])
+        nmat = hhat[p + 1].mul(t)
+        acc = term = Matrix.identity(f, len(labs[p]))
+        for _ in range(cap + 2):
+            term = nmat.mul(term)
+            if term.is_zero():
+                break
+            acc = acc.add(term)
+        if not term.is_zero():
+            raise InconsistentDataError(
+                "perturbation series did not terminate; the input is not "
+                "in the supported dual-degree-lowering shape")
+        amat[p] = t.mul(acc)
 
-    # transferred data
-    dmin, iinf, pinf = {}, {}, {}
-    for p in range(lo, hi + 1):
-        if amat.get(p) is not None and ihat.get(p) is not None:
-            if len(hlabels.get(p, [])) and len(hlabels.get(p + 1, [])):
-                dmin[p] = phat[p + 1].mul(amat[p].mul(ihat[p]))
-        if len(hlabels.get(p, [])):
-            im = ihat[p]
-            if amat.get(p) is not None and hhat.get(p + 1) is not None \
-                    and hhat[p + 1].rows == len(labels.get(p, [])):
-                im = im.add(hhat[p + 1].mul(amat[p].mul(ihat[p])))
-            iinf[p] = im
-            pm = phat[p]
-            if hhat.get(p) is not None and amat.get(p - 1) is not None \
-                    and hhat[p].cols == len(labels.get(p, [])):
-                pm = pm.add(phat[p].mul(amat[p - 1].mul(hhat[p])))
-            pinf[p] = pm
-
-    minimal = CdgModule(cdga, window,
+    # transferred data: d_min = p A i, i_inf = i + h A i, p_inf = p + p A h
+    window = range(lo, hi + 1)
+    ai = {p: amat[p].mul(ihat[p]) for p in window}
+    minimal = CdgModule(cdga, big.window,
                         {p: len(labs) for p, labs in hlabels.items()},
-                        cofree_actions(cdga.dual, hlabels), dmin)
+                        cofree_actions(cdga.dual, hlabels),
+                        {p: phat[p + 1].mul(ai[p]) for p in window})
     minimal.labels = hlabels
-    into = ChainMap(minimal, big, iinf)
-    onto = ChainMap(big, minimal, pinf)
+    into = ChainMap(minimal, big, {p: ihat[p].add(hhat[p + 1].mul(ai[p])) for p in window})
+    onto = ChainMap(big, minimal, {p: phat[p].add(phat[p].mul(amat[p - 1].mul(hhat[p])))
+                                   for p in window})
+    msg = minimal.check_d_squared()
+    if msg:
+        raise InconsistentDataError(f"minimal model: {msg}")
+    msg = into.validate()
+    if msg:
+        raise InconsistentDataError(f"minimal model inclusion: {msg}")
+    msg = onto.validate()
+    if msg:
+        raise InconsistentDataError(f"minimal model projection: {msg}")
+    comp = onto.compose(into)
+    for p, n in minimal.dims.items():
+        if not comp.map_at(p).eq(Matrix.identity(f, n)):
+            raise InconsistentDataError("p o i != id on the minimal model")
+    for p, here in hlabels.items():
+        nxt = hlabels.get(p + 1, [])
+        for (r, _, _), col in zip(here, minimal.diff(p).columns):
+            if r == 0 and any(nxt[row][0] == 0 for row in col):
+                raise InconsistentDataError("nonzero socle differential "
+                                            "after minimization")
     return TransferResult(minimal, into, onto, hdims)
+
 
 # -- minimal versions of G(M) --------------------------------------------------
 
 
 class MinimizeResult:
-    def __init__(self, g_of_m, minimal, into, onto, socle_dims, witness_onto=None):
+    def __init__(self, g_of_m, res: TransferResult, witness_onto=None):
         self.g_of_m = g_of_m
-        self.minimal = minimal
-        self.into = into
-        self.onto = onto
-        self.socle_dims = socle_dims
+        self.minimal = res.minimal
+        self.into = res.into
+        self.onto = res.onto
+        self.socle_dims = res.socle_dims
         self.witness_onto = witness_onto  # i o p ~ id on G(M); p o i is id exactly
 
 
@@ -277,42 +218,19 @@ def minimize_G(m, cdga: CdgAlgebra, bounds, certify=True) -> MinimizeResult:
 
     The socle complex of G(M) is (M, d_M); the transfer collapses it onto
     its homology, leaving a cofree module whose socle complex has zero
-    differential and homology dimensions, with explicit chain maps both
-    ways and exact homotopy certificates.
+    differential and homology dimensions, with certified chain maps both
+    ways; ``certify`` adds the homotopy i o p ~ id on G(M).
     """
     if not cdga.curvature_is_zero:
         raise CurvedInputError("minimization needs c = 0")
     g = apply_G(m, cdga, bounds)
     res = transfer_minimal(g, g.labels, m.diffs, cdga, bounds.internal)
-    minimal, into, onto = res.minimal, res.into, res.onto
-    # exact consistency checks
-    msg = minimal.check_d_squared()
-    if msg:
-        raise InconsistentDataError(f"minimal model: {msg}")
-    msg = into.validate(check_actions=False)
-    if msg:
-        raise InconsistentDataError(f"minimal model inclusion: {msg}")
-    msg = onto.validate(check_actions=False)
-    if msg:
-        raise InconsistentDataError(f"minimal model projection: {msg}")
-    comp = onto.compose(into)
-    ident = ChainMap.identity(minimal)
-    for p in minimal.dims:
-        if not comp.map_at(p).eq(ident.map_at(p)):
-            raise InconsistentDataError("p o i != id on the minimal model")
-    # socle differential of the minimal model must vanish
-    for p, labs in minimal.labels.items():
-        nxt = minimal.labels.get(p + 1, [])
-        for (r, s, i), col in zip(labs, minimal.diff(p).columns):
-            if r == 0 and any(nxt[row][0] == 0 for row in col):
-                raise InconsistentDataError("nonzero socle differential "
-                                            "after minimization")
     witness_onto = None
     if certify:
-        witness_onto = nullhomotopy(into.compose(onto), ChainMap.identity(g))
+        witness_onto = nullhomotopy(res.into.compose(res.onto), ChainMap.identity(g))
         if witness_onto is None:
             raise InconsistentDataError("no homotopy i o p ~ id on G(M)")
-    return MinimizeResult(g, minimal, into, onto, res.socle_dims, witness_onto)
+    return MinimizeResult(g, res, witness_onto)
 
 
 # -- cofree detection ----------------------------------------------------------
@@ -450,18 +368,25 @@ def t_truncate(i: CdgModule, cdga: CdgAlgebra, p_cut: int, cap: int,
         # do, so the socle differentials carry over unchanged
         res = transfer_minimal(quot_c, qdec.labels, qdec.socle.diffs, cdga, cap)
         restructured = res.minimal
-    except (NotCofreeError, InconsistentDataError):
+    except NotCofreeError:
         restructured = None
     return sub, quot, restructured
 
 
 def to_cofree_coordinates(module: CdgModule, dec: CofreeDecomposition) -> CdgModule:
-    """Conjugate a detected cofree module onto its coordinate model."""
+    """Conjugate a detected cofree module onto its coordinate model.  The
+    coinduction unit has no parity twist; the coordinates take the (-1)^r
+    of ``functors.unit`` on each label (r, s, i), so the actions come out
+    as ``cofree_actions``, the action of G's images and minimal models."""
+    f = module.field
     dims = {p: len(labs) for p, labs in dec.labels.items()}
+    twisted = {p: Matrix(f, um.rows, [{k: f.neg(c) if dec.labels[p][k][0] % 2 else c
+                                       for k, c in col.items()} for col in um.columns])
+               for p, um in dec.unit_maps.items()}
     diffs, actions = {}, {}
     for p in dims:
-        um = dec.unit_maps.get(p)
-        um1 = dec.unit_maps.get(p + 1)
+        um = twisted.get(p)
+        um1 = twisted.get(p + 1)
         if um is None:
             continue
         inv = _invert(um)

@@ -440,26 +440,37 @@ def apply_G(m: UComplex, cdga: CdgAlgebra, bounds: FunctorBounds,
     return g
 
 
+def G_blocks(field, maps: dict, src: dict, tgt: dict, degree: int = 0) -> dict:
+    """G on a map phi of the given degree, {q: Matrix M^q -> M'^{q+degree}}:
+    for each p labelled in ``src``, the matrix from ``src[p]`` to
+    ``tgt[p + degree]`` sending the functional (r, s, i) to
+    (-1)^{degree r} sum_j phi_ji (r, s, j).  The sign is the one
+    ``_G_differentials`` puts on d_M (degree 1); a chain map (degree 0)
+    goes blockwise.  A term with no target label is cut off."""
+    out = {}
+    for p, labs in src.items():
+        tgt_labs = tgt.get(p + degree, [])
+        tpos = {lab: k for k, lab in enumerate(tgt_labs)}
+        cols = []
+        for r, s, i in labs:
+            col = {}
+            m = maps.get(p + r)
+            if m is not None:
+                odd = degree * r % 2
+                for j, c in m.columns[i].items():
+                    row = tpos.get((r, s, j))
+                    if row is not None:
+                        col[row] = field.neg(c) if odd else c
+            cols.append(col)
+        out[p] = Matrix(field, len(tgt_labs), cols)
+    return out
+
+
 def apply_G_map(phi: ChainMap, cdga: CdgAlgebra, bounds: FunctorBounds) -> ChainMap:
     """G on morphisms: blockwise id ⊗ phi^{p+r}."""
     gsrc = apply_G(phi.source, cdga, bounds, verify=False)
     gtgt = apply_G(phi.target, cdga, bounds, verify=False)
-    f = phi.field
-    maps = {}
-    for p in gsrc.dims:
-        if p not in gtgt.dims:
-            continue
-        tpos = {lab: i for i, lab in enumerate(gtgt.labels[p])}
-        cols = []
-        for r, s, i in gsrc.labels[p]:
-            col = {}
-            for j, c in phi.map_at(p + r).columns[i].items():
-                row = tpos.get((r, s, j))
-                if row is not None:
-                    col[row] = c
-            cols.append(col)
-        maps[p] = Matrix(f, gtgt.dim(p), cols)
-    return ChainMap(gsrc, gtgt, maps)
+    return ChainMap(gsrc, gtgt, G_blocks(phi.field, phi.maps, gsrc.labels, gtgt.labels))
 
 
 # -- unit, counit, (GF)_i ----------------------------------------------------

@@ -7,10 +7,11 @@ from hypothesis import settings, strategies as st
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from koszul_kit.complexes import BaseComplex, CdgModule, UComplex, UModule, _block
+from koszul_kit.cofree import socle_sdr
+from koszul_kit.complexes import BaseComplex, CdgModule, ChainMap, UComplex, UModule, _block
 from koszul_kit.deformations import DeformationData, PbwReport, build_U, build_cdga
 from koszul_kit.errors import NotCofreeError
-from koszul_kit.functors import dual_dims, hom_labels
+from koszul_kit.functors import cofree_actions, dual_dims, hom_labels
 from koszul_kit.linalg import (
     RHS,
     DimensionError,
@@ -931,6 +932,134 @@ def unit_maps_by_lines(i, cdga, cap, interior=None):
             raise NotCofreeError(f"coinduction unit not bijective at degree {p}")
         unit_maps[p] = um
     return unit_maps
+
+
+# -- the perturbation transfer with its sign read off the differential ---------------
+
+
+def oracle_transfer_minimal(big, labels, socle_diffs, cdga, cap):
+    """``cofree.transfer_minimal`` as it was before it was written as G
+    applied to the socle SDR: one block builder of its own, the sign of the
+    socle differential on each dual degree r read off big's differential
+    (``eps``, (-1)^r where no entry shows it), and shape guards around the
+    series and the transferred maps; no certificate.  Its homotopy has
+    the sign the transfer used then, opposite to Crainic's convention, so
+    it is an oracle only where the terms h A i and p A h vanish, as on G(M)
+    of complexes of trivial modules and their t-truncation quotients.
+    Returns (minimal, into, onto, eps).  The test-side oracle of the
+    transfer."""
+    f = big.field
+    socle_dims = {}
+    for p, labs in labels.items():
+        for (r, s, i) in labs:
+            q = p + r
+            socle_dims[q] = max(socle_dims.get(q, 0), i + 1)
+    window = big.window
+    socle = BaseComplex(f, window, socle_dims, socle_diffs)
+    hdims, i0, p0, h0 = socle_sdr(socle)
+    hdims = {q: n for q, n in hdims.items() if n}
+    hlabels = hom_labels(dual_dims(cdga.dual, cap), window, lambda p, q: range(hdims.get(q, 0)))
+
+    def mk_block(src_labs, tgt_labs, per_q_mat, sign):
+        tpos = {lab: i for i, lab in enumerate(tgt_labs)}
+        cols = []
+        for r, s, i in src_labs:
+            col = {}
+            cols.append(col)
+            mat = per_q_mat(r)
+            if mat is None:
+                continue
+            sg = sign(r)
+            for j, c in mat.columns[i].items():
+                row = tpos.get((r, s, j))
+                if row is not None:
+                    col[row] = f.mul(sg, c)
+        return Matrix(f, len(tgt_labs), cols)
+
+    one = f.one()
+    neg = f.neg(one)
+    eps = {}
+    for p, labs in labels.items():
+        tgt = labels.get(p + 1, [])
+        tpos = {lab: k for k, lab in enumerate(tgt)}
+        d = big.diff(p)
+        for col, (r, s, i) in enumerate(labs):
+            if r in eps:
+                continue
+            d0m = socle.diffs.get(p + r)
+            if d0m is None:
+                continue
+            for j, base in sorted(d0m.columns[i].items()):
+                row = tpos.get((r, s, j))
+                if row is None:
+                    continue
+                got = d.entry(row, col)
+                if f.eq(got, base):
+                    eps[r] = one
+                elif f.eq(got, f.neg(base)):
+                    eps[r] = neg
+                break
+
+    def sgn_r(r):
+        got = eps.get(r)
+        if got is not None:
+            return got
+        return one if r % 2 == 0 else neg
+
+    def no_sign(r):
+        return one
+
+    lo, hi = window
+    d0hat, hhat, ihat, phat, tpert = {}, {}, {}, {}, {}
+    for p in range(lo, hi + 1):
+        src = labels.get(p, [])
+        d0hat[p] = mk_block(src, labels.get(p + 1, []), lambda r: socle.diffs.get(p + r), sgn_r)
+        hhat[p] = mk_block(src, labels.get(p - 1, []), lambda r: h0.get(p + r), sgn_r)
+        ihat[p] = mk_block(hlabels.get(p, []), src, lambda r: i0.get(p + r), no_sign)
+        phat[p] = mk_block(src, hlabels.get(p, []), lambda r: p0.get(p + r), no_sign)
+        tpert[p] = big.diff(p).sub(d0hat[p])
+
+    amat = {}
+    for p in range(lo, hi + 1):
+        n = len(labels.get(p, []))
+        if not n:
+            continue
+        ht = hhat.get(p + 1)
+        acc = Matrix.identity(f, n)
+        term = Matrix.identity(f, n)
+        if ht is not None and tpert.get(p) is not None and ht.cols and ht.rows:
+            nmat = hhat[p + 1].mul(tpert[p]) if tpert[p].rows else None
+        else:
+            nmat = None
+        if nmat is not None and nmat.rows == n:
+            for _ in range(cap + 2):
+                term = nmat.mul(term)
+                if term.is_zero():
+                    break
+                acc = acc.add(term)
+            assert term.is_zero(), "perturbation series did not terminate"
+        amat[p] = tpert[p].mul(acc) if tpert[p].rows else tpert[p]
+
+    dmin, iinf, pinf = {}, {}, {}
+    for p in range(lo, hi + 1):
+        if amat.get(p) is not None and ihat.get(p) is not None:
+            if len(hlabels.get(p, [])) and len(hlabels.get(p + 1, [])):
+                dmin[p] = phat[p + 1].mul(amat[p].mul(ihat[p]))
+        if len(hlabels.get(p, [])):
+            im = ihat[p]
+            if amat.get(p) is not None and hhat.get(p + 1) is not None \
+                    and hhat[p + 1].rows == len(labels.get(p, [])):
+                im = im.add(hhat[p + 1].mul(amat[p].mul(ihat[p])))
+            iinf[p] = im
+            pm = phat[p]
+            if hhat.get(p) is not None and amat.get(p - 1) is not None \
+                    and hhat[p].cols == len(labels.get(p, [])):
+                pm = pm.add(phat[p].mul(amat[p - 1].mul(hhat[p])))
+            pinf[p] = pm
+
+    minimal = CdgModule(cdga, window, {p: len(labs) for p, labs in hlabels.items()},
+                        cofree_actions(cdga.dual, hlabels), dmin)
+    return minimal, ChainMap(minimal, big, iinf), ChainMap(big, minimal, pinf), eps
 
 
 def full_cdga_verify(alg):

@@ -389,6 +389,20 @@ def test_unit_enters_span_through_empty_lead(f):
     assert standard_words(build_U(data, 4), 0) == ([()] if f.p == 2 else [])
 
 
+def test_right_multiplication_does_not_descend_off_pbw():
+    """Why U has no generator table: Q<x, y>/(xy - 1, yx) fails the PBW
+    test, and in U_{<=3} the classes of x and y are 0 while the class of
+    the word xy is the unit.  A table that reads u.x_g off the class of u
+    would give x.y = 0.y = 0, so u -> u.x_g does not descend from U_{<=m}
+    to U_{<=m+1} off PBW."""
+    data = _xy(QQ, [[0, 1, 0, 0], [0, 0, 1, 0]], [[0, 0], [0, 0]], [-1, 0])
+    assert not pbw_check(data).all_pass
+    u = build_U(data, 3)
+    assert u.basis_words == [(), (0, 0), (1, 1), (0, 0, 0), (1, 1, 1)]
+    assert u.reduce_word((0,)) == {} and u.reduce_word((1,)) == {}
+    assert u.reduce_word((0, 1)) == {u._basis_pos[()]: 1}
+
+
 @pytest.mark.parametrize("f", FIELDS, ids=repr)
 def test_sugar_above_degree(f):
     """x^2 - y and y^2 - x: overlaps yield rules whose sugar exceeds the

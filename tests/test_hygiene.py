@@ -6,8 +6,9 @@ the tests and the benchmark, no ``except ... as name`` binds a name its
 function never reads, no ``and``/``or`` of the package has a literal operand, no ``if``
 without ``else`` has a body of only ``pass``, no package code reads a
 matrix through a dense ``.data`` store, no package module but
-``scalars`` builds a ``Fraction`` or divides with ``/``, and no package
-module imports ``dataclasses``.
+``scalars`` builds a ``Fraction`` or divides with ``/``, no package
+module imports ``dataclasses``, and every package function that the
+benchmark's commands never call is on a list that says why it stays.
 
 An import that nothing reads hides which functions a module really
 depends on, and which builders and fixtures a test module exercises; a
@@ -17,16 +18,26 @@ and ``if c: pass`` is a test whose outcome changes nothing.  A rational
 built outside ``scalars`` can escape the canonical form (an int when
 integral), and ``int / int`` is a float.  ``dataclasses`` imports
 ``inspect``, ``ast``, ``dis``, ``tokenize`` and ``typing``, several
-milliseconds of every process's start-up.
+milliseconds of every process's start-up.  A function that no command
+reaches is library code that only tests read, or dead.
 """
 
 import ast
+import contextlib
+import io
+import shlex
+import sys
 from pathlib import Path
 
+from koszul_kit import cli
 from koszul_kit.linalg import Matrix
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted([*ROOT.glob("src/koszul_kit/*.py"), *ROOT.glob("tests/*.py")])
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import problems  # noqa: E402
+import workloads  # noqa: E402
 
 
 def _unused_imports(source):
@@ -385,3 +396,116 @@ def test_no_dataclasses_in_the_package():
     hits = [f"{path.relative_to(ROOT)}:{line}" for path in package
             for line in _dataclasses_imports(path.read_text())]
     assert hits == []
+
+
+def _functions(source, module):
+    """The name of every function a source defines, as ``module.`` plus
+    the ``co_qualname`` of its code: module-level functions, methods, and
+    the functions nested in either."""
+    names = []
+
+    def walk(body, prefix):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.append(f"{module}.{prefix}{node.name}")
+                walk(node.body, f"{prefix}{node.name}.<locals>.")
+            elif isinstance(node, ast.ClassDef):
+                walk(node.body, f"{prefix}{node.name}.")
+            elif isinstance(node, (ast.If, ast.For, ast.While, ast.With, ast.Try)):
+                walk(node.body, prefix)
+    walk(ast.parse(source).body, "")
+    return names
+
+
+def test_scan_lists_every_function():
+    src = ("def f():\n"
+           "    def g():\n"
+           "        pass\n"
+           "    return g\n"
+           "class A:\n"
+           "    def m(self):\n"
+           "        return lambda: 0\n"
+           "if True:\n"
+           "    def h():\n"
+           "        pass\n")
+    assert _functions(src, "pkg") == ["pkg.f", "pkg.f.<locals>.g", "pkg.A.m", "pkg.h"]
+
+
+# Package functions that no benchmark command calls, each with the reason
+# it stays (ROADMAP item 8).
+UNREACHED = {
+    # the benchmark wraps or reads them by name (perfbench/layers.py)
+    "freeside.free_nullhomotopy": "a benchmark span",
+    "freeside.free_nullhomotopy.<locals>.add_term": "inside free_nullhomotopy",
+    "scalars.Field.add": "a counted Field method",
+    "scalars.Field.mul": "a counted Field method",
+    "scalars.Field.div": "a counted Field method",
+    "linalg.EchelonSpan.reduce": "a counted EchelonSpan method",
+    "presentations.SpanSize.dim": "read by the benchmark's U observer",
+    # weights: no corpus file carries them
+    "deformations.DeformationData._check_weights": "weighted input",
+    "presentations.GradedAlgebraTruncation.basis_weight": "weighted input",
+    "presentations.QuadraticPresentation._check_weight_homogeneous": "weighted input",
+    "presentations.QuadraticPresentation._pair_weight": "weighted input",
+    "presentations.QuadraticPresentation.relation_weight": "weighted input",
+    "words.word_weight": "weighted input",
+    # library API that only tests read
+    "complexes.ChainMap.zero": "library API",
+    "complexes.homotopy_identity_holds": "library API",
+    "freeside.free_cone_of_map": "library API",
+    "freeside.free_identity_map": "library API",
+    "functors.KoszulBimodule._delta_elem": "library API",
+    "functors.KoszulBimodule.check_right_module": "library API",
+    "functors._sparse_ne": "read by check_right_module",
+    "functors.apply_G_map": "library API, a wrapper over G_blocks",
+    "functors.triangle_check": "library API",
+    "linalg.EchelonSpan.leads": "library API",
+    "linalg.Matrix.scale": "library API",
+    "suite.BigradedComplex.dim": "library API",
+    # command paths the workloads do not take
+    "functors.FilteredFComplex.fiber_complex": "tor --cross-check",
+    "functors.gf_composite.<locals>.d_m": "(GF)_i of an N with a differential",
+    # printing and hashing
+    "linalg.Matrix.__repr__": "repr",
+    "presentations.QuadraticPresentation.__repr__": "repr",
+    "scalars.Field.__repr__": "repr",
+    "scalars.Field.__hash__": "hash",
+}
+
+
+def test_every_unreached_function_is_listed(tmp_path):
+    """Every command of the benchmark's workloads, on its problem files of
+    seed 1, under a profiler: a package function that none calls must be
+    on ``UNREACHED``, and a listed one must stay uncalled, so the list
+    cannot go stale."""
+    package = ROOT / "src" / "koszul_kit"
+    defined = {name for path in sorted(package.glob("*.py"))
+               for name in _functions(path.read_text(), path.stem)}
+    assert set(UNREACHED) <= defined
+    problems.write_problems(str(tmp_path), 1)
+    codes = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for commands in workloads.WORKLOADS.values():
+            for template in commands:
+                argv = shlex.split(template.format(ex=ROOT / "examples_cli", gen=tmp_path))
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    try:
+                        cli.main(argv + ["--json"])
+                    except SystemExit:
+                        pass
+    finally:
+        sys.setprofile(previous)
+    ours = {name for name in {code.co_filename for code in codes}
+            if Path(name).resolve().parent == package}
+    called = {f"{Path(code.co_filename).stem}.{code.co_qualname}" for code in codes
+              if code.co_filename in ours}
+    assert sorted(defined - called - set(UNREACHED)) == []
+    assert sorted(called & set(UNREACHED)) == []

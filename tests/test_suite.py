@@ -28,7 +28,7 @@ from koszul_kit.complexes import (
     nullhomotopy,
 )
 from koszul_kit.deformations import DeformationData, build_U, build_cdga
-from koszul_kit.errors import NotCofreeError
+from koszul_kit.errors import InconsistentDataError, NotCofreeError
 from koszul_kit.freeside import (
     FreeUComplex,
     free_cone_of_map,
@@ -36,8 +36,8 @@ from koszul_kit.freeside import (
     free_nullhomotopy,
     null_test_free,
 )
-from koszul_kit.functors import FunctorBounds, apply_G
-from koszul_kit.linalg import Matrix, zero_free
+from koszul_kit.functors import FunctorBounds, G_blocks, apply_G
+from koszul_kit.linalg import Matrix, solve_matrix, zero_free
 from koszul_kit.presentations import QuadraticPresentation, quadratic_dual, truncate_algebra
 from koszul_kit.scalars import QQ, Field
 from koszul_kit.suite import (
@@ -56,6 +56,7 @@ from koszul_kit.suite import (
 from conftest import (
     SEED,
     heisenberg_deformation,
+    oracle_transfer_minimal,
     pinv_cols,
     symmetric_presentation,
     unit_maps_by_lines,
@@ -600,6 +601,20 @@ def test_t_truncate_two_line_socle(sym2_world):
     assert all(p >= 1 for p, x in rbases.items() if x.cols)
 
 
+def _seeded_cuts():
+    """(G(M), cdga, p_cut): seeded G(M) of random complexes of trivial
+    modules over Q, F_2, F_3 and F_5 (S(V), dim 2 and 3, and the Heisenberg
+    algebra), internal cap 3, with every cut of the window -2..2."""
+    rng = random.Random(SEED)
+    for f in FIELDS:
+        for kind in ("sym2", "sym3", "heis"):
+            data, cdga = _deformation_and_cdga(kind, f)
+            m = random_bounded_complex(data, None, rng, length=rng.randint(2, 3))
+            g = apply_G(m, cdga, FunctorBounds((-3, 2), 3, 3))
+            for p_cut in range(-2, 3):
+                yield g, cdga, p_cut
+
+
 def test_quotient_sections_match_solved_right_inverse():
     """The quotient of a t-truncation reads its differentials and actions
     through the complement columns it chose; a right inverse solved from
@@ -615,15 +630,9 @@ def test_quotient_sections_match_solved_right_inverse():
         return out
 
     sub_quotient = cofree._sub_quotient
-    rng = random.Random(SEED)
-    for f in FIELDS:
-        for kind in ("sym2", "sym3", "heis"):
-            data, cdga = _deformation_and_cdga(kind, f)
-            m = random_bounded_complex(data, None, rng, length=rng.randint(2, 3))
-            g = apply_G(m, cdga, FunctorBounds((-3, 2), 3, 3))
-            for p_cut in range(-2, 3):
-                with mock.patch.object(cofree, "_sub_quotient", spy):
-                    t_truncate(g, cdga, p_cut, 3)
+    for g, cdga, p_cut in _seeded_cuts():
+        with mock.patch.object(cofree, "_sub_quotient", spy):
+            t_truncate(g, cdga, p_cut, 3)
     compared = 0
     for i, (_, quot, _, proj) in captured:
         f = i.field
@@ -637,6 +646,244 @@ def test_quotient_sections_match_solved_right_inverse():
                 assert quot.action(p, gen).eq(to_quot.mul(i.action(p, gen)).mul(sec))
             compared += 1
     assert compared >= 40
+
+
+# -- the perturbation transfer ------------------------------------------------------
+
+
+def _transfer_inputs():
+    """(big, labels, socle differentials, cdga, cap) of seeded transfers:
+    G(M) of random complexes of trivial modules over Q, F_2, F_3 and F_5
+    at internal caps 1 to 3, and every cofree-coordinate quotient that
+    t_truncate restructures on the cuts of ``_seeded_cuts``."""
+    inputs = []
+    rng = random.Random(SEED + 43)
+    for f in FIELDS:
+        for kind in ("sym2", "sym3", "heis"):
+            data, cdga = _deformation_and_cdga(kind, f)
+            for cap in (1, 2, 3):
+                m = random_bounded_complex(data, None, rng, length=rng.randint(1, 3))
+                g = apply_G(m, cdga, FunctorBounds((-3, 2), 3, cap))
+                inputs.append((g, g.labels, m.diffs, cdga, cap))
+    transfer = cofree.transfer_minimal
+
+    def spy(*args):
+        inputs.append(args)
+        return transfer(*args)
+
+    with mock.patch.object(cofree, "transfer_minimal", spy):
+        for g, cdga, p_cut in _seeded_cuts():
+            t_truncate(g, cdga, p_cut, 3)
+    return inputs
+
+
+def test_transfer_matches_the_sign_reading_oracle():
+    """The transfer written as G on the socle SDR gives the minimal
+    differentials, actions, inclusion and projection of the old body,
+    which read the sign of the socle differential off big's differential;
+    the sign it read is (-1)^r every time.  The homotopy terms vanish on
+    these inputs (``test_minimize_where_the_homotopy_terms_matter`` covers
+    them)."""
+    inputs = _transfer_inputs()
+    read = 0
+    for big, labels, socle_diffs, cdga, cap in inputs:
+        f = big.field
+        res = cofree.transfer_minimal(big, labels, socle_diffs, cdga, cap)
+        minimal, into, onto, eps = oracle_transfer_minimal(big, labels, socle_diffs, cdga, cap)
+        assert eps == {r: f.neg(f.one()) if r % 2 else f.one() for r in eps}
+        read += len(eps)
+        assert res.minimal.dims == minimal.dims
+        for p in range(big.window[0], big.window[1] + 1):
+            assert res.minimal.diff(p).eq(minimal.diff(p))
+            for g in range(minimal.num_generators()):
+                assert res.minimal.action(p, g).eq(minimal.action(p, g))
+            assert res.into.map_at(p).eq(into.map_at(p))
+            assert res.onto.map_at(p).eq(onto.map_at(p))
+    assert len(inputs) == 36 + 60 and read >= 100
+
+
+def _untwisted_coordinates(module, dec):
+    """``cofree.to_cofree_coordinates`` without the parity twist: the
+    module conjugated by the coinduction unit as it comes."""
+    dims = {p: len(labs) for p, labs in dec.labels.items()}
+    diffs, actions = {}, {}
+    for p, um in dec.unit_maps.items():
+        um1 = dec.unit_maps.get(p + 1)
+        inv = solve_matrix(um, Matrix.identity(um.field, um.rows))
+        if um1 is not None and module.dim(p + 1):
+            diffs[p] = um1.mul(module.diff(p)).mul(inv)
+            actions[p] = [um1.mul(module.action(p, g)).mul(inv)
+                          for g in range(module.num_generators())]
+    out = CdgModule(module.cdga, module.window, dims, actions, diffs)
+    out.labels = dec.labels
+    return out
+
+
+def test_dropped_parity_twist_fails_the_inclusion_certificate():
+    """With the parity twist of the cofree coordinates dropped, a
+    quotient's actions are -cofree_actions, and t_truncate raises from the
+    inclusion's action certificate on exactly the cuts where that changes
+    the quotient (not over F_2) and its minimal model is nonzero."""
+    coordinates = cofree.to_cofree_coordinates
+    raised = 0
+    for g, cdga, p_cut in _seeded_cuts():
+        restructured = t_truncate(g, cdga, p_cut, 3)[2]
+        assert restructured is not None
+        changed = []
+
+        def untwisted(module, dec):
+            bad, good = _untwisted_coordinates(module, dec), coordinates(module, dec)
+            changed.append(any(not bad.action(p, x).eq(good.action(p, x))
+                               for p in good.dims for x in range(good.num_generators())))
+            return bad
+
+        with mock.patch.object(cofree, "to_cofree_coordinates", untwisted):
+            try:
+                t_truncate(g, cdga, p_cut, 3)
+                msg = None
+            except InconsistentDataError as e:
+                msg = str(e)
+        if changed == [True] and restructured.dims:
+            assert msg.startswith("minimal model inclusion: does not commute with action")
+            raised += 1
+        else:
+            assert msg is None
+    assert raised >= 10
+
+
+def _without_sign(field, maps, src, tgt, degree=0):
+    """``G_blocks`` with the sign (-1)^{degree r} dropped: G(d0) and G(h0)
+    with no sign, as if G's d_M term carried none."""
+    out = G_blocks(field, maps, src, tgt, degree)
+    for p, labs in src.items():
+        for (r, _, _), col in zip(labs, out[p].columns):
+            if degree * r % 2:
+                for k, c in col.items():
+                    col[k] = field.neg(c)
+    return out
+
+
+def test_unsigned_socle_differential_fails_the_series_certificate():
+    """With G(d0) and G(h0) unsigned, the rest of G(M)'s differential keeps
+    2 G(d0) on odd r, which does not lower r: minimize raises from the
+    series certificate on every input with d_M != 0 (over F_2 the sign is
+    1 and nothing changes)."""
+    rng = random.Random(SEED + 41)
+    raised = 0
+    for f in FIELDS:
+        for kind in ("sym2", "sym3", "heis"):
+            data, cdga = _deformation_and_cdga(kind, f)
+            for _ in range(2):
+                m = random_bounded_complex(data, None, rng)
+                b = FunctorBounds((-5, 5), 4, 3)
+                with mock.patch.object(cofree, "G_blocks", _without_sign):
+                    if f.p == 2 or all(d.is_zero() for d in m.diffs.values()):
+                        minimize_G(m, cdga, b)
+                        continue
+                    with pytest.raises(InconsistentDataError,
+                                       match="perturbation series did not terminate"):
+                        minimize_G(m, cdga, b)
+                    raised += 1
+    assert raised >= 10
+
+
+def _faulty_sdr(fault):
+    """``cofree.socle_sdr`` with one fault: the projection doubled, or the
+    identity in place of the retract, which collapses nothing."""
+    socle_sdr = cofree.socle_sdr
+
+    def sdr(socle):
+        hdims, i0, p0, h0 = socle_sdr(socle)
+        f = socle.field
+        if fault == "p0 doubled":
+            p0 = {q: m.scale(f.of_int(2)) for q, m in p0.items()}
+        else:
+            hdims = dict(socle.dims)
+            i0 = p0 = {q: Matrix.identity(f, n) for q, n in hdims.items()}
+            h0 = {q: Matrix.zero(f, socle.dim(q - 1), n) for q, n in hdims.items()}
+        return hdims, i0, p0, h0
+    return sdr
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("p0 doubled", "p o i != id on the minimal model"),
+    ("identity SDR", "minimal model inclusion: does not commute with d"),
+    ("socle differential dropped", "nonzero socle differential after minimization"),
+])
+@pytest.mark.parametrize("f", FIELDS, ids=str)
+def test_faulty_socle_data_fails_its_certificate(f, fault, message):
+    """G(M) of k^2 -> k^2 (rank 1), minimized with one fault in the socle
+    data.  A doubled projection keeps both maps chain maps but p o i = 2.
+    The identity SDR keeps G(d0) out of the transferred differential.
+    With the socle differential given as zero the transfer returns G(M)
+    itself, a certified retract whose socle differential is not zero."""
+    data, cdga = _deformation_and_cdga("sym2", f)
+    k2 = UModule.trivial(data).direct_sum(UModule.trivial(data))
+    m = UComplex(data, (0, 1), {0: k2, 1: k2}, {0: Matrix.from_int_rows(f, [[0, 1], [0, 0]])})
+    b = FunctorBounds((-4, 3), 4, 3)
+    with pytest.raises(InconsistentDataError, match=message):
+        if fault == "socle differential dropped":
+            g = apply_G(m, cdga, b)
+            cofree.transfer_minimal(g, g.labels, {}, cdga, b.internal)
+        else:
+            with mock.patch.object(cofree, "socle_sdr", _faulty_sdr(fault)):
+                minimize_G(m, cdga, b)
+
+
+def _nilpotent_x_complex(f):
+    """(M, cdga) over the Heisenberg algebra: N -> k in degrees 0, 1, where
+    x1 acts on N = k^2 by a nonzero nilpotent and x2, x3 by 0, and the map
+    is the projection onto the top.  H(M) is k in degree 0.  The action
+    term of G(M)'s differential is nonzero, and so are the homotopy terms
+    of the transfer."""
+    data, cdga = _deformation_and_cdga("heis", f)
+    zero = Matrix.zero(f, 2, 2)
+    n = UModule(data, 2, [Matrix.from_int_rows(f, [[0, 0], [1, 0]]), zero, zero])
+    m = UComplex(data, (0, 1), {0: n, 1: UModule.trivial(data)},
+                 {0: Matrix.from_int_rows(f, [[1, 0]])})
+    assert m.validate() is None
+    return m, cdga
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=str)
+def test_minimize_where_the_homotopy_terms_matter(f):
+    """The transfer takes the perturbation lemma in Crainic's convention
+    ip - 1 = dh + hd with h = -G(h0); on G(M) of a module with a nonzero
+    action the terms h A i and p A h do not vanish, and the model passes
+    every certificate and the full cdg-module axioms."""
+    m, cdga = _nilpotent_x_complex(f)
+    res = minimize_G(m, cdga, FunctorBounds((-4, 2), 4, 3))
+    assert res.socle_dims == {0: 1}
+    assert res.minimal.validate() is None
+    assert homotopy_identity_holds(res.into.compose(res.onto),
+                                   ChainMap.identity(res.g_of_m), res.witness_onto)
+    g = res.g_of_m
+    for p_cut in range(-4, 3):
+        assert t_truncate(g, cdga, p_cut, 3)[2] is not None
+
+
+@pytest.mark.parametrize("fault", ["old sign", "zero"])
+@pytest.mark.parametrize("f", FIELDS, ids=str)
+def test_faulty_homotopy_fails_the_projection_certificate(f, fault):
+    """With the homotopy of the socle SDR negated (the sign the transfer
+    used before, which no G(M) of trivial modules could tell apart) or
+    zero, the projection stops commuting with d; over F_2 the negated
+    homotopy is the same one."""
+    m, cdga = _nilpotent_x_complex(f)
+    socle_sdr = cofree.socle_sdr
+
+    def sdr(socle):
+        hdims, i0, p0, h0 = socle_sdr(socle)
+        h0 = {q: h.neg() if fault == "old sign" else h.scale(0) for q, h in h0.items()}
+        return hdims, i0, p0, h0
+
+    with mock.patch.object(cofree, "socle_sdr", sdr):
+        if fault == "old sign" and f.p == 2:
+            minimize_G(m, cdga, FunctorBounds((-4, 2), 4, 3))
+            return
+        with pytest.raises(InconsistentDataError,
+                           match="minimal model projection: does not commute with d at degree -3"):
+            minimize_G(m, cdga, FunctorBounds((-4, 2), 4, 3))
 
 
 # -- regrading -------------------------------------------------------------------
