@@ -382,6 +382,17 @@ class FilteredAlgebraTruncation(WordQuotient):
     product of basis words i and j as a cached column.  ``multiply``, the
     functor layer (F, the bimodule delta, (GF)_i) and the free side sum
     over its nonzero entries.
+
+    Products walk the generator table of ``WordQuotient``, one flat row
+    per basis word, built one length at a time on first use: u x_g is one
+    entry, a longer word one entry per letter per term.  That is exact on
+    words of length <= N - e_max, e_max the largest rule excess: all of U
+    when every rule has excess 0, as on every PBW input of the examples,
+    the benchmark and the tests.  Off PBW a rule of excess e >= 1 rewrites
+    only words of length <= N - e, so the rewriting of a prefix may use a
+    rule the whole word's length forbids, and the word's class is then no
+    product of its prefix's class: those words are reduced on a heap
+    (``_heap_column``).
     """
 
     def __init__(self, data: DeformationData, bound: int):
@@ -390,6 +401,7 @@ class FilteredAlgebraTruncation(WordQuotient):
         self.gr_dims = [len(ws) for ws in self._standard]
         self.basis_words = [w for ws in self._standard for w in ws]
         self._basis_pos = {w: i for i, w in enumerate(self.basis_words)}
+        self._start_table(self._basis_pos, [0] * (bound + 1))
         self._mult_cache = {}
 
     # -- queries -----------------------------------------------------------
@@ -403,25 +415,48 @@ class FilteredAlgebraTruncation(WordQuotient):
         n = min(n, self.bound)
         return sum(self.gr_dims[: n + 1]) if n >= 0 else 0
 
+    def _heap_column(self, word):
+        """The class of a word longer than N - e_max, reduced greatest word
+        first on a heap at the bound; kept with the walked words."""
+        col = self._proj.get(word)
+        if col is None:
+            pos = self._basis_pos
+            red = self._reduce({word: self.field.one()}, self.bound)
+            col = self._proj[word] = {pos[w]: c for w, c in red.items()}
+        return col
+
     def reduce_word(self, word):
         """The class of a word as the sparse column {basis index: raw
         value}, zeros left out; a new dict on every call."""
         if len(word) > self.bound:
             raise InputError(f"word degree {len(word)} beyond bound {self.bound}")
-        pos = self._basis_pos
-        return {pos[w]: c for w, c in self.normal_form(word).items()}
+        if len(word) > self._walk_top:
+            return dict(self._heap_column(word))
+        return dict(self._walk(word))
 
     def mult_basis(self, i: int, j: int):
         """basis_word[i] * basis_word[j] as the sparse column {basis index:
         value}, zeros left out, values raw and canonical (over Q an int when
         integral and a ``Fraction`` otherwise, over F_p an int in [0, p));
         cached.  U's product table: u x_g is ``mult_basis(i, pos of (g,))``,
-        x_g u is ``mult_basis(pos of (g,), i)``.
+        one generator-table entry, and x_g u is ``mult_basis(pos of (g,),
+        i)``, walked from x_g along the letters of u.
         The dict is shared by later calls: callers read it, never change it."""
         key = (i, j)
         got = self._mult_cache.get(key)
         if got is None:
-            got = self.reduce_word(self.basis_words[i] + self.basis_words[j])
+            u, v = self.basis_words[i], self.basis_words[j]
+            n = len(u) + len(v)
+            if n > self.bound:
+                raise InputError(f"word degree {n} beyond bound {self.bound}")
+            if n > self._walk_top:
+                got = self._heap_column(u + v)
+            else:
+                self._build_through(n)
+                got, k = {i: 1}, len(u)
+                for g in v:
+                    got = self._times(got, k, g)
+                    k += 1
             self._mult_cache[key] = got
         return got
 

@@ -13,15 +13,15 @@ within the bound its sugar allows; the chosen basis monomials are the
 words no rule rewrites, the lex-least independent words.  Rule tails,
 S-polynomials and normal forms hold canonical raw values (``scalars``):
 over Q an int when integral, a ``Fraction`` only with a denominator > 1.
-``GradedAlgebraTruncation`` reads it degree by degree (A and A!).  Their
-relations are homogeneous, so right multiplication by a generator
-descends to A_m -> A_{m+1} and a word's class is its prefix's class times
-its last letter: a per-degree generator table, each entry filled by one
-rewriting step, gives every product, with no heap and no recursion.
-``deformations.FilteredAlgebraTruncation`` reads the engine as one flat
-basis (U) and keeps the heap reduction ``normal_form``, memoised per word:
-on non-PBW input U's truncation is not closed under multiplication, so the
-prefix rule does not hold there.
+It is also the one product engine: a word's class is its prefix's class
+times its last letter, read off a generator table whose entry s·x_g, for
+a standard word s, is a basis column or one rewriting step away from the
+classes of smaller words; no heap, no recursion.  That holds on every
+word of length at most ``bound`` minus the largest rule excess: all of A
+and A!, whose relations are homogeneous, and all of U on PBW input.
+``GradedAlgebraTruncation`` reads the engine degree by degree (A and A!),
+``deformations.FilteredAlgebraTruncation`` as one flat basis (U), which
+reduces the longer words of non-PBW input on a heap.
 """
 
 from __future__ import annotations
@@ -185,8 +185,24 @@ class WordQuotient:
     The standard words, which no rule rewrites, are the lex-least basis
     of the quotient: every element of S has its greatest word among the
     leads.  A word's normal form is its rewriting to standard words, the
-    same at every choice of rule; ``normal_form`` reduces greatest word
-    first on a heap.
+    same at every choice of rule.
+
+    Products run on a generator table (Bergman's diamond lemma read a
+    letter at a time).  Let e_max be the largest rule excess, 0 for
+    homogeneous relations.  On words of length n <= bound - e_max every
+    rule applies, and every step rewriting such a word lies in S up to
+    degree n + e_max <= bound, so a rewriting of a word u of length
+    n - 1 times x_g is a rewriting of u·x_g: the class of a word is the
+    class of its prefix times its last letter.  The table entry of a
+    standard word s and a generator g is the class of s·x_g: its own
+    basis column when s·x_g is standard, and otherwise one ``_rewrite``
+    step, to smaller words in deg-lex order, each the class of its prefix
+    times its last letter.  Longer words, which only non-PBW U has, may
+    rewrite by fewer rules than their prefixes, so the walk stops there.
+    A subclass numbers the standard words (``_start_table``): column keys
+    ``pos`` and, per length n, the offset ``bases[n]`` of those keys in
+    the table, which lists one row of d entries per standard word, words
+    shorter first.
     """
 
     def __init__(self, field: Field, d: int, relations: Matrix, bound: int):
@@ -196,13 +212,13 @@ class WordQuotient:
         self._p = field.p
         self._rules = {}     # lead -> (excess, ((word, coeff), ...)): lead = sum coeff*word
         self._lengths = []   # lead lengths, ascending
-        self._nf = {}
         middles = words_of_length(d, 2) + words_of_length(d, 1) + [()]
         self._complete([{middles[k]: c for k, c in row.items()}
                         for row in relations.transpose().columns])
         self._standard = self._standard_words()
         self.span = SpanSize(degree_offset(d, bound + 1)
                              - sum(len(ws) for ws in self._standard))
+        self._walk_top = bound - max((e for e, _ in self._rules.values()), default=0)
 
     # -- completion --------------------------------------------------------
 
@@ -330,13 +346,90 @@ class WordQuotient:
             out.append(words)
         return out
 
-    def normal_form(self, word) -> dict:
-        """{standard word: coefficient} of the class of a word, memoised
-        and shared by later calls (callers copy before changing it)."""
-        nf = self._nf.get(word)
-        if nf is None:
-            nf = self._nf[word] = self._reduce({word: self.field.one()}, self.bound)
-        return nf
+    # -- the generator table ----------------------------------------------
+
+    def _start_table(self, pos, bases):
+        """Number the standard words: ``pos`` maps each to its column key,
+        ``bases[n]`` is the table offset of the keys of length n.  The
+        empty word's class is the unit, or 0 (its heap class) when 1 lies
+        in S."""
+        self._pos = pos
+        self._bases = bases
+        self._table = []   # one row per standard word: row[g] is the column of s·x_g
+        self._levels = 0   # lengths whose rows are built
+        self._proj = {(): {pos[()]: 1} if () in pos else {}}  # every walked word
+
+    def _build_level(self):
+        """Append the rows of the standard words of the next length m, each
+        entry filled in increasing deg-lex order of s·x_g.  A standard
+        s·x_g is its own basis column; otherwise one rewriting step gives
+        smaller words, each the class of its prefix (walked on the rows of
+        lengths < m) times its last letter.  That prefix's class lies on
+        standard words no greater than the prefix, so the rows it reads
+        are filled already."""
+        m, d, pos, p, bound = self._levels, self._d, self._pos, self._p, self.bound
+        table, bases = self._table, self._bases
+        for s in self._standard[m]:
+            row = [None] * d
+            table.append(row)
+            for g in range(d):
+                w = s + (g,)
+                k = pos.get(w)
+                if k is not None:
+                    row[g] = {k: 1}
+                    continue
+                acc = {}
+                for x, c in self._rewrite(w, bound):
+                    if not x:
+                        axpy(acc, c, self._proj[()])
+                        continue
+                    base, last = bases[len(x) - 1], x[-1]
+                    for j, a in self._walk(x[:-1]).items():
+                        axpy(acc, c * a, table[base + j][last])
+                row[g] = zero_free(acc, p)
+        self._levels = m + 1
+
+    def _build_through(self, n):
+        """Build the rows of every length < n not built yet, lowest first."""
+        while self._levels < n:
+            self._build_level()
+
+    def _times(self, col, k, g):
+        """col·x_g, for the column of a word of length k < bound - e_max:
+        one table entry per term, read from the rows of lengths <= k, which
+        the caller has built."""
+        table, base = self._table, self._bases[k]
+        if len(col) == 1 and 1 in col.values():  # a basis word: read the entry
+            (i,) = col
+            return table[base + i][g]
+        acc = {}
+        for i, c in col.items():
+            axpy(acc, c, table[base + i][g])
+        return zero_free(acc, self._p)
+
+    def _walk(self, word):
+        """The class of a word of length <= bound - e_max, as a sparse
+        column {basis key: raw value}, zeros left out: the class of its
+        longest walked prefix, times one letter at a time.  Every prefix
+        is kept; the dict is shared by later calls, so callers read it and
+        never change it.  A word past the bound raises
+        ``DegreeOverflowError``."""
+        proj = self._proj
+        col = proj.get(word)
+        if col is not None:
+            return col
+        n = len(word)
+        if n > self.bound:
+            raise DegreeOverflowError(f"degree {n} beyond bound {self.bound}")
+        if self._levels < n:
+            self._build_through(n)
+        start = n - 1
+        while word[:start] not in proj:
+            start -= 1
+        col = proj[word[:start]]
+        for k in range(start, n):
+            col = proj[word[:k + 1]] = self._times(col, k, word[k])
+        return col
 
 
 class GradedAlgebraTruncation(WordQuotient):
@@ -349,11 +442,11 @@ class GradedAlgebraTruncation(WordQuotient):
     [0, p).  ``project_word`` gives a word's column, ``mult_columns`` is
     the product table and ``multiply`` takes and returns columns.
 
-    Up to the bound the truncated span is the ideal (R) degree by degree,
-    so right multiplication by x_g descends to A_m -> A_{m+1} and a word's
-    class is its prefix's class times its last letter: ``_right_table(m)``
-    holds e_i x_g for the basis of A_m, and ``project_word`` takes one
-    table step per letter past the longest prefix it has cached.
+    Up to the bound the truncated span is the ideal (R) degree by degree:
+    every rule has excess 0, so every word walks the generator table
+    (``WordQuotient``), whose rows for A_m hold e_i x_g in A_{m+1}, and
+    ``project_word`` takes one table step per letter past the longest
+    prefix it has walked.
     """
 
     def __init__(self, pres: QuadraticPresentation, bound: int):
@@ -363,9 +456,11 @@ class GradedAlgebraTruncation(WordQuotient):
         self.pres = pres
         self.basis_words = dict(enumerate(self._standard))
         self.dims = tuple(len(ws) for ws in self.basis_words.values())
-        self._pos = {w: i for ws in self.basis_words.values() for i, w in enumerate(ws)}
-        self._proj = {(): {0: 1}}   # word -> its column, every prefix walked kept
-        self._table = []            # _table[m][i][g]: the column of e_i x_g
+        bases = [0]
+        for n in self.dims[:-1]:
+            bases.append(bases[-1] + n)
+        self._start_table({w: i for ws in self.basis_words.values()
+                           for i, w in enumerate(ws)}, bases)
         self._mult_cols = {}
 
     # -- queries ---------------------------------------------------------
@@ -377,70 +472,11 @@ class GradedAlgebraTruncation(WordQuotient):
             raise DegreeOverflowError(f"degree {n} beyond bound {self.bound}")
         return len(self.basis_words[n])
 
-    def _right_table(self, m: int):
-        """The generator table of degree m < bound: entry [i][g] is the
-        column of (basis word i of A_m)·x_g in A_{m+1}.  The tables of
-        degrees <= m are built on first use, lowest first."""
-        table = self._table
-        while len(table) <= m:
-            table.append(self._build_right_table(len(table)))
-        return table[m]
-
-    def _build_right_table(self, m: int):
-        """The degree-m table, its entries filled in increasing deg-lex
-        order of the word s·x_g.  A standard s·x_g is its own basis column;
-        otherwise one rewriting step gives smaller words, and the class of
-        each is the class of its prefix (from the tables below m) times its
-        last letter.  That prefix's class lies on basis words no greater
-        than the prefix, so the entries it reads are filled already."""
-        d, pos, bound = self._d, self._pos, self.bound
-        rows = [[None] * d for _ in self.basis_words[m]]
-        # basis words in lex order, then g: increasing order of s·x_g
-        for s, row in zip(self.basis_words[m], rows):
-            for g in range(d):
-                w = s + (g,)
-                k = pos.get(w)
-                if k is not None:
-                    row[g] = {k: 1}
-                    continue
-                acc = {}
-                for x, c in self._rewrite(w, bound):
-                    last = x[-1]
-                    for j, a in self.project_word(x[:-1]).items():
-                        axpy(acc, c * a, rows[j][last])
-                row[g] = zero_free(acc, self._p)
-        return rows
-
-    def project_word(self, word):
-        """The class of a word in its degree component, as the sparse
-        column {basis index: raw value}, zeros left out: the class of its
-        longest cached prefix, times one letter at a time through the
-        generator tables; every prefix is cached.  The dict is shared by
-        later calls and by ``mult_columns``: callers read it, never change
-        it."""
-        n = len(word)
-        if n > self.bound:
-            raise DegreeOverflowError(f"degree {n} beyond bound {self.bound}")
-        proj = self._proj
-        col = proj.get(word)
-        if col is not None:
-            return col
-        start = n - 1
-        while word[:start] not in proj:
-            start -= 1
-        col = proj[word[:start]]
-        for k in range(start, n):
-            table, g = self._right_table(k), word[k]
-            if len(col) == 1 and 1 in col.values():  # a basis word: read the entry
-                (i,) = col
-                col = table[i][g]
-            else:
-                acc = {}
-                for i, c in col.items():
-                    axpy(acc, c, table[i][g])
-                col = zero_free(acc, self._p)
-            proj[word[:k + 1]] = col
-        return col
+    # The class of a word in its degree component, as the sparse column
+    # {basis index: raw value}: every word of A walks, so this is the walk
+    # itself, with no call around it.  The dict is shared by later calls
+    # and by ``mult_columns``: callers read it, never change it.
+    project_word = WordQuotient._walk
 
     def basis_weight(self, n: int, i: int):
         if self.pres.weights is None:
@@ -454,7 +490,7 @@ class GradedAlgebraTruncation(WordQuotient):
         a * dim A_j + b.  A_1's basis is the generators in order, so x_g e_t
         is column g * dim A_j + t of ``mult_columns(1, j)`` and e_t x_g is
         column t * dim A_1 + g of ``mult_columns(j, 1)``, read off the
-        generator table of degree j.  Cached."""
+        generator table's rows of A_j.  Cached."""
         key = (i, j)
         cached = self._mult_cols.get(key)
         if cached is not None:
@@ -462,7 +498,9 @@ class GradedAlgebraTruncation(WordQuotient):
         if i + j > self.bound:
             raise DegreeOverflowError(f"product degree {i + j} beyond bound {self.bound}")
         if j == 1:
-            cols = [col for row in self._right_table(i) for col in row]
+            self._build_through(i + 1)
+            base = self._bases[i]
+            cols = [col for row in self._table[base:base + self.dims[i]] for col in row]
         else:
             cols = [self.project_word(u + v) for u in self.basis_words[i]
                     for v in self.basis_words[j]]

@@ -1,5 +1,6 @@
 import os
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -274,11 +275,33 @@ def dense_cofree_actions(dual, labels):
 # -- word quotients: the heap normal form and the checks only tests read ------------
 
 
+_NORMAL_FORMS = weakref.WeakKeyDictionary()
+
+
+def normal_form(q, word):
+    """{standard word: coefficient} of the class of a word in the word
+    quotient q: the word reduced greatest word first on a heap at the
+    bound, by every rule its length allows.  The oracle of the generator
+    table; memoised per quotient and word, and shared by later calls
+    (callers copy before changing it)."""
+    memo = _NORMAL_FORMS.setdefault(q, {})
+    nf = memo.get(word)
+    if nf is None:
+        nf = memo[word] = q._reduce({word: q.field.one()}, q.bound)
+    return nf
+
+
 def heap_column(alg, word):
     """The heap ``normal_form`` of a word on the basis positions of its
     degree: the oracle of ``GradedAlgebraTruncation.project_word``."""
     pos = {w: i for i, w in enumerate(alg.basis_words[len(word)])}
-    return {pos[w]: c for w, c in alg.normal_form(word).items()}
+    return {pos[w]: c for w, c in normal_form(alg, word).items()}
+
+
+def heap_u_column(u, word):
+    """The heap ``normal_form`` of a word on U's flat basis positions: the
+    oracle of ``FilteredAlgebraTruncation.reduce_word`` and ``mult_basis``."""
+    return {u._basis_pos[w]: c for w, c in normal_form(u, word).items()}
 
 
 def standard_words(q, n):
@@ -303,7 +326,7 @@ def walked_standard_words(q, n):
 def check_associativity(q, max_total=None):
     """(ab)c = a(bc) exactly on standard words of degree >= 1 with
     |a| + |b| + |c| within bound.  A and A! multiply through ``multiply``,
-    so through their generator tables; U through the normal forms of
+    so through their generator tables; U through the heap normal forms of
     concatenated words."""
     top = q.bound if max_total is None else min(max_total, q.bound)
     f = q.field
@@ -317,7 +340,7 @@ def check_associativity(q, max_total=None):
             out = {}
             for u, a in x.items():
                 for v, b in y.items():
-                    for w, c in q.normal_form(u + v).items():
+                    for w, c in normal_form(q, u + v).items():
                         out[w] = f.add(out.get(w, f.zero()), f.mul(f.mul(a, b), c))
             return {w: c for w, c in out.items() if not f.is_zero(c)}
 
@@ -353,9 +376,9 @@ def check_weight_blocks(alg):
 
 
 def dense_mult_basis(u, i, j):
-    """basis_word[i] * basis_word[j] as a dense list over the U basis: the
-    oracle of ``FilteredAlgebraTruncation.mult_basis``."""
-    return dense(u.field, u.reduce_word(u.basis_words[i] + u.basis_words[j]), u.total_dim)
+    """basis_word[i] * basis_word[j] as a dense list over the U basis, from
+    the heap normal form: the oracle of ``FilteredAlgebraTruncation.mult_basis``."""
+    return dense(u.field, heap_u_column(u, u.basis_words[i] + u.basis_words[j]), u.total_dim)
 
 
 def dense_u_multiply(u, a, b):

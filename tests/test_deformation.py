@@ -35,6 +35,9 @@ from conftest import (
     dense,
     dense_rref,
     full_cdga_verify,
+    heap_column,
+    heap_u_column,
+    normal_form,
     pbw_check_by_solves,
     raw_values,
     standard_words,
@@ -308,7 +311,7 @@ def _assert_matches_oracle(data, bound):
         for w in words:
             g = word_global_index(w, d)
             v = _dense_normal_form(f, oracle, ambient, g)
-            assert u.normal_form(w) == {b: v[word_global_index(b, d)] for b in u.basis_words
+            assert normal_form(u, w) == {b: v[word_global_index(b, d)] for b in u.basis_words
                                         if not f.is_zero(v[word_global_index(b, d)])}
             col = u.reduce_word(w)
             assert all(col.values()) and raw_values(f, col.values())
@@ -341,7 +344,7 @@ def test_fraction_coefficients_give_canonical_normal_forms(case):
     u = build_U(data, bound)
     assert all(raw_values(QQ, [c for _, c in tail]) for _, tail in u._rules.values())
     words = [w for n in range(bound + 1) for w in words_of_length(data.base.dim, n)]
-    assert all(raw_values(QQ, u.normal_form(w).values()) for w in words)
+    assert all(raw_values(QQ, normal_form(u, w).values()) for w in words)
 
 
 @st.composite
@@ -390,15 +393,19 @@ def test_unit_enters_span_through_empty_lead(f):
 
 
 def test_right_multiplication_does_not_descend_off_pbw():
-    """Why U has no generator table: Q<x, y>/(xy - 1, yx) fails the PBW
-    test, and in U_{<=3} the classes of x and y are 0 while the class of
-    the word xy is the unit.  A table that reads u.x_g off the class of u
-    would give x.y = 0.y = 0, so u -> u.x_g does not descend from U_{<=m}
-    to U_{<=m+1} off PBW."""
+    """Why U's generator table walks only words of length <= N - e_max:
+    Q<x, y>/(xy - 1, yx) fails the PBW test, and in U_{<=3} the classes of
+    x and y are 0 while the class of the word xy is the unit.  The rule
+    that kills x has excess 2 (x = x(yx) - (xy - 1)x, found at sugar 3):
+    it may rewrite a word of length 1 but no word of length 2, so a walk
+    that read x.y off the class of x would give x.y = 0.y = 0.  With e_max = 2,
+    N - e_max = 1: x and y walk, and xy, too long, is reduced on the heap,
+    by the rules its own length allows."""
     data = _xy(QQ, [[0, 1, 0, 0], [0, 0, 1, 0]], [[0, 0], [0, 0]], [-1, 0])
     assert not pbw_check(data).all_pass
     u = build_U(data, 3)
     assert u.basis_words == [(), (0, 0), (1, 1), (0, 0, 0), (1, 1, 1)]
+    assert max(e for e, _ in u._rules.values()) == 2 and u._walk_top == 1
     assert u.reduce_word((0,)) == {} and u.reduce_word((1,)) == {}
     assert u.reduce_word((0, 1)) == {u._basis_pos[()]: 1}
 
@@ -450,6 +457,131 @@ def test_long_rewrite_chain_without_recursion(heis):
     for g in word[1:]:
         x = u.multiply(x, {u._basis_pos[(g,)]: QQ.one()})
     assert got == x
+
+
+# -- the generator table of U against the heap oracle ---------------------------------
+
+
+def _assert_walk_matches_heap(data, bound):
+    """A fresh U_{<=bound} against the heap normal forms of a second one
+    (``heap_u_column``): every word's ``reduce_word``, every in-bound
+    ``mult_basis`` and every generator-table entry, all values canonical.
+    The words longer than N - e_max, and only they, reach the heap
+    ``_reduce``, each once.  The graded truncation A of the base has
+    e_max = 0, and its table entries match ``heap_column`` too."""
+    f, d = data.field, data.base.dim
+    u, oracle = build_U(data, bound), build_U(data, bound)
+    top = bound - max((e for e, _ in u._rules.values()), default=0)
+    assert u._walk_top == top
+    heaped = []
+    reduce = u._reduce
+
+    def counted(poly, level):
+        heaped.extend(poly)
+        return reduce(poly, level)
+
+    u._reduce = counted
+    words = [w for n in range(bound + 1) for w in words_of_length(d, n)]
+    for w in words:
+        col = u.reduce_word(w)
+        assert col == heap_u_column(oracle, w), w
+        assert all(col.values()) and raw_values(f, col.values())
+    for i, s in enumerate(u.basis_words):
+        for j, t in enumerate(u.basis_words):
+            if len(s) + len(t) <= bound:
+                col = u.mult_basis(i, j)
+                assert col == heap_u_column(oracle, s + t), (s, t)
+                assert all(col.values()) and raw_values(f, col.values())
+    assert heaped == [w for w in words if len(w) > top]
+    assert len(u._table) == sum(u.gr_dims[:max(top, 0)])
+    for s, row in zip(u.basis_words, u._table):
+        for g, col in enumerate(row):
+            assert col == heap_u_column(oracle, s + (g,)), (s, g)
+    alg = truncate_algebra(data.base, bound)
+    assert alg._walk_top == bound
+    alg.project_word((0,) * bound)  # builds every row below the bound
+    flat = [w for n in range(bound) for w in alg.basis_words[n]]
+    assert len(alg._table) == len(flat)
+    for s, row in zip(flat, alg._table):
+        for g, col in enumerate(row):
+            assert col == heap_column(alg, s + (g,)), (s, g)
+
+
+@settings(max_examples=60)
+@given(st.one_of(small_deformation(), two_generator_deformation(),
+                 small_deformation(fields=(QQ,), entries=canonical_fractions)))
+def test_generator_walk_matches_heap_oracle(case):
+    """Random deformations over Q, F_2, F_3 and F_5, PBW or not, with small
+    int or ``Fraction`` coefficients."""
+    _assert_walk_matches_heap(*case)
+
+
+# the families of the tests above, PBW or not, and the Weyl algebra
+# xy - yx + 1, which is PBW
+WALK_FAMILIES = {
+    "unit_in_span": ([[0, 1, -1, 0], [1, 0, 0, 0]], [[0, 0], [0, 0]], [1, 0]),
+    "xy_is_one": ([[0, 1, 0, 0], [0, 0, 1, 0]], [[0, 0], [0, 0]], [-1, 0]),
+    "sugar_above_degree": ([[1, 0, 0, 0], [0, 0, 0, 1]], [[0, -1], [-1, 0]], [0, 0]),
+    "new_lead_at_every_sugar": ([[0, -1, 0, 1]], [[0, 0]], [0]),
+    "inclusion": ([[0, 1, 0, 0], [0, 0, 1, -1]], [[0, 0], [1, 0]], [0, 0]),
+    "weyl": ([[0, 1, -1, 0]], [[0, 0]], [1]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(WALK_FAMILIES))
+@pytest.mark.parametrize("f", FIELDS, ids=repr)
+def test_generator_walk_matches_heap_on_families(f, family):
+    """Rules of excess >= 1, 1 in the span and PBW input, at every bound
+    2..6: the walk covers words up to N - e_max and the heap the rest."""
+    data = _xy(f, *WALK_FAMILIES[family])
+    for bound in range(2, 7):
+        _assert_walk_matches_heap(data, bound)
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=repr)
+def test_walk_seeds_the_empty_word_with_its_heap_class(f):
+    """k<x, y>/(xy - yx + 1, x^2): off F_2, 1 lies in S_4 (a rule with
+    empty lead and excess 4), so U_{<=4} has no unit.  The empty word's
+    class is then its heap class, 0, not a unit column; every word is too
+    long to walk.  At bound 6, N - e_max = 2: the table's entry for x.y
+    rewrites xy to yx - 1 and reads the empty word's class, 0."""
+    data = _xy(f, [[0, 1, -1, 0], [1, 0, 0, 0]], [[0, 0], [0, 0]], [1, 0])
+    u4, u6 = build_U(data, 4), build_U(data, 6)
+    if f.p == 2:  # 2x = 0: the unit stays out of S
+        assert u4._walk_top == 4 and u4.reduce_word(()) == {u4._basis_pos[()]: 1}
+        return
+    assert () not in u4.basis_words and u4._walk_top == 0
+    assert u4.reduce_word(()) == {} == heap_u_column(u4, ())
+    assert () not in u6.basis_words and u6._walk_top == 2
+    assert u6.reduce_word((0, 1)) == heap_u_column(u6, (0, 1))
+    for bound in (4, 5, 6):
+        _assert_walk_matches_heap(data, bound)
+
+
+def test_products_beyond_the_bound_raise_on_the_table_path(heis):
+    """A product or word past N raises the same ``InputError`` whether the
+    table is built or not, on PBW input (Heisenberg, e_max = 0) and off it
+    (xy = 1, yx = 0, where N - e_max < N)."""
+    off = _xy(QQ, [[0, 1, 0, 0], [0, 0, 1, 0]], [[0, 0], [0, 0]], [-1, 0])
+    for data, bound in ((heis, 4), (off, 5)):
+        for warm in (False, True):
+            u = build_U(data, bound)
+            if warm:  # every in-bound product and word, so the table is full
+                for i, s in enumerate(u.basis_words):
+                    for j, t in enumerate(u.basis_words):
+                        if len(s) + len(t) <= bound:
+                            u.mult_basis(i, j)
+            long = max(range(u.total_dim), key=lambda i: len(u.basis_words[i]))
+            x = u._basis_pos[(0,)] if (0,) in u._basis_pos else long
+            n = len(u.basis_words[long]) + len(u.basis_words[x])
+            assert n > bound
+            with pytest.raises(InputError, match=f"word degree {n} beyond bound {bound}"):
+                u.mult_basis(long, x)
+            with pytest.raises(InputError, match="product degree beyond bound"):
+                u.multiply({long: 1}, {x: 1})
+            with pytest.raises(InputError, match=f"word degree {bound + 1} beyond bound"):
+                u.reduce_word((0,) * (bound + 1))
+            assert (long, x) not in u._mult_cache
 
 
 # -- pbw_check against the solves oracle ----------------------------------------------

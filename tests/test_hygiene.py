@@ -7,8 +7,10 @@ function never reads, no ``and``/``or`` of the package has a literal operand, no
 without ``else`` has a body of only ``pass``, no package code reads a
 matrix through a dense ``.data`` store, no package module but
 ``scalars`` builds a ``Fraction`` or divides with ``/``, no package
-module imports ``dataclasses``, and every package function that the
-benchmark's commands never call is on a list that says why it stays.
+module imports ``dataclasses``, every package function that the
+benchmark's commands never call is on a list that says why it stays,
+and the benchmark's U commands, all on PBW input, run the heap reduction
+only inside the completion.
 
 An import that nothing reads hides which functions a module really
 depends on, and which builders and fixtures a test module exercises; a
@@ -19,7 +21,9 @@ built outside ``scalars`` can escape the canonical form (an int when
 integral), and ``int / int`` is a float.  ``dataclasses`` imports
 ``inspect``, ``ast``, ``dis``, ``tokenize`` and ``typing``, several
 milliseconds of every process's start-up.  A function that no command
-reaches is library code that only tests read, or dead.
+reaches is library code that only tests read, or dead.  A heap
+reduction outside the completion on PBW input is a U product that left
+the generator table.
 """
 
 import ast
@@ -31,6 +35,7 @@ from pathlib import Path
 
 from koszul_kit import cli
 from koszul_kit.linalg import Matrix
+from koszul_kit.presentations import WordQuotient
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted([*ROOT.glob("src/koszul_kit/*.py"), *ROOT.glob("tests/*.py")])
@@ -463,6 +468,8 @@ UNREACHED = {
     "linalg.Matrix.scale": "library API",
     "suite.BigradedComplex.dim": "library API",
     # command paths the workloads do not take
+    "deformations.FilteredAlgebraTruncation._heap_column":
+        "non-PBW input: U words longer than N - e_max, where the walk is not exact",
     "functors.FilteredFComplex.fiber_complex": "tor --cross-check",
     "functors.gf_composite.<locals>.d_m": "(GF)_i of an N with a differential",
     # printing and hashing
@@ -471,6 +478,32 @@ UNREACHED = {
     "scalars.Field.__repr__": "repr",
     "scalars.Field.__hash__": "hash",
 }
+
+
+def test_pbw_u_products_need_no_heap(tmp_path, monkeypatch):
+    """Every ``ce``, ``counit`` and ``build-u`` command of the benchmark's
+    workloads, on its problem files of seed 1, all of PBW type: U's rules
+    all have excess 0, so every product and word walks the generator
+    table, and the heap ``_reduce`` runs only inside the completion."""
+    problems.write_problems(str(tmp_path), 1)
+    callers = []
+    reduce = WordQuotient._reduce
+
+    def traced(self, poly, level):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return reduce(self, poly, level)
+
+    monkeypatch.setattr(WordQuotient, "_reduce", traced)
+    ran = 0
+    for commands in workloads.WORKLOADS.values():
+        for template in commands:
+            if template.split()[0] not in ("ce", "counit", "build-u"):
+                continue
+            argv = shlex.split(template.format(ex=ROOT / "examples_cli", gen=tmp_path))
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv + ["--json"]) == 0
+            ran += 1
+    assert ran >= 6 and callers and set(callers) == {"_complete"}
 
 
 def test_every_unreached_function_is_listed(tmp_path):
