@@ -26,7 +26,11 @@ class CurvedInputError(KoszulKitError):
 
 
 class InconsistentDataError(KoszulKitError):
-    """Objects built from different presentations or deformations."""
+    """A runtime certificate failed on a computed result: an axiom of a
+    built complex, map or homotopy (d^2, a chain map, an SDR identity), a
+    count fixed by exactness, or two routes to the same answer that
+    disagree.  Also raised when objects built from different fields,
+    presentations or deformations are combined."""
 
 
 class NonFreeComponentError(KoszulKitError):

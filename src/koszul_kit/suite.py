@@ -12,7 +12,7 @@ from .complexes import (
     homology_dims,
 )
 from .deformations import CdgAlgebra, DeformationData, FilteredAlgebraTruncation
-from .errors import CurvedInputError, InputError, MissingWeightsError
+from .errors import CurvedInputError, InconsistentDataError, InputError, MissingWeightsError
 from .functors import FunctorBounds, apply_F, apply_Fprime, apply_G, counit
 from .linalg import Matrix, zero_free
 from .presentations import GradedAlgebraTruncation, QuadraticPresentation
@@ -154,7 +154,7 @@ def koszulness_check(p: QuadraticPresentation, n_max: int):
         cx = strand_complex(alg, dual, n)
         msg = cx.check_d_squared()
         if msg:
-            raise InputError(f"strand {n}: {msg}")
+            raise InconsistentDataError(f"strand {n}: {msg}")
         h, _ = homology_dims(cx, (-n, 0))
         strand_pass[n] = all(d == 0 for d in h.values())
     betti = minimal_resolution_betti(alg, n_max, n_max)
@@ -167,7 +167,7 @@ def koszulness_check(p: QuadraticPresentation, n_max: int):
         diag = betti.get((i, i), 0)
         offdiag = any(step == i and deg != i and r
                       for (step, deg), r in betti.items())
-        if i <= n_max and (offdiag or diag != dual.dim_at(i)):
+        if offdiag or diag != dual.dim_at(i):
             ext_ok = False
     return {
         "strands": strand_pass,
@@ -198,7 +198,7 @@ def tor(m: UComplex, cdga: CdgAlgebra, bounds: FunctorBounds, cross_check=False,
         lo, hi = bounds.window
         for p in range(lo + 1, hi):
             if rep.by_degree().get(p, 0) != rep2.by_degree().get(p, 0):
-                raise InputError(f"tor cross-check mismatch at degree {p}")
+                raise InconsistentDataError(f"tor cross-check mismatch at degree {p}")
     return rep
 
 

@@ -736,8 +736,10 @@ def dense_act_on_expanded(free, mdeg, mb, vdeg, vec):
 
 
 def dense_resolution_betti(alg, steps, degree_cap):
-    """``minimal_resolution_betti`` on dense kernel columns and
-    ``dense_act_on_expanded``."""
+    """The minimal resolution with a full dense kernel at every (step,
+    degree), through ``dense_act_on_expanded``: the oracle of
+    ``minimal_resolution_betti``, which computes a kernel only where the
+    span of A_1 times the kernel below falls short of exactness's count."""
     f = alg.field
     betti = {(0, 0): 1}
     current = GradedFreeModule(alg, [0])

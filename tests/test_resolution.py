@@ -1,22 +1,26 @@
 """The minimal resolution and the Koszul strands against dense oracles."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from koszul_kit import resolution
+from koszul_kit.errors import InconsistentDataError
 from koszul_kit.linalg import Matrix
 from koszul_kit.presentations import QuadraticPresentation, quadratic_dual, truncate_algebra
 from koszul_kit.resolution import GradedFreeModule, _act_on_expanded, minimal_resolution_betti
 from koszul_kit.scalars import QQ, Field
-from koszul_kit.suite import strand_complex
+from koszul_kit.suite import koszulness_check, strand_complex
 
 from conftest import (
     dense_act_on_expanded,
     dense_resolution_betti,
     dense_strand_differentials,
     raw_values,
+    symmetric_presentation,
     truncated_presentation,
 )
 
-PRESENTATIONS = truncated_presentation([QQ, Field(2), Field(3)])
+PRESENTATIONS = truncated_presentation([QQ, Field(2), Field(3), Field(5)])
 
 
 @settings(max_examples=80)
@@ -56,11 +60,17 @@ def test_act_on_expanded_reduces_mod_p():
 
 
 @settings(max_examples=120)
-@given(PRESENTATIONS)
-def test_resolution_and_strands_match_dense(case):
+@given(PRESENTATIONS, st.data())
+def test_resolution_and_strands_match_dense(case, data):
+    """The resolution against the full-kernel oracle at steps = cap = bound
+    and at 0 <= steps <= cap <= bound drawn independently; the strands at
+    every n <= bound."""
     pres, bound = case
     alg = truncate_algebra(pres, bound)
     assert minimal_resolution_betti(alg, bound, bound) == dense_resolution_betti(alg, bound, bound)
+    cap = data.draw(st.integers(min_value=0, max_value=bound), label="degree_cap")
+    steps = data.draw(st.integers(min_value=0, max_value=cap), label="steps")
+    assert minimal_resolution_betti(alg, steps, cap) == dense_resolution_betti(alg, steps, cap)
     dual = truncate_algebra(quadratic_dual(pres), bound)
     for n in range(1, bound + 1):
         got = strand_complex(alg, dual, n).diffs
@@ -81,3 +91,63 @@ def test_resolution_and_strands_match_dense_on_sym3(sym3):
             want = dense_strand_differentials(alg, dual, n)
             assert {pos: m.to_rows() for pos, m in strand_complex(alg, dual, n).diffs.items()} == \
                 {pos: m.to_rows() for pos, m in want.items()}
+
+
+def _off_diagonal(f):
+    """k<a,b>/(ab + ba - b^2, ab + b^2), on the words aa, ab, ba, bb."""
+    return QuadraticPresentation(f, ["a", "b"],
+                                 Matrix.from_int_rows(f, [[0, 1, 1, -1], [0, 1, 0, 1]]))
+
+
+def test_resolution_leaves_the_diagonal_off_koszul_input(monkeypatch):
+    """At bound 5 the resolution of k over Q needs new generators off the
+    diagonal, β_{3,4} = 1 and β_{4,5} = 3, so kernels are computed there
+    too and the window is not Koszul.  Over F_3 the same relations stay on
+    the diagonal.  Either way a map is assembled exactly at the (step,
+    degree) of each generator from step 2 on, and never for the last
+    step's own map.  Zero steps leave only the augmentation."""
+    built = []
+    real = resolution._map_columns
+
+    def recorded(source, target, gen_cols, deg):
+        built.append(deg)
+        return real(source, target, gen_cols, deg)
+
+    monkeypatch.setattr(resolution, "_map_columns", recorded)
+    pres = _off_diagonal(QQ)
+    alg = truncate_algebra(pres, 5)
+    betti = minimal_resolution_betti(alg, 5, 5)
+    assert betti == {(0, 0): 1, (1, 1): 2, (2, 2): 2, (3, 3): 1, (3, 4): 1, (4, 5): 3}
+    assert built == [2, 3, 4, 5]
+    assert betti == dense_resolution_betti(alg, 5, 5)
+    assert koszulness_check(pres, 5)["koszul_window"] is False
+    alg3 = truncate_algebra(_off_diagonal(Field(3)), 5)
+    built.clear()
+    betti3 = minimal_resolution_betti(alg3, 5, 5)
+    assert betti3 == {(0, 0): 1, **{(i, i): 2 for i in range(1, 6)}}
+    assert built == [2, 3, 4, 5]
+    assert betti3 == dense_resolution_betti(alg3, 5, 5)
+    built.clear()
+    assert minimal_resolution_betti(alg, 0, 5) == {(0, 0): 1}
+    assert minimal_resolution_betti(alg, 1, 5) == {(0, 0): 1, (1, 1): 2}
+    assert built == []
+
+
+@pytest.mark.parametrize("f", [QQ, Field(3)], ids=repr)
+def test_exactness_certificate_fires_on_a_dropped_column(f, monkeypatch):
+    """Over S(V), dim V = 2, the first kernel computed from a map is that
+    of d_1 at degree 2, of dimension 4 - dim A_2 = 1.  Its first column
+    is x1 * x1, the only product that reaches x1^2; dropped, the kernel
+    grows to dimension 2 and the exactness count catches it."""
+    real = resolution._map_columns
+
+    def faulted(source, target, gen_cols, deg):
+        cols = real(source, target, gen_cols, deg)
+        cols[0] = {}
+        return cols
+
+    monkeypatch.setattr(resolution, "_map_columns", faulted)
+    alg = truncate_algebra(symmetric_presentation(f, 2), 3)
+    with pytest.raises(InconsistentDataError, match=r"^resolution step 2: kernel of "
+                       r"dimension 2 at degree 2, exactness gives 1$"):
+        minimal_resolution_betti(alg, 3, 3)

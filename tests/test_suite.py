@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from koszul_kit import cofree
+from koszul_kit import cofree, suite
 from koszul_kit.cofree import (
     cofree_decomposition,
     complex_of_free_dual_modules,
@@ -36,7 +36,7 @@ from koszul_kit.freeside import (
     free_nullhomotopy,
     null_test_free,
 )
-from koszul_kit.functors import FunctorBounds, G_blocks, apply_G
+from koszul_kit.functors import FilteredFComplex, FunctorBounds, G_blocks, apply_G
 from koszul_kit.linalg import Matrix, solve_matrix, zero_free
 from koszul_kit.presentations import QuadraticPresentation, quadratic_dual, truncate_algebra
 from koszul_kit.scalars import QQ, Field
@@ -126,6 +126,34 @@ def test_tor_symmetric_binomials(sym2_world, sym3, qq):
     assert [by3.get(-p, 0) for p in range(4)] == [1, 3, 3, 1]
 
 
+def _bump_first_entry(m):
+    """m with 1 added to its entry (0, 0): a single faulted product."""
+    f = m.field
+    cols = [dict(c) for c in m.columns]
+    cols[0][0] = f.add(cols[0].get(0, f.zero()), f.one())
+    return Matrix(f, m.rows, [zero_free(c, f.p) for c in cols])
+
+
+@pytest.mark.parametrize("f", [QQ, Field(3)], ids=repr)
+def test_tor_cross_check_mismatch_is_inconsistent_data(f, monkeypatch):
+    """A stray scalar in k ⊗_U FG(k)'s map from degree -1 to 0 lowers the
+    second route's homology at -1, where G(k) gives Tor_1 = k^2: a
+    disagreement of two computed answers, not an input error."""
+    data = DeformationData.trivial(symmetric_presentation(f, 2))
+    u, cdga = build_U(data, 8), build_cdga(data, 5)
+    real = FilteredFComplex.fiber_complex
+
+    def faulted(self):
+        cx = real(self)
+        cx.diffs[-1] = _bump_first_entry(cx.diff(-1))
+        return cx
+
+    monkeypatch.setattr(FilteredFComplex, "fiber_complex", faulted)
+    kc = UComplex(data, (0, 0), {0: UModule.trivial(data)}, {})
+    with pytest.raises(InconsistentDataError, match=r"^tor cross-check mismatch at degree -1$"):
+        tor(kc, cdga, FunctorBounds((-4, 1), 4, 3), cross_check=True, u=u)
+
+
 def test_tor_of_free_module_concentrated(sym2_world):
     data, u, cdga = sym2_world
     # M = U as a module: use the weight-graded truncation U_{<=2} which is a
@@ -164,6 +192,25 @@ def test_abelian_dim2_reduces_to_koszul(sym2_world):
 def test_koszulness_symmetric_and_exterior(sym3):
     assert koszulness_check(sym3, 4)["koszul_window"]
     assert koszulness_check(quadratic_dual(sym3), 4)["koszul_window"]
+
+
+@pytest.mark.parametrize("f", [QQ, Field(3)], ids=repr)
+def test_strand_d_squared_failure_is_inconsistent_data(f, monkeypatch):
+    """One faulted entry of strand 2's first map of S(V), dim V = 3: every
+    column of the next map, x_g ⊗ x_h* -> x_g x_h ⊗ 1, is nonzero, so
+    d^2 != 0.  A computed complex failed its axiom; it is not an input
+    error."""
+    real = suite.strand_complex
+
+    def faulted(alg, dual, n):
+        cx = real(alg, dual, n)
+        if n == 2:
+            cx.diffs[-2] = _bump_first_entry(cx.diff(-2))
+        return cx
+
+    monkeypatch.setattr(suite, "strand_complex", faulted)
+    with pytest.raises(InconsistentDataError, match=r"^strand 2: d\^2 != 0 at degree -2$"):
+        koszulness_check(symmetric_presentation(f, 3), 3)
 
 
 @pytest.mark.parametrize("f", [QQ, Field(3)], ids=repr)
