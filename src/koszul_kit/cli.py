@@ -102,11 +102,10 @@ class Problem:
             self._u[bound] = build_U(self.deformation(), bound)
         return self._u[bound]
 
-    def cdga(self, bound, check=True):
-        key = (bound, check)
-        if key not in self._cdga:
-            self._cdga[key] = build_cdga(self.deformation(), bound, check=check)
-        return self._cdga[key]
+    def cdga(self, bound):
+        if bound not in self._cdga:
+            self._cdga[bound] = build_cdga(self.deformation(), bound)
+        return self._cdga[bound]
 
 
 # -- output ---------------------------------------------------------------------
@@ -316,8 +315,9 @@ def _add_command(sub, name, formatter):
     if "range" in extras:
         sp.add_argument("--range", type=_parse_range, default=(0, 4))
     if "cross_check" in extras:
-        sp.add_argument("--cross-check", dest="cross_check",
-                        action="store_true")
+        sp.add_argument("--cross-check", dest="cross_check", action="store_true",
+                        help="also read Tor off k tensor_U FG(M); that complex is G(M) "
+                             "again, so this only re-checks F's unit rows")
     if "free" in extras:
         sp.add_argument("--free", required=True, help="named free complex")
     if "free_dual?" in extras:

@@ -16,7 +16,9 @@ with d and the actions) decides a sum of c * L * R = 0 one column at a
 time (``_vanishes``): one sparse sum per column, tested with
 ``is_nonzero``, with no product or sum stored as a Matrix.  Shapes are
 read as the matrix products, sums and comparisons read them, so a
-malformed input fails as it would there.
+malformed input fails as it would there.  The linear systems whose
+unknowns are the entries of maps (the homotopy search, the module-linear
+maps of the adjunction) are written by one builder, ``map_equations``.
 """
 
 from __future__ import annotations
@@ -427,13 +429,6 @@ class ChainMap:
         return ChainMap(first.source, self.target, maps)
 
 
-class Homotopy:
-    """Certificate s with f^n - g^n = (-1)^n d s^n + (-1)^{n+1} s^{n+1} d."""
-
-    def __init__(self, maps):
-        self.maps = maps  # {p: Matrix source^p -> target^{p-1}}
-
-
 def _block(f: Field, blocks, heights, widths):
     """Assemble a block matrix; None blocks are zero."""
     columns = []
@@ -546,12 +541,57 @@ def _homology_at_weight(x: BaseComplex, p: int, w, ranks: dict) -> int:
     return n - block_rank(p) - block_rank(p - 1)
 
 
-# -- homotopy search --------------------------------------------------------
+# -- linear systems in module maps ------------------------------------------
+
+
+def map_equations(field: Field, terms, var, rows: int, cols: int, rhs=None) -> list:
+    """The sparse equations {variable: coeff, RHS: b}, one per entry (i, j)
+    of a rows x cols matrix, of sum c * L * s^q + sum c * s^q * R = rhs (0
+    when ``rhs`` is None) in the entries of unknown maps s^q.
+
+    A term (c, L, q, None) reads c * L * s^q and (c, None, q, R) reads
+    c * s^q * R; ``var(q, i, j)`` is the variable of entry (i, j) of s^q,
+    None where that entry is fixed at zero.  L and R are read column by
+    column: column k of L puts L[i, k] s^q[k, j] into equation (i, j) for
+    every j, and column j of R puts s^q[i, k] R[k, j] into it for every i.
+    An entry that reads 0 = 0 gives no equation; one that reads 0 = b, b
+    nonzero, is kept.
+    """
+    eqs = [[{} for _ in range(cols)] for _ in range(rows)]
+    for c, left, q, right in terms:
+        if right is None:
+            for k, lcol in enumerate(left.columns):
+                for j in range(cols if lcol else 0):
+                    x = var(q, k, j)
+                    if x is not None:
+                        for i, v in lcol.items():
+                            eq = eqs[i][j]
+                            eq[x] = eq.get(x, 0) + c * v
+        else:
+            for j, rcol in enumerate(right.columns):
+                for k, v in rcol.items():
+                    for i in range(rows):
+                        x = var(q, i, k)
+                        if x is not None:
+                            eq = eqs[i][j]
+                            eq[x] = eq.get(x, 0) + c * v
+    p = field.p
+    out = []
+    for i, row in enumerate(eqs):
+        for j, eq in enumerate(row):
+            eq = zero_free(eq, p)
+            b = None if rhs is None else rhs.columns[j].get(i)
+            if b:
+                eq[RHS] = b
+            if eq:
+                out.append(eq)
+    return out
 
 
 def nullhomotopy(fmap: ChainMap, gmap: ChainMap):
-    """Exact linear search for s with f - g = (-1)^n d s + (-1)^{n+1} s d,
-    constrained to be module-linear.  Returns Homotopy or None."""
+    """Exact linear search for a module-linear homotopy s, s^p: source^p ->
+    target^{p-1}, with f^p - g^p = (-1)^p d s^p + (-1)^{p+1} s^{p+1} d.
+    Returns {p: s^p} or None."""
     if fmap.source is not gmap.source or fmap.target is not gmap.target:
         if (fmap.source.dims != gmap.source.dims
                 or fmap.target.dims != gmap.target.dims):
@@ -560,105 +600,48 @@ def nullhomotopy(fmap: ChainMap, gmap: ChainMap):
     f = fmap.field
     lo = min(src.window[0], tgt.window[0])
     hi = max(src.window[1], tgt.window[1]) + 1
-    varmap = {}
-    for p in range(lo, hi + 1):
-        ns, nt = src.dim(p), tgt.dim(p - 1)
-        for i in range(nt):
-            for j in range(ns):
-                varmap[(p, i, j)] = len(varmap)
+    entries = [(p, i, j) for p in range(lo, hi + 1)
+               for i in range(tgt.dim(p - 1)) for j in range(src.dim(p))]
+    varmap = {entry: v for v, entry in enumerate(entries)}
 
-    def var(p, i, j):
-        return varmap.get((p, i, j))
-
-    def rows_of(m: Matrix, nrows: int):
-        """Row i of m as {column: value}, for i < nrows (m may be smaller)."""
-        rows = [{} for _ in range(nrows)]
-        for j, col in enumerate(m.columns):
-            for i, v in col.items():
-                if i < nrows:
-                    rows[i][j] = v
-        return rows
+    def var(q, i, j):
+        return varmap.get((q, i, j))
 
     eqs = []
-    # homotopy identity per degree
     for p in range(lo - 1, hi + 1):
-        ns = src.dim(p)
-        delta = fmap.map_at(p).sub(gmap.map_at(p))
-        sgn_d = 1 if p % 2 == 0 else -1
-        dprev = rows_of(tgt.diff(p - 1), tgt.dim(p))  # tgt^{p-1} -> tgt^p
-        dnext = src.diff(p).columns                   # src^p -> src^{p+1}
-        for i in range(tgt.dim(p)):
-            for j in range(ns):
-                eq = {}
-                # (-1)^p (d s^p)_{ij} = sum_k d[i,k] s^p[k,j]
-                for k, c in dprev[i].items():
-                    v = var(p, k, j)
-                    if v is not None:
-                        eq[v] = eq.get(v, 0) + sgn_d * c
-                # (-1)^{p+1} (s^{p+1} d)_{ij} = sum_k s^{p+1}[i,k] d[k,j]
-                if j < len(dnext):
-                    for k, c in dnext[j].items():
-                        v = var(p + 1, i, k)
-                        if v is not None:
-                            eq[v] = eq.get(v, 0) - sgn_d * c
-                eq = zero_free(eq, f.p)
-                rhs = delta.columns[j].get(i) if j < delta.cols else None
-                if eq or rhs:
-                    eq[RHS] = rhs or f.zero()
-                    eqs.append(eq)
-    # module linearity of s
-    act_shift = src.action_degree
+        sgn = 1 if p % 2 == 0 else -1
+        eqs += map_equations(f, [(sgn, tgt.diff(p - 1), p, None), (-sgn, None, p + 1, src.diff(p))],
+                             var, tgt.dim(p), src.dim(p), fmap.map_at(p).sub(gmap.map_at(p)))
+    # module linearity: s a = a s
+    shift = src.action_degree
     for p in range(lo - 1, hi + 1):
         for g in range(src.num_generators()):
-            a_s = src.action(p, g).columns    # src^p -> src^{p+shift}
-            rows_t = tgt.dim(p - 1 + act_shift)
-            a_t = rows_of(tgt.action(p - 1, g), rows_t)  # tgt^{p-1} -> tgt^{p-1+shift}
-            for i in range(rows_t):
-                for j in range(src.dim(p)):
-                    eq = {}
-                    # (s^{p+shift} a_src)_{ij}
-                    if j < len(a_s):
-                        for k, c in a_s[j].items():
-                            v = var(p + act_shift, i, k)
-                            if v is not None:
-                                eq[v] = eq.get(v, 0) + c
-                    # -(a_tgt s^p)_{ij}
-                    for k, c in a_t[i].items():
-                        v = var(p, k, j)
-                        if v is not None:
-                            eq[v] = eq.get(v, 0) - c
-                    eq = zero_free(eq, f.p)
-                    if eq:
-                        eqs.append(eq)
+            eqs += map_equations(f, [(1, None, p + shift, src.action(p, g)),
+                                     (-1, tgt.action(p - 1, g), p, None)],
+                                 var, tgt.dim(p - 1 + shift), src.dim(p))
     sol = solve_sparse(f, eqs, len(varmap))
     if sol is None:
         return None
-    maps = {}
-    for p in range(lo, hi + 1):
-        ns, nt = src.dim(p), tgt.dim(p - 1)
-        if not ns or not nt:
-            continue
-        maps[p] = Matrix(f, nt, [zero_free({i: sol[varmap[(p, i, j)]] for i in range(nt)}, f.p)
-                                 for j in range(ns)])
-    return Homotopy(maps)
+    return {p: Matrix(f, tgt.dim(p - 1),
+                      [zero_free({i: sol[varmap[(p, i, j)]] for i in range(tgt.dim(p - 1))}, f.p)
+                       for j in range(src.dim(p))])
+            for p in range(lo, hi + 1) if src.dim(p) and tgt.dim(p - 1)}
 
 
-def homotopy_identity_holds(fmap: ChainMap, gmap: ChainMap, h: Homotopy) -> bool:
-    f = fmap.field
+def homotopy_identity_holds(fmap: ChainMap, gmap: ChainMap, h: dict) -> bool:
+    """Whether h = {p: s^p} has f - g - (-1)^p d s^p + (-1)^p s^{p+1} d = 0
+    at every degree of the window."""
     src, tgt = fmap.source, fmap.target
     lo = min(src.window[0], tgt.window[0])
     hi = max(src.window[1], tgt.window[1])
-    one = f.one()
     for p in range(lo, hi + 1):
-        delta = fmap.map_at(p).sub(gmap.map_at(p))
-        sgn_d = one if p % 2 == 0 else f.neg(one)
-        sp = h.maps.get(p)
-        sp1 = h.maps.get(p + 1)
-        acc = Matrix.zero(f, tgt.dim(p), src.dim(p))
-        if sp is not None:
-            acc = acc.add(tgt.diff(p - 1).mul(sp).scale(sgn_d))
-        if sp1 is not None:
-            acc = acc.add(sp1.mul(src.diff(p)).scale(f.neg(sgn_d)))
-        if not acc.eq(delta):
+        sgn = 1 if p % 2 == 0 else -1
+        terms = [(-1, gmap.map_at(p), None)]
+        if p in h:
+            terms.append((-sgn, tgt.diff(p - 1), h[p]))
+        if p + 1 in h:
+            terms.append((sgn, h[p + 1], src.diff(p)))
+        if not _vanishes(fmap.field, terms, lead=(1, fmap.map_at(p), None),
+                         shape=(tgt.dim(p), src.dim(p))):
             return False
     return True

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .complexes import BaseComplex, CdgModule, ChainMap, UComplex
+from .complexes import BaseComplex, CdgModule, ChainMap, UComplex, map_equations
 from .deformations import CdgAlgebra, FilteredAlgebraTruncation
 from .errors import InconsistentDataError, InputError
 from .linalg import Matrix, axpy, kernel_basis, rank, zero_free
@@ -615,36 +615,24 @@ def module_linear_hom_basis(n: CdgModule, g: CdgModule, degree: int, labels):
     Hom(N^r, G^{r+degree}) as by ``hom_labels``; the columns of the
     result span the solutions.
     """
-    f = n.field
     varmap = {lab: v for v, lab in enumerate(labels)}
-    cols = [{} for _ in labels]  # column v: the coefficients of variable v
-    neqs = 0
+
+    def var(q, i, j):
+        """Entry (i, j) of h^q: N^q -> G^{q+degree} is the functional (q, j, i)."""
+        return varmap.get((q, j, i))
+
+    eqs = []
     for r in n.dims:
         for gen in range(n.num_generators()):
-            a_n = n.action(r, gen)           # N^r -> N^{r+1}
-            # G^{r+degree} -> G^{r+degree+1}, read by rows
-            g_rows = [{} for _ in range(g.dim(r + 1 + degree))]
-            for k, gcol in enumerate(g.action(r + degree, gen).columns):
-                for i, c in gcol.items():
-                    g_rows[i][k] = c
-            for i, g_row in enumerate(g_rows):
-                for j in range(n.dim(r)):
-                    # h(x* e_j) + x* h(e_j) at e_i
-                    eq = {}
-                    for k, c in a_n.columns[j].items():
-                        v = varmap.get((r + 1, k, i))
-                        if v is not None:
-                            eq[v] = eq.get(v, 0) + c
-                    for k, c in g_row.items():
-                        v = varmap.get((r, j, k))
-                        if v is not None:
-                            eq[v] = eq.get(v, 0) + c
-                    eq = zero_free(eq, f.p)
-                    if eq:
-                        for v, c in eq.items():
-                            cols[v][neqs] = c
-                        neqs += 1
-    return kernel_basis(Matrix(f, neqs, cols))
+            # h(x* v) + x* h(v) = 0 on N^r
+            eqs += map_equations(n.field, [(1, None, r + 1, n.action(r, gen)),
+                                           (1, g.action(r + degree, gen), r, None)],
+                                 var, g.dim(r + 1 + degree), n.dim(r))
+    cols = [{} for _ in labels]  # column v: the coefficients of variable v
+    for row, eq in enumerate(eqs):
+        for v, c in eq.items():
+            cols[v][row] = c
+    return kernel_basis(Matrix(n.field, len(eqs), cols))
 
 
 def adjunction_report(n: CdgModule, m: UComplex, cdga: CdgAlgebra,

@@ -21,7 +21,6 @@ from .errors import InputError, NonFreeComponentError
 from .functors import (
     FunctorBounds,
     adjunction_report,
-    apply_F,
     apply_G,
     counit,
     unit,
@@ -198,6 +197,27 @@ def bounds_from(args) -> FunctorBounds:
                          internal=args.internal)
 
 
+def u_bound(args, b: FunctorBounds) -> int:
+    """The bound of the U truncation that F and FG read: ``--degree``, or
+    the top filtration level of the window plus one where that is higher."""
+    return max(args.degree, b.filtration + b.window[1] + 1)
+
+
+def _cone_report(name, key, out, fmap, window):
+    """(code, payload, lines) of ``unit`` and ``counit``: the dims of the
+    functor image ``out``, the homology of the cone of ``fmap`` on the
+    window, and whether it vanishes off the edge degrees."""
+    h, edges = homology_dims(cone(fmap), window)
+    ok = all(v == 0 for p, v in h.items() if p not in edges)
+    lines = [f"{name} dims: {dict(sorted(out.dims.items()))}",
+             f"cone homology: {h}",
+             f"quasi-isomorphism in interior: {ok}"]
+    return (0 if ok else 1), {
+        key: {str(k): v for k, v in sorted(out.dims.items())},
+        "cone_homology": {str(k): v for k, v in sorted(h.items())},
+        "interior_qis": ok}, lines
+
+
 # -- command implementations ------------------------------------------------------
 
 
@@ -217,9 +237,7 @@ def cmd_koszul_check(problem, args):
 def cmd_apply_f(problem, args):
     b = bounds_from(args)
     n = named_cdg_module(problem, args.cdg, args.degree)
-    u = problem.u_truncation(max(args.degree, b.filtration + b.window[1] + 1))
-    fc = apply_F(n, u, b)
-    rep = f_homology_stabilized(n, u, b)
+    fc, rep = f_homology_stabilized(n, problem.u_truncation(u_bound(args, b)), b)
     lines = [f"F_i dims: {dict(sorted(fc.dims.items()))}",
              f"homology by degree: {rep.by_degree()}",
              f"stabilized over three filtration levels: {rep.stabilized}"]
@@ -257,45 +275,22 @@ def cmd_adjoint_check(problem, args):
 def cmd_unit(problem, args):
     b = bounds_from(args)
     n = named_cdg_module(problem, args.cdg, args.degree)
-    u = problem.u_truncation(max(args.degree,
-                                 b.filtration + b.window[1] + 1))
-    gf, eta = unit(n, u, problem.cdga(args.degree), b)
-    cn = cone(eta)
-    h, edges = homology_dims(cn, b.window)
-    interior = {p: v for p, v in h.items() if p not in edges}
-    ok = all(v == 0 for v in interior.values())
-    lines = [f"(GF)_i dims: {dict(sorted(gf.dims.items()))}",
-             f"cone homology: {h}",
-             f"quasi-isomorphism in interior: {ok}"]
-    return (0 if ok else 1), {
-        "gf_dims": {str(k): v for k, v in sorted(gf.dims.items())},
-        "cone_homology": {str(k): v for k, v in sorted(h.items())},
-        "interior_qis": ok}, lines
+    gf, eta = unit(n, problem.u_truncation(u_bound(args, b)), problem.cdga(args.degree), b)
+    return _cone_report("(GF)_i", "gf_dims", gf, eta, b.window)
 
 
 def cmd_counit(problem, args):
     b = bounds_from(args)
     m = named_complex(problem, args.complex)
-    u = problem.u_truncation(max(args.degree, b.filtration + b.window[1] + 1))
-    fg, eps = counit(m, u, problem.cdga(args.degree), b)
-    cn = cone(eps)
-    h, edges = homology_dims(cn, b.window)
-    interior = {p: v for p, v in h.items() if p not in edges}
-    ok = all(v == 0 for v in interior.values())
-    lines = [f"FG dims: {dict(sorted(fg.dims.items()))}",
-             f"cone homology: {h}",
-             f"quasi-isomorphism in interior: {ok}"]
-    return (0 if ok else 1), {
-        "fg_dims": {str(k): v for k, v in sorted(fg.dims.items())},
-        "cone_homology": {str(k): v for k, v in sorted(h.items())},
-        "interior_qis": ok}, lines
+    fg, eps = counit(m, problem.u_truncation(u_bound(args, b)), problem.cdga(args.degree), b)
+    return _cone_report("FG", "fg_dims", fg, eps, b.window)
 
 
 def cmd_ce(problem, args):
     b = bounds_from(args)
     m = named_module(problem, args.module)
-    u = problem.u_truncation(max(args.degree, b.filtration + b.window[1] + 1))
-    fg, eps, rep = koszul_ce_complex(problem.deformation(), m, u,
+    fg, eps, rep = koszul_ce_complex(problem.deformation(), m,
+                                     problem.u_truncation(u_bound(args, b)),
                                      problem.cdga(args.degree), b)
     lines = [f"CE dims: {dict(sorted(fg.dims.items()))}",
              f"homology by degree: {rep.by_degree()}"]

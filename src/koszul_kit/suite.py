@@ -53,19 +53,19 @@ def _report(x, window, per_weight=False) -> HomologyReport:
     return HomologyReport(entries, window, edges)
 
 
-def f_homology_stabilized(n, u, bounds: FunctorBounds) -> HomologyReport:
+def f_homology_stabilized(n, u, bounds: FunctorBounds):
     """Homology of the filtration pieces F_i(N) with stabilization detection.
 
     The colimit claim is asserted only through the flag: the report is
     marked stabilized when three consecutive filtration levels agree on
-    the interior of the window.
+    the interior of the window.  Returns (F_i(N) at the top level i =
+    ``bounds.filtration``, report of its homology).
     """
     views = []
     for i in (bounds.filtration - 2, bounds.filtration - 1, bounds.filtration):
         if i < 0:
             continue
-        bi = FunctorBounds(bounds.window, i, bounds.internal)
-        fc = apply_F(n, u, bi)
+        fc = apply_F(n, u, FunctorBounds(bounds.window, i, bounds.internal))
         dims, edges = homology_dims(fc, bounds.window)
         views.append((dims, edges))
     dims, edges = views[-1]
@@ -74,9 +74,8 @@ def f_homology_stabilized(n, u, bounds: FunctorBounds) -> HomologyReport:
     stable = len(views) == 3 and all(
         views[0][0].get(p, 0) == views[1][0].get(p, 0) == views[2][0].get(p, 0)
         for p in interior)
-    rep = HomologyReport({(p, None): d for p, d in dims.items()},
-                         bounds.window, edges, stabilized=stable)
-    return rep
+    return fc, HomologyReport({(p, None): d for p, d in dims.items()},
+                              bounds.window, edges, stabilized=stable)
 
 
 # -- generalized Koszul / Chevalley-Eilenberg complex -------------------------
@@ -183,8 +182,12 @@ def koszulness_check(p: QuadraticPresentation, n_max: int):
 
 def tor(m: UComplex, cdga: CdgAlgebra, bounds: FunctorBounds, cross_check=False,
         u: FilteredAlgebraTruncation = None) -> HomologyReport:
-    """Tor_p^U(k, M) = H^{-p} G(M), windowed, with an optional second
-    route through k ⊗_U FG(M)."""
+    """Tor_p^U(k, M) = H^{-p} G(M), windowed.
+
+    ``cross_check`` compares it with the homology of k ⊗_U F_i(G(M)).  That
+    is not a second route: the fiber keeps the labels 1 ⊗ n, on which F's
+    differential is 1 ⊗ dn, so it is G(M) itself wherever filtration + p
+    >= 0, and the check re-reads only the unit rows of F."""
     if not cdga.curvature_is_zero:
         raise CurvedInputError("tor needs c = 0")
     g = apply_G(m, cdga, bounds)

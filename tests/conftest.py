@@ -11,7 +11,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from koszul_kit.cofree import socle_sdr
 from koszul_kit.complexes import BaseComplex, CdgModule, ChainMap, UComplex, UModule, _block
 from koszul_kit.deformations import DeformationData, PbwReport, build_U, build_cdga
-from koszul_kit.errors import NotCofreeError
+from koszul_kit.errors import InconsistentDataError, NotCofreeError
 from koszul_kit.functors import cofree_actions, dual_dims, hom_labels
 from koszul_kit.linalg import (
     RHS,
@@ -1439,6 +1439,190 @@ def oracle_chain_map_validate(fmap, check_actions=True):
                     return f"does not commute with action at degree {p}"
     return None
 
+
+
+# -- the linear systems in module maps, as each wrote its own -----------------
+#
+# The bodies of ``complexes.nullhomotopy`` and
+# ``functors.module_linear_hom_basis`` before both were written on
+# ``complexes.map_equations``: each assembles its equations row by row,
+# from transposed copies of the matrices it reads.
+
+
+def oracle_nullhomotopy(fmap, gmap):
+    """``nullhomotopy`` with its own equation loops: {p: s^p} or None."""
+    if fmap.source is not gmap.source or fmap.target is not gmap.target:
+        if (fmap.source.dims != gmap.source.dims
+                or fmap.target.dims != gmap.target.dims):
+            raise InconsistentDataError("nullhomotopy needs parallel maps")
+    src, tgt = fmap.source, fmap.target
+    f = fmap.field
+    lo = min(src.window[0], tgt.window[0])
+    hi = max(src.window[1], tgt.window[1]) + 1
+    varmap = {}
+    for p in range(lo, hi + 1):
+        ns, nt = src.dim(p), tgt.dim(p - 1)
+        for i in range(nt):
+            for j in range(ns):
+                varmap[(p, i, j)] = len(varmap)
+
+    def var(p, i, j):
+        return varmap.get((p, i, j))
+
+    def rows_of(m, nrows):
+        """Row i of m as {column: value}, for i < nrows (m may be smaller)."""
+        rows = [{} for _ in range(nrows)]
+        for j, col in enumerate(m.columns):
+            for i, v in col.items():
+                if i < nrows:
+                    rows[i][j] = v
+        return rows
+
+    eqs = []
+    # homotopy identity per degree
+    for p in range(lo - 1, hi + 1):
+        ns = src.dim(p)
+        delta = fmap.map_at(p).sub(gmap.map_at(p))
+        sgn_d = 1 if p % 2 == 0 else -1
+        dprev = rows_of(tgt.diff(p - 1), tgt.dim(p))  # tgt^{p-1} -> tgt^p
+        dnext = src.diff(p).columns                   # src^p -> src^{p+1}
+        for i in range(tgt.dim(p)):
+            for j in range(ns):
+                eq = {}
+                # (-1)^p (d s^p)_{ij} = sum_k d[i,k] s^p[k,j]
+                for k, c in dprev[i].items():
+                    v = var(p, k, j)
+                    if v is not None:
+                        eq[v] = eq.get(v, 0) + sgn_d * c
+                # (-1)^{p+1} (s^{p+1} d)_{ij} = sum_k s^{p+1}[i,k] d[k,j]
+                if j < len(dnext):
+                    for k, c in dnext[j].items():
+                        v = var(p + 1, i, k)
+                        if v is not None:
+                            eq[v] = eq.get(v, 0) - sgn_d * c
+                eq = zero_free(eq, f.p)
+                rhs = delta.columns[j].get(i) if j < delta.cols else None
+                if eq or rhs:
+                    eq[RHS] = rhs or f.zero()
+                    eqs.append(eq)
+    # module linearity of s
+    act_shift = src.action_degree
+    for p in range(lo - 1, hi + 1):
+        for g in range(src.num_generators()):
+            a_s = src.action(p, g).columns    # src^p -> src^{p+shift}
+            rows_t = tgt.dim(p - 1 + act_shift)
+            a_t = rows_of(tgt.action(p - 1, g), rows_t)  # tgt^{p-1} -> tgt^{p-1+shift}
+            for i in range(rows_t):
+                for j in range(src.dim(p)):
+                    eq = {}
+                    # (s^{p+shift} a_src)_{ij}
+                    if j < len(a_s):
+                        for k, c in a_s[j].items():
+                            v = var(p + act_shift, i, k)
+                            if v is not None:
+                                eq[v] = eq.get(v, 0) + c
+                    # -(a_tgt s^p)_{ij}
+                    for k, c in a_t[i].items():
+                        v = var(p, k, j)
+                        if v is not None:
+                            eq[v] = eq.get(v, 0) - c
+                    eq = zero_free(eq, f.p)
+                    if eq:
+                        eqs.append(eq)
+    sol = solve_sparse(f, eqs, len(varmap))
+    if sol is None:
+        return None
+    maps = {}
+    for p in range(lo, hi + 1):
+        ns, nt = src.dim(p), tgt.dim(p - 1)
+        if not ns or not nt:
+            continue
+        maps[p] = Matrix(f, nt, [zero_free({i: sol[varmap[(p, i, j)]] for i in range(nt)}, f.p)
+                                 for j in range(ns)])
+    return maps
+
+
+
+def oracle_homotopy_identity_holds(fmap, gmap, h):
+    """``homotopy_identity_holds`` on Matrix temporaries: d s and s d
+    formed, scaled and summed, then compared with f - g."""
+    f = fmap.field
+    src, tgt = fmap.source, fmap.target
+    lo = min(src.window[0], tgt.window[0])
+    hi = max(src.window[1], tgt.window[1])
+    one = f.one()
+    for p in range(lo, hi + 1):
+        delta = fmap.map_at(p).sub(gmap.map_at(p))
+        sgn_d = one if p % 2 == 0 else f.neg(one)
+        sp = h.get(p)
+        sp1 = h.get(p + 1)
+        acc = Matrix.zero(f, tgt.dim(p), src.dim(p))
+        if sp is not None:
+            acc = acc.add(tgt.diff(p - 1).mul(sp).scale(sgn_d))
+        if sp1 is not None:
+            acc = acc.add(sp1.mul(src.diff(p)).scale(f.neg(sgn_d)))
+        if not acc.eq(delta):
+            return False
+    return True
+
+def oracle_module_linear_hom_basis(n, g, degree, labels):
+    """``module_linear_hom_basis`` with its own equation loop."""
+    f = n.field
+    varmap = {lab: v for v, lab in enumerate(labels)}
+    cols = [{} for _ in labels]  # column v: the coefficients of variable v
+    neqs = 0
+    for r in n.dims:
+        for gen in range(n.num_generators()):
+            a_n = n.action(r, gen)           # N^r -> N^{r+1}
+            # G^{r+degree} -> G^{r+degree+1}, read by rows
+            g_rows = [{} for _ in range(g.dim(r + 1 + degree))]
+            for k, gcol in enumerate(g.action(r + degree, gen).columns):
+                for i, c in gcol.items():
+                    g_rows[i][k] = c
+            for i, g_row in enumerate(g_rows):
+                for j in range(n.dim(r)):
+                    # h(x* e_j) + x* h(e_j) at e_i
+                    eq = {}
+                    for k, c in a_n.columns[j].items():
+                        v = varmap.get((r + 1, k, i))
+                        if v is not None:
+                            eq[v] = eq.get(v, 0) + c
+                    for k, c in g_row.items():
+                        v = varmap.get((r, j, k))
+                        if v is not None:
+                            eq[v] = eq.get(v, 0) + c
+                    eq = zero_free(eq, f.p)
+                    if eq:
+                        for v, c in eq.items():
+                            cols[v][neqs] = c
+                        neqs += 1
+    return kernel_basis(Matrix(f, neqs, cols))
+
+def random_bounded_complex(data, u, rng, max_dim=2, length=3):
+    """Random U-complex of sums of trivial modules with nilpotent maps."""
+    f = data.field
+    k = UModule.trivial(data)
+    mods = {}
+    dims = {}
+    for p in range(length):
+        n = rng.randint(1, max_dim)
+        m = k
+        for _ in range(n - 1):
+            m = m.direct_sum(k)
+        mods[p] = m
+        dims[p] = n
+    diffs = {}
+    prev = None
+    for p in range(length - 1):
+        while True:
+            d = Matrix.from_rows(f, [[f.of_int(rng.randrange(-2, 3))
+                                      for _ in range(dims[p])]
+                                     for _ in range(dims[p + 1])], dims[p])
+            if prev is None or d.mul(prev).is_zero():
+                break
+        diffs[p] = d
+        prev = d
+    return UComplex(data, (0, length - 1), mods, diffs)
 
 def symmetric_presentation(field, dim):
     """S(V): relations x_i x_j - x_j x_i for i < j."""

@@ -340,8 +340,9 @@ def _reference_parser():
         if "range" in extras:
             sp.add_argument("--range", type=cli._parse_range, default=(0, 4))
         if "cross_check" in extras:
-            sp.add_argument("--cross-check", dest="cross_check",
-                            action="store_true")
+            sp.add_argument("--cross-check", dest="cross_check", action="store_true",
+                            help="also read Tor off k tensor_U FG(M); that complex is "
+                                 "G(M) again, so this only re-checks F's unit rows")
         if "free" in extras:
             sp.add_argument("--free", required=True, help="named free complex")
         if "free_dual?" in extras:

@@ -36,7 +36,7 @@ from koszul_kit.freeside import (
     free_nullhomotopy,
     null_test_free,
 )
-from koszul_kit.functors import FilteredFComplex, FunctorBounds, G_blocks, apply_G
+from koszul_kit.functors import FilteredFComplex, FunctorBounds, G_blocks, apply_F, apply_G
 from koszul_kit.linalg import Matrix, solve_matrix, zero_free
 from koszul_kit.presentations import QuadraticPresentation, quadratic_dual, truncate_algebra
 from koszul_kit.scalars import QQ, Field
@@ -58,6 +58,7 @@ from conftest import (
     heisenberg_deformation,
     oracle_transfer_minimal,
     pinv_cols,
+    random_bounded_complex,
     symmetric_presentation,
     unit_maps_by_lines,
 )
@@ -152,6 +153,29 @@ def test_tor_cross_check_mismatch_is_inconsistent_data(f, monkeypatch):
     kc = UComplex(data, (0, 0), {0: UModule.trivial(data)}, {})
     with pytest.raises(InconsistentDataError, match=r"^tor cross-check mismatch at degree -1$"):
         tor(kc, cdga, FunctorBounds((-4, 1), 4, 3), cross_check=True, u=u)
+
+
+@pytest.mark.parametrize("f", [QQ, Field(2), Field(3), Field(5)], ids=repr)
+def test_tor_cross_check_reads_g_of_m_again(f):
+    """k ⊗_U F_i(G(M)) keeps the labels 1 ⊗ n, and F's differential sends
+    1 ⊗ n to 1 ⊗ dn plus terms off them: the fiber is G(M), dims and
+    differentials, in every degree p with filtration + p >= 0, and empty
+    below.  So ``tor --cross-check`` is no second route to Tor."""
+    rng = random.Random(SEED + 59)
+    b = FunctorBounds((-4, 1), 2, 3)
+    nonzero = 0
+    for data in (DeformationData.trivial(symmetric_presentation(f, 2)),
+                 heisenberg_deformation(f)):
+        u, cdga = build_U(data, 4), build_cdga(data, 4)
+        k = UComplex(data, (0, 0), {0: UModule.trivial(data)}, {})
+        for m in (k, random_bounded_complex(data, None, rng, length=2)):
+            g = apply_G(m, cdga, b)
+            fib = apply_F(g, u, b).fiber_complex()
+            kept = [p for p in range(-4, 2) if b.filtration + p >= 0]
+            assert fib.dims == {p: g.dim(p) for p in kept if g.dim(p)}
+            assert all(fib.diff(p).eq(g.diff(p)) for p in kept if p + 1 in kept)
+            nonzero += sum(not g.diff(p).is_zero() for p in kept if p + 1 in kept)
+    assert nonzero
 
 
 def test_tor_of_free_module_concentrated(sym2_world):
@@ -315,33 +339,6 @@ def test_ext_of_zero(sym2_world):
 
 
 # -- minimization ----------------------------------------------------------------
-
-
-def random_bounded_complex(data, u, rng, max_dim=2, length=3):
-    """Random U-complex of sums of trivial modules with nilpotent maps."""
-    f = data.field
-    k = UModule.trivial(data)
-    mods = {}
-    dims = {}
-    for p in range(length):
-        n = rng.randint(1, max_dim)
-        m = k
-        for _ in range(n - 1):
-            m = m.direct_sum(k)
-        mods[p] = m
-        dims[p] = n
-    diffs = {}
-    prev = None
-    for p in range(length - 1):
-        while True:
-            d = Matrix.from_rows(f, [[f.of_int(rng.randrange(-2, 3))
-                                      for _ in range(dims[p])]
-                                     for _ in range(dims[p + 1])], dims[p])
-            if prev is None or d.mul(prev).is_zero():
-                break
-        diffs[p] = d
-        prev = d
-    return UComplex(data, (0, length - 1), mods, diffs)
 
 
 def test_minimize_matches_homology(sym2_world):
