@@ -405,8 +405,13 @@ def main(argv=None) -> int:
         sys.stderr.write(f"input error: {e}; raise --degree\n")
         return 2
     except KoszulKitError as e:
-        # preconditions violated by the input data (curved input where c = 0
-        # is required, non-free or non-cofree complexes, missing weights)
+        # every other toolkit error exits 2 as well: preconditions violated
+        # by the input data (curved input where c = 0 is required, non-free
+        # or non-cofree complexes, missing weights), and also a runtime
+        # certificate that failed on a computed result
+        # (InconsistentDataError, CdgaInvariantError outside ``cdga``), which
+        # is a fault of the program, not of the input; telling the two
+        # apart is ROADMAP item 5
         sys.stderr.write(f"{type(e).__name__}: {e}\n")
         return 2
 

@@ -14,7 +14,7 @@ from .errors import (
     InputError,
     WellDefinednessError,
 )
-from .linalg import Matrix, axpy, is_nonzero, kernel_basis, rref, solve, zero_free
+from .linalg import Matrix, axpy, is_nonzero, rref, zero_free
 from .presentations import (
     GradedAlgebraTruncation,
     QuadraticPresentation,
@@ -115,28 +115,22 @@ class PbwReport:
 
 
 def pbw_check(data: DeformationData) -> PbwReport:
-    """The three PBW conditions, verified exactly on a basis of (R⊗V)∩(V⊗R).
-
-    A kernel vector (x | y) of [R⊗V; −V⊗R]ᵀ is an overlap vector t given in
-    both row sets at once: t = x·(R⊗V) = y·(V⊗R).  Each row set is
-    independent, so x determines t and the kernel dimension is the overlap
-    dimension.
+    """The three PBW conditions, verified exactly on the basis of
+    (R⊗V)∩(V⊗R) that the presentation keeps (``overlap()``): each kernel
+    vector (x | y) gives an overlap vector's coordinates in both row sets
+    R⊗V and V⊗R at once.
     """
-    f = data.field
-    p = f.p
+    p = data.field.p
     d = data.base.dim
     rel = data.base.relations
     m = rel.rows
     alpha, beta = data.alpha.columns, data.beta.columns  # per relation i
-    idm = Matrix.identity(f, d)
-    rv = rel.kron(idm)        # rows r_i ⊗ e_k span R ⊗ V
-    vr = idm.kron(rel)        # rows e_k ⊗ r_i span V ⊗ R
-    overlap = kernel_basis(rv.vstack(vr.neg()).transpose())
+    overlap = data.base.overlap()
     relt = rel.transpose()
     # R is stored as rref rows: an element of R has its R-coordinates at the
     # pivots, the leftmost column of each row
     pivots = [min(row) for row in relt.columns]
-    top = rv.rows
+    top = m * d
 
     cond1 = True
     cond2 = True
@@ -278,25 +272,17 @@ class CdgAlgebra:
         return None
 
 
-def _dual_pairing(dual: GradedAlgebraTruncation, rel: Matrix) -> Matrix:
-    """Pairing matrix <r_j, section(s)> between relation rows and the A!_2
-    basis: column s is the column of R at the pair coordinate of s.
-
-    Contragredient pairing, matching quadratic_dual: the word (a, b) pairs
-    against the (b, a) coordinate of the relation.
-    """
-    d = dual.pres.dim
-    return Matrix(dual.field, rel.rows,
-                  [rel.columns[pair_index(w[1], w[0], d)] for w in dual.basis_words[2]])
-
-
 def build_cdga(data: DeformationData, bound: int, check=True,
                _sign_debug=False) -> CdgAlgebra:
     """Dualize (alpha, beta) to (d, c) on the quadratic dual, truncated.
 
     Raises WellDefinednessError if d does not descend to A!, and (when
     ``check``) CdgaInvariantError if any curved-dga axiom fails; both
-    signal that the deformation is not of PBW type.
+    signal that the deformation is not of PBW type.  (d, c) on the
+    generators are read off the presentation's ``dual_pairing_inverse``,
+    shared by every deformation of R and every bound; it raises
+    InconsistentDataError when the pairing is degenerate, a fault of the
+    program, not of the input.
     """
     if bound < 2:
         raise InputError(f"--degree {bound} is below 2: the cdga reads A!_2")
@@ -304,18 +290,18 @@ def build_cdga(data: DeformationData, bound: int, check=True,
     d = data.base.dim
     dual_pres = data.base.dual()
     dual = dual_pres.truncation(bound)
-    rel = data.base.relations
 
-    pairing = _dual_pairing(dual, rel)  # m x dim A!_2, invertible
-    # d1 on generators: <d(x_g*), r_j> = x_g*(alpha(r_j)) = alpha[g][j]
-    lift = []  # chosen representative of d(x_g*), as {V*⊗V* word: coeff}
-    for alpha_g in data.alpha.transpose().columns:
-        coeffs = solve(pairing, alpha_g)
-        if coeffs is None:
-            raise WellDefinednessError("degree-2 pairing is degenerate")
-        lift.append({dual.basis_words[2][s]: c for s, c in coeffs.items()})
-    # curvature: <c, r_j> = beta(r_j)
-    curv_col = solve(pairing, data.beta.transpose().columns[0])
+    # <d(x_g*), r_j> = x_g*(alpha(r_j)) = alpha[g][j] and <c, r_j> = beta(r_j):
+    # one product with the presentation's inverse of the A!_2 pairing gives
+    # the chosen representatives of every d(x_g*) and of c
+    rhs = Matrix(f, data.base.num_relations,
+                 data.alpha.transpose().columns + data.beta.transpose().columns)
+    *lifts, curv_col = data.base.dual_pairing_inverse(bound).mul(rhs).columns
+    words = dual.basis_words[2]
+    # as {V*⊗V* word: coeff}, keys in increasing basis order (a product's
+    # columns come in the order of its sums), so the derivations below are
+    # accumulated in one fixed order
+    lift = [{words[s]: c for s, c in sorted(col.items())} for col in lifts]
     curv = [curv_col.get(s, f.zero()) for s in range(dual.dim_at(2))]
 
     # well-definedness: the lifted derivation must kill R-perp in A!_3

@@ -314,7 +314,7 @@ def cmd_tor(problem, args):
     m = named_complex(problem, args.module)
     rep = tor(m, problem.cdga(args.degree), b,
               cross_check=args.cross_check,
-              u=problem.u_truncation(args.degree) if args.cross_check else None)
+              u=problem.u_truncation(u_bound(args, b)) if args.cross_check else None)
     by_deg = rep.by_degree()
     dims = [by_deg.get(-p, 0) for p in range(a, bb + 1)]
     lines = [f"Tor_p(k, {args.module}) for p = {a}..{bb}: {dims}"]

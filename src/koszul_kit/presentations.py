@@ -5,7 +5,13 @@ matrix, so presentations that span the same subspace compare equal.  It
 owns what is derived from it: ``dual()`` is the presentation of A! and
 ``truncation(n)`` is A_{<=n}, each built on its first call (through
 ``quadratic_dual`` and ``truncate_algebra``) and kept, so every
-deformation (R, alpha, beta) of one R dualizes on one shared A!.
+deformation (R, alpha, beta) of one R dualizes on one shared A!.  It
+keeps the two matrices of that correspondence that depend on R alone the
+same way: ``overlap()``, a basis of (R⊗V) ∩ (V⊗R), on which
+``pbw_check`` tests the PBW conditions of every deformation, and
+``dual_pairing_inverse(bound)``, the inverse of the pairing of R with
+A!_2, through which ``build_cdga`` dualizes each (alpha, beta) to (d, c)
+with one matrix product.  Neither refers back to the presentation.
 ``WordQuotient`` is the one normal-form engine for A, A! and U: a
 degree-truncated Buchberger completion turns the relations into rewriting
 rules, each replacing its deg-lex greatest word by smaller ones, and only
@@ -30,8 +36,8 @@ import weakref
 from heapq import heapify, heappop, heappush
 from itertools import count
 
-from .errors import DegreeOverflowError, InputError
-from .linalg import Matrix, axpy, kernel_basis, row_space, zero_free
+from .errors import DegreeOverflowError, InconsistentDataError, InputError
+from .linalg import Matrix, axpy, kernel_basis, row_space, solve_matrix, zero_free
 from .scalars import Field, canon
 from .words import (
     degree_offset,
@@ -43,7 +49,13 @@ from .words import (
 
 
 class QuadraticPresentation:
-    """T(V)/(R) data: generators of V and the relation subspace R in V⊗V."""
+    """T(V)/(R) data: generators of V and the relation subspace R in V⊗V.
+
+    What depends on R alone is built on first use and kept: ``dual()``,
+    ``truncation(n)``, ``overlap()`` and ``dual_pairing_inverse(bound)``.
+    The presentation owns them; a cached truncation refers back to it
+    weakly and the matrices not at all, so no reference cycle forms and
+    all of it is freed with the presentation."""
 
     def __init__(self, field: Field, generators, relations: Matrix, weights=None):
         self.field = field
@@ -63,6 +75,8 @@ class QuadraticPresentation:
             self._check_weight_homogeneous()
         self._dual = None
         self._truncations = {}
+        self._overlap = None
+        self._pairing_inverse = None
 
     @property
     def dim(self) -> int:
@@ -113,6 +127,40 @@ class QuadraticPresentation:
             alg.pres = weakref.proxy(self)
         return alg
 
+    def overlap(self) -> Matrix:
+        """A basis of the overlap space (R⊗V) ∩ (V⊗R), built on the first
+        call and kept: the kernel of [R⊗V; −V⊗R]ᵀ, whose rows are
+        r_i ⊗ e_k (key i * d + k) and then e_k ⊗ r_i (key m * d + k * m + i).
+        A kernel column (x | y) is an overlap vector t given in both row
+        sets at once, t = x·(R⊗V) = y·(V⊗R); each row set is independent,
+        so x determines t and the kernel dimension is the overlap
+        dimension."""
+        if self._overlap is None:
+            idm = Matrix.identity(self.field, self.dim)
+            rv = self.relations.kron(idm)  # rows r_i ⊗ e_k span R ⊗ V
+            vr = idm.kron(self.relations)  # rows e_k ⊗ r_i span V ⊗ R
+            self._overlap = kernel_basis(rv.vstack(vr.neg()).transpose())
+        return self._overlap
+
+    def dual_pairing_inverse(self, bound: int) -> Matrix:
+        """The inverse of the pairing of R with A!_2 (``_dual_pairing``):
+        column j holds the A!_2 coordinates of the element that pairs to 1
+        with relation row j and to 0 with the others, so X·b is the element
+        of A!_2 whose pairing with the relations is b.  Its rows follow the
+        basis words of ``dual().truncation(bound)`` in degree 2, built on
+        the first call and kept.  Those words are the same at every bound
+        >= 2 (the degree-2 rules are the relations themselves; every
+        ambiguity has sugar >= 3), so the one inverse serves every bound.
+        A!_2 ≅ R*, so a degenerate pairing is a fault of the program and
+        raises ``InconsistentDataError``."""
+        if self._pairing_inverse is None:
+            pairing = _dual_pairing(self.dual().truncation(bound), self.relations)
+            inverse = solve_matrix(pairing, Matrix.identity(self.field, pairing.rows))
+            if inverse is None or pairing.cols != pairing.rows:
+                raise InconsistentDataError("degree-2 pairing is degenerate")
+            self._pairing_inverse = inverse
+        return self._pairing_inverse
+
     def __repr__(self):
         return (f"QuadraticPresentation({self.field!r}, dim V={self.dim}, "
                 f"dim R={self.num_relations})")
@@ -135,6 +183,18 @@ def quadratic_dual(p: QuadraticPresentation) -> QuadraticPresentation:
                      [rel[pair_index(b, a, d)] for a in range(d) for b in range(d)])
     rows = kernel_basis(swapped).transpose()
     return QuadraticPresentation(p.field, p.dual_generator_names(), rows, weights=p.weights)
+
+
+def _dual_pairing(dual: "GradedAlgebraTruncation", rel: Matrix) -> Matrix:
+    """Pairing matrix <r_j, section(s)> between relation rows and the A!_2
+    basis: column s is the column of R at the pair coordinate of s.
+
+    Contragredient pairing, matching quadratic_dual: the word (a, b) pairs
+    against the (b, a) coordinate of the relation.
+    """
+    d = dual.pres.dim
+    return Matrix(dual.field, rel.rows,
+                  [rel.columns[pair_index(w[1], w[0], d)] for w in dual.basis_words[2]])
 
 
 def double_dual_check(p: QuadraticPresentation, n_max: int) -> bool:

@@ -10,14 +10,22 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from koszul_kit.cofree import socle_sdr
 from koszul_kit.complexes import BaseComplex, CdgModule, ChainMap, UComplex, UModule, _block
-from koszul_kit.deformations import DeformationData, PbwReport, build_U, build_cdga
-from koszul_kit.errors import InconsistentDataError, NotCofreeError
+from koszul_kit.deformations import CdgAlgebra, DeformationData, PbwReport, build_U, build_cdga
+from koszul_kit.errors import (
+    CdgaInvariantError,
+    InconsistentDataError,
+    InputError,
+    NotCofreeError,
+    WellDefinednessError,
+)
 from koszul_kit.functors import cofree_actions, dual_dims, hom_labels
 from koszul_kit.linalg import (
     RHS,
     DimensionError,
     EchelonSpan,
     Matrix,
+    axpy,
+    is_nonzero,
     kernel_basis,
     rank,
     row_space,
@@ -26,7 +34,7 @@ from koszul_kit.linalg import (
     solve_sparse,
     zero_free,
 )
-from koszul_kit.presentations import GradedAlgebraTruncation, QuadraticPresentation
+from koszul_kit.presentations import GradedAlgebraTruncation, QuadraticPresentation, _dual_pairing
 from koszul_kit.resolution import GradedFreeModule
 from koszul_kit.scalars import QQ
 from koszul_kit.words import pair_index, word_weight, words_of_length
@@ -883,6 +891,127 @@ def pbw_check_by_solves(data):
         if data.beta.apply(u):
             cond3 = False
     return PbwReport(cond1, cond2, cond3, overlap.rows)
+
+
+# -- the PBW data of A rebuilt for every deformation ---------------------------------
+
+
+def pbw_check_by_kernel(data):
+    """``deformations.pbw_check`` as it was before the presentation kept its
+    overlap basis: the kernel of [R⊗V; −V⊗R]ᵀ, made again on every call.
+    A kernel vector (x | y) is an overlap vector t given in both row sets
+    at once, t = x·(R⊗V) = y·(V⊗R).  The test-side oracle of ``pbw_check``
+    and of ``QuadraticPresentation.overlap``."""
+    f = data.field
+    p = f.p
+    d = data.base.dim
+    rel = data.base.relations
+    m = rel.rows
+    alpha, beta = data.alpha.columns, data.beta.columns  # per relation i
+    idm = Matrix.identity(f, d)
+    rv = rel.kron(idm)        # rows r_i ⊗ e_k span R ⊗ V
+    vr = idm.kron(rel)        # rows e_k ⊗ r_i span V ⊗ R
+    overlap = kernel_basis(rv.vstack(vr.neg()).transpose())
+    relt = rel.transpose()
+    # R is stored as rref rows: an element of R has its R-coordinates at the
+    # pivots, the leftmost column of each row
+    pivots = [min(row) for row in relt.columns]
+    top = rv.rows
+
+    cond1 = True
+    cond2 = True
+    cond3 = True
+    for vec in overlap.columns:
+        # t as sum c r_i ⊗ e_k (key i * d + k) and as sum c e_k ⊗ r_i (key
+        # top + k * m + i)
+        c_rv = [(divmod(key, d), c) for key, c in vec.items() if key < top]
+        c_vr = [(divmod(key - top, m)[::-1], c) for key, c in vec.items() if key >= top]
+        img, rhs2 = {}, {}
+        for coeffs, sign, left in ((c_rv, 1, True), (c_vr, -1, False)):
+            for (i, k), c in coeffs:
+                c *= sign
+                for g, a in alpha[i].items():
+                    idx = pair_index(g, k, d) if left else pair_index(k, g, d)
+                    img[idx] = img.get(idx, 0) + c * a
+                for b in beta[i].values():
+                    rhs2[k] = rhs2.get(k, 0) + c * b
+        img = zero_free(img, p)
+        u = {i: img[j] for i, j in enumerate(pivots) if j in img}
+        if relt.apply(u) != img:
+            cond1 = False
+            cond2 = False
+            cond3 = False
+            continue
+        if data.alpha.apply(u) != zero_free(rhs2, p):
+            cond2 = False
+        if data.beta.apply(u):
+            cond3 = False
+    return PbwReport(cond1, cond2, cond3, overlap.cols)
+
+
+def build_cdga_by_solves(data, bound, check=True, _sign_debug=False):
+    """``deformations.build_cdga`` as it was before the presentation kept
+    the inverse of its A!_2 pairing: the pairing made again on every
+    build and d + 1 ``solve`` calls against it, one per d(x_g*) and one for
+    c.  A degenerate pairing raises as the build does.  The test-side
+    oracle of ``build_cdga`` and of
+    ``QuadraticPresentation.dual_pairing_inverse``."""
+    if bound < 2:
+        raise InputError(f"--degree {bound} is below 2: the cdga reads A!_2")
+    f = data.field
+    d = data.base.dim
+    dual_pres = data.base.dual()
+    dual = dual_pres.truncation(bound)
+    rel = data.base.relations
+
+    pairing = _dual_pairing(dual, rel)  # m x dim A!_2, invertible
+    # d1 on generators: <d(x_g*), r_j> = x_g*(alpha(r_j)) = alpha[g][j]
+    lift = []  # chosen representative of d(x_g*), as {V*⊗V* word: coeff}
+    for alpha_g in data.alpha.transpose().columns:
+        coeffs = solve(pairing, alpha_g)
+        if coeffs is None:
+            raise InconsistentDataError("degree-2 pairing is degenerate")
+        lift.append({dual.basis_words[2][s]: c for s, c in coeffs.items()})
+    # curvature: <c, r_j> = beta(r_j)
+    curv_col = solve(pairing, data.beta.transpose().columns[0])
+    curv = [curv_col.get(s, f.zero()) for s in range(dual.dim_at(2))]
+
+    # well-definedness: the lifted derivation must kill R-perp in A!_3
+    p = f.p
+    if bound >= 3:
+        for t, rho in enumerate(dual_pres.relations.transpose().columns):
+            acc = {}
+            for ab, c in rho.items():
+                a, b = divmod(ab, d)
+                # d(a ⊗ b) = d(a) ⊗ b - a ⊗ d(b), projected to A!_3
+                for w, coeff in lift[a].items():
+                    axpy(acc, c * coeff, dual.project_word(w + (b,)))
+                for w, coeff in lift[b].items():
+                    axpy(acc, -c * coeff, dual.project_word((a,) + w))
+            if is_nonzero(acc, p):
+                raise WellDefinednessError(
+                    f"derivation does not preserve the relation ideal (R-perp row {t})")
+
+    # extend through the quotient by the (anti-)Leibniz rule on lifted words
+    derivations = {0: Matrix.zero(f, dual.dim_at(1), 1)}
+    sign = 1 if _sign_debug else -1
+    for n in range(1, bound):
+        cols = []
+        for word in dual.basis_words[n]:
+            acc = {}
+            for pos, g in enumerate(word):
+                s = 1 if pos % 2 == 0 else sign
+                for w, coeff in lift[g].items():
+                    axpy(acc, s * coeff, dual.project_word(word[:pos] + w + word[pos + 1:]))
+            cols.append(zero_free(acc, p))
+        derivations[n] = Matrix(f, dual.dim_at(n + 1), cols)
+
+    alg = CdgAlgebra(data, dual, derivations, curv)
+    if check:
+        violation = alg.verify()
+        if violation is not None:
+            raise CdgaInvariantError(violation)
+    return alg
 
 
 # -- quotient coordinates through a fresh solve ---------------------------------------

@@ -55,6 +55,15 @@ def test_tor_heisenberg():
     assert "[1, 2, 2, 1]" in out
 
 
+@pytest.mark.parametrize("path", [SYM2, HEIS], ids=["symmetric2", "heisenberg"])
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_tor_cross_check_at_default_bounds(path, json_flag):
+    """``--cross-check`` builds U as far as F's filtration levels reach, so
+    at the default bounds it runs and prints what ``tor`` prints without
+    it."""
+    assert run_cli("tor", path, "--cross-check", *json_flag) == run_cli("tor", path, *json_flag)
+
+
 def test_dual_and_truncate():
     out = run_cli("dual", SYM2)
     assert "dim R = 1, dim Rperp = 3" in out

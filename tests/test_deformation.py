@@ -2,8 +2,10 @@
 vanishing lemma."""
 
 import inspect
+import os
 import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -19,6 +21,7 @@ from koszul_kit.deformations import (
 )
 from koszul_kit.errors import (
     CdgaInvariantError,
+    InconsistentDataError,
     InputError,
     KoszulKitError,
     WellDefinednessError,
@@ -30,6 +33,7 @@ from koszul_kit.words import degree_offset, pair_index, word_global_index, words
 
 from conftest import (
     SEED,
+    build_cdga_by_solves,
     canonical_fractions,
     check_associativity,
     dense,
@@ -38,6 +42,7 @@ from conftest import (
     heap_column,
     heap_u_column,
     normal_form,
+    pbw_check_by_kernel,
     pbw_check_by_solves,
     raw_values,
     standard_words,
@@ -782,10 +787,10 @@ def test_standard_words_one_walk_per_lead_set():
     assert max(excesses) >= 2
 
 
-def _cdga_outcome(data, bound, sign_debug):
+def _cdga_outcome(data, bound, sign_debug, check=False, build=build_cdga):
     """(derivations as dense rows, curvature), or the error's type and text."""
     try:
-        alg = build_cdga(data, bound, check=False, _sign_debug=sign_debug)
+        alg = build(data, bound, check=check, _sign_debug=sign_debug)
     except KoszulKitError as e:
         return type(e).__name__, str(e)
     return ({n: m.to_rows() for n, m in alg.derivations.items()}, alg.curvature)
@@ -855,3 +860,108 @@ def test_selftest_draws_match_from_raw(monkeypatch, seed):
         assert fresh.base.relations.eq(data.base.relations)
         assert fresh.alpha.columns == data.alpha.columns
         assert fresh.beta.columns == data.beta.columns
+
+
+# -- A's PBW data, once per presentation ----------------------------------------------
+
+
+def _report(rep):
+    return rep.cond1, rep.cond2, rep.cond3, rep.overlap_dim, rep.all_pass
+
+
+def test_pbw_data_matches_the_per_deformation_oracles():
+    """``pbw_check`` and ``build_cdga``, which read the overlap basis and
+    the A!_2 pairing inverse their presentation keeps, equal the bodies
+    that rebuilt both for every deformation: the ``PbwReport`` fields, the
+    derivations and curvature, or the error's class and text.  Eight
+    deformations share each base, at bounds in random order, so the
+    inverse built at the first bound serves the others; each is also
+    checked and built on a fresh ``from_raw`` base."""
+    seen = Counter()
+    for seed in range(24):
+        rng = random.Random(SEED * 1000 + 500 + seed)
+        f = FIELDS[seed % 4]
+        d = rng.randint(1, 3)
+        base = _random_base(rng, f, d)
+        m = base.num_relations
+        for _ in range(8):
+            if rng.random() < 0.75:
+                data = _random_deformation(rng, f, base)
+            else:
+                data = DeformationData.trivial(base)
+            fresh = DeformationData.from_raw(
+                f, base.generators, base.relations, data.alpha.transpose(),
+                [data.beta.entry(0, i) for i in range(m)])
+            bound = rng.randint(2, 4)
+            check, sign_debug = rng.random() < 0.5, rng.random() < 0.25
+            want_report = _report(pbw_check_by_kernel(data))
+            want = _cdga_outcome(data, bound, sign_debug, check, build_cdga_by_solves)
+            for x in (data, fresh):
+                assert _report(pbw_check(x)) == want_report
+                assert _cdga_outcome(x, bound, sign_debug, check) == want
+            seen[want_report[-1]] += 1
+            seen[want[0] if isinstance(want[0], str) else "built"] += 1
+    assert seen[True] and seen[False]
+    assert seen["built"] and seen["WellDefinednessError"] and seen["CdgaInvariantError"]
+
+
+def test_deformations_of_one_r_share_one_overlap_and_one_pairing_inverse(monkeypatch):
+    """Twenty deformations of one R, each checked and dualized at bounds 3
+    and 4, run four eliminations in all: two for the relations of A!, one
+    for the overlap (R⊗V) ∩ (V⊗R) and one inversion of the A!_2 pairing:
+    no check makes a kernel of its own, and no build a solve."""
+    from koszul_kit import linalg
+
+    f3 = Field(3)
+    d, m = 3, 3
+    base = QuadraticPresentation(f3, ["x", "y", "z"], Matrix.from_int_rows(f3, [
+        [0, 1, 0, 2, 0, 0, 0, 0, 0],
+        [0, 0, 1, 0, 0, 0, 2, 0, 0],
+        [0, 0, 0, 0, 0, 1, 0, 2, 0]]))
+    shapes = []
+    rref = linalg.rref
+
+    def counted(mat):
+        shapes.append((mat.rows, mat.cols))
+        return rref(mat)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    rng = random.Random(SEED + 29)
+    outcomes = Counter()
+    for i in range(20):
+        data = DeformationData.trivial(base) if i % 5 == 0 else _random_deformation(rng, f3, base)
+        outcomes[pbw_check(data).all_pass] += 1
+        for bound in (3, 4):
+            try:
+                build_cdga(data, bound)
+                outcomes["built"] += 1
+            except CdgaInvariantError:
+                outcomes["failed"] += 1
+    # [R | I] inverted; R swapped, whose kernel is R-perp; R-perp's rows
+    # made canonical; [R⊗V; −V⊗R]ᵀ, whose kernel is the overlap
+    assert sorted(shapes) == [(m, 2 * m), (m, d * d), (d * d - m, d * d), (d ** 3, 2 * m * d)]
+    assert outcomes[True] and outcomes[False] and outcomes["built"] and outcomes["failed"]
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=repr)
+def test_degenerate_pairing_is_a_program_fault(f, monkeypatch, capsys):
+    """A!_2 ≅ R*, so a singular pairing is no property of the input: with
+    one column of ``_dual_pairing`` zeroed, ``build_cdga`` raises
+    ``InconsistentDataError``, and ``cdga`` exits 2 naming it instead of
+    calling the deformation not of PBW type."""
+    from koszul_kit import cli, presentations
+
+    pairing = presentations._dual_pairing
+
+    def zeroed(dual, rel):
+        mat = pairing(dual, rel)
+        return Matrix(mat.field, mat.rows, [{}] + mat.columns[1:])
+
+    monkeypatch.setattr(presentations, "_dual_pairing", zeroed)
+    weyl = _xy(f, [[0, 1, -1, 0]], [[0, 0]], [1])  # xy - yx = 1
+    with pytest.raises(InconsistentDataError, match="^degree-2 pairing is degenerate$"):
+        build_cdga(weyl, 3)
+    heis = os.path.join(os.path.dirname(__file__), "..", "examples_cli", "heisenberg.json")
+    assert cli.main(["cdga", heis]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "InconsistentDataError: degree-2 pairing is degenerate\n"

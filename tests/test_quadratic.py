@@ -13,6 +13,7 @@ from koszul_kit.errors import DegreeOverflowError, InputError
 from koszul_kit.linalg import Matrix, solve
 from koszul_kit.presentations import (
     QuadraticPresentation,
+    _dual_pairing,
     double_dual_check,
     quadratic_dual,
     truncate_algebra,
@@ -348,5 +349,54 @@ def test_presentation_owns_its_dual_and_truncations(seed):
     try:
         del p, alg, oracle, pres
         assert all(ref() is None for ref in derived)
+    finally:
+        gc.enable()
+
+
+# -- A's PBW data: the overlap basis and the A!_2 pairing inverse ------------------------
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_degree_two_basis_is_the_same_at_every_bound(seed):
+    """The degree-2 basis words of A and A! are the same at bounds 2..6:
+    the degree-2 rules are the relations themselves, and every ambiguity
+    has sugar >= 3.  So the pairing inverse built at one bound inverts the
+    pairing read at every bound."""
+    rng = random.Random(seed)
+    f = [QQ, Field(2), Field(3), Field(5)][seed % 4]
+    d = rng.randint(1, 3)
+    rows = [[f.of_int(rng.randint(-2, 2)) for _ in range(d * d)]
+            for _ in range(rng.randint(0, d * d))]
+    pres = QuadraticPresentation(f, [f"x{i}" for i in range(d)],
+                                 Matrix.from_rows(f, rows, d * d))
+    for p in (pres, pres.dual()):
+        words = [truncate_algebra(p, n).basis_words[2] for n in range(2, 7)]
+        assert all(w == words[0] for w in words)
+    inverse = pres.dual_pairing_inverse(rng.randint(2, 6))
+    identity = Matrix.identity(f, pres.num_relations)
+    for n in range(2, 7):
+        assert _dual_pairing(pres.dual().truncation(n), pres.relations).mul(inverse).eq(identity)
+
+
+@pytest.mark.parametrize("f", [QQ, Field(2), Field(3), Field(5)], ids=repr)
+def test_pbw_data_is_kept_and_freed_with_its_presentation(f):
+    """``overlap()`` and ``dual_pairing_inverse()`` are built once and kept,
+    one inverse for every bound.  Neither refers back to the presentation,
+    and nothing else keeps them: dropping the presentation frees it at
+    once, with no cycle left for the collector, and with it the only other
+    reference to each."""
+    pres = symmetric_presentation(f, 3)
+    overlap, inverse = pres.overlap(), pres.dual_pairing_inverse(3)
+    assert overlap.cols == 1  # S(V) on three generators: Λ^3 V
+    assert pres.overlap() is overlap
+    assert all(pres.dual_pairing_inverse(n) is inverse for n in range(2, 7))
+    refs = [weakref.ref(x) for x in (pres, pres.dual(), pres.dual().truncation(3))]
+    gc.disable()
+    try:
+        del pres
+        assert all(ref() is None for ref in refs)
+        # what is left is this frame's name and getrefcount's argument
+        left = sys.getrefcount(overlap), sys.getrefcount(inverse)
+        assert left == (2, 2)
     finally:
         gc.enable()
