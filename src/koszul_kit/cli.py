@@ -10,6 +10,11 @@ and the curved dga) and the five commands on the algebras alone, and
 imports only the algebra layer.  The other commands, with the modules,
 complexes and functors they build, are in ``module_commands``, which
 ``main`` imports only when one of them is chosen.
+
+A command line that starts with a command name is parsed by that
+command's parser alone (``parse_args``); the full parser tree is built
+only for help, usage errors, options before the command and tokens the
+command leaves over, and both read the same.
 """
 
 from __future__ import annotations
@@ -296,10 +301,9 @@ ALGEBRA_COMMANDS = {
 }
 
 
-def _add_command(sub, name, formatter):
-    """Register ``name`` with its full arguments."""
+def _add_arguments(sp, name):
+    """Add the arguments of command ``name`` to its parser ``sp``."""
     extras = COMMANDS[name]
-    sp = sub.add_parser(name, formatter_class=formatter)
     _add_common(sp)
     if "cdg" in extras:
         sp.add_argument("--cdg", required=True, help="named cdg module (or 'k')")
@@ -343,6 +347,13 @@ def _add_placeholder(sub, names):
         sub.add_parser(names[0], aliases=names[1:], add_help=False)
 
 
+def _help_formatter():
+    """argparse's default help width, read from the terminal once per
+    build: by default every formatter reads it."""
+    return functools.partial(argparse.HelpFormatter,
+                             width=shutil.get_terminal_size().columns - 2)
+
+
 def build_parser(argv):
     """The parser for ``argv``: full arguments for the one subcommand
     argparse will dispatch to, bare placeholders for the other names.
@@ -355,10 +366,7 @@ def build_parser(argv):
     ``aliases``, which keeps the choices in ``COMMANDS`` order for the
     usage line and the errors; argparse never parses with a placeholder.
     """
-    # argparse's default help width, read from the terminal once per build:
-    # by default every formatter reads it
-    formatter = functools.partial(argparse.HelpFormatter,
-                                  width=shutil.get_terminal_size().columns - 2)
+    formatter = _help_formatter()
     ap = argparse.ArgumentParser(
         prog="koszul-kit",
         description="Exact Koszul-duality computations for nonhomogeneous "
@@ -370,14 +378,38 @@ def build_parser(argv):
     at = names.index(chosen) if chosen in COMMANDS else len(names)
     _add_placeholder(sub, names[:at])
     if at < len(names):
-        _add_command(sub, chosen, formatter)
+        _add_arguments(sub.add_parser(chosen, formatter_class=formatter), chosen)
         _add_placeholder(sub, names[at + 1:])
     return ap
 
 
+def parse_args(argv):
+    """The namespace of ``argv``, as ``build_parser(argv).parse_args(argv)``
+    gives it.
+
+    When ``argv`` starts with a command name, the top level would hand all
+    the rest to that command's parser, so that parser alone is built, as
+    argparse's ``add_parser`` builds it (prog "koszul-kit <name>", the same
+    formatter and arguments): its help, usage and errors read the same.
+    Only tokens left over need the top level, which reports them as
+    unrecognized; then, and for every argv not starting with a command
+    name (help, usage errors, options before the command), the full tree
+    parses ``argv``.
+    """
+    if argv and argv[0] in COMMANDS:
+        sp = argparse.ArgumentParser(prog=f"koszul-kit {argv[0]}",
+                                     formatter_class=_help_formatter())
+        _add_arguments(sp, argv[0])
+        args, rest = sp.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return build_parser(argv).parse_args(argv)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    args = parse_args(argv)
     fn = ALGEBRA_COMMANDS.get(args.command)
     if fn is None:
         # the module and functor layer, with everything it needs, loaded at

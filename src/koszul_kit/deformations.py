@@ -222,7 +222,9 @@ class CdgAlgebra:
         d^2 and n = 1.
 
         Products are read off the cached sparse ``mult_columns``: x_a e_b is
-        column a * dim A!_j + b of ``mult_columns(1, j)``.
+        column a * dim A!_j + b of ``mult_columns(1, j)``.  The tables of
+        A!_2 times A!_j are read only through a nonzero d(x_a*) or c, so
+        they are built only then.
         """
         top = self.bound
         if top < 1:
@@ -238,7 +240,7 @@ class CdgAlgebra:
         # d(x_a e_b) - d(x_a) e_b + x_a d(e_b) on A!_1 x A!_j
         for j in range(top - 1):
             mj, mj1 = dual.dim_at(j), dual.dim_at(j + 1)
-            right = dual.mult_columns(2, j)
+            right = dual.mult_columns(2, j) if any(ds[1]) else None
             for a in range(m1):
                 for b in range(mj):
                     acc = {}
@@ -258,7 +260,7 @@ class CdgAlgebra:
             return "d(c) != 0"
         # d^2(x_b) - c x_b + x_b c
         m2 = dual.dim_at(2)
-        cx = dual.mult_columns(2, 1)
+        cx = dual.mult_columns(2, 1) if curv else None
         xc = left[2]
         for b in range(m1):
             acc = {}

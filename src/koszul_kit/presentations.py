@@ -387,9 +387,12 @@ class WordQuotient:
         """The standard words of each length n <= bound: those no rule of
         excess <= bound - n rewrites.  A word is standard iff it avoids the
         leads of those rules, so its prefixes avoid them too: each distinct
-        set of leads is walked once, extending words a letter at a time and
-        testing suffixes, and every length that bans the same set reads its
-        words off that walk (one walk for A and A!, one per excess for U)."""
+        set of leads is walked once, extending words a letter at a time,
+        and every length that bans the same set reads its words off that
+        walk (one walk for A and A!, one per excess for U).  With L the
+        longest banned lead, the letters a standard word may take next
+        depend only on its last L - 1 letters: they are worked out once
+        per such suffix, testing the suffixes of each extension."""
         bound, d = self.bound, self._d
         out, banned = [], None
         for n in range(bound + 1):
@@ -397,12 +400,22 @@ class WordQuotient:
             if now != banned:
                 banned = now
                 lengths = sorted({len(lead) for lead in banned if lead})
+                keep = lengths[-1] - 1 if lengths else 0
+                after = {}  # the last <= keep letters of a word -> its allowed letters
                 words, m = ([] if () in banned else [()]), 0
             while m < n:
                 m += 1
-                longer = [w + (x,) for w in words for x in range(d)]
-                words = [w for w in longer
-                         if not any(w[m - k:] in banned for k in lengths if k <= m)]
+                longer = []
+                for w in words:
+                    s = w[-keep:] if keep else ()
+                    letters = after.get(s)
+                    if letters is None:
+                        letters = after[s] = [
+                            x for x in range(d)
+                            if not any((s + (x,))[-k:] in banned
+                                       for k in lengths if k <= len(s) + 1)]
+                    longer += [w + (x,) for x in letters]
+                words = longer
             out.append(words)
         return out
 

@@ -331,6 +331,27 @@ def walked_standard_words(q, n):
     return words
 
 
+def standard_words_by_candidate_tests(q):
+    """``WordQuotient._standard_words`` before its suffix table: one walk
+    per distinct set of banned leads, every candidate word testing its own
+    suffixes against the set."""
+    bound, d = q.bound, q._d
+    out, banned = [], None
+    for n in range(bound + 1):
+        now = {lead for lead, (e, _) in q._rules.items() if e <= bound - n}
+        if now != banned:
+            banned = now
+            lengths = sorted({len(lead) for lead in banned if lead})
+            words, m = ([] if () in banned else [()]), 0
+        while m < n:
+            m += 1
+            longer = [w + (x,) for w in words for x in range(d)]
+            words = [w for w in longer
+                     if not any(w[m - k:] in banned for k in lengths if k <= m)]
+        out.append(words)
+    return out
+
+
 def check_associativity(q, max_total=None):
     """(ab)c = a(bc) exactly on standard words of degree >= 1 with
     |a| + |b| + |c| within bound.  A and A! multiply through ``multiply``,
@@ -1214,6 +1235,53 @@ def oracle_transfer_minimal(big, labels, socle_diffs, cdga, cap):
     minimal = CdgModule(cdga, window, {p: len(labs) for p, labs in hlabels.items()},
                         cofree_actions(cdga.dual, hlabels), dmin)
     return minimal, ChainMap(minimal, big, iinf), ChainMap(big, minimal, pinf), eps
+
+
+def verify_on_every_table(alg):
+    """``CdgAlgebra.verify`` as it was when it built ``mult_columns(2, j)``
+    and ``mult_columns(2, 1)`` whether or not d(x_a*) and c are zero."""
+    top = alg.bound
+    if top < 1:
+        return None
+    dual = alg.dual
+    p = alg.field.p
+    m1 = dual.dim_at(1)
+    left = [dual.mult_columns(1, j) for j in range(top)]
+    ds = [alg.d(n).columns for n in range(top)]
+    if is_nonzero(ds[0][0], p):
+        return "Leibniz fails on basis pair A!_0[0] * A!_0[0]"
+    for j in range(top - 1):
+        mj, mj1 = dual.dim_at(j), dual.dim_at(j + 1)
+        right = dual.mult_columns(2, j)
+        for a in range(m1):
+            for b in range(mj):
+                acc = {}
+                for r, v in left[j][a * mj + b].items():
+                    axpy(acc, v, ds[j + 1][r])
+                for s, v in ds[1][a].items():
+                    axpy(acc, -v, right[s * mj + b])
+                for t, v in ds[j][b].items():
+                    axpy(acc, v, left[j + 1][a * mj1 + t])
+                if is_nonzero(acc, p):
+                    return f"Leibniz fails on basis pair A!_1[{a}] * A!_{j}[{b}]"
+    if top < 3:
+        return None
+    curv = {s: c for s, c in enumerate(alg.curvature) if c}
+    if alg.d(2).apply(curv):
+        return "d(c) != 0"
+    m2 = dual.dim_at(2)
+    cx = dual.mult_columns(2, 1)
+    xc = left[2]
+    for b in range(m1):
+        acc = {}
+        for s, v in ds[1][b].items():
+            axpy(acc, v, ds[2][s])
+        for s, c in curv.items():
+            axpy(acc, -c, cx[s * m1 + b])
+            axpy(acc, c, xc[b * m2 + s])
+        if is_nonzero(acc, p):
+            return f"d^2 != [c,-] on basis A!_1[{b}]"
+    return None
 
 
 def full_cdga_verify(alg):

@@ -371,15 +371,20 @@ def _reference_parser():
     return ap
 
 
-def _parse(build, argv):
+def _outcome(parse):
     """(exit code or parsed namespace, stdout, stderr) of one parse."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            got = vars(build().parse_args(argv))
+            got = vars(parse())
         except SystemExit as e:
             got = e.code
     return got, out.getvalue(), err.getvalue()
+
+
+def _parse(build, argv):
+    """The ``_outcome`` of ``build().parse_args(argv)``."""
+    return _outcome(lambda: build().parse_args(argv))
 
 
 @pytest.mark.parametrize("columns", ["80", "37", "200"])
@@ -399,11 +404,12 @@ def test_parser_help_and_errors_match_reference(monkeypatch, columns):
         got = _parse(lambda: cli.build_parser(argv), argv)
         assert got == _parse(_reference_parser, argv), argv
         assert got[0] in (0, 2) or isinstance(got[0], dict)
+        assert _outcome(lambda: cli.parse_args(argv)) == got, argv
 
 
 TOKENS = [*cli.COMMANDS, "-h", "--help", "--", "-5", "-", "--json", "f.json",
           "--degree", "x", "--window", "1:2", "--cdg", "k", "--r", "2", "--seed",
-          "--nope", "-x y"]
+          "--nope", "-x y", "--range", "--at", "--complex"]
 
 
 @settings(max_examples=150)
@@ -415,6 +421,7 @@ def test_parser_matches_reference_on_drawn_argvs(argv):
             mp.setenv("KOSZUL_SEED", "7")
             got = _parse(lambda: cli.build_parser(argv), argv)
             assert got == _parse(_reference_parser, argv), (columns, argv)
+            assert _outcome(lambda: cli.parse_args(argv)) == got, (columns, argv)
 
 
 def test_parser_builds_only_the_chosen_command(monkeypatch):
@@ -431,6 +438,27 @@ def test_parser_builds_only_the_chosen_command(monkeypatch):
         cli.build_parser(argv)
         # the top level, the chosen command and at most two placeholders
         assert len(built) <= 4, (argv, built)
+
+
+def test_parse_args_builds_one_parser_for_a_command_line(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert cli.parse_args(["ce", "f.json"]).command == "ce"
+    assert built == ["koszul-kit ce"]
+
+
+def test_trailing_unknown_flag_is_reported_by_the_top_level():
+    out = subprocess.run([sys.executable, "-m", "koszul_kit.cli", "dual", SYM2, "--nope"],
+                         capture_output=True, text=True, env=ENV, cwd=PKG)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr.startswith("usage: koszul-kit [-h]")
+    assert out.stderr.endswith("\nkoszul-kit: error: unrecognized arguments: --nope\n")
 
 
 def test_main_reads_sys_argv(monkeypatch, capsys):

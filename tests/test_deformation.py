@@ -5,6 +5,7 @@ import inspect
 import os
 import random
 import sys
+import types
 from collections import Counter
 
 import pytest
@@ -27,7 +28,12 @@ from koszul_kit.errors import (
     WellDefinednessError,
 )
 from koszul_kit.linalg import Matrix
-from koszul_kit.presentations import QuadraticPresentation, quadratic_dual, truncate_algebra
+from koszul_kit.presentations import (
+    QuadraticPresentation,
+    WordQuotient,
+    quadratic_dual,
+    truncate_algebra,
+)
 from koszul_kit.scalars import QQ, Field
 from koszul_kit.words import degree_offset, pair_index, word_global_index, words_of_length
 
@@ -41,11 +47,16 @@ from conftest import (
     full_cdga_verify,
     heap_column,
     heap_u_column,
+    heisenberg_deformation,
     normal_form,
     pbw_check_by_kernel,
     pbw_check_by_solves,
     raw_values,
     standard_words,
+    standard_words_by_candidate_tests,
+    symmetric_presentation,
+    twopoint_deformation,
+    verify_on_every_table,
     walked_standard_words,
 )
 
@@ -707,7 +718,7 @@ def test_verify_matches_pairwise_oracle(case, bound, sign_debug, draws):
         alg = build_cdga(data, bound, check=False, _sign_debug=sign_debug)
     except WellDefinednessError:
         assume(False)
-    assert alg.verify() == full_cdga_verify(alg)
+    assert alg.verify() == full_cdga_verify(alg) == verify_on_every_table(alg)
     f = alg.field
     targets = [(n, m) for n, m in sorted(alg.derivations.items())
                if m.rows and m.cols]
@@ -721,7 +732,24 @@ def test_verify_matches_pairwise_oracle(case, bound, sign_debug, draws):
     else:
         bad = _corrupted(alg, n, draws.draw(st.integers(0, m.rows - 1)),
                          draws.draw(st.integers(0, m.cols - 1)), delta)
-    assert bad.verify() == full_cdga_verify(bad)
+    assert bad.verify() == full_cdga_verify(bad) == verify_on_every_table(bad)
+
+
+@pytest.mark.parametrize("f", [QQ, Field(5)], ids=["Q", "F_5"])
+def test_verify_builds_a2_tables_only_to_read_them(f):
+    """An undeformed build has d = 0 on the generators and c = 0, so its
+    check reads no product of A!_2 and builds none of those tables; with
+    d_1, d_2 or c changed, and on the sign-debug builds of deformed data,
+    the check returns what it returned when it built every table."""
+    alg = build_cdga(DeformationData.trivial(symmetric_presentation(f, 3)), 4)
+    assert sorted(alg.dual._mult_cols) == [(1, 0), (1, 1), (1, 2), (1, 3)]
+    for n, r, c in [(1, 0, 0), (1, 2, 1), (2, 0, 0), (None, 1, None)]:
+        bad = _corrupted(alg, n, r, c, f.one())
+        assert bad.verify() == verify_on_every_table(bad) == full_cdga_verify(bad)
+    for data in (heisenberg_deformation(f), twopoint_deformation(f)):
+        for sign_debug in (False, True):
+            built = build_cdga(data, 4, check=False, _sign_debug=sign_debug)
+            assert built.verify() == verify_on_every_table(built) == full_cdga_verify(built)
 
 
 def test_fault_in_d3_reported_on_a_generator_pair(twopoint):
@@ -768,8 +796,8 @@ def _random_base(rng, f, d):
 
 def test_standard_words_one_walk_per_lead_set():
     """The standard words of A, A! and U, one walk per distinct set of
-    banned leads, equal a separate walk per length and the words no rule
-    rewrites.  U is mostly not of PBW type, and the draws reach rules of
+    banned leads, equal the walk that tests each candidate word, a
+    separate walk per length and the words no rule rewrites.  U is mostly not of PBW type, and the draws reach rules of
     excess >= 2, where the lead set changes with the length."""
     excesses = set()
     for seed in range(40):
@@ -782,9 +810,29 @@ def test_standard_words_one_walk_per_lead_set():
         excesses |= {e for e, _ in u._rules.values()}
         for q in (truncate_algebra(base, bound), truncate_algebra(quadratic_dual(base), bound),
                   u):
+            assert q._standard == standard_words_by_candidate_tests(q)
             for n in range(bound + 1):
                 assert q._standard[n] == walked_standard_words(q, n) == standard_words(q, n)
     assert max(excesses) >= 2
+
+
+@st.composite
+def lead_sets(draw):
+    """A stand-in for a word quotient's rules: leads of lengths 0-3 (the
+    empty lead included) on d <= 3 letters, each with an excess of 0-3,
+    and a bound, so the banned set changes with the length."""
+    d = draw(st.integers(min_value=1, max_value=3))
+    lead = st.lists(st.integers(min_value=0, max_value=d - 1), max_size=3).map(tuple)
+    rules = draw(st.dictionaries(lead, st.integers(min_value=0, max_value=3).map(
+        lambda e: (e, ())), max_size=6))
+    return types.SimpleNamespace(bound=draw(st.integers(min_value=0, max_value=5)),
+                                 _d=d, _rules=rules)
+
+
+@settings(max_examples=200)
+@given(lead_sets())
+def test_standard_words_by_suffix_table_match_candidate_tests(q):
+    assert WordQuotient._standard_words(q) == standard_words_by_candidate_tests(q)
 
 
 def _cdga_outcome(data, bound, sign_debug, check=False, build=build_cdga):
