@@ -12,9 +12,10 @@ complexes and functors they build, are in ``module_commands``, which
 ``main`` imports only when one of them is chosen.
 
 A command line that starts with a command name is parsed by that
-command's parser alone (``parse_args``); the full parser tree is built
-only for help, usage errors, options before the command and tokens the
-command leaves over, and both read the same.
+command's parser alone (``parse_args``).  Only help, usage errors,
+options before the command and tokens the command leaves over build the
+full tree (``build_parser``, every command's parser), and both read the
+same.
 """
 
 from __future__ import annotations
@@ -341,12 +342,6 @@ def _add_arguments(sp, name):
                         action="store_true")
 
 
-def _add_placeholder(sub, names):
-    """Register ``names`` as the aliases of one parser without arguments."""
-    if names:
-        sub.add_parser(names[0], aliases=names[1:], add_help=False)
-
-
 def _help_formatter():
     """argparse's default help width, read from the terminal once per
     build: by default every formatter reads it."""
@@ -354,18 +349,8 @@ def _help_formatter():
                              width=shutil.get_terminal_size().columns - 2)
 
 
-def build_parser(argv):
-    """The parser for ``argv``: full arguments for the one subcommand
-    argparse will dispatch to, bare placeholders for the other names.
-
-    The top level has only ``-h``, so argparse hands the first token that
-    does not start with "-" to the subcommand choice; tokens it treats as
-    positional although they start with "-" (``-5``, ``-``) are never
-    command names and end in the invalid-choice error, which reads only the
-    names.  Each run of other names shares one placeholder through
-    ``aliases``, which keeps the choices in ``COMMANDS`` order for the
-    usage line and the errors; argparse never parses with a placeholder.
-    """
+def build_parser():
+    """The full parser tree: the top level and one parser per command."""
     formatter = _help_formatter()
     ap = argparse.ArgumentParser(
         prog="koszul-kit",
@@ -373,18 +358,13 @@ def build_parser(argv):
                     "quadratic algebras and their curved dual dgas.",
         formatter_class=formatter)
     sub = ap.add_subparsers(dest="command", required=True)
-    names = list(COMMANDS)
-    chosen = next((a for a in argv if not a.startswith("-")), None)
-    at = names.index(chosen) if chosen in COMMANDS else len(names)
-    _add_placeholder(sub, names[:at])
-    if at < len(names):
-        _add_arguments(sub.add_parser(chosen, formatter_class=formatter), chosen)
-        _add_placeholder(sub, names[at + 1:])
+    for name in COMMANDS:
+        _add_arguments(sub.add_parser(name, formatter_class=formatter), name)
     return ap
 
 
 def parse_args(argv):
-    """The namespace of ``argv``, as ``build_parser(argv).parse_args(argv)``
+    """The namespace of ``argv``, as ``build_parser().parse_args(argv)``
     gives it.
 
     When ``argv`` starts with a command name, the top level would hand all
@@ -404,7 +384,7 @@ def parse_args(argv):
         if not rest:
             args.command = argv[0]
             return args
-    return build_parser(argv).parse_args(argv)
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

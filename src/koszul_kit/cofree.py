@@ -11,6 +11,10 @@ degree, so the geometric series terminates (Crainic, *On the
 perturbation lemma, and deformations*, 2004).  Every transfer is
 certified.  Cofree coordinates carry the parity twist (-1)^r, so their
 action is ``functors.cofree_actions``, as on G's images.
+
+The t-truncation split and cofree coordinates are one change of basis per
+degree (``_complete``, ``_conjugated``): the subobject's and the
+quotient's maps are blocks of d and the actions in the new basis.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .complexes import (
     nullhomotopy,
 )
 from .deformations import CdgAlgebra
-from .errors import CurvedInputError, InconsistentDataError, NotCofreeError
+from .errors import CurvedInputError, InconsistentDataError, MissingWeightsError, NotCofreeError
 from .functors import G_blocks, apply_G, cofree_actions, dual_dims, hom_labels
 from .linalg import EchelonSpan, Matrix, kernel_basis, rank, row_space, solve_matrix, zero_free
 
@@ -95,6 +99,30 @@ def _bhb_basis(socle: BaseComplex, q: int):
 def _grow(span: EchelonSpan, vecs):
     """The sparse columns, in order, whose insertion enlarges ``span``."""
     return [v for v in vecs if span.insert(v)]
+
+
+def _complete(f, n: int, cols):
+    """(P, P^-1): P is ``cols`` followed by the standard vectors of k^n that
+    enlarge their span, in order; ``cols`` must be independent."""
+    span = EchelonSpan(f)
+    if len(_grow(span, cols)) != len(cols):
+        raise InconsistentDataError("dependent subobject columns")
+    p = Matrix(f, n, cols + _grow(span, Matrix.identity(f, n).columns))
+    return p, _invert(p)
+
+
+def _conjugated(module: CdgModule, into: dict, back: dict):
+    """d and the actions of ``module`` in new coordinates: (diffs, actions)
+    with into[p + 1] x back[p] for each map x from degree p, wherever both
+    changes of basis are given."""
+    diffs, actions = {}, {}
+    for p, b in back.items():
+        a = into.get(p + 1)
+        if a is not None:
+            diffs[p] = a.mul(module.diff(p)).mul(b)
+            actions[p] = [a.mul(module.action(p, g)).mul(b)
+                          for g in range(module.num_generators())]
+    return diffs, actions
 
 
 def _invert(m: Matrix) -> Matrix:
@@ -276,16 +304,12 @@ def cofree_decomposition(i: CdgModule, cdga: CdgAlgebra, cap: int,
     dims = dual_dims(dual, cap)
     labels = hom_labels(dims, (lo, i.window[1]), socle_lines)
     labels.update(hom_labels(dims, i.window, socle_lines))
-    # socle projections: extend the socle basis, project onto it
+    # socle projections: the first rows of the inverse of a completed socle basis
     projections = {}
     for q, b in bases.items():
-        if not b.cols:
-            continue
-        n = i.dim(q)
-        span = EchelonSpan(f)
-        _grow(span, b.columns)
-        inv = _invert(Matrix(f, n, b.columns + _grow(span, Matrix.identity(f, n).columns)))
-        projections[q] = inv.submatrix(range(b.cols), range(n))
+        if b.cols:
+            n = i.dim(q)
+            projections[q] = _complete(f, n, b.columns)[1].submatrix(range(b.cols), range(n))
     words = dual.basis_words
     unit_maps = {}
     for p in range(lo, hi + 1):
@@ -379,89 +403,51 @@ def to_cofree_coordinates(module: CdgModule, dec: CofreeDecomposition) -> CdgMod
     of ``functors.unit`` on each label (r, s, i), so the actions come out
     as ``cofree_actions``, the action of G's images and minimal models."""
     f = module.field
-    dims = {p: len(labs) for p, labs in dec.labels.items()}
     twisted = {p: Matrix(f, um.rows, [{k: f.neg(c) if dec.labels[p][k][0] % 2 else c
                                        for k, c in col.items()} for col in um.columns])
                for p, um in dec.unit_maps.items()}
-    diffs, actions = {}, {}
-    for p in dims:
-        um = twisted.get(p)
-        um1 = twisted.get(p + 1)
-        if um is None:
-            continue
-        inv = _invert(um)
-        if um1 is not None and module.dim(p + 1):
-            diffs[p] = um1.mul(module.diff(p)).mul(inv)
-            actions[p] = [um1.mul(module.action(p, g)).mul(inv)
-                          for g in range(module.num_generators())]
-    out = CdgModule(module.cdga, module.window, dims, actions, diffs)
+    diffs, actions = _conjugated(module, twisted, {p: _invert(um) for p, um in twisted.items()})
+    out = CdgModule(module.cdga, module.window,
+                    {p: len(labs) for p, labs in dec.labels.items()}, actions, diffs)
     out.labels = dec.labels
     return out
 
 
 def _sub_quotient(i: CdgModule, sub_cols: dict):
-    """Split I into a submodule-subcomplex and its quotient, with maps."""
+    """Split I into a submodule-subcomplex and its quotient, with maps.
+
+    In the basis P of each degree, the subobject's columns completed
+    (``_complete``), d and each action are block upper triangular exactly
+    when the subobject is stable under them.  The subobject's maps are the
+    top-left blocks and the quotient's the bottom-right ones; the inclusion
+    is the first columns of P and the projection the last rows of P^-1.
+    """
     f = i.field
-    sub_dims, quot_dims = {}, {}
-    incl_maps, proj_maps, sections = {}, {}, {}
-    sub_diffs, quot_diffs = {}, {}
-    sub_actions, quot_actions = {}, {}
-    # choose complements and build coordinate changes per degree
-    basis_full = {}
-    for p in i.dims:
-        n = i.dim(p)
-        sc = sub_cols.get(p)
-        cols = sc.columns if sc is not None else []
-        span = EchelonSpan(f)
-        if len(_grow(span, cols)) != len(cols):
-            raise InconsistentDataError("dependent subobject columns")
-        stacked = cols + _grow(span, Matrix.identity(f, n).columns)
-        basis_full[p] = (cols, stacked)
-        sub_dims[p] = len(cols)
-        quot_dims[p] = n - len(cols)
-    for p in i.dims:
-        cols, stacked = basis_full[p]
-        n = i.dim(p)
-        inv = _invert(Matrix(f, n, stacked))
-        incl_maps[p] = Matrix(f, n, cols)
-        proj_maps[p] = inv.submatrix(range(len(cols), n), range(n))
-        # the complement columns: a right inverse of proj_maps[p]
-        sections[p] = Matrix(f, n, stacked[len(cols):])
-    for p in i.dims:
-        if i.dim(p + 1):
-            d = i.diff(p)
-            if sub_dims.get(p) and sub_dims.get(p + 1):
-                img = d.mul(incl_maps[p])
-                expr = solve_matrix(incl_maps[p + 1], img)
-                if expr is None:
-                    raise InconsistentDataError("subspace is not d-stable")
-                sub_diffs[p] = expr
-            if quot_dims.get(p) and quot_dims.get(p + 1):
-                quot_diffs[p] = proj_maps[p + 1].mul(d).mul(sections[p])
-            acts_s, acts_q = [], []
-            for g in range(i.num_generators()):
-                a = i.action(p, g)
-                if sub_dims.get(p):
-                    imga = a.mul(incl_maps[p])
-                    ex = solve_matrix(incl_maps[p + 1], imga) \
-                        if sub_dims.get(p + 1) else Matrix.zero(f, 0, sub_dims[p])
-                    if ex is None:
-                        raise InconsistentDataError("subspace is not action-stable")
-                    acts_s.append(ex)
-                else:
-                    acts_s.append(Matrix.zero(f, sub_dims.get(p + 1, 0), 0))
-                if quot_dims.get(p):
-                    acts_q.append(proj_maps[p + 1].mul(a).mul(sections[p])
-                                  if quot_dims.get(p + 1)
-                                  else Matrix.zero(f, 0, quot_dims[p]))
-                else:
-                    acts_q.append(Matrix.zero(f, quot_dims.get(p + 1, 0), 0))
-            sub_actions[p] = acts_s
-            quot_actions[p] = acts_q
-    sub = CdgModule(i.cdga, i.window, sub_dims, sub_actions, sub_diffs)
-    quot = CdgModule(i.cdga, i.window, quot_dims, quot_actions, quot_diffs)
-    incl = ChainMap(sub, i, {p: incl_maps[p] for p in i.dims if sub_dims.get(p)})
-    proj = ChainMap(i, quot, {p: proj_maps[p] for p in i.dims if quot_dims.get(p)})
+    back, into, k = {}, {}, {}
+    for p, n in i.dims.items():
+        cols = sub_cols[p].columns if p in sub_cols else []
+        back[p], into[p] = _complete(f, n, cols)
+        k[p] = len(cols)
+    diffs, actions = _conjugated(i, into, back)
+
+    def blocks(x, p, what):
+        top, left = k[p + 1], k[p]
+        if not x.submatrix(range(top, x.rows), range(left)).is_zero():
+            raise InconsistentDataError(f"subspace is not {what}-stable")
+        return (x.submatrix(range(top), range(left)),
+                x.submatrix(range(top, x.rows), range(left, x.cols)))
+
+    sub_d, quot_d, sub_a, quot_a = {}, {}, {}, {}
+    for p, x in diffs.items():
+        sub_d[p], quot_d[p] = blocks(x, p, "d")
+    for p, xs in actions.items():
+        pairs = [blocks(x, p, "action") for x in xs]
+        sub_a[p], quot_a[p] = [s for s, _ in pairs], [q for _, q in pairs]
+    sub = CdgModule(i.cdga, i.window, k, sub_a, sub_d)
+    quot = CdgModule(i.cdga, i.window, {p: n - k[p] for p, n in i.dims.items()}, quot_a, quot_d)
+    incl = ChainMap(sub, i, {p: Matrix(f, n, back[p].columns[:k[p]]) for p, n in i.dims.items()})
+    proj = ChainMap(i, quot, {p: into[p].submatrix(range(k[p], n), range(n))
+                              for p, n in i.dims.items()})
     return sub, quot, incl, proj
 
 
@@ -483,7 +469,9 @@ def null_test_cofree(i: CdgModule, cdga: CdgAlgebra, cap: int, interior,
     lo, hi = interior
     if by_position:
         if i.weights is None:
-            raise InconsistentDataError("position test needs weights")
+            raise MissingWeightsError("position test needs unit weights: a merged "
+                                      "complex of free dual modules has weights only "
+                                      "when every generator has weight 1")
         h_i, _ = homology_dims(i, i.window, per_weight=True)
         h_s, _ = homology_dims(socle_cx, i.window, per_weight=True)
         acyclic = all(d == 0 for (p, w), d in h_i.items()

@@ -42,4 +42,6 @@ class NotCofreeError(KoszulKitError):
 
 
 class MissingWeightsError(KoszulKitError):
-    """Regrading requires integer weights on every basis vector."""
+    """An operation that reads weights was given a complex without them:
+    regrading needs integer weights on every basis vector, the position
+    null test a merge whose generators all have weight 1."""

@@ -1048,6 +1048,111 @@ def pinv_cols(f, proj):
     return x
 
 
+# -- the t-truncation split and cofree coordinates, one solve per map ----------------
+
+
+def _oracle_invert(m):
+    inv = solve_matrix(m, Matrix.identity(m.field, m.rows))
+    if inv is None:
+        raise InconsistentDataError("matrix not invertible")
+    return inv
+
+
+def oracle_sub_quotient(i, sub_cols):
+    """``cofree._sub_quotient`` as it was before it read the split as
+    blocks of one change of basis: the subobject's maps solved through
+    the inclusion, the quotient's read through the complement columns,
+    with a branch on each empty degree.  It checks stability only where
+    the subobject is nonzero in both degrees of a map.  The test-side
+    oracle of the split."""
+    f = i.field
+    sub_dims, quot_dims = {}, {}
+    incl_maps, proj_maps, sections = {}, {}, {}
+    sub_diffs, quot_diffs = {}, {}
+    sub_actions, quot_actions = {}, {}
+    basis_full = {}
+    for p in i.dims:
+        n = i.dim(p)
+        sc = sub_cols.get(p)
+        cols = sc.columns if sc is not None else []
+        span = EchelonSpan(f)
+        if len([v for v in cols if span.insert(v)]) != len(cols):
+            raise InconsistentDataError("dependent subobject columns")
+        stacked = cols + [v for v in Matrix.identity(f, n).columns if span.insert(v)]
+        basis_full[p] = (cols, stacked)
+        sub_dims[p] = len(cols)
+        quot_dims[p] = n - len(cols)
+    for p in i.dims:
+        cols, stacked = basis_full[p]
+        n = i.dim(p)
+        inv = _oracle_invert(Matrix(f, n, stacked))
+        incl_maps[p] = Matrix(f, n, cols)
+        proj_maps[p] = inv.submatrix(range(len(cols), n), range(n))
+        sections[p] = Matrix(f, n, stacked[len(cols):])
+    for p in i.dims:
+        if i.dim(p + 1):
+            d = i.diff(p)
+            if sub_dims.get(p) and sub_dims.get(p + 1):
+                img = d.mul(incl_maps[p])
+                expr = solve_matrix(incl_maps[p + 1], img)
+                if expr is None:
+                    raise InconsistentDataError("subspace is not d-stable")
+                sub_diffs[p] = expr
+            if quot_dims.get(p) and quot_dims.get(p + 1):
+                quot_diffs[p] = proj_maps[p + 1].mul(d).mul(sections[p])
+            acts_s, acts_q = [], []
+            for g in range(i.num_generators()):
+                a = i.action(p, g)
+                if sub_dims.get(p):
+                    imga = a.mul(incl_maps[p])
+                    ex = solve_matrix(incl_maps[p + 1], imga) \
+                        if sub_dims.get(p + 1) else Matrix.zero(f, 0, sub_dims[p])
+                    if ex is None:
+                        raise InconsistentDataError("subspace is not action-stable")
+                    acts_s.append(ex)
+                else:
+                    acts_s.append(Matrix.zero(f, sub_dims.get(p + 1, 0), 0))
+                if quot_dims.get(p):
+                    acts_q.append(proj_maps[p + 1].mul(a).mul(sections[p])
+                                  if quot_dims.get(p + 1)
+                                  else Matrix.zero(f, 0, quot_dims[p]))
+                else:
+                    acts_q.append(Matrix.zero(f, quot_dims.get(p + 1, 0), 0))
+            sub_actions[p] = acts_s
+            quot_actions[p] = acts_q
+    sub = CdgModule(i.cdga, i.window, sub_dims, sub_actions, sub_diffs)
+    quot = CdgModule(i.cdga, i.window, quot_dims, quot_actions, quot_diffs)
+    incl = ChainMap(sub, i, {p: incl_maps[p] for p in i.dims if sub_dims.get(p)})
+    proj = ChainMap(i, quot, {p: proj_maps[p] for p in i.dims if quot_dims.get(p)})
+    return sub, quot, incl, proj
+
+
+def oracle_to_cofree_coordinates(module, dec):
+    """``cofree.to_cofree_coordinates`` as it was before it shared the
+    conjugation of the split: each degree conjugated by the twisted unit
+    maps in a loop of its own.  The test-side oracle of cofree
+    coordinates."""
+    f = module.field
+    dims = {p: len(labs) for p, labs in dec.labels.items()}
+    twisted = {p: Matrix(f, um.rows, [{k: f.neg(c) if dec.labels[p][k][0] % 2 else c
+                                       for k, c in col.items()} for col in um.columns])
+               for p, um in dec.unit_maps.items()}
+    diffs, actions = {}, {}
+    for p in dims:
+        um = twisted.get(p)
+        um1 = twisted.get(p + 1)
+        if um is None:
+            continue
+        inv = _oracle_invert(um)
+        if um1 is not None and module.dim(p + 1):
+            diffs[p] = um1.mul(module.diff(p)).mul(inv)
+            actions[p] = [um1.mul(module.action(p, g)).mul(inv)
+                          for g in range(module.num_generators())]
+    out = CdgModule(module.cdga, module.window, dims, actions, diffs)
+    out.labels = dec.labels
+    return out
+
+
 # -- the coinduction unit, one socle line at a time ----------------------------------
 
 

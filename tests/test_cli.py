@@ -321,6 +321,24 @@ def test_mixed_weights_complex_exit_two(tmp_path):
     run_cli("sigma-trunc", str(path), "--complex", "two", "--at", "0")
 
 
+def test_weighted_merge_position_test_exit_two(tmp_path):
+    """Over generators of weight 2 the merge of free dual modules carries no
+    weights, so the position null test refuses the complex as input,
+    naming the unit-weight requirement, and not as a failed certificate."""
+    raw = json.load(open(SYM2))
+    raw["weights"] = [2, 2]
+    path = tmp_path / "sym2w.json"
+    path.write_text(json.dumps(raw))
+    for flags in ((), ("--json",)):
+        out = subprocess.run([sys.executable, "-m", "koszul_kit.cli", "null-cofree", str(path),
+                              "--free-dual", "spliced", "--degree", "4", *flags],
+                             capture_output=True, text=True, env=ENV, cwd=PKG)
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == ("MissingWeightsError: position test needs unit weights: a merged "
+                              "complex of free dual modules has weights only when every "
+                              "generator has weight 1\n")
+
+
 # -- the argument parser ----------------------------------------------------------
 
 
@@ -401,7 +419,7 @@ def test_parser_help_and_errors_match_reference(monkeypatch, columns):
     argvs += [["--", "ce", "f.json"], ["-5", "ce"], ["-", "pbw"], ["-x y", "counit"],
               ["--json", "ce", "f.json"], ["--he"], ["ce", "null-free", "minimize"]]
     for argv in argvs:
-        got = _parse(lambda: cli.build_parser(argv), argv)
+        got = _parse(cli.build_parser, argv)
         assert got == _parse(_reference_parser, argv), argv
         assert got[0] in (0, 2) or isinstance(got[0], dict)
         assert _outcome(lambda: cli.parse_args(argv)) == got, argv
@@ -419,25 +437,9 @@ def test_parser_matches_reference_on_drawn_argvs(argv):
         with pytest.MonkeyPatch.context() as mp:
             mp.setenv("COLUMNS", columns)
             mp.setenv("KOSZUL_SEED", "7")
-            got = _parse(lambda: cli.build_parser(argv), argv)
+            got = _parse(cli.build_parser, argv)
             assert got == _parse(_reference_parser, argv), (columns, argv)
             assert _outcome(lambda: cli.parse_args(argv)) == got, (columns, argv)
-
-
-def test_parser_builds_only_the_chosen_command(monkeypatch):
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    for argv in (["ce", "f.json"], ["selftest"]):
-        built.clear()
-        cli.build_parser(argv)
-        # the top level, the chosen command and at most two placeholders
-        assert len(built) <= 4, (argv, built)
 
 
 def test_parse_args_builds_one_parser_for_a_command_line(monkeypatch):
@@ -474,8 +476,8 @@ def test_malformed_env_seed_fails_selftest_only(monkeypatch):
     run_cli("dual", SYM2, env=env)
     run_cli("selftest", expect=2, env=env)
     monkeypatch.setenv("KOSZUL_SEED", "abc")
-    code, out, err = _parse(lambda: cli.build_parser(["selftest"]), ["selftest"])
+    code, out, err = _parse(cli.build_parser, ["selftest"])
     assert code == 2 and out == ""
     assert err.endswith("error: argument --seed: invalid int value: 'abc'\n")
     argv = ["selftest", "--seed", "3"]
-    assert _parse(lambda: cli.build_parser(argv), argv)[0]["seed"] == 3
+    assert _parse(cli.build_parser, argv)[0]["seed"] == 3

@@ -470,8 +470,6 @@ UNREACHED = {
     # command paths the workloads do not take
     "cli.build_parser":
         "help, usage errors, argv not starting with a command, left-over tokens",
-    "cli._add_placeholder":
-        "help, usage errors, argv not starting with a command, left-over tokens",
     "deformations.FilteredAlgebraTruncation._heap_column":
         "non-PBW input: U words longer than N - e_max, where the walk is not exact",
     "functors.FilteredFComplex.fiber_complex": "tor --cross-check",

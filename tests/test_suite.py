@@ -56,6 +56,8 @@ from koszul_kit.suite import (
 from conftest import (
     SEED,
     heisenberg_deformation,
+    oracle_sub_quotient,
+    oracle_to_cofree_coordinates,
     oracle_transfer_minimal,
     pinv_cols,
     random_bounded_complex,
@@ -661,8 +663,8 @@ def _seeded_cuts():
 
 def test_quotient_sections_match_solved_right_inverse():
     """The quotient of a t-truncation reads its differentials and actions
-    through the complement columns it chose; a right inverse solved from
-    scratch gives the same matrices (two right inverses differ by columns
+    as blocks in the basis that completes the subobject's columns; a right
+    inverse of the projection solved from scratch gives the same matrices (two right inverses differ by columns
     in the subobject, which d and the actions keep and the projection
     kills).  Seeded G(M) of random complexes of trivial modules over Q,
     F_2, F_3 and F_5, cut at every degree of the window."""
@@ -690,6 +692,90 @@ def test_quotient_sections_match_solved_right_inverse():
                 assert quot.action(p, gen).eq(to_quot.mul(i.action(p, gen)).mul(sec))
             compared += 1
     assert compared >= 40
+
+
+def _same_module(a, b):
+    """Equal dims, and equal d and actions from every nonzero degree."""
+    return a.dims == b.dims and all(
+        a.diff(p).eq(b.diff(p))
+        and all(a.action(p, x).eq(b.action(p, x)) for x in range(a.num_generators()))
+        for p in a.dims)
+
+
+def test_block_split_matches_the_solving_oracles():
+    """The t-truncation split and cofree coordinates, read as blocks of one
+    change of basis, give the matrices of the old per-map solves
+    (``oracle_sub_quotient``, ``oracle_to_cofree_coordinates``) on every
+    seeded cut: the subobject and the quotient (d and actions), the
+    inclusion and the projection, the quotient in cofree coordinates, and
+    the restructured quotient built on them."""
+    split, coordinates = cofree._sub_quotient, cofree.to_cofree_coordinates
+    calls = []
+
+    def spy(fn):
+        def run(*args):
+            calls.append(args)
+            return fn(*args)
+        return run
+
+    cuts = 0
+    for g, cdga, p_cut in _seeded_cuts():
+        calls.clear()
+        with mock.patch.object(cofree, "_sub_quotient", spy(split)), \
+                mock.patch.object(cofree, "to_cofree_coordinates", spy(coordinates)):
+            new = t_truncate(g, cdga, p_cut, 3)
+        with mock.patch.object(cofree, "_sub_quotient", oracle_sub_quotient), \
+                mock.patch.object(cofree, "to_cofree_coordinates", oracle_to_cofree_coordinates):
+            old = t_truncate(g, cdga, p_cut, 3)
+        (i, sub_cols), (quot, dec) = calls
+        got, want = split(i, sub_cols), oracle_sub_quotient(i, sub_cols)
+        assert _same_module(got[0], want[0]) and _same_module(got[1], want[1])
+        for a, b in zip(got[2:], want[2:]):
+            assert all(a.map_at(p).eq(b.map_at(p)) for p in i.dims)
+        assert _same_module(coordinates(quot, dec), oracle_to_cofree_coordinates(quot, dec))
+        assert all(_same_module(a, b) for a, b in zip(new, old))
+        cuts += 1
+    assert cuts == 60
+
+
+def _off(col):
+    """A unit vector index whose line does not hold the nonzero ``col``."""
+    return 0 if set(col) != {0} else 1
+
+
+@pytest.mark.parametrize("f", [QQ, Field(3)], ids=repr)
+def test_sub_quotient_certificates_fire(f):
+    """Each check of the split fires, on G(M) of a two-line socle complex:
+    dependent columns; a column set that d does not keep; one that d keeps
+    and an action does not (the old per-map solves raise the same three);
+    and a subobject nonzero at p and zero at p + 1 with d nonzero on it,
+    which the old body let through to the inclusion's chain-map check."""
+    data, cdga = _deformation_and_cdga("sym2", f)
+    k2 = UModule.trivial(data).direct_sum(UModule.trivial(data))
+    m = UComplex(data, (0, 1), {0: k2, 1: k2},
+                 {0: Matrix.from_int_rows(f, [[0, 1], [0, 0]])})
+    g = apply_G(m, cdga, FunctorBounds((-4, 3), 4, 3))
+    one, d = f.one(), g.diff(0)
+    moved = next(j for j, col in enumerate(d.columns) if col)
+    kept, image = next((j, g.action(0, x).columns[j]) for j, col in enumerate(d.columns)
+                       for x in range(g.num_generators())
+                       if not col and g.action(0, x).columns[j])
+
+    def cols(units):
+        return {p: Matrix(f, g.dim(p), [{j: one} for j in js]) for p, js in units.items()}
+
+    cases = [(cols({0: [moved, moved]}), "dependent subobject columns"),
+             (cols({0: [moved], 1: [_off(d.columns[moved])]}), "subspace is not d-stable"),
+             (cols({0: [kept], 1: [_off(image)]}), "subspace is not action-stable")]
+    for sub_cols, msg in cases:
+        for split in (cofree._sub_quotient, oracle_sub_quotient):
+            with pytest.raises(InconsistentDataError, match=msg):
+                split(g, sub_cols)
+    unkept = cols({0: [moved]})
+    with pytest.raises(InconsistentDataError, match="subspace is not d-stable"):
+        cofree._sub_quotient(g, unkept)
+    incl = oracle_sub_quotient(g, unkept)[2]
+    assert incl.validate() == "does not commute with d at degree 0"
 
 
 # -- the perturbation transfer ------------------------------------------------------
