@@ -12,9 +12,10 @@ perturbation lemma, and deformations*, 2004).  Every transfer is
 certified.  Cofree coordinates carry the parity twist (-1)^r, so their
 action is ``functors.cofree_actions``, as on G's images.
 
-The t-truncation split and cofree coordinates are one change of basis per
-degree (``_complete``, ``_conjugated``): the subobject's and the
-quotient's maps are blocks of d and the actions in the new basis.
+The socle SDR, the t-truncation split and cofree coordinates are one
+change of basis per degree (``_complete``, ``_conjugated``): the SDR's
+maps are blocks of that basis and its inverse, and the subobject's and
+the quotient's maps are blocks of d and the actions in the new basis.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .complexes import (
 from .deformations import CdgAlgebra
 from .errors import CurvedInputError, InconsistentDataError, MissingWeightsError, NotCofreeError
 from .functors import G_blocks, apply_G, cofree_actions, dual_dims, hom_labels
-from .linalg import EchelonSpan, Matrix, kernel_basis, rank, row_space, solve_matrix, zero_free
+from .linalg import EchelonSpan, Matrix, kernel_basis, rank, solve_matrix, zero_free
 
 
 # -- socle-level strong deformation retract ----------------------------------
@@ -37,32 +38,32 @@ from .linalg import EchelonSpan, Matrix, kernel_basis, rank, row_space, solve_ma
 
 def socle_sdr(socle: BaseComplex):
     """SDR of a finite complex (S, d0) onto its homology with zero
-    differential: returns (h_dims, i0, p0, h0) per degree, verified."""
+    differential: returns (h_dims, i0, p0, h0) per degree, verified.
+
+    Each degree is read in one change of basis P = (B | H | B'): B =
+    d0(B'_{q-1}) spans the boundaries, H (kernel vectors) completes it to
+    the cycles and B' (standard vectors) to S^q.  i0 is the H columns of
+    P, p0 the H rows of P^-1, and h0 = B'_{q-1} (B rows of P^-1) undoes
+    d0 on the boundaries."""
     f = socle.field
     dim, diff = socle.dim, socle.diff
     degs = sorted(socle.dims)
-    bhb = {q: _bhb_basis(socle, q) for q in degs}
-    i0, p0, h0, hdims = {}, {}, {}, {}
+    i0, p0, h0, hdims, bp = {}, {}, {}, {}, {}
     for q in degs:
         n = dim(q)
-        b_cols, h_cols, bp_cols = bhb[q]
-        hdims[q] = len(h_cols)
-        inv = _invert(Matrix(f, n, b_cols + h_cols + bp_cols))
+        below = Matrix(f, dim(q - 1), bp.get(q - 1, []))
+        b_cols = diff(q - 1).mul(below).columns
+        z = kernel_basis(diff(q)) if dim(q + 1) else Matrix.identity(f, n)
+        span = EchelonSpan(f)
+        _grow(span, b_cols)
+        h_cols = _grow(span, z.columns)
         nb, nh = len(b_cols), len(h_cols)
+        basis, inv = _complete(f, n, b_cols + h_cols)
+        bp[q] = basis.columns[nb + nh:]
+        hdims[q] = nh
         i0[q] = Matrix(f, n, h_cols)
         p0[q] = inv.submatrix(range(nb, nb + nh), range(n))
-        # h0 on S^q: project onto the boundary part, lift through d0|B'
-        bpq1 = bhb.get(q - 1, ([], [], []))[2]
-        if b_cols and bpq1:
-            dmat = Matrix(f, n, [diff(q - 1).apply(v) for v in bpq1])
-            pre = solve_matrix(dmat, Matrix(f, n, b_cols))
-            if pre is None:
-                raise InconsistentDataError("SDR: boundary preimage failed")
-            bp_mat = Matrix(f, dim(q - 1), bpq1)
-            proj_b = inv.submatrix(range(nb), range(n))
-            h0[q] = bp_mat.mul(pre).mul(proj_b)
-        else:
-            h0[q] = Matrix.zero(f, dim(q - 1), n)
+        h0[q] = below.mul(inv.submatrix(range(nb), range(n)))
     # verify the SDR identities exactly
     for q in degs:
         n = dim(q)
@@ -80,20 +81,6 @@ def socle_sdr(socle: BaseComplex):
         if not p0[q].mul(i0[q]).eq(Matrix.identity(f, hdims[q])):
             raise InconsistentDataError("SDR p i != 1")
     return hdims, i0, p0, h0
-
-
-def _bhb_basis(socle: BaseComplex, q: int):
-    """(B, H, B') column bases of S^q, as sparse columns, deterministic."""
-    f, n = socle.field, socle.dim(q)
-    b_cols = []
-    if socle.dim(q - 1):
-        b_cols = row_space(socle.diff(q - 1).transpose()).transpose().columns
-    z = kernel_basis(socle.diff(q)) if socle.dim(q + 1) else Matrix.identity(f, n)
-    span = EchelonSpan(f)
-    _grow(span, b_cols)
-    h_cols = _grow(span, z.columns)
-    bp_cols = _grow(span, Matrix.identity(f, n).columns)
-    return b_cols, h_cols, bp_cols
 
 
 def _grow(span: EchelonSpan, vecs):
@@ -459,8 +446,9 @@ def null_test_cofree(i: CdgModule, cdga: CdgAlgebra, cap: int, interior,
     """Cofree-side null-system criterion: I and Hom_{A!}(k, I) both acyclic.
 
     With ``by_position`` (for merged complexes of graded modules carrying
-    internal weights) the interior is a range of positions p - weight, so
-    the finite position window of a merge is judged honestly.
+    internal weights) the interior is a range of positions p - weight, read
+    in the (degree, weight) blocks of ``complexes.weight_split``, so the
+    finite position window of a merge is judged honestly.
     """
     if not cdga.curvature_is_zero:
         raise CurvedInputError("null test needs c = 0")

@@ -19,6 +19,12 @@ read as the matrix products, sums and comparisons read them, so a
 malformed input fails as it would there.  The linear systems whose
 unknowns are the entries of maps (the homotopy search, the module-linear
 maps of the adjunction) are written by one builder, ``map_equations``.
+
+A weighted complex is also read as the sum of its (degree, weight)
+blocks, the bigraded view: per-weight homology, the regrading of
+``suite.regrade`` and the position null test of ``cofree`` all read one
+split, ``weight_split``.  Its rule is that d keeps weight; an entry of d
+that joins two weights is refused, not dropped.
 """
 
 from __future__ import annotations
@@ -491,54 +497,75 @@ def cone(fmap: ChainMap):
 # -- homology ---------------------------------------------------------------
 
 
+def weight_split(x: BaseComplex):
+    """The (degree, weight) blocks of a weighted complex: ({(p, w): dim},
+    {(p, w): the block of d_p from (p, w) to (p + 1, w)}), degrees in the
+    order of ``x.dims`` and weights ascending; a block is there whenever
+    both its ends are, zero or not.  d must keep weight: an entry of d that
+    joins two weights raises InconsistentDataError."""
+    dims, local = {}, {}  # local[p][i]: index of basis vector i in its block
+    for p in x.dims:
+        ws = x.weights.get(p) or []
+        for w in sorted(set(ws)):
+            dims[(p, w)] = 0
+        local[p] = []
+        for w in ws:
+            local[p].append(dims[(p, w)])
+            dims[(p, w)] += 1
+    blocks = {}
+    for p in x.dims:
+        if p + 1 not in local:
+            continue
+        ws, up = x.weights.get(p) or [], x.weights.get(p + 1) or []
+        cols = {w: [] for w in sorted(set(ws)) if (p + 1, w) in dims}
+        d = x.diffs.get(p)
+        for j, w in enumerate(ws):
+            col = {} if d is None else d.columns[j]
+            for i in col:
+                if up[i] != w:
+                    raise InconsistentDataError(
+                        f"d does not keep weight at degree {p}: an entry joins "
+                        f"weight {w} to weight {up[i]}")
+            if w in cols:
+                cols[w].append({local[p + 1][i]: v for i, v in col.items()})
+        for w, c in cols.items():
+            blocks[(p, w)] = Matrix(x.field, dims[(p + 1, w)], c)
+    return dims, blocks
+
+
 def homology_dims(x: BaseComplex, window=None, per_weight=False):
     """Exact homology dimensions per degree (optionally per weight).
 
     Returns ({p: dim} or {(p, w): dim}, edge_degrees).  Degrees touching
-    the window boundary are reported but flagged edge-unreliable.  Each
-    rank(d_p), or of its weight-w block, is computed once per call: it is
-    read as the outgoing map at p and as the incoming map at p + 1.
+    the window boundary are reported but flagged edge-unreliable.  Per
+    weight, a weighted complex is read in the blocks of ``weight_split``;
+    an unweighted one is one block per degree, of weight None, reported
+    where it is nonzero.  Each rank of a block of d_p is computed once per
+    call: it is read as the outgoing map at p and as the incoming map at
+    p + 1.
     """
     lo, hi = window if window is not None else x.window
-    edges = set()
     if isinstance(x, CdgModule) and not x.cdga.curvature_is_zero:
         raise CurvedInputError("homology needs curvature c = 0")
-    ranks = {}  # p -> rank(d_p), or (p, w) -> rank of its weight-w block
-    out = {}
-    for p in range(lo, hi + 1):
-        n = x.dim(p)
-        if p == lo or p == hi:
-            edges.add(p)
-        if per_weight and x.weights is not None:
-            for w in sorted({wi for wi in (x.weights.get(p) or [])}):
-                out[(p, w)] = _homology_at_weight(x, p, w, ranks)
-        elif per_weight:
-            if n:
-                out[(p, None)] = n - _rank_or0(x, p, ranks) - _rank_or0(x, p - 1, ranks)
-        else:
-            out[p] = n - _rank_or0(x, p, ranks) - _rank_or0(x, p - 1, ranks)
-    return out, edges
+    if per_weight and x.weights is not None:
+        dims, blocks = weight_split(x)
+    else:
+        dims = {(p, None): n for p, n in x.dims.items()}
+        blocks = {(p, None): d for p, d in x.diffs.items()}
+    ranks = {}
 
-
-def _rank_or0(x: BaseComplex, p: int, ranks: dict) -> int:
-    got = ranks.get(p)
-    if got is None:
-        got = ranks[p] = rank(x.diff(p)) if x.dim(p) and x.dim(p + 1) else 0
-    return got
-
-
-def _homology_at_weight(x: BaseComplex, p: int, w, ranks: dict) -> int:
-    def block_rank(q):
-        """Rank of the weight-w block of d_q, from ``ranks`` once known."""
-        got = ranks.get((q, w))
+    def rank_of(key):
+        got = ranks.get(key)
         if got is None:
-            rsel = [i for i, wi in enumerate(x.weights.get(q + 1) or []) if wi == w]
-            csel = [i for i, wi in enumerate(x.weights.get(q) or []) if wi == w]
-            got = ranks[(q, w)] = rank(x.diff(q).submatrix(rsel, csel))
+            d = blocks.get(key)
+            got = ranks[key] = 0 if d is None else rank(d)
         return got
 
-    n = len([i for i in (x.weights.get(p) or []) if i == w])
-    return n - block_rank(p) - block_rank(p - 1)
+    out = {(p, w): n - rank_of((p, w)) - rank_of((p - 1, w))
+           for (p, w), n in sorted(dims.items()) if lo <= p <= hi}
+    if not per_weight:
+        out = {p: out.get((p, None), 0) for p in range(lo, hi + 1)}
+    return out, {p for p in (lo, hi) if lo <= hi}
 
 
 # -- linear systems in module maps ------------------------------------------

@@ -1,6 +1,6 @@
 """Headline computations: generalized Koszul/Chevalley-Eilenberg complex,
 windowed Koszulness certification, Tor and Ext, brutal and t-truncations,
-and the regrading between bigraded conventions.
+and the regrading of a weighted complex.
 """
 
 from __future__ import annotations
@@ -9,7 +9,9 @@ from .complexes import (
     BaseComplex,
     UComplex,
     UModule,
+    _vanishes,
     homology_dims,
+    weight_split,
 )
 from .deformations import CdgAlgebra, DeformationData, FilteredAlgebraTruncation
 from .errors import CurvedInputError, InconsistentDataError, InputError, MissingWeightsError
@@ -242,87 +244,18 @@ def sigma_truncate(x, p_cut: int):
 # -- regrading --------------------------------------------------------------------
 
 
-class BigradedComplex:
-    """Components indexed (p, q) with differential of bidegree (1, 0) and
-    optional action maps of a declared bidegree."""
-
-    def __init__(self, field, components: dict, diffs: dict,
-                 actions=None, action_bidegree=None):
-        self.field = field
-        self.components = {k: int(n) for k, n in components.items() if n}
-        self.diffs = diffs          # {(p, q): Matrix to (p+1, q)}
-        self.actions = actions or {}  # {(p, q): [Matrix per generator]}
-        self.action_bidegree = action_bidegree
-
-    def dim(self, p, q):
-        return self.components.get((p, q), 0)
-
-    def check(self):
-        for (p, q), d in self.diffs.items():
-            if d.cols != self.dim(p, q) or d.rows != self.dim(p + 1, q):
-                return f"differential at {(p, q)} is not of bidegree (1, 0)"
-        for (p, q) in self.diffs:
-            d2src = self.diffs.get((p + 1, q))
-            if d2src is not None:
-                if not d2src.mul(self.diffs[(p, q)]).is_zero():
-                    return f"d^2 != 0 at {(p, q)}"
-        return None
-
-    def equal(self, other) -> bool:
-        if self.components != other.components:
-            return False
-        for k, d in self.diffs.items():
-            od = other.diffs.get(k)
-            if od is None or not d.eq(od):
-                return False
-        return set(self.diffs) == set(other.diffs)
-
-
-def _reindex(x: BigradedComplex, shift: int) -> BigradedComplex:
-    """(p, q) -> (p + shift * q, q) on components, differentials, actions
-    and the action bidegree."""
-    def move(key):
-        p, q = key
-        return (p + shift * q, q)
-
-    bideg = x.action_bidegree
-    return BigradedComplex(x.field,
-                           {move(k): n for k, n in x.components.items()},
-                           {move(k): d for k, d in x.diffs.items()},
-                           {move(k): a for k, a in x.actions.items()},
-                           None if bideg is None else move(bideg))
-
-
-def regrade(x: BigradedComplex, r: int) -> BigradedComplex:
-    """Reindex (p, q) -> (p + (r-1) q, q); differentials stay (1, 0)."""
-    out = _reindex(x, r - 1)
-    msg = out.check()
-    if msg:
-        raise InputError(f"regrade: {msg}")
-    return out
-
-
-def regrade_inverse(x: BigradedComplex, r: int) -> BigradedComplex:
-    """The inverse reindexing p = p' - (r-1) q."""
-    return _reindex(x, 1 - r)
-
-
-def bigraded_from_weighted(x) -> BigradedComplex:
-    """Split a weighted complex into its (degree, weight) components."""
+def regrade(x, r: int):
+    """The regrading of a weighted complex: its (degree, weight) blocks
+    (``weight_split``) reindexed (p, w) -> (p + (r-1) w, w), so that d
+    stays of bidegree (1, 0).  Returns ({(p', w): dim}, {(p', w): block of
+    d}), with d^2 = 0 certified on each block."""
     if x.weights is None:
         raise MissingWeightsError("regrading needs integer weights")
-    comps, diffs = {}, {}
-    sel = {}
-    for p in x.dims:
-        ws = x.weights.get(p) or []
-        for w in sorted(set(ws)):
-            idx = [i for i, wi in enumerate(ws) if wi == w]
-            comps[(p, w)] = len(idx)
-            sel[(p, w)] = idx
-    for p in x.dims:
-        d = x.diff(p)
-        for w in sorted({wi for wi in (x.weights.get(p) or [])}):
-            if (p + 1, w) not in comps:
-                continue
-            diffs[(p, w)] = d.submatrix(sel[(p + 1, w)], sel[(p, w)])
-    return BigradedComplex(x.field, comps, diffs)
+    dims, blocks = weight_split(x)
+    shift = r - 1
+    for (p, w), d in blocks.items():
+        after = blocks.get((p + 1, w))
+        if after is not None and not _vanishes(x.field, [(1, after, d)]):
+            raise InputError(f"regrade: d^2 != 0 at {(p + shift * w, w)}")
+    return ({(p + shift * w, w): n for (p, w), n in dims.items()},
+            {(p + shift * w, w): d for (p, w), d in blocks.items()})

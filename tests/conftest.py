@@ -1610,6 +1610,175 @@ def element_matrix(x, p, degree, col):
     return out
 
 
+# -- the bigraded view and the socle SDR as they were -----------------------
+#
+# ``suite.BigradedComplex`` with its splitting, reindexing and check, the
+# per-weight homology of ``complexes.homology_dims`` with one submatrix per
+# weight block, and ``cofree.socle_sdr`` with its (B, H, B') basis from a
+# row space and a preimage solve: the bodies from before one weight split
+# served all three and the SDR became blocks of one change of basis.
+
+
+class BigradedComplex:
+    """Components indexed (p, q) with differential of bidegree (1, 0)."""
+
+    def __init__(self, field, components: dict, diffs: dict):
+        self.field = field
+        self.components = {k: int(n) for k, n in components.items() if n}
+        self.diffs = diffs          # {(p, q): Matrix to (p+1, q)}
+
+    def dim(self, p, q):
+        return self.components.get((p, q), 0)
+
+    def check(self):
+        for (p, q), d in self.diffs.items():
+            if d.cols != self.dim(p, q) or d.rows != self.dim(p + 1, q):
+                return f"differential at {(p, q)} is not of bidegree (1, 0)"
+        for (p, q) in self.diffs:
+            d2src = self.diffs.get((p + 1, q))
+            if d2src is not None:
+                if not d2src.mul(self.diffs[(p, q)]).is_zero():
+                    return f"d^2 != 0 at {(p, q)}"
+        return None
+
+    def equal(self, other) -> bool:
+        if self.components != other.components:
+            return False
+        for k, d in self.diffs.items():
+            od = other.diffs.get(k)
+            if od is None or not d.eq(od):
+                return False
+        return set(self.diffs) == set(other.diffs)
+
+
+def _reindex(x: BigradedComplex, shift: int) -> BigradedComplex:
+    def move(key):
+        p, q = key
+        return (p + shift * q, q)
+
+    return BigradedComplex(x.field, {move(k): n for k, n in x.components.items()},
+                           {move(k): d for k, d in x.diffs.items()})
+
+
+def oracle_regrade(x: BigradedComplex, r: int) -> BigradedComplex:
+    """Reindex (p, q) -> (p + (r-1) q, q); differentials stay (1, 0)."""
+    out = _reindex(x, r - 1)
+    msg = out.check()
+    if msg:
+        raise InputError(f"regrade: {msg}")
+    return out
+
+
+def oracle_regrade_inverse(x: BigradedComplex, r: int) -> BigradedComplex:
+    return _reindex(x, 1 - r)
+
+
+def bigraded_from_weighted(x) -> BigradedComplex:
+    """Split a weighted complex into its (degree, weight) components."""
+    comps, diffs = {}, {}
+    sel = {}
+    for p in x.dims:
+        ws = x.weights.get(p) or []
+        for w in sorted(set(ws)):
+            idx = [i for i, wi in enumerate(ws) if wi == w]
+            comps[(p, w)] = len(idx)
+            sel[(p, w)] = idx
+    for p in x.dims:
+        d = x.diff(p)
+        for w in sorted({wi for wi in (x.weights.get(p) or [])}):
+            if (p + 1, w) not in comps:
+                continue
+            diffs[(p, w)] = d.submatrix(sel[(p + 1, w)], sel[(p, w)])
+    return BigradedComplex(x.field, comps, diffs)
+
+
+def weighted_from_bigraded(field, components: dict, diffs: dict) -> BaseComplex:
+    """The weighted complex whose (degree, weight) blocks are ``components``
+    and ``diffs`` (keys (p, q) -> weight q): each degree lists its blocks by
+    ascending weight and d_p is block diagonal."""
+    comps = {k: n for k, n in components.items() if n}
+    dims, weights, offset = {}, {}, {}
+    for (p, q), n in sorted(comps.items()):
+        offset[(p, q)] = dims.get(p, 0)
+        dims[p] = dims.get(p, 0) + n
+        weights.setdefault(p, []).extend([q] * n)
+    cols = {p: [{} for _ in range(n)] for p, n in dims.items()}
+    for (p, q), d in diffs.items():
+        for j, col in enumerate(d.columns):
+            cols[p][offset[(p, q)] + j].update(
+                {offset[(p + 1, q)] + i: v for i, v in col.items()})
+    lo, hi = (min(dims), max(dims)) if dims else (0, 0)
+    return BaseComplex(field, (lo, hi), dims,
+                       {p: Matrix(field, dims[p + 1], c) for p, c in cols.items()
+                        if p + 1 in dims}, weights)
+
+
+def _homology_at_weight(x, p, w, ranks):
+    def block_rank(q):
+        got = ranks.get((q, w))
+        if got is None:
+            rsel = [i for i, wi in enumerate(x.weights.get(q + 1) or []) if wi == w]
+            csel = [i for i, wi in enumerate(x.weights.get(q) or []) if wi == w]
+            got = ranks[(q, w)] = rank(x.diff(q).submatrix(rsel, csel))
+        return got
+
+    n = len([i for i in (x.weights.get(p) or []) if i == w])
+    return n - block_rank(p) - block_rank(p - 1)
+
+
+def oracle_homology_per_weight(x, window):
+    """{(p, w): dim} of a weighted complex, one submatrix per weight block."""
+    lo, hi = window
+    ranks, out = {}, {}
+    for p in range(lo, hi + 1):
+        for w in sorted({wi for wi in (x.weights.get(p) or [])}):
+            out[(p, w)] = _homology_at_weight(x, p, w, ranks)
+    return out
+
+
+def _bhb_basis(socle, q):
+    f, n = socle.field, socle.dim(q)
+    b_cols = []
+    if socle.dim(q - 1):
+        b_cols = row_space(socle.diff(q - 1).transpose()).transpose().columns
+    z = kernel_basis(socle.diff(q)) if socle.dim(q + 1) else Matrix.identity(f, n)
+    span = EchelonSpan(f)
+    for v in b_cols:
+        span.insert(v)
+    h_cols = [v for v in z.columns if span.insert(v)]
+    bp_cols = [v for v in Matrix.identity(f, n).columns if span.insert(v)]
+    return b_cols, h_cols, bp_cols
+
+
+def oracle_socle_sdr(socle):
+    """(h_dims, i0, p0, h0) of the SDR of (S, d0) onto its homology, the
+    boundary part lifted through d0 on B' by a solve; not certified."""
+    f = socle.field
+    dim, diff = socle.dim, socle.diff
+    degs = sorted(socle.dims)
+    bhb = {q: _bhb_basis(socle, q) for q in degs}
+    i0, p0, h0, hdims = {}, {}, {}, {}
+    for q in degs:
+        n = dim(q)
+        b_cols, h_cols, bp_cols = bhb[q]
+        hdims[q] = len(h_cols)
+        inv = _oracle_invert(Matrix(f, n, b_cols + h_cols + bp_cols))
+        nb, nh = len(b_cols), len(h_cols)
+        i0[q] = Matrix(f, n, h_cols)
+        p0[q] = inv.submatrix(range(nb, nb + nh), range(n))
+        bpq1 = bhb.get(q - 1, ([], [], []))[2]
+        if b_cols and bpq1:
+            dmat = Matrix(f, n, [diff(q - 1).apply(v) for v in bpq1])
+            pre = solve_matrix(dmat, Matrix(f, n, b_cols))
+            if pre is None:
+                raise InconsistentDataError("SDR: boundary preimage failed")
+            bp_mat = Matrix(f, dim(q - 1), bpq1)
+            h0[q] = bp_mat.mul(pre).mul(inv.submatrix(range(nb), range(n)))
+        else:
+            h0[q] = Matrix.zero(f, dim(q - 1), n)
+    return hdims, i0, p0, h0
+
+
 # -- the module certificates as products of matrices --------------------------
 #
 # The bodies of ``UModule.validate``, ``UComplex.validate``,

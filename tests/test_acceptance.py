@@ -25,6 +25,7 @@ from koszul_kit.complexes import (
     homology_dims,
     homotopy_identity_holds,
     nullhomotopy,
+    weight_split,
 )
 from koszul_kit.deformations import (
     DeformationData,
@@ -58,10 +59,8 @@ from koszul_kit.presentations import (
 )
 from koszul_kit.scalars import QQ, Field
 from koszul_kit.suite import (
-    BigradedComplex,
     koszulness_check,
     regrade,
-    regrade_inverse,
     tor,
 )
 
@@ -69,6 +68,7 @@ from conftest import (
     SEED,
     heisenberg_deformation,
     symmetric_presentation,
+    weighted_from_bigraded,
 )
 
 
@@ -454,11 +454,15 @@ def test_criterion_12_regrading():
                 diffs[(p, q)] = Matrix.from_rows(f, [[f.of_int(rng.randrange(-2, 3))
                                                       for _ in range(n)]
                                                      for _ in range(m)], n)
-        bg = BigradedComplex(f, comps, diffs)
-        assert bg.check() is None
+        x = weighted_from_bigraded(f, comps, diffs)
+        assert x.check_d_squared() is None
+        dims, blocks = weight_split(x)
         for r in (-1, 0, 1, 2):
-            out = regrade(bg, r)
-            assert out.check() is None, "differential not bidegree (1,0)"
-            assert regrade_inverse(out, r).equal(bg)
+            out, moved = regrade(x, r)
+            assert all(d.cols == out[(p, q)] and d.rows == out[(p + 1, q)]
+                       for (p, q), d in moved.items()), "differential not bidegree (1,0)"
+            assert {(p - (r - 1) * q, q): n for (p, q), n in out.items()} == dims
+            assert {(p - (r - 1) * q, q): d.to_rows() for (p, q), d in moved.items()} == {
+                k: d.to_rows() for k, d in blocks.items()}
     report(12, "regrade round trips exactly for r in {-1, 0, 1, 2} with "
                "differentials of bidegree (1, 0)")

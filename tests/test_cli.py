@@ -339,6 +339,42 @@ def test_weighted_merge_position_test_exit_two(tmp_path):
                               "generator has weight 1\n")
 
 
+@pytest.mark.parametrize("field", [{"type": "Q"}, {"type": "Fp", "p": 3}], ids=["Q", "F3"])
+def test_weighted_tor_whose_d_moves_weight_exit_two(tmp_path, field):
+    """Two weighted inputs whose complex has a d that joins two weights:
+    G(M) of n = k[x1]/(x1^2) with weights [0, 1] over generators of weight
+    1, where G's term x_g f(x_g* t) moves weight by 2, and the identity
+    k -> k declared from weight 0 to weight 1.  The per-weight blocks
+    would drop those entries and print a wrong Tor; the weight split
+    refuses them, naming the degree and both weights.  Without weights the
+    same n has Tor [1, 2, 1, 0]."""
+    raw = json.load(open(SYM2))
+    raw["field"] = field
+    zero = [["0", "0"], ["0", "0"]]
+    raw["modules"]["n"] = {"dim": 2, "actions": {"x1": [["0", "0"], ["1", "0"]], "x2": zero}}
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps(raw))
+    assert run_cli("tor", str(plain), "--module", "n", "--range", "0..3") == (
+        "Tor_p(k, n) for p = 0..3: [1, 2, 1, 0]\n")
+    raw["weights"] = [1, 1]
+    raw["modules"]["n"]["weights"] = [0, 1]
+    for name, w in (("k0", 0), ("k1", 1)):
+        raw["modules"][name] = {"dim": 1, "actions": {"x1": [["0"]], "x2": [["0"]]},
+                                "weights": [w]}
+    raw["complexes"]["idk"] = {"window": [0, 1], "modules": ["k0", "k1"],
+                               "differentials": {"0": [["1"]]}}
+    path = tmp_path / "weighted.json"
+    path.write_text(json.dumps(raw))
+    for module, weights in (("n", "-2 to weight 0"), ("idk", "-2 to weight -1")):
+        for flags in ((), ("--json",)):
+            out = subprocess.run([sys.executable, "-m", "koszul_kit.cli", "tor", str(path),
+                                  "--module", module, "--range", "0..3", *flags],
+                                 capture_output=True, text=True, env=ENV, cwd=PKG)
+            assert (out.returncode, out.stdout) == (2, "")
+            assert out.stderr == ("InconsistentDataError: d does not keep weight at degree -2: "
+                                  f"an entry joins weight {weights}\n")
+
+
 # -- the argument parser ----------------------------------------------------------
 
 

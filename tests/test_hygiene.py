@@ -466,7 +466,6 @@ UNREACHED = {
     "functors.triangle_check": "library API",
     "linalg.EchelonSpan.leads": "library API",
     "linalg.Matrix.scale": "library API",
-    "suite.BigradedComplex.dim": "library API",
     # command paths the workloads do not take
     "cli.build_parser":
         "help, usage errors, argv not starting with a command, left-over tokens",

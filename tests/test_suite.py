@@ -18,6 +18,7 @@ from koszul_kit.cofree import (
     t_truncate,
 )
 from koszul_kit.complexes import (
+    BaseComplex,
     CdgModule,
     ChainMap,
     UComplex,
@@ -26,9 +27,10 @@ from koszul_kit.complexes import (
     homology_dims,
     homotopy_identity_holds,
     nullhomotopy,
+    weight_split,
 )
 from koszul_kit.deformations import DeformationData, build_U, build_cdga
-from koszul_kit.errors import InconsistentDataError, NotCofreeError
+from koszul_kit.errors import InconsistentDataError, InputError, NotCofreeError
 from koszul_kit.freeside import (
     FreeUComplex,
     free_cone_of_map,
@@ -37,25 +39,26 @@ from koszul_kit.freeside import (
     null_test_free,
 )
 from koszul_kit.functors import FilteredFComplex, FunctorBounds, G_blocks, apply_F, apply_G
-from koszul_kit.linalg import Matrix, solve_matrix, zero_free
+from koszul_kit.linalg import Matrix, kernel_basis, solve_matrix, zero_free
 from koszul_kit.presentations import QuadraticPresentation, quadratic_dual, truncate_algebra
 from koszul_kit.scalars import QQ, Field
 from koszul_kit.suite import (
-    BigradedComplex,
     HomologyReport,
-    bigraded_from_weighted,
     ext,
     koszul_ce_complex,
     koszulness_check,
     regrade,
-    regrade_inverse,
     sigma_truncate,
     tor,
 )
 
 from conftest import (
     SEED,
+    bigraded_from_weighted,
     heisenberg_deformation,
+    oracle_homology_per_weight,
+    oracle_regrade,
+    oracle_socle_sdr,
     oracle_sub_quotient,
     oracle_to_cofree_coordinates,
     oracle_transfer_minimal,
@@ -63,6 +66,7 @@ from conftest import (
     random_bounded_complex,
     symmetric_presentation,
     unit_maps_by_lines,
+    weighted_from_bigraded,
 )
 
 
@@ -1019,13 +1023,28 @@ def test_faulty_homotopy_fails_the_projection_certificate(f, fault):
 # -- regrading -------------------------------------------------------------------
 
 
+def _moved(split, shift):
+    """A split's keys moved (p, w) -> (p + shift * w, w), its blocks as
+    dense rows."""
+    dims, blocks = split
+    return ({(p + shift * w, w): n for (p, w), n in dims.items()},
+            {(p + shift * w, w): d.to_rows() for (p, w), d in blocks.items()})
+
+
+def _bidegree_10(split):
+    """Whether every block of d runs from (p, w) to (p + 1, w)."""
+    dims, blocks = split
+    return all(d.cols == dims.get((p, w), 0) and d.rows == dims.get((p + 1, w), 0)
+               for (p, w), d in blocks.items())
+
+
 def test_regrade_identity_and_roundtrip():
     f = QQ
     comps = {(0, 0): 2, (1, 1): 1, (2, 3): 1}
-    bg = BigradedComplex(f, comps, {})
-    assert regrade(bg, 1).equal(bg)
+    x = weighted_from_bigraded(f, comps, {})
+    assert _moved(regrade(x, 1), 0) == _moved(weight_split(x), 0)
     for r in (-1, 0, 1, 2):
-        assert regrade_inverse(regrade(bg, r), r).equal(bg)
+        assert _moved(regrade(x, r), 1 - r) == _moved(weight_split(x), 0)
 
 
 def test_regrade_random_roundtrips():
@@ -1046,24 +1065,119 @@ def test_regrade_random_roundtrips():
             if (p + 1, q) in diffs:
                 diffs[(p + 1, q)] = Matrix.zero(
                     f, comps.get((p + 2, q), 0), comps[(p + 1, q)])
-        bg = BigradedComplex(f, comps, {k: v for k, v in diffs.items()
-                                        if v.rows and v.cols})
-        assert bg.check() is None
+        x = weighted_from_bigraded(f, comps, diffs)
+        assert x.check_d_squared() is None
         for r in (-1, 0, 1, 2):
-            out = regrade(bg, r)
-            assert out.check() is None  # differentials stay bidegree (1, 0)
-            assert regrade_inverse(out, r).equal(bg)
+            out = regrade(x, r)
+            assert _bidegree_10(out)  # differentials stay bidegree (1, 0)
+            assert _moved(out, 1 - r) == _moved(weight_split(x), 0)
 
 
 def test_regrade_koszul_strand_indexing(sym2_world):
     # the merged complex of graded modules regrades with r = 2 by p -> p + q
     data, u, cdga = sym2_world
     spliced = spliced_complex(cdga)
-    bg = bigraded_from_weighted(spliced)
-    out = regrade(bg, 2)
-    for (p, q), n in bg.components.items():
-        assert out.components[(p + q, q)] == n
-    assert regrade_inverse(out, 2).equal(bg)
+    split = weight_split(spliced)
+    out = regrade(spliced, 2)
+    for (p, q), n in split[0].items():
+        assert out[0][(p + q, q)] == n
+    assert _moved(out, -1) == _moved(split, 0)
+
+
+def _weighted_complex(draw, f, moves_weight=False):
+    """A random weighted complex on two to five degrees whose d keeps
+    weight (d^2 = 0 or not), or, with ``moves_weight``, with one entry of d
+    that joins two weights."""
+    lo = draw(st.integers(min_value=-3, max_value=1))
+    hi = lo + draw(st.integers(min_value=1, max_value=4))
+    low = draw(st.integers(min_value=-2, max_value=1))
+    weights = {p: [draw(st.integers(min_value=low, max_value=low + 1))
+                   for _ in range(draw(st.integers(min_value=0, max_value=3)))]
+               for p in range(lo, hi + 1)}
+    entry = st.integers(min_value=-1, max_value=2)
+    diffs = {p: Matrix(f, len(weights[p + 1]),
+                       [zero_free({i: f.of_int(draw(entry)) for i, wi in enumerate(weights[p + 1])
+                                   if wi == w}, f.p) for w in weights[p]])
+             for p in range(lo, hi)}
+    if moves_weight:
+        pairs = [(p, i, j) for p in range(lo, hi) for i, wi in enumerate(weights[p + 1])
+                 for j, wj in enumerate(weights[p]) if wi != wj]
+        if pairs:
+            p, i, j = draw(st.sampled_from(pairs))
+            cols = [dict(c) for c in diffs[p].columns]
+            cols[j][i] = f.one()
+            diffs[p] = Matrix(f, diffs[p].rows, cols)
+    return BaseComplex(f, (lo, hi), {p: len(w) for p, w in weights.items()}, diffs,
+                       {p: w for p, w in weights.items() if w})
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(FIELDS), st.data())
+def test_weight_split_matches_the_bigraded_oracles(f, data):
+    """On random weighted complexes whose d keeps weight, over Q, F_2, F_3
+    and F_5: the per-weight homology of the one split equals the homology
+    with one submatrix per weight block; the regraded blocks for r in {-1,
+    0, 1, 2} equal the regraded BigradedComplex, key by key, and map back
+    to the split; and a block with d^2 != 0 gives the same message.  A d
+    that joins two weights is refused by both readers of the split."""
+    x = _weighted_complex(data.draw, f)
+    got, _ = homology_dims(x, x.window, per_weight=True)
+    assert list(got.items()) == list(oracle_homology_per_weight(x, x.window).items())
+    bg = bigraded_from_weighted(x)
+    assert weight_split(x)[0] == bg.components
+    for r in (-1, 0, 1, 2):
+        try:
+            want = oracle_regrade(bg, r)
+        except InputError as err:
+            with pytest.raises(InputError) as new:
+                regrade(x, r)
+            assert str(new.value) == str(err)
+            continue
+        out = regrade(x, r)
+        assert out[0] == want.components
+        assert {k: d.to_rows() for k, d in out[1].items()} == {
+            k: d.to_rows() for k, d in want.diffs.items()}
+        assert _moved(out, 1 - r) == _moved(weight_split(x), 0)
+    y = _weighted_complex(data.draw, f, moves_weight=True)
+    if any(y.weights.get(p + 1, [])[i] != w for p, d in y.diffs.items()
+           for w, col in zip(y.weights.get(p, []), d.columns) for i in col):
+        for read in (lambda: homology_dims(y, y.window, per_weight=True),
+                     lambda: regrade(y, 2)):
+            with pytest.raises(InconsistentDataError, match="d does not keep weight at degree"):
+                read()
+
+
+def _exact_complex(draw, f):
+    """A random complex with d^2 = 0: each d_p is a kernel basis of d_{p+1}
+    times a random matrix, from the top degree down."""
+    lo = draw(st.integers(min_value=-2, max_value=1))
+    hi = lo + draw(st.integers(min_value=1, max_value=4))
+    dims = {p: draw(st.integers(min_value=0, max_value=4)) for p in range(lo, hi + 1)}
+    entry = st.integers(min_value=-2, max_value=2)
+    diffs = {}
+    for p in range(hi - 1, lo - 1, -1):
+        rows = dims[p + 1]
+        kernel = (kernel_basis(diffs[p + 1]) if p + 1 in diffs
+                  else Matrix.identity(f, rows))
+        mix = Matrix.from_rows(f, [[f.of_int(draw(entry)) for _ in range(dims[p])]
+                                   for _ in range(kernel.cols)], dims[p])
+        diffs[p] = kernel.mul(mix)
+    return BaseComplex(f, (lo, hi), dims, diffs)
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(FIELDS), st.data())
+def test_socle_sdr_matches_the_solving_oracle(f, data):
+    """The SDR read as blocks of one change of basis per degree equals the
+    one from a row-space basis of the boundaries and a preimage solve: the
+    homology dims, i0, p0 and h0, over Q, F_2, F_3 and F_5.  Most draws have
+    a nonzero homotopy."""
+    x = _exact_complex(data.draw, f)
+    got, want = cofree.socle_sdr(x), oracle_socle_sdr(x)
+    assert got[0] == want[0]
+    for new, old in zip(got[1:], want[1:]):
+        assert set(new) == set(old)
+        assert all(new[q].to_rows() == old[q].to_rows() for q in new)
 
 
 def test_null_cofree_zero_module(sym2_world):
