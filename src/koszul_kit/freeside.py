@@ -2,11 +2,14 @@
 k ⊗_U (-), null-system membership, and U-linear homotopy search.
 
 A free complex is a matrix over U: component p is U^{ranks[p]} and the
-differential entry (i, j) is an element of the truncated U, a sparse
-column {U basis index: raw value}, acting on the generator e_j of
-component p and read off in the generators of p+1.
-Expansion replaces U by its filtration piece at a level growing along the
-window, which embeds the expanded object as a subcomplex of the true one.
+differential entry (i, j) is an element of the truncated U, acting on the
+generator e_j of component p and read off in the generators of p+1.  It
+is held as one column view per generator, {U index k: {i: coefficient}},
+built from an entry grid or from a cdg-module N's x_g* and d columns:
+F(N) is N's free complex.  ``add_column``, the one column formula,
+writes F, T's delta, the F-term of (GF)_i and ``null-free``.
+Expansion replaces U by its filtration piece at a level given per degree,
+which embeds the expanded object as a subcomplex of the true one.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ from .linalg import RHS, Matrix, axpy, is_nonzero, solve_sparse, zero_free
 
 
 class FreeUComplex:
-    """Bounded complex of free U-modules with differential entries in U."""
+    """Bounded complex of free U-modules with differential entries in U,
+    held as ``columns[p][j]``, the image sum c u_k e_i of the generator e_j
+    of degree p as {U basis index k: {i: c}}, built in O(nnz)."""
 
     def __init__(self, u: FilteredAlgebraTruncation, window, ranks: dict,
                  entries: dict):
@@ -28,26 +33,62 @@ class FreeUComplex:
         self.ranks = {p: int(r) for p, r in ranks.items() if r}
         # entries[p][i][j]: sparse U column, for the map component
         # U^{ranks[p]} -> U^{ranks[p+1]}
-        self.entries = entries
+        self._entries = entries
+        self.columns = {}
         for p, mat in entries.items():
             if len(mat) != self.ranks.get(p + 1, 0):
                 raise InputError(f"entry matrix at degree {p} has wrong height")
             for row in mat:
                 if len(row) != self.ranks.get(p, 0):
                     raise InputError(f"entry matrix at degree {p} has wrong width")
+            if mat and self.rank(p):
+                view = self.columns[p] = [{} for _ in range(self.rank(p))]
+                for i, row in enumerate(mat):
+                    for col, entry in zip(view, row):
+                        for k, c in entry.items():
+                            col.setdefault(k, {})[i] = c
+
+    @classmethod
+    def of_source(cls, u: FilteredAlgebraTruncation, window, ranks: dict, source):
+        """N's free complex on ``ranks`` ({p: dim N^p}): d(e_j) = sum_g x_g
+        (x_g* n_j) + 1 (d n_j), from ``source(p)``, the columns on N^p of
+        each x_g* (a list per generator) and of d, which the view shares."""
+        free = cls(u, window, ranks, {})
+        free._entries = None
+        gens = _gen_pos(u)
+        one = u._basis_pos[()]
+        for p in free.ranks:
+            if p + 1 not in free.ranks:
+                continue
+            acts, d_cols = source(p)
+            view = free.columns[p] = [{} for _ in range(free.ranks[p])]
+            for k, cols in zip(gens, acts):
+                for col, xn in zip(view, cols):
+                    if xn:
+                        col[k] = xn
+            for col, dn in zip(view, d_cols):
+                if dn:
+                    col[one] = dn
+        return free
+
+    @property
+    def entries(self) -> dict:
+        """The entry grid {p: [[sparse U column of entry (i, j)]]}: as given,
+        or read off the columns for a complex built by ``of_source``."""
+        if self._entries is None:
+            self._entries = {p: [[{k: t[i] for k, t in col.items() if i in t} for col in view]
+                                 for i in range(self.rank(p + 1))]
+                             for p, view in self.columns.items()}
+        return self._entries
 
     def rank(self, p: int) -> int:
         return self.ranks.get(p, 0)
 
     def entry_degree_bound(self) -> int:
         """Max filtration degree of any differential entry."""
-        top = 0
-        for mat in self.entries.values():
-            for row in mat:
-                for col in row:
-                    for bi in col:
-                        top = max(top, len(self.u.basis_words[bi]))
-        return top
+        words = self.u.basis_words
+        return max((len(words[k]) for view in self.columns.values()
+                    for col in view for k in col), default=0)
 
     def check_d_squared(self):
         """d entries compose to zero exactly in the truncated U.
@@ -57,11 +98,12 @@ class FreeUComplex:
         the first map's entry multiplies on the left.
         """
         u = self.u
-        for p in sorted(self.entries):
-            if p + 1 not in self.entries:
+        entries = self.entries
+        for p in sorted(entries):
+            if p + 1 not in entries:
                 continue
-            a = self.entries[p]
-            b = self.entries[p + 1]
+            a = entries[p]
+            b = entries[p + 1]
             for i in range(self.rank(p + 2)):
                 for j in range(self.rank(p)):
                     acc = {}
@@ -73,50 +115,29 @@ class FreeUComplex:
 
     # -- expansion ---------------------------------------------------------
 
-    def expand(self, base_level: int) -> BaseComplex:
-        """Subcomplex with component p expanded at level base_level + (p - lo) * e.
-
-        e is the max entry degree, so every differential lands inside the
-        next component and the result is an honest subcomplex.  For scalar
-        entries (e = 0) the expansion is level-constant and represents the
-        true homology exactly; otherwise window edges are unreliable.
-        """
+    def expand(self, levels: dict) -> BaseComplex:
+        """The complex with component p spanned by u ⊗ e_j for u in
+        U_{<=levels[p]}, on the ranked degrees of ``levels``; its basis is
+        ``labels`` {p: [(u basis index, j)]}, u-major.  A term beyond the
+        next level is cut off: where levels grow by the entry degree, none
+        is, and the result is a subcomplex of the true one."""
         f = self.field
         u = self.u
-        e = self.entry_degree_bound()
-        lo, hi = self.window
-        levels = {p: base_level + (p - lo) * e for p in range(lo, hi + 1)}
-        if levels and max(levels.values()) > u.bound:
-            raise InputError(
-                f"expansion level {max(levels.values())} beyond U bound {u.bound}; "
-                "lower the window or rebuild U deeper")
-        dims, labels = {}, {}
-        for p in range(lo, hi + 1):
-            r = self.rank(p)
-            if not r:
-                continue
-            labels[p] = [(ui, j) for j in range(r) for ui in range(u.dim_leq(levels[p]))]
-            dims[p] = len(labels[p])
+        labels = {p: [(ui, j) for ui in range(u.dim_leq(lev)) for j in range(self.rank(p))]
+                  for p, lev in levels.items() if self.rank(p)}
         diffs = {}
-        for p in sorted(dims):
-            if p + 1 not in dims:
+        for p, labs in labels.items():
+            tgt = labels.get(p + 1)
+            if tgt is None:
                 continue
-            tpos = {lab: i for i, lab in enumerate(labels[p + 1])}
-            ent = self.entries.get(p)
-            cols = []
-            for ui, j in labels[p]:
-                acc = {}
-                for i, erow in enumerate(ent or ()):
-                    # u_basis[ui] * entry, reduced in U
-                    for k, c in erow[j].items():
-                        for ti, v in u.mult_basis(ui, k).items():
-                            row = tpos.get((ti, i))
-                            if row is None:
-                                raise InputError("expansion level overflow")
-                            acc[row] = acc.get(row, 0) + c * v
-                cols.append(zero_free(acc, f.p))
-            diffs[p] = Matrix(f, dims[p + 1], cols)
-        return BaseComplex(f, self.window, dims, diffs)
+            rows = {lab: i for i, lab in enumerate(tgt)}
+            view = self.columns.get(p)
+            diffs[p] = Matrix(f, len(tgt), [
+                zero_free(add_column({}, rows, 1, u, view[j], ui), f.p) if view else {}
+                for ui, j in labs])
+        out = BaseComplex(f, self.window, {p: len(labs) for p, labs in labels.items()}, diffs)
+        out.labels = labels
+        return out
 
     def fiber_complex(self) -> BaseComplex:
         """k ⊗_U P: scalar parts of the differential entries (needs beta = 0)."""
@@ -124,16 +145,31 @@ class FreeUComplex:
         one_idx = u._basis_pos[()]
         if not u.data.beta.is_zero():
             raise InputError("k tensor needs an augmented U (beta = 0)")
-        dims = {p: r for p, r in self.ranks.items()}
-        diffs = {}
-        for p, ent in self.entries.items():
-            rows = self.rank(p + 1)
-            if not rows or not self.rank(p):
-                continue
-            diffs[p] = Matrix(self.field, rows,
-                              [{i: ent[i][j][one_idx] for i in range(rows) if one_idx in ent[i][j]}
-                               for j in range(self.rank(p))])
-        return BaseComplex(self.field, self.window, dims, diffs)
+        diffs = {p: Matrix(self.field, self.rank(p + 1),
+                           [dict(col.get(one_idx, {})) for col in view])
+                 for p, view in self.columns.items()}
+        return BaseComplex(self.field, self.window, self.ranks, diffs)
+
+
+def add_column(acc: dict, rows: dict, c, u: FilteredAlgebraTruncation, col: dict,
+               ui: int) -> dict:
+    """The one column formula of a free U-complex: acc += c · d(u_ui e_j),
+    ``col`` being e_j's column {k: {i: coefficient}}.  Each term u_t of
+    u_ui u_k (U's ``mult_basis``) puts u_t e_i on ``rows[(t, i)]``; a term
+    with no row is cut off.  Returns ``acc``, raw values unreduced."""
+    for k, terms in col.items():
+        for ti, v in u.mult_basis(ui, k).items():
+            cv = c * v
+            for i, ci in terms.items():
+                row = rows.get((ti, i))
+                if row is not None:
+                    acc[row] = acc.get(row, 0) + cv * ci
+    return acc
+
+
+def _gen_pos(u: FilteredAlgebraTruncation):
+    """U's basis positions of the generators x_g, in order."""
+    return [u._basis_pos[(g,)] for g in range(u.data.base.dim)]
 
 
 def free_identity_map(p_ranks, u):
@@ -262,7 +298,17 @@ def null_test_free(p: FreeUComplex, base_level: int, interior):
     msg = p.check_d_squared()
     if msg:
         raise InputError(msg)
-    expanded = p.expand(base_level)
+    # the level grows by the entry degree e, so no term is cut off; for
+    # scalar entries (e = 0) the expansion is level-constant and gives the
+    # true homology, otherwise the window edges are unreliable
+    start, stop = p.window
+    e = p.entry_degree_bound()
+    levels = {q: base_level + (q - start) * e for q in range(start, stop + 1)}
+    if levels and max(levels.values()) > p.u.bound:
+        raise InputError(
+            f"expansion level {max(levels.values())} beyond U bound {p.u.bound}; "
+            "lower the window or rebuild U deeper")
+    expanded = p.expand(levels)
     h_p, _ = homology_dims(expanded, p.window)
     fiber = p.fiber_complex()
     h_f, _ = homology_dims(fiber, p.window)

@@ -2,19 +2,23 @@
 unit/counit, the adjunction check, and the mirror functor F'.
 
 F is T ⊗_{A!} (-) and G is Hom_U(T, -), and each differential is written
-once.  ``_add_F`` is F's, d(u ⊗ n) = sum_g (u x_g) ⊗ (x_g* n) + u ⊗ d(n):
-T's delta is F on A!.  ``_G_differentials`` is the Hom differential
-d(f)(t) = (-1)^{|t|}[sum_g x_g f(x_g* t) + f(dt) + d_M f(t)] on the
-functionals of prod_r Hom(X^r, M^{p+r}) that ``hom_labels`` lists.  With
+once.  F(N) is N's free U-complex (``freeside.FreeUComplex.of_source``):
+generator n_j goes to sum_g x_g (x_g* n_j) + 1 (d n_j), so
+d(u ⊗ n) = sum_g (u x_g) ⊗ (x_g* n) + u ⊗ d(n).  Its one column formula,
+``freeside.add_column``, writes F, T's delta (F on A!), the F-term of
+(GF)_i and the ``null-free`` expansion.  ``_G_differentials`` is the Hom
+differential d(f)(t) = (-1)^{|t|}[sum_g x_g f(x_g* t) + f(dt) + d_M f(t)] on
+the functionals of prod_r Hom(X^r, M^{p+r}) that ``hom_labels`` lists.  With
 X = A! it is G's, and (GF)_i is G over F, with x_g acting on U ⊗ N by
 left multiplication and F's differential as d_M.  With X = N it is
 Hom_U(F(N), M), and with no action term and G(M) as M the plain Hom of
 N into G(M): the two sides of the adjunction.  Only F' keeps a formula
 of its own (see ``apply_Fprime``).
 
-Windowing: F is materialized through its filtration pieces, with the
-U-level growing by one per cohomological degree, so every differential
-lands exactly in the next component and squares to zero on the nose.
+Windowing: F is materialized through its filtration pieces, the free
+complex expanded at U-level filtration + p in degree p, so every
+differential lands exactly in the next component and squares to zero on
+the nose.
 G is materialized as the subobject of functionals supported in dual
 degrees <= the internal cap, which is a genuine cdg-submodule.
 
@@ -31,6 +35,7 @@ from collections import namedtuple
 from .complexes import BaseComplex, CdgModule, ChainMap, UComplex, map_equations
 from .deformations import CdgAlgebra, FilteredAlgebraTruncation
 from .errors import InconsistentDataError, InputError
+from .freeside import FreeUComplex, _gen_pos, add_column
 from .linalg import Matrix, axpy, kernel_basis, rank, zero_free
 
 
@@ -50,11 +55,6 @@ class FunctorBounds(namedtuple("FunctorBounds", ("window", "filtration", "intern
 # -- the two kernels ----------------------------------------------------------
 
 
-def _gen_pos(u: FilteredAlgebraTruncation):
-    """U's basis positions of the generators x_g, in order."""
-    return [u._basis_pos[(g,)] for g in range(u.data.base.dim)]
-
-
 def _add_rows(acc: dict, rows: dict, c, col: dict):
     """acc += c * col, each key of col sent to its row; a key with no row
     is cut off."""
@@ -62,34 +62,6 @@ def _add_rows(acc: dict, rows: dict, c, col: dict):
         k = rows.get(key)
         if k is not None:
             acc[k] = acc.get(k, 0) + c * v
-
-
-def _add_F(acc: dict, rows: dict, sign, u: FilteredAlgebraTruncation,
-           acts, d_cols, ui: int, ni: int) -> dict:
-    """F's differential: acc += sign · d(u_ui ⊗ n_ni), where
-    d(u ⊗ n) = sum_g (u x_g) ⊗ (x_g* n) + u ⊗ d(n).
-
-    ``acts`` pairs U's position of each x_g with the columns of x_g* on N,
-    ``d_cols`` are the columns of d_N, and ``rows`` maps (U index, N index)
-    to a row of ``acc``; a term with no row is cut off.  Returns ``acc``,
-    raw values unreduced.
-    """
-    for gi, act in acts:
-        xn = act[ni]  # x_g* n
-        if not xn:
-            continue
-        for ti, cu in u.mult_basis(ui, gi).items():
-            if sign < 0:
-                cu = -cu
-            for nj, ca in xn.items():
-                k = rows.get((ti, nj))
-                if k is not None:
-                    acc[k] = acc.get(k, 0) + cu * ca
-    for nj, c in d_cols[ni].items():
-        k = rows.get((ui, nj))
-        if k is not None:
-            acc[k] = acc.get(k, 0) + sign * c
-    return acc
 
 
 def hom_labels(dims: dict, window, basis) -> dict:
@@ -116,8 +88,8 @@ def dual_dims(dual, cap: int) -> dict:
 
 
 def _dual_source(cdga: CdgAlgebra):
-    """A! as the source of ``_G_differentials``: on A!_r, x_g* is left
-    multiplication by x_g and d is the cdga's derivation."""
+    """A! as a source of ``_G_differentials`` and of its free complex: on
+    A!_r, x_g* is left multiplication by x_g and d is the cdga's derivation."""
     dual = cdga.dual
 
     def source(r):
@@ -125,6 +97,13 @@ def _dual_source(cdga: CdgAlgebra):
         left = dual.mult_columns(1, r)  # x_g e_t: column g * n + t
         return [left[g * n:(g + 1) * n] for g in range(dual.pres.dim)], cdga.d(r).columns
     return source
+
+
+def _module_source(n: CdgModule):
+    """N as a source of ``_G_differentials`` and of its free complex: on
+    N^r, the columns of each x_g* and of d."""
+    return lambda r: ([n.action(r, g).columns for g in range(n.num_generators())],
+                      n.diff(r).columns)
 
 
 def _module_terms(x: BaseComplex):
@@ -208,7 +187,8 @@ class KoszulBimodule:
     """Truncation of T = U ⊗ A! with the twisting endomorphism.
 
     delta(u ⊗ a) = sum_g u x_g ⊗ x_g* a + u ⊗ d(a), taking the component
-    U_{<=l} ⊗ A!_r into U_{<=l+1} ⊗ A!_{r+1}: F's differential with N = A!.
+    U_{<=l} ⊗ A!_r into U_{<=l+1} ⊗ A!_{r+1}: F's differential with N = A!,
+    the expansion of A!'s free complex.
     """
 
     def __init__(self, u: FilteredAlgebraTruncation, cdga: CdgAlgebra):
@@ -220,16 +200,11 @@ class KoszulBimodule:
 
     def delta(self, level: int, r: int) -> Matrix:
         """Matrix of delta on U_{<=level} ⊗ A!_r (columns u-major)."""
-        u, dual = self.u, self.cdga.dual
-        na, nb = dual.dim_at(r), dual.dim_at(r + 1)
-        left = dual.mult_columns(1, r)  # x_g e_a: column g * na + a
-        acts = [(gi, left[g * na:(g + 1) * na]) for g, gi in enumerate(_gen_pos(u))]
-        d_cols = self.cdga.d(r).columns
-        n_tgt = u.dim_leq(level + 1)
-        rows = {(ti, b): ti * nb + b for ti in range(n_tgt) for b in range(nb)}
-        return Matrix(self.field, n_tgt * nb,
-                      [zero_free(_add_F({}, rows, 1, u, acts, d_cols, ui, a), self.field.p)
-                       for ui in range(u.dim_leq(level)) for a in range(na)])
+        dual = self.cdga.dual
+        free = FreeUComplex.of_source(self.u, (r, r + 1),
+                                      {r: dual.dim_at(r), r + 1: dual.dim_at(r + 1)},
+                                      _dual_source(self.cdga))
+        return free.expand({r: level, r + 1: level + 1}).diff(r)
 
     def check_delta_squared(self, level: int, r: int):
         """delta^2 = -(.c) on U_{<=level} ⊗ A!_r, exactly."""
@@ -312,58 +287,33 @@ def build_T(u: FilteredAlgebraTruncation, cdga: CdgAlgebra,
 # -- the functor F (filtration pieces) --------------------------------------
 
 
-class FilteredFComplex(BaseComplex):
-    """F_i(N): ... -> U_{<=i+p} ⊗ N^p -> U_{<=i+p+1} ⊗ N^{p+1} -> ...
-
-    Plain complex of vector spaces with labelled bases; the full U-module
-    structure only exists in the colimit, the fiber k ⊗_U (-) is exact.
-    """
-
-    def __init__(self, u, bounds, dims, diffs, labels):
-        super().__init__(u.field, bounds.window, dims, diffs)
-        self.u = u
-        self.labels = labels  # {p: [(u_basis_index, n_basis_index)]}
-
-    def fiber_complex(self) -> BaseComplex:
-        """k ⊗_U F_i(N): kills every basis label with a nonunit monomial."""
-        dims = {}
-        sel = {}
-        for p, labs in self.labels.items():
-            keep = [i for i, (ui, ni) in enumerate(labs) if self.u.basis_words[ui] == ()]
-            if keep:
-                dims[p] = len(keep)
-                sel[p] = keep
-        diffs = {p: self.diff(p).submatrix(sel[p + 1], sel[p]) for p in dims if p + 1 in dims}
-        return BaseComplex(self.field, self.window, dims, diffs)
-
-
-def apply_F(n: CdgModule, u: FilteredAlgebraTruncation,
-            bounds: FunctorBounds, verify=True) -> FilteredFComplex:
-    """The filtration piece F_i(N) with differential
-    u ⊗ n -> sum_g (u x_g) ⊗ (x_g* n) + u ⊗ d(n)."""
-    f = u.field
+def f_free_complex(n: CdgModule, u: FilteredAlgebraTruncation, bounds: FunctorBounds):
+    """N's free U-complex on the degrees p of the window that F expands,
+    those with N^p != 0 and filtration + p >= 0, and their U-levels
+    filtration + p.  Returns (FreeUComplex, {p: level})."""
     lo, hi = bounds.window
-    dims, labels = {}, {}
+    levels = {}
     for p in range(lo, hi + 1):
         lev = bounds.filtration + p
         if lev < 0 or n.dim(p) == 0:
             continue
         if lev > u.bound:
             raise InputError(f"filtration level {lev} beyond U bound {u.bound}")
-        labels[p] = [(ui, ni) for ui in range(u.dim_leq(lev)) for ni in range(n.dim(p))]
-        dims[p] = len(labels[p])
-    gens = _gen_pos(u)
-    diffs = {}
-    for p in sorted(dims):
-        if p + 1 not in dims:
-            continue
-        rows = {lab: i for i, lab in enumerate(labels[p + 1])}
-        acts = [(gi, n.action(p, g).columns) for g, gi in enumerate(gens)]
-        d_cols = n.diff(p).columns
-        diffs[p] = Matrix(f, dims[p + 1],
-                          [zero_free(_add_F({}, rows, 1, u, acts, d_cols, ui, ni), f.p)
-                           for ui, ni in labels[p]])
-    fc = FilteredFComplex(u, bounds, dims, diffs, labels)
+        levels[p] = lev
+    free = FreeUComplex.of_source(u, bounds.window, {p: n.dim(p) for p in levels},
+                                  _module_source(n))
+    return free, levels
+
+
+def apply_F(n: CdgModule, u: FilteredAlgebraTruncation,
+            bounds: FunctorBounds, verify=True) -> BaseComplex:
+    """The filtration piece F_i(N): ... -> U_{<=i+p} ⊗ N^p -> U_{<=i+p+1} ⊗
+    N^{p+1} -> ..., N's free complex expanded, with differential
+    u ⊗ n -> sum_g (u x_g) ⊗ (x_g* n) + u ⊗ d(n) and basis ``labels``
+    {p: [(u basis index, n basis index)]}, u-major.  A plain complex: the
+    U-module structure exists only in the colimit."""
+    free, levels = f_free_complex(n, u, bounds)
+    fc = free.expand(levels)
     if verify:
         msg = fc.check_d_squared()
         if msg:
@@ -525,9 +475,7 @@ def gf_composite(n: CdgModule, u: FilteredAlgebraTruncation, cdga: CdgAlgebra,
                         lambda p, q: [(ui, ni) for ui in range(u.dim_leq(ulevel(p)))
                                       for ni in range(n.dim(q))])
     gens = _gen_pos(u)
-    # N^q as sparse columns: of each x_g* . (-), and of d_N
-    n_cols = {q: ([(gi, n.action(q, g).columns) for g, gi in enumerate(gens)],
-                  n.diff(q).columns) for q in n.dims}
+    free = FreeUComplex.of_source(u, n.window, n.dims, _module_source(n))
 
     def act(acc, rows, c, q, g, e):
         ui, ni = e
@@ -537,7 +485,8 @@ def gf_composite(n: CdgModule, u: FilteredAlgebraTruncation, cdga: CdgAlgebra,
                 acc[k] = acc.get(k, 0) + c * cu
 
     def d_m(acc, rows, c, q, e):
-        _add_F(acc, rows, c, u, *n_cols[q], *e)
+        ui, ni = e
+        add_column(acc, rows, c, u, free.columns[q][ni], ui)
 
     diffs = _G_differentials(cdga.field, _dual_source(cdga), labels, act, d_m)
     labels = {p: [(r, s, ui, ni) for r, s, (ui, ni) in labs] for p, labs in labels.items()}
@@ -595,10 +544,7 @@ def hom_complex_explicit(n: CdgModule, m: UComplex, window):
     d(f)(t) = (-1)^{|t|}[sum_g x_g f(x_g* t) + f(d_N t) + d_M f(t)].
     Returns (complex, labels)."""
     labels = hom_labels(n.dims, window, lambda p, q: range(m.dim(q)))
-    diffs = _G_differentials(
-        n.field, lambda r: ([n.action(r, g).columns for g in range(n.num_generators())],
-                            n.diff(r).columns),
-        labels, *_module_terms(m))
+    diffs = _G_differentials(n.field, _module_source(n), labels, *_module_terms(m))
     return BaseComplex(n.field, window, {p: len(labs) for p, labs in labels.items()},
                        diffs), labels
 
@@ -712,10 +658,11 @@ def apply_Fprime(m: UComplex, cdga: CdgAlgebra, bounds: FunctorBounds,
     (-1)^{r+1} sum_g (b x_g*) ⊗ x_g m + d(b) ⊗ m + (-1)^r b ⊗ d_M(m),
     a cdg-module for the plain left multiplication on the A!-factor.
 
-    The one formula not written by ``_add_F`` or ``_G_differentials``: the
-    action term and the d(b) term both map A!_r ⊗ M^{t-r} into
-    A!_{r+1} ⊗ M^{t-r}, with the signs (-1)^{r+1} and +1, so no diagonal
-    change of basis gives them the one sign that F's and G's formulas have."""
+    The one formula not written by ``freeside.add_column`` or
+    ``_G_differentials``: the action term and the d(b) term both map
+    A!_r ⊗ M^{t-r} into A!_{r+1} ⊗ M^{t-r}, with the signs (-1)^{r+1} and
+    +1, so no diagonal change of basis gives them the one sign that F's and
+    G's formulas have."""
     f = m.field
     dual = cdga.dual
     cap = min(bounds.internal, dual.bound)

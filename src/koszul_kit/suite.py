@@ -15,7 +15,7 @@ from .complexes import (
 )
 from .deformations import CdgAlgebra, DeformationData, FilteredAlgebraTruncation
 from .errors import CurvedInputError, InconsistentDataError, InputError, MissingWeightsError
-from .functors import FunctorBounds, apply_F, apply_Fprime, apply_G, counit
+from .functors import FunctorBounds, apply_F, apply_Fprime, apply_G, counit, f_free_complex
 from .linalg import Matrix, zero_free
 from .presentations import GradedAlgebraTruncation, QuadraticPresentation
 from .resolution import minimal_resolution_betti
@@ -186,10 +186,10 @@ def tor(m: UComplex, cdga: CdgAlgebra, bounds: FunctorBounds, cross_check=False,
         u: FilteredAlgebraTruncation = None) -> HomologyReport:
     """Tor_p^U(k, M) = H^{-p} G(M), windowed.
 
-    ``cross_check`` compares it with the homology of k ⊗_U F_i(G(M)).  That
-    is not a second route: the fiber keeps the labels 1 ⊗ n, on which F's
-    differential is 1 ⊗ dn, so it is G(M) itself wherever filtration + p
-    >= 0, and the check re-reads only the unit rows of F."""
+    ``cross_check`` compares it with the homology of k ⊗_U F_i(G(M)), the
+    fiber of G(M)'s free complex on the degrees F expands.  That is not a
+    second route: the fiber keeps the entries at 1, which are d of G(M),
+    so it is G(M) itself wherever filtration + p >= 0."""
     if not cdga.curvature_is_zero:
         raise CurvedInputError("tor needs c = 0")
     g = apply_G(m, cdga, bounds)
@@ -197,8 +197,7 @@ def tor(m: UComplex, cdga: CdgAlgebra, bounds: FunctorBounds, cross_check=False,
     if cross_check:
         if u is None:
             raise InputError("cross check needs the U truncation")
-        fg = apply_F(g, u, bounds)
-        fib = fg.fiber_complex()
+        fib = f_free_complex(g, u, bounds)[0].fiber_complex()
         rep2 = _report(fib, bounds.window)
         lo, hi = bounds.window
         for p in range(lo + 1, hi):

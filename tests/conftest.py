@@ -572,6 +572,149 @@ def dense_hom_complex_explicit(n, m, window):
     return BaseComplex(f, window, dims, diffs), labels
 
 
+# -- the old builders of F: its own loop, its fiber, the j-major expansion ---------
+#
+# ``functors.apply_F`` and ``KoszulBimodule.delta`` as they were before F(N)
+# became the expansion of N's free U-complex: the loop ``_add_F``, the fiber
+# k ⊗_U F_i(N) that ``FilteredFComplex`` kept, and ``FreeUComplex.expand``
+# with its labels j-major at the levels base_level + (p - lo) e.  The
+# library's one column formula must give their matrices column dict for
+# column dict, key order included (the j-major expansion after relabelling).
+
+
+def oracle_add_F(acc, rows, sign, u, acts, d_cols, ui, ni):
+    """F's differential: acc += sign · d(u_ui ⊗ n_ni), where
+    d(u ⊗ n) = sum_g (u x_g) ⊗ (x_g* n) + u ⊗ d(n); ``acts`` pairs U's
+    position of each x_g with the columns of x_g* on N."""
+    for gi, act in acts:
+        xn = act[ni]  # x_g* n
+        if not xn:
+            continue
+        for ti, cu in u.mult_basis(ui, gi).items():
+            if sign < 0:
+                cu = -cu
+            for nj, ca in xn.items():
+                k = rows.get((ti, nj))
+                if k is not None:
+                    acc[k] = acc.get(k, 0) + cu * ca
+    for nj, c in d_cols[ni].items():
+        k = rows.get((ui, nj))
+        if k is not None:
+            acc[k] = acc.get(k, 0) + sign * c
+    return acc
+
+
+def _oracle_gens(u):
+    return [u._basis_pos[(g,)] for g in range(u.data.base.dim)]
+
+
+def oracle_apply_F(n, u, bounds):
+    """The old ``apply_F`` on its own loop, unverified: F_i(N) with
+    ``labels`` {p: [(u index, n index)]}, u-major at level filtration + p."""
+    f = u.field
+    lo, hi = bounds.window
+    dims, labels = {}, {}
+    for p in range(lo, hi + 1):
+        lev = bounds.filtration + p
+        if lev < 0 or n.dim(p) == 0:
+            continue
+        if lev > u.bound:
+            raise InputError(f"filtration level {lev} beyond U bound {u.bound}")
+        labels[p] = [(ui, ni) for ui in range(u.dim_leq(lev)) for ni in range(n.dim(p))]
+        dims[p] = len(labels[p])
+    gens = _oracle_gens(u)
+    diffs = {}
+    for p in sorted(dims):
+        if p + 1 not in dims:
+            continue
+        rows = {lab: i for i, lab in enumerate(labels[p + 1])}
+        acts = [(gi, n.action(p, g).columns) for g, gi in enumerate(gens)]
+        d_cols = n.diff(p).columns
+        diffs[p] = Matrix(f, dims[p + 1],
+                          [zero_free(oracle_add_F({}, rows, 1, u, acts, d_cols, ui, ni), f.p)
+                           for ui, ni in labels[p]])
+    fc = BaseComplex(f, bounds.window, dims, diffs)
+    fc.labels = labels
+    return fc
+
+
+def oracle_delta(t, level, r):
+    """The old ``KoszulBimodule.delta``: F's loop with N = A!."""
+    u, dual = t.u, t.cdga.dual
+    na, nb = dual.dim_at(r), dual.dim_at(r + 1)
+    left = dual.mult_columns(1, r)  # x_g e_a: column g * na + a
+    acts = [(gi, left[g * na:(g + 1) * na]) for g, gi in enumerate(_oracle_gens(u))]
+    d_cols = t.cdga.d(r).columns
+    n_tgt = u.dim_leq(level + 1)
+    rows = {(ti, b): ti * nb + b for ti in range(n_tgt) for b in range(nb)}
+    return Matrix(t.field, n_tgt * nb,
+                  [zero_free(oracle_add_F({}, rows, 1, u, acts, d_cols, ui, a), t.field.p)
+                   for ui in range(u.dim_leq(level)) for a in range(na)])
+
+
+def oracle_f_fiber(fc, u):
+    """``FilteredFComplex.fiber_complex``: k ⊗_U F_i(N), the labels of F_i(N)
+    whose U part is the unit monomial, rows and columns."""
+    dims = {}
+    sel = {}
+    for p, labs in fc.labels.items():
+        keep = [i for i, (ui, ni) in enumerate(labs) if u.basis_words[ui] == ()]
+        if keep:
+            dims[p] = len(keep)
+            sel[p] = keep
+    diffs = {p: fc.diff(p).submatrix(sel[p + 1], sel[p]) for p in dims if p + 1 in dims}
+    return BaseComplex(fc.field, fc.window, dims, diffs)
+
+
+def oracle_free_expand(fc, base_level):
+    """The old ``FreeUComplex.expand``: component p at level base_level +
+    (p - lo) e, e the entry degree bound, with labels (u index, j) j-major,
+    and "expansion level overflow" on a term with no row."""
+    f = fc.field
+    u = fc.u
+    e = fc.entry_degree_bound()
+    lo, hi = fc.window
+    levels = {p: base_level + (p - lo) * e for p in range(lo, hi + 1)}
+    if levels and max(levels.values()) > u.bound:
+        raise InputError(f"expansion level {max(levels.values())} beyond U bound {u.bound}")
+    dims, labels = {}, {}
+    for p in range(lo, hi + 1):
+        r = fc.rank(p)
+        if not r:
+            continue
+        labels[p] = [(ui, j) for j in range(r) for ui in range(u.dim_leq(levels[p]))]
+        dims[p] = len(labels[p])
+    diffs = {}
+    for p in sorted(dims):
+        if p + 1 not in dims:
+            continue
+        tpos = {lab: i for i, lab in enumerate(labels[p + 1])}
+        ent = fc.entries.get(p)
+        cols = []
+        for ui, j in labels[p]:
+            acc = {}
+            for i, erow in enumerate(ent or ()):
+                for k, c in erow[j].items():
+                    for ti, v in u.mult_basis(ui, k).items():
+                        row = tpos.get((ti, i))
+                        if row is None:
+                            raise InputError("expansion level overflow")
+                        acc[row] = acc.get(row, 0) + c * v
+            cols.append(zero_free(acc, f.p))
+        diffs[p] = Matrix(f, dims[p + 1], cols)
+    out = BaseComplex(f, fc.window, dims, diffs)
+    out.labels = labels
+    return out
+
+
+def labelled_cells(m, row_labels, col_labels):
+    """The nonzero cells of a Matrix as {(row label, column label): value}:
+    two bases that list one set of labels in different orders compare equal
+    exactly when the matrices agree after relabelling."""
+    return {(row_labels[i], col_labels[j]): v
+            for j, col in enumerate(m.columns) for i, v in col.items()}
+
+
 # -- the free side on dense U coordinate lists ------------------------------------
 #
 # The old ``freeside`` bodies, on dense lists over the U basis with one

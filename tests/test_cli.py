@@ -303,6 +303,36 @@ def test_missing_weights_exit_two():
             "--degree", "5", expect=2)
 
 
+@pytest.mark.parametrize("field", [{"type": "Q"}, {"type": "Fp", "p": 3}], ids=["Q", "F3"])
+def test_short_weight_list_exit_two(tmp_path, field):
+    """A weights list shorter than its dim is refused as input, naming the
+    object (and, for a cdg module, the degree) and both counts, in place of
+    an IndexError traceback; the lists of full length are still read."""
+    raw = json.load(open(SYM2))
+    raw["field"] = field
+    full = tmp_path / "full.json"
+    raw["weights"] = [1, 1]
+    raw["modules"]["k2"]["weights"] = [0, 0]
+    full.write_text(json.dumps(raw))
+    assert run_cli("regrade", str(full), "--cdg", "gk", "--r", "2", "--degree", "5") == (
+        run_cli("regrade", SYM2, "--cdg", "gk", "--r", "2", "--degree", "5"))
+    run_cli("tor", str(full), "--module", "k2", "--range", "0..2")
+    raw["cdg_modules"]["gk"]["weights"]["-1"] = [-1]
+    raw["modules"]["k2"]["weights"] = [0]
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(raw))
+    cdg = "input error: cdg module 'gk': weights list of length 1 at degree -1, dim 2\n"
+    mod = "input error: module 'k2': weights list of length 1 for dim 2\n"
+    for argv, err in ((["regrade", "--cdg", "gk", "--r", "2", "--degree", "5"], cdg),
+                      (["tor", "--module", "k2", "--range", "0..2"], mod),
+                      (["ce", "--module", "k2", "--window=-3:1", "--filtration", "3"], mod)):
+        for flags in ((), ("--json",)):
+            out = subprocess.run([sys.executable, "-m", "koszul_kit.cli", argv[0], str(path),
+                                  *argv[1:], *flags],
+                                 capture_output=True, text=True, env=ENV, cwd=PKG)
+            assert (out.returncode, out.stdout, out.stderr) == (2, "", err)
+
+
 def test_mixed_weights_complex_exit_two(tmp_path):
     """A complex of one weighted and one unweighted module is refused as
     input, not left to fail inside G or to truncate with partial weights."""

@@ -15,6 +15,7 @@ from koszul_kit.freeside import (
     free_cone_of_map,
     free_identity_map,
     free_nullhomotopy,
+    null_test_free,
 )
 from koszul_kit.linalg import Matrix
 from koszul_kit.scalars import QQ, Field
@@ -28,6 +29,8 @@ from conftest import (
     dense_free_fiber,
     dense_free_nullhomotopy,
     dense_u_multiply,
+    labelled_cells,
+    oracle_free_expand,
     raw_values,
     sparse,
     symmetric_presentation,
@@ -166,13 +169,24 @@ def _check_against_oracles(fc, base_level):
     lo, hi = fc.window
     if base_level + (hi - lo) * fc.entry_degree_bound() > u.bound:
         with pytest.raises(InputError):
-            fc.expand(base_level)
+            oracle_free_expand(fc, base_level)
+        if fc.check_d_squared() is None:
+            with pytest.raises(InputError, match="beyond U bound"):
+                null_test_free(fc, base_level, fc.window)
         return
-    expanded = fc.expand(base_level)
+    e = fc.entry_degree_bound()
+    expanded = fc.expand({p: base_level + (p - lo) * e for p in range(lo, hi + 1)})
+    old = oracle_free_expand(fc, base_level)
     want = dense_free_expand(fc, base_level)
-    assert sorted(expanded.diffs) == sorted(want)
+    assert sorted(expanded.diffs) == sorted(old.diffs) == sorted(want)
+    assert expanded.dims == old.dims
     for p, m in want.items():
-        _same(expanded.diff(p), m)
+        # the old expansion is j-major and the dense one keeps its labels:
+        # equal after relabelling onto the u-major labels of ``expand``
+        assert sorted(expanded.labels[p]) == sorted(old.labels[p])
+        cells = labelled_cells(expanded.diff(p), expanded.labels[p + 1], expanded.labels[p])
+        assert cells == labelled_cells(old.diff(p), old.labels[p + 1], old.labels[p])
+        assert cells == labelled_cells(m, old.labels[p + 1], old.labels[p])
         assert raw_values(f, [x for row in expanded.diff(p).to_rows() for x in row])
 
 

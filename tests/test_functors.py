@@ -1,10 +1,13 @@
 """The bimodule T, the functors F and G, adjunction, unit/counit, F'."""
 
+import json
+import os
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from koszul_kit import cli, module_commands
 from koszul_kit.complexes import (
     CdgModule,
     ChainMap,
@@ -27,6 +30,7 @@ from koszul_kit.functors import (
     apply_G_map,
     build_T,
     counit,
+    f_free_complex,
     gf_composite,
     hom_complex_explicit,
     unit,
@@ -40,16 +44,26 @@ from conftest import (
     dense,
     dense_cofree_actions,
     dense_f_differentials,
+    dense_free_check_d_squared,
+    dense_free_expand,
+    dense_free_fiber,
     dense_gf_differentials,
     dense_hom_complex_explicit,
     dense_left_mult,
     dense_mult_basis,
     dense_u_multiply,
     heisenberg_deformation,
+    labelled_cells,
+    oracle_apply_F,
+    oracle_delta,
+    oracle_f_fiber,
+    oracle_free_expand,
+    random_bounded_complex,
     raw_values,
     sparse,
     symmetric_presentation,
     truncated_presentation,
+    twopoint_deformation,
 )
 
 
@@ -142,8 +156,7 @@ def test_f_of_dual_algebra_is_koszul_complex(sym2_world):
 def test_fiber_of_f_is_socle(sym2_world):
     data, u, cdga = sym2_world
     g = apply_G(um_trivial_complex(data), cdga, BOUNDS)
-    fg = apply_F(g, u, BOUNDS)
-    fib = fg.fiber_complex()
+    fib = f_free_complex(g, u, BOUNDS)[0].fiber_complex()
     h, _ = homology_dims(fib, (-3, 0))
     # Tor of k over S(V), dim 2: (1, 2, 1)
     assert (h[0], h[-1], h[-2]) == (1, 2, 1)
@@ -561,8 +574,7 @@ def test_balancing_tensor_identity(sym2_world):
     n = apply_G(kc, cdga, FunctorBounds((-3, 0), 3, 2))
     # side one: M ⊗_U F(N): kill the U part of F(N) through right-action 0,
     # which is the fiber complex of F(N)
-    fn = apply_F(n, u, FunctorBounds((-3, 0), 3, 2))
-    side1 = fn.fiber_complex()
+    side1 = f_free_complex(n, u, FunctorBounds((-3, 0), 3, 2))[0].fiber_complex()
     # side two: -F(M) ⊗_{A!} N = (k ⊗ A!) ⊗_{A!} N = N with its d
     for p in side1.dims:
         assert side1.dim(p) == n.dim(p)
@@ -815,3 +827,106 @@ def test_u_products_match_dense_oracles(data, seed):
     random PBW deformations over Q, F_2, F_3 and F_5.  The example is
     [x, y] = y over F_5, where raw sums such as 5 y must reduce to 0."""
     _check_u_products(data, random.Random(seed + SEED))
+
+
+# -- F(N) as N's free complex, against the old builders ---------------------------
+
+
+_FREE_WORLDS = {}
+
+
+def _free_worlds(f):
+    """(name, U, cdga) for symmetric2, Heisenberg and twopoint over f, and
+    ``gk`` of symmetric2.json read over f with its own U and cdga."""
+    got = _FREE_WORLDS.get(f.p)
+    if got is None:
+        worlds = []
+        for name, data in (("sym2", DeformationData.trivial(symmetric_presentation(f, 2))),
+                           ("heis", heisenberg_deformation(f)),
+                           ("twop", twopoint_deformation(f))):
+            worlds.append((name, build_U(data, 4), build_cdga(data, 4)))
+        with open(os.path.join(os.path.dirname(__file__), "..", "examples_cli",
+                               "symmetric2.json")) as fh:
+            raw = json.load(fh)
+        raw["field"] = {"type": "Q"} if f.p is None else {"type": "Fp", "p": f.p}
+        problem = cli.Problem(raw)
+        gk = (problem.u_truncation(4), module_commands.named_cdg_module(problem, "gk", 4))
+        got = _FREE_WORLDS[f.p] = (worlds, gk)
+    return got
+
+
+def _same_columns(got, want):
+    """Equal matrices, column dict for column dict, key order included."""
+    assert (got.rows, got.cols) == (want.rows, want.cols)
+    assert [list(c.items()) for c in got.columns] == [list(c.items()) for c in want.columns]
+
+
+def _check_free_F(n, u, b, valid):
+    """F(N) against the old ``apply_F`` (column dicts in order) and the
+    dense cells; both fibers against the old fiber of F and the dense one;
+    the expansion against the j-major one, relabelled, where the entry
+    degree is 1; and the entry-level d^2 against its dense oracle."""
+    f = u.field
+    got = apply_F(n, u, b, verify=valid)
+    old = oracle_apply_F(n, u, b)
+    assert (got.labels, got.dims, sorted(got.diffs)) == (old.labels, old.dims, sorted(old.diffs))
+    dense_diffs = dense_f_differentials(n, u, got.labels)
+    for p in old.diffs:
+        _same_columns(got.diff(p), old.diff(p))
+        assert got.diff(p).to_rows() == dense_diffs[p].to_rows()
+        assert raw_values(f, [x for row in got.diff(p).to_rows() for x in row])
+    free, levels = f_free_complex(n, u, b)
+    assert free.expand(levels).labels == got.labels
+    assert free.check_d_squared() == dense_free_check_d_squared(free)
+    if valid:
+        assert free.check_d_squared() is None
+    if u.data.beta.is_zero():
+        fib, old_fib = free.fiber_complex(), oracle_f_fiber(old, u)
+        assert fib.dims == old_fib.dims == {p: n.dim(p) for p in levels if n.dim(p)}
+        want = dense_free_fiber(free)
+        assert sorted(fib.diffs) == sorted(want)
+        for p in fib.dims:
+            assert fib.diff(p).eq(old_fib.diff(p))
+            if p in want:
+                assert fib.diff(p).to_rows() == want[p].to_rows()
+    if free.entry_degree_bound() == 1:
+        base = b.filtration + b.window[0]
+        jmajor, dense_j = oracle_free_expand(free, base), dense_free_expand(free, base)
+        assert jmajor.dims == got.dims
+        for p in got.diffs:
+            cells = labelled_cells(got.diff(p), got.labels[p + 1], got.labels[p])
+            assert cells == labelled_cells(jmajor.diff(p), jmajor.labels[p + 1], jmajor.labels[p])
+            assert cells == labelled_cells(dense_j[p], jmajor.labels[p + 1], jmajor.labels[p])
+    return got
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(FIELDS), st.integers(min_value=0, max_value=2**16))
+def test_free_complex_matches_the_old_builders(f, seed):
+    """One free U-complex for F, delta and (GF)_i over Q, F_2, F_3 and F_5:
+    F(N) on G of random bounded U-complexes and on ``gk``, and on a random
+    cdg-module with a differential (axioms unchecked), against the old
+    ``apply_F`` and its fiber, the j-major expansion and the dense cells;
+    T's delta at several (level, r) on symmetric2, Heisenberg and twopoint
+    against its old body and the dense cells; (GF)_i of the random module
+    against its dense oracle."""
+    rng = random.Random(seed + SEED)
+    worlds, (gk_u, gk) = _free_worlds(f)
+    b = FunctorBounds((-4, 1), 2, 3)
+    _check_free_F(gk, gk_u, FunctorBounds((-3, 1), 2, 3), True)
+    for name, u, cdga in worlds:
+        if name != "twop":
+            m = random_bounded_complex(u.data, None, rng, length=rng.randint(1, 3))
+            _check_free_F(apply_G(m, cdga, b), u, b, True)
+        n = _random_cdg_module(cdga, b.window, rng)
+        _check_free_F(n, u, b, False)
+        gf = gf_composite(n, u, cdga, b, verify=False)
+        want = dense_gf_differentials(n, u, cdga, gf.labels)
+        assert sorted(gf.diffs) == sorted(p for p, m in want.items() if m.rows and m.cols)
+        for p, m in want.items():
+            _same(gf.diff(p), m)
+        t = build_T(u, cdga, b, verify=False)
+        for level, r in ((0, 0), (1, 1), (2, 1), (1, 2), (3, 2), (2, 3)):
+            got = t.delta(level, r)
+            _same_columns(got, oracle_delta(t, level, r))
+            assert got.to_rows() == _dense_delta(t, level, r)

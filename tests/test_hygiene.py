@@ -471,7 +471,6 @@ UNREACHED = {
         "help, usage errors, argv not starting with a command, left-over tokens",
     "deformations.FilteredAlgebraTruncation._heap_column":
         "non-PBW input: U words longer than N - e_max, where the walk is not exact",
-    "functors.FilteredFComplex.fiber_complex": "tor --cross-check",
     "functors.gf_composite.<locals>.d_m": "(GF)_i of an N with a differential",
     # printing and hashing
     "linalg.Matrix.__repr__": "repr",

@@ -38,7 +38,7 @@ from koszul_kit.freeside import (
     free_nullhomotopy,
     null_test_free,
 )
-from koszul_kit.functors import FilteredFComplex, FunctorBounds, G_blocks, apply_F, apply_G
+from koszul_kit.functors import FunctorBounds, G_blocks, apply_G, f_free_complex
 from koszul_kit.linalg import Matrix, kernel_basis, solve_matrix, zero_free
 from koszul_kit.presentations import QuadraticPresentation, quadratic_dual, truncate_algebra
 from koszul_kit.scalars import QQ, Field
@@ -148,14 +148,14 @@ def test_tor_cross_check_mismatch_is_inconsistent_data(f, monkeypatch):
     disagreement of two computed answers, not an input error."""
     data = DeformationData.trivial(symmetric_presentation(f, 2))
     u, cdga = build_U(data, 8), build_cdga(data, 5)
-    real = FilteredFComplex.fiber_complex
+    real = FreeUComplex.fiber_complex
 
     def faulted(self):
         cx = real(self)
         cx.diffs[-1] = _bump_first_entry(cx.diff(-1))
         return cx
 
-    monkeypatch.setattr(FilteredFComplex, "fiber_complex", faulted)
+    monkeypatch.setattr(FreeUComplex, "fiber_complex", faulted)
     kc = UComplex(data, (0, 0), {0: UModule.trivial(data)}, {})
     with pytest.raises(InconsistentDataError, match=r"^tor cross-check mismatch at degree -1$"):
         tor(kc, cdga, FunctorBounds((-4, 1), 4, 3), cross_check=True, u=u)
@@ -176,7 +176,7 @@ def test_tor_cross_check_reads_g_of_m_again(f):
         k = UComplex(data, (0, 0), {0: UModule.trivial(data)}, {})
         for m in (k, random_bounded_complex(data, None, rng, length=2)):
             g = apply_G(m, cdga, b)
-            fib = apply_F(g, u, b).fiber_complex()
+            fib = f_free_complex(g, u, b)[0].fiber_complex()
             kept = [p for p in range(-4, 2) if b.filtration + p >= 0]
             assert fib.dims == {p: g.dim(p) for p in kept if g.dim(p)}
             assert all(fib.diff(p).eq(g.diff(p)) for p in kept if p + 1 in kept)
@@ -203,7 +203,8 @@ def test_ce_complex_resolution(heis_world):
     assert by[0] == 1
     assert all(by.get(p, 0) == 0 for p in range(-4, 0))
     # the fiber of the CE complex is the CE chain complex: dims (1,3,3,1)
-    fib = fg.fiber_complex()
+    g = apply_G(UComplex(heis, (0, 0), {0: k}, {}), cdga, FunctorBounds((-5, 1), 5, 4))
+    fib = f_free_complex(g, u, FunctorBounds((-5, 1), 5, 4))[0].fiber_complex()
     assert [fib.dim(-q) for q in range(4)] == [1, 3, 3, 1]
 
 
