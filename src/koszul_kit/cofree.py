@@ -16,6 +16,10 @@ The socle SDR, the t-truncation split and cofree coordinates are one
 change of basis per degree (``_complete``, ``_conjugated``): the SDR's
 maps are blocks of that basis and its inverse, and the subobject's and
 the quotient's maps are blocks of d and the actions in the new basis.
+
+A complex of free A!-modules is merged into one cdg-module, A! ⊗ V on its
+generators with the plain action (``functors.free_dual_module``, as F'),
+for the position null test.
 """
 
 from __future__ import annotations
@@ -28,9 +32,15 @@ from .complexes import (
     nullhomotopy,
 )
 from .deformations import CdgAlgebra
-from .errors import CurvedInputError, InconsistentDataError, MissingWeightsError, NotCofreeError
-from .functors import G_blocks, apply_G, cofree_actions, dual_dims, hom_labels
-from .linalg import EchelonSpan, Matrix, kernel_basis, rank, solve_matrix, zero_free
+from .errors import (
+    CurvedInputError,
+    InconsistentDataError,
+    InputError,
+    MissingWeightsError,
+    NotCofreeError,
+)
+from .functors import G_blocks, apply_G, cofree_actions, dual_dims, free_dual_module, hom_labels
+from .linalg import EchelonSpan, Matrix, kernel_basis, rank, solve_matrix
 
 
 # -- socle-level strong deformation retract ----------------------------------
@@ -487,78 +497,43 @@ def complex_of_free_dual_modules(cdga: CdgAlgebra, ranks: dict, entries: dict) -
 
     ``ranks[P]`` lists the generator shifts of the free module at complex
     position P; ``entries[P][i][j]`` is an A!-element {degree: sparse
-    column} with phi(gen_j) = sum_i entry_{ij} gen_i, strictly linear.  The merge
-    puts the piece of internal degree q at cdg-degree P + q and twists the
-    generator action by (-1)^P, which is what makes the strictly-linear
-    differential satisfy the module anti-derivation law (d_{A!} must be 0).
-    The window runs from the lowest to the highest occupied cdg-degree.
+    column} with phi(gen_j) = sum_i entry_{ij} gen_i, strictly linear.  The
+    merge is ``functors.free_dual_module`` on the generators (P, j) in
+    degree P + shift, labels (r, s, (P, j)), with the plain action and each
+    entry of A!-degree e scaled by (-1)^{e(P+1)}: the sign (-1)^{rP} on
+    the labels takes it to the merge whose action is twisted by (-1)^P and
+    whose differential is a ⊗ gen_j -> sum_i a entry_{ij} ⊗ gen_i.  Label
+    (r, s, (P, j)) weighs shift + r; the window runs from the lowest to the
+    highest occupied cdg-degree.
+
+    The merge needs c = 0, d_{A!} = 0 (d(a) ⊗ v would raise the weight and
+    keep the position, which the position null test reads) and a finite
+    A!, zero at the truncation bound.
     """
-    f = cdga.field
     dual = cdga.dual
     if any(not m.is_zero() for m in cdga.derivations.values()):
-        raise InconsistentDataError("free-module merge needs d_{A!} = 0")
+        raise InputError("free-module merge needs d_{A!} = 0")
     if not cdga.curvature_is_zero:
         raise CurvedInputError("free-module merge needs c = 0")
-    labels = {}   # p -> [(P, gen_index, internal degree q of the E part, basis)]
-    positions = sorted(ranks)
-    for P in positions:
-        for gi, shift in enumerate(ranks[P]):
-            for deg in range(dual.bound + 1):
-                q = shift + deg
-                p = P + q
-                n = dual.dim_at(deg)
-                for bidx in range(n):
-                    labels.setdefault(p, []).append((P, gi, deg, bidx))
-    ps = sorted(labels)
-    window = (ps[0], ps[-1]) if ps else (0, 0)
-    dims = {p: len(labs) for p, labs in labels.items()}
-    pos = {p: {lab: i for i, lab in enumerate(labs)} for p, labs in labels.items()}
-    d_gens = dual.pres.dim
-    char = f.p
-    diffs, actions = {}, {}
-    for p in sorted(labels):
-        labs = labels[p]
-        tgt = labels.get(p + 1, [])
-        nt = len(tgt)
-        tpos = pos.get(p + 1, {})
-        cols = []
-        for P, gi, deg, bidx in labs:
-            acc = {}
-            for ti, erow in enumerate(entries.get(P, ())):
-                for edeg, col_e in erow[gi].items():
-                    if edeg > dual.bound or not col_e:
-                        continue
-                    # a . entry: basis element a of E times the entry, in E
-                    prod = dual.multiply(deg, {bidx: f.one()}, edeg, col_e)
-                    tdeg = deg + edeg
-                    for tb, c in prod.items():
-                        row = tpos.get((P + 1, ti, tdeg, tb))
-                        if row is not None:
-                            acc[row] = acc.get(row, 0) + c
-            cols.append(zero_free(acc, char))
-        if nt:
-            diffs[p] = Matrix(f, nt, cols)
-        acts = []
-        for g in range(d_gens):
-            cols = []
-            for P, gi, deg, bidx in labs:
-                left = dual.mult_columns(1, deg)  # x_g e_b: column g * dim A!_deg + b
-                sgn = 1 if P % 2 == 0 else -1
-                col = {}
-                for tb, c in left[g * dual.dim_at(deg) + bidx].items():
-                    row = tpos.get((P, gi, deg + 1, tb))
-                    if row is not None:
-                        col[row] = sgn * c % char if char else sgn * c
-                cols.append(col)
-            acts.append(Matrix(f, nt, cols))
-        actions[p] = acts
-    weights = None
-    if dual.pres.weights is None or all(w == 1 for w in dual.pres.weights):
-        # internal degree doubles as a Z-weight; position = p - weight
-        weights = {p: [ranks[P][gi] + deg for (P, gi, deg, bidx) in labs]
-                   for p, labs in labels.items()}
-    cx = CdgModule(cdga, window, dims, actions, diffs, weights)
-    cx.free_labels = labels
+    top = dual.dim_at(dual.bound)
+    if top:
+        raise InputError(f"free-module merge needs a finite A!, zero at the truncation "
+                         f"bound, but A!_{dual.bound} has dim {top}")
+    gens, d, shifts = {}, {}, {}
+    for P in sorted(ranks):
+        rows = entries.get(P, ())
+        for j, shift in enumerate(ranks[P]):
+            gens.setdefault(P + shift, []).append((P, j))
+            shifts[(P, j)] = shift
+            d[(P + shift, (P, j))] = terms = {}
+            for i, row in enumerate(rows):
+                e = {deg: {t: -c for t, c in col.items()} if deg * (P + 1) % 2 else col
+                     for deg, col in row[j].items() if deg <= dual.bound and col}
+                if e:
+                    terms[(P + 1, i)] = e
+    if dual.pres.weights is not None and any(w != 1 for w in dual.pres.weights):
+        shifts = None  # internal degree doubles as a Z-weight only for unit weights
+    cx = free_dual_module(cdga, gens, d, dual.bound, gen_weights=shifts)
     msg = cx.validate()
     if msg:
         raise InconsistentDataError(f"free-module merge: {msg}")

@@ -12,8 +12,10 @@ the functionals of prod_r Hom(X^r, M^{p+r}) that ``hom_labels`` lists.  With
 X = A! it is G's, and (GF)_i is G over F, with x_g acting on U ⊗ N by
 left multiplication and F's differential as d_M.  With X = N it is
 Hom_U(F(N), M), and with no action term and G(M) as M the plain Hom of
-N into G(M): the two sides of the adjunction.  Only F' keeps a formula
-of its own (see ``apply_Fprime``).
+N into G(M): the two sides of the adjunction.  ``free_dual_module`` is the
+free A!-module A! ⊗ V with d(a ⊗ v) = d(a) ⊗ v + (-1)^{|a|} a·d(v): F'(M)
+is it on the basis of M, and ``cofree.complex_of_free_dual_modules``
+merges a complex of free A!-modules through it.
 
 Windowing: F is materialized through its filtration pieces, the free
 complex expanded at U-level filtration + p in degree p, so every
@@ -649,87 +651,107 @@ def adjunction_report(n: CdgModule, m: UComplex, cdga: CdgAlgebra,
     return report
 
 
-# -- the mirror functor F' ----------------------------------------------------
+# -- free A!-modules: F' and the free-module merge ------------------------------
+
+
+def free_dual_module(cdga: CdgAlgebra, gens: dict, entries: dict, cap: int,
+                     window=None, gen_weights=None) -> CdgModule:
+    """The free A!-module A! ⊗ V on generators v of degree n, ``gens``
+    being {n: [v ...]} with names unique within a degree, and
+    d(v) = sum_w e_wv w read from ``entries[(n, v)]``, a dict {w: e}: e an
+    A!-element {k: sparse column of A!_k} and w a generator of degree
+    n + 1 - k.  Its action is the plain left multiplication
+    x.(a ⊗ v) = xa ⊗ v and its differential
+    d(a ⊗ v) = d(a) ⊗ v + (-1)^{|a|} sum_w a e_wv ⊗ w.
+
+    The basis vector (r, s, v) is monomial s of A!_r times v, in degree
+    n + r for r <= cap, listed r-major, then s, then generator; a term
+    past the cap is cut off.  Only the labels in ``window`` are kept, or
+    all of them, the window then their span, when it is None.  With
+    ``gen_weights`` ({v: weight}) the label (r, s, v) weighs
+    gen_weights[v] + r.  The products come from ``mult_columns(1, r)`` and
+    ``mult_columns(r, k)``, so one read past A!'s bound raises
+    ``DegreeOverflowError``.
+    """
+    f = cdga.field
+    dual = cdga.dual
+    labels = {}
+    for r in range(cap + 1):
+        n_r = dual.dim_at(r)
+        for n, vs in gens.items():
+            p = n + r
+            if n_r and vs and (window is None or window[0] <= p <= window[1]):
+                labels.setdefault(p, []).extend((r, s, v) for s in range(n_r) for v in vs)
+    labels = dict(sorted(labels.items()))
+    if window is None:
+        window = (min(labels), max(labels)) if labels else (0, 0)
+    d_cols = {r: cdga.d(r).columns for r in range(cap + 1)}
+    d_gens = dual.pres.dim
+    diffs, actions = {}, {}
+    for p, labs in labels.items():
+        tgt = labels.get(p + 1, [])
+        rows = {}  # (r, w) -> {s: row}
+        for k, (r, s, w) in enumerate(tgt):
+            rows.setdefault((r, w), {})[s] = k
+        cols, acts = [], [[] for _ in range(d_gens)]
+        for r, s, v in labs:
+            up = rows.get((r + 1, v), {})
+            acc = {}
+            _add_rows(acc, up, 1, d_cols[r][s])
+            sgn = -1 if r % 2 else 1
+            for w, e in entries.get((p - r, v), {}).items():
+                for deg, col in e.items():
+                    prods, n_e = dual.mult_columns(r, deg), dual.dim_at(deg)
+                    at = rows.get((r + deg, w), {})
+                    for t, c in col.items():
+                        _add_rows(acc, at, sgn * c, prods[s * n_e + t])
+            cols.append(zero_free(acc, f.p))
+            left, n_r = dual.mult_columns(1, r), dual.dim_at(r)
+            for g, a in enumerate(acts):
+                col = {}
+                _add_rows(col, up, 1, left[g * n_r + s])
+                a.append(col)
+        diffs[p] = Matrix(f, len(tgt), cols)
+        actions[p] = [Matrix(f, len(tgt), a) for a in acts]
+    weights = None
+    if gen_weights is not None:
+        weights = {p: [gen_weights[v] + r for r, _, v in labs] for p, labs in labels.items()}
+    module = CdgModule(cdga, window, {p: len(labs) for p, labs in labels.items()},
+                       actions, diffs, weights)
+    module.labels = labels
+    return module
 
 
 def apply_Fprime(m: UComplex, cdga: CdgAlgebra, bounds: FunctorBounds,
                  verify=True) -> CdgModule:
-    """F'(M)^t = sum over r of A!_r ⊗ M^{t-r}, differential
-    (-1)^{r+1} sum_g (b x_g*) ⊗ x_g m + d(b) ⊗ m + (-1)^r b ⊗ d_M(m),
-    a cdg-module for the plain left multiplication on the A!-factor.
-
-    The one formula not written by ``freeside.add_column`` or
-    ``_G_differentials``: the action term and the d(b) term both map
-    A!_r ⊗ M^{t-r} into A!_{r+1} ⊗ M^{t-r}, with the signs (-1)^{r+1} and
-    +1, so no diagonal change of basis gives them the one sign that F's and
-    G's formulas have."""
-    f = m.field
-    dual = cdga.dual
-    cap = min(bounds.internal, dual.bound)
-    lo, hi = bounds.window
-    dims, labels = {}, {}
-    for t in range(lo, hi + 1):
-        labs = []
-        for r in range(0, cap + 1):
-            if dual.dim_at(r) == 0 or m.dim(t - r) == 0:
-                continue
-            labs.extend((r, s, i) for s in range(dual.dim_at(r))
-                        for i in range(m.dim(t - r)))
-        if labs:
-            dims[t] = len(labs)
-            labels[t] = labs
-    pos = {t: {lab: i for i, lab in enumerate(labs)} for t, labs in labels.items()}
-    d_gens = dual.pres.dim
-    char = f.p
-    diffs, actions = {}, {}
-    for t in sorted(dims):
-        out_rows = dims.get(t + 1, 0)
-        tpos = pos.get(t + 1, {})
-        if out_rows:
-            cols = []
-            for r, s, i in labels[t]:
-                acc = {}
-                sgn_twist = -1 if r % 2 == 0 else 1  # (-1)^{r+1}
-                for g in range(d_gens):
-                    right = dual.mult_columns(r, 1)  # e_s x_g: column s * d_gens + g
-                    am = m.action(t - r, g).columns[i]
-                    for s2, c1 in right[s * d_gens + g].items():
-                        for i2, c2 in am.items():
-                            row = tpos.get((r + 1, s2, i2))
-                            if row is not None:
-                                acc[row] = acc.get(row, 0) + sgn_twist * c1 * c2
-                for s2, c1 in cdga.d(r).columns[s].items():
-                    row = tpos.get((r + 1, s2, i))
-                    if row is not None:
-                        acc[row] = acc.get(row, 0) + c1
-                sgn = 1 if r % 2 == 0 else -1
-                for i2, c1 in m.diff(t - r).columns[i].items():
-                    row = tpos.get((r, s, i2))
-                    if row is not None:
-                        acc[row] = acc.get(row, 0) + sgn * c1
-                cols.append(zero_free(acc, char))
-            diffs[t] = Matrix(f, out_rows, cols)
-        # strict left multiplication on the A!-factor
-        acts = []
-        for g in range(d_gens):
-            cols = []
-            for r, s, i in labels[t]:
-                left = dual.mult_columns(1, r)  # x_g e_s: column g * dim A!_r + s
-                col = {}
-                for s2, c1 in left[g * dual.dim_at(r) + s].items():
-                    row = tpos.get((r + 1, s2, i))
-                    if row is not None:
-                        col[row] = c1
-                cols.append(col)
-            acts.append(Matrix(f, out_rows, cols))
-        actions[t] = acts
-    fp = CdgModule(cdga, (lo, hi), dims, actions, diffs)
-    fp.labels = labels
+    """F'(M) = A! ⊗ M, whose cohomology is Ext_U(k, M): the free A!-module
+    (``free_dual_module``) on the basis of M, basis vector i of M^q a
+    generator of degree q with d(m) = -sum_g x_g* (x_g m) + d_M(m), cut at
+    the internal cap and the truncation bound.  Its differential is
+    (-1)^{r+1} sum_g (b x_g*) ⊗ x_g m + d(b) ⊗ m + (-1)^r b ⊗ d_M(m) on
+    b ⊗ m, b in A!_r, and its labels are (r, s, i)."""
+    d_gens = cdga.dual.pres.dim
+    gens, entries = {}, {}
+    for q, n in m.dims.items():
+        gens[q] = range(n)
+        acts = [m.action(q, g).columns for g in range(d_gens)]
+        d_m = m.diff(q).columns
+        for i in range(n):
+            terms = {}
+            for g, cols in enumerate(acts):
+                for j, c in cols[i].items():
+                    terms.setdefault(j, {}).setdefault(1, {})[g] = -c
+            for j, c in d_m[i].items():
+                terms.setdefault(j, {})[0] = {0: c}
+            entries[(q, i)] = terms
+    fp = free_dual_module(cdga, gens, entries, min(bounds.internal, cdga.dual.bound),
+                          bounds.window)
     if verify:
         msg = fp.validate()
         if msg:
             raise InconsistentDataError(f"F' output: {msg}")
     return fp
+
 
 def triangle_check(m: UComplex, u: FilteredAlgebraTruncation, cdga: CdgAlgebra,
                    bounds: FunctorBounds):

@@ -66,7 +66,7 @@ def named_module(problem, name: str) -> UModule:
             raise InputError(f"module {name!r}: missing action for {g}")
         acts.append(_matrix(problem.field, rows, dim, dim))
     weights = spec.get("weights")
-    if weights is not None and len(weights) < dim:
+    if weights is not None and len(weights) != dim:
         raise InputError(f"module {name!r}: weights list of length {len(weights)} for dim {dim}")
     return UModule(data, dim, acts, weights=weights)
 
@@ -124,9 +124,9 @@ def named_cdg_module(problem, name: str, bound) -> CdgModule:
     if spec.get("weights"):
         weights = {int(k): list(v) for k, v in spec["weights"].items()}
         for p, w in weights.items():
-            if len(w) < dims.get(p, 0):
+            if len(w) != dims.get(p, 0):
                 raise InputError(f"cdg module {name!r}: weights list of length {len(w)} "
-                                 f"at degree {p}, dim {dims[p]}")
+                                 f"at degree {p}, dim {dims.get(p, 0)}")
     cx = CdgModule(cdga, (lo, hi), dims, actions, diffs, weights)
     msg = cx.validate()
     if msg:
@@ -372,8 +372,7 @@ def cmd_null_free(problem, args):
 def cmd_null_cofree(problem, args):
     if args.free_dual:
         i = named_free_dual_complex(problem, args.free_dual, args.degree)
-        positions = sorted({lab[0] for labs in i.free_labels.values()
-                            for lab in labs})
+        positions = sorted({v[0] for labs in i.labels.values() for _, _, v in labs})
         interior = (positions[0] + args.guard, positions[-1] - args.guard)
         rep = null_test_cofree(i, problem.cdga(args.degree), args.internal,
                                interior, by_position=True)

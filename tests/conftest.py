@@ -1296,6 +1296,143 @@ def oracle_to_cofree_coordinates(module, dec):
     return out
 
 
+# -- F' and the free-module merge, each with its own formula ----------------------
+
+
+def oracle_apply_Fprime(m, cdga, bounds):
+    """F'(M)^t = sum over r of A!_r ⊗ M^{t-r}, differential
+    (-1)^{r+1} sum_g (b x_g*) ⊗ x_g m + d(b) ⊗ m + (-1)^r b ⊗ d_M(m),
+    with the plain left multiplication on the A!-factor; labels (r, s, i)."""
+    f = m.field
+    dual = cdga.dual
+    cap = min(bounds.internal, dual.bound)
+    lo, hi = bounds.window
+    dims, labels = {}, {}
+    for t in range(lo, hi + 1):
+        labs = []
+        for r in range(0, cap + 1):
+            if dual.dim_at(r) == 0 or m.dim(t - r) == 0:
+                continue
+            labs.extend((r, s, i) for s in range(dual.dim_at(r))
+                        for i in range(m.dim(t - r)))
+        if labs:
+            dims[t] = len(labs)
+            labels[t] = labs
+    pos = {t: {lab: i for i, lab in enumerate(labs)} for t, labs in labels.items()}
+    d_gens = dual.pres.dim
+    char = f.p
+    diffs, actions = {}, {}
+    for t in sorted(dims):
+        out_rows = dims.get(t + 1, 0)
+        tpos = pos.get(t + 1, {})
+        if out_rows:
+            cols = []
+            for r, s, i in labels[t]:
+                acc = {}
+                sgn_twist = -1 if r % 2 == 0 else 1  # (-1)^{r+1}
+                for g in range(d_gens):
+                    right = dual.mult_columns(r, 1)  # e_s x_g: column s * d_gens + g
+                    am = m.action(t - r, g).columns[i]
+                    for s2, c1 in right[s * d_gens + g].items():
+                        for i2, c2 in am.items():
+                            row = tpos.get((r + 1, s2, i2))
+                            if row is not None:
+                                acc[row] = acc.get(row, 0) + sgn_twist * c1 * c2
+                for s2, c1 in cdga.d(r).columns[s].items():
+                    row = tpos.get((r + 1, s2, i))
+                    if row is not None:
+                        acc[row] = acc.get(row, 0) + c1
+                sgn = 1 if r % 2 == 0 else -1
+                for i2, c1 in m.diff(t - r).columns[i].items():
+                    row = tpos.get((r, s, i2))
+                    if row is not None:
+                        acc[row] = acc.get(row, 0) + sgn * c1
+                cols.append(zero_free(acc, char))
+            diffs[t] = Matrix(f, out_rows, cols)
+        acts = []
+        for g in range(d_gens):
+            cols = []
+            for r, s, i in labels[t]:
+                left = dual.mult_columns(1, r)  # x_g e_s: column g * dim A!_r + s
+                col = {}
+                for s2, c1 in left[g * dual.dim_at(r) + s].items():
+                    row = tpos.get((r + 1, s2, i))
+                    if row is not None:
+                        col[row] = c1
+                cols.append(col)
+            acts.append(Matrix(f, out_rows, cols))
+        actions[t] = acts
+    fp = CdgModule(cdga, (lo, hi), dims, actions, diffs)
+    fp.labels = labels
+    return fp
+
+
+def oracle_free_dual_merge(cdga, ranks, entries):
+    """The merge of a complex of free A!-modules with the generator action
+    twisted by (-1)^P and the strictly linear differential
+    a ⊗ gen_j -> sum_i a entry_ij ⊗ gen_i; labels (P, j, r, s) in
+    ``free_labels``, the internal degree r of A! doubling as a weight
+    shift + r."""
+    f = cdga.field
+    dual = cdga.dual
+    if any(not m.is_zero() for m in cdga.derivations.values()):
+        raise InputError("free-module merge needs d_{A!} = 0")
+    labels = {}   # p -> [(P, gen_index, internal degree q of the E part, basis)]
+    for P in sorted(ranks):
+        for gi, shift in enumerate(ranks[P]):
+            for deg in range(dual.bound + 1):
+                for bidx in range(dual.dim_at(deg)):
+                    labels.setdefault(P + shift + deg, []).append((P, gi, deg, bidx))
+    ps = sorted(labels)
+    window = (ps[0], ps[-1]) if ps else (0, 0)
+    dims = {p: len(labs) for p, labs in labels.items()}
+    pos = {p: {lab: i for i, lab in enumerate(labs)} for p, labs in labels.items()}
+    d_gens = dual.pres.dim
+    char = f.p
+    diffs, actions = {}, {}
+    for p in sorted(labels):
+        labs = labels[p]
+        tgt = labels.get(p + 1, [])
+        nt = len(tgt)
+        tpos = pos.get(p + 1, {})
+        cols = []
+        for P, gi, deg, bidx in labs:
+            acc = {}
+            for ti, erow in enumerate(entries.get(P, ())):
+                for edeg, col_e in erow[gi].items():
+                    if edeg > dual.bound or not col_e:
+                        continue
+                    prod = dual.multiply(deg, {bidx: f.one()}, edeg, col_e)
+                    for tb, c in prod.items():
+                        row = tpos.get((P + 1, ti, deg + edeg, tb))
+                        if row is not None:
+                            acc[row] = acc.get(row, 0) + c
+            cols.append(zero_free(acc, char))
+        if nt:
+            diffs[p] = Matrix(f, nt, cols)
+        acts = []
+        for g in range(d_gens):
+            cols = []
+            for P, gi, deg, bidx in labs:
+                left = dual.mult_columns(1, deg)  # x_g e_b: column g * dim A!_deg + b
+                sgn = 1 if P % 2 == 0 else -1
+                col = {}
+                for tb, c in left[g * dual.dim_at(deg) + bidx].items():
+                    row = tpos.get((P, gi, deg + 1, tb))
+                    if row is not None:
+                        col[row] = sgn * c % char if char else sgn * c
+                cols.append(col)
+            acts.append(Matrix(f, nt, cols))
+        actions[p] = acts
+    weights = None
+    if dual.pres.weights is None or all(w == 1 for w in dual.pres.weights):
+        weights = {p: [ranks[P][gi] + deg for (P, gi, deg, bidx) in labs]
+                   for p, labs in labels.items()}
+    cx = CdgModule(cdga, window, dims, actions, diffs, weights)
+    cx.free_labels = labels
+    return cx
+
+
 # -- the coinduction unit, one socle line at a time ----------------------------------
 
 

@@ -289,9 +289,37 @@ def test_bad_bound_names_the_flag_and_value(capsys, argv, message):
 
 
 def test_truncation_overflow_names_the_flag(capsys):
-    assert cli.main(["null-cofree", SYM2, "--free-dual", "spliced", "--degree", "2"]) == 2
+    assert cli.main(["null-cofree", SYM2, "--free-dual", "spliced", "--degree", "3"]) == 2
     err = capsys.readouterr().err
-    assert "beyond bound 2" in err and "--degree" in err
+    assert "beyond bound 3" in err and "--degree" in err
+
+
+def test_free_dual_merge_refusals_exit_two(tmp_path):
+    """A merge that cannot be built is refused as input, exit 2: over an
+    A! that is nonzero at the truncation bound, where raising --degree
+    never helps an infinite A! such as k[x*] (the dual of k[x]/(x^2)), and
+    over an A! with d != 0 (the Heisenberg algebra)."""
+    line = {"ranks": {"0": [0], "1": [-1]}}
+    kx = {"field": {"type": "Q"}, "generators": ["x"], "relations": [[["x", "x", "1"]]],
+          "free_dual_complexes": {"line": dict(line, entries={"0": [[[[["x*"], "1"]]]]})}}
+    heis = dict(json.load(open(HEIS)), free_dual_complexes={
+        "line": dict(line, entries={"0": [[[[["x1*"], "1"]]]]})})
+    paths = {}
+    for name, raw in (("kx", kx), ("heis", heis)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(raw))
+    finite = ("input error: free-module merge needs a finite A!, zero at the truncation "
+              "bound, but A!_{} has dim {}\n")
+    cases = [((paths["kx"], "line", n), finite.format(n, 1)) for n in ("4", "8", "12")]
+    cases.append(((SYM2, "spliced", "2"), finite.format(2, 1)))
+    cases.append(((paths["heis"], "line", "4"),
+                  "input error: free-module merge needs d_{A!} = 0\n"))
+    for (path, name, degree), err in cases:
+        for flags in ((), ("--json",)):
+            out = subprocess.run([sys.executable, "-m", "koszul_kit.cli", "null-cofree",
+                                  str(path), "--free-dual", name, "--degree", degree, *flags],
+                                 capture_output=True, text=True, env=ENV, cwd=PKG)
+            assert (out.returncode, out.stdout, out.stderr) == (2, "", err)
 
 
 def test_non_free_component_exit_two():
@@ -307,7 +335,8 @@ def test_missing_weights_exit_two():
 def test_short_weight_list_exit_two(tmp_path, field):
     """A weights list shorter than its dim is refused as input, naming the
     object (and, for a cdg module, the degree) and both counts, in place of
-    an IndexError traceback; the lists of full length are still read."""
+    an IndexError traceback, and so is a longer one, in place of a Tor read
+    off the first weights; the lists of full length are still read."""
     raw = json.load(open(SYM2))
     raw["field"] = field
     full = tmp_path / "full.json"
@@ -317,20 +346,21 @@ def test_short_weight_list_exit_two(tmp_path, field):
     assert run_cli("regrade", str(full), "--cdg", "gk", "--r", "2", "--degree", "5") == (
         run_cli("regrade", SYM2, "--cdg", "gk", "--r", "2", "--degree", "5"))
     run_cli("tor", str(full), "--module", "k2", "--range", "0..2")
-    raw["cdg_modules"]["gk"]["weights"]["-1"] = [-1]
-    raw["modules"]["k2"]["weights"] = [0]
-    path = tmp_path / "short.json"
-    path.write_text(json.dumps(raw))
-    cdg = "input error: cdg module 'gk': weights list of length 1 at degree -1, dim 2\n"
-    mod = "input error: module 'k2': weights list of length 1 for dim 2\n"
-    for argv, err in ((["regrade", "--cdg", "gk", "--r", "2", "--degree", "5"], cdg),
-                      (["tor", "--module", "k2", "--range", "0..2"], mod),
-                      (["ce", "--module", "k2", "--window=-3:1", "--filtration", "3"], mod)):
-        for flags in ((), ("--json",)):
-            out = subprocess.run([sys.executable, "-m", "koszul_kit.cli", argv[0], str(path),
-                                  *argv[1:], *flags],
-                                 capture_output=True, text=True, env=ENV, cwd=PKG)
-            assert (out.returncode, out.stdout, out.stderr) == (2, "", err)
+    for n, extra in ((1, []), (3, [5])):
+        raw["cdg_modules"]["gk"]["weights"]["-1"] = ([-1, -1] + extra)[:n]
+        raw["modules"]["k2"]["weights"] = ([0, 0] + extra)[:n]
+        path = tmp_path / f"length{n}.json"
+        path.write_text(json.dumps(raw))
+        cdg = f"input error: cdg module 'gk': weights list of length {n} at degree -1, dim 2\n"
+        mod = f"input error: module 'k2': weights list of length {n} for dim 2\n"
+        for argv, err in ((["regrade", "--cdg", "gk", "--r", "2", "--degree", "5"], cdg),
+                          (["tor", "--module", "k2", "--range", "0..2"], mod),
+                          (["ce", "--module", "k2", "--window=-3:1", "--filtration", "3"], mod)):
+            for flags in ((), ("--json",)):
+                out = subprocess.run([sys.executable, "-m", "koszul_kit.cli", argv[0],
+                                      str(path), *argv[1:], *flags],
+                                     capture_output=True, text=True, env=ENV, cwd=PKG)
+                assert (out.returncode, out.stdout, out.stderr) == (2, "", err)
 
 
 def test_mixed_weights_complex_exit_two(tmp_path):

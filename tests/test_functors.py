@@ -1,5 +1,6 @@
 """The bimodule T, the functors F and G, adjunction, unit/counit, F'."""
 
+import functools
 import json
 import os
 import random
@@ -20,7 +21,7 @@ from koszul_kit.complexes import (
 from koszul_kit.cofree import minimize_G
 from koszul_kit.deformations import DeformationData, build_U, build_cdga, pbw_check
 from koszul_kit import functors
-from koszul_kit.errors import InconsistentDataError, InputError
+from koszul_kit.errors import DegreeOverflowError, InconsistentDataError, InputError
 from koszul_kit.functors import (
     FunctorBounds,
     adjunction_report,
@@ -55,6 +56,7 @@ from conftest import (
     heisenberg_deformation,
     labelled_cells,
     oracle_apply_F,
+    oracle_apply_Fprime,
     oracle_delta,
     oracle_f_fiber,
     oracle_free_expand,
@@ -557,6 +559,61 @@ def test_fprime_periodic_for_kx_mod_x2(qq):
                       FunctorBounds((0, 4), 4, 6))
     h, _ = homology_dims(fp, (0, 4))
     assert all(h[i] == 1 for i in range(4))
+
+
+@functools.cache
+def _fprime_world(kind, f):
+    """The deformation and its cdga to degree 4, built once per field: the
+    trivial deformation of S(V), dim 2 or 3, the Heisenberg algebra
+    (d_{A!} != 0) or the curved two-point algebra."""
+    if kind == "heis":
+        data = heisenberg_deformation(f)
+    elif kind == "twopoint":
+        data = twopoint_deformation(f)
+    else:
+        data = DeformationData.trivial(symmetric_presentation(f, int(kind[-1])))
+    return data, build_cdga(data, 4)
+
+
+def _fprime_or_error(build):
+    try:
+        return build(), None
+    except DegreeOverflowError as err:
+        return None, str(err)
+
+
+@settings(max_examples=80)
+@given(st.sampled_from([QQ, Field(2), Field(3), Field(5)]),
+       st.sampled_from(["sym2", "sym3", "heis", "twopoint"]), st.integers(0, 2**16),
+       st.integers(-3, 1), st.integers(0, 5))
+def test_fprime_matches_its_old_formula(f, kind, seed, lo, internal):
+    """Over Q, F_2, F_3 and F_5, F' through ``free_dual_module`` equals
+    ``oracle_apply_Fprime``, the old formula: the same labels, every d and
+    action matrix, no weights; and a product read past A!'s bound is refused by
+    both with one message.  The inputs are k, a random bounded complex of
+    trivial modules, a module on which x_1 acts (e_0 -> e_1) and, over the
+    two-point algebra, the curved simple module."""
+    data, cdga = _fprime_world(kind, f)
+    rng = random.Random(seed)
+    if kind == "twopoint":
+        m = UComplex(data, (0, 0), {0: UModule(data, 1, [Matrix.from_int_rows(f, [[1]])])}, {})
+    else:
+        moved = UModule(data, 2, [Matrix.from_int_rows(f, [[0, 0], [int(g == 0), 0]])
+                                  for g in range(cdga.dual.pres.dim)])
+        m = rng.choice([um_trivial_complex(data), random_bounded_complex(data, None, rng),
+                        UComplex(data, (1, 1), {1: moved}, {})])
+    b = FunctorBounds((lo, lo + 4), 0, internal)
+    want, want_err = _fprime_or_error(lambda: oracle_apply_Fprime(m, cdga, b))
+    got, got_err = _fprime_or_error(lambda: apply_Fprime(m, cdga, b))
+    assert got_err == want_err
+    if want is None:
+        return
+    assert (got.window, got.dims, got.labels, got.weights) == (
+        want.window, want.dims, want.labels, None)
+    for p in range(lo - 1, lo + 5):
+        assert got.diff(p).to_rows() == want.diff(p).to_rows()
+        for g in range(cdga.dual.pres.dim):
+            assert got.action(p, g).to_rows() == want.action(p, g).to_rows()
 
 
 # -- balancing ------------------------------------------------------------------

@@ -56,6 +56,7 @@ from conftest import (
     SEED,
     bigraded_from_weighted,
     heisenberg_deformation,
+    oracle_free_dual_merge,
     oracle_homology_per_weight,
     oracle_regrade,
     oracle_socle_sdr,
@@ -419,6 +420,11 @@ def test_null_free_zero_complex(sym2_world):
 def spliced_complex(cdga, lo=-3, hi=3):
     """The complex of free modules over E(V*), dim V = 2, that splices the
     resolution of k to its coresolution; positions lo..hi of it."""
+    return complex_of_free_dual_modules(cdga, *spliced_data(cdga, lo, hi))
+
+
+def spliced_data(cdga, lo=-3, hi=3):
+    """(ranks, entries) of ``spliced_complex``."""
     f = cdga.field
     one_e1 = {1: {0: f.one()}}
     one_e2 = {1: {1: f.one()}}
@@ -443,9 +449,8 @@ def spliced_complex(cdga, lo=-3, hi=3):
              1: [-2], 2: [-3] * 2, 3: [-4] * 3}
     entries = {-3: res_mat(3), -2: res_mat(2), -1: res_mat(1),
                0: [[socle]], 1: cores_mat(1), 2: cores_mat(2)}
-    return complex_of_free_dual_modules(
-        cdga, {P: r for P, r in ranks.items() if lo <= P <= hi},
-        {P: e for P, e in entries.items() if lo <= P < hi})
+    return ({P: r for P, r in ranks.items() if lo <= P <= hi},
+            {P: e for P, e in entries.items() if lo <= P < hi})
 
 
 FIELDS = [QQ, Field(2), Field(3), Field(5)]
@@ -463,12 +468,16 @@ def _deformation_and_cdga(kind, f):
 def _random_linear_map(cdga, rng):
     """A two-term complex of free modules over E(V*), dim V = 2: a random
     strictly linear map F^0 -> F^1 with entries in E_1."""
+    return complex_of_free_dual_modules(cdga, *_random_linear_map_data(cdga, rng))
+
+
+def _random_linear_map_data(cdga, rng):
+    """(ranks, entries) of ``_random_linear_map``."""
     f = cdga.field
     n0, n1, shift = rng.randint(1, 2), rng.randint(1, 2), rng.randint(-1, 2)
     entries = [[{1: zero_free({0: rng.randrange(-2, 3), 1: rng.randrange(-2, 3)}, f.p)}
                 for _ in range(n0)] for _ in range(n1)]
-    return complex_of_free_dual_modules(cdga, {0: [shift] * n0, 1: [shift - 1] * n1},
-                                        {0: entries})
+    return {0: [shift] * n0, 1: [shift - 1] * n1}, {0: entries}
 
 
 @st.composite
@@ -545,6 +554,53 @@ def test_unit_maps_match_oracle_where_the_unit_is_not_injective(f):
             == "coinduction unit not bijective at degree -2")
     assert _assert_unit_maps_match_oracle(module, cdga, 2) == "degree -3: dim 0 != cofree count 1"
     assert _assert_unit_maps_match_oracle(g, cdga, 2) is None
+
+
+def _null_verdicts(module, cdga, cap, interior):
+    """``null_test_cofree`` by position on a merge, or its refusal."""
+    try:
+        return null_test_cofree(module, cdga, cap, interior, by_position=True)
+    except NotCofreeError as err:
+        return str(err)
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(FIELDS), st.integers(0, 2**16), st.data())
+def test_free_dual_merge_is_the_old_merge_conjugated(f, seed, data):
+    """Over Q, F_2, F_3 and F_5, on pieces of the spliced complex and on
+    random linear maps: the merge built by ``functors.free_dual_module``
+    is the old merge (``oracle_free_dual_merge``, twisted action (-1)^P)
+    conjugated by the sign (-1)^{r P} on the labels (r, s, (P, j)) <->
+    (P, j, r, s): the same window, dims and weights, and every d and
+    action matrix.  The position null test gives the same verdicts on
+    both, at guards 0 and 1 and caps 2, 3 and 4."""
+    _, cdga = _deformation_and_cdga("sym2", f)
+    if data.draw(st.booleans()):
+        lo = data.draw(st.integers(-3, 3))
+        ranks, entries = spliced_data(cdga, lo, data.draw(st.integers(lo, 3)))
+    else:
+        ranks, entries = _random_linear_map_data(cdga, random.Random(seed))
+    got = complex_of_free_dual_modules(cdga, ranks, entries)
+    want = oracle_free_dual_merge(cdga, ranks, entries)
+    assert (got.window, got.dims) == (want.window, want.dims)
+    signed = {}  # p: got's coordinates -> want's, the signed permutation
+    for p, labs in got.labels.items():
+        old = {lab: k for k, lab in enumerate(want.free_labels[p])}
+        assert sorted(old) == sorted((*v, r, s) for r, s, v in labs)
+        signed[p] = Matrix(f, len(labs), [{old[(*v, r, s)]: f.neg(f.one()) if r * v[0] % 2
+                                           else f.one()} for r, s, v in labs])
+        assert [want.weights[p][old[(*v, r, s)]] for r, s, v in labs] == got.weights[p]
+    for p, c in signed.items():
+        up = signed.get(p + 1, Matrix.zero(f, 0, 0))
+        assert want.diff(p).mul(c).eq(up.mul(got.diff(p)))
+        for g in range(2):
+            assert want.action(p, g).mul(c).eq(up.mul(got.action(p, g)))
+    positions = sorted(P for P, shifts in ranks.items() if shifts)
+    for cap in (2, 3, 4):
+        for guard in (0, 1):
+            interior = (positions[0] + guard, positions[-1] - guard)
+            assert (_null_verdicts(got, cdga, cap, interior)
+                    == _null_verdicts(want, cdga, cap, interior))
 
 
 def test_null_cofree_spliced_separation(sym2_world):
