@@ -423,7 +423,7 @@ def main(argv=None) -> int:
         # certificate that failed on a computed result
         # (InconsistentDataError, CdgaInvariantError outside ``cdga``), which
         # is a fault of the program, not of the input; telling the two
-        # apart is ROADMAP item 5
+        # apart is ROADMAP item 8
         sys.stderr.write(f"{type(e).__name__}: {e}\n")
         return 2
 

@@ -271,13 +271,13 @@ class CofreeDecomposition:
         self.labels = labels
 
 
-def cofree_decomposition(i: CdgModule, cdga: CdgAlgebra, cap: int,
-                         interior=None) -> CofreeDecomposition:
+def cofree_decomposition(i: CdgModule, cdga: CdgAlgebra, cap: int) -> CofreeDecomposition:
     """Detect cofreeness via the coinduction unit.
 
     Computes the socle per degree, a projection onto it, and the canonical
     map x -> (a -> socle part of a.x).  The module is cofree exactly when
-    this map is bijective in every interior degree; otherwise
+    this map is bijective in every degree of the window, extended down to
+    min(cap, A!'s bound) degrees below the lowest socle line; otherwise
     NotCofreeError is raised.  This realizes the Ext^1-vanishing criterion
     constructively: a failure of surjectivity in degree p is a nonzero
     class of Ext^1(k, -) against the socle in that window.
@@ -285,15 +285,12 @@ def cofree_decomposition(i: CdgModule, cdga: CdgAlgebra, cap: int,
     f = i.field
     dual = cdga.dual
     bases, socle = i.socle_complex()
-    if interior is not None:
-        lo, hi = interior
-    else:
-        # the cofree template on this socle reaches cap degrees below the
-        # lowest socle line; a module that is genuinely zero there is not
-        # cofree, so the default check range includes that support
-        lo, hi = i.window
-        if socle.dims:
-            lo = min(lo, min(socle.dims) - min(cap, dual.bound))
+    # the cofree template on this socle reaches cap degrees below the
+    # lowest socle line; a module that is genuinely zero there is not
+    # cofree, so the check range includes that support
+    lo, hi = i.window
+    if socle.dims:
+        lo = min(lo, min(socle.dims) - min(cap, dual.bound))
 
     def socle_lines(p, q):
         return range(socle.dim(q))
@@ -338,8 +335,7 @@ def cofree_decomposition(i: CdgModule, cdga: CdgAlgebra, cap: int,
 # -- t-truncation ---------------------------------------------------------------
 
 
-def t_truncate(i: CdgModule, cdga: CdgAlgebra, p_cut: int, cap: int,
-               interior=None):
+def t_truncate(i: CdgModule, cdga: CdgAlgebra, p_cut: int, cap: int):
     """(t^{<=p} I, t_{>p} I) for a cofree I with c = 0.
 
     The subobject is cofree on socle degrees < p plus the kernel K^p of
@@ -350,7 +346,7 @@ def t_truncate(i: CdgModule, cdga: CdgAlgebra, p_cut: int, cap: int,
     if not cdga.curvature_is_zero:
         raise CurvedInputError("t-truncation needs c = 0")
     f = i.field
-    dec = cofree_decomposition(i, cdga, cap, interior)
+    dec = cofree_decomposition(i, cdga, cap)
     # kernel of the socle differential at p_cut
     k_basis = kernel_basis(dec.socle.diff(p_cut))
     # subobject in cofree coordinates: all lines of socle degree < p_cut,
@@ -383,7 +379,7 @@ def t_truncate(i: CdgModule, cdga: CdgAlgebra, p_cut: int, cap: int,
         raise InconsistentDataError(f"t-truncation subobject: {msg}")
     # restructure the quotient as cofree with socle in degrees > p_cut
     try:
-        qdec = cofree_decomposition(quot, cdga, cap, interior)
+        qdec = cofree_decomposition(quot, cdga, cap)
         quot_c = to_cofree_coordinates(quot, qdec)
         # the detected socle basis orders the lines exactly as the labels
         # do, so the socle differentials carry over unchanged

@@ -365,11 +365,10 @@ class FilteredAlgebraTruncation(WordQuotient):
 
     An element of U is a sparse column {basis index: raw value}, zeros
     left out, the format of A and A! too: ``reduce_word`` gives a word's
-    column, the unit is {position of (): 1}, and ``multiply`` takes and
-    returns columns.  U's one product table is ``mult_basis(i, j)``: the
-    product of basis words i and j as a cached column.  ``multiply``, the
-    functor layer (F, the bimodule delta, (GF)_i) and the free side sum
-    over its nonzero entries.
+    column and the unit is {position of (): 1}.  U's one product entry
+    is ``mult_basis(i, j)``: the product of basis words i and j as a
+    cached column.  The functor layer (F, the bimodule delta, (GF)_i) and
+    the free side sum over its nonzero entries.
 
     Products walk the generator table of ``WordQuotient``, one flat row
     per basis word, built one length at a time on first use: u x_g is one
@@ -448,18 +447,6 @@ class FilteredAlgebraTruncation(WordQuotient):
             self._mult_cache[key] = got
         return got
 
-    def multiply(self, a, b):
-        """Product of two elements, given and returned as sparse columns;
-        sums run on raw values."""
-        words = self.basis_words
-        out = {}
-        for i, x in a.items():
-            for j, y in b.items():
-                if len(words[i]) + len(words[j]) > self.bound:
-                    raise InputError("product degree beyond bound")
-                axpy(out, x * y, self.mult_basis(i, j))
-        return zero_free(out, self.field.p)
-
 
 def build_U(data: DeformationData, bound: int) -> FilteredAlgebraTruncation:
     return FilteredAlgebraTruncation(data, bound)
@@ -468,8 +455,7 @@ def build_U(data: DeformationData, bound: int) -> FilteredAlgebraTruncation:
 # -- the vanishing lemma ---------------------------------------------------
 
 
-def vanishing_witness(data: DeformationData, bound: int = 3,
-                      cdga: CdgAlgebra = None,
+def vanishing_witness(data: DeformationData, cdga: CdgAlgebra = None,
                       u: FilteredAlgebraTruncation = None) -> bool:
     """Both canonical elements of U⊗A!_2 and A!_2⊗U vanish exactly.
 
@@ -481,9 +467,9 @@ def vanishing_witness(data: DeformationData, bound: int = 3,
     f = data.field
     d = data.base.dim
     if cdga is None:
-        cdga = build_cdga(data, max(bound, 3), check=False)
+        cdga = build_cdga(data, 3, check=False)
     if u is None:
-        u = build_U(data, max(bound, 2))
+        u = build_U(data, 3)
     dual = cdga.dual
     elem = {}  # {U basis index: A!_2 column}
 

@@ -2,12 +2,14 @@
 k ⊗_U (-), null-system membership, and U-linear homotopy search.
 
 A free complex is a matrix over U: component p is U^{ranks[p]} and the
-differential entry (i, j) is an element of the truncated U, acting on the
-generator e_j of component p and read off in the generators of p+1.  It
-is held as one column view per generator, {U index k: {i: coefficient}},
-built from an entry grid or from a cdg-module N's x_g* and d columns:
-F(N) is N's free complex.  ``add_column``, the one column formula,
-writes F, T's delta, the F-term of (GF)_i and ``null-free``.
+image of the generator e_j of component p is a sum c u_k e_i over the
+generators of p+1.  It is held only as its column view, one column per
+generator, {U index k: {i: coefficient}}: read once from a problem
+file's entry grid (``FreeUComplex.from_entries``), or from a cdg-module
+N's x_g* and d columns (``FreeUComplex.of_source``: F(N) is N's free
+complex).  Maps of free complexes and homotopies are column views too,
+{p: [column per generator]}.  ``add_column``, the one column formula,
+writes F, T's delta, the F-term of (GF)_i, ``null-free`` and d².
 Expansion replaces U by its filtration piece at a level given per degree,
 which embeds the expanded object as a subcomplex of the true one.
 """
@@ -17,36 +19,41 @@ from __future__ import annotations
 from .complexes import BaseComplex, homology_dims
 from .deformations import FilteredAlgebraTruncation
 from .errors import InputError
-from .linalg import RHS, Matrix, axpy, is_nonzero, solve_sparse, zero_free
+from .linalg import RHS, Matrix, solve_sparse, zero_free
 
 
 class FreeUComplex:
     """Bounded complex of free U-modules with differential entries in U,
     held as ``columns[p][j]``, the image sum c u_k e_i of the generator e_j
-    of degree p as {U basis index k: {i: c}}, built in O(nnz)."""
+    of degree p as {U basis index k: {i: c}}."""
 
     def __init__(self, u: FilteredAlgebraTruncation, window, ranks: dict,
-                 entries: dict):
+                 columns: dict):
         self.u = u
         self.field = u.field
         self.window = (int(window[0]), int(window[1]))
         self.ranks = {p: int(r) for p, r in ranks.items() if r}
-        # entries[p][i][j]: sparse U column, for the map component
-        # U^{ranks[p]} -> U^{ranks[p+1]}
-        self._entries = entries
-        self.columns = {}
+        self.columns = columns
+
+    @classmethod
+    def from_entries(cls, u: FilteredAlgebraTruncation, window, ranks: dict, entries: dict):
+        """The complex of an entry grid {p: [[sparse U column of entry (i,
+        j)]]}, the map U^{ranks[p]} -> U^{ranks[p+1]} row by row, read into
+        the column view in one pass."""
+        free = cls(u, window, ranks, {})
         for p, mat in entries.items():
-            if len(mat) != self.ranks.get(p + 1, 0):
+            if len(mat) != free.rank(p + 1):
                 raise InputError(f"entry matrix at degree {p} has wrong height")
             for row in mat:
-                if len(row) != self.ranks.get(p, 0):
+                if len(row) != free.rank(p):
                     raise InputError(f"entry matrix at degree {p} has wrong width")
-            if mat and self.rank(p):
-                view = self.columns[p] = [{} for _ in range(self.rank(p))]
+            if mat and free.rank(p):
+                view = free.columns[p] = [{} for _ in range(free.rank(p))]
                 for i, row in enumerate(mat):
                     for col, entry in zip(view, row):
                         for k, c in entry.items():
                             col.setdefault(k, {})[i] = c
+        return free
 
     @classmethod
     def of_source(cls, u: FilteredAlgebraTruncation, window, ranks: dict, source):
@@ -54,7 +61,6 @@ class FreeUComplex:
         (x_g* n_j) + 1 (d n_j), from ``source(p)``, the columns on N^p of
         each x_g* (a list per generator) and of d, which the view shares."""
         free = cls(u, window, ranks, {})
-        free._entries = None
         gens = _gen_pos(u)
         one = u._basis_pos[()]
         for p in free.ranks:
@@ -71,16 +77,6 @@ class FreeUComplex:
                     col[one] = dn
         return free
 
-    @property
-    def entries(self) -> dict:
-        """The entry grid {p: [[sparse U column of entry (i, j)]]}: as given,
-        or read off the columns for a complex built by ``of_source``."""
-        if self._entries is None:
-            self._entries = {p: [[{k: t[i] for k, t in col.items() if i in t} for col in view]
-                                 for i in range(self.rank(p + 1))]
-                             for p, view in self.columns.items()}
-        return self._entries
-
     def rank(self, p: int) -> int:
         return self.ranks.get(p, 0)
 
@@ -91,26 +87,26 @@ class FreeUComplex:
                     for col in view for k in col), default=0)
 
     def check_d_squared(self):
-        """d entries compose to zero exactly in the truncated U.
-
-        For maps of free left modules phi(e_j) = sum c_{kj} e_k, the
-        composite entry is (psi phi)_{ij} = sum_k c^phi_{kj} . c^psi_{ik}:
-        the first map's entry multiplies on the left.
-        """
+        """d(d(e_j)) = 0 exactly in the truncated U: d(e_j) = sum c u_k e_i
+        goes to sum c d(u_k e_i), each term by ``add_column``, so u_k
+        multiplies e_i's entries on the left.  Names the least (i, j), in
+        row order, of a nonzero entry in the lowest such degree."""
         u = self.u
-        entries = self.entries
-        for p in sorted(entries):
-            if p + 1 not in entries:
+        for p in sorted(self.columns):
+            nxt = self.columns.get(p + 1)
+            if nxt is None:
                 continue
-            a = entries[p]
-            b = entries[p + 1]
-            for i in range(self.rank(p + 2)):
-                for j in range(self.rank(p)):
-                    acc = {}
-                    for k in range(self.rank(p + 1)):
-                        axpy(acc, 1, u.multiply(a[k][j], b[i][k]))
-                    if is_nonzero(acc, self.field.p):
-                        return f"d^2 != 0 at degree {p} (entry {i},{j})"
+            rows = {(t, i): (i, t) for t in range(u.total_dim) for i in range(self.rank(p + 2))}
+            bad = []
+            for j, col in enumerate(self.columns[p]):
+                acc = {}
+                for k, terms in col.items():
+                    for i, c in terms.items():
+                        add_column(acc, rows, c, u, nxt[i], k)
+                bad.extend((i, j) for i, _ in zero_free(acc, self.field.p))
+            if bad:
+                i, j = min(bad)
+                return f"d^2 != 0 at degree {p} (entry {i},{j})"
         return None
 
     # -- expansion ---------------------------------------------------------
@@ -173,15 +169,16 @@ def _gen_pos(u: FilteredAlgebraTruncation):
 
 
 def free_identity_map(p_ranks, u):
-    one = {u._basis_pos[()]: u.field.one()}
-    return {p: [[one if i == j else {} for j in range(r)] for i in range(r)]
-            for p, r in p_ranks.items()}
+    """The identity of free modules of ranks ``p_ranks``, as a column view."""
+    one = u._basis_pos[()]
+    return {p: [{one: {j: u.field.one()}} for j in range(r)] for p, r in p_ranks.items()}
 
 
 def free_cone_of_map(src: FreeUComplex, tgt: FreeUComplex, fmat: dict) -> FreeUComplex:
-    """Cone of a U-matrix chain map between free complexes."""
+    """Cone of a U-linear chain map ``fmat`` {p: [column per generator]}
+    between free complexes: degree p is src^{p+1} ⊕ tgt^p, and
+    d(s, t) = (-d s, f s + d t)."""
     f = src.field
-    zero = {}
     lo = min(src.window[0] - 1, tgt.window[0])
     hi = max(src.window[1] - 1, tgt.window[1])
     ranks = {}
@@ -189,43 +186,39 @@ def free_cone_of_map(src: FreeUComplex, tgt: FreeUComplex, fmat: dict) -> FreeUC
         r = src.rank(p + 1) + tgt.rank(p)
         if r:
             ranks[p] = r
-    entries = {}
+    columns = {}
     for p in range(lo, hi + 1):
-        rows = ranks.get(p + 1, 0)
-        cols = ranks.get(p, 0)
-        if not rows or not cols:
+        if not ranks.get(p + 1) or not ranks.get(p):
             continue
-        s1, t1 = src.rank(p + 1), tgt.rank(p)
-        s2, t2 = src.rank(p + 2), tgt.rank(p + 1)
-        ent = [[zero for _ in range(cols)] for _ in range(rows)]
-        sent = src.entries.get(p + 1)
-        tent = tgt.entries.get(p)
-        fent = fmat.get(p + 1)
-        for i in range(s2):
-            for j in range(s1):
-                v = sent[i][j] if sent else zero
-                ent[i][j] = {k: f.neg(c) for k, c in v.items()}
-        for i in range(t2):
-            for j in range(s1):
-                v = fent[i][j] if fent else zero
-                ent[s2 + i][j] = v
-        for i in range(t2):
-            for j in range(t1):
-                v = tent[i][j] if tent else zero
-                ent[s2 + i][s1 + j] = v
-        entries[p] = ent
-    return FreeUComplex(src.u, (lo, hi), ranks, entries)
+        s2 = src.rank(p + 2)
+        view = columns[p] = []
+        for j in range(src.rank(p + 1)):
+            col = {}
+            if p + 1 in src.columns:
+                for k, terms in src.columns[p + 1][j].items():
+                    col[k] = {i: f.neg(c) for i, c in terms.items()}
+            if p + 1 in fmat:
+                for k, terms in fmat[p + 1][j].items():
+                    col.setdefault(k, {}).update((s2 + i, c) for i, c in terms.items())
+            view.append(col)
+        for j in range(tgt.rank(p)):
+            view.append({k: {s2 + i: c for i, c in terms.items()}
+                         for k, terms in tgt.columns[p][j].items()} if p in tgt.columns else {})
+    return FreeUComplex(src.u, (lo, hi), ranks, columns)
 
 
 def free_nullhomotopy(p: FreeUComplex, fmat: dict, gmat: dict, degree_cap=None):
     """U-linear homotopy between chain endomorphisms of a free complex.
 
+    ``fmat`` and ``gmat`` are column views {q: [column per generator]}.
     Unknowns are the U-coordinates of s on generators; the identity
-    f - g = (-1)^n d s + (-1)^{n+1} s d is solved exactly on generators.
+    f - g = (-1)^n d s + (-1)^{n+1} s d is solved exactly on generators,
+    one scalar equation per coordinate u_t e_i of the image of e_j.
     The unknown coordinates run over U basis words of degree at most
     ``degree_cap``; by default the largest cap whose products with every
     entry stay within U's bound, ``u.bound - p.entry_degree_bound()``.
-    Returns {p: matrix of sparse U columns} or None.
+    Returns s as a column view {q: [column of s(e_j) in degree q - 1]}
+    or None.
     """
     f = p.field
     u = p.u
@@ -240,52 +233,47 @@ def free_nullhomotopy(p: FreeUComplex, fmat: dict, gmat: dict, degree_cap=None):
                     varmap[(q, i, j, bi)] = len(varmap)
     eqs = []
     for q in range(lo, hi + 1):
-        sgn_d = 1 if q % 2 == 0 else -1
-        dq = p.entries.get(q)
-        dprev = p.entries.get(q - 1)
-        fm = fmat.get(q)
-        gm = gmat.get(q)
-        for i in range(p.rank(q)):
+        sgn = 1 if q % 2 == 0 else -1
+        # coeff[(i, j, t)] holds the unknowns of coordinate u_t e_i of the
+        # image of e_j, rhs[(i, j, t)] that coordinate of f - g
+        coeff, rhs = {}, {}
+        for m, c in ((fmat, 1), (gmat, -1)):
+            for j, col in enumerate(m.get(q, ())):
+                for t, terms in col.items():
+                    for i, x in terms.items():
+                        rhs[(i, j, t)] = rhs.get((i, j, t), 0) + c * x
+        # d s: s(e_j) = sum u_bi e_k, and u_bi multiplies d(e_k) on the left
+        for k, dcol in enumerate(p.columns.get(q - 1, ())):
             for j in range(p.rank(q)):
-                # one scalar equation per U basis element t: coeff[t] holds
-                # its unknowns, rhs[t] the coordinate t of f - g
-                rhs = {}
-                if fm is not None:
-                    axpy(rhs, 1, fm[i][j])
-                if gm is not None:
-                    axpy(rhs, -1, gm[i][j])
-                coeff = {}
-
-                def add_term(var_key_base, fixed, unknown_left, sgn):
-                    # composite entry: first map's entry multiplies on the left
-                    for bi in keep:
-                        v = varmap[var_key_base + (bi,)]
-                        for k, c in fixed.items():
-                            prod = u.mult_basis(bi, k) if unknown_left else u.mult_basis(k, bi)
-                            for t, x in prod.items():
-                                eq = coeff.setdefault(t, {})
+                for bi in keep:
+                    v = varmap[(q, k, j, bi)]
+                    for a, terms in dcol.items():
+                        for t, x in u.mult_basis(bi, a).items():
+                            for i, c in terms.items():
+                                eq = coeff.setdefault((i, j, t), {})
                                 eq[v] = eq.get(v, 0) + sgn * c * x
-
-                # (d o s)_{ij} = sum_k s[q][k][j] . d[q-1][i][k]  (s first)
-                if dprev is not None:
-                    for k in range(p.rank(q - 1)):
-                        add_term((q, k, j), dprev[i][k], True, sgn_d)
-                # (s o d)_{ij} = sum_k d[q][k][j] . s[q+1][i][k]  (d first)
-                if dq is not None:
-                    for k in range(p.rank(q + 1)):
-                        add_term((q + 1, i, k), dq[k][j], False, -sgn_d)
-                for t in coeff.keys() | rhs.keys():
-                    eq = coeff.get(t, {})
-                    eq[RHS] = rhs.get(t, 0)
-                    eqs.append(eq)
+        # s d: d(e_j) = sum c u_a e_k, and u_a multiplies s(e_k) on the left
+        for j, dcol in enumerate(p.columns.get(q, ())):
+            for a, terms in dcol.items():
+                for k, c in terms.items():
+                    for bi in keep:
+                        for t, x in u.mult_basis(a, bi).items():
+                            for i in range(p.rank(q)):
+                                v = varmap[(q + 1, i, k, bi)]
+                                eq = coeff.setdefault((i, j, t), {})
+                                eq[v] = eq.get(v, 0) - sgn * c * x
+        for key in coeff.keys() | rhs.keys():
+            eq = coeff.get(key, {})
+            eq[RHS] = rhs.get(key, 0)
+            eqs.append(eq)
     sol = solve_sparse(f, eqs, len(varmap))
     if sol is None:
         return None
-    out = {}
-    for q in range(lo, hi + 2):
-        if p.rank(q) and p.rank(q - 1):
-            out[q] = [[zero_free({bi: sol[varmap[(q, i, j, bi)]] for bi in keep}, f.p)
-                       for j in range(p.rank(q))] for i in range(p.rank(q - 1))]
+    out = {q: [{} for _ in range(p.rank(q))] for q in range(lo, hi + 2)
+           if p.rank(q) and p.rank(q - 1)}
+    for (q, i, j, bi), v in varmap.items():
+        if sol[v]:
+            out[q][j].setdefault(bi, {})[i] = sol[v]
     return out
 
 
@@ -293,9 +281,14 @@ def null_test_free(p: FreeUComplex, base_level: int, interior):
     """The free-side null-system criterion: P and k ⊗_U P both acyclic.
 
     ``interior`` is the degree range on which acyclicity is asserted;
-    window edges are excluded by the caller via guard bands.
+    window edges are excluded by the caller via guard bands.  A bound
+    refusal names the ``null-free`` flags: U's bound is ``--degree`` and
+    the base level ``--filtration // 2``.
     """
-    msg = p.check_d_squared()
+    try:
+        msg = p.check_d_squared()
+    except InputError as e:  # a product of two entries beyond U's bound
+        raise InputError(f"d^2 needs a U product of {e}; raise --degree") from None
     if msg:
         raise InputError(msg)
     # the level grows by the entry degree e, so no term is cut off; for
@@ -304,10 +297,11 @@ def null_test_free(p: FreeUComplex, base_level: int, interior):
     start, stop = p.window
     e = p.entry_degree_bound()
     levels = {q: base_level + (q - start) * e for q in range(start, stop + 1)}
-    if levels and max(levels.values()) > p.u.bound:
+    top = max(levels.values(), default=0)
+    if top > p.u.bound:
         raise InputError(
-            f"expansion level {max(levels.values())} beyond U bound {p.u.bound}; "
-            "lower the window or rebuild U deeper")
+            f"expansion level {top} beyond U bound {p.u.bound}; raise --degree to {top}, "
+            f"or lower --filtration (base level {base_level} = --filtration // 2)")
     expanded = p.expand(levels)
     h_p, _ = homology_dims(expanded, p.window)
     fiber = p.fiber_complex()

@@ -275,17 +275,6 @@ def _sparse_ne(f, a: dict, b: dict) -> bool:
     return False
 
 
-def build_T(u: FilteredAlgebraTruncation, cdga: CdgAlgebra,
-            bounds: FunctorBounds, verify=True) -> KoszulBimodule:
-    t = KoszulBimodule(u, cdga)
-    if verify:
-        lev = min(bounds.filtration, u.bound - 2)
-        for r in range(min(bounds.internal - 1, cdga.bound - 2)):
-            if not t.check_delta_squared(min(lev, u.bound - 2), r):
-                raise InconsistentDataError(f"delta^2 != -(.c) at internal degree {r}")
-    return t
-
-
 # -- the functor F (filtration pieces) --------------------------------------
 
 

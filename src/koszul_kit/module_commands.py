@@ -1,6 +1,6 @@
-"""The module and functor layer of the command line: the sixteen commands
-that build modules, complexes and cdg-modules and run F, G and the
-homological checks on them, and ``selftest``.
+"""The module and functor layer of the command line, the sixteen commands
+of ``COMMANDS``: fifteen that build modules, complexes and cdg-modules and
+run F, G and the homological checks on them, and ``selftest``.
 
 ``cli.main`` imports this module only when the chosen command is not one
 of its five algebra commands, so commands on the algebras alone never
@@ -68,7 +68,11 @@ def named_module(problem, name: str) -> UModule:
     weights = spec.get("weights")
     if weights is not None and len(weights) != dim:
         raise InputError(f"module {name!r}: weights list of length {len(weights)} for dim {dim}")
-    return UModule(data, dim, acts, weights=weights)
+    m = UModule(data, dim, acts, weights=weights)
+    msg = m.validate()
+    if msg:
+        raise InputError(f"module {name!r}: {msg}")
+    return m
 
 
 def named_complex(problem, name: str) -> UComplex:
@@ -149,7 +153,7 @@ def named_free_complex(problem, name: str, bound) -> FreeUComplex:
     for key, mat in (spec.get("entries") or {}).items():
         p = int(key)
         entries[p] = [[_u_element(problem, u, e) for e in row] for row in mat]
-    return FreeUComplex(u, (lo, hi), ranks, entries)
+    return FreeUComplex.from_entries(u, (lo, hi), ranks, entries)
 
 
 def named_free_dual_complex(problem, name: str, bound):

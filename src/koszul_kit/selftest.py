@@ -26,7 +26,7 @@ from .deformations import (
     vanishing_witness,
 )
 from .errors import KoszulKitError
-from .functors import FunctorBounds, adjunction_report, apply_G, build_T, counit, unit
+from .functors import FunctorBounds, KoszulBimodule, adjunction_report, apply_G, counit, unit
 from .linalg import Matrix, kernel_basis, rank, rref, solve
 from .presentations import QuadraticPresentation, double_dual_check
 from .scalars import Field, QQ
@@ -204,13 +204,13 @@ def run(seed: int, corrupt_sign=False, out=sys.stdout):
     def bimodule_curv():
         u2 = build_U(twop, 4)
         alg2 = build_cdga(twop, 5)
-        t2 = build_T(u2, alg2, FunctorBounds((-2, 2), 2, 3), verify=False)
+        t2 = KoszulBimodule(u2, alg2)
         for r in range(2):
             if not t2.check_delta_squared(1, r):
                 return False
         uh = build_U(heis, 4)
         algh = build_cdga(heis, 4)
-        th = build_T(uh, algh, FunctorBounds((-2, 2), 2, 2), verify=False)
+        th = KoszulBimodule(uh, algh)
         return th.check_delta_squared(1, 0)
     check("bimodule: delta^2 = -(.c) exactly", bimodule_curv)
 

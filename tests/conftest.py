@@ -410,8 +410,18 @@ def dense_mult_basis(u, i, j):
     return dense(u.field, heap_u_column(u, u.basis_words[i] + u.basis_words[j]), u.total_dim)
 
 
+def u_product(u, a, b):
+    """The product of two U elements, sparse columns, summed over U's one
+    product entry ``mult_basis`` and reduced once."""
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            axpy(out, x * y, u.mult_basis(i, j))
+    return zero_free(out, u.field.p)
+
+
 def dense_u_multiply(u, a, b):
-    """``FilteredAlgebraTruncation.multiply`` from the dense columns."""
+    """The product of two dense U elements, summed over ``dense_mult_basis``."""
     f = u.field
     out = [f.zero()] * u.total_dim
     for i, x in enumerate(a):
@@ -689,7 +699,7 @@ def oracle_free_expand(fc, base_level):
         if p + 1 not in dims:
             continue
         tpos = {lab: i for i, lab in enumerate(labels[p + 1])}
-        ent = fc.entries.get(p)
+        ent = free_entries(fc).get(p)
         cols = []
         for ui, j in labels[p]:
             acc = {}
@@ -719,14 +729,42 @@ def labelled_cells(m, row_labels, col_labels):
 #
 # The old ``freeside`` bodies, on dense lists over the U basis with one
 # ``Field`` call per cell: the oracles of ``FreeUComplex`` and
-# ``free_nullhomotopy``, which read sparse U columns.
+# ``free_nullhomotopy``, which read sparse U columns.  They read entry
+# grids; the library holds only column views, read here by ``free_grid``.
+
+
+def free_grid(view, nrows):
+    """A column view [{U index k: {i: c}} per generator j] as the entry
+    grid [[sparse U column of entry (i, j)]] with ``nrows`` rows."""
+    return [[{k: t[i] for k, t in col.items() if i in t} for col in view]
+            for i in range(nrows)]
+
+
+def free_entries(fc):
+    """The entry grid {p: grid} of a ``FreeUComplex``, d_p with rank(p+1) rows."""
+    return {p: free_grid(view, fc.rank(p + 1)) for p, view in fc.columns.items()}
+
+
+def free_view(grid, ncols):
+    """An entry grid with ``ncols`` columns as its column view."""
+    view = [{} for _ in range(ncols)]
+    for i, row in enumerate(grid):
+        for col, entry in zip(view, row):
+            for k, c in entry.items():
+                col.setdefault(k, {})[i] = c
+    return view
+
+
+def free_map_grid(maps, rows):
+    """A map or homotopy {q: column view} as {q: grid}, rows(q) rows."""
+    return {q: free_grid(view, rows(q)) for q, view in maps.items()}
 
 
 def dense_free_entries(fc):
     """The differential entries of a ``FreeUComplex`` as dense lists."""
     u = fc.u
     return {p: [[dense(u.field, e, u.total_dim) for e in row] for row in mat]
-            for p, mat in fc.entries.items()}
+            for p, mat in free_entries(fc).items()}
 
 
 def dense_free_check_d_squared(fc):
@@ -1436,7 +1474,7 @@ def oracle_free_dual_merge(cdga, ranks, entries):
 # -- the coinduction unit, one socle line at a time ----------------------------------
 
 
-def unit_maps_by_lines(i, cdga, cap, interior=None):
+def unit_maps_by_lines(i, cdga, cap):
     """The unit maps of ``cofree.cofree_decomposition`` as it built them
     before it stacked one block per monomial: for each label (r, s, si) of
     degree p, the action of the monomial s on I^p followed by the
@@ -1447,12 +1485,9 @@ def unit_maps_by_lines(i, cdga, cap, interior=None):
     dual = cdga.dual
     socle_bases, _ = i.socle_complex()
     socle_dims = {q: b.cols for q, b in socle_bases.items() if b.cols}
-    if interior is not None:
-        lo, hi = interior
-    else:
-        lo, hi = i.window
-        if socle_dims:
-            lo = min(lo, min(socle_dims) - min(cap, dual.bound))
+    lo, hi = i.window
+    if socle_dims:
+        lo = min(lo, min(socle_dims) - min(cap, dual.bound))
 
     def socle_lines(p, q):
         return range(socle_dims.get(q, 0))

@@ -44,9 +44,9 @@ from koszul_kit.freeside import (
 )
 from koszul_kit.functors import (
     FunctorBounds,
+    KoszulBimodule,
     adjunction_report,
     apply_G,
-    build_T,
     counit,
     unit,
 )
@@ -188,7 +188,7 @@ def test_criterion_05_bimodule_curvature(twopoint_world, heis_world, sym2_world)
     twop, u2, c2 = twopoint_world
     u2b = build_U(twop, 8)
     c2b = build_cdga(twop, 8)
-    t = build_T(u2b, c2b, FunctorBounds((-6, 2), 6, 6), verify=False)
+    t = KoszulBimodule(u2b, c2b)
     for lev in range(0, 7):
         for r in range(0, 7):
             if lev + 2 <= u2b.bound and r + 2 <= c2b.bound:
@@ -196,7 +196,7 @@ def test_criterion_05_bimodule_curvature(twopoint_world, heis_world, sym2_world)
     # Heisenberg and S/E data: delta^2 = 0 (c = 0)
     for world in (heis_world, sym2_world):
         data, u, cdga = world
-        t = build_T(u, cdga, FunctorBounds((-6, 2), 6, 6), verify=False)
+        t = KoszulBimodule(u, cdga)
         for lev in (0, 2, 4, 6):
             for r in range(0, min(6, cdga.bound - 2) + 1):
                 if lev + 2 <= u.bound:
@@ -206,7 +206,7 @@ def test_criterion_05_bimodule_curvature(twopoint_world, heis_world, sym2_world)
     e_data = DeformationData.trivial(e_pres)
     ue = build_U(e_data, 8)
     ce = build_cdga(e_data, 8)
-    te = build_T(ue, ce, FunctorBounds((-6, 2), 6, 6), verify=False)
+    te = KoszulBimodule(ue, ce)
     for lev in (0, 3, 6):
         for r in (0, 3, 6):
             assert te.check_delta_squared(lev, r)

@@ -294,6 +294,67 @@ def test_truncation_overflow_names_the_flag(capsys):
     assert "beyond bound 3" in err and "--degree" in err
 
 
+@pytest.mark.parametrize("field", [{"type": "Q"}, {"type": "Fp", "p": 3}], ids=["Q", "F3"])
+def test_null_free_bound_refusals_name_the_flags(tmp_path, capsys, field):
+    """U's bound is --degree: the Koszul complex of k needs products of
+    degree 2 for its d^2 check, and its expansion the level --filtration
+    // 2 + 2, for window [-2, 0] and entries of degree 1.  Each refusal
+    names the flag that mends it; the first bound that passes is accepted."""
+    raw = json.load(open(SYM2))
+    raw["field"] = field
+    path = tmp_path / "sym2.json"
+    path.write_text(json.dumps(raw))
+    argv = ["null-free", str(path), "--free", "koszul_of_k"]
+    cases = [(["--degree", "1"], "d^2 needs a U product of word degree 2 beyond bound 1; "
+                                 "raise --degree"),
+             (["--degree", "2"], "expansion level 6 beyond U bound 2; raise --degree to 6, "
+                                 "or lower --filtration (base level 4 = --filtration // 2)"),
+             (["--degree", "3", "--filtration", "4"],
+              "expansion level 4 beyond U bound 3; raise --degree to 4, "
+              "or lower --filtration (base level 2 = --filtration // 2)")]
+    for flags, message in cases:
+        for extra in ([], ["--json"]):
+            assert cli.main(argv + flags + extra) == 2
+            assert capsys.readouterr() == ("", f"input error: {message}\n")
+    assert cli.main(argv + ["--degree", "4", "--filtration", "4"]) == 0
+    assert "acyclic (interior): True" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("field", [{"type": "Q"}, {"type": "Fp", "p": 3}], ids=["Q", "F3"])
+def test_module_off_the_relations_exit_two(tmp_path, capsys, field):
+    """A named module whose actions x1 = E_12 and x2 = E_21 do not commute
+    breaks S(V)'s relation x1 x2 = x2 x1.  Every command that reads it, as
+    a module or as a complex, refuses it as input, naming the module and
+    the relation, in place of a failed certificate on G or F' of it (or,
+    for sigma-trunc, printed dims); so does a complex declared from it."""
+    raw = json.load(open(SYM2))
+    raw["field"] = field
+    raw["modules"]["bad"] = {"dim": 2, "actions": {"x1": [["0", "1"], ["0", "0"]],
+                                                   "x2": [["0", "0"], ["1", "0"]]}}
+    raw["complexes"]["twobad"] = {"window": [0, 1], "modules": ["bad", "bad"],
+                                  "differentials": {}}
+    path = str(tmp_path / "bad.json")
+    with open(path, "w") as fh:
+        json.dump(raw, fh)
+    err = "input error: module 'bad': relation 0 of P does not annihilate the module\n"
+    for argv in (["ce", path, "--module", "bad", "--window=-3:1", "--filtration", "3"],
+                 ["tor", path, "--module", "bad", "--range", "0..2"],
+                 ["ext", path, "--module", "bad", "--range", "0..2"],
+                 ["apply-g", path, "--complex", "bad", "--window=-4:2"],
+                 ["counit", path, "--complex", "bad", "--window=-3:1", "--filtration", "3"],
+                 ["minimize", path, "--complex", "bad", "--window=-4:4", "--internal", "3",
+                  "--filtration", "3"],
+                 ["adjoint-check", path, "--cdg", "twostep", "--complex", "bad",
+                  "--window=-3:3", "--degree", "5"],
+                 ["sigma-trunc", path, "--complex", "bad", "--at", "0"],
+                 ["sigma-trunc", path, "--complex", "twobad", "--at", "0"]):
+        for extra in ([], ["--json"]):
+            assert cli.main(argv + extra) == 2
+            assert capsys.readouterr() == ("", err)
+    # the module k2 of the same file is still read
+    assert cli.main(["sigma-trunc", path, "--complex", "k2", "--at", "0"]) == 0
+
+
 def test_free_dual_merge_refusals_exit_two(tmp_path):
     """A merge that cannot be built is refused as input, exit 2: over an
     A! that is nonzero at the truncation bound, where raising --degree

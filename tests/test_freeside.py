@@ -29,6 +29,9 @@ from conftest import (
     dense_free_fiber,
     dense_free_nullhomotopy,
     dense_u_multiply,
+    free_entries,
+    free_map_grid,
+    free_view,
     labelled_cells,
     oracle_free_expand,
     raw_values,
@@ -76,7 +79,8 @@ def _koszul(u):
             for k, g in enumerate(s):
                 mat[rows.index(s[:k] + s[k + 1:])][j] = {u._basis_pos[(g,)]: f.of_int((-1) ** k)}
         entries[-n] = mat
-    return FreeUComplex(u, (-d, 0), {-n: len(subsets[n]) for n in range(d + 1)}, entries)
+    return FreeUComplex.from_entries(u, (-d, 0), {-n: len(subsets[n]) for n in range(d + 1)},
+                                     entries)
 
 
 def _random_element(u, rng):
@@ -92,12 +96,13 @@ def _random_complex(u, rng):
     ranks = {p: rng.randint(0 if p == -2 else 1, 2) for p in (-2, -1, 0)}
     entries = {p: [[_random_element(u, rng) for _ in range(ranks[p])]
                    for _ in range(ranks[p + 1])] for p in (-2, -1) if ranks[p]}
-    return FreeUComplex(u, (-2, 0), ranks, entries)
+    return FreeUComplex.from_entries(u, (-2, 0), ranks, entries)
 
 
 def _perturbed_identity(fc, rng):
     """id and g = id - ((-1)^q d s - (-1)^q s d) for a random s with entries
-    in U_{<=1}: s is a homotopy between them, in general not a central one."""
+    in U_{<=1}, as column views: s is a homotopy between them, in general
+    not a central one."""
     f, u = fc.field, fc.u
     n = u.total_dim
     ent = dense_free_entries(fc)
@@ -105,10 +110,11 @@ def _perturbed_identity(fc, rng):
     s = {q: [[dense(f, _random_element(u, rng), n) for _ in range(fc.rank(q))]
               for _ in range(fc.rank(q - 1))] for q in range(lo, hi + 2)}
     ident = free_identity_map(fc.ranks, u)
+    ident_grid = free_map_grid(ident, fc.rank)
     g = {}
     for q, r in fc.ranks.items():
         sgn = f.one() if q % 2 == 0 else f.neg(f.one())
-        g[q] = [[dense(f, ident[q][i][j], n) for j in range(r)] for i in range(r)]
+        g[q] = [[dense(f, ident_grid[q][i][j], n) for j in range(r)] for i in range(r)]
         for i in range(r):
             for j in range(r):
                 for k in range(fc.rank(q - 1)):
@@ -117,7 +123,7 @@ def _perturbed_identity(fc, rng):
                 for k in range(fc.rank(q + 1)):
                     prod = dense_u_multiply(u, ent[q][k][j], s[q + 1][i][k])
                     g[q][i][j] = [f.add(x, f.mul(sgn, y)) for x, y in zip(g[q][i][j], prod)]
-        g[q] = [[sparse(v) for v in row] for row in g[q]]
+        g[q] = free_view([[sparse(v) for v in row] for row in g[q]], r)
     return ident, g
 
 
@@ -140,12 +146,12 @@ def _change_basis(fc, rng):
     f = fc.field
     gs = {p: _unimodular(f, r, rng) for p, r in fc.ranks.items()}
     entries = {}
-    for p, mat in fc.entries.items():
+    for p, mat in free_entries(fc).items():
         g, ginv = gs[p + 1][0], gs[p][1]
         entries[p] = [[_column(f, [(f.mul(g[i][k], ginv[l][j]), mat[k][l])
                                    for k in range(fc.rank(p + 1)) for l in range(fc.rank(p))])
                        for j in range(fc.rank(p))] for i in range(fc.rank(p + 1))]
-    return FreeUComplex(fc.u, fc.window, fc.ranks, entries)
+    return FreeUComplex.from_entries(fc.u, fc.window, fc.ranks, entries)
 
 
 def _same(got, want):
@@ -157,7 +163,7 @@ def _check_against_oracles(fc, base_level):
     """expand, check_d_squared and fiber_complex against the dense bodies,
     and every entry a zero-free column of raw values."""
     f, u = fc.field, fc.u
-    for mat in fc.entries.values():
+    for mat in free_entries(fc).values():
         for col in (c for row in mat for c in row):
             assert all(col.values()) and raw_values(f, col.values())
     assert fc.check_d_squared() == dense_free_check_d_squared(fc)
@@ -192,11 +198,13 @@ def _check_against_oracles(fc, base_level):
 
 def _assert_homotopy(fc, fmat, gmat, s):
     """f - g = (-1)^q d s + (-1)^{q+1} s d on generators, in U, with the
-    first map's entry multiplying on the left."""
+    first map's entry multiplying on the left; maps and s are column views."""
     f, u = fc.field, fc.u
     n = u.total_dim
     ent = dense_free_entries(fc)
-    hom = {q: [[dense(f, c, n) for c in row] for row in mat] for q, mat in s.items()}
+    hom = {q: [[dense(f, c, n) for c in row] for row in mat]
+           for q, mat in free_map_grid(s, lambda q: fc.rank(q - 1)).items()}
+    fmat, gmat = free_map_grid(fmat, fc.rank), free_map_grid(gmat, fc.rank)
     lo, hi = fc.window
     for q in range(lo, hi + 1):
         sgn = f.one() if q % 2 == 0 else f.neg(f.one())
@@ -221,16 +229,18 @@ def _check_homotopy(fc, fmat, gmat, cap):
     """free_nullhomotopy against the dense search; a found s is checked."""
     f, n = fc.field, fc.u.total_dim
 
-    def densify(maps):
-        return {q: [[dense(f, c, n) for c in row] for row in mat] for q, mat in maps.items()}
+    def densify(maps, rows=fc.rank):
+        return {q: [[dense(f, c, n) for c in row] for row in mat]
+                for q, mat in free_map_grid(maps, rows).items()}
 
     s = free_nullhomotopy(fc, fmat, gmat, degree_cap=cap)
     want = dense_free_nullhomotopy(fc, densify(fmat), densify(gmat), cap)
     if want is None:
         assert s is None
         return None
-    assert densify(s) == want
-    for col in (c for mat in s.values() for row in mat for c in row):
+    s_grid = free_map_grid(s, lambda q: fc.rank(q - 1))
+    assert densify(s, lambda q: fc.rank(q - 1)) == want
+    for col in (c for mat in s_grid.values() for row in mat for c in row):
         assert all(col.values()) and raw_values(f, col.values())
     _assert_homotopy(fc, fmat, gmat, s)
     return s

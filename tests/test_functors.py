@@ -24,12 +24,12 @@ from koszul_kit import functors
 from koszul_kit.errors import DegreeOverflowError, InconsistentDataError, InputError
 from koszul_kit.functors import (
     FunctorBounds,
+    KoszulBimodule,
     adjunction_report,
     apply_F,
     apply_Fprime,
     apply_G,
     apply_G_map,
-    build_T,
     counit,
     f_free_complex,
     gf_composite,
@@ -66,6 +66,7 @@ from conftest import (
     symmetric_presentation,
     truncated_presentation,
     twopoint_deformation,
+    u_product,
 )
 
 
@@ -104,7 +105,7 @@ def test_functor_bounds_is_an_immutable_value():
 
 def test_bimodule_twopoint_curvature(twopoint_world):
     twop, u, cdga = twopoint_world
-    t = build_T(u, cdga, FunctorBounds((-2, 2), 2, 4), verify=False)
+    t = KoszulBimodule(u, cdga)
     for r in range(3):
         assert t.check_delta_squared(1, r)
     assert t.check_right_module(1, 3)
@@ -112,7 +113,7 @@ def test_bimodule_twopoint_curvature(twopoint_world):
 
 def test_bimodule_delta_squared_zero_cases(sym2_world, heis_world):
     for (data, u, cdga) in (sym2_world, heis_world):
-        t = build_T(u, cdga, FunctorBounds((-2, 2), 2, 3), verify=False)
+        t = KoszulBimodule(u, cdga)
         for r in range(2):
             assert t.check_delta_squared(2, r)
         assert t.check_right_module(2, 2)
@@ -122,7 +123,7 @@ def test_bimodule_rejects_mismatched_data(sym2_world, heis_world):
     _, u, _ = sym2_world
     _, _, cdga = heis_world
     with pytest.raises(InconsistentDataError):
-        build_T(u, cdga, FunctorBounds((-2, 2), 2, 2))
+        KoszulBimodule(u, cdga)
 
 
 # -- F ------------------------------------------------------------------------
@@ -643,7 +644,7 @@ def test_bimodule_exact_element_twopoint(twopoint_world):
     # delta^2(1 (x) x*) = -ab (1 (x) x*^3) with a = 1, b = 2
     twop, u, cdga = twopoint_world
     f = QQ
-    t = build_T(u, cdga, FunctorBounds((-2, 2), 2, 4), verify=False)
+    t = KoszulBimodule(u, cdga)
     d1 = t.delta(0, 1)          # U_{<=0} (x) A!_1 -> U_{<=1} (x) A!_2
     d2 = t.delta(1, 2)
     comp = d2.mul(d1)
@@ -737,7 +738,7 @@ def test_generator_products_match_dense_oracles(sym2_world, heis_world, twopoint
                         if row is not None:
                             out[row][col] = lm[s2][s]
                 _same(fp.action(t, g), Matrix.from_rows(data.field, out, len(labs)))
-        t = build_T(u, cdga, b, verify=False)
+        t = KoszulBimodule(u, cdga)
         for level, r in ((0, 0), (1, 1), (2, 1), (1, 2), (2, 3)):
             got = t.delta(level, r).to_rows()
             assert got == _dense_delta(t, level, r)
@@ -830,7 +831,7 @@ def _check_u_products(data, rng):
             col = u.mult_basis(i, j)
             assert all(col.values()) and raw_values(f, col.values())
             assert [col.get(k, f.zero()) for k in range(u.total_dim)] == dense_mult_basis(u, i, j)
-    # multiply, zero vectors included, with |a| + |b| within the bound
+    # products of elements, zero vectors included, with |a| + |b| within the bound
     for top in range(u.bound + 1):
         n_a, n_b = u.dim_leq(top), u.dim_leq(u.bound - top)
         for a_nz, b_nz in ((0, n_b), (n_a, 0), (n_a, n_b)):
@@ -838,7 +839,7 @@ def _check_u_products(data, rng):
                  for k in range(u.total_dim)]
             b = [f.of_int(rng.choice([0, 1, -1, 2])) if k < b_nz else f.zero()
                  for k in range(u.total_dim)]
-            got = u.multiply(sparse(a), sparse(b))
+            got = u_product(u, sparse(a), sparse(b))
             assert dense(f, got, u.total_dim) == dense_u_multiply(u, a, b)
             assert all(got.values()) and raw_values(f, got.values())
     # F and (GF)_i on a random module
@@ -853,7 +854,7 @@ def _check_u_products(data, rng):
             _same(got.diff(p), m)
             assert raw_values(f, [x for row in got.diff(p).to_rows() for x in row])
     # the bimodule delta and delta(u_i ⊗ a) for a random a
-    t = build_T(u, cdga, b, verify=False)
+    t = KoszulBimodule(u, cdga)
     dual = cdga.dual
     for level in range(u.bound):
         for r in range(dual.bound):
@@ -982,7 +983,7 @@ def test_free_complex_matches_the_old_builders(f, seed):
         assert sorted(gf.diffs) == sorted(p for p, m in want.items() if m.rows and m.cols)
         for p, m in want.items():
             _same(gf.diff(p), m)
-        t = build_T(u, cdga, b, verify=False)
+        t = KoszulBimodule(u, cdga)
         for level, r in ((0, 0), (1, 1), (2, 1), (1, 2), (3, 2), (2, 3)):
             got = t.delta(level, r)
             _same_columns(got, oracle_delta(t, level, r))

@@ -441,7 +441,6 @@ def test_scan_lists_every_function():
 UNREACHED = {
     # the benchmark wraps or reads them by name (perfbench/layers.py)
     "freeside.free_nullhomotopy": "a benchmark span",
-    "freeside.free_nullhomotopy.<locals>.add_term": "inside free_nullhomotopy",
     "scalars.Field.add": "a counted Field method",
     "scalars.Field.mul": "a counted Field method",
     "scalars.Field.div": "a counted Field method",

@@ -401,8 +401,8 @@ def test_null_free_koszul_resolution(sym2_world):
     f = QQ
     pos = u._basis_pos
     x1, x2, minus_x1 = {pos[(0,)]: f.one()}, {pos[(1,)]: f.one()}, {pos[(0,)]: f.of_int(-1)}
-    K = FreeUComplex(u, (-2, 0), {-2: 1, -1: 2, 0: 1},
-                     {-2: [[x2], [minus_x1]], -1: [[x1, x2]]})
+    K = FreeUComplex.from_entries(u, (-2, 0), {-2: 1, -1: 2, 0: 1},
+                                  {-2: [[x2], [minus_x1]], -1: [[x1, x2]]})
     assert K.check_d_squared() is None
     rep = null_test_free(K, 4, (-1, -1))
     assert rep["acyclic"] and not rep["fiber_acyclic"]
@@ -482,11 +482,11 @@ def _random_linear_map_data(cdga, rng):
 
 @st.composite
 def cofree_candidate(draw):
-    """(module, cdga, cap, interior) for ``cofree_decomposition`` over Q,
-    F_2, F_3 or F_5: G(M) of a random complex of trivial modules (over
-    S(V), dim 2 or 3, or the Heisenberg algebra), a piece of the spliced
-    complex or a random linear map of free modules; cap and interior are
-    drawn, so some candidates fail the test.  G(M) plus a trivial line
+    """(module, cdga, cap) for ``cofree_decomposition`` over Q, F_2, F_3
+    or F_5: G(M) of a random complex of trivial modules (over S(V), dim 2
+    or 3, or the Heisenberg algebra), a piece of the spliced complex or a
+    random linear map of free modules; the cap is drawn, so some
+    candidates fail the test.  G(M) plus a trivial line
     (the cone of a zero map) has a coinduction unit that is not injective
     when the cap stops below the top of A!."""
     f = draw(st.sampled_from(FIELDS))
@@ -507,9 +507,7 @@ def cofree_candidate(draw):
             module = spliced_complex(cdga, lo, draw(st.integers(lo, 3)))
         else:
             module = _random_linear_map(cdga, rng)
-    lo, hi = module.window
-    interior = draw(st.none() | st.tuples(st.integers(lo - 2, hi), st.integers(lo, hi + 1)))
-    return module, cdga, draw(st.integers(1, 3)), interior
+    return module, cdga, draw(st.integers(1, 3))
 
 
 def _unit_maps_or_error(build):
@@ -519,13 +517,13 @@ def _unit_maps_or_error(build):
         return None, str(e)
 
 
-def _assert_unit_maps_match_oracle(module, cdga, cap, interior=None):
+def _assert_unit_maps_match_oracle(module, cdga, cap):
     """The stacked coinduction unit equals the per-line oracle, and both
     refuse the same candidates with the same message; returns that message."""
     got, got_err = _unit_maps_or_error(
-        lambda: cofree_decomposition(module, cdga, cap, interior).unit_maps)
+        lambda: cofree_decomposition(module, cdga, cap).unit_maps)
     want, want_err = _unit_maps_or_error(
-        lambda: unit_maps_by_lines(module, cdga, cap, interior))
+        lambda: unit_maps_by_lines(module, cdga, cap))
     assert got_err == want_err
     if want is not None:
         assert sorted(got) == sorted(want)
