@@ -297,7 +297,6 @@ def cofree_decomposition(i: CdgModule, cdga: CdgAlgebra, cap: int) -> CofreeDeco
 
     dims = dual_dims(dual, cap)
     labels = hom_labels(dims, (lo, i.window[1]), socle_lines)
-    labels.update(hom_labels(dims, i.window, socle_lines))
     # socle projections: the first rows of the inverse of a completed socle basis
     projections = {}
     for q, b in bases.items():

@@ -8,7 +8,9 @@ degree of the action: none for a plain complex, 0 for a complex of
 U-modules (generators of U), 1 for a cdg-module (dual generators of A!).
 Shift, cone, words of the action and brutal truncation read that fact
 and are written once; each kind keeps only its axioms (``validate``),
-the algebra that acts, and ``rebuild``.
+the algebra that acts, and ``rebuild``.  A U-module is a U-complex in
+degree 0 (``UComplex.module``, ``UComplex.trivial``), and a complex of
+U-modules is assembled from such complexes (``UComplex.of_modules``).
 
 Every certificate (the relations of P or of R-perp, the anti-derivation
 and curvature laws, d^2, the U-linearity of d, a chain map commuting
@@ -82,63 +84,6 @@ def _vanishes(field: Field, terms, lead=None, shape=None) -> bool:
         if is_nonzero(acc, p):
             return False
     return True
-
-
-# -- modules ---------------------------------------------------------------
-
-
-class UModule:
-    """Finite-dimensional left U-module: one action matrix per generator."""
-
-    def __init__(self, data: DeformationData, dim: int, actions, weights=None):
-        self.data = data
-        self.field = data.field
-        self.dim = dim
-        self.actions = list(actions)
-        if len(self.actions) != data.base.dim:
-            raise InputError("one action matrix per generator required")
-        for x in self.actions:
-            if x.rows != dim or x.cols != dim:
-                raise InputError("action matrices must be dim x dim")
-        self.weights = list(weights) if weights is not None else None
-
-    def validate(self):
-        """First violated relation of P, or None."""
-        d = self.data.base.dim
-        acts = self.actions
-        one = Matrix.identity(self.field, self.dim)
-        # row i of the graph rows: r_i over V⊗V, then alpha(r_i), then beta(r_i)
-        for i, row in enumerate(self.data.graph_rows().transpose().columns):
-            terms = [(c, acts[k // d], acts[k % d]) if k < d * d
-                     else (c, acts[k - d * d] if k < d * d + d else one, None)
-                     for k, c in row.items()]
-            if not _vanishes(self.field, terms, shape=(self.dim, self.dim)):
-                return f"relation {i} of P does not annihilate the module"
-        if self.weights is not None:
-            wts = self.data.base.weights or [1] * d
-            for g in range(d):
-                for c, col in enumerate(self.actions[g].columns):
-                    if any(self.weights[r] != self.weights[c] + wts[g] for r in col):
-                        return f"action of generator {g} is not weight-homogeneous"
-        return None
-
-    @staticmethod
-    def trivial(data: DeformationData) -> "UModule":
-        if not data.beta.is_zero():
-            raise InputError("trivial module requires beta = 0")
-        z = Matrix.zero(data.field, 1, 1)
-        return UModule(data, 1, [z] * data.base.dim,
-                       weights=[0] if data.base.weights is not None else None)
-
-    def direct_sum(self, other: "UModule") -> "UModule":
-        f = self.field
-        n1, n2 = self.dim, other.dim
-        acts = [_block(f, [[a, None], [None, b]], [n1, n2], [n1, n2])
-                for a, b in zip(self.actions, other.actions)]
-        w = None
-        if self.weights is not None and other.weights is not None:
-            w = self.weights + other.weights
-        return UModule(self.data, n1 + n2, acts, weights=w)
 
 
 # -- complexes -------------------------------------------------------------
@@ -229,31 +174,88 @@ class BaseComplex:
 
 
 class UComplex(BaseComplex):
-    """Complex of finite-dimensional U-modules with U-linear differentials."""
+    """Complex of finite-dimensional left U-modules with U-linear
+    differentials; a U-module is the complex in degree 0 (``module``).
+
+    It takes the data of a ``CdgModule``: ``actions[p]`` holds one action
+    matrix of C^p per generator of U, and a malformed action is refused
+    when the complex is made.
+    """
 
     action_degree = 0
 
-    def __init__(self, data: DeformationData, window, modules: dict, diffs: dict):
+    def __init__(self, data: DeformationData, window, dims: dict, actions: dict,
+                 diffs: dict, weights=None):
         self.data = data
-        modules = {p: m for p, m in modules.items() if m.dim}
+        for p in {*actions, *(p for p, n in dims.items() if n)}:
+            n, acts = dims.get(p, 0), actions.get(p, ())
+            if len(acts) != data.base.dim:
+                raise InputError("one action matrix per generator required")
+            if any(x.rows != n or x.cols != n for x in acts):
+                raise InputError("action matrices must be dim x dim")
+        # a complex of no modules carries no weights, as in ``of_modules``
+        super().__init__(data.field, window, dims, diffs, weights or None, actions,
+                         data.base.dim)
+
+    @staticmethod
+    def module(data: DeformationData, dim: int, actions, weights=None) -> "UComplex":
+        """The U-module of dimension ``dim``, one action matrix per
+        generator, as the complex in degree 0."""
+        return UComplex(data, (0, 0), {0: dim}, {0: list(actions)}, {},
+                        None if weights is None else {0: list(weights)})
+
+    @staticmethod
+    def trivial(data: DeformationData) -> "UComplex":
+        """k, on which every generator acts by 0; weight 0 over weighted
+        generators."""
+        if not data.beta.is_zero():
+            raise InputError("trivial module requires beta = 0")
+        z = Matrix.zero(data.field, 1, 1)
+        return UComplex.module(data, 1, [z] * data.base.dim,
+                               [0] if data.base.weights is not None else None)
+
+    @staticmethod
+    def of_modules(data: DeformationData, window, modules: dict, diffs: dict) -> "UComplex":
+        """The complex with the module ``modules[p]`` (a U-complex in degree
+        0) in degree p and the differentials ``diffs``."""
+        modules = {p: m for p, m in modules.items() if m.dim(0)}
         weighted = [m.weights is not None for m in modules.values()]
         if any(weighted) and not all(weighted):
             raise InputError("either every module of a complex carries weights or none does")
-        weights = {p: m.weights for p, m in modules.items()} if any(weighted) else None
-        super().__init__(data.field, window, {p: m.dim for p, m in modules.items()},
-                         diffs, weights, {p: m.actions for p, m in modules.items()},
-                         data.base.dim)
+        return UComplex(data, window, {p: m.dim(0) for p, m in modules.items()},
+                        {p: m.actions[0] for p, m in modules.items()}, diffs,
+                        {p: m.weights[0] for p, m in modules.items()} if any(weighted) else None)
 
     def rebuild(self, window, dims, actions, diffs, weights) -> "UComplex":
-        return UComplex(self.data, window,
-                        {p: UModule(self.data, n, actions[p],
-                                    None if weights is None else weights.get(p))
-                         for p, n in dims.items()}, diffs)
+        return UComplex(self.data, window, dims, actions, diffs, weights)
+
+    def module_axioms(self, p: int):
+        """First failure of C^p as a U-module, or None: a relation of P that
+        does not annihilate it, or, with weights, a generator's action that
+        does not add the generator's weight."""
+        d = self.data.base.dim
+        n = self.dim(p)
+        acts = self.actions[p]
+        one = Matrix.identity(self.field, n)
+        # row i of the graph rows: r_i over V⊗V, then alpha(r_i), then beta(r_i)
+        for i, row in enumerate(self.data.graph_rows().transpose().columns):
+            terms = [(c, acts[k // d], acts[k % d]) if k < d * d
+                     else (c, acts[k - d * d] if k < d * d + d else one, None)
+                     for k, c in row.items()]
+            if not _vanishes(self.field, terms, shape=(n, n)):
+                return f"relation {i} of P does not annihilate the module"
+        ws = None if self.weights is None else self.weights.get(p)
+        if ws is not None:
+            wts = self.data.base.weights or [1] * d
+            for g in range(d):
+                for c, col in enumerate(acts[g].columns):
+                    if any(ws[r] != ws[c] + wts[g] for r in col):
+                        return f"action of generator {g} is not weight-homogeneous"
+        return None
 
     def validate(self):
-        for p, n in self.dims.items():
-            msg = UModule(self.data, n, self.actions[p],
-                          None if self.weights is None else self.weights.get(p)).validate()
+        for p in self.dims:
+            msg = self.module_axioms(p)
             if msg:
                 return f"degree {p}: {msg}"
         msg = self.check_d_squared()

@@ -659,7 +659,8 @@ def free_dual_module(cdga: CdgAlgebra, gens: dict, entries: dict, cap: int,
     all of them, the window then their span, when it is None.  With
     ``gen_weights`` ({v: weight}) the label (r, s, v) weighs
     gen_weights[v] + r.  The products come from ``mult_columns(1, r)`` and
-    ``mult_columns(r, k)``, so one read past A!'s bound raises
+    ``mult_columns(r, k)``; a product past A!'s bound is skipped where A!
+    is zero at its bound, and otherwise its read raises
     ``DegreeOverflowError``.
     """
     f = cdga.field
@@ -676,6 +677,8 @@ def free_dual_module(cdga: CdgAlgebra, gens: dict, entries: dict, cap: int,
         window = (min(labels), max(labels)) if labels else (0, 0)
     d_cols = {r: cdga.d(r).columns for r in range(cap + 1)}
     d_gens = dual.pres.dim
+    # A! is generated in degree 1: zero at its bound, it is zero past it
+    zero_past_bound = not dual.dim_at(dual.bound)
     diffs, actions = {}, {}
     for p, labs in labels.items():
         tgt = labels.get(p + 1, [])
@@ -690,6 +693,8 @@ def free_dual_module(cdga: CdgAlgebra, gens: dict, entries: dict, cap: int,
             sgn = -1 if r % 2 else 1
             for w, e in entries.get((p - r, v), {}).items():
                 for deg, col in e.items():
+                    if r + deg > dual.bound and zero_past_bound:
+                        continue
                     prods, n_e = dual.mult_columns(r, deg), dual.dim_at(deg)
                     at = rows.get((r + deg, w), {})
                     for t, c in col.items():

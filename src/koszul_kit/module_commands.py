@@ -1,6 +1,8 @@
 """The module and functor layer of the command line, the sixteen commands
 of ``COMMANDS``: fifteen that build modules, complexes and cdg-modules and
-run F, G and the homological checks on them, and ``selftest``.
+run F, G and the homological checks on them, and ``selftest``.  A named
+U-module is read as the U-complex in degree 0, so every command that takes
+a complex takes a module name too.
 
 ``cli.main`` imports this module only when the chosen command is not one
 of its five algebra commands, so commands on the algebras alone never
@@ -13,9 +15,7 @@ every loaded namespace finds each binding, none loaded while it patches.
 
 from __future__ import annotations
 
-import sys
-
-from .complexes import CdgModule, UComplex, UModule, cone, homology_dims
+from .complexes import CdgModule, UComplex, cone, homology_dims
 from .cli import nonnegative
 from .errors import InputError, NonFreeComponentError
 from .functors import (
@@ -49,12 +49,13 @@ from .suite import (
 # Each reads the named object's entry of a ``cli.Problem``'s raw file.
 
 
-def named_module(problem, name: str) -> UModule:
+def named_module(problem, name: str) -> UComplex:
+    """The named U-module, as the U-complex in degree 0."""
     data = problem.deformation()
     if name == "k":
         spec = (problem.raw.get("modules") or {}).get("k")
         if spec is None:
-            return UModule.trivial(data)
+            return UComplex.trivial(data)
     spec = (problem.raw.get("modules") or {}).get(name)
     if spec is None:
         raise InputError(f"module {name!r} not declared")
@@ -68,8 +69,8 @@ def named_module(problem, name: str) -> UModule:
     weights = spec.get("weights")
     if weights is not None and len(weights) != dim:
         raise InputError(f"module {name!r}: weights list of length {len(weights)} for dim {dim}")
-    m = UModule(data, dim, acts, weights=weights)
-    msg = m.validate()
+    m = UComplex.module(data, dim, acts, weights)
+    msg = m.module_axioms(0)
     if msg:
         raise InputError(f"module {name!r}: {msg}")
     return m
@@ -79,8 +80,7 @@ def named_complex(problem, name: str) -> UComplex:
     spec = (problem.raw.get("complexes") or {}).get(name)
     if spec is None:
         if name == "k" or name in (problem.raw.get("modules") or {}):
-            m = named_module(problem, name)
-            return UComplex(problem.deformation(), (0, 0), {0: m}, {})
+            return named_module(problem, name)
         raise InputError(f"complex {name!r} not declared")
     lo, hi = spec["window"]
     mods = {}
@@ -91,8 +91,8 @@ def named_complex(problem, name: str) -> UComplex:
     diffs = {}
     for key, rows in (spec.get("differentials") or {}).items():
         p = int(key)
-        diffs[p] = _matrix(problem.field, rows, mods[p + 1].dim, mods[p].dim)
-    cx = UComplex(problem.deformation(), (lo, hi), mods, diffs)
+        diffs[p] = _matrix(problem.field, rows, mods[p + 1].dim(0), mods[p].dim(0))
+    cx = UComplex.of_modules(problem.deformation(), (lo, hi), mods, diffs)
     msg = cx.validate()
     if msg:
         raise InputError(f"complex {name!r}: {msg}")
@@ -298,8 +298,7 @@ def cmd_counit(problem, args):
 def cmd_ce(problem, args):
     b = bounds_from(args)
     m = named_module(problem, args.module)
-    fg, eps, rep = koszul_ce_complex(problem.deformation(), m,
-                                     problem.u_truncation(u_bound(args, b)),
+    fg, eps, rep = koszul_ce_complex(m, problem.u_truncation(u_bound(args, b)),
                                      problem.cdga(args.degree), b)
     lines = [f"CE dims: {dict(sorted(fg.dims.items()))}",
              f"homology by degree: {rep.by_degree()}"]
@@ -432,16 +431,11 @@ def cmd_regrade(problem, args):
         "round_trip": True}, lines
 
 
-def run_selftest(seed: int, corrupt_sign=False, out=sys.stdout):
-    """Built-in invariant corpus; returns the number of failures."""
-    from . import selftest as st
-    return st.run(seed, corrupt_sign=corrupt_sign, out=out)
-
-
 def cmd_selftest(problem, args):
     import io
+    from . import selftest
     buf = io.StringIO()
-    failures, results = run_selftest(args.seed, args.corrupt_sign_debug, out=buf)
+    failures, results = selftest.run(args.seed, corrupt_sign=args.corrupt_sign_debug, out=buf)
     lines = buf.getvalue().rstrip("\n").split("\n") if buf.getvalue() else []
     return (0 if failures == 0 else 1), {
         "seed": args.seed, "failures": failures,

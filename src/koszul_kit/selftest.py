@@ -14,7 +14,6 @@ import sys
 from .complexes import (
     CdgModule,
     UComplex,
-    UModule,
     cone,
     homology_dims,
 )
@@ -219,9 +218,7 @@ def run(seed: int, corrupt_sign=False, out=sys.stdout):
         u = build_U(s, 7)
         alg = build_cdga(s, 4)
         b = FunctorBounds((-4, 1), 4, 3)
-        k = UModule.trivial(s)
-        kc = UComplex(s, (0, 0), {0: k}, {})
-        fg, eps = counit(kc, u, alg, b)
+        fg, eps = counit(UComplex.trivial(s), u, alg, b)
         h1, e1 = homology_dims(cone(eps), (-3, 1))
         kcdg = CdgModule(alg, (0, 0), {0: 1}, {}, {})
         gf, eta = unit(kcdg, u, alg, b)
@@ -234,11 +231,10 @@ def run(seed: int, corrupt_sign=False, out=sys.stdout):
         s = DeformationData.trivial(sym2)
         alg = build_cdga(s, 4)
         b = FunctorBounds((-4, 2), 4, 3)
-        k = UModule.trivial(s)
-        k2 = k.direct_sum(k)
+        zero = [Matrix.zero(f, 2, 2)] * s.base.dim
         dmat = _random_matrix(f, rng, 2, 2, span=1)
-        # make it U-linear (any scalar matrix works on trivial modules)
-        m = UComplex(s, (0, 1), {0: k2, 1: k2}, {0: dmat})
+        # k ⊕ k in degrees 0 and 1: any d is U-linear on trivial modules
+        m = UComplex(s, (0, 1), {0: 2, 1: 2}, {0: zero, 1: zero}, {0: dmat})
         try:
             apply_G(m, alg, b)
         except KoszulKitError:
@@ -255,9 +251,9 @@ def run(seed: int, corrupt_sign=False, out=sys.stdout):
                         for _ in range(3)]}
             diffs = {0: _random_matrix(f5, rng, n_dims[1], n_dims[0], 2)}
             n = CdgModule(alg, (0, 1), n_dims, acts, diffs)
-            k = UModule.trivial(heis5)
-            m = UComplex(heis5, (0, 1), {0: k, 1: k},
-                         {0: _random_matrix(f5, rng, 1, 1, 2)})
+            k = UComplex.trivial(heis5)
+            m = UComplex.of_modules(heis5, (0, 1), {0: k, 1: k},
+                                    {0: _random_matrix(f5, rng, 1, 1, 2)})
             if not adjunction_report(n, m, alg, FunctorBounds((-3, 3), 4, 4))["ok"]:
                 return False
         return True
@@ -266,9 +262,7 @@ def run(seed: int, corrupt_sign=False, out=sys.stdout):
     def tor_heis():
         from .suite import tor
         algh = build_cdga(heis, 5)
-        k = UModule.trivial(heis)
-        kc = UComplex(heis, (0, 0), {0: k}, {})
-        rep = tor(kc, algh, FunctorBounds((-5, 1), 5, 4))
+        rep = tor(UComplex.trivial(heis), algh, FunctorBounds((-5, 1), 5, 4))
         by = rep.by_degree()
         return [by.get(-p, 0) for p in range(4)] == [1, 2, 2, 1]
     check("suite: Tor of the Heisenberg enveloping algebra is (1,2,2,1)", tor_heis)

@@ -8,12 +8,11 @@ from __future__ import annotations
 from .complexes import (
     BaseComplex,
     UComplex,
-    UModule,
     _vanishes,
     homology_dims,
     weight_split,
 )
-from .deformations import CdgAlgebra, DeformationData, FilteredAlgebraTruncation
+from .deformations import CdgAlgebra, FilteredAlgebraTruncation
 from .errors import CurvedInputError, InconsistentDataError, InputError, MissingWeightsError
 from .functors import FunctorBounds, apply_F, apply_Fprime, apply_G, counit, f_free_complex
 from .linalg import Matrix, zero_free
@@ -83,10 +82,10 @@ def f_homology_stabilized(n, u, bounds: FunctorBounds):
 # -- generalized Koszul / Chevalley-Eilenberg complex -------------------------
 
 
-def koszul_ce_complex(data: DeformationData, m: UModule,
-                      u: FilteredAlgebraTruncation, cdga: CdgAlgebra,
+def koszul_ce_complex(m: UComplex, u: FilteredAlgebraTruncation, cdga: CdgAlgebra,
                       bounds: FunctorBounds):
-    """FG(M) for a single module M, augmented by the counit to M.
+    """FG(M) for a single module M (a U-complex in degree 0), augmented by
+    the counit to M.
 
     Returns (complex, counit ChainMap, report) where the report confirms
     the resolution property: interior homology vanishes away from degree 0
@@ -94,8 +93,7 @@ def koszul_ce_complex(data: DeformationData, m: UModule,
     """
     if not cdga.curvature_is_zero:
         raise CurvedInputError("the Koszul/CE complex needs c = 0")
-    mc = UComplex(data, (0, 0), {0: m}, {})
-    fg, eps = counit(mc, u, cdga, bounds)
+    fg, eps = counit(m, u, cdga, bounds)
     rep = _report(fg, bounds.window)
     return fg, eps, rep
 

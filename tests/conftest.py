@@ -9,7 +9,7 @@ from hypothesis import settings, strategies as st
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from koszul_kit.cofree import socle_sdr
-from koszul_kit.complexes import BaseComplex, CdgModule, ChainMap, UComplex, UModule, _block
+from koszul_kit.complexes import BaseComplex, CdgModule, ChainMap, UComplex, _block
 from koszul_kit.deformations import CdgAlgebra, DeformationData, PbwReport, build_U, build_cdga
 from koszul_kit.errors import (
     CdgaInvariantError,
@@ -1759,7 +1759,8 @@ def full_cdga_verify(alg):
 #
 # Each oracle is the body one kind of complex had before the kinds shared a
 # single shift, cone, brutal truncation and word action; the kind was a
-# ``side`` tag ("plain", "U" or "A!"), and a U-complex stored its UModules.
+# ``side`` tag ("plain", "U" or "A!"), and a U-complex stored one module per
+# degree, read here as U-complexes in degree 0.
 # An oracle returns the ``complex_snapshot`` of the complex it built.
 
 
@@ -1768,9 +1769,23 @@ def _side(x):
 
 
 def _modules(x):
-    """The UModule per degree that a U-complex stored."""
-    return {p: UModule(x.data, n, x.actions[p], None if x.weights is None else x.weights.get(p))
+    """The module per degree that a U-complex stored, each a U-complex in
+    degree 0."""
+    return {p: UComplex.module(x.data, n, x.actions[p],
+                               None if x.weights is None else x.weights.get(p))
             for p, n in x.dims.items()}
+
+
+def direct_sum(m1, m2):
+    """M1 ⊕ M2 of two U-modules (U-complexes in degree 0): block-diagonal
+    actions, and the weights concatenated when both carry them."""
+    n1, n2 = m1.dim(0), m2.dim(0)
+    acts = [_block(m1.field, [[a, None], [None, b]], [n1, n2], [n1, n2])
+            for a, b in zip(m1.actions[0], m2.actions[0])]
+    w = None
+    if m1.weights is not None and m2.weights is not None:
+        w = m1.weights[0] + m2.weights[0]
+    return UComplex.module(m1.data, n1 + n2, acts, w)
 
 
 def _dense_of(m):
@@ -1792,13 +1807,13 @@ def complex_snapshot(x):
 
 
 def _u_snapshot(window, modules, diffs):
-    """The snapshot of ``UComplex(data, window, modules, diffs)``."""
-    modules = {p: m for p, m in modules.items() if m.dim}
+    """The snapshot of ``UComplex.of_modules(data, window, modules, diffs)``."""
+    modules = {p: m for p, m in modules.items() if m.dim(0)}
     weights = None
     if any(m.weights is not None for m in modules.values()):
-        weights = {p: m.weights for p, m in modules.items()}
-    return _snapshot("UComplex", window, {p: m.dim for p, m in modules.items()}, diffs,
-                     {p: m.actions for p, m in modules.items()}, weights)
+        weights = {p: None if m.weights is None else m.weights[0] for p, m in modules.items()}
+    return _snapshot("UComplex", window, {p: m.dim(0) for p, m in modules.items()}, diffs,
+                     {p: m.actions[0] for p, m in modules.items()}, weights)
 
 
 def oracle_shift(x):
@@ -1844,7 +1859,7 @@ def oracle_cone(fmap):
         for p in range(lo, hi + 1):
             m1, m2 = smods.get(p), tmods.get(p)
             if m1 and m2:
-                mods[p] = m1.direct_sum(m2)
+                mods[p] = direct_sum(m1, m2)
             elif m1 or m2:
                 mods[p] = m1 or m2
         return _u_snapshot((lo, hi), mods, diffs)
@@ -1894,9 +1909,9 @@ def oracle_act_word(x, p, word):
     f = x.field
     if _side(x) == "U":
         mod = _modules(x)[p]
-        m = Matrix.identity(f, mod.dim)
+        m = Matrix.identity(f, mod.dim(0))
         for g in reversed(word):
-            m = mod.actions[g].mul(m)
+            m = mod.actions[0][g].mul(m)
         return m
     m = Matrix.identity(f, x.dim(p))
     deg = p
@@ -2096,7 +2111,8 @@ def oracle_socle_sdr(socle):
 
 # -- the module certificates as products of matrices --------------------------
 #
-# The bodies of ``UModule.validate``, ``UComplex.validate``,
+# The bodies of the check of one U-module (now ``UComplex.module_axioms``),
+# ``UComplex.validate``,
 # ``BaseComplex.check_d_squared``, ``CdgModule.check_d_squared``,
 # ``CdgModule.validate`` and ``ChainMap.validate`` from before the checks
 # summed one sparse column at a time: every product and every sum is a
@@ -2111,25 +2127,28 @@ def _oracle_action(x, p, g):
 
 
 def oracle_umodule_validate(m):
+    """The check of a U-module m, a U-complex in degree 0."""
     f = m.field
     d = m.data.base.dim
+    n, acts = m.dim(0), m.actions[0]
+    weights = None if m.weights is None else m.weights.get(0)
     for i, row in enumerate(m.data.graph_rows().transpose().columns):
-        acc = Matrix.zero(f, m.dim, m.dim)
+        acc = Matrix.zero(f, n, n)
         for k, c in row.items():
             if k < d * d:
-                term = m.actions[k // d].mul(m.actions[k % d])
+                term = acts[k // d].mul(acts[k % d])
             elif k < d * d + d:
-                term = m.actions[k - d * d]
+                term = acts[k - d * d]
             else:
-                term = Matrix.identity(f, m.dim)
+                term = Matrix.identity(f, n)
             acc = acc.add(term.scale(c))
         if not acc.is_zero():
             return f"relation {i} of P does not annihilate the module"
-    if m.weights is not None:
+    if weights is not None:
         wts = m.data.base.weights or [1] * d
         for g in range(d):
-            for c, col in enumerate(m.actions[g].columns):
-                if any(m.weights[r] != m.weights[c] + wts[g] for r in col):
+            for c, col in enumerate(acts[g].columns):
+                if any(weights[r] != weights[c] + wts[g] for r in col):
                     return f"action of generator {g} is not weight-homogeneous"
     return None
 
@@ -2387,14 +2406,14 @@ def oracle_module_linear_hom_basis(n, g, degree, labels):
 def random_bounded_complex(data, u, rng, max_dim=2, length=3):
     """Random U-complex of sums of trivial modules with nilpotent maps."""
     f = data.field
-    k = UModule.trivial(data)
+    k = UComplex.trivial(data)
     mods = {}
     dims = {}
     for p in range(length):
         n = rng.randint(1, max_dim)
         m = k
         for _ in range(n - 1):
-            m = m.direct_sum(k)
+            m = direct_sum(m, k)
         mods[p] = m
         dims[p] = n
     diffs = {}
@@ -2408,7 +2427,7 @@ def random_bounded_complex(data, u, rng, max_dim=2, length=3):
                 break
         diffs[p] = d
         prev = d
-    return UComplex(data, (0, length - 1), mods, diffs)
+    return UComplex.of_modules(data, (0, length - 1), mods, diffs)
 
 def symmetric_presentation(field, dim):
     """S(V): relations x_i x_j - x_j x_i for i < j."""

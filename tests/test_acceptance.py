@@ -20,7 +20,6 @@ from koszul_kit.complexes import (
     CdgModule,
     ChainMap,
     UComplex,
-    UModule,
     cone,
     homology_dims,
     homotopy_identity_holds,
@@ -66,6 +65,7 @@ from koszul_kit.suite import (
 
 from conftest import (
     SEED,
+    direct_sum,
     heisenberg_deformation,
     symmetric_presentation,
     weighted_from_bigraded,
@@ -161,9 +161,8 @@ def test_criterion_03_golden_twopoint(twopoint_world):
         v = cdga.d(n).entry(0, 0)
         assert f.eq(v, f.of_int(-3)) if n % 2 == 1 else f.is_zero(v)
     # G(k_1) is the alternating .1x* / .2x* complex
-    k1 = UModule(twop, 1, [Matrix.from_int_rows(f, [[1]])])
-    g = apply_G(UComplex(twop, (0, 0), {0: k1}, {}), cdga,
-                FunctorBounds((-4, 0), 2, 4))
+    k1 = UComplex.module(twop, 1, [Matrix.from_int_rows(f, [[1]])])
+    g = apply_G(k1, cdga, FunctorBounds((-4, 0), 2, 4))
     for p in range(-4, 0):
         q = -p
         expect = 1 if q % 2 == 1 else 2
@@ -226,9 +225,7 @@ def test_criterion_06_quasi_isomorphisms(sym2_world, sym3_world, heis_world):
                         ("Heisenberg", heis_world)):
         data, u, cdga = world
         t0 = time.time()
-        k = UModule.trivial(data)
-        kc = UComplex(data, (0, 0), {0: k}, {})
-        fg, eps = counit(kc, u, cdga, b)
+        fg, eps = counit(UComplex.trivial(data), u, cdga, b)
         h, _ = homology_dims(cone(eps), (-6, 1))
         # guard band 2: interior degrees [-4, -1]
         assert all(h[p] == 0 for p in range(-4, 0)), name
@@ -253,9 +250,8 @@ def test_criterion_07_chevalley_eilenberg(heis_world, sym2_world, sym3_world, qq
                                                         [1, 0, 0]]),
                           -3: Matrix.zero(qq, 3, 1)})
     h_oracle, _ = homology_dims(oracle, (-3, 0))
-    k = UModule.trivial(heis)
-    rep = tor(UComplex(heis, (0, 0), {0: k}, {}), ch,
-              FunctorBounds((-5, 1), 5, 4))
+    k = UComplex.trivial(heis)
+    rep = tor(k, ch, FunctorBounds((-5, 1), 5, 4))
     by = rep.by_degree()
     tor_dims = [by.get(-p, 0) for p in range(4)]
     assert tor_dims == [h_oracle[-p] for p in range(4)] == [1, 2, 2, 1]
@@ -265,9 +261,7 @@ def test_criterion_07_chevalley_eilenberg(heis_world, sym2_world, sym3_world, qq
             cdga = build_cdga(data, 5)
         else:
             data, _, cdga = world
-        k = UModule.trivial(data)
-        rep = tor(UComplex(data, (0, 0), {0: k}, {}), cdga,
-                  FunctorBounds((-5, 1), 5, 4))
+        rep = tor(UComplex.trivial(data), cdga, FunctorBounds((-5, 1), 5, 4))
         by = rep.by_degree()
         assert [by.get(-p, 0) for p in range(dim + 1)] == \
                [_binom(dim, p) for p in range(dim + 1)]
@@ -329,8 +323,7 @@ def test_criterion_09_null_system_separation(sym2_world):
     wit = free_nullhomotopy(cn, free_identity_map(cn.ranks, u), {}, degree_cap=3)
     assert wit is not None
     # cone(id) on the cofree side likewise, with a module-linear witness
-    g = apply_G(UComplex(data, (0, 0), {0: UModule.trivial(data)}, {}), cdga,
-                FunctorBounds((-3, 1), 3, 3))
+    g = apply_G(UComplex.trivial(data), cdga, FunctorBounds((-3, 1), 3, 3))
     cng = cone(ChainMap.identity(g))
     repc = null_test_cofree(cng, cdga, 3, (-2, 0))
     assert repc["in_null_system"] is True
@@ -347,7 +340,7 @@ def test_criterion_10_minimization(sym2_world):
     rng = random.Random(SEED + 1010)
     b = FunctorBounds((-6, 6), 4, 3)
     f = QQ
-    k = UModule.trivial(data)
+    k = UComplex.trivial(data)
     for trial in range(25):
         length = rng.randint(1, 4)
         dims = [rng.randint(1, 2) for _ in range(length)]
@@ -355,7 +348,7 @@ def test_criterion_10_minimization(sym2_world):
         for p, n in enumerate(dims):
             m = k
             for _ in range(n - 1):
-                m = m.direct_sum(k)
+                m = direct_sum(m, k)
             mods[p] = m
         diffs = {}
         prev = None
@@ -368,7 +361,7 @@ def test_criterion_10_minimization(sym2_world):
                     break
             diffs[p] = d
             prev = d
-        m = UComplex(data, (0, length - 1), mods, diffs)
+        m = UComplex.of_modules(data, (0, length - 1), mods, diffs)
         res = minimize_G(m, cdga, b)
         hm, _ = homology_dims(m, m.window)
         assert dict(res.socle_dims) == {p: d for p, d in hm.items() if d}
@@ -409,9 +402,9 @@ def test_criterion_11_adjunction():
                                            for _ in range(nd[0])] for _ in range(nd[1])], nd[0])}
         n = CdgModule(cdga, (0, 1), nd, acts, diffs)
         assert n.validate() is None
-        k = UModule.trivial(data)
-        m = UComplex(data, (0, 1), {0: k, 1: k},
-                     {0: Matrix.from_rows(f5, [[f5.of_int(rng.randrange(5))]], 1)})
+        k = UComplex.trivial(data)
+        m = UComplex.of_modules(data, (0, 1), {0: k, 1: k},
+                                {0: Matrix.from_rows(f5, [[f5.of_int(rng.randrange(5))]], 1)})
         rep = adjunction_report(n, m, cdga, FunctorBounds((-3, 3), 4, 4))
         assert rep["ok"]
         checked += 1
@@ -421,13 +414,12 @@ def test_criterion_11_adjunction():
     s2q = DeformationData.trivial(symmetric_presentation(q, 2))
     cq = build_cdga(s2q, 4)
     b = FunctorBounds((-3, 3), 4, 3)
-    k = UModule.trivial(s2q)
-    kc = UComplex(s2q, (0, 0), {0: k}, {})
+    kc = UComplex.trivial(s2q)
     # (a) Hom(F(k), k) = Hom_U(U, k) = k: one morphism dimension
     rep = adjunction_report(CdgModule(cq, (0, 0), {0: 1}, {}, {}), kc, cq, b)
     assert rep["ok"] and rep["cycle_dims"] == 1
     # (b) target k ⊕ k doubles the morphism space
-    k2c = UComplex(s2q, (0, 0), {0: k.direct_sum(k)}, {})
+    k2c = direct_sum(kc, kc)
     rep = adjunction_report(CdgModule(cq, (0, 0), {0: 1}, {}, {}), k2c, cq, b)
     assert rep["ok"] and rep["cycle_dims"] == 2
     # (c) two-term N with one generator acting: morphisms still k since the

@@ -288,10 +288,30 @@ def test_bad_bound_names_the_flag_and_value(capsys, argv, message):
     assert (out.out, out.err) == ("", f"input error: {message}\n")
 
 
-def test_truncation_overflow_names_the_flag(capsys):
-    assert cli.main(["null-cofree", SYM2, "--free-dual", "spliced", "--degree", "3"]) == 2
+def test_truncation_overflow_names_the_flag(tmp_path, capsys):
+    """An entry word of A!-degree 3 read at --degree 2 is refused, naming
+    the flag; --degree 3 reads it."""
+    raw = json.load(open(SYM2))
+    raw["free_dual_complexes"]["long"] = {
+        "ranks": {"0": [0], "1": [-3]}, "entries": {"0": [[[[["x1*", "x2*", "x1*"], "1"]]]]}}
+    path = str(tmp_path / "long.json")
+    with open(path, "w") as fh:
+        json.dump(raw, fh)
+    assert cli.main(["null-cofree", path, "--free-dual", "long", "--degree", "2"]) == 2
     err = capsys.readouterr().err
-    assert "beyond bound 3" in err and "--degree" in err
+    assert err == "input error: degree 3 beyond bound 2; raise --degree\n"
+    assert "beyond bound" in err and "--degree" in err
+    assert cli.main(["null-cofree", path, "--free-dual", "long", "--degree", "3"]) == 0
+
+
+def test_merge_reads_zero_past_a_zero_bound(capsys):
+    """A! of S(V), V of dim 2, is zero in degree 3, so the merge of a free
+    dual complex reads the same at --degree 3 as at --degree 4."""
+    outs = []
+    for degree in ("3", "4"):
+        assert cli.main(["null-cofree", SYM2, "--free-dual", "spliced", "--degree", degree]) == 0
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1] and outs[0].err == ""
 
 
 @pytest.mark.parametrize("field", [{"type": "Q"}, {"type": "Fp", "p": 3}], ids=["Q", "F3"])
@@ -440,6 +460,57 @@ def test_mixed_weights_complex_exit_two(tmp_path):
         run_cli(argv[0], str(path), "--complex", "mixed", *argv[1:], expect=2)
     # the unweighted complex of the same file is still accepted
     run_cli("sigma-trunc", str(path), "--complex", "two", "--at", "0")
+
+
+@pytest.mark.parametrize("field", [{"type": "Q"}, {"type": "Fp", "p": 3}], ids=["Q", "F3"])
+def test_module_reader_refusals_exit_two(tmp_path, capsys, field):
+    """The refusals of the module reader, each read as a module and as a
+    complex, text and --json: a complex of one weighted and one unweighted
+    module; a module whose x1 moves weight 0 to weight 0 over generators of
+    weight 1; k of twopoint, where beta = 2; and a declared complex with a
+    module off S(V)'s relation x1 x2 = x2 x1."""
+    raw = json.load(open(SYM2))
+    raw["field"] = field
+    raw["weights"] = [1, 1]
+    zero = [["0", "0"], ["0", "0"]]
+    raw["modules"]["k2w"] = dict(raw["modules"]["k2"], weights=[0, 0])
+    raw["modules"]["mover"] = {"dim": 2, "actions": {"x1": [["0", "0"], ["1", "0"]], "x2": zero},
+                               "weights": [0, 0]}
+    raw["modules"]["bad"] = {"dim": 2, "actions": {"x1": [["0", "1"], ["0", "0"]],
+                                                   "x2": [["0", "0"], ["1", "0"]]},
+                             "weights": [0, 0]}
+    for name, mods in (("mixed", ["k2w", "k2"]), ("twomover", ["k2w", "mover"]),
+                       ("twobad", ["k2w", "bad"])):
+        raw["complexes"][name] = {"window": [0, 1], "modules": mods, "differentials": {}}
+    path = str(tmp_path / "weighted.json")
+    with open(path, "w") as fh:
+        json.dump(raw, fh)
+    twop = dict(json.load(open(TWOP)), field=field)
+    twop_path = str(tmp_path / "twopoint.json")
+    with open(twop_path, "w") as fh:
+        json.dump(twop, fh)
+    mixed = "input error: either every module of a complex carries weights or none does\n"
+    mover = "input error: module 'mover': action of generator 0 is not weight-homogeneous\n"
+    beta = "input error: trivial module requires beta = 0\n"
+    bad = "input error: module 'bad': relation 0 of P does not annihilate the module\n"
+    cases = [(["apply-g", path, "--complex", "mixed", "--window=-4:2"], mixed),
+             (["tor", path, "--module", "mixed", "--range", "0..2"], mixed),
+             (["sigma-trunc", path, "--complex", "mixed", "--at", "0"], mixed),
+             (["ce", path, "--module", "mover", "--window=-3:1", "--filtration", "3"], mover),
+             (["sigma-trunc", path, "--complex", "mover", "--at", "0"], mover),
+             (["tor", path, "--module", "twomover", "--range", "0..2"], mover),
+             (["ce", twop_path], beta),
+             (["tor", twop_path, "--module", "k", "--range", "0..2"], beta),
+             (["counit", twop_path, "--complex", "k"], beta),
+             (["sigma-trunc", path, "--complex", "twobad", "--at", "0"], bad),
+             (["tor", path, "--module", "twobad", "--range", "0..2"], bad)]
+    for argv, err in cases:
+        for extra in ([], ["--json"]):
+            assert cli.main(argv + extra) == 2
+            assert capsys.readouterr() == ("", err)
+    # the weighted module and its neighbours of the same files are still read
+    assert cli.main(["sigma-trunc", path, "--complex", "k2w", "--at", "0"]) == 0
+    assert cli.main(["sigma-trunc", twop_path, "--complex", "k1", "--at", "0"]) == 0
 
 
 def test_weighted_merge_position_test_exit_two(tmp_path):

@@ -20,7 +20,6 @@ from koszul_kit.complexes import (
     CdgModule,
     ChainMap,
     UComplex,
-    UModule,
     cone,
     homology_dims,
     homotopy_identity_holds,
@@ -37,6 +36,7 @@ from koszul_kit.suite import koszul_ce_complex, sigma_truncate
 from conftest import (
     SEED,
     complex_snapshot,
+    direct_sum,
     element_matrix,
     heisenberg_deformation,
     oracle_act_element,
@@ -50,18 +50,18 @@ from conftest import (
 
 
 def test_trivial_module_requires_beta_zero(heis, twopoint):
-    assert UModule.trivial(heis).validate() is None
+    assert UComplex.trivial(heis).module_axioms(0) is None
     with pytest.raises(InputError):
-        UModule.trivial(twopoint)
+        UComplex.trivial(twopoint)
 
 
 def test_twopoint_simples(twopoint):
     f = QQ
     for a in (1, 2):
-        m = UModule(twopoint, 1, [Matrix.from_int_rows(f, [[a]])])
-        assert m.validate() is None
-    bad = UModule(twopoint, 1, [Matrix.from_int_rows(f, [[5]])])
-    assert bad.validate() is not None
+        m = UComplex.module(twopoint, 1, [Matrix.from_int_rows(f, [[a]])])
+        assert m.module_axioms(0) is None
+    bad = UComplex.module(twopoint, 1, [Matrix.from_int_rows(f, [[5]])])
+    assert bad.module_axioms(0) is not None
 
 
 def test_g_of_simple_validates(twopoint_world):
@@ -89,8 +89,7 @@ def test_g_of_simple_validates(twopoint_world):
 
 
 def test_cone_of_identity_acyclic_and_nullhomotopic(heis):
-    k = UModule.trivial(heis)
-    c = UComplex(heis, (0, 0), {0: k}, {})
+    c = UComplex.trivial(heis)
     cn = cone(ChainMap.identity(c))
     assert cn.validate() is None
     h, _ = homology_dims(cn, (-2, 1))
@@ -102,8 +101,7 @@ def test_cone_of_identity_acyclic_and_nullhomotopic(heis):
 
 
 def test_cone_of_zero_map(heis):
-    k = UModule.trivial(heis)
-    c = UComplex(heis, (0, 0), {0: k}, {})
+    c = UComplex.trivial(heis)
     cn = cone(ChainMap.zero(c, c))
     h, _ = homology_dims(cn, (-2, 1))
     assert h[-1] == 1 and h[0] == 1
@@ -111,16 +109,16 @@ def test_cone_of_zero_map(heis):
 
 def test_homology_exact_two_term(heis):
     f = QQ
-    k = UModule.trivial(heis)
-    c = UComplex(heis, (0, 1), {0: k, 1: k}, {0: Matrix.identity(f, 1)})
+    k = UComplex.trivial(heis)
+    c = UComplex.of_modules(heis, (0, 1), {0: k, 1: k}, {0: Matrix.identity(f, 1)})
     h, _ = homology_dims(c, (0, 1))
     assert h == {0: 0, 1: 0}
 
 
 def test_homology_zero_differential(heis):
-    k = UModule.trivial(heis)
-    k2 = k.direct_sum(k)
-    c = UComplex(heis, (0, 1), {0: k2, 1: k}, {0: Matrix.zero(QQ, 1, 2)})
+    k = UComplex.trivial(heis)
+    k2 = direct_sum(k, k)
+    c = UComplex.of_modules(heis, (0, 1), {0: k2, 1: k}, {0: Matrix.zero(QQ, 1, 2)})
     h, _ = homology_dims(c, (0, 1))
     assert h == {0: 2, 1: 1}
 
@@ -139,10 +137,10 @@ def test_curved_homology_rejected(twopoint_world):
 def test_homology_invariant_under_conjugation(heis):
     rng = random.Random(SEED + 5)
     f = QQ
-    k = UModule.trivial(heis)
-    k2 = k.direct_sum(k)
+    k = UComplex.trivial(heis)
+    k2 = direct_sum(k, k)
     d = Matrix.from_int_rows(f, [[0, 1], [0, 0]])
-    c = UComplex(heis, (0, 1), {0: k2, 1: k2}, {0: d})
+    c = UComplex.of_modules(heis, (0, 1), {0: k2, 1: k2}, {0: d})
     h0, _ = homology_dims(c, (0, 1))
     for _ in range(5):
         # conjugate by a random invertible change of basis in each degree
@@ -153,7 +151,7 @@ def test_homology_invariant_under_conjugation(heis):
             if rank(g0) == 2:
                 break
         gi = _inv(g0)
-        c2 = UComplex(heis, (0, 1), {0: k2, 1: k2}, {0: g0.mul(d).mul(gi)})
+        c2 = UComplex.of_modules(heis, (0, 1), {0: k2, 1: k2}, {0: g0.mul(d).mul(gi)})
         h1, _ = homology_dims(c2, (0, 1))
         assert h1 == h0
 
@@ -167,9 +165,9 @@ def test_nullhomotopy_respects_u_linearity(twopoint):
     # k_1 and k_2 are non-isomorphic simples: the identity complex on k_1
     # maps to k_2 only by zero, and s must be U-linear
     f = QQ
-    k1 = UModule(twopoint, 1, [Matrix.from_int_rows(f, [[1]])])
-    k2 = UModule(twopoint, 1, [Matrix.from_int_rows(f, [[2]])])
-    c1 = UComplex(twopoint, (0, 1), {0: k1, 1: k2}, {0: Matrix.zero(f, 1, 1)})
+    k1 = UComplex.module(twopoint, 1, [Matrix.from_int_rows(f, [[1]])])
+    k2 = UComplex.module(twopoint, 1, [Matrix.from_int_rows(f, [[2]])])
+    c1 = UComplex.of_modules(twopoint, (0, 1), {0: k1, 1: k2}, {0: Matrix.zero(f, 1, 1)})
     # id vs id needs s = 0: fine
     hom = nullhomotopy(ChainMap.identity(c1), ChainMap.identity(c1))
     assert hom is not None
@@ -197,10 +195,10 @@ def test_shift_negates_differential_and_twists_actions(twopoint_world):
 def test_socle_complex_of_g(sym2_world):
     data, u, cdga = sym2_world
     from koszul_kit.functors import FunctorBounds, apply_G
-    k = UModule.trivial(data)
-    k2 = k.direct_sum(k)
+    k = UComplex.trivial(data)
+    k2 = direct_sum(k, k)
     d = Matrix.from_int_rows(QQ, [[0, 1], [0, 0]])
-    m = UComplex(data, (0, 1), {0: k2, 1: k2}, {0: d})
+    m = UComplex.of_modules(data, (0, 1), {0: k2, 1: k2}, {0: d})
     g = apply_G(m, cdga, FunctorBounds((-4, 2), 4, 3))
     bases, socle = g.socle_complex()
     assert {p: b.cols for p, b in bases.items() if b.cols} == {0: 2, 1: 2}
@@ -214,12 +212,12 @@ def test_module_weights_validation(heis):
     # weight-graded module: U_{<=1}-style with weights 0,1,1,2 and the
     # regular-action pattern; trivial actions are weight-compatible only
     # when declared weights match
-    m = UModule(heis, 2, [Matrix.zero(f, 2, 2)] * 3, weights=[0, 7])
-    assert m.validate() is None  # zero actions are vacuously homogeneous
+    m = UComplex.module(heis, 2, [Matrix.zero(f, 2, 2)] * 3, weights=[0, 7])
+    assert m.module_axioms(0) is None  # zero actions are vacuously homogeneous
     up = Matrix.from_int_rows(f, [[0, 0], [1, 0]])
-    m2 = UModule(heis, 2, [up, Matrix.zero(f, 2, 2), Matrix.zero(f, 2, 2)],
-                 weights=[0, 7])
-    msg = m2.validate()
+    m2 = UComplex.module(heis, 2, [up, Matrix.zero(f, 2, 2), Matrix.zero(f, 2, 2)],
+                         weights=[0, 7])
+    msg = m2.module_axioms(0)
     assert msg is not None and "weight" in msg
 
 
@@ -228,12 +226,12 @@ def test_cone_acyclic_iff_nullhomotopic(heis):
     nullhomotopic; here probed through cone(f) acyclic vs id ~ 0."""
     rng = random.Random(SEED + 77)
     f = QQ
-    k = UModule.trivial(heis)
-    k2 = k.direct_sum(k)
+    k = UComplex.trivial(heis)
+    k2 = direct_sum(k, k)
     for _ in range(8):
         a = Matrix.from_rows(f, [[f.of_int(rng.randrange(-2, 3)) for _ in range(2)]
                                  for _ in range(2)], 2)
-        c1 = UComplex(heis, (0, 0), {0: k2}, {})
+        c1 = k2
         fmap = ChainMap(c1, c1, {0: a})
         cn = cone(fmap)
         h, _ = homology_dims(cn, (-2, 1))
@@ -264,7 +262,7 @@ def test_homology_ranks_each_differential_once(monkeypatch, per_weight):
     problem = Problem(json.loads((EXAMPLES / "symmetric2.json").read_text()))
     b = FunctorBounds(DEFAULT_WINDOW, DEFAULT_FILTRATION, DEFAULT_INTERNAL)
     u = problem.u_truncation(max(DEFAULT_DEGREE, b.filtration + b.window[1] + 1))
-    fg, _, _ = koszul_ce_complex(problem.deformation(), named_module(problem, "k"), u,
+    fg, _, _ = koszul_ce_complex(named_module(problem, "k"), u,
                                  problem.cdga(DEFAULT_DEGREE), b)
     lo, hi = b.window
     calls = _counting_rank(monkeypatch)
@@ -333,10 +331,10 @@ def _complex(draw, kind, f, world, weighted):
     if kind == "plain":
         return BaseComplex(f, (lo, hi), dims, diffs, weights)
     if kind == "U":
-        mods = {p: UModule(data, n, [_matrix(draw, f, n, n) for _ in range(data.base.dim)],
-                           None if weights is None else weights[p])
+        mods = {p: UComplex.module(data, n, [_matrix(draw, f, n, n) for _ in range(data.base.dim)],
+                                   None if weights is None else weights[p])
                 for p, n in dims.items() if n}
-        return UComplex(data, (lo, hi), mods, diffs)
+        return UComplex.of_modules(data, (lo, hi), mods, diffs)
     acts = {p: [_matrix(draw, f, dims.get(p + 1, 0), n) for _ in range(cdga.dual.pres.dim)]
             for p, n in dims.items() if n and draw(st.booleans())}
     return CdgModule(cdga, (lo, hi), dims, acts, diffs, weights)

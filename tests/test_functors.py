@@ -13,7 +13,6 @@ from koszul_kit.complexes import (
     CdgModule,
     ChainMap,
     UComplex,
-    UModule,
     cone,
     homology_dims,
     nullhomotopy,
@@ -53,6 +52,7 @@ from conftest import (
     dense_left_mult,
     dense_mult_basis,
     dense_u_multiply,
+    direct_sum,
     heisenberg_deformation,
     labelled_cells,
     oracle_apply_F,
@@ -71,11 +71,6 @@ from conftest import (
 
 
 BOUNDS = FunctorBounds(window=(-5, 2), filtration=5, internal=4)
-
-
-def um_trivial_complex(data):
-    k = UModule.trivial(data)
-    return UComplex(data, (0, 0), {0: k}, {})
 
 
 def k_cdg(cdga):
@@ -158,7 +153,7 @@ def test_f_of_dual_algebra_is_koszul_complex(sym2_world):
 
 def test_fiber_of_f_is_socle(sym2_world):
     data, u, cdga = sym2_world
-    g = apply_G(um_trivial_complex(data), cdga, BOUNDS)
+    g = apply_G(UComplex.trivial(data), cdga, BOUNDS)
     fib = f_free_complex(g, u, BOUNDS)[0].fiber_complex()
     h, _ = homology_dims(fib, (-3, 0))
     # Tor of k over S(V), dim 2: (1, 2, 1)
@@ -170,7 +165,7 @@ def test_fiber_of_f_is_socle(sym2_world):
 
 def test_g_of_zero_is_zero(sym2_world):
     data, u, cdga = sym2_world
-    z = UComplex(data, (0, 0), {}, {})
+    z = UComplex.of_modules(data, (0, 0), {}, {})
     g = apply_G(z, cdga, BOUNDS)
     assert not g.dims
 
@@ -179,9 +174,8 @@ def test_g_of_twopoint_simples_matches_alternating(twopoint_world):
     twop, u, cdga = twopoint_world
     f = QQ
     for a, b in ((1, 2), (2, 1)):
-        m = UModule(twop, 1, [Matrix.from_int_rows(f, [[a]])])
-        g = apply_G(UComplex(twop, (0, 0), {0: m}, {}), cdga,
-                    FunctorBounds((-4, 0), 2, 4))
+        m = UComplex.module(twop, 1, [Matrix.from_int_rows(f, [[a]])])
+        g = apply_G(m, cdga, FunctorBounds((-4, 0), 2, 4))
         # alternating multipliers: a at odd dual degree, b at even
         for p in range(-4, 0):
             q = -p
@@ -194,8 +188,8 @@ def test_g_images_validate_on_random_complexes(sym2_world):
     data, u, cdga = sym2_world
     rng = random.Random(SEED + 9)
     f = QQ
-    k = UModule.trivial(data)
-    k2 = k.direct_sum(k)
+    k = UComplex.trivial(data)
+    k2 = direct_sum(k, k)
     for _ in range(5):
         rows = [[rng.randrange(-2, 3) for _ in range(2)] for _ in range(2)]
         # ensure d^2 = 0 by nilpotent upper triangular shape
@@ -203,7 +197,7 @@ def test_g_images_validate_on_random_complexes(sym2_world):
         rows[1][1] = 0
         rows[0][0] = 0
         d = Matrix.from_int_rows(f, rows)
-        m = UComplex(data, (0, 1), {0: k2, 1: k2}, {0: d})
+        m = UComplex.of_modules(data, (0, 1), {0: k2, 1: k2}, {0: d})
         g = apply_G(m, cdga, BOUNDS)  # verify=True validates inside
         assert g.window == BOUNDS.window
 
@@ -214,17 +208,15 @@ def test_g_images_validate_on_random_complexes(sym2_world):
 def test_g_exact_on_componentwise_ses(sym2_world):
     data, u, cdga = sym2_world
     f = QQ
-    k = UModule.trivial(data)
-    k2 = k.direct_sum(k)
-    n1 = UComplex(data, (0, 0), {0: k}, {})
-    n2 = UComplex(data, (0, 0), {0: k2}, {})
-    g1 = apply_G(n1, cdga, BOUNDS)
-    g2 = apply_G(n2, cdga, BOUNDS)
+    k = UComplex.trivial(data)
+    k2 = direct_sum(k, k)
+    g1 = apply_G(k, cdga, BOUNDS)
+    g2 = apply_G(k2, cdga, BOUNDS)
     for p in g2.dims:
         assert g2.dim(p) == 2 * g1.dim(p)
     # inclusion and projection transport through G and compose to zero
-    inc = ChainMap(n1, n2, {0: Matrix.from_int_rows(f, [[1], [0]])})
-    prj = ChainMap(n2, n1, {0: Matrix.from_int_rows(f, [[0, 1]])})
+    inc = ChainMap(k, k2, {0: Matrix.from_int_rows(f, [[1], [0]])})
+    prj = ChainMap(k2, k, {0: Matrix.from_int_rows(f, [[0, 1]])})
     ginc = apply_G_map(inc, cdga, BOUNDS)
     gprj = apply_G_map(prj, cdga, BOUNDS)
     assert ginc.validate(check_actions=True) is None
@@ -241,7 +233,7 @@ def test_g_takes_cones_to_cones(sym2_world):
     """
     data, u, cdga = sym2_world
     f = QQ
-    c = um_trivial_complex(data)
+    c = UComplex.trivial(data)
     idm = ChainMap.identity(c)
     b = FunctorBounds((-4, 2), 4, 3)
     g_cone = apply_G(cone(idm), cdga, b)
@@ -282,7 +274,7 @@ def test_g_takes_cones_to_cones(sym2_world):
 
 def test_adjunction_k_k(sym2_world):
     data, u, cdga = sym2_world
-    rep = adjunction_report(k_cdg(cdga), um_trivial_complex(data), cdga,
+    rep = adjunction_report(k_cdg(cdga), UComplex.trivial(data), cdga,
                             FunctorBounds((-3, 3), 4, 3))
     assert rep["ok"]
     # Hom(F(k), k) = Hom(U, k): one-dimensional cycle space in degree 0
@@ -292,7 +284,7 @@ def test_adjunction_k_k(sym2_world):
 def test_adjunction_zero(sym2_world):
     data, u, cdga = sym2_world
     z = CdgModule(cdga, (0, 0), {}, {}, {})
-    rep = adjunction_report(z, um_trivial_complex(data), cdga,
+    rep = adjunction_report(z, UComplex.trivial(data), cdga,
                             FunctorBounds((-2, 2), 3, 3))
     assert rep["ok"] and rep["cycle_dims"] == 0
 
@@ -313,9 +305,9 @@ def test_adjunction_random_heisenberg_f5():
                                           for _ in range(nd[1])], nd[0])}
         n = CdgModule(cdga, (0, 1), nd, acts, diffs)
         assert n.validate() is None  # two-term windows satisfy all axioms
-        k = UModule.trivial(heis5)
-        m = UComplex(heis5, (0, 1), {0: k, 1: k},
-                     {0: Matrix.from_rows(f5, [[f5.of_int(rng.randrange(5))]], 1)})
+        k = UComplex.trivial(heis5)
+        m = UComplex.of_modules(heis5, (0, 1), {0: k, 1: k},
+                                {0: Matrix.from_rows(f5, [[f5.of_int(rng.randrange(5))]], 1)})
         assert adjunction_report(n, m, cdga, FunctorBounds((-3, 3), 4, 4))["ok"]
 
 
@@ -355,9 +347,9 @@ def _random_m(data, rng, lo):
             power = a.mul(power)
         return out
 
-    mod = UModule(data, dim, [poly(), poly()])
-    assert mod.validate() is None
-    return UComplex(data, (lo, lo + 1), {lo: mod, lo + 1: mod}, {lo: poly()})
+    mod = UComplex.module(data, dim, [poly(), poly()])
+    assert mod.module_axioms(0) is None
+    return UComplex.of_modules(data, (lo, lo + 1), {lo: mod, lo + 1: mod}, {lo: poly()})
 
 
 def _entries(cx, labels, twist=False):
@@ -382,9 +374,10 @@ def _explicit_pairs():
         heis = heisenberg_deformation(f)
         s2 = DeformationData.trivial(symmetric_presentation(f, 2))
         hc, sc = build_cdga(heis, 4), build_cdga(s2, 4)
-        k = UModule.trivial(heis)
+        k = UComplex.trivial(heis)
         for lo in (-2, -1, 0, 1):
-            m = UComplex(heis, (0, 1), {0: k, 1: k}, {0: _random_matrix(f, rng, 1, 1)})
+            m = UComplex.of_modules(heis, (0, 1), {0: k, 1: k},
+                                    {0: _random_matrix(f, rng, 1, 1)})
             pairs.append((heis, hc, _random_n(hc, rng, lo), m))
             pairs.append((s2, sc, _random_n(sc, rng, lo), _random_m(s2, rng, rng.randint(-1, 1))))
     return pairs
@@ -406,10 +399,10 @@ def _assert_explicit_matches_oracle(n, m, window):
 def test_hom_complex_explicit_matches_oracle_sym2(sym2_world):
     data, u, cdga = sym2_world
     q = cdga.field
-    k = UModule.trivial(data)
-    ms = [um_trivial_complex(data),
-          UComplex(data, (0, 1), {0: k.direct_sum(k), 1: k},
-                   {0: Matrix.from_rows(q, [[q.one(), q.of_int(2)]], 2)})]
+    k = UComplex.trivial(data)
+    ms = [UComplex.trivial(data),
+          UComplex.of_modules(data, (0, 1), {0: direct_sum(k, k), 1: k},
+                              {0: Matrix.from_rows(q, [[q.one(), q.of_int(2)]], 2)})]
     ns = [k_cdg(cdga),
           CdgModule(cdga, (0, 1), {0: 1, 1: 1},
                     {0: [Matrix.identity(q, 1), Matrix.zero(q, 1, 1)]}, {}),
@@ -442,11 +435,11 @@ def _nilpotent_pair(f):
     data = DeformationData.trivial(symmetric_presentation(f, 2))
     cdga = build_cdga(data, 4)
     x1 = Matrix.from_rows(f, [[f.zero(), f.zero()], [f.one(), f.zero()]], 2)
-    mod = UModule(data, 2, [x1, Matrix.zero(f, 2, 2)])
+    mod = UComplex.module(data, 2, [x1, Matrix.zero(f, 2, 2)])
     n = CdgModule(cdga, (0, 1), {0: 1, 1: 1},
                   {0: [Matrix.identity(f, 1), Matrix.zero(f, 1, 1)]}, {})
-    ms = (UComplex(data, (0, 0), {0: mod}, {}),
-          UComplex(data, (0, 1), {0: mod, 1: mod}, {0: Matrix.identity(f, 2)}))
+    ms = (mod,
+          UComplex.of_modules(data, (0, 1), {0: mod, 1: mod}, {0: Matrix.identity(f, 2)}))
     return cdga, n, ms
 
 
@@ -476,9 +469,9 @@ def test_adjunction_check_fails_on_the_old_sign_convention(monkeypatch):
     while n.diff(0).is_zero():
         n = _random_n(hc, rng, 0)
     assert any(not a.is_zero() for a in n.actions[0])
-    k = UModule.trivial(heis5)
-    cases = [(hc, n, UComplex(heis5, (0, 1), {0: k, 1: k},
-                              {0: _random_matrix(f5, rng, 1, 1)}))]
+    k = UComplex.trivial(heis5)
+    cases = [(hc, n, UComplex.of_modules(heis5, (0, 1), {0: k, 1: k},
+                                         {0: _random_matrix(f5, rng, 1, 1)}))]
     sc, n2, ms = _nilpotent_pair(f5)
     cases += [(sc, n2, m) for m in ms]
     b = FunctorBounds((-3, 3), 4, 4)
@@ -502,7 +495,7 @@ def test_adjunction_check_fails_on_the_old_sign_convention(monkeypatch):
 def test_counit_and_unit_quasi_iso(world, request):
     data, u, cdga = request.getfixturevalue(world)
     b = FunctorBounds((-5, 1), 5, 4)
-    kc = um_trivial_complex(data)
+    kc = UComplex.trivial(data)
     fg, eps = counit(kc, u, cdga, b)
     h, edges = homology_dims(cone(eps), (-4, 1))
     assert all(v == 0 for p, v in h.items() if p not in edges)
@@ -514,7 +507,7 @@ def test_counit_and_unit_quasi_iso(world, request):
 def test_counit_on_free_module_is_homotopy_equivalence(sym2_world):
     data, u, cdga = sym2_world
     # FG(k) -> k in degree 0 only: H^0 both sides k
-    kc = um_trivial_complex(data)
+    kc = UComplex.trivial(data)
     fg, eps = counit(kc, u, cdga, FunctorBounds((-4, 1), 4, 3))
     h, _ = homology_dims(fg, (-3, 1))
     assert h[0] == 1 and all(h[p] == 0 for p in (-3, -2, -1, 1))
@@ -525,7 +518,7 @@ def test_triangle_identity_g_counit_unit(sym2_world, heis_world):
     for world in (sym2_world, heis_world):
         data, u, cdga = world
         b = FunctorBounds((-3, 1), 4, 3)
-        kc = um_trivial_complex(data)
+        kc = UComplex.trivial(data)
         g, comp = triangle_check(kc, u, cdga, b)
         ident = ChainMap.identity(g)
         hom = nullhomotopy(comp, ident)
@@ -537,7 +530,7 @@ def test_triangle_identity_g_counit_unit(sym2_world, heis_world):
 
 def test_fprime_of_k_symmetric(sym2_world):
     data, u, cdga = sym2_world
-    fp = apply_Fprime(um_trivial_complex(data), cdga,
+    fp = apply_Fprime(UComplex.trivial(data), cdga,
                       FunctorBounds((0, 3), 4, 3))
     h, _ = homology_dims(fp, (0, 3))
     assert (h[0], h[1], h[2]) == (1, 2, 1)
@@ -545,7 +538,7 @@ def test_fprime_of_k_symmetric(sym2_world):
 
 def test_fprime_of_zero(sym2_world):
     data, u, cdga = sym2_world
-    z = UComplex(data, (0, 0), {}, {})
+    z = UComplex.of_modules(data, (0, 0), {}, {})
     fp = apply_Fprime(z, cdga, FunctorBounds((0, 2), 2, 2))
     assert not fp.dims
 
@@ -556,7 +549,7 @@ def test_fprime_periodic_for_kx_mod_x2(qq):
     pres = QuadraticPresentation(qq, ["x"], p)
     data = DeformationData.trivial(pres)
     cdga = build_cdga(data, 6)
-    fp = apply_Fprime(um_trivial_complex(data), cdga,
+    fp = apply_Fprime(UComplex.trivial(data), cdga,
                       FunctorBounds((0, 4), 4, 6))
     h, _ = homology_dims(fp, (0, 4))
     assert all(h[i] == 1 for i in range(4))
@@ -597,12 +590,12 @@ def test_fprime_matches_its_old_formula(f, kind, seed, lo, internal):
     data, cdga = _fprime_world(kind, f)
     rng = random.Random(seed)
     if kind == "twopoint":
-        m = UComplex(data, (0, 0), {0: UModule(data, 1, [Matrix.from_int_rows(f, [[1]])])}, {})
+        m = UComplex.module(data, 1, [Matrix.from_int_rows(f, [[1]])])
     else:
-        moved = UModule(data, 2, [Matrix.from_int_rows(f, [[0, 0], [int(g == 0), 0]])
-                                  for g in range(cdga.dual.pres.dim)])
-        m = rng.choice([um_trivial_complex(data), random_bounded_complex(data, None, rng),
-                        UComplex(data, (1, 1), {1: moved}, {})])
+        moved = UComplex.module(data, 2, [Matrix.from_int_rows(f, [[0, 0], [int(g == 0), 0]])
+                                          for g in range(cdga.dual.pres.dim)])
+        m = rng.choice([UComplex.trivial(data), random_bounded_complex(data, None, rng),
+                        UComplex.of_modules(data, (1, 1), {1: moved}, {})])
     b = FunctorBounds((lo, lo + 4), 0, internal)
     want, want_err = _fprime_or_error(lambda: oracle_apply_Fprime(m, cdga, b))
     got, got_err = _fprime_or_error(lambda: apply_Fprime(m, cdga, b))
@@ -628,7 +621,7 @@ def test_balancing_tensor_identity(sym2_world):
     """
     data, u, cdga = sym2_world
     # right module M = trivial k (right actions zero); N = G(k)
-    kc = um_trivial_complex(data)
+    kc = UComplex.trivial(data)
     n = apply_G(kc, cdga, FunctorBounds((-3, 0), 3, 2))
     # side one: M ⊗_U F(N): kill the U part of F(N) through right-action 0,
     # which is the fiber complex of F(N)
@@ -697,21 +690,21 @@ def test_generator_products_match_dense_oracles(sym2_world, heis_world, twopoint
     On the quantum plane A! = k<x, y>/(yx - 2xy) left and right products
     differ and carry powers of 2; for the Lie algebra [x, y] = y over F_5
     the two terms of delta(y ⊗ y*) sum to 5, which must reduce to 0."""
-    worlds = [(*w, um_trivial_complex(w[0])) for w in (sym2_world, heis_world)]
+    worlds = [(*w, UComplex.trivial(w[0])) for w in (sym2_world, heis_world)]
     twop, u, cdga = twopoint_world
-    simple = UModule(twop, 1, [Matrix.from_int_rows(QQ, [[1]])])  # x acts by the root 1
-    worlds.append((twop, u, cdga, UComplex(twop, (0, 0), {0: simple}, {})))
+    simple = UComplex.module(twop, 1, [Matrix.from_int_rows(QQ, [[1]])])  # x acts by the root 1
+    worlds.append((twop, u, cdga, simple))
     for f in (Field(2), Field(3)):
         data = heisenberg_deformation(f)
-        worlds.append((data, build_U(data, 6), build_cdga(data, 5), um_trivial_complex(data)))
+        worlds.append((data, build_U(data, 6), build_cdga(data, 5), UComplex.trivial(data)))
     for f in (QQ, Field(5)):
         plane = QuadraticPresentation(f, ["x", "y"], Matrix.from_int_rows(f, [[0, -2, 1, 0]]))
         data = DeformationData.trivial(quadratic_dual(plane))
-        worlds.append((data, build_U(data, 6), build_cdga(data, 5), um_trivial_complex(data)))
+        worlds.append((data, build_U(data, 6), build_cdga(data, 5), UComplex.trivial(data)))
     f5 = Field(5)
     data = DeformationData.from_raw(f5, ["x", "y"], Matrix.from_int_rows(f5, [[0, 1, -1, 0]]),
                                     Matrix.from_int_rows(f5, [[0, -1]]), [f5.zero()])
-    worlds.append((data, build_U(data, 6), build_cdga(data, 5), um_trivial_complex(data)))
+    worlds.append((data, build_U(data, 6), build_cdga(data, 5), UComplex.trivial(data)))
     b = FunctorBounds((-3, 1), 3, 3)
     for data, u, cdga, m in worlds:
         dual = cdga.dual

@@ -15,7 +15,6 @@ from koszul_kit.complexes import (
     CdgModule,
     ChainMap,
     UComplex,
-    UModule,
     cone,
     homotopy_identity_holds,
     map_equations,
@@ -68,9 +67,9 @@ def _nilpotent_complex(data):
     f = data.field
     zero = Matrix.zero(f, 2, 2)
     x1 = Matrix.from_int_rows(f, [[0, 0], [1, 0]])
-    n = UModule(data, 2, [x1] + [zero] * (data.base.dim - 1))
-    m = UComplex(data, (0, 1), {0: n, 1: UModule.trivial(data)},
-                 {0: Matrix.from_int_rows(f, [[1, 0]])})
+    n = UComplex.module(data, 2, [x1] + [zero] * (data.base.dim - 1))
+    m = UComplex.of_modules(data, (0, 1), {0: n, 1: UComplex.trivial(data)},
+                            {0: Matrix.from_int_rows(f, [[1, 0]])})
     assert m.validate() is None
     return m
 
@@ -188,7 +187,7 @@ def test_an_equation_zero_equals_b_answers_none(f):
     """id ~ 0 on k alone: the complex has no degree for s to land in, so
     the system has no variable and its one equation reads 0 = 1."""
     data = _worlds(f)[0][0]
-    x = UComplex(data, (0, 0), {0: UModule.trivial(data)}, {})
+    x = UComplex.trivial(data)
     one = Matrix.identity(f, 1)
     assert map_equations(f, [(1, one, 0, None)], lambda q, i, j: None, 1, 1, one) == [
         {RHS: f.one()}]

@@ -20,7 +20,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from koszul_kit.complexes import CdgModule, ChainMap, UComplex, UModule
+from koszul_kit.complexes import CdgModule, ChainMap, UComplex
 from koszul_kit.deformations import CdgAlgebra, DeformationData, build_cdga, build_U
 from koszul_kit.functors import (
     FunctorBounds,
@@ -104,16 +104,17 @@ def _worlds(f):
                        ("sym2", DeformationData.trivial(symmetric_presentation(f, 2))),
                        ("qplane", _qplane(f))):
         zeros = [Matrix.zero(f, n, n) for n in range(4)]
-        mods = [UModule.trivial(data)]
+        mods = [UComplex.trivial(data)]
         for n, y in ((2, _shift(f, 2, _value(f, 2))), (3, zeros[3])):
             acts = [_shift(f, n, f.one()), y] + zeros[n:n + 1] * (data.base.dim - 2)
-            mods.append(UModule(data, n, acts, weights=list(range(n))))
+            mods.append(UComplex.module(data, n, acts, weights=list(range(n))))
         out.append((name, data, build_U(data, 4), build_cdga(data, 5), mods))
     a, b = ROOTS[f.p]
     data = twopoint_deformation(f, a, b)
     a, b = f.parse(str(a)), f.parse(str(b))
-    mods = [UModule(data, 1, [_scalar(f, 1, a)]), UModule(data, 1, [_scalar(f, 1, b)]),
-            UModule(data, 2, [Matrix(f, 2, [{0: a}, {0: f.one(), 1: b}])])]
+    mods = [UComplex.module(data, 1, [_scalar(f, 1, a)]),
+            UComplex.module(data, 1, [_scalar(f, 1, b)]),
+            UComplex.module(data, 2, [Matrix(f, 2, [{0: a}, {0: f.one(), 1: b}])])]
     out.append(("twopoint", data, build_U(data, 4), build_cdga(data, 5), mods))
     return out
 
@@ -124,10 +125,10 @@ def worlds():
 
 
 def _u_complexes(data, mod, f):
-    """A module alone in degree 0, and M --c--> M on degrees -1, 0."""
-    c = _value(f, mod.dim)
-    return [UComplex(data, (0, 0), {0: mod}, {}),
-            UComplex(data, (-1, 0), {-1: mod, 0: mod}, {-1: _scalar(f, mod.dim, c)})]
+    """A module (a U-complex in degree 0), and M --c--> M on degrees -1, 0."""
+    n = mod.dim(0)
+    return [mod, UComplex.of_modules(data, (-1, 0), {-1: mod, 0: mod},
+                                     {-1: _scalar(f, n, _value(f, n))})]
 
 
 def _by_degree(x):
@@ -292,9 +293,9 @@ def _verdicts(x):
     if isinstance(x, UComplex):
         pairs.append((_outcome(x.validate), _outcome(lambda: oracle_ucomplex_validate(x))))
         for p, n in x.dims.items():
-            mod = UModule(x.data, n, x.actions[p],
-                          None if x.weights is None else x.weights.get(p))
-            pairs.append((mod.validate(), oracle_umodule_validate(mod)))
+            mod = UComplex.module(x.data, n, x.actions[p],
+                                  None if x.weights is None else x.weights.get(p))
+            pairs.append((x.module_axioms(p), oracle_umodule_validate(mod)))
     return pairs
 
 

@@ -22,7 +22,6 @@ from koszul_kit.complexes import (
     CdgModule,
     ChainMap,
     UComplex,
-    UModule,
     cone,
     homology_dims,
     homotopy_identity_holds,
@@ -55,6 +54,7 @@ from koszul_kit.suite import (
 from conftest import (
     SEED,
     bigraded_from_weighted,
+    direct_sum,
     heisenberg_deformation,
     oracle_free_dual_merge,
     oracle_homology_per_weight,
@@ -111,25 +111,22 @@ def test_tor_heisenberg_matches_ce_oracle(heis_world, qq):
     oracle = ce_oracle_heisenberg(qq)
     h_oracle, _ = homology_dims(oracle, (-3, 0))
     assert [h_oracle[-p] for p in range(4)] == [1, 2, 2, 1]
-    k = UModule.trivial(heis)
-    kc = UComplex(heis, (0, 0), {0: k}, {})
-    rep = tor(kc, cdga, FunctorBounds((-5, 1), 5, 4))
+    k = UComplex.trivial(heis)
+    rep = tor(k, cdga, FunctorBounds((-5, 1), 5, 4))
     by = rep.by_degree()
     assert [by.get(-p, 0) for p in range(4)] == [h_oracle[-p] for p in range(4)]
 
 
 def test_tor_symmetric_binomials(sym2_world, sym3, qq):
     data, u, cdga = sym2_world
-    k = UModule.trivial(data)
-    kc = UComplex(data, (0, 0), {0: k}, {})
-    rep = tor(kc, cdga, FunctorBounds((-4, 1), 4, 3), cross_check=True, u=u)
+    k = UComplex.trivial(data)
+    rep = tor(k, cdga, FunctorBounds((-4, 1), 4, 3), cross_check=True, u=u)
     by = rep.by_degree()
     assert [by.get(-p, 0) for p in range(3)] == [1, 2, 1]
     d3 = DeformationData.trivial(sym3)
     u3, c3 = build_U(d3, 6), build_cdga(d3, 4)
-    k3 = UModule.trivial(d3)
-    rep3 = tor(UComplex(d3, (0, 0), {0: k3}, {}), c3,
-               FunctorBounds((-5, 1), 5, 4))
+    k3 = UComplex.trivial(d3)
+    rep3 = tor(k3, c3, FunctorBounds((-5, 1), 5, 4))
     by3 = rep3.by_degree()
     assert [by3.get(-p, 0) for p in range(4)] == [1, 3, 3, 1]
 
@@ -157,7 +154,7 @@ def test_tor_cross_check_mismatch_is_inconsistent_data(f, monkeypatch):
         return cx
 
     monkeypatch.setattr(FreeUComplex, "fiber_complex", faulted)
-    kc = UComplex(data, (0, 0), {0: UModule.trivial(data)}, {})
+    kc = UComplex.trivial(data)
     with pytest.raises(InconsistentDataError, match=r"^tor cross-check mismatch at degree -1$"):
         tor(kc, cdga, FunctorBounds((-4, 1), 4, 3), cross_check=True, u=u)
 
@@ -174,7 +171,7 @@ def test_tor_cross_check_reads_g_of_m_again(f):
     for data in (DeformationData.trivial(symmetric_presentation(f, 2)),
                  heisenberg_deformation(f)):
         u, cdga = build_U(data, 4), build_cdga(data, 4)
-        k = UComplex(data, (0, 0), {0: UModule.trivial(data)}, {})
+        k = UComplex.trivial(data)
         for m in (k, random_bounded_complex(data, None, rng, length=2)):
             g = apply_G(m, cdga, b)
             fib = f_free_complex(g, u, b)[0].fiber_complex()
@@ -197,22 +194,22 @@ def test_tor_of_free_module_concentrated(sym2_world):
 
 def test_ce_complex_resolution(heis_world):
     heis, u, cdga = heis_world
-    k = UModule.trivial(heis)
-    fg, eps, rep = koszul_ce_complex(heis, k, u, cdga,
+    k = UComplex.trivial(heis)
+    fg, eps, rep = koszul_ce_complex(k, u, cdga,
                                      FunctorBounds((-5, 1), 5, 4))
     by = rep.by_degree()
     assert by[0] == 1
     assert all(by.get(p, 0) == 0 for p in range(-4, 0))
     # the fiber of the CE complex is the CE chain complex: dims (1,3,3,1)
-    g = apply_G(UComplex(heis, (0, 0), {0: k}, {}), cdga, FunctorBounds((-5, 1), 5, 4))
+    g = apply_G(k, cdga, FunctorBounds((-5, 1), 5, 4))
     fib = f_free_complex(g, u, FunctorBounds((-5, 1), 5, 4))[0].fiber_complex()
     assert [fib.dim(-q) for q in range(4)] == [1, 3, 3, 1]
 
 
 def test_abelian_dim2_reduces_to_koszul(sym2_world):
     data, u, cdga = sym2_world
-    k = UModule.trivial(data)
-    fg, eps, rep = koszul_ce_complex(data, k, u, cdga,
+    k = UComplex.trivial(data)
+    fg, eps, rep = koszul_ce_complex(k, u, cdga,
                                      FunctorBounds((-4, 1), 4, 3))
     by = rep.by_degree()
     assert by[0] == 1 and all(by.get(p, 0) == 0 for p in range(-3, 0))
@@ -332,16 +329,15 @@ def test_ext_periodic_kx_mod_x2(qq):
     pres = QuadraticPresentation(qq, ["x"], Matrix.from_int_rows(qq, [[1]]))
     data = DeformationData.trivial(pres)
     cdga = build_cdga(data, 6)
-    k = UModule.trivial(data)
-    kc = UComplex(data, (0, 0), {0: k}, {})
-    rep = ext(kc, cdga, FunctorBounds((0, 4), 4, 6))
+    k = UComplex.trivial(data)
+    rep = ext(k, cdga, FunctorBounds((0, 4), 4, 6))
     by = rep.by_degree()
     assert all(by[i] == 1 for i in range(4))
 
 
 def test_ext_of_zero(sym2_world):
     data, u, cdga = sym2_world
-    z = UComplex(data, (0, 0), {}, {})
+    z = UComplex.of_modules(data, (0, 0), {}, {})
     rep = ext(z, cdga, FunctorBounds((0, 3), 3, 3))
     assert all(v == 0 for v in rep.by_degree().values())
 
@@ -369,16 +365,15 @@ def test_minimize_matches_homology(sym2_world):
 def test_minimize_acyclic_gives_zero(sym2_world):
     data, u, cdga = sym2_world
     f = QQ
-    k = UModule.trivial(data)
-    m = UComplex(data, (0, 1), {0: k, 1: k}, {0: Matrix.identity(f, 1)})
+    k = UComplex.trivial(data)
+    m = UComplex.of_modules(data, (0, 1), {0: k, 1: k}, {0: Matrix.identity(f, 1)})
     res = minimize_G(m, cdga, FunctorBounds((-4, 4), 4, 3))
     assert not res.minimal.dims
 
 
 def test_minimize_single_module(sym2_world):
     data, u, cdga = sym2_world
-    k = UModule.trivial(data)
-    m = UComplex(data, (0, 0), {0: k}, {})
+    m = UComplex.trivial(data)
     res = minimize_G(m, cdga, FunctorBounds((-4, 2), 4, 3))
     assert res.socle_dims == {0: 1}
 
@@ -543,9 +538,8 @@ def test_unit_maps_match_oracle_where_the_unit_is_not_injective(f):
     degree -1 it has the cofree dimension counts at cap 1, but its two top
     lines reach the socle only through degree-2 monomials."""
     data, cdga = _deformation_and_cdga("sym2", f)
-    k = UModule.trivial(data)
-    g = apply_G(UComplex(data, (0, 0), {0: k.direct_sum(k)}, {}), cdga,
-                FunctorBounds((-3, 0), 3, 2))
+    k = UComplex.trivial(data)
+    g = apply_G(direct_sum(k, k), cdga, FunctorBounds((-3, 0), 3, 2))
     line = CdgModule(cdga, (0, 0), {0: 1}, {}, {})
     module = cone(ChainMap.zero(line, g))
     assert (_assert_unit_maps_match_oracle(module, cdga, 1)
@@ -614,9 +608,8 @@ def test_null_cofree_spliced_separation(sym2_world):
 
 def test_null_cofree_cone_identity(sym2_world):
     data, u, cdga = sym2_world
-    k = UModule.trivial(data)
-    g = apply_G(UComplex(data, (0, 0), {0: k}, {}), cdga,
-                FunctorBounds((-3, 1), 3, 3))
+    k = UComplex.trivial(data)
+    g = apply_G(k, cdga, FunctorBounds((-3, 1), 3, 3))
     cn = cone(ChainMap.identity(g))
     rep = null_test_cofree(cn, cdga, 3, (-2, 0))
     assert rep["in_null_system"]
@@ -639,9 +632,9 @@ def test_null_cofree_rejects_non_cofree(sym2_world):
 
 def test_sigma_truncate_edges(heis_world):
     heis, u, cdga = heis_world
-    k = UModule.trivial(heis)
-    m = UComplex(heis, (0, 2), {0: k, 1: k.direct_sum(k), 2: k},
-                 {0: Matrix.zero(QQ, 2, 1), 1: Matrix.zero(QQ, 1, 2)})
+    k = UComplex.trivial(heis)
+    m = UComplex.of_modules(heis, (0, 2), {0: k, 1: direct_sum(k, k), 2: k},
+                            {0: Matrix.zero(QQ, 2, 1), 1: Matrix.zero(QQ, 1, 2)})
     above, below = sigma_truncate(m, 5)
     assert not above.dims and below.dims == m.dims
     above, below = sigma_truncate(m, -1)
@@ -652,9 +645,8 @@ def test_sigma_truncate_edges(heis_world):
 
 def test_t_truncate_socle_split(sym2_world):
     data, u, cdga = sym2_world
-    k = UModule.trivial(data)
-    g = apply_G(UComplex(data, (0, 0), {0: k}, {}), cdga,
-                FunctorBounds((-3, 0), 3, 3))
+    k = UComplex.trivial(data)
+    g = apply_G(k, cdga, FunctorBounds((-3, 0), 3, 3))
     # socle of G(k) is k at degree 0: cutting at 0 keeps everything
     sub, quot, restr = t_truncate(g, cdga, 0, 3)
     assert dict(sub.dims) == dict(g.dims) and not quot.dims
@@ -678,9 +670,9 @@ def test_socle_complex_built_once_per_module(sym2_world, monkeypatch):
     null_test_cofree(spliced, cdga, 3, (-2, 2), by_position=True)
     assert built == [spliced]
     built.clear()
-    k2 = UModule.trivial(data).direct_sum(UModule.trivial(data))
-    m = UComplex(data, (0, 1), {0: k2, 1: k2},
-                 {0: Matrix.from_int_rows(QQ, [[0, 1], [0, 0]])})
+    k2 = direct_sum(UComplex.trivial(data), UComplex.trivial(data))
+    m = UComplex.of_modules(data, (0, 1), {0: k2, 1: k2},
+                            {0: Matrix.from_int_rows(QQ, [[0, 1], [0, 0]])})
     g = apply_G(m, cdga, FunctorBounds((-4, 3), 4, 3))
     sub, quot, restr = t_truncate(g, cdga, 0, 3)
     assert restr is not None and built == [g, quot]
@@ -689,10 +681,10 @@ def test_socle_complex_built_once_per_module(sym2_world, monkeypatch):
 def test_t_truncate_two_line_socle(sym2_world):
     data, u, cdga = sym2_world
     f = QQ
-    k = UModule.trivial(data)
-    k2 = k.direct_sum(k)
-    m = UComplex(data, (0, 1), {0: k2, 1: k2},
-                 {0: Matrix.from_int_rows(f, [[0, 1], [0, 0]])})
+    k = UComplex.trivial(data)
+    k2 = direct_sum(k, k)
+    m = UComplex.of_modules(data, (0, 1), {0: k2, 1: k2},
+                            {0: Matrix.from_int_rows(f, [[0, 1], [0, 0]])})
     b = FunctorBounds((-4, 3), 4, 3)
     g = apply_G(m, cdga, b)
     sub, quot, restr = t_truncate(g, cdga, 0, 3)
@@ -810,9 +802,9 @@ def test_sub_quotient_certificates_fire(f):
     and a subobject nonzero at p and zero at p + 1 with d nonzero on it,
     which the old body let through to the inclusion's chain-map check."""
     data, cdga = _deformation_and_cdga("sym2", f)
-    k2 = UModule.trivial(data).direct_sum(UModule.trivial(data))
-    m = UComplex(data, (0, 1), {0: k2, 1: k2},
-                 {0: Matrix.from_int_rows(f, [[0, 1], [0, 0]])})
+    k2 = direct_sum(UComplex.trivial(data), UComplex.trivial(data))
+    m = UComplex.of_modules(data, (0, 1), {0: k2, 1: k2},
+                            {0: Matrix.from_int_rows(f, [[0, 1], [0, 0]])})
     g = apply_G(m, cdga, FunctorBounds((-4, 3), 4, 3))
     one, d = f.one(), g.diff(0)
     moved = next(j for j, col in enumerate(d.columns) if col)
@@ -1007,8 +999,9 @@ def test_faulty_socle_data_fails_its_certificate(f, fault, message):
     With the socle differential given as zero the transfer returns G(M)
     itself, a certified retract whose socle differential is not zero."""
     data, cdga = _deformation_and_cdga("sym2", f)
-    k2 = UModule.trivial(data).direct_sum(UModule.trivial(data))
-    m = UComplex(data, (0, 1), {0: k2, 1: k2}, {0: Matrix.from_int_rows(f, [[0, 1], [0, 0]])})
+    k2 = direct_sum(UComplex.trivial(data), UComplex.trivial(data))
+    m = UComplex.of_modules(data, (0, 1), {0: k2, 1: k2},
+                            {0: Matrix.from_int_rows(f, [[0, 1], [0, 0]])})
     b = FunctorBounds((-4, 3), 4, 3)
     with pytest.raises(InconsistentDataError, match=message):
         if fault == "socle differential dropped":
@@ -1027,9 +1020,9 @@ def _nilpotent_x_complex(f):
     of the transfer."""
     data, cdga = _deformation_and_cdga("heis", f)
     zero = Matrix.zero(f, 2, 2)
-    n = UModule(data, 2, [Matrix.from_int_rows(f, [[0, 0], [1, 0]]), zero, zero])
-    m = UComplex(data, (0, 1), {0: n, 1: UModule.trivial(data)},
-                 {0: Matrix.from_int_rows(f, [[1, 0]])})
+    n = UComplex.module(data, 2, [Matrix.from_int_rows(f, [[0, 0], [1, 0]]), zero, zero])
+    m = UComplex.of_modules(data, (0, 1), {0: n, 1: UComplex.trivial(data)},
+                            {0: Matrix.from_int_rows(f, [[1, 0]])})
     assert m.validate() is None
     return m, cdga
 
