@@ -655,22 +655,3 @@ def nullhomotopy(fmap: ChainMap, gmap: ChainMap):
                       [zero_free({i: sol[varmap[(p, i, j)]] for i in range(tgt.dim(p - 1))}, f.p)
                        for j in range(src.dim(p))])
             for p in range(lo, hi + 1) if src.dim(p) and tgt.dim(p - 1)}
-
-
-def homotopy_identity_holds(fmap: ChainMap, gmap: ChainMap, h: dict) -> bool:
-    """Whether h = {p: s^p} has f - g - (-1)^p d s^p + (-1)^p s^{p+1} d = 0
-    at every degree of the window."""
-    src, tgt = fmap.source, fmap.target
-    lo = min(src.window[0], tgt.window[0])
-    hi = max(src.window[1], tgt.window[1])
-    for p in range(lo, hi + 1):
-        sgn = 1 if p % 2 == 0 else -1
-        terms = [(-1, gmap.map_at(p), None)]
-        if p in h:
-            terms.append((-sgn, tgt.diff(p - 1), h[p]))
-        if p + 1 in h:
-            terms.append((sgn, h[p + 1], src.diff(p)))
-        if not _vanishes(fmap.field, terms, lead=(1, fmap.map_at(p), None),
-                         shape=(tgt.dim(p), src.dim(p))):
-            return False
-    return True

@@ -5,8 +5,10 @@ F is T ⊗_{A!} (-) and G is Hom_U(T, -), and each differential is written
 once.  F(N) is N's free U-complex (``freeside.FreeUComplex.of_source``):
 generator n_j goes to sum_g x_g (x_g* n_j) + 1 (d n_j), so
 d(u ⊗ n) = sum_g (u x_g) ⊗ (x_g* n) + u ⊗ d(n).  Its one column formula,
-``freeside.add_column``, writes F, T's delta (F on A!), the F-term of
-(GF)_i and the ``null-free`` expansion.  ``_G_differentials`` is the Hom
+``freeside.add_column``, writes F, T's delta, the F-term of (GF)_i and the
+``null-free`` expansion.  T is no object of its own: its delta is F on
+A!, ``bimodule_delta(u, cdga, level, r)``, and ``check_delta_squared``
+certifies delta^2 = -(.c).  ``_G_differentials`` is the Hom
 differential d(f)(t) = (-1)^{|t|}[sum_g x_g f(x_g* t) + f(dt) + d_M f(t)] on
 the functionals of prod_r Hom(X^r, M^{p+r}) that ``hom_labels`` lists.  With
 X = A! it is G's, and (GF)_i is G over F, with x_g acting on U ⊗ N by
@@ -38,7 +40,7 @@ from .complexes import BaseComplex, CdgModule, ChainMap, UComplex, map_equations
 from .deformations import CdgAlgebra, FilteredAlgebraTruncation
 from .errors import InconsistentDataError, InputError
 from .freeside import FreeUComplex, _gen_pos, add_column
-from .linalg import Matrix, axpy, kernel_basis, rank, zero_free
+from .linalg import Matrix, kernel_basis, rank, zero_free
 
 
 class FunctorBounds(namedtuple("FunctorBounds", ("window", "filtration", "internal"))):
@@ -185,94 +187,37 @@ def _G_differentials(field, source, labels: dict, act, d_m) -> dict:
 # -- the Koszul bimodule --------------------------------------------------------
 
 
-class KoszulBimodule:
-    """Truncation of T = U ⊗ A! with the twisting endomorphism.
-
-    delta(u ⊗ a) = sum_g u x_g ⊗ x_g* a + u ⊗ d(a), taking the component
-    U_{<=l} ⊗ A!_r into U_{<=l+1} ⊗ A!_{r+1}: F's differential with N = A!,
-    the expansion of A!'s free complex.
-    """
-
-    def __init__(self, u: FilteredAlgebraTruncation, cdga: CdgAlgebra):
-        if u.data is not cdga.data and not u.data.graph_rows().eq(cdga.data.graph_rows()):
-            raise InconsistentDataError("U and (A!, d, c) come from different deformations")
-        self.u = u
-        self.cdga = cdga
-        self.field = u.field
-
-    def delta(self, level: int, r: int) -> Matrix:
-        """Matrix of delta on U_{<=level} ⊗ A!_r (columns u-major)."""
-        dual = self.cdga.dual
-        free = FreeUComplex.of_source(self.u, (r, r + 1),
-                                      {r: dual.dim_at(r), r + 1: dual.dim_at(r + 1)},
-                                      _dual_source(self.cdga))
-        return free.expand({r: level, r + 1: level + 1}).diff(r)
-
-    def check_delta_squared(self, level: int, r: int):
-        """delta^2 = -(.c) on U_{<=level} ⊗ A!_r, exactly."""
-        f = self.field
-        d2 = self.delta(level + 1, r + 1).mul(self.delta(level, r))
-        # right multiplication by -c: u ⊗ a -> -u ⊗ (a c)
-        dual = self.cdga.dual
-        na_src = dual.dim_at(r)
-        na_tgt = dual.dim_at(r + 2)
-        char = f.p
-        curv = {s: c for s, c in enumerate(self.cdga.curvature) if c}
-        acs = []  # the nonzero entries of -(e_a c), which depends on a only
-        for a in range(na_src):
-            ac = dual.multiply(r, {a: f.one()}, 2, curv)
-            acs.append([(b, -c % char if char else -c) for b, c in ac.items()])
-        rc = []  # column ui * na_src + a is -(u_ui ⊗ e_a c)
-        for ui in range(self.u.dim_leq(level)):
-            base = ui * na_tgt
-            rc.extend({base + b: c for b, c in ac} for ac in acs)
-        return d2.eq(Matrix(f, self.u.dim_leq(level + 2) * na_tgt, rc))
-
-    def check_right_module(self, level: int, r_max: int):
-        """delta((u⊗a)b) = delta(u⊗a)b + (-1)^{|a|} (u⊗a) d(b) on basis triples."""
-        f = self.field
-        one = f.one()
-        u, dual = self.u, self.cdga.dual
-        for r in range(r_max):
-            sgn = 1 if r % 2 == 0 else -1
-            for s in range(1, r_max - r + 1):
-                if r + s + 1 > dual.bound:
-                    continue
-                ds = self.cdga.d(s).columns
-                for ui in range(u.dim_leq(level)):
-                    for a in range(dual.dim_at(r)):
-                        ea = {a: one}
-                        ab1 = self._delta_elem(r, ui, ea)
-                        for b in range(dual.dim_at(s)):
-                            eb = {b: one}
-                            lhs = self._delta_elem(r + s, ui, dual.multiply(r, ea, s, eb))
-                            rhs = {}
-                            for (ti, c1), co in ab1.items():
-                                for b2, c2 in dual.multiply(r + 1, {c1: co}, s, eb).items():
-                                    rhs[(ti, b2)] = rhs.get((ti, b2), 0) + c2
-                            for b2, c2 in dual.multiply(r, ea, s + 1, ds[b]).items():
-                                rhs[(ui, b2)] = rhs.get((ui, b2), 0) + sgn * c2
-                            if _sparse_ne(f, lhs, rhs):
-                                return False
-        return True
-
-    def _delta_elem(self, r: int, ui: int, avec):
-        """delta(u_i ⊗ a) as {(u_index, a!_{r+1} index): coeff}, summed
-        from the columns u_i ⊗ e_a of delta's matrix."""
-        cols = self.delta(len(self.u.basis_words[ui]), r).columns
-        dual = self.cdga.dual
-        na, nb = dual.dim_at(r), dual.dim_at(r + 1)
-        out = {}
-        for a, ca in avec.items():
-            axpy(out, ca, cols[ui * na + a])
-        return {divmod(k, nb): c for k, c in zero_free(out, self.field.p).items()}
+def bimodule_delta(u: FilteredAlgebraTruncation, cdga: CdgAlgebra, level: int, r: int) -> Matrix:
+    """T's delta on U_{<=level} ⊗ A!_r (columns u-major), into
+    U_{<=level+1} ⊗ A!_{r+1}: delta(u ⊗ a) = sum_g u x_g ⊗ x_g* a + u ⊗ d(a),
+    F's differential with N = A!, the expansion of A!'s free complex."""
+    if u.data is not cdga.data and not u.data.graph_rows().eq(cdga.data.graph_rows()):
+        raise InconsistentDataError("U and (A!, d, c) come from different deformations")
+    dual = cdga.dual
+    free = FreeUComplex.of_source(u, (r, r + 1), {r: dual.dim_at(r), r + 1: dual.dim_at(r + 1)},
+                                  _dual_source(cdga))
+    return free.expand({r: level, r + 1: level + 1}).diff(r)
 
 
-def _sparse_ne(f, a: dict, b: dict) -> bool:
-    for k in set(a) | set(b):
-        if not f.eq(a.get(k, f.zero()), b.get(k, f.zero())):
-            return True
-    return False
+def check_delta_squared(u: FilteredAlgebraTruncation, cdga: CdgAlgebra, level: int, r: int):
+    """delta^2 = -(.c) on U_{<=level} ⊗ A!_r, exactly."""
+    f = u.field
+    d2 = bimodule_delta(u, cdga, level + 1, r + 1).mul(bimodule_delta(u, cdga, level, r))
+    # right multiplication by -c: u ⊗ a -> -u ⊗ (a c)
+    dual = cdga.dual
+    na_src = dual.dim_at(r)
+    na_tgt = dual.dim_at(r + 2)
+    char = f.p
+    curv = {s: c for s, c in enumerate(cdga.curvature) if c}
+    acs = []  # the nonzero entries of -(e_a c), which depends on a only
+    for a in range(na_src):
+        ac = dual.multiply(r, {a: f.one()}, 2, curv)
+        acs.append([(b, -c % char if char else -c) for b, c in ac.items()])
+    rc = []  # column ui * na_src + a is -(u_ui ⊗ e_a c)
+    for ui in range(u.dim_leq(level)):
+        base = ui * na_tgt
+        rc.extend({base + b: c for b, c in ac} for ac in acs)
+    return d2.eq(Matrix(f, u.dim_leq(level + 2) * na_tgt, rc))
 
 
 # -- the functor F (filtration pieces) --------------------------------------
@@ -405,13 +350,6 @@ def G_blocks(field, maps: dict, src: dict, tgt: dict, degree: int = 0) -> dict:
             cols.append(col)
         out[p] = Matrix(field, len(tgt_labs), cols)
     return out
-
-
-def apply_G_map(phi: ChainMap, cdga: CdgAlgebra, bounds: FunctorBounds) -> ChainMap:
-    """G on morphisms: blockwise id ⊗ phi^{p+r}."""
-    gsrc = apply_G(phi.source, cdga, bounds, verify=False)
-    gtgt = apply_G(phi.target, cdga, bounds, verify=False)
-    return ChainMap(gsrc, gtgt, G_blocks(phi.field, phi.maps, gsrc.labels, gtgt.labels))
 
 
 # -- unit, counit, (GF)_i ----------------------------------------------------
@@ -745,43 +683,3 @@ def apply_Fprime(m: UComplex, cdga: CdgAlgebra, bounds: FunctorBounds,
         if msg:
             raise InconsistentDataError(f"F' output: {msg}")
     return fp
-
-
-def triangle_check(m: UComplex, u: FilteredAlgebraTruncation, cdga: CdgAlgebra,
-                   bounds: FunctorBounds):
-    """G(counit) composed with unit_{G(M)}: the adjunction triangle on G(M).
-
-    Returns (G(M), composite ChainMap); the composite is the identity up
-    to (often on the nose) homotopy.
-    """
-    f = u.field
-    g = apply_G(m, cdga, bounds)
-    gf, eta = unit(g, u, cdga, bounds)
-    maps = {}
-    for p in gf.dims:
-        if g.dim(p) == 0:
-            continue
-        tpos = {lab: i for i, lab in enumerate(g.labels.get(p, []))}
-        cols = []
-        acts = {}
-        for r, s, ui, ni in gf.labels[p]:
-            col = {}
-            cols.append(col)
-            # ni indexes G(M)^{p+r}; the counit keeps its socle component,
-            # with one product per word
-            r2, s2, i2 = g.labels[p + r][ni]
-            if r2 != 0:
-                continue
-            act = acts.get((r, ui))
-            if act is None:
-                act = acts[(r, ui)] = m.act_word(p + r, u.basis_words[ui])
-            for j, c in act.columns[i2].items():
-                row = tpos.get((r, s, j))
-                if row is not None:
-                    col[row] = c
-        maps[p] = Matrix(f, g.dim(p), cols)
-    geps = ChainMap(gf, g, maps)
-    msg = geps.validate(check_actions=False)
-    if msg:
-        raise InconsistentDataError(f"G(counit): {msg}")
-    return g, geps.compose(eta)

@@ -398,9 +398,6 @@ class EchelonSpan:
     def dim(self) -> int:
         return len(self.rows)
 
-    def leads(self):
-        return self.rows.keys()
-
     def _reduce(self, vec) -> dict:
         """Normal form of a zero-free copy of vec; ``vec`` is not changed."""
         p = self._p

@@ -87,6 +87,9 @@ def named_complex(problem, name: str) -> UComplex:
     names = spec["modules"]
     for off, mname in enumerate(names):
         if mname:
+            if lo + off > hi:
+                raise InputError(f"complex {name!r}: module {mname!r} at degree {lo + off} "
+                                 f"outside the window [{lo}, {hi}]")
             mods[lo + off] = named_module(problem, mname)
     diffs = {}
     for key, rows in (spec.get("differentials") or {}).items():
@@ -108,6 +111,10 @@ def named_cdg_module(problem, name: str, bound) -> CdgModule:
         raise InputError(f"cdg module {name!r} not declared")
     lo, hi = spec["window"]
     dims = {int(k): int(v) for k, v in spec["dims"].items()}
+    for p, n in dims.items():
+        if n and not lo <= p <= hi:
+            raise InputError(f"cdg module {name!r}: dim {n} at degree {p} "
+                             f"outside the window [{lo}, {hi}]")
     dual_names = list(cdga.dual.pres.generators)
     actions = {}
     for p in dims:
@@ -127,7 +134,8 @@ def named_cdg_module(problem, name: str, bound) -> CdgModule:
     weights = None
     if spec.get("weights"):
         weights = {int(k): list(v) for k, v in spec["weights"].items()}
-        for p, w in weights.items():
+        for p in [*weights, *(p for p, n in dims.items() if n and p not in weights)]:
+            w = weights.get(p, ())
             if len(w) != dims.get(p, 0):
                 raise InputError(f"cdg module {name!r}: weights list of length {len(w)} "
                                  f"at degree {p}, dim {dims.get(p, 0)}")

@@ -18,7 +18,15 @@ from koszul_kit.errors import (
     NotCofreeError,
     WellDefinednessError,
 )
-from koszul_kit.functors import cofree_actions, dual_dims, hom_labels
+from koszul_kit.functors import (
+    G_blocks,
+    apply_G,
+    bimodule_delta,
+    cofree_actions,
+    dual_dims,
+    hom_labels,
+    unit,
+)
 from koszul_kit.linalg import (
     RHS,
     DimensionError,
@@ -584,7 +592,7 @@ def dense_hom_complex_explicit(n, m, window):
 
 # -- the old builders of F: its own loop, its fiber, the j-major expansion ---------
 #
-# ``functors.apply_F`` and ``KoszulBimodule.delta`` as they were before F(N)
+# ``functors.apply_F`` and T's delta as they were before F(N)
 # became the expansion of N's free U-complex: the loop ``_add_F``, the fiber
 # k ⊗_U F_i(N) that ``FilteredFComplex`` kept, and ``FreeUComplex.expand``
 # with its labels j-major at the levels base_level + (p - lo) e.  The
@@ -648,17 +656,17 @@ def oracle_apply_F(n, u, bounds):
     return fc
 
 
-def oracle_delta(t, level, r):
+def oracle_delta(u, cdga, level, r):
     """The old ``KoszulBimodule.delta``: F's loop with N = A!."""
-    u, dual = t.u, t.cdga.dual
+    dual = cdga.dual
     na, nb = dual.dim_at(r), dual.dim_at(r + 1)
     left = dual.mult_columns(1, r)  # x_g e_a: column g * na + a
     acts = [(gi, left[g * na:(g + 1) * na]) for g, gi in enumerate(_oracle_gens(u))]
-    d_cols = t.cdga.d(r).columns
+    d_cols = cdga.d(r).columns
     n_tgt = u.dim_leq(level + 1)
     rows = {(ti, b): ti * nb + b for ti in range(n_tgt) for b in range(nb)}
-    return Matrix(t.field, n_tgt * nb,
-                  [zero_free(oracle_add_F({}, rows, 1, u, acts, d_cols, ui, a), t.field.p)
+    return Matrix(u.field, n_tgt * nb,
+                  [zero_free(oracle_add_F({}, rows, 1, u, acts, d_cols, ui, a), u.field.p)
                    for ui in range(u.dim_leq(level)) for a in range(na)])
 
 
@@ -2501,3 +2509,105 @@ def heis_world(heis):
 @pytest.fixture(scope="session")
 def twopoint_world(twopoint):
     return twopoint, build_U(twopoint, 4), build_cdga(twopoint, 6)
+
+
+# -- library code that only tests read ---------------------------------------------
+#
+# T's right-module law, G on maps and the adjunction triangle, as they were
+# in ``functors``, where no command read them: the law and the triangle
+# over the library's ``bimodule_delta``, ``apply_G`` and ``unit``, G on
+# maps over ``G_blocks``.
+
+
+def check_right_module(u, cdga, level, r_max):
+    """delta((u⊗a)b) = delta(u⊗a)b + (-1)^{|a|} (u⊗a) d(b) on basis triples."""
+    f = u.field
+    one = f.one()
+    dual = cdga.dual
+    for r in range(r_max):
+        sgn = 1 if r % 2 == 0 else -1
+        for s in range(1, r_max - r + 1):
+            if r + s + 1 > dual.bound:
+                continue
+            ds = cdga.d(s).columns
+            for ui in range(u.dim_leq(level)):
+                for a in range(dual.dim_at(r)):
+                    ea = {a: one}
+                    ab1 = delta_elem(u, cdga, r, ui, ea)
+                    for b in range(dual.dim_at(s)):
+                        eb = {b: one}
+                        lhs = delta_elem(u, cdga, r + s, ui, dual.multiply(r, ea, s, eb))
+                        rhs = {}
+                        for (ti, c1), co in ab1.items():
+                            for b2, c2 in dual.multiply(r + 1, {c1: co}, s, eb).items():
+                                rhs[(ti, b2)] = rhs.get((ti, b2), 0) + c2
+                        for b2, c2 in dual.multiply(r, ea, s + 1, ds[b]).items():
+                            rhs[(ui, b2)] = rhs.get((ui, b2), 0) + sgn * c2
+                        if _sparse_ne(f, lhs, rhs):
+                            return False
+    return True
+
+
+def delta_elem(u, cdga, r, ui, avec):
+    """delta(u_i ⊗ a) as {(u_index, a!_{r+1} index): coeff}, summed
+    from the columns u_i ⊗ e_a of delta's matrix."""
+    cols = bimodule_delta(u, cdga, len(u.basis_words[ui]), r).columns
+    dual = cdga.dual
+    na, nb = dual.dim_at(r), dual.dim_at(r + 1)
+    out = {}
+    for a, ca in avec.items():
+        axpy(out, ca, cols[ui * na + a])
+    return {divmod(k, nb): c for k, c in zero_free(out, u.field.p).items()}
+
+
+def _sparse_ne(f, a: dict, b: dict) -> bool:
+    for k in set(a) | set(b):
+        if not f.eq(a.get(k, f.zero()), b.get(k, f.zero())):
+            return True
+    return False
+
+
+def apply_G_map(phi, cdga, bounds):
+    """G on morphisms: blockwise id ⊗ phi^{p+r}."""
+    gsrc = apply_G(phi.source, cdga, bounds, verify=False)
+    gtgt = apply_G(phi.target, cdga, bounds, verify=False)
+    return ChainMap(gsrc, gtgt, G_blocks(phi.field, phi.maps, gsrc.labels, gtgt.labels))
+
+
+def triangle_check(m, u, cdga, bounds):
+    """G(counit) composed with unit_{G(M)}: the adjunction triangle on G(M).
+
+    Returns (G(M), composite ChainMap); the composite is the identity up
+    to (often on the nose) homotopy.
+    """
+    f = u.field
+    g = apply_G(m, cdga, bounds)
+    gf, eta = unit(g, u, cdga, bounds)
+    maps = {}
+    for p in gf.dims:
+        if g.dim(p) == 0:
+            continue
+        tpos = {lab: i for i, lab in enumerate(g.labels.get(p, []))}
+        cols = []
+        acts = {}
+        for r, s, ui, ni in gf.labels[p]:
+            col = {}
+            cols.append(col)
+            # ni indexes G(M)^{p+r}; the counit keeps its socle component,
+            # with one product per word
+            r2, s2, i2 = g.labels[p + r][ni]
+            if r2 != 0:
+                continue
+            act = acts.get((r, ui))
+            if act is None:
+                act = acts[(r, ui)] = m.act_word(p + r, u.basis_words[ui])
+            for j, c in act.columns[i2].items():
+                row = tpos.get((r, s, j))
+                if row is not None:
+                    col[row] = c
+        maps[p] = Matrix(f, g.dim(p), cols)
+    geps = ChainMap(gf, g, maps)
+    msg = geps.validate(check_actions=False)
+    if msg:
+        raise InconsistentDataError(f"G(counit): {msg}")
+    return g, geps.compose(eta)

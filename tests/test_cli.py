@@ -513,6 +513,49 @@ def test_module_reader_refusals_exit_two(tmp_path, capsys, field):
     assert cli.main(["sigma-trunc", twop_path, "--complex", "k1", "--at", "0"]) == 0
 
 
+def test_declared_data_outside_the_window_exit_two(tmp_path, capsys):
+    """Declared data that the window or the weights leave out is refused,
+    naming the object and the degree, text and --json: a cdg module whose
+    weights skip a degree of nonzero dim (a TypeError traceback before), a
+    complex with more modules than its window, and a cdg module with a
+    nonzero dim outside its window (both read with exit 0 before, and
+    changed the printed result).  A zero dim or an empty module name
+    outside the window is still read, with the output unchanged."""
+    def write(name, edit):
+        raw = json.load(open(SYM2))
+        edit(raw)
+        path = str(tmp_path / name)
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+        return path
+    unweighted = write("unweighted.json", lambda r: r["cdg_modules"]["gk"]["weights"].pop("-2"))
+    longer = write("longer.json", lambda r: r["complexes"]["two"].update(modules=["k2"] * 3))
+    narrow = write("narrow.json", lambda r: r["cdg_modules"]["gk"].update(window=[-1, 0]))
+    weight = "input error: cdg module 'gk': weights list of length 0 at degree -2, dim 1\n"
+    module = "input error: complex 'two': module 'k2' at degree 2 outside the window [0, 1]\n"
+    dim = "input error: cdg module 'gk': dim 1 at degree -2 outside the window [-1, 0]\n"
+    cases = [(["regrade", unweighted, "--cdg", "gk", "--r", "2", "--degree", "5"], weight),
+             (["null-cofree", unweighted, "--cdg", "gk", "--degree", "5"], weight),
+             (["t-trunc", unweighted, "--cdg", "gk", "--at", "0", "--degree", "5"], weight),
+             (["tor", longer, "--module", "two"], module),
+             (["null-cofree", narrow, "--cdg", "gk", "--degree", "5"], dim)]
+    for argv, err in cases:
+        for extra in ([], ["--json"]):
+            assert cli.main(argv + extra) == 2
+            assert capsys.readouterr() == ("", err)
+
+    def padded(raw):
+        raw["complexes"]["two"]["modules"].append("")
+        raw["cdg_modules"]["gk"]["dims"]["1"] = 0
+    pad = write("padded.json", padded)
+    for argv in (["tor", "--module", "two"], ["null-cofree", "--cdg", "gk", "--degree", "5"]):
+        outs = []
+        for path in (SYM2, pad):
+            assert cli.main([argv[0], path, *argv[1:], "--json"]) == 0
+            outs.append(capsys.readouterr())
+        assert outs[0] == outs[1]
+
+
 def test_weighted_merge_position_test_exit_two(tmp_path):
     """Over generators of weight 2 the merge of free dual modules carries no
     weights, so the position null test refuses the complex as input,

@@ -18,17 +18,17 @@ from koszul_kit.complexes import (
     nullhomotopy,
 )
 from koszul_kit.cofree import minimize_G
-from koszul_kit.deformations import DeformationData, build_U, build_cdga, pbw_check
+from koszul_kit.deformations import CdgAlgebra, DeformationData, build_U, build_cdga, pbw_check
 from koszul_kit import functors
 from koszul_kit.errors import DegreeOverflowError, InconsistentDataError, InputError
 from koszul_kit.functors import (
     FunctorBounds,
-    KoszulBimodule,
     adjunction_report,
     apply_F,
     apply_Fprime,
     apply_G,
-    apply_G_map,
+    bimodule_delta,
+    check_delta_squared,
     counit,
     f_free_complex,
     gf_composite,
@@ -41,6 +41,9 @@ from koszul_kit.scalars import QQ, Field
 
 from conftest import (
     SEED,
+    apply_G_map,
+    check_right_module,
+    delta_elem,
     dense,
     dense_cofree_actions,
     dense_f_differentials,
@@ -64,6 +67,7 @@ from conftest import (
     raw_values,
     sparse,
     symmetric_presentation,
+    triangle_check,
     truncated_presentation,
     twopoint_deformation,
     u_product,
@@ -100,25 +104,40 @@ def test_functor_bounds_is_an_immutable_value():
 
 def test_bimodule_twopoint_curvature(twopoint_world):
     twop, u, cdga = twopoint_world
-    t = KoszulBimodule(u, cdga)
     for r in range(3):
-        assert t.check_delta_squared(1, r)
-    assert t.check_right_module(1, 3)
+        assert check_delta_squared(u, cdga, 1, r)
+    assert check_right_module(u, cdga, 1, 3)
 
 
 def test_bimodule_delta_squared_zero_cases(sym2_world, heis_world):
     for (data, u, cdga) in (sym2_world, heis_world):
-        t = KoszulBimodule(u, cdga)
         for r in range(2):
-            assert t.check_delta_squared(2, r)
-        assert t.check_right_module(2, 2)
+            assert check_delta_squared(u, cdga, 2, r)
+        assert check_right_module(u, cdga, 2, 2)
+
+
+def test_delta_squared_certificate_fires_on_a_wrong_curvature(twopoint_world):
+    """``check_delta_squared`` compares delta^2 with -(.c) for the cdga's
+    own c: with c doubled, delta (which reads d, not c) is unchanged and
+    the certificate returns False at every degree it passed."""
+    twop, u, cdga = twopoint_world
+    f = cdga.field
+    assert not cdga.curvature_is_zero
+    doubled = CdgAlgebra(cdga.data, cdga.dual, cdga.derivations,
+                         [f.add(c, c) for c in cdga.curvature])
+    for r in range(3):
+        assert check_delta_squared(u, cdga, 1, r)
+        assert bimodule_delta(u, doubled, 1, r).eq(bimodule_delta(u, cdga, 1, r))
+        assert not check_delta_squared(u, doubled, 1, r)
 
 
 def test_bimodule_rejects_mismatched_data(sym2_world, heis_world):
     _, u, _ = sym2_world
     _, _, cdga = heis_world
-    with pytest.raises(InconsistentDataError):
-        KoszulBimodule(u, cdga)
+    with pytest.raises(InconsistentDataError, match="different deformations"):
+        bimodule_delta(u, cdga, 1, 0)
+    with pytest.raises(InconsistentDataError, match="different deformations"):
+        check_delta_squared(u, cdga, 1, 0)
 
 
 # -- F ------------------------------------------------------------------------
@@ -514,7 +533,6 @@ def test_counit_on_free_module_is_homotopy_equivalence(sym2_world):
 
 
 def test_triangle_identity_g_counit_unit(sym2_world, heis_world):
-    from koszul_kit.functors import triangle_check
     for world in (sym2_world, heis_world):
         data, u, cdga = world
         b = FunctorBounds((-3, 1), 4, 3)
@@ -637,9 +655,8 @@ def test_bimodule_exact_element_twopoint(twopoint_world):
     # delta^2(1 (x) x*) = -ab (1 (x) x*^3) with a = 1, b = 2
     twop, u, cdga = twopoint_world
     f = QQ
-    t = KoszulBimodule(u, cdga)
-    d1 = t.delta(0, 1)          # U_{<=0} (x) A!_1 -> U_{<=1} (x) A!_2
-    d2 = t.delta(1, 2)
+    d1 = bimodule_delta(u, cdga, 0, 1)  # U_{<=0} (x) A!_1 -> U_{<=1} (x) A!_2
+    d2 = bimodule_delta(u, cdga, 1, 2)
     comp = d2.mul(d1)
     # source is 1-dimensional: the element 1 (x) x*; target basis is
     # (u-monomials of degree <= 2) x (x*^3): expect -2 on the 1 (x) x*^3 slot
@@ -655,16 +672,16 @@ def _same(got, want):
     assert (got.rows, got.cols, got.to_rows()) == (want.rows, want.cols, want.to_rows())
 
 
-def _dense_delta(t, level, r):
-    """``KoszulBimodule.delta`` cell by cell from ``dense_mult_basis`` and
+def _dense_delta(u, cdga, level, r):
+    """``bimodule_delta`` cell by cell from ``dense_mult_basis`` and
     ``dense_left_mult``."""
-    f, u, dual = t.field, t.u, t.cdga.dual
+    f, dual = u.field, cdga.dual
     src_u = [i for i in range(u.total_dim) if len(u.basis_words[i]) <= level]
     tgt_pos = {ui: k for k, ui in enumerate(
         i for i in range(u.total_dim) if len(u.basis_words[i]) <= level + 1)}
     na, nb = dual.dim_at(r), dual.dim_at(r + 1)
     out = [[f.zero()] * (len(src_u) * na) for _ in range(len(tgt_pos) * nb)]
-    d_r = t.cdga.d(r).to_rows()
+    d_r = cdga.d(r).to_rows()
     for ci, ui in enumerate(src_u):
         for a in range(na):
             for g in range(dual.pres.dim):
@@ -731,10 +748,9 @@ def test_generator_products_match_dense_oracles(sym2_world, heis_world, twopoint
                         if row is not None:
                             out[row][col] = lm[s2][s]
                 _same(fp.action(t, g), Matrix.from_rows(data.field, out, len(labs)))
-        t = KoszulBimodule(u, cdga)
         for level, r in ((0, 0), (1, 1), (2, 1), (1, 2), (2, 3)):
-            got = t.delta(level, r).to_rows()
-            assert got == _dense_delta(t, level, r)
+            got = bimodule_delta(u, cdga, level, r).to_rows()
+            assert got == _dense_delta(u, cdga, level, r)
             assert raw_values(data.field, [x for row in got for x in row])
             # the sparse delta(u_i ⊗ e_a) is the column of u_i ⊗ e_a
             tgt_u = [i for i in range(u.total_dim) if len(u.basis_words[i]) <= level + 1]
@@ -745,7 +761,7 @@ def test_generator_products_match_dense_oracles(sym2_world, heis_world, twopoint
                     unit_a = {a: data.field.one()}
                     col = {(tgt_u[row // nb], row % nb): got[row][ci * na + a]
                            for row in range(len(got)) if got[row][ci * na + a]}
-                    assert t._delta_elem(r, ui, unit_a) == col
+                    assert delta_elem(u, cdga, r, ui, unit_a) == col
 
 
 # -- U products read off the sparse table ---------------------------------------
@@ -847,12 +863,11 @@ def _check_u_products(data, rng):
             _same(got.diff(p), m)
             assert raw_values(f, [x for row in got.diff(p).to_rows() for x in row])
     # the bimodule delta and delta(u_i ⊗ a) for a random a
-    t = KoszulBimodule(u, cdga)
     dual = cdga.dual
     for level in range(u.bound):
         for r in range(dual.bound):
-            got = t.delta(level, r).to_rows()
-            want = _dense_delta(t, level, r)
+            got = bimodule_delta(u, cdga, level, r).to_rows()
+            want = _dense_delta(u, cdga, level, r)
             assert got == want and raw_values(f, [x for row in got for x in row])
             na, nb = dual.dim_at(r), dual.dim_at(r + 1)
             tgt_u = [i for i in range(u.total_dim) if len(words[i]) <= level + 1]
@@ -865,7 +880,7 @@ def _check_u_products(data, rng):
                         v = f.add(v, f.mul(ca, want[row][ci * na + a]))
                     if not f.is_zero(v):
                         col[(tgt_u[row // nb], row % nb)] = v
-                elem = t._delta_elem(r, ui, sparse(avec))
+                elem = delta_elem(u, cdga, r, ui, sparse(avec))
                 assert elem == col and raw_values(f, elem.values())
 
 
@@ -874,7 +889,7 @@ def _check_u_products(data, rng):
 @example(_lie2(Field(5), 0, 1, 0), 0)
 def test_u_products_match_dense_oracles(data, seed):
     """``mult_basis`` (densified), ``multiply``, the differentials of F and
-    (GF)_i, ``delta`` and ``_delta_elem`` against the dense oracles on
+    (GF)_i, ``bimodule_delta`` and ``delta_elem`` against the dense oracles on
     random PBW deformations over Q, F_2, F_3 and F_5.  The example is
     [x, y] = y over F_5, where raw sums such as 5 y must reduce to 0."""
     _check_u_products(data, random.Random(seed + SEED))
@@ -976,8 +991,7 @@ def test_free_complex_matches_the_old_builders(f, seed):
         assert sorted(gf.diffs) == sorted(p for p, m in want.items() if m.rows and m.cols)
         for p, m in want.items():
             _same(gf.diff(p), m)
-        t = KoszulBimodule(u, cdga)
         for level, r in ((0, 0), (1, 1), (2, 1), (1, 2), (3, 2), (2, 3)):
-            got = t.delta(level, r)
-            _same_columns(got, oracle_delta(t, level, r))
-            assert got.to_rows() == _dense_delta(t, level, r)
+            got = bimodule_delta(u, cdga, level, r)
+            _same_columns(got, oracle_delta(u, cdga, level, r))
+            assert got.to_rows() == _dense_delta(u, cdga, level, r)

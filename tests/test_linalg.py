@@ -198,7 +198,7 @@ def _check_echelon_span(f, m, probe):
     span = EchelonSpan(f)
     grew = [span.insert(_sparse(f, r)) for r in m.to_rows()]
     oracle = _descending_rref(m)
-    assert set(span.leads()) == set(oracle)
+    assert set(span.rows) == set(oracle)
     assert span.dim() == sum(grew) == len(oracle)
     for row in span.rows.values():
         _assert_raw(f, row.values())

@@ -26,7 +26,6 @@ from koszul_kit.functors import (
     FunctorBounds,
     apply_Fprime,
     apply_G,
-    apply_G_map,
     counit,
     unit,
 )
@@ -35,6 +34,7 @@ from koszul_kit.presentations import QuadraticPresentation
 from koszul_kit.scalars import QQ, Field
 
 from conftest import (
+    apply_G_map,
     heisenberg_deformation,
     oracle_act_word,
     oracle_cdg_check_d_squared,

@@ -24,7 +24,6 @@ from koszul_kit.complexes import (
     UComplex,
     cone,
     homology_dims,
-    homotopy_identity_holds,
     nullhomotopy,
     weight_split,
 )
@@ -58,6 +57,7 @@ from conftest import (
     heisenberg_deformation,
     oracle_free_dual_merge,
     oracle_homology_per_weight,
+    oracle_homotopy_identity_holds,
     oracle_regrade,
     oracle_socle_sdr,
     oracle_sub_quotient,
@@ -358,8 +358,8 @@ def test_minimize_matches_homology(sym2_world):
         # certificates
         assert res.witness_onto is not None
         comp = res.into.compose(res.onto)
-        assert homotopy_identity_holds(comp, ChainMap.identity(res.g_of_m),
-                                       res.witness_onto)
+        assert oracle_homotopy_identity_holds(comp, ChainMap.identity(res.g_of_m),
+                                              res.witness_onto)
 
 
 def test_minimize_acyclic_gives_zero(sym2_world):
@@ -616,7 +616,7 @@ def test_null_cofree_cone_identity(sym2_world):
     idc = ChainMap.identity(cn)
     hom = nullhomotopy(idc, ChainMap.zero(cn, cn))
     assert hom is not None
-    assert homotopy_identity_holds(idc, ChainMap.zero(cn, cn), hom)
+    assert oracle_homotopy_identity_holds(idc, ChainMap.zero(cn, cn), hom)
 
 
 def test_null_cofree_rejects_non_cofree(sym2_world):
@@ -1037,8 +1037,8 @@ def test_minimize_where_the_homotopy_terms_matter(f):
     res = minimize_G(m, cdga, FunctorBounds((-4, 2), 4, 3))
     assert res.socle_dims == {0: 1}
     assert res.minimal.validate() is None
-    assert homotopy_identity_holds(res.into.compose(res.onto),
-                                   ChainMap.identity(res.g_of_m), res.witness_onto)
+    assert oracle_homotopy_identity_holds(res.into.compose(res.onto),
+                                          ChainMap.identity(res.g_of_m), res.witness_onto)
     g = res.g_of_m
     for p_cut in range(-4, 3):
         assert t_truncate(g, cdga, p_cut, 3)[2] is not None
