@@ -6,10 +6,12 @@ One self-describing JSON schema covers all inputs; scalars are strings
 codes: 0 success, 1 a requested check failed, 2 input or usage error.
 
 This module holds the parser, the problem file's algebra part (A, A!, U
-and the curved dga) and the five commands on the algebras alone, and
-imports only the algebra layer.  The other commands, with the modules,
-complexes and functors they build, are in ``module_commands``, which
-``main`` imports only when one of them is chosen.
+and the curved dga), the bound plan and the five commands on the algebras
+alone, and imports only the algebra layer.  The other commands, with the
+modules, complexes and functors they build, are in ``module_commands``,
+which ``main`` imports only when one of them is chosen.  Every bound a
+command builds to is derived from its flags by ``plan``, before anything is
+built, and ``main`` hands the ``Plan`` to the command.
 
 A command line that starts with a command name is parsed by that
 command's parser alone (``parse_args``).  Only help, usage errors,
@@ -26,6 +28,7 @@ import json
 import os
 import shutil
 import sys
+from collections import namedtuple
 
 from .deformations import (
     DeformationData,
@@ -156,19 +159,94 @@ def fmt_poly(field, dual, degree, col):
     return " + ".join(terms) if terms else "0"
 
 
+# -- the bound plan ---------------------------------------------------------------
+
+
+class Plan(namedtuple("Plan", ("algebra", "cdga", "u", "window", "filtration",
+                               "internal", "guard"), defaults=(None,) * 7)):
+    """The bounds a command builds to, derived from its flags by ``plan``;
+    a field the command does not read is None.  F and G read a plan as
+    their ``functors.FunctorBounds``.  Below, a..b is ``--range``:
+
+    - algebra: the degree of A's and A!'s truncations, ``--degree``;
+    - cdga: the cdga's bound, ``--degree``; ``ext``: max(``--degree``, b + 2);
+    - u: U's level, ``--degree`` (``build-u``, ``null-free``); ``cdga``:
+      max(2, min(``--degree``, 3)); where F reads U: max(``--degree``,
+      filtration + the window's top + 1);
+    - window: F and G's window, ``--window``; ``tor``: (-b - 2, 1); ``ext``:
+      (min(a, 0), b + 1);
+    - filtration: F's level, ``--filtration``; ``null-free``: its base
+      level, ``--filtration // 2``;
+    - internal: the internal-degree cap, ``--internal``; ``ext``:
+      max(``--internal``, b + 1);
+    - guard: the null tests' edge band, ``--guard``, applied by ``interior``.
+    """
+    __slots__ = ()
+
+    def interior(self, window, entry_degree=None):
+        """A null test's ``window`` less the guard band at each end; all of
+        it for a free complex with scalar entries (``entry_degree`` 0),
+        whose expansion has the true homology.  Refused when empty, where
+        every claim would hold vacuously."""
+        g = 0 if entry_degree == 0 else self.guard
+        lo, hi = window
+        if lo + g > hi - g:
+            raise InputError(f"--guard {self.guard} leaves no interior of the window "
+                             f"[{lo}, {hi}]")
+        return lo + g, hi - g
+
+
+def _flag(args, name):
+    """The value of ``--name``, refused when negative or, for a window or a
+    range, empty, naming the flag and the value given."""
+    v = getattr(args, name)
+    if isinstance(v, tuple):
+        if v[0] > v[1]:
+            sep = ":" if name == "window" else ".."
+            raise InputError(f"--{name} must be nonempty: {v[0]}{sep}{v[1]} has {v[0]} > {v[1]}")
+    elif v < 0:
+        raise InputError(f"--{name} must be >= 0: got {v}")
+    return v
+
+
+def plan(args) -> Plan:
+    """The bounds of ``args.command`` (see ``Plan``), each flag it reads
+    checked once, in the order read.  A ``--degree`` that bounds the cdga
+    is checked by ``build_cdga``, which names its floor of 2."""
+    c, flag = args.command, functools.partial(_flag, args)
+    if c in ("dual", "pbw", "selftest"):
+        return Plan()
+    if c in ("truncate", "koszul-check"):
+        return Plan(algebra=flag("degree"))
+    if c == "build-u":
+        d = flag("degree")
+        return Plan(algebra=d, u=d)
+    if c == "cdga":
+        return Plan(cdga=args.degree, u=max(2, min(args.degree, 3)))
+    if c == "null-free":
+        return Plan(u=flag("degree"), filtration=flag("filtration") // 2, guard=flag("guard"))
+    if c in ("null-cofree", "t-trunc"):
+        return Plan(cdga=args.degree, internal=flag("internal"),
+                    guard=flag("guard") if c == "null-cofree" else None)
+    if c in ("sigma-trunc", "regrade"):
+        return Plan(cdga=args.degree)
+    if c in ("tor", "ext"):
+        a, b = flag("range")
+        window = (-b - 2, 1) if c == "tor" else (min(a, 0), b + 1)
+    else:
+        window = flag("window")
+    filtration, internal, cdga, u = flag("filtration"), flag("internal"), args.degree, None
+    if c == "ext":
+        cdga, internal = max(cdga, b + 2), max(internal, b + 1)
+    if c in ("apply-f", "unit", "counit", "ce") or c == "tor" and args.cross_check:
+        u = max(args.degree, filtration + window[1] + 1)
+    return Plan(cdga=cdga, u=u, window=window, filtration=filtration, internal=internal)
+
+
 # -- command implementations ------------------------------------------------------
 
 
-def nonnegative(args, *flags):
-    """Refuse a negative value of each named flag, naming the flag and the
-    value given."""
-    for flag in flags:
-        v = getattr(args, flag)
-        if v < 0:
-            raise InputError(f"--{flag} must be >= 0: got {v}")
-
-
-def cmd_dual(problem, args):
+def cmd_dual(problem, args, plan):
     p = problem.presentation()
     dual = p.dual()
     f = problem.field
@@ -180,16 +258,15 @@ def cmd_dual(problem, args):
     return 0, {"generators": list(dual.generators), "relations": rel}, lines
 
 
-def cmd_truncate(problem, args):
-    nonnegative(args, "degree")
+def cmd_truncate(problem, args, plan):
     p = problem.presentation()
-    alg = p.truncation(args.degree)
-    dual = p.dual().truncation(args.degree)
+    alg = p.truncation(plan.algebra)
+    dual = p.dual().truncation(plan.algebra)
     lines = [f"A dims:  {list(alg.dims)}", f"A! dims: {list(dual.dims)}"]
     return 0, {"a_dims": list(alg.dims), "dual_dims": list(dual.dims)}, lines
 
 
-def cmd_pbw(problem, args):
+def cmd_pbw(problem, args, plan):
     rep = pbw_check(problem.deformation())
     lines = [f"condition 1 (image in R):        {'pass' if rep.cond1 else 'FAIL'}",
              f"condition 2 (alpha compatible):  {'pass' if rep.cond2 else 'FAIL'}",
@@ -201,10 +278,10 @@ def cmd_pbw(problem, args):
                   "all_pass": rep.all_pass, "overlap_dim": rep.overlap_dim}, lines
 
 
-def cmd_cdga(problem, args):
+def cmd_cdga(problem, args, plan):
     f = problem.field
     try:
-        cdga = problem.cdga(args.degree)
+        cdga = problem.cdga(plan.cdga)
     except (WellDefinednessError, CdgaInvariantError) as e:
         lines = [f"cdga construction failed: {e}",
                  "the deformation is not of PBW type"]
@@ -217,8 +294,7 @@ def cmd_cdga(problem, args):
     for g, name in enumerate(dual.pres.generators):
         lines.append(f"d({name}) = {fmt_poly(f, dual, 2, d1.columns[g])}")
         dmat[name] = [f.format(d1.entry(i, g)) for i in range(d1.rows)]
-    wit = vanishing_witness(problem.deformation(), cdga=cdga,
-                            u=problem.u_truncation(max(2, min(args.degree, 3))))
+    wit = vanishing_witness(problem.deformation(), cdga=cdga, u=problem.u_truncation(plan.u))
     lines.append(f"vanishing lemma witness: {'pass' if wit else 'FAIL'}")
     payload = {"dual_dims": list(dual.dims),
                "curvature": [f.format(x) for x in cdga.curvature],
@@ -227,11 +303,10 @@ def cmd_cdga(problem, args):
     return (0 if wit else 1), payload, lines
 
 
-def cmd_build_u(problem, args):
-    nonnegative(args, "degree")
-    u = problem.u_truncation(args.degree)
-    alg = problem.presentation().truncation(args.degree)
-    pbw_levels = [u.gr_dims[n] == alg.dim_at(n) for n in range(args.degree + 1)]
+def cmd_build_u(problem, args, plan):
+    u = problem.u_truncation(plan.u)
+    alg = problem.presentation().truncation(plan.algebra)
+    pbw_levels = [u.gr_dims[n] == alg.dim_at(n) for n in range(plan.algebra + 1)]
     lines = [f"gr dims: {u.gr_dims}",
              f"A dims:  {list(alg.dims)}",
              f"total dim: {u.total_dim}",
@@ -404,7 +479,7 @@ def main(argv=None) -> int:
             with open(args.file) as fh:
                 raw = json.load(fh)
             problem = Problem(raw)
-        code, payload, lines = fn(problem, args)
+        code, payload, lines = fn(problem, args, plan(args))
         payload["exit_code"] = code
         emit(args, payload, lines)
         return code
@@ -423,7 +498,7 @@ def main(argv=None) -> int:
         # certificate that failed on a computed result
         # (InconsistentDataError, CdgaInvariantError outside ``cdga``), which
         # is a fault of the program, not of the input; telling the two
-        # apart is ROADMAP item 8
+        # apart is ROADMAP item 10
         sys.stderr.write(f"{type(e).__name__}: {e}\n")
         return 2
 

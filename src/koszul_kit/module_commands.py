@@ -2,7 +2,8 @@
 of ``COMMANDS``: fifteen that build modules, complexes and cdg-modules and
 run F, G and the homological checks on them, and ``selftest``.  A named
 U-module is read as the U-complex in degree 0, so every command that takes
-a complex takes a module name too.
+a complex takes a module name too.  Each command reads its bounds from the
+``cli.Plan`` that ``cli.main`` hands it and derives none from a flag.
 
 ``cli.main`` imports this module only when the chosen command is not one
 of its five algebra commands, so commands on the algebras alone never
@@ -16,10 +17,8 @@ every loaded namespace finds each binding, none loaded while it patches.
 from __future__ import annotations
 
 from .complexes import CdgModule, UComplex, cone, homology_dims
-from .cli import nonnegative
 from .errors import InputError, NonFreeComponentError
 from .functors import (
-    FunctorBounds,
     adjunction_report,
     apply_G,
     counit,
@@ -65,7 +64,7 @@ def named_module(problem, name: str) -> UComplex:
         rows = spec["actions"].get(g)
         if rows is None:
             raise InputError(f"module {name!r}: missing action for {g}")
-        acts.append(_matrix(problem.field, rows, dim, dim))
+        acts.append(_matrix(problem.field, rows, dim, dim, f"module {name!r}: action of {g}"))
     weights = spec.get("weights")
     if weights is not None and len(weights) != dim:
         raise InputError(f"module {name!r}: weights list of length {len(weights)} for dim {dim}")
@@ -94,7 +93,12 @@ def named_complex(problem, name: str) -> UComplex:
     diffs = {}
     for key, rows in (spec.get("differentials") or {}).items():
         p = int(key)
-        diffs[p] = _matrix(problem.field, rows, mods[p + 1].dim(0), mods[p].dim(0))
+        for q in (p, p + 1):
+            if q not in mods:
+                raise InputError(f"complex {name!r}: differential at degree {p} "
+                                 f"needs a module at degree {q}")
+        diffs[p] = _matrix(problem.field, rows, mods[p + 1].dim(0), mods[p].dim(0),
+                           f"complex {name!r}: differential at degree {p}")
     cx = UComplex.of_modules(problem.deformation(), (lo, hi), mods, diffs)
     msg = cx.validate()
     if msg:
@@ -125,12 +129,14 @@ def named_cdg_module(problem, name: str, bound) -> CdgModule:
             if rows is None:
                 acts.append(Matrix.zero(problem.field, nrows, dims.get(p, 0)))
             else:
-                acts.append(_matrix(problem.field, rows, nrows, dims.get(p, 0)))
+                acts.append(_matrix(problem.field, rows, nrows, dims.get(p, 0),
+                                    f"cdg module {name!r}: action of {g} at degree {p}"))
         actions[p] = acts
     diffs = {}
     for key, rows in (spec.get("differentials") or {}).items():
         p = int(key)
-        diffs[p] = _matrix(problem.field, rows, dims.get(p + 1, 0), dims.get(p, 0))
+        diffs[p] = _matrix(problem.field, rows, dims.get(p + 1, 0), dims.get(p, 0),
+                           f"cdg module {name!r}: differential at degree {p}")
     weights = None
     if spec.get("weights"):
         weights = {int(k): list(v) for k, v in spec["weights"].items()}
@@ -177,10 +183,11 @@ def named_free_dual_complex(problem, name: str, bound):
     return complex_of_free_dual_modules(cdga, ranks, entries)
 
 
-def _matrix(f, rows, nrows, ncols) -> Matrix:
+def _matrix(f, rows, nrows, ncols, label) -> Matrix:
+    """The matrix of ``rows``, refused, naming ``label``, unless nrows x ncols."""
     data = [[f.parse(c) for c in row] for row in rows]
     if len(data) != nrows or any(len(row) != ncols for row in data):
-        raise InputError(f"matrix must be {nrows}x{ncols}")
+        raise InputError(f"{label}: matrix must be {nrows}x{ncols}")
     return Matrix.from_rows(f, data, ncols)
 
 
@@ -205,21 +212,6 @@ def _dual_element(f, dual, terms):
     return {deg: zero_free(col, f.p) for deg, col in out.items()}
 
 
-def bounds_from(args) -> FunctorBounds:
-    lo, hi = args.window
-    if lo > hi:
-        raise InputError(f"--window must be nonempty: {lo}:{hi} has {lo} > {hi}")
-    nonnegative(args, "filtration", "internal")
-    return FunctorBounds(window=(lo, hi), filtration=args.filtration,
-                         internal=args.internal)
-
-
-def u_bound(args, b: FunctorBounds) -> int:
-    """The bound of the U truncation that F and FG read: ``--degree``, or
-    the top filtration level of the window plus one where that is higher."""
-    return max(args.degree, b.filtration + b.window[1] + 1)
-
-
 def _cone_report(name, key, out, fmap, window):
     """(code, payload, lines) of ``unit`` and ``counit``: the dims of the
     functor image ``out``, the homology of the cone of ``fmap`` on the
@@ -238,9 +230,8 @@ def _cone_report(name, key, out, fmap, window):
 # -- command implementations ------------------------------------------------------
 
 
-def cmd_koszul_check(problem, args):
-    nonnegative(args, "degree")
-    rep = koszulness_check(problem.presentation(), args.degree)
+def cmd_koszul_check(problem, args, plan):
+    rep = koszulness_check(problem.presentation(), plan.algebra)
     lines = [f"strands exact: {rep['strands']}",
              f"ext concentrated on the diagonal: {rep['ext_concentrated']}",
              f"koszul in window: {rep['koszul_window']}"]
@@ -251,10 +242,9 @@ def cmd_koszul_check(problem, args):
     return (0 if rep["koszul_window"] else 1), payload, lines
 
 
-def cmd_apply_f(problem, args):
-    b = bounds_from(args)
-    n = named_cdg_module(problem, args.cdg, args.degree)
-    fc, rep = f_homology_stabilized(n, problem.u_truncation(u_bound(args, b)), b)
+def cmd_apply_f(problem, args, plan):
+    n = named_cdg_module(problem, args.cdg, plan.cdga)
+    fc, rep = f_homology_stabilized(n, problem.u_truncation(plan.u), plan)
     lines = [f"F_i dims: {dict(sorted(fc.dims.items()))}",
              f"homology by degree: {rep.by_degree()}",
              f"stabilized over three filtration levels: {rep.stabilized}"]
@@ -262,25 +252,23 @@ def cmd_apply_f(problem, args):
                "homology": rep.to_json()}, lines
 
 
-def cmd_apply_g(problem, args):
-    b = bounds_from(args)
+def cmd_apply_g(problem, args, plan):
     m = named_complex(problem, args.complex)
-    cdga = problem.cdga(args.degree)
-    g = apply_G(m, cdga, b)
+    cdga = problem.cdga(plan.cdga)
+    g = apply_G(m, cdga, plan)
     lines = [f"G dims: {dict(sorted(g.dims.items()))}", "validate: pass"]
     payload = {"dims": {str(k): v for k, v in sorted(g.dims.items())}}
     if cdga.curvature_is_zero:
-        h, edges = homology_dims(g, b.window)
+        h, edges = homology_dims(g, plan.window)
         payload["homology"] = {str(k): v for k, v in sorted(h.items())}
         lines.append(f"homology: {h}")
     return 0, payload, lines
 
 
-def cmd_adjoint_check(problem, args):
-    b = bounds_from(args)
-    n = named_cdg_module(problem, args.cdg, args.degree)
+def cmd_adjoint_check(problem, args, plan):
+    n = named_cdg_module(problem, args.cdg, plan.cdga)
     m = named_complex(problem, args.complex)
-    rep = adjunction_report(n, m, problem.cdga(args.degree), b)
+    rep = adjunction_report(n, m, problem.cdga(plan.cdga), plan)
     lines = [f"dims match: {rep['dims_match']}",
              f"differentials match: {rep['differentials_match']}",
              f"canonical map iso: {rep['iso']}",
@@ -289,73 +277,54 @@ def cmd_adjoint_check(problem, args):
     return (0 if rep["ok"] else 1), rep, lines
 
 
-def cmd_unit(problem, args):
-    b = bounds_from(args)
-    n = named_cdg_module(problem, args.cdg, args.degree)
-    gf, eta = unit(n, problem.u_truncation(u_bound(args, b)), problem.cdga(args.degree), b)
-    return _cone_report("(GF)_i", "gf_dims", gf, eta, b.window)
+def cmd_unit(problem, args, plan):
+    n = named_cdg_module(problem, args.cdg, plan.cdga)
+    gf, eta = unit(n, problem.u_truncation(plan.u), problem.cdga(plan.cdga), plan)
+    return _cone_report("(GF)_i", "gf_dims", gf, eta, plan.window)
 
 
-def cmd_counit(problem, args):
-    b = bounds_from(args)
+def cmd_counit(problem, args, plan):
     m = named_complex(problem, args.complex)
-    fg, eps = counit(m, problem.u_truncation(u_bound(args, b)), problem.cdga(args.degree), b)
-    return _cone_report("FG", "fg_dims", fg, eps, b.window)
+    fg, eps = counit(m, problem.u_truncation(plan.u), problem.cdga(plan.cdga), plan)
+    return _cone_report("FG", "fg_dims", fg, eps, plan.window)
 
 
-def cmd_ce(problem, args):
-    b = bounds_from(args)
+def cmd_ce(problem, args, plan):
     m = named_module(problem, args.module)
-    fg, eps, rep = koszul_ce_complex(m, problem.u_truncation(u_bound(args, b)),
-                                     problem.cdga(args.degree), b)
+    fg, eps, rep = koszul_ce_complex(m, problem.u_truncation(plan.u),
+                                     problem.cdga(plan.cdga), plan)
     lines = [f"CE dims: {dict(sorted(fg.dims.items()))}",
              f"homology by degree: {rep.by_degree()}"]
     return 0, {"dims": {str(k): v for k, v in sorted(fg.dims.items())},
                "homology": rep.to_json()}, lines
 
 
-def _range(args):
-    """The ``--range`` a..b of ``tor`` and ``ext``, refused when a > b."""
+def cmd_tor(problem, args, plan):
+    m = named_complex(problem, args.module)
+    rep = tor(m, problem.cdga(plan.cdga), plan, cross_check=args.cross_check,
+              u=problem.u_truncation(plan.u) if args.cross_check else None)
     a, b = args.range
-    if a > b:
-        raise InputError(f"--range must be nonempty: {a}..{b} has {a} > {b}")
-    return a, b
-
-
-def cmd_tor(problem, args):
-    a, bb = _range(args)
-    nonnegative(args, "filtration", "internal")
-    b = FunctorBounds(window=(-bb - 2, 1), filtration=args.filtration,
-                      internal=args.internal)
-    m = named_complex(problem, args.module)
-    rep = tor(m, problem.cdga(args.degree), b,
-              cross_check=args.cross_check,
-              u=problem.u_truncation(u_bound(args, b)) if args.cross_check else None)
     by_deg = rep.by_degree()
-    dims = [by_deg.get(-p, 0) for p in range(a, bb + 1)]
-    lines = [f"Tor_p(k, {args.module}) for p = {a}..{bb}: {dims}"]
-    return 0, {"range": [a, bb], "dims": dims,
+    dims = [by_deg.get(-p, 0) for p in range(a, b + 1)]
+    lines = [f"Tor_p(k, {args.module}) for p = {a}..{b}: {dims}"]
+    return 0, {"range": [a, b], "dims": dims,
                "homology": rep.to_json()}, lines
 
 
-def cmd_ext(problem, args):
-    a, bb = _range(args)
-    nonnegative(args, "filtration", "internal")
-    b = FunctorBounds(window=(min(a, 0), bb + 1), filtration=args.filtration,
-                      internal=max(args.internal, bb + 1))
+def cmd_ext(problem, args, plan):
     m = named_complex(problem, args.module)
-    rep = ext(m, problem.cdga(max(args.degree, bb + 2)), b)
+    rep = ext(m, problem.cdga(plan.cdga), plan)
+    a, b = args.range
     by_deg = rep.by_degree()
-    dims = [by_deg.get(p, 0) for p in range(a, bb + 1)]
-    lines = [f"Ext^p(k, {args.module}) for p = {a}..{bb}: {dims}"]
-    return 0, {"range": [a, bb], "dims": dims,
+    dims = [by_deg.get(p, 0) for p in range(a, b + 1)]
+    lines = [f"Ext^p(k, {args.module}) for p = {a}..{b}: {dims}"]
+    return 0, {"range": [a, b], "dims": dims,
                "homology": rep.to_json()}, lines
 
 
-def cmd_minimize(problem, args):
-    b = bounds_from(args)
+def cmd_minimize(problem, args, plan):
     m = named_complex(problem, args.complex)
-    res = minimize_G(m, problem.cdga(args.degree), b)
+    res = minimize_G(m, problem.cdga(plan.cdga), plan)
     h, _ = homology_dims(m, m.window)
     lines = [f"socle dims of the minimal model: {res.socle_dims}",
              f"homology of the input: {h}",
@@ -365,11 +334,9 @@ def cmd_minimize(problem, args):
                "certified": True}, lines
 
 
-def cmd_null_free(problem, args):
-    p = named_free_complex(problem, args.free, args.degree)
-    guard = 0 if p.entry_degree_bound() == 0 else args.guard
-    lo, hi = p.window
-    rep = null_test_free(p, args.filtration // 2, (lo + guard, hi - guard))
+def cmd_null_free(problem, args, plan):
+    p = named_free_complex(problem, args.free, plan.u)
+    rep = null_test_free(p, plan.filtration, plan.interior(p.window, p.entry_degree_bound()))
     lines = [f"acyclic (interior): {rep['acyclic']}",
              f"fiber acyclic: {rep['fiber_acyclic']}",
              f"in null system: {rep['in_null_system']}"]
@@ -380,19 +347,16 @@ def cmd_null_free(problem, args):
     return 0, payload, lines
 
 
-def cmd_null_cofree(problem, args):
+def cmd_null_cofree(problem, args, plan):
     if args.free_dual:
-        i = named_free_dual_complex(problem, args.free_dual, args.degree)
+        i = named_free_dual_complex(problem, args.free_dual, plan.cdga)
         positions = sorted({v[0] for labs in i.labels.values() for _, _, v in labs})
-        interior = (positions[0] + args.guard, positions[-1] - args.guard)
-        rep = null_test_cofree(i, problem.cdga(args.degree), args.internal,
-                               interior, by_position=True)
+        window = (positions[0], positions[-1])
     else:
-        i = named_cdg_module(problem, args.cdg, args.degree)
-        lo, hi = i.window
-        interior = (lo + args.guard, hi - args.guard)
-        rep = null_test_cofree(i, problem.cdga(args.degree), args.internal,
-                               interior)
+        i = named_cdg_module(problem, args.cdg, plan.cdga)
+        window = i.window
+    rep = null_test_cofree(i, problem.cdga(plan.cdga), plan.internal, plan.interior(window),
+                           by_position=bool(args.free_dual))
     lines = [f"acyclic (interior): {rep['acyclic']}",
              f"socle complex acyclic: {rep['socle_acyclic']}",
              f"in null system: {rep['in_null_system']}"]
@@ -400,10 +364,9 @@ def cmd_null_cofree(problem, args):
     return 0, payload, lines
 
 
-def cmd_t_trunc(problem, args):
-    i = named_cdg_module(problem, args.cdg, args.degree)
-    sub, quot, restr = t_truncate(i, problem.cdga(args.degree), args.at,
-                                  args.internal)
+def cmd_t_trunc(problem, args, plan):
+    i = named_cdg_module(problem, args.cdg, plan.cdga)
+    sub, quot, restr = t_truncate(i, problem.cdga(plan.cdga), args.at, plan.internal)
     lines = [f"t<=p dims: {dict(sorted(sub.dims.items()))}",
              f"t>p dims:  {dict(sorted(quot.dims.items()))}"]
     payload = {"sub_dims": {str(k): v for k, v in sorted(sub.dims.items())},
@@ -415,9 +378,9 @@ def cmd_t_trunc(problem, args):
     return 0, payload, lines
 
 
-def cmd_sigma_trunc(problem, args):
+def cmd_sigma_trunc(problem, args, plan):
     if args.cdg:
-        x = named_cdg_module(problem, args.cdg, args.degree)
+        x = named_cdg_module(problem, args.cdg, plan.cdga)
     else:
         x = named_complex(problem, args.complex)
     above, below = sigma_truncate(x, args.at)
@@ -427,8 +390,8 @@ def cmd_sigma_trunc(problem, args):
                "below_dims": {str(k): v for k, v in sorted(below.dims.items())}}, lines
 
 
-def cmd_regrade(problem, args):
-    x = named_cdg_module(problem, args.cdg, args.degree)
+def cmd_regrade(problem, args, plan):
+    x = named_cdg_module(problem, args.cdg, plan.cdga)
     comps, _ = regrade(x, args.r)
     # (p, w) -> (p + (r - 1) w, w) is a bijection for every r: the round
     # trip is exact by construction
@@ -439,7 +402,7 @@ def cmd_regrade(problem, args):
         "round_trip": True}, lines
 
 
-def cmd_selftest(problem, args):
+def cmd_selftest(problem, args, plan):
     import io
     from . import selftest
     buf = io.StringIO()

@@ -2007,10 +2007,6 @@ def oracle_regrade(x: BigradedComplex, r: int) -> BigradedComplex:
     return out
 
 
-def oracle_regrade_inverse(x: BigradedComplex, r: int) -> BigradedComplex:
-    return _reindex(x, 1 - r)
-
-
 def bigraded_from_weighted(x) -> BigradedComplex:
     """Split a weighted complex into its (degree, weight) components."""
     comps, diffs = {}, {}

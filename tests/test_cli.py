@@ -3,8 +3,10 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -15,6 +17,10 @@ from koszul_kit import cli
 
 PKG = os.path.join(os.path.dirname(__file__), "..")
 ENV = dict(os.environ, PYTHONPATH=os.path.join(PKG, "src"))
+sys.path.insert(0, os.path.join(PKG, "perfbench"))
+
+import problems  # noqa: E402
+import workloads  # noqa: E402
 
 
 def run_cli(*argv, expect=0, env=ENV):
@@ -93,6 +99,29 @@ def test_null_free_and_cofree():
     out = run_cli("null-cofree", SYM2, "--free-dual", "spliced", "--degree", "4")
     assert "in null system: False" in out
     assert "acyclic (interior): True" in out
+
+
+@pytest.mark.parametrize("reader, window, widest", [
+    (["null-free", SYM2, "--free", "koszul_of_k"], "[-2, 0]", 1),
+    (["null-cofree", SYM2, "--cdg", "gk", "--degree", "5"], "[-2, 0]", 1),
+    (["null-cofree", SYM2, "--free-dual", "spliced", "--degree", "4"], "[-3, 3]", 3),
+], ids=["free", "cdg", "free-dual"])
+def test_guard_that_leaves_no_interior_exit_two(capsys, reader, window, widest):
+    """A null test asserts acyclicity on its window less the --guard band
+    at each end.  A guard that leaves no degree would make every claim
+    vacuously true, and a negative one pulls the unreliable edges in: both
+    are refused, naming the flag and the window (the free complex's
+    window, the cdg module's, or the merge's positions); the widest guard
+    that leaves an interior still runs."""
+    cases = [(str(widest + 1), f"--guard {widest + 1} leaves no interior of the window {window}"),
+             ("50", f"--guard 50 leaves no interior of the window {window}"),
+             ("-2", "--guard must be >= 0: got -2")]
+    for guard, message in cases:
+        for extra in ([], ["--json"]):
+            assert cli.main(reader + ["--guard", guard] + extra) == 2
+            assert capsys.readouterr() == ("", f"input error: {message}\n")
+    assert cli.main(reader + ["--guard", str(widest)]) == 0
+    assert "in null system" in capsys.readouterr().out
 
 
 def test_minimize_command():
@@ -279,6 +308,14 @@ def test_degree_below_two_names_the_flag(capsys, argv, degree):
     (["ce", HEIS, "--window=3:-3"], "--window must be nonempty: 3:-3 has 3 > -3"),
     (["ext", SYM2, "--module", "k", "--range", "0..3", "--internal", "-3"],
      "--internal must be >= 0: got -3"),
+    (["null-free", SYM2, "--free", "koszul_of_k", "--filtration", "-3"],
+     "--filtration must be >= 0: got -3"),
+    (["null-free", SYM2, "--free", "koszul_of_k", "--degree", "-1"],
+     "--degree must be >= 0: got -1"),
+    (["null-cofree", SYM2, "--cdg", "gk", "--degree", "5", "--internal", "-1"],
+     "--internal must be >= 0: got -1"),
+    (["t-trunc", SYM2, "--cdg", "gk", "--at", "0", "--degree", "5", "--internal", "-2"],
+     "--internal must be >= 0: got -2"),
 ])
 def test_bad_bound_names_the_flag_and_value(capsys, argv, message):
     """A negative bound or an empty window exits 2 with a message that
@@ -290,7 +327,8 @@ def test_bad_bound_names_the_flag_and_value(capsys, argv, message):
 
 def test_truncation_overflow_names_the_flag(tmp_path, capsys):
     """An entry word of A!-degree 3 read at --degree 2 is refused, naming
-    the flag; --degree 3 reads it."""
+    the flag; --degree 3 reads it.  The merge sits at positions 0 and 1,
+    so only --guard 0 leaves an interior to judge."""
     raw = json.load(open(SYM2))
     raw["free_dual_complexes"]["long"] = {
         "ranks": {"0": [0], "1": [-3]}, "entries": {"0": [[[[["x1*", "x2*", "x1*"], "1"]]]]}}
@@ -301,7 +339,8 @@ def test_truncation_overflow_names_the_flag(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "input error: degree 3 beyond bound 2; raise --degree\n"
     assert "beyond bound" in err and "--degree" in err
-    assert cli.main(["null-cofree", path, "--free-dual", "long", "--degree", "3"]) == 0
+    assert cli.main(["null-cofree", path, "--free-dual", "long", "--degree", "3",
+                     "--guard", "0"]) == 0
 
 
 def test_merge_reads_zero_past_a_zero_bound(capsys):
@@ -513,6 +552,43 @@ def test_module_reader_refusals_exit_two(tmp_path, capsys, field):
     assert cli.main(["sigma-trunc", twop_path, "--complex", "k1", "--at", "0"]) == 0
 
 
+def test_malformed_matrix_refusal_names_the_object_and_degree(tmp_path, capsys):
+    """A differential or action of the wrong shape, or a differential into
+    a degree with no module, is refused naming the object, the key and
+    the degree, text and --json (a bare KeyError printed as "input error:
+    2", or "matrix must be 0x1" alone, before)."""
+    def write(name, edit):
+        raw = json.load(open(SYM2))
+        edit(raw)
+        path = str(tmp_path / name)
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+        return path
+    past = write("past.json", lambda r: r["complexes"]["two"]["differentials"].update(
+        {"1": [["1", "0"], ["0", "1"]]}))
+    below = write("below.json", lambda r: r["complexes"]["two"]["differentials"].update(
+        {"-1": [["1"], ["0"]]}))
+    cdg_d = write("cdg_d.json", lambda r: r["cdg_modules"]["gk"]["differentials"].update(
+        {"0": [["1"]]}))
+    cdg_act = write("cdg_act.json", lambda r: r["cdg_modules"]["gk"]["actions"]["x2*"].update(
+        {"-1": [["0", "-1", "0"]]}))
+    mod = write("mod.json", lambda r: r["modules"]["k2"]["actions"].update(x2=[["0"]]))
+    cases = [(["sigma-trunc", past, "--complex", "two", "--at", "0"],
+              "complex 'two': differential at degree 1 needs a module at degree 2"),
+             (["tor", below, "--module", "two"],
+              "complex 'two': differential at degree -1 needs a module at degree -1"),
+             (["null-cofree", cdg_d, "--cdg", "gk", "--degree", "5"],
+              "cdg module 'gk': differential at degree 0: matrix must be 0x1"),
+             (["regrade", cdg_act, "--cdg", "gk", "--r", "2", "--degree", "5"],
+              "cdg module 'gk': action of x2* at degree -1: matrix must be 1x2"),
+             (["apply-g", mod, "--complex", "two", "--window=-4:2"],
+              "module 'k2': action of x2: matrix must be 2x2")]
+    for argv, message in cases:
+        for extra in ([], ["--json"]):
+            assert cli.main(argv + extra) == 2
+            assert capsys.readouterr() == ("", f"input error: {message}\n")
+
+
 def test_declared_data_outside_the_window_exit_two(tmp_path, capsys):
     """Declared data that the window or the weights leave out is refused,
     naming the object and the degree, text and --json: a cdg module whose
@@ -608,6 +684,54 @@ def test_weighted_tor_whose_d_moves_weight_exit_two(tmp_path, field):
             assert (out.returncode, out.stdout) == (2, "")
             assert out.stderr == ("InconsistentDataError: d does not keep weight at degree -2: "
                                   f"an entry joins weight {weights}\n")
+
+
+# -- the bound plan ---------------------------------------------------------------
+
+
+PLAN_GRID = [
+    *(f"{c} {{ex}}/symmetric2.json {flags} --degree {d} --filtration {f} --window={w}"
+      for (c, flags), d, f, w in itertools.product(
+          [("ce", ""), ("counit", "--complex k"), ("unit", "--cdg k"), ("apply-f", "--cdg gk")],
+          (2, 5), (1, 3), ("-3:1", "-2:0"))),
+    *(f"{c} {{ex}}/symmetric2.json --module k --range {r} --degree {d} --internal {i} "
+      f"--filtration {f}{x}"
+      for (c, x), r, d, i, f in itertools.product(
+          [("tor", ""), ("tor", " --cross-check"), ("ext", "")],
+          ("0..2", "1..3"), (2, 5), (0, 3), (1, 3))),
+    *(f"cdga {{ex}}/{name}.json --degree {d}"
+      for name, d in itertools.product(("twopoint", "heisenberg"), (0, 2, 3, 5))),
+    *(f"null-free {{ex}}/symmetric2.json --free {name} --degree {d} --filtration {f}"
+      for name, d, f in itertools.product(("koszul_of_k", "cone_id"), (2, 4, 6), (0, 3, 8))),
+]
+
+
+def test_every_bound_built_is_a_field_of_the_plan(tmp_path, monkeypatch):
+    """Every U truncation and cdga a command asks its problem for is at the
+    ``u`` or ``cdga`` field of the command's ``cli.plan``: each workload
+    command of the benchmark, on its problem files of seed 1, and a grid
+    of --degree, --filtration, --internal, --window and --range values on
+    the commands that derive a bound from them (refused runs included)."""
+    asked = []
+    for name in ("u_truncation", "cdga"):
+        def record(self, bound, _name=name, _build=getattr(cli.Problem, name)):
+            asked.append((_name, bound))
+            return _build(self, bound)
+        monkeypatch.setattr(cli.Problem, name, record)
+    problems.write_problems(str(tmp_path), 1)
+    templates = [t for commands in workloads.WORKLOADS.values() for t in commands] + PLAN_GRID
+    built = set()
+    for template in templates:
+        argv = shlex.split(template.format(ex=os.path.join(PKG, "examples_cli"), gen=tmp_path))
+        plan = cli.plan(cli.parse_args(argv))
+        del asked[:]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv + ["--json"]) in (0, 1, 2), template
+        for name, bound in asked:
+            assert bound == (plan.u if name == "u_truncation" else plan.cdga), (template, name)
+            built.add((argv[0], name))
+    assert {(c, n) for c in ("ce", "counit", "unit", "apply-f", "cdga") for n in ("u_truncation", "cdga")} \
+        | {("tor", "u_truncation"), ("ext", "cdga"), ("null-free", "u_truncation")} <= built
 
 
 # -- the argument parser ----------------------------------------------------------

@@ -9,8 +9,9 @@ matrix through a dense ``.data`` store, no package module but
 ``scalars`` builds a ``Fraction`` or divides with ``/``, no package
 module imports ``dataclasses``, every package function that the
 benchmark's commands never call is on a list that says why it stays,
-every one kept there as library API is read by some test, and the
-benchmark's U commands, all on PBW input, run the heap reduction
+every one kept there as library API is read by some test, every
+function and class of ``tests/conftest.py`` is reached from a test file,
+and the benchmark's U commands, all on PBW input, run the heap reduction
 only inside the completion.
 
 An import that nothing reads hides which functions a module really
@@ -23,7 +24,8 @@ integral), and ``int / int`` is a float.  ``dataclasses`` imports
 ``inspect``, ``ast``, ``dis``, ``tokenize`` and ``typing``, several
 milliseconds of every process's start-up.  A function that no command
 reaches is library code that only tests read, or dead, and it is dead
-once no test reads it either.  A heap
+once no test reads it either; so is an oracle or builder of
+``conftest.py`` that no test reaches.  A heap
 reduction outside the completion on PBW input is a U product that left
 the generator table.
 """
@@ -511,6 +513,64 @@ def test_library_api_is_read_by_tests():
     tests = {path: path.read_text() for path in sorted(ROOT.glob("tests/*.py"))}
     assert any(r.startswith("library API") for r in UNREACHED.values())
     assert _unread_library_api(UNREACHED, tests) == []
+
+
+def _test_names(tree):
+    """Every identifier a tree names (``_named``) and every parameter it
+    declares: a test's parameter is how it reads a fixture."""
+    return {_named(node) for node in ast.walk(tree)} | {
+        node.arg for node in ast.walk(tree) if isinstance(node, ast.arg)}
+
+
+def _unreached_conftest_defs(conftest, tests):
+    """The module-level functions and classes of the ``conftest`` source
+    that no test reaches.  A definition is reached when a ``tests`` source
+    names it (a fixture: a test has a parameter of its name), when
+    conftest's own module-level code or decorators name it, or when a
+    reached definition names it."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    tree = ast.parse(conftest)
+    defs = {node.name: node for node in tree.body if isinstance(node, kinds)}
+    seen = set().union(*(_test_names(ast.parse(src)) for src in tests.values()))
+    for node in tree.body:
+        for part in node.decorator_list if isinstance(node, kinds) else [node]:
+            seen |= _test_names(part)
+    reached, todo = set(), [name for name in defs if name in seen]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [n for n in _test_names(defs[name]) if n in defs]
+    return sorted(set(defs) - reached)
+
+
+def test_scan_flags_an_unreached_conftest_def():
+    conftest = ("import pytest\n"
+                "@pytest.fixture\n"
+                "def field():\n    return 3\n"
+                "@pytest.fixture\n"
+                "def unused_fixture():\n    return 4\n"
+                "def _helper():\n    return 1\n"
+                "def oracle(x):\n    return _helper() + x\n"
+                "def dead(x):\n    return _dead_helper(x)\n"
+                "def _dead_helper(x):\n    return x\n"
+                "def recursive():\n    return recursive()\n"
+                "class Box:\n    pass\n"
+                "TABLE = [_helper]\n")
+    tests = {"test_a.py": "from conftest import oracle\n"
+                          "def test_f(field):\n    assert oracle(field)\n",
+             "test_b.py": "import conftest\ndef test_g():\n    conftest.Box()\n"}
+    assert _unreached_conftest_defs(conftest, tests) == [
+        "_dead_helper", "dead", "recursive", "unused_fixture"]
+
+
+def test_every_conftest_def_is_reached_from_a_test():
+    """An oracle or builder of ``tests/conftest.py`` that no test reaches
+    is dead code, like a package function that nothing calls."""
+    tests = {path: path.read_text() for path in sorted(ROOT.glob("tests/test_*.py"))}
+    conftest = (ROOT / "tests" / "conftest.py").read_text()
+    assert tests and "def " in conftest
+    assert _unreached_conftest_defs(conftest, tests) == []
 
 
 def test_pbw_u_products_need_no_heap(tmp_path, monkeypatch):
